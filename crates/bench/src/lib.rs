@@ -41,14 +41,13 @@ pub mod exp08;
 pub mod exp09;
 pub mod exp10;
 pub mod kernels;
-pub mod parallel;
 pub mod report;
 pub mod scale;
 
 pub use report::Report;
 pub use scale::Scale;
 
-/// Host-fingerprint lines shared by both bench manifests. `cargo xtask
+/// Host-fingerprint lines of the kernel bench manifest. `cargo xtask
 /// bench-diff` refuses to compare wall-clock numbers when these differ
 /// (unless `--allow-cross-host`): `secs_*` fields are only meaningful on
 /// the host that produced them, while `probes`/`pairs` are deterministic

@@ -16,7 +16,7 @@
 //! ```
 //!
 //! `cargo xtask bench-diff` is the perf-regression gate over the
-//! `BENCH_*.json` manifests (see `bench_diff` and DESIGN.md §16):
+//! `BENCH_kernels.json` manifests (see `bench_diff` and DESIGN.md §16):
 //!
 //! ```text
 //! cargo xtask bench-diff OLD.json NEW.json
