@@ -1100,6 +1100,8 @@ mod tests {
     fn metric_name_convention() {
         assert!(valid_metric_name("mining.iso.calls"));
         assert!(valid_metric_name("scoring.greedy.iterations"));
+        assert!(valid_metric_name("scoring.greedy.rescored"));
+        assert!(valid_metric_name("scoring.greedy.memo_hits"));
         assert!(valid_metric_name("mining.iso.probes_per_call"));
         assert!(!valid_metric_name("mining"));
         assert!(!valid_metric_name("mining.calls"));

@@ -11,7 +11,7 @@
 //! data-driven patterns (a zero-frequency pattern keeps its base score).
 
 use catapult_graph::iso::{for_each_embedding, MatchOptions};
-use catapult_graph::{Graph, SearchBudget};
+use catapult_graph::{Graph, SearchBudget, Tally};
 use std::ops::ControlFlow;
 
 /// A log of previously formulated subgraph queries.
@@ -20,9 +20,10 @@ pub struct QueryLog {
     queries: Vec<Graph>,
 }
 
-/// VF2 budget per containment probe; logged queries are small (≤ ~40
-/// edges) so this is ample.
-const LOG_ISO_BUDGET: u64 = 200_000;
+/// Default VF2 node cap per containment probe; logged queries are small
+/// (≤ ~40 edges) so this is ample. A user [`SearchBudget`] node cap
+/// overrides it.
+pub const LOG_ISO_BUDGET: u64 = 200_000;
 
 impl QueryLog {
     /// Build a log from recorded queries.
@@ -46,23 +47,27 @@ impl QueryLog {
     }
 
     /// Fraction of logged queries containing `pattern` (0 for an empty
-    /// log).
-    pub fn pattern_frequency(&self, pattern: &Graph) -> f64 {
+    /// log). Each VF2 probe runs under `budget` (its node cap defaulting
+    /// to [`LOG_ISO_BUDGET`]) and is recorded in `tally`.
+    pub fn pattern_frequency(&self, pattern: &Graph, budget: &SearchBudget, tally: &Tally) -> f64 {
         if self.queries.is_empty() {
             return 0.0;
         }
+        let probe = budget.with_default_cap(LOG_ISO_BUDGET);
         let hits = self
             .queries
             .iter()
             .filter(|q| {
                 let opts = MatchOptions {
                     max_embeddings: 1,
-                    budget: SearchBudget::nodes(LOG_ISO_BUDGET),
+                    budget: probe.clone(),
                     ..MatchOptions::default()
                 };
                 // A tripped probe under-counts the boost factor — it can
                 // only weaken the log bias, never corrupt the base score.
-                for_each_embedding(q, pattern, opts, |_| ControlFlow::Break(())).embeddings > 0
+                let out = for_each_embedding(q, pattern, opts, |_| ControlFlow::Break(()));
+                tally.record(out.completeness);
+                out.embeddings > 0
             })
             .count();
         hits as f64 / self.queries.len() as f64
@@ -72,7 +77,11 @@ impl QueryLog {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use catapult_graph::Label;
+    use catapult_graph::{CancelToken, Label};
+
+    fn freq(log: &QueryLog, p: &Graph) -> f64 {
+        log.pattern_frequency(p, &SearchBudget::unbounded(), &Tally::new())
+    }
 
     fn l(x: u32) -> Label {
         Label(x)
@@ -95,17 +104,17 @@ mod tests {
     fn frequency_counts_containing_queries() {
         let log = QueryLog::new(vec![cycle(6), cycle(5), path(4)]);
         // A 3-path embeds in all three; a triangle in none.
-        assert!((log.pattern_frequency(&path(3)) - 1.0).abs() < 1e-12);
-        assert_eq!(log.pattern_frequency(&cycle(3)), 0.0);
+        assert!((freq(&log, &path(3)) - 1.0).abs() < 1e-12);
+        assert_eq!(freq(&log, &cycle(3)), 0.0);
         // cycle(5) only in the 5-cycle query.
-        assert!((log.pattern_frequency(&cycle(5)) - 1.0 / 3.0).abs() < 1e-12);
+        assert!((freq(&log, &cycle(5)) - 1.0 / 3.0).abs() < 1e-12);
     }
 
     #[test]
     fn empty_log_is_neutral() {
         let log = QueryLog::default();
         assert!(log.is_empty());
-        assert_eq!(log.pattern_frequency(&path(3)), 0.0);
+        assert_eq!(freq(&log, &path(3)), 0.0);
     }
 
     #[test]
@@ -113,6 +122,24 @@ mod tests {
         let mut log = QueryLog::default();
         log.record(cycle(4));
         assert_eq!(log.len(), 1);
-        assert_eq!(log.pattern_frequency(&cycle(4)), 1.0);
+        assert_eq!(freq(&log, &cycle(4)), 1.0);
+    }
+
+    #[test]
+    fn probes_run_under_the_callers_budget() {
+        let log = QueryLog::new(vec![cycle(6), cycle(5), path(4)]);
+        let tally = Tally::new();
+        log.pattern_frequency(&path(3), &SearchBudget::unbounded(), &tally);
+        assert_eq!(tally.counts().total(), 3, "one audited probe per query");
+        assert!(tally.counts().all_exact());
+        // A cancelled selection reaches the log probes too.
+        let token = CancelToken::new();
+        token.cancel();
+        let budget = SearchBudget::unbounded()
+            .with_cancel(token)
+            .with_check_every(1);
+        let cancelled = Tally::new();
+        log.pattern_frequency(&cycle(5), &budget, &cancelled);
+        assert!(cancelled.counts().degraded() > 0);
     }
 }

@@ -24,8 +24,8 @@ pub struct PipelineReport {
     /// Fine-clustering MCS/MCCS searches (degraded pairs fall back to
     /// label-vector similarity).
     pub clustering: TallyCounts,
-    /// Selection-time kernels: candidate dedup VF2, ccov probes, and
-    /// diversity GEDs.
+    /// Selection-time kernels: candidate dedup VF2, ccov probes,
+    /// query-log probes, and diversity GEDs.
     pub scoring: TallyCounts,
 }
 

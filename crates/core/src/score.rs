@@ -15,7 +15,6 @@
 use catapult_csg::{ClusterWeights, Csg};
 use catapult_graph::ged::{ged_lower_bound, ged_with_budget};
 use catapult_graph::iso::{for_each_embedding, MatchOptions};
-use catapult_graph::metrics::cognitive_load;
 use catapult_graph::{EdgeLabel, Graph, SearchBudget, Tally};
 use std::collections::HashMap;
 use std::ops::ControlFlow;
@@ -96,19 +95,11 @@ impl EdgeLabelIndex {
 /// this is generous). A user [`SearchBudget`] node cap overrides it.
 pub const CCOV_ISO_BUDGET: u64 = 2_000_000;
 
-/// Which CSGs contain `p` (subgraph isomorphism against the closure graph).
-///
-/// Convenience wrapper over [`covering_csgs_audited`] with the default
-/// budget and no audit trail.
-pub fn covering_csgs(pattern: &Graph, csgs: &[Csg]) -> Vec<usize> {
-    covering_csgs_audited(pattern, csgs, &SearchBudget::unbounded(), &Tally::new())
-}
-
-/// [`covering_csgs`] under an explicit [`SearchBudget`], recording each
-/// VF2 probe's [`Completeness`](catapult_graph::Completeness) in `tally`.
-/// A degraded probe may miss a covering CSG (never invents one), so `ccov`
-/// built from it is a lower bound.
-pub fn covering_csgs_audited(
+/// Which CSGs contain `p` (subgraph isomorphism against the closure graph),
+/// recording each VF2 probe's [`Completeness`](catapult_graph::Completeness)
+/// in `tally`. A degraded probe may miss a covering CSG (never invents
+/// one), so `ccov` built from it is a lower bound.
+pub fn covering_csgs(
     pattern: &Graph,
     csgs: &[Csg],
     budget: &SearchBudget,
@@ -131,71 +122,50 @@ pub fn covering_csgs_audited(
         .collect()
 }
 
-/// `ccov(p, cw, C) = Σ_i cw_i · I(CSG_i ⊇ p)` (§5).
-pub fn ccov(pattern: &Graph, csgs: &[Csg], cw: &ClusterWeights) -> f64 {
-    ccov_audited(pattern, csgs, cw, &SearchBudget::unbounded(), &Tally::new())
-}
-
-/// [`ccov`] under an explicit budget with a completeness audit trail.
-pub fn ccov_audited(
-    pattern: &Graph,
-    csgs: &[Csg],
-    cw: &ClusterWeights,
-    budget: &SearchBudget,
-    tally: &Tally,
-) -> f64 {
-    covering_csgs_audited(pattern, csgs, budget, tally)
-        .into_iter()
-        .map(|i| cw.get(i))
-        .sum()
+/// `ccov(p, cw, C) = Σ_i cw_i · I(CSG_i ⊇ p)` (§5), summed in ascending
+/// CSG order over `p`'s [`covering_csgs`].
+pub fn ccov(covering: &[usize], cw: &ClusterWeights) -> f64 {
+    covering.iter().map(|&i| cw.get(i)).sum()
 }
 
 /// Default GED node cap for diversity computations (patterns are ≤ ηmax ≈
 /// 12 edges). A user [`SearchBudget`] node cap overrides it.
 pub const DIV_GED_BUDGET: u64 = 50_000;
 
-/// `div(p, P\p) = min_i GED(p, p_i)` with lower-bound pruning (§5):
-/// order selected patterns by ascending `GED_l`, compute exact GEDs in that
-/// order, and drop every pattern whose lower bound already exceeds the
-/// best exact distance found.
+/// `div(p, P\p) = min_i GED(p, p_i)` with lower-bound pruning (§5),
+/// continuing a running minimum `best` over further `picks`: order the
+/// picks by ascending `GED_l`, compute GEDs in that order, and drop every
+/// pick whose lower bound already reaches the best distance found.
 ///
-/// Returns `None` for an empty `selected` set (the first pattern has no
-/// diversity term).
-pub fn diversity(pattern: &Graph, selected: &[Graph]) -> Option<f64> {
-    diversity_audited(pattern, selected, &SearchBudget::unbounded(), &Tally::new())
-}
-
-/// [`diversity`] under an explicit budget with a completeness audit trail.
-/// A tripped GED returns its best upper bound, so a degraded `div` can
-/// only over-estimate the true minimum distance.
-pub fn diversity_audited(
+/// From scratch (`best = None`) over all selected patterns this is the
+/// paper's `div`; `None` comes back only when there is nothing to compare
+/// against (the first pattern has no diversity term). Every GED is
+/// recorded in `tally`. A tripped GED returns its best upper bound, and a
+/// pruned pick's GED is at least its lower bound, so the result is
+/// `min_i ged_with_budget(p, p_i)` whatever the split into calls.
+pub fn diversity(
     pattern: &Graph,
-    selected: &[Graph],
+    picks: &[Graph],
+    mut best: Option<usize>,
     budget: &SearchBudget,
     tally: &Tally,
-) -> Option<f64> {
-    if selected.is_empty() {
-        return None;
-    }
+) -> Option<usize> {
     let probe = budget.with_default_cap(DIV_GED_BUDGET);
-    let mut order: Vec<(usize, usize)> = selected
+    let mut order: Vec<(usize, usize)> = picks
         .iter()
         .map(|p| ged_lower_bound(pattern, p))
         .enumerate()
         .collect();
     order.sort_by_key(|&(_, lb)| lb);
-    let mut best = usize::MAX;
     for (i, lb) in order {
-        if lb >= best {
+        if best.is_some_and(|b| lb >= b) {
             break; // all remaining lower bounds are ≥ best: prune (step c3)
         }
-        let r = ged_with_budget(pattern, &selected[i], &probe);
+        let r = ged_with_budget(pattern, &picks[i], &probe);
         tally.record(r.completeness);
-        if r.distance < best {
-            best = r.distance;
-        }
+        best = Some(best.map_or(r.distance, |b| b.min(r.distance)));
     }
-    Some(best as f64)
+    best
 }
 
 /// Scoring-function variants: the paper's Eq. 2 plus the ablations the
@@ -215,75 +185,45 @@ pub enum ScoreVariant {
     Additive,
 }
 
-/// The Eq. 2 pattern score. `div` defaults to 1 when no pattern has been
-/// selected yet (the multiplicative identity — the first pick is driven by
-/// coverage and cognitive load alone).
-pub fn pattern_score(
-    pattern: &Graph,
-    csgs: &[Csg],
-    cw: &ClusterWeights,
-    index: &EdgeLabelIndex,
-    selected: &[Graph],
-) -> f64 {
-    pattern_score_variant(pattern, csgs, cw, index, selected, ScoreVariant::Full)
-}
-
-/// Pattern score under a chosen [`ScoreVariant`].
-pub fn pattern_score_variant(
-    pattern: &Graph,
-    csgs: &[Csg],
-    cw: &ClusterWeights,
-    index: &EdgeLabelIndex,
-    selected: &[Graph],
-    variant: ScoreVariant,
-) -> f64 {
-    pattern_score_audited(
-        pattern,
-        csgs,
-        cw,
-        index,
-        selected,
-        variant,
-        &SearchBudget::unbounded(),
-        &Tally::new(),
-    )
-}
-
-/// [`pattern_score_variant`] under an explicit [`SearchBudget`], recording
-/// every NP-hard kernel call (ccov VF2 probes, diversity GEDs) in `tally`.
-/// With a degraded tally the score is approximate: `ccov` is a lower bound
-/// and `div` an upper bound.
-#[allow(clippy::too_many_arguments)]
-pub fn pattern_score_audited(
-    pattern: &Graph,
-    csgs: &[Csg],
-    cw: &ClusterWeights,
-    index: &EdgeLabelIndex,
-    selected: &[Graph],
-    variant: ScoreVariant,
-    budget: &SearchBudget,
-    tally: &Tally,
-) -> f64 {
-    let cov = ccov_audited(pattern, csgs, cw, budget, tally);
-    let label_cov = index.lcov(pattern);
-    let cog = cognitive_load(pattern);
-    if cog <= 0.0 {
-        return 0.0;
+impl ScoreVariant {
+    /// Whether the score depends on `div` (every variant but
+    /// [`ScoreVariant::NoDiversity`]).
+    pub fn uses_diversity(self) -> bool {
+        self != ScoreVariant::NoDiversity
     }
-    match variant {
-        ScoreVariant::Full => {
-            let div = diversity_audited(pattern, selected, budget, tally).unwrap_or(1.0);
-            cov * label_cov * div / cog
+}
+
+/// Combine the terms into the pattern score under `variant`, times the
+/// query-log `boost` factor when one is given. `div` is 1 when no pattern
+/// has been selected yet (the multiplicative identity — the first pick is
+/// driven by coverage and cognitive load alone). A non-positive `cog`
+/// scores 0.
+///
+/// Every variant is non-decreasing in each of `ccov`, `lcov` and `div`
+/// (all non-negative), and so is the boosted score when the boost factor
+/// is non-negative: the greedy loop relies on that to use this same
+/// function as an upper bound.
+pub fn eq2_score(
+    variant: ScoreVariant,
+    ccov: f64,
+    lcov: f64,
+    div: f64,
+    cog: f64,
+    boost: Option<f64>,
+) -> f64 {
+    let s = if cog <= 0.0 {
+        0.0
+    } else {
+        match variant {
+            ScoreVariant::Full => ccov * lcov * div / cog,
+            ScoreVariant::NoDiversity => ccov * lcov / cog,
+            ScoreVariant::NoCognitiveLoad => ccov * lcov * div,
+            ScoreVariant::Additive => (ccov + lcov + div / (div + 1.0) + 1.0 / (1.0 + cog)) / 4.0,
         }
-        ScoreVariant::NoDiversity => cov * label_cov / cog,
-        ScoreVariant::NoCognitiveLoad => {
-            let div = diversity_audited(pattern, selected, budget, tally).unwrap_or(1.0);
-            cov * label_cov * div
-        }
-        ScoreVariant::Additive => {
-            let div = diversity_audited(pattern, selected, budget, tally).unwrap_or(1.0);
-            (cov + label_cov + div / (div + 1.0) + 1.0 / (1.0 + cog)) / 4.0
-        }
+    };
+    match boost {
+        Some(f) => s * f,
+        None => s,
     }
 }
 
@@ -291,6 +231,7 @@ pub fn pattern_score_audited(
 mod tests {
     use super::*;
     use catapult_csg::build_csgs;
+    use catapult_graph::metrics::cognitive_load;
     use catapult_graph::Label;
 
     fn l(x: u32) -> Label {
@@ -316,6 +257,35 @@ mod tests {
         assert!((idx.lcov_set(&[p, q]) - 1.0).abs() < 1e-12);
     }
 
+    fn covering(p: &Graph, csgs: &[Csg]) -> Vec<usize> {
+        covering_csgs(p, csgs, &SearchBudget::unbounded(), &Tally::new())
+    }
+
+    fn div(p: &Graph, picks: &[Graph]) -> Option<usize> {
+        diversity(p, picks, None, &SearchBudget::unbounded(), &Tally::new())
+    }
+
+    /// Eq. 2 from scratch over `selected`, as the greedy loop scores it.
+    fn score(
+        p: &Graph,
+        csgs: &[Csg],
+        cw: &ClusterWeights,
+        idx: &EdgeLabelIndex,
+        selected: &[Graph],
+        variant: ScoreVariant,
+    ) -> f64 {
+        let d = div(p, selected).map_or(1.0, |d| d as f64);
+        let cog = cognitive_load(p);
+        eq2_score(
+            variant,
+            ccov(&covering(p, csgs), cw),
+            idx.lcov(p),
+            d,
+            cog,
+            None,
+        )
+    }
+
     #[test]
     fn ccov_weights_covering_clusters() {
         let db = db();
@@ -323,8 +293,19 @@ mod tests {
         let cw = ClusterWeights::new(&csgs, db.len());
         let p = Graph::from_parts(&[l(0), l(1)], &[(0, 1)]);
         // p is in CSG 0 (weight 2/3) only.
-        assert!((ccov(&p, &csgs, &cw) - 2.0 / 3.0).abs() < 1e-12);
-        assert_eq!(covering_csgs(&p, &csgs), vec![0]);
+        assert_eq!(covering(&p, &csgs), vec![0]);
+        assert!((ccov(&covering(&p, &csgs), &cw) - 2.0 / 3.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn covering_probes_are_audited() {
+        let db = db();
+        let csgs = build_csgs(&db, &[vec![0, 1], vec![2]]);
+        let p = Graph::from_parts(&[l(0), l(1)], &[(0, 1)]);
+        let tally = Tally::new();
+        covering_csgs(&p, &csgs, &SearchBudget::unbounded(), &tally);
+        assert_eq!(tally.counts().total(), csgs.len() as u64);
+        assert!(tally.counts().all_exact());
     }
 
     #[test]
@@ -332,9 +313,8 @@ mod tests {
         let p = Graph::from_parts(&[l(0); 3], &[(0, 1), (1, 2)]);
         let near = Graph::from_parts(&[l(0); 3], &[(0, 1), (1, 2), (0, 2)]); // +1 edge
         let far = Graph::from_parts(&[l(9); 6], &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)]);
-        let d = diversity(&p, &[far, near]).unwrap();
-        assert_eq!(d, 1.0);
-        assert!(diversity(&p, &[]).is_none());
+        assert_eq!(div(&p, &[far, near]), Some(1));
+        assert!(div(&p, &[]).is_none());
     }
 
     #[test]
@@ -345,13 +325,29 @@ mod tests {
             Graph::from_parts(&[l(0), l(1), l(2), l(3)], &[(0, 1), (1, 2), (2, 3)]),
             Graph::from_parts(&[l(5), l(6), l(7)], &[(0, 1), (1, 2)]),
         ];
-        let pruned = diversity(&p, &set).unwrap();
         let naive = set
             .iter()
             .map(|q| ged_with_budget(&p, q, 1_000_000).distance)
-            .min()
-            .unwrap() as f64;
-        assert_eq!(pruned, naive);
+            .min();
+        assert_eq!(div(&p, &set), naive);
+    }
+
+    #[test]
+    fn running_diversity_equals_from_scratch() {
+        let p = Graph::from_parts(&[l(0), l(1), l(2)], &[(0, 1), (1, 2)]);
+        let set = vec![
+            Graph::from_parts(&[l(5), l(6), l(7)], &[(0, 1), (1, 2)]),
+            Graph::from_parts(&[l(0), l(1), l(2), l(3)], &[(0, 1), (1, 2), (2, 3)]),
+            Graph::from_parts(&[l(0), l(1)], &[(0, 1)]),
+        ];
+        let scratch = div(&p, &set);
+        for split in 0..=set.len() {
+            let (old, new) = set.split_at(split);
+            let running = div(&p, old);
+            let tally = Tally::new();
+            let extended = diversity(&p, new, running, &SearchBudget::unbounded(), &tally);
+            assert_eq!(extended, scratch, "split at {split}");
+        }
     }
 
     #[test]
@@ -363,8 +359,8 @@ mod tests {
         // A pattern in the big cluster vs one in the small cluster.
         let popular = Graph::from_parts(&[l(0), l(1), l(2)], &[(0, 1), (1, 2)]);
         let niche = Graph::from_parts(&[l(3), l(4)], &[(0, 1)]);
-        let s1 = pattern_score(&popular, &csgs, &cw, &idx, &[]);
-        let s2 = pattern_score(&niche, &csgs, &cw, &idx, &[]);
+        let s1 = score(&popular, &csgs, &cw, &idx, &[], ScoreVariant::Full);
+        let s2 = score(&niche, &csgs, &cw, &idx, &[], ScoreVariant::Full);
         assert!(s1 > s2, "popular {s1} vs niche {s2}");
     }
 
@@ -376,25 +372,46 @@ mod tests {
         let idx = EdgeLabelIndex::build(&db);
         let p = Graph::from_parts(&[l(0), l(1), l(2)], &[(0, 1), (1, 2)]);
         let selected = vec![Graph::from_parts(&[l(0), l(1)], &[(0, 1)])];
-        let full = pattern_score_variant(&p, &csgs, &cw, &idx, &selected, ScoreVariant::Full);
-        let no_div =
-            pattern_score_variant(&p, &csgs, &cw, &idx, &selected, ScoreVariant::NoDiversity);
-        let no_cog = pattern_score_variant(
-            &p,
-            &csgs,
-            &cw,
-            &idx,
-            &selected,
-            ScoreVariant::NoCognitiveLoad,
-        );
-        let add = pattern_score_variant(&p, &csgs, &cw, &idx, &selected, ScoreVariant::Additive);
+        let s = |variant| score(&p, &csgs, &cw, &idx, &selected, variant);
+        let full = s(ScoreVariant::Full);
+        let no_div = s(ScoreVariant::NoDiversity);
+        let no_cog = s(ScoreVariant::NoCognitiveLoad);
+        let add = s(ScoreVariant::Additive);
         // div(p, selected) = GED to the single edge = 2 → full = no_div × 2.
         assert!((full - no_div * 2.0).abs() < 1e-9);
         // no_cog = full × cog.
-        let cog = catapult_graph::metrics::cognitive_load(&p);
+        let cog = cognitive_load(&p);
         assert!((no_cog - full * cog).abs() < 1e-9);
         // additive is bounded in [0, 1].
         assert!((0.0..=1.0).contains(&add));
+    }
+
+    #[test]
+    fn boost_scales_the_score() {
+        let base = eq2_score(ScoreVariant::Full, 0.5, 0.5, 2.0, 1.0, None);
+        let boosted = eq2_score(ScoreVariant::Full, 0.5, 0.5, 2.0, 1.0, Some(1.5));
+        assert!((boosted - base * 1.5).abs() < 1e-12);
+        // A zero cognitive load scores 0 whatever the other terms.
+        assert_eq!(
+            eq2_score(ScoreVariant::Full, 1.0, 1.0, 1.0, 0.0, None).to_bits(),
+            0.0f64.to_bits()
+        );
+    }
+
+    #[test]
+    fn score_is_monotone_in_div() {
+        for variant in [
+            ScoreVariant::Full,
+            ScoreVariant::NoDiversity,
+            ScoreVariant::NoCognitiveLoad,
+            ScoreVariant::Additive,
+        ] {
+            for d in 0..40u32 {
+                let lo = eq2_score(variant, 0.3, 0.7, f64::from(d), 2.5, Some(1.2));
+                let hi = eq2_score(variant, 0.3, 0.7, f64::from(d + 1), 2.5, Some(1.2));
+                assert!(lo.total_cmp(&hi).is_le(), "{variant:?} at div {d}");
+            }
+        }
     }
 
     #[test]

@@ -1,25 +1,34 @@
 //! Canned pattern selection — Algorithm 4 (`FindCannedPatternSet`).
 //!
 //! Greedy iterations: every CSG proposes one final candidate pattern per
-//! open size (random-walk library → FCP), each candidate is scored with
-//! Eq. 2, the best one joins the pattern set, and cluster / edge-label
-//! weights are damped multiplicatively so later iterations favour uncovered
-//! regions. The loop stops when `γ` patterns are selected, every size quota
-//! is filled, or no scoring candidate remains.
+//! open size (random-walk library → FCP), the candidate with the best
+//! Eq. 2 score joins the pattern set, and cluster / edge-label weights are
+//! damped multiplicatively so later iterations favour uncovered regions.
+//! The loop stops when `γ` patterns are selected, every size quota is
+//! filled, or no scoring candidate remains.
+//!
+//! The argmax is lazy (CELF-style, Leskovec et al., KDD 2007): per-call
+//! memoized terms give every candidate a cheap upper bound, and exact
+//! scores are computed in descending-bound order only until one provably
+//! wins. The pick is the one an eager loop scoring every candidate would
+//! make; see DESIGN.md §15, "Lazy greedy selection".
 
 use crate::budget::{PatternBudget, SizeCounts};
 use crate::fcp::generate_fcp;
 use crate::querylog::QueryLog;
 use crate::report::PipelineReport;
-use crate::score::{covering_csgs_audited, pattern_score_audited, EdgeLabelIndex, ScoreVariant};
+use crate::score::{ccov, covering_csgs, diversity, eq2_score, EdgeLabelIndex, ScoreVariant};
 use crate::walk::generate_library;
 use catapult_csg::{ClusterWeights, Csg, EdgeLabelWeights, WeightedCsg};
+use catapult_graph::ged::{ged_lower_bound, ged_upper_bound};
 use catapult_graph::iso::are_isomorphic_tagged;
-use catapult_graph::{Graph, SearchBudget, Tally};
+use catapult_graph::metrics::cognitive_load;
+use catapult_graph::{Graph, Label, SearchBudget, Tally};
 use catapult_mining::EdgeLabelStats;
 use catapult_obs::{Recorder, Stopwatch};
 use rand::Rng;
 use rayon::prelude::*;
+use std::collections::BTreeMap;
 use std::time::Duration;
 
 /// Selection parameters beyond the pattern budget.
@@ -39,9 +48,10 @@ pub struct SelectionConfig {
     /// Strength `λ` of the query-log boost.
     pub log_weight: f64,
     /// Execution budget shared by selection's NP-hard kernels (dedup VF2,
-    /// ccov probes, diversity GEDs). Its deadline/cancellation also stops
-    /// the greedy loop between iterations, returning the patterns selected
-    /// so far. Per-kernel default node caps apply when unbounded.
+    /// ccov and query-log probes, diversity GEDs). Its deadline or
+    /// cancellation also stops the greedy loop between iterations,
+    /// returning the patterns selected so far. Per-kernel default node
+    /// caps apply when unbounded.
     pub search: SearchBudget,
     /// Observability recorder (disabled by default). When enabled, the
     /// loop emits a `selection` span with per-iteration `greedy_iter`
@@ -102,6 +112,130 @@ impl SelectionResult {
     }
 }
 
+/// Candidates scored exactly per round of the lazy argmax. A constant,
+/// not the thread count, so which candidates get scored — and with them
+/// the `scoring` tally — is the same for every pool size.
+const RESCORE_BLOCK: usize = 2;
+
+/// What one call of [`find_canned_patterns`] remembers about a candidate
+/// across greedy iterations. Everything but `div` is fixed for a fixed
+/// pattern; `div` only ever falls as patterns are selected.
+#[derive(Debug)]
+struct Memo {
+    /// CSGs containing the candidate (the CSGs never change).
+    covering: Vec<usize>,
+    /// `lcov(p, D)`.
+    lcov: f64,
+    /// `cog(p)`.
+    cog: f64,
+    /// Query-log boost factor `1 + λ·freq(p)`, when a log is configured.
+    boost: Option<f64>,
+    /// Running `min GED` to the first `div_covers` selected patterns.
+    div: Option<usize>,
+    /// How many selected patterns `div` accounts for.
+    div_covers: usize,
+}
+
+impl Memo {
+    fn new(
+        pattern: &Graph,
+        csgs: &[Csg],
+        index: &EdgeLabelIndex,
+        cfg: &SelectionConfig,
+        search: &SearchBudget,
+        tally: &Tally,
+    ) -> Self {
+        Memo {
+            covering: covering_csgs(pattern, csgs, search, tally),
+            lcov: index.lcov(pattern),
+            cog: cognitive_load(pattern),
+            boost: cfg
+                .query_log
+                .as_ref()
+                .map(|log| 1.0 + cfg.log_weight * log.pattern_frequency(pattern, search, tally)),
+            div: None,
+            div_covers: 0,
+        }
+    }
+
+    /// Eq. 2 with `div` as given (1 before the first pick).
+    fn score(&self, variant: ScoreVariant, cw: &ClusterWeights, div: Option<usize>) -> f64 {
+        let div = div.map_or(1.0, |d| d as f64);
+        let cov = ccov(&self.covering, cw);
+        eq2_score(variant, cov, self.lcov, div, self.cog, self.boost)
+    }
+
+    /// An upper bound on [`Memo::rescore`]'s score, without any search.
+    ///
+    /// Only `div` can be stale. Every GED still to come is at most the
+    /// assignment bound `ged_upper_bound` (the value `ged_with_budget`
+    /// falls back to), so the pending pick with the smallest `GED_l` — the
+    /// likeliest nearest one — caps the new minimum.
+    fn bound(
+        &self,
+        pattern: &Graph,
+        variant: ScoreVariant,
+        cw: &ClusterWeights,
+        selected: &[Graph],
+    ) -> f64 {
+        // A negative boost factor (log weight below −1) makes the score
+        // non-positive and reverses its monotonicity; +0 still bounds it.
+        if self.boost.is_some_and(|f| f < 0.0) {
+            return 0.0;
+        }
+        let div = if variant.uses_diversity() {
+            let nearest = selected[self.div_covers..]
+                .iter()
+                .min_by_key(|p| ged_lower_bound(pattern, p))
+                .map(|p| ged_upper_bound(pattern, p));
+            [self.div, nearest].into_iter().flatten().min()
+        } else {
+            None
+        };
+        self.score(variant, cw, div)
+    }
+
+    /// The exact score, with `div` brought up to date against the
+    /// selected patterns it has not seen yet. Returns the score and the
+    /// new `(div, div_covers)`.
+    fn rescore(
+        &self,
+        pattern: &Graph,
+        variant: ScoreVariant,
+        cw: &ClusterWeights,
+        selected: &[Graph],
+        search: &SearchBudget,
+        tally: &Tally,
+    ) -> (f64, Option<usize>, usize) {
+        // Eq. 2 ignores `div` when it is off or `cog` is not positive, so
+        // no GED is spent on it.
+        if !variant.uses_diversity() || self.cog <= 0.0 {
+            let score = self.score(variant, cw, self.div);
+            return (score, self.div, self.div_covers);
+        }
+        let pending = &selected[self.div_covers..];
+        let div = diversity(pattern, pending, self.div, search, tally);
+        (self.score(variant, cw, div), div, selected.len())
+    }
+}
+
+/// The candidate's exact bytes: its labels (and so its vertex count),
+/// then its edge list in order. Not a canonical form — under node caps
+/// VF2 and GED results can depend on vertex order, so only byte-identical
+/// graphs may share a memo entry.
+type ExactKey = (Vec<Label>, Vec<(u32, u32)>);
+
+fn exact_key(g: &Graph) -> ExactKey {
+    let edges = g.edges().map(|(_, e)| (e.u.0, e.v.0)).collect();
+    (g.labels().to_vec(), edges)
+}
+
+/// The greedy tie rule: higher score (`total_cmp`) wins, then the lower
+/// candidate index.
+fn beats(a: (f64, usize), b: (f64, usize)) -> bool {
+    a.0.total_cmp(&b.0).then(b.1.cmp(&a.1)).is_gt()
+}
+
 /// Run Algorithm 4 over prebuilt CSGs.
 ///
 /// `db` supplies the label-coverage index and edge-label weights; `csgs`
@@ -121,6 +255,8 @@ pub fn find_canned_patterns<R: Rng>(
         .with_probe(cfg.recorder.stage_probe("scoring"));
     let iterations = cfg.recorder.counter("scoring.greedy.iterations");
     let candidates_seen = cfg.recorder.counter("scoring.greedy.candidates");
+    let rescored = cfg.recorder.counter("scoring.greedy.rescored");
+    let memo_hits = cfg.recorder.counter("scoring.greedy.memo_hits");
     let budget = cfg.budget.clone();
     // Progress accounting (`--progress` ETA): γ slots to fill, one done
     // per selected pattern. The greedy loop may stop early (exhausted
@@ -136,6 +272,9 @@ pub fn find_canned_patterns<R: Rng>(
     let mut selected_graphs: Vec<Graph> = Vec::new();
     let mut counts = SizeCounts::new();
     let scoring = Tally::new();
+    // Per-call memo: exact bytes → slot in `slots` (see [`Memo`]).
+    let mut memo: BTreeMap<ExactKey, usize> = BTreeMap::new();
+    let mut slots: Vec<Memo> = Vec::new();
 
     while selected.len() < budget.gamma() {
         // A deadline or cancellation stops the greedy loop between
@@ -199,37 +338,66 @@ pub fn find_canned_patterns<R: Rng>(
             break;
         }
         let _score_span = cfg.recorder.span("score");
-        // Score in parallel (pure function of immutable state; `scoring`
-        // is a commutative `Tally`). `enumerate` pairs each score with its
-        // *source* index and collection is ordered, so the greedy argmax
-        // below sees the same list for every thread count.
-        let scored: Vec<(f64, usize)> = candidates
+        // Memo lookup: the first sighting of a candidate's exact bytes
+        // computes its fixed terms (in parallel; `scoring` is a
+        // commutative `Tally`).
+        let mut slot_of: Vec<usize> = Vec::with_capacity(candidates.len());
+        let mut fresh: Vec<usize> = Vec::new();
+        for (i, (c, _)) in candidates.iter().enumerate() {
+            let next = slots.len() + fresh.len();
+            let slot = *memo.entry(exact_key(c)).or_insert(next);
+            if slot == next {
+                fresh.push(i);
+            }
+            slot_of.push(slot);
+        }
+        memo_hits.add((candidates.len() - fresh.len()) as u64);
+        let new_slots: Vec<Memo> = fresh
+            .par_iter()
+            .map(|&i| Memo::new(&candidates[i].0, csgs, &index, cfg, &search, &scoring))
+            .collect();
+        slots.extend(new_slots);
+        // Lazy argmax: visit candidates in descending-bound order, scoring
+        // a fixed-size block at a time, until the best exact score beats
+        // the next bound under the tie rule — then no later candidate can
+        // win. `enumerate` keys everything by *source* index, so the pick
+        // is the same for every thread count.
+        let bounds: Vec<f64> = candidates
             .par_iter()
             .enumerate()
-            .map(|(i, (c, _))| {
-                let mut s = pattern_score_audited(
-                    c,
-                    csgs,
-                    &cw,
-                    &index,
-                    &selected_graphs,
-                    cfg.variant,
-                    &search,
-                    &scoring,
-                );
-                if let Some(log) = &cfg.query_log {
-                    s *= 1.0 + cfg.log_weight * log.pattern_frequency(c);
-                }
-                (s, i)
-            })
+            .map(|(i, (c, _))| slots[slot_of[i]].bound(c, cfg.variant, &cw, &selected_graphs))
             .collect();
-        // `candidates` was checked non-empty above, so `scored` has a
-        // maximum; `total_cmp` keeps the greedy argmax well-defined even if
-        // a score degenerated to NaN.
-        let Some(&(best_score, best_idx)) = scored
-            .iter()
-            .max_by(|a, b| a.0.total_cmp(&b.0).then(b.1.cmp(&a.1)))
-        else {
+        let mut order: Vec<usize> = (0..candidates.len()).collect();
+        order.sort_by(|&a, &b| bounds[b].total_cmp(&bounds[a]).then(a.cmp(&b)));
+        let mut best: Option<(f64, usize)> = None;
+        for block in order.chunks(RESCORE_BLOCK) {
+            if best.is_some_and(|b| beats(b, (bounds[block[0]], block[0]))) {
+                break;
+            }
+            let exact: Vec<(usize, f64, Option<usize>, usize)> = block
+                .par_iter()
+                .map(|&i| {
+                    let memo = &slots[slot_of[i]];
+                    let c = &candidates[i].0;
+                    let (score, div, covers) =
+                        memo.rescore(c, cfg.variant, &cw, &selected_graphs, &search, &scoring);
+                    (i, score, div, covers)
+                })
+                .collect();
+            rescored.add(block.len() as u64);
+            for (i, score, div, covers) in exact {
+                let memo = &mut slots[slot_of[i]];
+                memo.div = div;
+                memo.div_covers = covers;
+                if best.is_none_or(|b| beats((score, i), b)) {
+                    best = Some((score, i));
+                }
+            }
+        }
+        // `candidates` was checked non-empty above, so the first block ran
+        // and `best` is set; `total_cmp` keeps the argmax well-defined
+        // even if a score degenerated to NaN.
+        let Some((best_score, best_idx)) = best else {
             break;
         };
         if best_score <= 0.0 {
@@ -237,10 +405,11 @@ pub fn find_canned_patterns<R: Rng>(
             // zero-coverage candidates): stop rather than pick noise.
             break;
         }
+        let covering = &slots[slot_of[best_idx]].covering;
         let (pattern, source_csg) = candidates.swap_remove(best_idx);
         // Damp weights: clusters whose CSG contains the pattern, and the
         // pattern's edge labels (§5, multiplicative weights update).
-        for ci in covering_csgs_audited(&pattern, csgs, &search, &scoring) {
+        for &ci in covering {
             cw.damp(ci);
         }
         elw.damp_pattern(&pattern);
@@ -521,6 +690,64 @@ mod tests {
         let mut rng = rand::rngs::StdRng::seed_from_u64(4);
         let r = find_canned_patterns(&[], &[], &cfg, &mut rng);
         assert!(r.selected.is_empty());
+    }
+
+    #[test]
+    fn bound_never_undercuts_the_exact_score() {
+        let (db, csgs) = db_and_csgs();
+        let index = EdgeLabelIndex::build(&db);
+        let mut cw = ClusterWeights::new(&csgs, db.len());
+        cw.damp(1);
+        let search = SearchBudget::unbounded();
+        let tally = Tally::new();
+        let picks = [ring(6, 0), chain(4, &[0, 1]), chain(6, &[1, 0])];
+        let candidates = [chain(5, &[0, 1]), chain(4, &[1, 0]), ring(5, 0), ring(4, 1)];
+        let log = crate::querylog::QueryLog::new(vec![chain(7, &[0, 1]), ring(6, 0)]);
+        for variant in [
+            ScoreVariant::Full,
+            ScoreVariant::NoDiversity,
+            ScoreVariant::NoCognitiveLoad,
+            ScoreVariant::Additive,
+        ] {
+            // λ = −3 drives the boost factor negative for logged patterns.
+            for (query_log, log_weight) in [
+                (None, 1.0),
+                (Some(log.clone()), 2.0),
+                (Some(log.clone()), -3.0),
+            ] {
+                let cfg = SelectionConfig {
+                    variant,
+                    query_log,
+                    log_weight,
+                    ..Default::default()
+                };
+                for c in &candidates {
+                    // A memo brought up to date against each prefix of the
+                    // picks, then bounded against all of them.
+                    for seen in 0..=picks.len() {
+                        let mut memo = Memo::new(c, &csgs, &index, &cfg, &search, &tally);
+                        let (_, div, covers) =
+                            memo.rescore(c, variant, &cw, &picks[..seen], &search, &tally);
+                        memo.div = div;
+                        memo.div_covers = covers;
+                        let bound = memo.bound(c, variant, &cw, &picks);
+                        let (exact, _, _) = memo.rescore(c, variant, &cw, &picks, &search, &tally);
+                        assert!(
+                            bound.total_cmp(&exact).is_ge(),
+                            "{variant:?} λ={log_weight} seen={seen}: bound {bound} < exact {exact}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn tie_rule_prefers_higher_score_then_lower_index() {
+        assert!(beats((2.0, 5), (1.0, 0)));
+        assert!(beats((1.0, 0), (1.0, 5)));
+        assert!(!beats((1.0, 5), (1.0, 0)));
+        assert!(beats((0.0, 3), (-0.0, 0)), "total_cmp orders +0 above −0");
     }
 
     #[test]

@@ -1,0 +1,316 @@
+//! Selection equivalence: the lazy, memoized greedy argmax in
+//! `find_canned_patterns` must pick exactly what an eager Algorithm 4 —
+//! every candidate scored in full, every iteration — picks.
+//!
+//! The eager reference below is assembled from the public `walk`, `fcp`
+//! and `score` items and makes one kernel call per term per candidate per
+//! iteration. Both runs must produce byte-identical selections (pattern
+//! bytes, score bits, source CSG) across thread counts, every
+//! `ScoreVariant`, query logs (including a negative boost factor), and
+//! node caps tight enough to degrade VF2 and GED. The lazy run's
+//! `scoring` tally may only be smaller.
+//!
+//! The equivalence is pinned to node caps, never deadlines: a
+//! deadline-degraded kernel result depends on timing, so no two runs are
+//! comparable.
+
+#![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
+use catapult::core::budget::SizeCounts;
+use catapult::core::fcp::generate_fcp;
+use catapult::core::score::{ccov, covering_csgs, diversity, eq2_score};
+use catapult::core::walk::generate_library;
+use catapult::core::{
+    find_canned_patterns, EdgeLabelIndex, IncrementalCatapult, IncrementalConfig, PatternBudget,
+    QueryLog, ScoreVariant, SelectionConfig, SelectionResult,
+};
+use catapult::csg::{build_csgs, ClusterWeights, Csg, EdgeLabelWeights, WeightedCsg};
+use catapult::datasets::{aids_profile, generate};
+use catapult::graph::iso::are_isomorphic_tagged;
+use catapult::graph::metrics::cognitive_load;
+use catapult::graph::{Graph, Label, SearchBudget, Tally, TallyCounts};
+use catapult::mining::EdgeLabelStats;
+use catapult_obs::Recorder;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+use std::sync::Mutex;
+
+/// `rayon::set_threads` is process-global; serialize the tests that flip it.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+/// Run `f` with the pool pinned to `n` workers, restoring auto sizing.
+fn with_threads<T>(n: usize, f: impl FnOnce() -> T) -> T {
+    rayon::set_threads(n);
+    let out = f();
+    rayon::set_threads(0);
+    out
+}
+
+/// One selected pattern as bytes: labels, edge list, score bits, source.
+type Pick = (Vec<Label>, Vec<(u32, u32)>, u64, usize);
+
+fn pick(pattern: &Graph, score: f64, source_csg: usize) -> Pick {
+    let edges = pattern.edges().map(|(_, e)| (e.u.0, e.v.0)).collect();
+    (
+        pattern.labels().to_vec(),
+        edges,
+        score.to_bits(),
+        source_csg,
+    )
+}
+
+fn picks(r: &SelectionResult) -> Vec<Pick> {
+    r.selected
+        .iter()
+        .map(|s| pick(&s.pattern, s.score, s.source_csg))
+        .collect()
+}
+
+/// Eager Algorithm 4: the same walks (and so the same RNG draws), the same
+/// dedup, then every candidate scored from scratch and the best one picked
+/// under the `(score total_cmp, lowest index)` rule.
+fn eager<R: Rng>(
+    db: &[Graph],
+    csgs: &[Csg],
+    cfg: &SelectionConfig,
+    rng: &mut R,
+) -> (Vec<Pick>, TallyCounts) {
+    let search = &cfg.search;
+    let budget = &cfg.budget;
+    let mut elw = EdgeLabelWeights::new(EdgeLabelStats::from_graphs(db));
+    let mut cw = ClusterWeights::new(csgs, db.len());
+    let index = EdgeLabelIndex::build(db);
+    let mut selected = Vec::new();
+    let mut selected_graphs: Vec<Graph> = Vec::new();
+    let mut counts = SizeCounts::new();
+    let scoring = Tally::new();
+    while selected.len() < budget.gamma() {
+        let sizes = budget.open_sizes(&counts);
+        if sizes.is_empty() {
+            break;
+        }
+        let mut candidates: Vec<(Graph, usize)> = Vec::new();
+        for (ci, csg) in csgs.iter().enumerate() {
+            let weighted = WeightedCsg::new(csg, &elw);
+            for &size in &sizes {
+                let library = generate_library(&weighted, size, cfg.walks, rng);
+                if let Some((fcp, _)) = generate_fcp(csg, &library, size) {
+                    let got = fcp.edge_count();
+                    if got >= budget.eta_min()
+                        && got <= budget.eta_max()
+                        && counts.count(got) < budget.size_cap(got)
+                    {
+                        candidates.push((fcp, ci));
+                    }
+                }
+            }
+        }
+        let iso_eq = |a: &Graph, b: &Graph| {
+            let (eq, c) = are_isomorphic_tagged(a, b, search);
+            scoring.record(c);
+            eq
+        };
+        candidates.retain(|(c, _)| !selected_graphs.iter().any(|p| iso_eq(p, c)));
+        let mut unique: Vec<(Graph, usize)> = Vec::new();
+        for (c, ci) in candidates {
+            if !unique.iter().any(|(u, _)| iso_eq(u, &c)) {
+                unique.push((c, ci));
+            }
+        }
+        let mut candidates = unique;
+        if candidates.is_empty() {
+            break;
+        }
+        let scored: Vec<(f64, usize)> = candidates
+            .iter()
+            .enumerate()
+            .map(|(i, (c, _))| {
+                let cov = ccov(&covering_csgs(c, csgs, search, &scoring), &cw);
+                let cog = cognitive_load(c);
+                let div = if cfg.variant.uses_diversity() && cog > 0.0 {
+                    diversity(c, &selected_graphs, None, search, &scoring)
+                } else {
+                    None
+                };
+                let boost = cfg
+                    .query_log
+                    .as_ref()
+                    .map(|log| 1.0 + cfg.log_weight * log.pattern_frequency(c, search, &scoring));
+                let div = div.map_or(1.0, |d| d as f64);
+                (
+                    eq2_score(cfg.variant, cov, index.lcov(c), div, cog, boost),
+                    i,
+                )
+            })
+            .collect();
+        let &(best_score, best_idx) = scored
+            .iter()
+            .max_by(|a, b| a.0.total_cmp(&b.0).then(b.1.cmp(&a.1)))
+            .unwrap();
+        if best_score <= 0.0 {
+            break;
+        }
+        let (pattern, source_csg) = candidates.swap_remove(best_idx);
+        for ci in covering_csgs(&pattern, csgs, search, &scoring) {
+            cw.damp(ci);
+        }
+        elw.damp_pattern(&pattern);
+        counts.record(pattern.edge_count());
+        selected.push(pick(&pattern, best_score, source_csg));
+        selected_graphs.push(pattern);
+    }
+    (selected, scoring.counts())
+}
+
+/// A small `aids`-profile database with CSGs over fixed index blocks.
+fn fixture() -> (Vec<Graph>, Vec<Csg>) {
+    let db = generate(&aids_profile(), 36, 7).graphs;
+    let clusters: Vec<Vec<u32>> = (0..6).map(|b| (b * 6..b * 6 + 6).collect()).collect();
+    let csgs = build_csgs(&db, &clusters);
+    (db, csgs)
+}
+
+fn config(search: SearchBudget) -> SelectionConfig {
+    SelectionConfig {
+        budget: PatternBudget::new(3, 7, 8).unwrap(),
+        walks: 20,
+        search,
+        ..Default::default()
+    }
+}
+
+/// Require `lazy` to pick exactly what the eager reference picks from the
+/// same seed, with a `scoring` tally no larger than the reference's.
+fn assert_matches_eager(
+    lazy: &SelectionResult,
+    db: &[Graph],
+    csgs: &[Csg],
+    cfg: &SelectionConfig,
+    seed: u64,
+    ctx: &str,
+) {
+    let (reference, eager_tally) = eager(db, csgs, cfg, &mut StdRng::seed_from_u64(seed));
+    assert!(
+        !reference.is_empty(),
+        "{ctx}: the reference selected nothing"
+    );
+    assert_eq!(picks(lazy), reference, "{ctx}: lazy selection diverged");
+    assert!(
+        lazy.report.scoring.total() <= eager_tally.total(),
+        "{ctx}: lazy scoring tally {} exceeds eager {}",
+        lazy.report.scoring.total(),
+        eager_tally.total()
+    );
+}
+
+/// [`assert_matches_eager`] for a direct `find_canned_patterns` call.
+fn assert_equivalent(db: &[Graph], csgs: &[Csg], cfg: &SelectionConfig, seed: u64, ctx: &str) {
+    let lazy = find_canned_patterns(db, csgs, cfg, &mut StdRng::seed_from_u64(seed));
+    assert_matches_eager(&lazy, db, csgs, cfg, seed, ctx);
+}
+
+#[test]
+fn lazy_selection_matches_eager_across_threads_and_variants() {
+    let _guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let (db, csgs) = fixture();
+    for threads in [1, 8] {
+        for variant in [
+            ScoreVariant::Full,
+            ScoreVariant::NoDiversity,
+            ScoreVariant::NoCognitiveLoad,
+            ScoreVariant::Additive,
+        ] {
+            let cfg = SelectionConfig {
+                variant,
+                ..config(SearchBudget::unbounded())
+            };
+            let ctx = format!("threads={threads} variant={variant:?}");
+            with_threads(threads, || assert_equivalent(&db, &csgs, &cfg, 11, &ctx));
+        }
+    }
+}
+
+#[test]
+fn lazy_selection_matches_eager_under_degrading_node_caps() {
+    let _guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let (db, csgs) = fixture();
+    for threads in [1, 8] {
+        for cap in [40, 120] {
+            let recorder = Recorder::enabled();
+            let cfg = SelectionConfig {
+                recorder: recorder.clone(),
+                ..config(SearchBudget::nodes(cap))
+            };
+            let ctx = format!("threads={threads} cap={cap}");
+            with_threads(threads, || assert_equivalent(&db, &csgs, &cfg, 5, &ctx));
+            let snap = recorder.snapshot().unwrap();
+            let counter = |name: &str| {
+                snap.counters
+                    .iter()
+                    .find(|(n, _)| n == name)
+                    .map_or(0, |(_, v)| *v)
+            };
+            assert!(
+                counter("scoring.iso.degraded") > 0,
+                "{ctx}: no VF2 degraded"
+            );
+            assert!(
+                counter("scoring.ged.degraded") > 0,
+                "{ctx}: no GED degraded"
+            );
+            assert!(
+                counter("scoring.greedy.rescored") > 0,
+                "{ctx}: nothing rescored"
+            );
+            assert!(
+                counter("scoring.greedy.rescored") <= counter("scoring.greedy.candidates"),
+                "{ctx}: rescored more candidates than were proposed"
+            );
+        }
+    }
+}
+
+#[test]
+fn lazy_selection_matches_eager_with_a_query_log() {
+    let _guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let (db, csgs) = fixture();
+    // Logged queries: whole database graphs, so most candidates hit some.
+    let log = QueryLog::new(db.iter().step_by(3).cloned().collect());
+    for threads in [1, 8] {
+        // λ < −1 makes the boost factor negative for frequent patterns.
+        for log_weight in [2.0, -3.0] {
+            for search in [SearchBudget::unbounded(), SearchBudget::nodes(120)] {
+                let cfg = SelectionConfig {
+                    query_log: Some(log.clone()),
+                    log_weight,
+                    ..config(search.clone())
+                };
+                let ctx = format!("threads={threads} λ={log_weight} cap={}", search.node_cap);
+                with_threads(threads, || assert_equivalent(&db, &csgs, &cfg, 3, &ctx));
+            }
+        }
+    }
+}
+
+#[test]
+fn incremental_refresh_matches_eager() {
+    let _guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let (db, _) = fixture();
+    let (seed_db, arrivals) = db.split_at(24);
+    let clusters: Vec<Vec<u32>> = (0..4).map(|b| (b * 6..b * 6 + 6).collect()).collect();
+    for (threads, search) in [
+        (1, SearchBudget::unbounded()),
+        (8, SearchBudget::nodes(120)),
+    ] {
+        let cfg = IncrementalConfig {
+            selection: config(search.clone()),
+            max_cluster_size: 6,
+            ..Default::default()
+        };
+        let mut inc = IncrementalCatapult::new(seed_db.to_vec(), clusters.clone(), cfg.clone());
+        inc.insert_batch(arrivals.to_vec());
+        let lazy = with_threads(threads, || inc.refresh_patterns());
+        let ctx = format!("threads={threads} cap={}", search.node_cap);
+        assert_matches_eager(&lazy, &db, inc.csgs(), &cfg.selection, cfg.seed, &ctx);
+    }
+}
