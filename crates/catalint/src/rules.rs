@@ -1,9 +1,11 @@
 //! The lint rules, ported and new, all running on the token tree.
 //!
-//! **Ported rules** (1–7 of the old line-based pass — same names, same
+//! **Ported rules** (from the old line-based pass — same names, same
 //! escape hatch, now immune to lookalike text in strings and comments):
 //! `kernel-no-panic`, `doc-coverage`, `float-eq`, `lint-header`,
-//! `consume-completeness`, `no-raw-spawn`, `metric-name`, `raw-instant`.
+//! `no-raw-spawn`, `metric-name`, `raw-instant`. Pipeline calls into the
+//! unbudgeted kernel conveniences are the interprocedural
+//! `budget-threading` rule's job ([`crate::xrules`]).
 //!
 //! **Determinism rules** (new): `hash-iter-order`, `float-total-order`,
 //! `cast-truncation`. CATAPULT's pattern scores are products of small
@@ -54,10 +56,6 @@ pub const RULES: &[RuleInfo] = &[
     RuleInfo {
         name: "lint-header",
         summary: "crate roots state where the lint policy lives",
-    },
-    RuleInfo {
-        name: "consume-completeness",
-        summary: "pipeline code must not drop kernel Completeness tags",
     },
     RuleInfo {
         name: "no-raw-spawn",
@@ -138,17 +136,6 @@ const CAST_EXTRA_FILES: &[&str] = &["crates/csg/src/idset.rs"];
 /// Dirs whose public items must be documented.
 const DOC_COVERED_DIRS: &[&str] = &["crates/graph/src/", "crates/core/src/"];
 
-/// Pipeline dirs that must consume `Completeness` (graph defines the
-/// swallowing conveniences and is exempt).
-pub(crate) const COMPLETENESS_DIRS: &[&str] = &[
-    "crates/cluster/src/",
-    "crates/core/src/",
-    "crates/csg/src/",
-    "crates/eval/src/",
-    "crates/mining/src/",
-    "src/",
-];
-
 /// Modules sanctioned to own shared state: the fault-injection plans
 /// (kernel faults in the budget module, persistence faults in the
 /// checkpoint crate), the observability crate, and the executor shim.
@@ -207,9 +194,6 @@ pub fn check_file_timed(
     }
     if on("lint-header") && ctx.is_crate_root {
         timer.time("lint-header", || lint_header(f, out));
-    }
-    if on("consume-completeness") && in_dirs(rel, COMPLETENESS_DIRS) {
-        timer.time("consume-completeness", || consume_completeness(f, out));
     }
     if on("no-raw-spawn") && !rel.starts_with("shims/rayon/") {
         timer.time("no-raw-spawn", || no_raw_spawn(f, out));
@@ -478,46 +462,6 @@ fn lint_header(f: &SourceFile, out: &mut Vec<Diagnostic>) {
             String::new(),
             "lint-header",
             format!("crate root is missing the marker line `{LINT_HEADER}`"),
-            out,
-        );
-    }
-}
-
-/// Completeness-swallowing kernel conveniences.
-pub(crate) const SWALLOWING_KERNELS: &[&str] = &[
-    "contains",
-    "are_isomorphic",
-    "mcs_similarity",
-    "mccs_similarity",
-    "find_embedding",
-    "embeddings",
-];
-
-/// Rule `consume-completeness`: pipeline code must call the
-/// `_tagged`/audited kernel variants, not the tag-dropping conveniences.
-fn consume_completeness(f: &SourceFile, out: &mut Vec<Diagnostic>) {
-    for ci in 0..f.n_code() {
-        if f.in_test(ci) {
-            continue;
-        }
-        if f.ckind(ci) != TokenKind::Ident || !SWALLOWING_KERNELS.contains(&f.ctext(ci)) {
-            continue;
-        }
-        if !f.is_punct(ci + 1, "(") {
-            continue; // not a call
-        }
-        if ci > 0 && (f.is_punct(ci - 1, ".") || f.is_ident(ci - 1, "fn")) {
-            continue; // method call on a collection / unrelated definition
-        }
-        emit(
-            f,
-            ci,
-            "consume-completeness",
-            format!(
-                "`{}(…)` drops the Completeness tag; use the _tagged/audited \
-                 variant or annotate `// xtask-allow: consume-completeness`",
-                f.ctext(ci)
-            ),
             out,
         );
     }

@@ -6,6 +6,11 @@
 //! tag discarded one call away from the kernel, and lock acquisitions
 //! whose ordering only conflicts across function boundaries.
 //!
+//! `budget-threading` also guards the kernels' unbudgeted conveniences
+//! (`iso::contains`, `iso::are_isomorphic`, `iso::embeddings`): they pin
+//! a budget internally and drop the tag, so a pipeline call to one fires
+//! whether it is qualified or imported with `use`.
+//!
 //! All four rules consume the approximate call graph built by
 //! [`crate::symbols::Workspace`] and restrict themselves to **resolved**
 //! edges: an unresolved or ambiguous call never produces a finding, so
@@ -17,7 +22,7 @@
 
 use crate::diag::{Diagnostic, Suppression};
 use crate::lexer::TokenKind;
-use crate::rules::{RuleInfo, COMPLETENESS_DIRS, KERNEL_FILES};
+use crate::rules::{in_dirs, RuleInfo, KERNEL_FILES};
 use crate::scan::SourceFile;
 use crate::symbols::{CallSite, Callee, Workspace};
 use crate::timing::RuleTimer;
@@ -49,7 +54,10 @@ pub fn xrule_named(name: &str) -> Option<&'static RuleInfo> {
     XRULES.iter().find(|r| r.name == name)
 }
 
-/// Pipeline directories whose kernel calls must thread a budget.
+/// Pipeline directories: their kernel calls must thread a budget
+/// (`budget-threading`) and keep every `Completeness` tag
+/// (`completeness-flow`). `crates/graph` defines the kernels and their
+/// unbudgeted conveniences, so it is outside.
 const PIPELINE_DIRS: &[&str] = &[
     "crates/cluster/src/",
     "crates/core/src/",
@@ -127,10 +135,6 @@ fn emit(
 
 fn rel_of(ws: &Workspace, def: usize) -> &str {
     &ws.files[ws.defs[def].file].rel
-}
-
-fn in_dirs(rel: &str, dirs: &[&str]) -> bool {
-    dirs.iter().any(|d| rel.starts_with(d))
 }
 
 /// Budget-carrying type names: `SearchBudget`/`BudgetMeter` plus every
@@ -544,8 +548,8 @@ fn discard_reason(f: &SourceFile, ci: usize) -> Option<String> {
 /// Rule `completeness-flow`: a fn that returns a `Completeness`-tagged
 /// result promises its callers a truth-in-labeling bit; a caller that
 /// drops the tag silently converts a budget-truncated answer into a
-/// confident one. Interprocedural upgrade of `consume-completeness`:
-/// it follows the *type*, not a fixed list of kernel names.
+/// confident one. It follows the *type*, not a fixed list of kernel
+/// names.
 fn completeness_flow(ws: &Workspace, out: &mut Vec<Diagnostic>) {
     let tagged = tagged_types(ws);
     let tagged_defs: BTreeSet<usize> = (0..ws.defs.len())
@@ -553,7 +557,7 @@ fn completeness_flow(ws: &Workspace, out: &mut Vec<Diagnostic>) {
         .collect();
 
     for c in &ws.calls {
-        if !in_dirs(&ws.files[c.file].rel, COMPLETENESS_DIRS) {
+        if !in_dirs(&ws.files[c.file].rel, PIPELINE_DIRS) {
             continue;
         }
         let is_tagged = match &c.callee {

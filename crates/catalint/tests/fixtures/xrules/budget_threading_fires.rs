@@ -19,7 +19,21 @@ fn search(a: u32, b: u32, budget: &SearchBudget) -> f64 {
     0.0
 }
 
+//@ file: crates/graph/src/iso.rs
+use crate::mcs::SearchBudget;
+
+/// Budgeted, tagged containment test.
+pub fn contains_tagged(q: u32, g: u32, budget: &SearchBudget) -> (bool, bool) {
+    (q <= g && budget.nodes > 0, true)
+}
+
+/// Bare convenience: pins an unbounded budget and drops the tag.
+pub fn contains(q: u32, g: u32) -> bool {
+    contains_tagged(q, g, &SearchBudget { nodes: u64::MAX }).0
+}
+
 //@ file: crates/eval/src/run.rs
+use catapult_graph::iso::contains;
 use catapult_graph::mcs::{mcs_similarity, mcs_with_budget};
 
 /// Fires (bare): enters the unbudgetable kernel convenience.
@@ -36,4 +50,15 @@ pub fn score_raw_cap(a: u32, b: u32, cap: u64) -> f64 {
 
 fn make(cap: u64) -> f64 {
     cap as f64
+}
+
+/// Fires (bare): a convenience imported with `use`, called unqualified.
+pub fn covered(q: u32, g: u32) -> bool {
+    contains(q, g)
+}
+
+/// Fires (bare): the real call after a string holding `contains(` text.
+pub fn covered_after_string(q: u32, g: u32) -> bool {
+    let s = "// contains(in a string)";
+    !s.is_empty() && contains(q, g)
 }

@@ -12,6 +12,6 @@ pub fn mid(x: Option<u32>) -> Option<u32> {
 use crate::helpers::mid;
 
 /// Kernel fn whose helper chain degrades instead of panicking.
-pub fn find_embedding(x: Option<u32>) -> Option<u32> {
+pub fn first_embedding(x: Option<u32>) -> Option<u32> {
     mid(x)
 }

@@ -14,6 +14,6 @@ use crate::helpers::mid;
 
 /// Kernel fn transitively reaching `.unwrap()` through a helper chain
 /// the per-file kernel rule cannot see.
-pub fn find_embedding(x: Option<u32>) -> u32 {
+pub fn first_embedding(x: Option<u32>) -> u32 {
     mid(x)
 }

@@ -83,7 +83,7 @@ fn every_rule_has_a_clean_fixture() {
 /// pass tripped on all three of these).
 #[test]
 fn string_and_comment_lookalikes_never_fire() {
-    let cases: [(&'static str, &str); 5] = [
+    let cases: [(&'static str, &str); 3] = [
         (
             "kernel-no-panic",
             "fn f() -> u32 { let s = \"x.unwrap()\"; s.len() as u32 }\n",
@@ -95,14 +95,6 @@ fn string_and_comment_lookalikes_never_fire() {
         (
             "float-eq",
             "fn f(x: f64) -> bool { let d = \"x == 1.0\"; !d.is_empty() && x < 1.0 }\n",
-        ),
-        (
-            "consume-completeness",
-            "fn f() -> usize { \"contains(q, g)\".len() }\n",
-        ),
-        (
-            "consume-completeness",
-            "// contains(q, g) in a comment\nfn f() {}\n",
         ),
     ];
     for (rule, src) in cases {

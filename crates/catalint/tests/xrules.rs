@@ -61,16 +61,18 @@ fn messages(diags: &[Diagnostic]) -> String {
 #[test]
 fn budget_threading_fires_on_bare_and_unthreaded_calls() {
     let diags = run_rule("budget_threading_fires.rs", "budget-threading");
-    assert_eq!(diags.len(), 2, "findings:\n{}", messages(&diags));
-    let bare = diags
-        .iter()
-        .find(|d| d.enclosing_fn == "score_unbounded")
-        .expect("bare-kernel finding");
-    assert!(
-        bare.message.contains("cannot accept a SearchBudget"),
-        "{}",
-        bare.message
-    );
+    assert_eq!(diags.len(), 4, "findings:\n{}", messages(&diags));
+    // Bare conveniences: imported with `use` and called unqualified, also
+    // right after a string literal holding the same call text.
+    for name in ["score_unbounded", "covered", "covered_after_string"] {
+        let bare: Vec<_> = diags.iter().filter(|d| d.enclosing_fn == name).collect();
+        assert_eq!(bare.len(), 1, "one bare-kernel finding in `{name}`");
+        assert!(
+            bare[0].message.contains("cannot accept a SearchBudget"),
+            "{}",
+            bare[0].message
+        );
+    }
     let unthreaded = diags
         .iter()
         .find(|d| d.enclosing_fn == "score_raw_cap")
@@ -100,9 +102,9 @@ fn panic_reachability_follows_helper_chains_into_kernels() {
     assert_eq!(diags.len(), 1, "findings:\n{}", messages(&diags));
     let d = &diags[0];
     assert_eq!(d.path, "crates/graph/src/iso.rs");
-    assert_eq!(d.enclosing_fn, "find_embedding");
+    assert_eq!(d.enclosing_fn, "first_embedding");
     assert!(
-        d.message.contains("find_embedding -> mid -> pick"),
+        d.message.contains("first_embedding -> mid -> pick"),
         "witness path shows the chain: {}",
         d.message
     );

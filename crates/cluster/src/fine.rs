@@ -24,7 +24,7 @@ use crate::ckpt_io::{
 };
 use catapult_ckpt::{CkptError, StageStore};
 use catapult_graph::canonical::{canonical_form, CanonTokens};
-use catapult_graph::mcs::{mcs, McsConfig};
+use catapult_graph::mcs::{self, McsConfig};
 use catapult_graph::{Completeness, Graph, SearchBudget, Tally, TallyCounts};
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -108,22 +108,17 @@ fn label_vector_similarity(a: &Graph, b: &Graph) -> f64 {
 /// for the true one. The completeness tag is returned alongside the
 /// value so cache hits can replay it into the tally.
 fn raw_similarity(a: &Graph, b: &Graph, cfg: &FineConfig) -> (f64, Completeness) {
-    let denom = a.edge_count().min(b.edge_count());
-    if denom == 0 {
-        return (0.0, Completeness::Exact);
-    }
     let mcfg = McsConfig {
         connected: cfg.similarity == SimilarityKind::Mccs,
         budget: cfg.budget.with_default_cap(DEFAULT_MCS_CAP),
         pruning: true,
     };
-    let r = mcs(a, b, mcfg);
-    let value = if r.completeness.is_exact() {
-        r.edges as f64 / denom as f64
+    let (value, tag) = mcs::similarity(a, b, mcfg);
+    if tag.is_exact() {
+        (value, tag)
     } else {
-        label_vector_similarity(a, b)
-    };
-    (value, r.completeness)
+        (label_vector_similarity(a, b), tag)
+    }
 }
 
 /// Memoized pairwise-similarity matrix, keyed by *isomorphism class*:
@@ -381,19 +376,8 @@ pub struct FineOutcome {
 /// Run Algorithm 3: split every cluster larger than `N` until all clusters
 /// fit (or a cluster refuses to shrink, in which case it is cut in half
 /// deterministically to guarantee termination — this only happens when all
-/// members are identical). Unaudited convenience wrapper around
-/// [`fine_cluster_audited`].
+/// members are identical), reporting per-kernel-call completeness.
 pub fn fine_cluster<R: Rng>(
-    db: &[Graph],
-    clusters: Vec<Vec<u32>>,
-    cfg: &FineConfig,
-    rng: &mut R,
-) -> Vec<Vec<u32>> {
-    fine_cluster_audited(db, clusters, cfg, rng).clusters
-}
-
-/// As [`fine_cluster`], also reporting per-kernel-call completeness.
-pub fn fine_cluster_audited<R: Rng>(
     db: &[Graph],
     clusters: Vec<Vec<u32>>,
     cfg: &FineConfig,
@@ -406,7 +390,7 @@ pub fn fine_cluster_audited<R: Rng>(
     }
 }
 
-/// As [`fine_cluster_audited`], checkpointing progress into `store`'s
+/// As [`fine_cluster`], checkpointing progress into `store`'s
 /// `fine` slot every [`StageStore::chunk_pairs`] similarity rows and —
 /// when the store is resuming — continuing from any compatible `fine`
 /// checkpoint already on disk, mid-split included. Given the same seed
@@ -451,7 +435,7 @@ fn write_state(
     Ok(())
 }
 
-/// The shared engine behind [`fine_cluster_audited`] and
+/// The shared engine behind [`fine_cluster`] and
 /// [`fine_cluster_resumable`] (and the pipeline's store-aware fine
 /// stage).
 pub(crate) fn fine_inner<R: SnapRng>(
@@ -645,7 +629,7 @@ mod tests {
             max_cluster_size: 4,
             ..Default::default()
         };
-        let out = fine_cluster(&db, vec![(0..12).collect()], &cfg, &mut rng);
+        let out = fine_cluster(&db, vec![(0..12).collect()], &cfg, &mut rng).clusters;
         assert!(out.iter().all(|c| c.len() <= 4));
         let mut all: Vec<u32> = out.iter().flatten().copied().collect();
         all.sort_unstable();
@@ -661,7 +645,7 @@ mod tests {
             ..Default::default()
         };
         let input = vec![vec![0, 1], vec![2, 3]];
-        let out = fine_cluster(&db, input.clone(), &cfg, &mut rng);
+        let out = fine_cluster(&db, input.clone(), &cfg, &mut rng).clusters;
         assert_eq!(out, input);
     }
 
@@ -673,7 +657,7 @@ mod tests {
             max_cluster_size: 2,
             ..Default::default()
         };
-        let out = fine_cluster(&db, vec![(0..9).collect()], &cfg, &mut rng);
+        let out = fine_cluster(&db, vec![(0..9).collect()], &cfg, &mut rng).clusters;
         assert!(out.iter().all(|c| c.len() <= 2));
         assert_eq!(out.iter().map(Vec::len).sum::<usize>(), 9);
     }
@@ -688,7 +672,7 @@ mod tests {
             max_cluster_size: 4,
             ..Default::default()
         };
-        let out = fine_cluster_audited(&db, vec![(0..12).collect()], &cfg, &mut rng);
+        let out = fine_cluster(&db, vec![(0..12).collect()], &cfg, &mut rng);
         assert!(out.kernel.total() > 0);
         assert!(out.kernel.all_exact());
         assert!(out.clusters.iter().all(|c| c.len() <= 4));
@@ -708,7 +692,7 @@ mod tests {
             budget: catapult_graph::SearchBudget::nodes(2),
             ..Default::default()
         };
-        let out = fine_cluster_audited(&db, vec![(0..12).collect()], &cfg, &mut rng);
+        let out = fine_cluster(&db, vec![(0..12).collect()], &cfg, &mut rng);
         assert!(out.kernel.degraded() > 0, "budget trips must be recorded");
         assert!(out.clusters.iter().all(|c| c.len() <= 4));
         let mut all: Vec<u32> = out.clusters.iter().flatten().copied().collect();
@@ -812,7 +796,7 @@ mod tests {
             max_cluster_size: 6,
             ..Default::default()
         };
-        let out = fine_cluster(&db, vec![(0..12).collect()], &cfg, &mut rng);
+        let out = fine_cluster(&db, vec![(0..12).collect()], &cfg, &mut rng).clusters;
         // A ring and a chain of 6 have MCCS of 5 edges (ring minus an edge is
         // a chain): similarity 5/5... wait, min(|E|) = min(6,5)=5 → 1.0.
         // Even so the partition must be valid.

@@ -7,7 +7,7 @@
 //! similarity summaries used by the ablations to characterize partitions.
 
 use catapult_graph::matching::hungarian;
-use catapult_graph::mcs::mccs_similarity_tagged;
+use catapult_graph::mcs::{similarity, McsConfig};
 use catapult_graph::{Graph, SearchBudget, Tally};
 
 /// Misclassification error distance between two clusterings of the same
@@ -70,10 +70,13 @@ pub fn separation(
     budget: impl Into<SearchBudget>,
     inter_cap: usize,
 ) -> SeparationReport {
-    let budget = budget.into();
+    let cfg = McsConfig {
+        budget: budget.into(),
+        ..McsConfig::connected()
+    };
     let tally = Tally::new();
     let sim = |x: u32, y: u32| {
-        let (s, c) = mccs_similarity_tagged(&db[x as usize], &db[y as usize], &budget);
+        let (s, c) = similarity(&db[x as usize], &db[y as usize], cfg.clone());
         tally.record(c);
         s
     };

@@ -17,7 +17,7 @@
 use crate::select::{find_canned_patterns, SelectionConfig, SelectionResult};
 use catapult_cluster::fine::{fine_cluster, FineConfig};
 use catapult_csg::Csg;
-use catapult_graph::mcs::mccs_similarity_tagged;
+use catapult_graph::mcs::{similarity, McsConfig};
 use catapult_graph::{Graph, SearchBudget};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -125,8 +125,12 @@ impl IncrementalCatapult {
     fn assign(&self, g: &Graph) -> (Option<usize>, usize) {
         let mut best: Option<(usize, f64)> = None;
         let mut degraded = 0;
+        let cfg = McsConfig {
+            budget: self.cfg.search.clone(),
+            ..McsConfig::connected()
+        };
         for (i, c) in self.csgs.iter().enumerate() {
-            let (sim, completeness) = mccs_similarity_tagged(g, &c.graph, &self.cfg.search);
+            let (sim, completeness) = similarity(g, &c.graph, cfg.clone());
             if !completeness.is_exact() {
                 degraded += 1;
             }
@@ -178,7 +182,7 @@ impl IncrementalCatapult {
                 ..Default::default()
             };
             let pool = std::mem::take(&mut self.outlier_pool);
-            let new_clusters = fine_cluster(&self.db, vec![pool], &fine_cfg, &mut rng);
+            let new_clusters = fine_cluster(&self.db, vec![pool], &fine_cfg, &mut rng).clusters;
             stats.new_clusters = new_clusters.len();
             for c in new_clusters {
                 self.csgs.push(Csg::build(&self.db, &c));

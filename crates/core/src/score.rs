@@ -13,7 +13,7 @@
 //! because no trade-off rate between them is known a priori.
 
 use catapult_csg::{ClusterWeights, Csg};
-use catapult_graph::ged::{ged_lower_bound, ged_with_budget};
+use catapult_graph::ged::{ged, ged_lower_bound};
 use catapult_graph::iso::{for_each_embedding, MatchOptions};
 use catapult_graph::{EdgeLabel, Graph, SearchBudget, Tally};
 use std::collections::HashMap;
@@ -142,7 +142,7 @@ pub const DIV_GED_BUDGET: u64 = 50_000;
 /// against (the first pattern has no diversity term). Every GED is
 /// recorded in `tally`. A tripped GED returns its best upper bound, and a
 /// pruned pick's GED is at least its lower bound, so the result is
-/// `min_i ged_with_budget(p, p_i)` whatever the split into calls.
+/// `min_i ged(p, p_i)` whatever the split into calls.
 pub fn diversity(
     pattern: &Graph,
     picks: &[Graph],
@@ -161,7 +161,7 @@ pub fn diversity(
         if best.is_some_and(|b| lb >= b) {
             break; // all remaining lower bounds are ≥ best: prune (step c3)
         }
-        let r = ged_with_budget(pattern, &picks[i], &probe);
+        let r = ged(pattern, &picks[i], &probe);
         tally.record(r.completeness);
         best = Some(best.map_or(r.distance, |b| b.min(r.distance)));
     }
@@ -325,10 +325,7 @@ mod tests {
             Graph::from_parts(&[l(0), l(1), l(2), l(3)], &[(0, 1), (1, 2), (2, 3)]),
             Graph::from_parts(&[l(5), l(6), l(7)], &[(0, 1), (1, 2)]),
         ];
-        let naive = set
-            .iter()
-            .map(|q| ged_with_budget(&p, q, 1_000_000).distance)
-            .min();
+        let naive = set.iter().map(|q| ged(&p, q, 1_000_000).distance).min();
         assert_eq!(div(&p, &set), naive);
     }
 

@@ -168,7 +168,7 @@ impl Memo {
     /// An upper bound on [`Memo::rescore`]'s score, without any search.
     ///
     /// Only `div` can be stale. Every GED still to come is at most the
-    /// assignment bound `ged_upper_bound` (the value `ged_with_budget`
+    /// assignment bound `ged_upper_bound` (the value `ged`
     /// falls back to), so the pending pick with the smallest `GED_l` — the
     /// likeliest nearest one — caps the new minimum.
     fn bound(

@@ -4,7 +4,7 @@
 //! diversity / cognitive-load summaries.
 
 use crate::steps::{formulate, Formulation, DEFAULT_EMBEDDING_CAP};
-use catapult_graph::ged::ged_with_budget;
+use catapult_graph::ged::ged;
 use catapult_graph::iso::contains;
 use catapult_graph::metrics::cognitive_load;
 use catapult_graph::{Graph, SearchBudget};
@@ -20,7 +20,7 @@ pub fn subgraph_coverage(patterns: &[Graph], db: &[Graph]) -> f64 {
         // Offline evaluation measure under the default node cap: a
         // tripped probe only lowers the reported coverage (a conservative
         // estimate), never correctness.
-        .filter(|g| patterns.iter().any(|p| contains(g, p))) // xtask-allow: consume-completeness, budget-threading
+        .filter(|g| patterns.iter().any(|p| contains(g, p))) // xtask-allow: budget-threading
         .count();
     covered as f64 / db.len() as f64
 }
@@ -175,7 +175,7 @@ pub fn mean_diversity(patterns: &[Graph]) -> f64 {
                 .filter(|&j| j != i)
                 .map(|j| {
                     let budget = SearchBudget::nodes(30_000);
-                    ged_with_budget(&patterns[i], &patterns[j], budget).distance as f64
+                    ged(&patterns[i], &patterns[j], budget).distance as f64
                 })
                 .fold(f64::INFINITY, f64::min)
         })

@@ -80,7 +80,7 @@ pub fn occurrences(q: &Graph, patterns: &[Graph], cap: usize) -> Vec<Occurrence>
         // Occurrence mining for step accounting: a tripped enumeration
         // just misses some pattern placements, inflating step_P slightly
         // (conservative for the GUI-benefit claims of §6.1).
-        // xtask-allow: consume-completeness, budget-threading
+        // xtask-allow: budget-threading
         for emb in embeddings(q, p, cap) {
             let mut vertices: Vec<VertexId> = emb.clone();
             vertices.sort_unstable();

@@ -374,7 +374,7 @@ impl<'a> GedSearch<'a> {
 /// before the trip — and [`GedResult::completeness`] names the limit; it is
 /// never an underestimate. With [`Completeness::Exact`] the value is the
 /// true GED.
-pub fn ged_with_budget(a: &Graph, b: &Graph, budget: impl Into<SearchBudget>) -> GedResult {
+pub fn ged(a: &Graph, b: &Graph, budget: impl Into<SearchBudget>) -> GedResult {
     let lb = ged_lower_bound(a, b);
     let ub = ged_upper_bound(a, b);
     if lb == ub {
@@ -442,11 +442,6 @@ pub fn ged_with_budget(a: &Graph, b: &Graph, budget: impl Into<SearchBudget>) ->
     }
 }
 
-/// Exact GED with the default node cap ([`DEFAULT_NODE_CAP`] expansions).
-pub fn ged(a: &Graph, b: &Graph) -> GedResult {
-    ged_with_budget(a, b, DEFAULT_NODE_CAP)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -471,7 +466,7 @@ mod tests {
     #[test]
     fn identical_graphs_distance_zero() {
         let g = cycle(5);
-        let r = ged(&g, &g);
+        let r = ged(&g, &g, DEFAULT_NODE_CAP);
         assert!(r.is_exact());
         assert_eq!(r.distance, 0);
         assert_eq!(ged_lower_bound(&g, &g), 0);
@@ -483,7 +478,7 @@ mod tests {
         // path of n → cycle of n: insert one edge.
         let p = path(5);
         let c = cycle(5);
-        let r = ged(&p, &c);
+        let r = ged(&p, &c, DEFAULT_NODE_CAP);
         assert!(r.is_exact());
         assert_eq!(r.distance, 1);
     }
@@ -492,7 +487,7 @@ mod tests {
     fn relabel_one_vertex() {
         let a = Graph::from_parts(&[l(0), l(0), l(0)], &[(0, 1), (1, 2)]);
         let b = Graph::from_parts(&[l(0), l(1), l(0)], &[(0, 1), (1, 2)]);
-        let r = ged(&a, &b);
+        let r = ged(&a, &b, DEFAULT_NODE_CAP);
         assert!(r.is_exact());
         assert_eq!(r.distance, 1);
     }
@@ -510,7 +505,7 @@ mod tests {
         ];
         for (a, b) in &cases {
             let lb = ged_lower_bound(a, b);
-            let exact = ged(a, b);
+            let exact = ged(a, b, DEFAULT_NODE_CAP);
             let ub = ged_upper_bound(a, b);
             assert!(exact.is_exact());
             assert!(lb <= exact.distance, "lb={lb} d={}", exact.distance);
@@ -522,8 +517,8 @@ mod tests {
     fn symmetry() {
         let a = path(4);
         let b = cycle(5);
-        let d1 = ged(&a, &b);
-        let d2 = ged(&b, &a);
+        let d1 = ged(&a, &b, DEFAULT_NODE_CAP);
+        let d2 = ged(&b, &a, DEFAULT_NODE_CAP);
         assert!(d1.is_exact() && d2.is_exact());
         assert_eq!(d1.distance, d2.distance);
     }
@@ -531,7 +526,7 @@ mod tests {
     #[test]
     fn deletion_and_insertion() {
         // path(3) → path(2): delete one vertex + one edge = 2.
-        let r = ged(&path(3), &path(2));
+        let r = ged(&path(3), &path(2), DEFAULT_NODE_CAP);
         assert!(r.is_exact());
         assert_eq!(r.distance, 2);
     }
@@ -553,11 +548,11 @@ mod tests {
             lb < ub,
             "test premise: bounds must not meet (lb={lb} ub={ub})"
         );
-        let r = ged_with_budget(&a, &b, 1u64);
+        let r = ged(&a, &b, 1u64);
         assert_eq!(r.completeness, Completeness::BudgetExhausted);
         assert!(!r.is_exact());
         // The degraded distance is a valid, non-trivial upper bound.
-        let exact = ged_with_budget(&a, &b, 5_000_000u64);
+        let exact = ged(&a, &b, 5_000_000u64);
         assert!(exact.is_exact());
         assert!(r.distance >= exact.distance);
         assert!(r.distance <= ub);
@@ -567,8 +562,8 @@ mod tests {
     fn generous_budget_matches_unbudgeted_answer() {
         let a = path(5);
         let b = cycle(6);
-        let default = ged(&a, &b);
-        let generous = ged_with_budget(&a, &b, 100_000_000u64);
+        let default = ged(&a, &b, DEFAULT_NODE_CAP);
+        let generous = ged(&a, &b, 100_000_000u64);
         assert!(default.is_exact() && generous.is_exact());
         assert_eq!(default.distance, generous.distance);
     }
@@ -581,7 +576,7 @@ mod tests {
             &[l(0); 6],
             &[(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)],
         );
-        let r = ged_with_budget(
+        let r = ged(
             &a,
             &b,
             SearchBudget::unbounded().with_deadline(Deadline::at(std::time::Instant::now())),
@@ -594,7 +589,7 @@ mod tests {
     fn meeting_bounds_are_exact_under_zero_budget() {
         // Identical graphs: lb == ub == 0, proven without search.
         let g = cycle(5);
-        let r = ged_with_budget(&g, &g, 0u64);
+        let r = ged(&g, &g, 0u64);
         assert!(r.is_exact());
         assert_eq!(r.distance, 0);
     }
@@ -609,10 +604,10 @@ mod tests {
     #[test]
     fn empty_graphs() {
         let e = Graph::new();
-        let r = ged(&e, &e);
+        let r = ged(&e, &e, DEFAULT_NODE_CAP);
         assert_eq!(r.distance, 0);
         let one = path(2);
-        let r2 = ged(&e, &one);
+        let r2 = ged(&e, &one, DEFAULT_NODE_CAP);
         assert_eq!(r2.distance, 3); // 2 vertices + 1 edge inserted
     }
 }

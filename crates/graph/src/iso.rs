@@ -377,13 +377,12 @@ where
 
 /// Whether `pattern` is subgraph-isomorphic to `target` (non-induced).
 ///
-/// Runs under the default budget and swallows the completeness tag: a
-/// budget-tripped search reports "not contained" even though an embedding
-/// might exist past the cutoff. Call sites that must distinguish the two
-/// use [`contains_tagged`] (`cargo xtask lint` enforces this outside
-/// tests).
+/// [`contains_tagged`] under [`DEFAULT_NODE_CAP`], with the completeness
+/// tag dropped: a budget-tripped search reports "not contained" even
+/// though an embedding might exist past the cutoff. Pipeline code calls
+/// [`contains_tagged`] (`cargo xtask lint` rule `budget-threading`).
 pub fn contains(target: &Graph, pattern: &Graph) -> bool {
-    find_embedding(target, pattern).is_some()
+    contains_tagged(target, pattern, &SearchBudget::unbounded()).0
 }
 
 /// Budgeted containment test: whether an embedding of `pattern` was found
@@ -412,25 +411,6 @@ pub fn contains_tagged(
     (found, out.completeness)
 }
 
-/// Find one embedding of `pattern` in `target` (non-induced), as a mapping
-/// pattern-vertex-id → target-vertex-id.
-pub fn find_embedding(target: &Graph, pattern: &Graph) -> Option<Vec<VertexId>> {
-    let mut result = None;
-    for_each_embedding(
-        target,
-        pattern,
-        MatchOptions {
-            max_embeddings: 1,
-            ..MatchOptions::default()
-        },
-        |emb| {
-            result = Some(emb.to_vec());
-            ControlFlow::Break(())
-        },
-    );
-    result
-}
-
 /// Collect up to `cap` embeddings of `pattern` in `target` (non-induced).
 pub fn embeddings(target: &Graph, pattern: &Graph, cap: usize) -> Vec<Vec<VertexId>> {
     let mut out = Vec::new();
@@ -455,17 +435,12 @@ pub fn embeddings(target: &Graph, pattern: &Graph, cap: usize) -> Vec<Vec<Vertex
 /// vertex-injective, edge-preserving map exists (the map is then a
 /// bijection and edge counts force edge surjectivity).
 ///
-/// Runs under the default budget and swallows the completeness tag; use
-/// [`are_isomorphic_tagged`] where a budget-tripped "not isomorphic" must
-/// be distinguishable from a proven one.
+/// [`are_isomorphic_tagged`] under [`DEFAULT_NODE_CAP`], with the
+/// completeness tag dropped; pipeline code calls [`are_isomorphic_tagged`]
+/// so a budget-tripped "not isomorphic" stays distinguishable from a
+/// proven one.
 pub fn are_isomorphic(a: &Graph, b: &Graph) -> bool {
-    if a.vertex_count() != b.vertex_count() || a.edge_count() != b.edge_count() {
-        return false;
-    }
-    if a.invariant_signature() != b.invariant_signature() {
-        return false;
-    }
-    contains(b, a)
+    are_isomorphic_tagged(a, b, &SearchBudget::unbounded()).0
 }
 
 /// Budgeted graph isomorphism test: the verdict plus why the underlying

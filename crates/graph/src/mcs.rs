@@ -576,59 +576,11 @@ pub fn mcs(g1: &Graph, g2: &Graph, cfg: McsConfig) -> McsResult {
     }
 }
 
-/// `ω_mcs(G1, G2) = |G_mcs| / min(|G1|, |G2|)` with `|G| = |E|` (§2).
-///
-/// Swallows the completeness tag (a truncated MCS understates similarity);
-/// call sites that must react to degradation use [`mcs_similarity_tagged`].
-pub fn mcs_similarity(g1: &Graph, g2: &Graph, budget: impl Into<SearchBudget>) -> f64 {
-    mcs_similarity_tagged(g1, g2, budget).0
-}
-
-/// Budgeted `ω_mcs` plus why the underlying search stopped. A non-exact
-/// similarity is a lower bound on the true value.
-pub fn mcs_similarity_tagged(
-    g1: &Graph,
-    g2: &Graph,
-    budget: impl Into<SearchBudget>,
-) -> (f64, Completeness) {
-    similarity(
-        g1,
-        g2,
-        McsConfig {
-            connected: false,
-            budget: budget.into(),
-            ..McsConfig::default()
-        },
-    )
-}
-
-/// `ω_mccs(G1, G2) = |G_mccs| / min(|G1|, |G2|)` with `|G| = |E|` (§2).
-///
-/// Swallows the completeness tag; use [`mccs_similarity_tagged`] where
-/// degradation must be observable.
-pub fn mccs_similarity(g1: &Graph, g2: &Graph, budget: impl Into<SearchBudget>) -> f64 {
-    mccs_similarity_tagged(g1, g2, budget).0
-}
-
-/// Budgeted `ω_mccs` plus why the underlying search stopped. A non-exact
-/// similarity is a lower bound on the true value.
-pub fn mccs_similarity_tagged(
-    g1: &Graph,
-    g2: &Graph,
-    budget: impl Into<SearchBudget>,
-) -> (f64, Completeness) {
-    similarity(
-        g1,
-        g2,
-        McsConfig {
-            connected: true,
-            budget: budget.into(),
-            ..McsConfig::default()
-        },
-    )
-}
-
-fn similarity(g1: &Graph, g2: &Graph, cfg: McsConfig) -> (f64, Completeness) {
+/// `ω(G1, G2) = |G_mcs| / min(|G1|, |G2|)` with `|G| = |E|` (§2): the
+/// `ω_mccs` of the paper when `cfg.connected`, `ω_mcs` otherwise, plus
+/// why the underlying search stopped. A non-exact similarity is a lower
+/// bound on the true value; graphs without edges score an exact 0.
+pub fn similarity(g1: &Graph, g2: &Graph, cfg: McsConfig) -> (f64, Completeness) {
     let denom = g1.edge_count().min(g2.edge_count());
     if denom == 0 {
         return (0.0, Completeness::Exact);
@@ -665,7 +617,7 @@ mod tests {
         let r = mcs(&g, &g, McsConfig::default());
         assert!(r.is_exact());
         assert_eq!(r.edges, 5);
-        assert!((mccs_similarity(&g, &g, 500_000) - 1.0).abs() < 1e-12);
+        assert!((similarity(&g, &g, McsConfig::connected()).0 - 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -730,7 +682,10 @@ mod tests {
         let mut g = Graph::new();
         g.add_vertex(l(0));
         let h = path(3);
-        assert_eq!(mcs_similarity(&g, &h, 1000), 0.0);
+        assert_eq!(
+            similarity(&g, &h, McsConfig::default()),
+            (0.0, Completeness::Exact)
+        );
     }
 
     #[test]
@@ -792,10 +747,14 @@ mod tests {
     #[test]
     fn tagged_similarity_exposes_degradation() {
         let g = cycle(6);
-        let (exact_sim, c) = mcs_similarity_tagged(&g, &g, 500_000u64);
+        let (exact_sim, c) = similarity(&g, &g, McsConfig::default());
         assert!(c.is_exact());
         assert!((exact_sim - 1.0).abs() < 1e-12);
-        let (truncated_sim, c) = mcs_similarity_tagged(&g, &g, 5u64);
+        let tiny = McsConfig {
+            budget: SearchBudget::nodes(5),
+            ..McsConfig::default()
+        };
+        let (truncated_sim, c) = similarity(&g, &g, tiny);
         assert_eq!(c, Completeness::BudgetExhausted);
         assert!(truncated_sim <= exact_sim);
     }
@@ -858,8 +817,8 @@ mod tests {
     fn similarity_symmetry() {
         let a = cycle(4);
         let b = path(6);
-        let s1 = mccs_similarity(&a, &b, 500_000);
-        let s2 = mccs_similarity(&b, &a, 500_000);
+        let s1 = similarity(&a, &b, McsConfig::connected()).0;
+        let s2 = similarity(&b, &a, McsConfig::connected()).0;
         assert!((s1 - s2).abs() < 1e-12);
         assert!(s1 > 0.0 && s1 <= 1.0);
     }

@@ -126,7 +126,7 @@ impl GraphIndex {
             .copied()
             // Verification runs under the default 10M-node cap; interactive
             // queries (§1) are small enough that it never trips in practice.
-            .filter(|&i| contains(&db[i as usize], q)) // xtask-allow: consume-completeness, budget-threading
+            .filter(|&i| contains(&db[i as usize], q)) // xtask-allow: budget-threading
             .collect();
         let stats = SearchStats {
             candidates: candidates.len(),
@@ -142,7 +142,7 @@ impl GraphIndex {
 pub fn scan_search(db: &[Graph], q: &Graph) -> Vec<u32> {
     (0..db.len() as u32)
         // Test/baseline oracle — intentionally mirrors `search`'s verify.
-        .filter(|&i| contains(&db[i as usize], q)) // xtask-allow: consume-completeness, budget-threading
+        .filter(|&i| contains(&db[i as usize], q)) // xtask-allow: budget-threading
         .collect()
 }
 

@@ -261,16 +261,11 @@ pub fn mine_subtrees(
 }
 
 /// Binary feature vector of `g` over the mined subtree set: bit `j` is set
-/// iff `g` contains `subtrees[j]` (Algorithm 2, lines 3–10).
-pub fn feature_vector(g: &Graph, subtrees: &[FrequentSubtree]) -> Vec<bool> {
-    let tally = Tally::new();
-    feature_vector_tagged(g, subtrees, &SearchBudget::unbounded(), &tally)
-}
-
-/// As [`feature_vector`], with each containment probe under `budget` and
-/// its completeness recorded into `tally`. A degraded probe leaves the bit
-/// unset, so degraded feature vectors under-approximate containment.
-pub fn feature_vector_tagged(
+/// iff `g` contains `subtrees[j]` (Algorithm 2, lines 3–10). Each
+/// containment probe runs under `budget` and records its completeness into
+/// `tally`; a degraded probe leaves the bit unset, so degraded feature
+/// vectors under-approximate containment.
+pub fn feature_vector(
     g: &Graph,
     subtrees: &[FrequentSubtree],
     budget: &SearchBudget,
@@ -408,7 +403,8 @@ mod tests {
         let trees = mine_frequent_subtrees(&db, &cfg);
         let m = feature_matrix(db.len(), &trees);
         for (i, g) in db.iter().enumerate() {
-            assert_eq!(m[i], feature_vector(g, &trees), "graph {i}");
+            let fv = feature_vector(g, &trees, &SearchBudget::unbounded(), &Tally::new());
+            assert_eq!(m[i], fv, "graph {i}");
         }
     }
 

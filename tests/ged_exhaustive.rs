@@ -8,7 +8,7 @@
 // no-panic policy targets library production code only.
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 use catapult::graph::edit::{apply_edit_script, edit_script};
-use catapult::graph::ged::{ged_lower_bound, ged_with_budget, induced_edit_cost};
+use catapult::graph::ged::{ged, ged_lower_bound, induced_edit_cost};
 use catapult::graph::iso::are_isomorphic;
 use catapult::graph::{Graph, Label, VertexId};
 use rand::{Rng, SeedableRng};
@@ -70,7 +70,7 @@ fn search_matches_brute_force_on_tiny_graphs() {
     for trial in 0..120 {
         let a = random_graph(&mut rng, 4, 2);
         let b = random_graph(&mut rng, 4, 2);
-        let exact = ged_with_budget(&a, &b, 5_000_000);
+        let exact = ged(&a, &b, 5_000_000);
         assert!(exact.is_exact(), "trial {trial} exhausted budget");
         let brute = brute_force_ged(&a, &b);
         assert_eq!(

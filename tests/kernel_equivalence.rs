@@ -26,7 +26,7 @@
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use catapult::graph::mcs::{mcs, McsConfig, McsResult};
-use catapult::graph::{iso, Deadline, Graph, Label, SearchBudget, VertexId};
+use catapult::graph::{iso, Completeness, Deadline, Graph, Label, SearchBudget, VertexId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Mutex;
@@ -278,6 +278,11 @@ fn iso_agrees_with_brute_force_on_small_graphs() {
                 iso::are_isomorphic(a, b),
                 expected,
                 "iso disagreed with brute force on pair ({i}, {j})"
+            );
+            assert_eq!(
+                iso::are_isomorphic_tagged(a, b, &SearchBudget::unbounded()),
+                (expected, Completeness::Exact),
+                "tagged iso disagreed with brute force on pair ({i}, {j})"
             );
         }
     }

@@ -12,7 +12,7 @@
 
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
-use catapult::cluster::fine::{fine_cluster_audited, FineConfig};
+use catapult::cluster::fine::{fine_cluster, FineConfig};
 use catapult::datasets::{
     aids_profile, emol_profile, generate, pubchem_profile, random_queries, MoleculeProfile,
 };
@@ -134,11 +134,11 @@ fn fine_clustering_is_threadcount_invariant() {
         // the parallel region, so the whole trajectory must replay.
         let seq = with_threads(1, || {
             let mut rng = StdRng::seed_from_u64(5);
-            fine_cluster_audited(&db, vec![all.clone()], &cfg, &mut rng)
+            fine_cluster(&db, vec![all.clone()], &cfg, &mut rng)
         });
         let par = with_threads(8, || {
             let mut rng = StdRng::seed_from_u64(5);
-            fine_cluster_audited(&db, vec![all.clone()], &cfg, &mut rng)
+            fine_cluster(&db, vec![all.clone()], &cfg, &mut rng)
         });
         assert_eq!(seq.clusters, par.clusters, "{name}: clusters diverged");
         assert_eq!(seq.kernel, par.kernel, "{name}: kernel tally diverged");

@@ -6,10 +6,10 @@
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 use catapult::graph::canonical::canonical_tokens;
 use catapult::graph::components::{connected_components, is_connected, is_tree};
-use catapult::graph::ged::{ged_lower_bound, ged_upper_bound, ged_with_budget};
+use catapult::graph::ged::{ged, ged_lower_bound, ged_upper_bound};
 use catapult::graph::iso::{are_isomorphic, contains};
 use catapult::graph::layout::circular_crossings;
-use catapult::graph::mcs::{mccs_similarity, mcs, McsConfig};
+use catapult::graph::mcs::{mcs, similarity, McsConfig};
 use catapult::graph::metrics::cognitive_load;
 use catapult::graph::random::{random_connected_subgraph, weighted_choice};
 use catapult::graph::{Graph, Label, SearchBudget, VertexId};
@@ -116,11 +116,11 @@ proptest! {
     fn ged_sandwich_and_identity(a in graph_strategy(5, 2), b in graph_strategy(5, 2)) {
         let lb = ged_lower_bound(&a, &b);
         let ub = ged_upper_bound(&a, &b);
-        let d = ged_with_budget(&a, &b, 500_000);
+        let d = ged(&a, &b, 500_000);
         prop_assume!(d.is_exact());
         prop_assert!(lb <= d.distance);
         prop_assert!(d.distance <= ub);
-        let self_d = ged_with_budget(&a, &a, 500_000);
+        let self_d = ged(&a, &a, 500_000);
         prop_assert_eq!(self_d.distance, 0);
     }
 
@@ -130,16 +130,17 @@ proptest! {
         b in graph_strategy(4, 2),
         c in graph_strategy(4, 2),
     ) {
-        let ab = ged_with_budget(&a, &b, 500_000);
-        let bc = ged_with_budget(&b, &c, 500_000);
-        let ac = ged_with_budget(&a, &c, 500_000);
+        let ab = ged(&a, &b, 500_000);
+        let bc = ged(&b, &c, 500_000);
+        let ac = ged(&a, &c, 500_000);
         prop_assume!(ab.is_exact() && bc.is_exact() && ac.is_exact());
         prop_assert!(ac.distance <= ab.distance + bc.distance);
     }
 
     #[test]
     fn mccs_result_is_connected_common_subgraph(a in graph_strategy(6, 2), b in graph_strategy(6, 2)) {
-        let r = mcs(&a, &b, McsConfig { connected: true, budget: SearchBudget::nodes(100_000), ..McsConfig::default() });
+        let cfg = McsConfig { connected: true, budget: SearchBudget::nodes(100_000), ..McsConfig::default() };
+        let r = mcs(&a, &b, cfg.clone());
         // Build the common subgraph from the pairs and check connectivity.
         if !r.pairs.is_empty() {
             let mut sub = Graph::new();
@@ -166,7 +167,13 @@ proptest! {
                 prop_assert_eq!(a.label(va), b.label(ta));
             }
         }
-        let sim = mccs_similarity(&a, &b, 100_000);
+        // ω is the same search's edge count over min(|E_a|, |E_b|), and 0
+        // when either graph has no edges.
+        let (sim, tag) = similarity(&a, &b, cfg);
+        let denom = a.edge_count().min(b.edge_count());
+        let expected = if denom == 0 { 0.0 } else { r.edges as f64 / denom as f64 };
+        prop_assert_eq!(sim.to_bits(), expected.to_bits());
+        prop_assert_eq!(tag, r.completeness);
         prop_assert!((0.0..=1.0).contains(&sim));
     }
 

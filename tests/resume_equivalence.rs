@@ -192,7 +192,7 @@ fn interrupted_then_resumed_equals_uninterrupted() {
 /// recomputing the whole matrix.
 #[test]
 fn fine_cache_resumed_mid_split_matches_cold_recompute() {
-    use catapult::cluster::fine::{fine_cluster_audited, fine_cluster_resumable, FineConfig};
+    use catapult::cluster::fine::{fine_cluster, fine_cluster_resumable, FineConfig};
     use catapult::graph::SearchBudget;
     use catapult_ckpt::{Fingerprint, StageStore};
     use catapult_obs::Recorder;
@@ -231,7 +231,7 @@ fn fine_cache_resumed_mid_split_matches_cold_recompute() {
 
     // Cold baseline: every class pair computed exactly once.
     let cold_rec = Recorder::enabled();
-    let cold = fine_cluster_audited(
+    let cold = fine_cluster(
         &db,
         vec![all.clone()],
         &fine_with_probe(&cold_rec),
