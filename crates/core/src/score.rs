@@ -6,7 +6,9 @@
 //! * `lcov(p, D)` is the fraction of data graphs containing at least one
 //!   edge whose label occurs in `p`, computed against a bitset index.
 //! * `div` is the minimum GED to the already-selected patterns, with the
-//!   Definition 5.1 lower bound pruning exact computations (§5 steps a–c).
+//!   Definition 5.1 lower bound pruning exact computations (§5 steps a–c)
+//!   and the running minimum as each `ged`'s cutoff τ (a tripped search
+//!   falls back to `min(ub, τ) ≤ ub`).
 //! * `cog` is the density-based cognitive load (§3.2).
 //!
 //! The four criteria combine multiplicatively following Tofallis [37]
@@ -132,21 +134,18 @@ pub fn ccov(covering: &[usize], cw: &ClusterWeights) -> f64 {
 /// 12 edges). A user [`SearchBudget`] node cap overrides it.
 pub const DIV_GED_BUDGET: u64 = 50_000;
 
-/// `div(p, P\p) = min_i GED(p, p_i)` with lower-bound pruning (§5),
-/// continuing a running minimum `best` over further `picks`: order the
-/// picks by ascending `GED_l`, compute GEDs in that order, and drop every
-/// pick whose lower bound already reaches the best distance found.
+/// `div(p, P\p) = min_i GED(p, p_i)` with lower-bound pruning (§5): order
+/// the picks by ascending `GED_l` (stable), compute GEDs in that order
+/// with the best distance so far as the cutoff, and drop every pick whose
+/// lower bound already reaches it.
 ///
-/// From scratch (`best = None`) over all selected patterns this is the
-/// paper's `div`; `None` comes back only when there is nothing to compare
-/// against (the first pattern has no diversity term). Every GED is
-/// recorded in `tally`. A tripped GED returns its best upper bound, and a
-/// pruned pick's GED is at least its lower bound, so the result is
-/// `min_i ged(p, p_i)` whatever the split into calls.
+/// `None` comes back only when there is nothing to compare against (the
+/// first pattern has no diversity term). Every GED is recorded in
+/// `tally`. Degraded GEDs depend on their cutoff, so only a call over the
+/// same `picks` is sure to give the same value.
 pub fn diversity(
     pattern: &Graph,
     picks: &[Graph],
-    mut best: Option<usize>,
     budget: &SearchBudget,
     tally: &Tally,
 ) -> Option<usize> {
@@ -157,13 +156,14 @@ pub fn diversity(
         .enumerate()
         .collect();
     order.sort_by_key(|&(_, lb)| lb);
+    let mut best = None;
     for (i, lb) in order {
         if best.is_some_and(|b| lb >= b) {
             break; // all remaining lower bounds are ≥ best: prune (step c3)
         }
-        let r = ged(pattern, &picks[i], &probe);
+        let r = ged(pattern, &picks[i], best, &probe);
         tally.record(r.completeness);
-        best = Some(best.map_or(r.distance, |b| b.min(r.distance)));
+        best = Some(r.distance); // never above the cutoff `best`
     }
     best
 }
@@ -231,6 +231,7 @@ pub fn eq2_score(
 mod tests {
     use super::*;
     use catapult_csg::build_csgs;
+    use catapult_graph::ged::ged_upper_bound;
     use catapult_graph::metrics::cognitive_load;
     use catapult_graph::Label;
 
@@ -262,7 +263,7 @@ mod tests {
     }
 
     fn div(p: &Graph, picks: &[Graph]) -> Option<usize> {
-        diversity(p, picks, None, &SearchBudget::unbounded(), &Tally::new())
+        diversity(p, picks, &SearchBudget::unbounded(), &Tally::new())
     }
 
     /// Eq. 2 from scratch over `selected`, as the greedy loop scores it.
@@ -325,25 +326,65 @@ mod tests {
             Graph::from_parts(&[l(0), l(1), l(2), l(3)], &[(0, 1), (1, 2), (2, 3)]),
             Graph::from_parts(&[l(5), l(6), l(7)], &[(0, 1), (1, 2)]),
         ];
-        let naive = set.iter().map(|q| ged(&p, q, 1_000_000).distance).min();
+        let naive = set
+            .iter()
+            .map(|q| ged(&p, q, None, 1_000_000).distance)
+            .min();
         assert_eq!(div(&p, &set), naive);
     }
 
+    /// The two properties the lazy selector's bound relies on, under node
+    /// caps that degrade GED (DESIGN.md §15, "The bound"): `div` over a
+    /// superset of picks is never larger, and a lower cutoff never gives a
+    /// larger `min(τ, ged)`.
     #[test]
-    fn running_diversity_equals_from_scratch() {
-        let p = Graph::from_parts(&[l(0), l(1), l(2)], &[(0, 1), (1, 2)]);
-        let set = vec![
-            Graph::from_parts(&[l(5), l(6), l(7)], &[(0, 1), (1, 2)]),
-            Graph::from_parts(&[l(0), l(1), l(2), l(3)], &[(0, 1), (1, 2), (2, 3)]),
-            Graph::from_parts(&[l(0), l(1)], &[(0, 1)]),
-        ];
-        let scratch = div(&p, &set);
-        for split in 0..=set.len() {
-            let (old, new) = set.split_at(split);
-            let running = div(&p, old);
-            let tally = Tally::new();
-            let extended = diversity(&p, new, running, &SearchBudget::unbounded(), &tally);
-            assert_eq!(extended, scratch, "split at {split}");
+    fn diversity_shrinks_with_more_picks_and_lower_cutoffs() {
+        use catapult_datasets::{aids_profile, generate};
+        use catapult_graph::random::random_connected_subgraph;
+        use rand::{Rng, SeedableRng};
+        let mut groups: Vec<Vec<Graph>> = Vec::new();
+        for data_seed in [7, 11, 23] {
+            let db = generate(&aids_profile(), 20, data_seed).graphs;
+            let mut rng = rand::rngs::StdRng::seed_from_u64(data_seed);
+            let mut patterns = Vec::new();
+            while patterns.len() < 21 {
+                let g = &db[rng.gen_range(0..db.len())];
+                let size = rng.gen_range(3..=12);
+                patterns.extend(random_connected_subgraph(g, size, &mut rng));
+            }
+            groups.extend(patterns.chunks(7).map(<[Graph]>::to_vec));
+        }
+        for cap in [1, 40, 120, 2_000, DIV_GED_BUDGET] {
+            let budget = SearchBudget::nodes(cap);
+            for (g, group) in groups.iter().enumerate() {
+                let (p, picks) = (&group[0], &group[1..]);
+                let all = diversity(p, picks, &budget, &Tally::new());
+                for k in 1..picks.len() {
+                    let prefix = diversity(p, &picks[..k], &budget, &Tally::new());
+                    assert!(
+                        all <= prefix,
+                        "cap {cap} group {g}: {all:?} > {prefix:?} at k={k}"
+                    );
+                }
+                for q in picks {
+                    // Consecutive cutoffs suffice: the order is transitive,
+                    // and τ > ub seeds the search exactly like no cutoff.
+                    let run = |tau: Option<usize>| {
+                        let d = ged(p, q, tau, &budget).distance;
+                        tau.map_or(d, |t| d.min(t))
+                    };
+                    let ub = ged_upper_bound(p, q);
+                    let mut prev = run(Some(0));
+                    for tau in (1..=ub + 1).map(Some).chain([None]) {
+                        let next = run(tau);
+                        assert!(
+                            prev <= next,
+                            "cap {cap} group {g}: τ={tau:?} gives {next} < {prev}"
+                        );
+                        prev = next;
+                    }
+                }
+            }
         }
     }
 

@@ -130,7 +130,7 @@ struct Memo {
     cog: f64,
     /// Query-log boost factor `1 + λ·freq(p)`, when a log is configured.
     boost: Option<f64>,
-    /// Running `min GED` to the first `div_covers` selected patterns.
+    /// `div` against the first `div_covers` selected patterns (stale).
     div: Option<usize>,
     /// How many selected patterns `div` accounts for.
     div_covers: usize,
@@ -167,10 +167,10 @@ impl Memo {
 
     /// An upper bound on [`Memo::rescore`]'s score, without any search.
     ///
-    /// Only `div` can be stale. Every GED still to come is at most the
-    /// assignment bound `ged_upper_bound` (the value `ged`
-    /// falls back to), so the pending pick with the smallest `GED_l` — the
-    /// likeliest nearest one — caps the new minimum.
+    /// Only `div` can be stale, and more picks never raise it (DESIGN.md
+    /// §15, "The bound"). No pick's assignment bound `ged_upper_bound` is
+    /// below it either (`ged` falls back to `min(ub, τ) ≤ ub`), so the
+    /// pending pick with the smallest `GED_l` caps the new minimum.
     fn bound(
         &self,
         pattern: &Graph,
@@ -195,9 +195,9 @@ impl Memo {
         self.score(variant, cw, div)
     }
 
-    /// The exact score, with `div` brought up to date against the
-    /// selected patterns it has not seen yet. Returns the score and the
-    /// new `(div, div_covers)`.
+    /// The exact score, with `div` from scratch over all of `selected` —
+    /// the eager loop's own call, so the two agree even when GEDs degrade.
+    /// Returns the score and the new `(div, div_covers)`.
     fn rescore(
         &self,
         pattern: &Graph,
@@ -213,8 +213,7 @@ impl Memo {
             let score = self.score(variant, cw, self.div);
             return (score, self.div, self.div_covers);
         }
-        let pending = &selected[self.div_covers..];
-        let div = diversity(pattern, pending, self.div, search, tally);
+        let div = diversity(pattern, selected, search, tally);
         (self.score(variant, cw, div), div, selected.len())
     }
 }
@@ -698,17 +697,19 @@ mod tests {
         let index = EdgeLabelIndex::build(&db);
         let mut cw = ClusterWeights::new(&csgs, db.len());
         cw.damp(1);
-        let search = SearchBudget::unbounded();
         let tally = Tally::new();
         let picks = [ring(6, 0), chain(4, &[0, 1]), chain(6, &[1, 0])];
         let candidates = [chain(5, &[0, 1]), chain(4, &[1, 0]), ring(5, 0), ring(4, 1)];
         let log = crate::querylog::QueryLog::new(vec![chain(7, &[0, 1]), ring(6, 0)]);
-        for variant in [
+        // A 40-node cap degrades GEDs, and with them `div`.
+        let searches = [SearchBudget::unbounded(), SearchBudget::nodes(40)];
+        let variants = [
             ScoreVariant::Full,
             ScoreVariant::NoDiversity,
             ScoreVariant::NoCognitiveLoad,
             ScoreVariant::Additive,
-        ] {
+        ];
+        for (search, variant) in searches.iter().flat_map(|s| variants.map(|v| (s, v))) {
             // λ = −3 drives the boost factor negative for logged patterns.
             for (query_log, log_weight) in [
                 (None, 1.0),
@@ -725,16 +726,18 @@ mod tests {
                     // A memo brought up to date against each prefix of the
                     // picks, then bounded against all of them.
                     for seen in 0..=picks.len() {
-                        let mut memo = Memo::new(c, &csgs, &index, &cfg, &search, &tally);
+                        let mut memo = Memo::new(c, &csgs, &index, &cfg, search, &tally);
                         let (_, div, covers) =
-                            memo.rescore(c, variant, &cw, &picks[..seen], &search, &tally);
+                            memo.rescore(c, variant, &cw, &picks[..seen], search, &tally);
                         memo.div = div;
                         memo.div_covers = covers;
                         let bound = memo.bound(c, variant, &cw, &picks);
-                        let (exact, _, _) = memo.rescore(c, variant, &cw, &picks, &search, &tally);
+                        let (exact, _, _) = memo.rescore(c, variant, &cw, &picks, search, &tally);
                         assert!(
                             bound.total_cmp(&exact).is_ge(),
-                            "{variant:?} λ={log_weight} seen={seen}: bound {bound} < exact {exact}"
+                            "cap={} {variant:?} λ={log_weight} seen={seen}: \
+                             bound {bound} < exact {exact}",
+                            search.node_cap
                         );
                     }
                 }

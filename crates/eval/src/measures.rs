@@ -175,7 +175,7 @@ pub fn mean_diversity(patterns: &[Graph]) -> f64 {
                 .filter(|&j| j != i)
                 .map(|j| {
                     let budget = SearchBudget::nodes(30_000);
-                    ged(&patterns[i], &patterns[j], budget).distance as f64
+                    ged(&patterns[i], &patterns[j], None, budget).distance as f64
                 })
                 .fold(f64::INFINITY, f64::min)
         })

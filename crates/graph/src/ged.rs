@@ -14,9 +14,10 @@
 //! * [`ged_upper_bound`] — bipartite assignment heuristic (Riesen–Bunke
 //!   [32]): solve a vertex assignment with Hungarian, then charge the exact
 //!   induced edit cost of that vertex mapping (always a valid upper bound).
-//! * [`ged`] — exact depth-first branch-and-bound seeded with the upper
-//!   bound, under a [`SearchBudget`] for pathological cases: on a tripped
-//!   limit it returns the best-known *upper bound*, explicitly flagged via
+//! * [`ged`] — `min(GED, τ)` for an optional cutoff τ, by depth-first
+//!   branch-and-bound seeded with `min(ub, τ)`, under a [`SearchBudget`]
+//!   for pathological cases: on a tripped limit it falls back to its
+//!   best-known value (at most `min(ub, τ) ≤ ub`), flagged via
 //!   [`GedResult::completeness`].
 
 use crate::budget::{BudgetMeter, Completeness, Kernel, SearchBudget};
@@ -27,23 +28,24 @@ use crate::matching::hungarian;
 /// Default backtracking-node cap for GED searches.
 pub const DEFAULT_NODE_CAP: u64 = 500_000;
 
-/// Result of a GED computation.
+/// Result of a GED computation under a cutoff τ (τ = ∞ without one).
 ///
-/// When `completeness` is not [`Completeness::Exact`], `distance` is the
-/// best-known **upper bound** on the true GED (never an underestimate): the
-/// branch-and-bound is seeded with the Riesen–Bunke assignment bound and
-/// only ever replaces it with cheaper complete edit paths, so whatever it
-/// holds when the budget trips is realized by an actual edit sequence.
+/// `distance` is never below `min(GED, τ)`, and equals it when
+/// `completeness` is [`Completeness::Exact`]. The branch-and-bound starts
+/// from `min(ub, τ)` (`ub`: the Riesen–Bunke bound) and only ever replaces
+/// it with cheaper complete edit paths, so a tripped search still returns
+/// an upper bound on `min(GED, τ)`: τ, or an actual edit sequence's cost.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct GedResult {
-    /// The edit distance — exact, or a valid upper bound (see above).
+    /// `min(GED, τ)` — exact, or an upper bound on it (see above).
     pub distance: usize,
     /// Why the search stopped.
     pub completeness: Completeness,
 }
 
 impl GedResult {
-    /// Whether `distance` is the exact GED (otherwise it is an upper bound).
+    /// Whether `distance` is exactly `min(GED, τ)` (otherwise it is an
+    /// upper bound).
     pub fn is_exact(&self) -> bool {
         self.completeness.is_exact()
     }
@@ -366,22 +368,22 @@ impl<'a> GedSearch<'a> {
     }
 }
 
-/// Exact GED with branch-and-bound (seeded by [`ged_upper_bound`]),
-/// subject to a [`SearchBudget`] (a plain `u64` converts to a node cap).
+/// `min(GED, τ)` for the cutoff `τ = tau` (`None`: τ = ∞, the plain GED)
+/// by branch-and-bound, under a [`SearchBudget`] (a plain `u64` converts
+/// to a node cap).
 ///
-/// On a tripped limit the returned distance is the best-known **upper
-/// bound** — the Riesen–Bunke seed or a cheaper complete edit path found
-/// before the trip — and [`GedResult::completeness`] names the limit; it is
-/// never an underestimate. With [`Completeness::Exact`] the value is the
-/// true GED.
-pub fn ged(a: &Graph, b: &Graph, budget: impl Into<SearchBudget>) -> GedResult {
+/// The search looks only for edit paths cheaper than `min(ub, τ)`
+/// ([`ged_upper_bound`]); running out of branches proves there are none,
+/// so an answer of τ proves `GED ≥ τ`. A tripped limit is named by
+/// [`GedResult::completeness`] (see [`GedResult`] for what it returns).
+pub fn ged(a: &Graph, b: &Graph, tau: Option<usize>, budget: impl Into<SearchBudget>) -> GedResult {
     let lb = ged_lower_bound(a, b);
-    let ub = ged_upper_bound(a, b);
-    if lb == ub {
-        // Bounds meet: the distance is proven without any search (and
-        // without consuming a kernel invocation).
+    let seed = ged_upper_bound(a, b).min(tau.unwrap_or(usize::MAX));
+    if lb >= seed {
+        // `lb ≥ τ` proves `GED ≥ τ`, and `lb == ub` proves the GED, without
+        // any search (and without consuming a kernel invocation).
         return GedResult {
-            distance: ub,
+            distance: seed,
             completeness: Completeness::Exact,
         };
     }
@@ -428,16 +430,14 @@ pub fn ged(a: &Graph, b: &Graph, budget: impl Into<SearchBudget>) -> GedResult {
         b_used: vec![false; b.vertex_count()],
         b_used_count: 0,
         b_edges_used: 0,
-        best: ub + 1, // allow rediscovering ub exactly
+        best: seed,
         meter: BudgetMeter::new(&budget.into(), Kernel::Ged),
     };
     s.descend(0, 0);
-    // `s.best` only holds completed edit paths (or the ub+1 seed), so the
-    // min with `ub` is always a realized upper bound — valid even when the
-    // search was cut short.
-    let distance = s.best.min(ub);
+    // `s.best` only holds the seed or cheaper completed edit paths, so it
+    // bounds `min(GED, τ)` from above even when the search was cut short.
     GedResult {
-        distance,
+        distance: s.best,
         completeness: s.meter.status(),
     }
 }
@@ -466,7 +466,7 @@ mod tests {
     #[test]
     fn identical_graphs_distance_zero() {
         let g = cycle(5);
-        let r = ged(&g, &g, DEFAULT_NODE_CAP);
+        let r = ged(&g, &g, None, DEFAULT_NODE_CAP);
         assert!(r.is_exact());
         assert_eq!(r.distance, 0);
         assert_eq!(ged_lower_bound(&g, &g), 0);
@@ -478,7 +478,7 @@ mod tests {
         // path of n → cycle of n: insert one edge.
         let p = path(5);
         let c = cycle(5);
-        let r = ged(&p, &c, DEFAULT_NODE_CAP);
+        let r = ged(&p, &c, None, DEFAULT_NODE_CAP);
         assert!(r.is_exact());
         assert_eq!(r.distance, 1);
     }
@@ -487,7 +487,7 @@ mod tests {
     fn relabel_one_vertex() {
         let a = Graph::from_parts(&[l(0), l(0), l(0)], &[(0, 1), (1, 2)]);
         let b = Graph::from_parts(&[l(0), l(1), l(0)], &[(0, 1), (1, 2)]);
-        let r = ged(&a, &b, DEFAULT_NODE_CAP);
+        let r = ged(&a, &b, None, DEFAULT_NODE_CAP);
         assert!(r.is_exact());
         assert_eq!(r.distance, 1);
     }
@@ -505,7 +505,7 @@ mod tests {
         ];
         for (a, b) in &cases {
             let lb = ged_lower_bound(a, b);
-            let exact = ged(a, b, DEFAULT_NODE_CAP);
+            let exact = ged(a, b, None, DEFAULT_NODE_CAP);
             let ub = ged_upper_bound(a, b);
             assert!(exact.is_exact());
             assert!(lb <= exact.distance, "lb={lb} d={}", exact.distance);
@@ -517,8 +517,8 @@ mod tests {
     fn symmetry() {
         let a = path(4);
         let b = cycle(5);
-        let d1 = ged(&a, &b, DEFAULT_NODE_CAP);
-        let d2 = ged(&b, &a, DEFAULT_NODE_CAP);
+        let d1 = ged(&a, &b, None, DEFAULT_NODE_CAP);
+        let d2 = ged(&b, &a, None, DEFAULT_NODE_CAP);
         assert!(d1.is_exact() && d2.is_exact());
         assert_eq!(d1.distance, d2.distance);
     }
@@ -526,7 +526,7 @@ mod tests {
     #[test]
     fn deletion_and_insertion() {
         // path(3) → path(2): delete one vertex + one edge = 2.
-        let r = ged(&path(3), &path(2), DEFAULT_NODE_CAP);
+        let r = ged(&path(3), &path(2), None, DEFAULT_NODE_CAP);
         assert!(r.is_exact());
         assert_eq!(r.distance, 2);
     }
@@ -548,22 +548,29 @@ mod tests {
             lb < ub,
             "test premise: bounds must not meet (lb={lb} ub={ub})"
         );
-        let r = ged(&a, &b, 1u64);
+        let r = ged(&a, &b, None, 1u64);
         assert_eq!(r.completeness, Completeness::BudgetExhausted);
         assert!(!r.is_exact());
         // The degraded distance is a valid, non-trivial upper bound.
-        let exact = ged(&a, &b, 5_000_000u64);
+        let exact = ged(&a, &b, None, 5_000_000u64);
         assert!(exact.is_exact());
         assert!(r.distance >= exact.distance);
         assert!(r.distance <= ub);
+        // With a cutoff the degraded value stays within
+        // [min(GED, τ), ub].
+        for tau in 0..=ub + 1 {
+            let r = ged(&a, &b, Some(tau), 1u64);
+            assert!(r.distance >= exact.distance.min(tau), "τ={tau}");
+            assert!(r.distance <= ub, "τ={tau}");
+        }
     }
 
     #[test]
     fn generous_budget_matches_unbudgeted_answer() {
         let a = path(5);
         let b = cycle(6);
-        let default = ged(&a, &b, DEFAULT_NODE_CAP);
-        let generous = ged(&a, &b, 100_000_000u64);
+        let default = ged(&a, &b, None, DEFAULT_NODE_CAP);
+        let generous = ged(&a, &b, None, 100_000_000u64);
         assert!(default.is_exact() && generous.is_exact());
         assert_eq!(default.distance, generous.distance);
     }
@@ -579,6 +586,7 @@ mod tests {
         let r = ged(
             &a,
             &b,
+            None,
             SearchBudget::unbounded().with_deadline(Deadline::at(std::time::Instant::now())),
         );
         assert_eq!(r.completeness, Completeness::DeadlineExceeded);
@@ -589,9 +597,19 @@ mod tests {
     fn meeting_bounds_are_exact_under_zero_budget() {
         // Identical graphs: lb == ub == 0, proven without search.
         let g = cycle(5);
-        let r = ged(&g, &g, 0u64);
+        let r = ged(&g, &g, None, 0u64);
         assert!(r.is_exact());
         assert_eq!(r.distance, 0);
+        // A lower bound at or above the cutoff proves `GED ≥ τ` without
+        // search: path(3) vs cycle(6) has lb = 3 vertices + 4 edges.
+        let (a, b) = (path(3), cycle(6));
+        let lb = ged_lower_bound(&a, &b);
+        assert_eq!(lb, 7);
+        for tau in 0..=lb {
+            let r = ged(&a, &b, Some(tau), 0u64);
+            assert_eq!(r.completeness, Completeness::Exact, "τ={tau}");
+            assert_eq!(r.distance, tau);
+        }
     }
 
     #[test]
@@ -604,10 +622,10 @@ mod tests {
     #[test]
     fn empty_graphs() {
         let e = Graph::new();
-        let r = ged(&e, &e, DEFAULT_NODE_CAP);
+        let r = ged(&e, &e, None, DEFAULT_NODE_CAP);
         assert_eq!(r.distance, 0);
         let one = path(2);
-        let r2 = ged(&e, &one, DEFAULT_NODE_CAP);
+        let r2 = ged(&e, &one, None, DEFAULT_NODE_CAP);
         assert_eq!(r2.distance, 3); // 2 vertices + 1 edge inserted
     }
 }

@@ -2,7 +2,8 @@
 //! model, every edit path corresponds to a (partial, injective) vertex
 //! mapping whose cost is `induced_edit_cost`; therefore the exact GED is
 //! the minimum of that cost over *all* mappings. This test enumerates all
-//! mappings for graphs with ≤ 4 vertices and checks the search agrees.
+//! mappings for graphs with ≤ 4 vertices and checks the search agrees,
+//! with and without a cutoff.
 
 // Integration tests may use panicking shortcuts freely; the workspace
 // no-panic policy targets library production code only.
@@ -70,7 +71,7 @@ fn search_matches_brute_force_on_tiny_graphs() {
     for trial in 0..120 {
         let a = random_graph(&mut rng, 4, 2);
         let b = random_graph(&mut rng, 4, 2);
-        let exact = ged(&a, &b, 5_000_000);
+        let exact = ged(&a, &b, None, 5_000_000);
         assert!(exact.is_exact(), "trial {trial} exhausted budget");
         let brute = brute_force_ged(&a, &b);
         assert_eq!(
@@ -79,6 +80,13 @@ fn search_matches_brute_force_on_tiny_graphs() {
             exact.distance
         );
         assert!(ged_lower_bound(&a, &b) <= brute);
+        // A cutoff τ answers `min(GED, τ)` exactly: a search that finds
+        // nothing below τ has proven `GED ≥ τ`.
+        for tau in 0..=brute + 1 {
+            let cut = ged(&a, &b, Some(tau), 5_000_000);
+            assert!(cut.is_exact(), "trial {trial} τ={tau} exhausted budget");
+            assert_eq!(cut.distance, brute.min(tau), "trial {trial} τ={tau}");
+        }
     }
 }
 

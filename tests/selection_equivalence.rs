@@ -128,7 +128,7 @@ fn eager<R: Rng>(
                 let cov = ccov(&covering_csgs(c, csgs, search, &scoring), &cw);
                 let cog = cognitive_load(c);
                 let div = if cfg.variant.uses_diversity() && cog > 0.0 {
-                    diversity(c, &selected_graphs, None, search, &scoring)
+                    diversity(c, &selected_graphs, search, &scoring)
                 } else {
                     None
                 };
