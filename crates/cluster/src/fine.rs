@@ -785,11 +785,18 @@ mod tests {
 
     #[test]
     fn mccs_split_separates_topology_families() {
-        // 6 rings and 6 chains: after one split, rings should mostly stay
-        // together (high MCCS sim to a ring seed).
+        // 6 rings (ids 0..6) and 6 chains (ids 6..12). With one label a
+        // 6-chain is a 6-ring minus an edge, so every pair would have
+        // ω = 5/min(6, 5) = 1.0 and nothing would separate them. The
+        // chains therefore carry a label the rings lack: ω(ring, chain) is
+        // exactly 0 (no shared edge label), ω within a family is 1.0.
+        let relabel = |g: Graph| {
+            let edges: Vec<(u32, u32)> = g.edges().map(|(_, e)| (e.u.0, e.v.0)).collect();
+            Graph::from_parts(&vec![Label(1); g.vertex_count()], &edges)
+        };
         let db: Vec<Graph> = (0..6)
             .map(|_| ring(6))
-            .chain((0..6).map(|_| chain(6)))
+            .chain((0..6).map(|_| relabel(chain(6))))
             .collect();
         let mut rng = rand::rngs::StdRng::seed_from_u64(8);
         let cfg = FineConfig {
@@ -797,11 +804,14 @@ mod tests {
             ..Default::default()
         };
         let out = fine_cluster(&db, vec![(0..12).collect()], &cfg, &mut rng).clusters;
-        // A ring and a chain of 6 have MCCS of 5 edges (ring minus an edge is
-        // a chain): similarity 5/5... wait, min(|E|) = min(6,5)=5 → 1.0.
-        // Even so the partition must be valid.
         let mut all: Vec<u32> = out.iter().flatten().copied().collect();
         all.sort_unstable();
-        assert_eq!(all.len(), 12);
+        assert_eq!(all, (0..12).collect::<Vec<u32>>());
+        for c in &out {
+            assert!(
+                c.iter().all(|&g| g < 6) || c.iter().all(|&g| g >= 6),
+                "cluster {c:?} mixes rings and chains"
+            );
+        }
     }
 }

@@ -6,7 +6,8 @@
 //! maintains the clustering incrementally so only the cheap selection
 //! phase reruns per batch:
 //!
-//! 1. each arriving graph is assigned to the existing cluster whose CSG it
+//! 1. each arriving graph is assigned to the most similar cluster that can
+//!    still win (an edge-label bound skips the rest): the one whose CSG it
 //!    is most MCCS-similar to, if the similarity clears a threshold;
 //! 2. unassigned arrivals pool as *outliers*; once the pool exceeds the
 //!    cluster-size bound `N` it is fine-clustered (Algorithm 3) into new
@@ -17,10 +18,11 @@
 use crate::select::{find_canned_patterns, SelectionConfig, SelectionResult};
 use catapult_cluster::fine::{fine_cluster, FineConfig};
 use catapult_csg::Csg;
-use catapult_graph::mcs::{similarity, McsConfig};
+use catapult_graph::mcs::{common_edge_upper_bound, similarity, McsConfig};
 use catapult_graph::{Graph, SearchBudget};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use rayon::prelude::*;
 
 /// Maintenance parameters.
 #[derive(Clone, Debug)]
@@ -31,7 +33,8 @@ pub struct IncrementalConfig {
     /// outlier pool). A degraded probe under-estimates similarity, so an
     /// arrival may pool as an outlier instead of joining a cluster —
     /// sound, just conservative; [`UpdateStats::degraded_probes`] counts
-    /// how often that happened.
+    /// how often that happened. CSGs that the edge-label bound rules out
+    /// are never searched, so they spend no budget and never degrade.
     pub search: SearchBudget,
     /// Maximum cluster size `N`; also the outlier-pool trigger.
     pub max_cluster_size: usize,
@@ -65,7 +68,8 @@ pub struct UpdateStats {
     /// New clusters created from the outlier pool.
     pub new_clusters: usize,
     /// Assignment MCCS probes that tripped their budget (their similarity
-    /// is a lower bound).
+    /// is a lower bound). Only probes actually made count: a CSG skipped
+    /// by its edge-label bound is never searched.
     pub degraded_probes: usize,
 }
 
@@ -122,6 +126,13 @@ impl IncrementalCatapult {
 
     /// Assign one graph to the most similar cluster, if any clears the
     /// threshold. Also returns how many similarity probes were degraded.
+    ///
+    /// CSGs are visited in index order with a strict `>` update; one is
+    /// searched only if its edge-label bound `ub` (over the similarity's
+    /// denominator) clears the threshold and exceeds the incumbent. Every
+    /// similarity, degraded or not, is at most `ub`, so the decision is
+    /// the one an MCCS against every CSG makes, and skipped CSGs never
+    /// count as degraded.
     fn assign(&self, g: &Graph) -> (Option<usize>, usize) {
         let mut best: Option<(usize, f64)> = None;
         let mut degraded = 0;
@@ -130,6 +141,14 @@ impl IncrementalCatapult {
             ..McsConfig::connected()
         };
         for (i, c) in self.csgs.iter().enumerate() {
+            let denom = g.edge_count().min(c.graph.edge_count());
+            let ub = match denom {
+                0 => 0.0,
+                _ => common_edge_upper_bound(g, &c.graph) as f64 / denom as f64,
+            };
+            if ub < self.cfg.assignment_threshold || best.is_some_and(|(_, s)| ub <= s) {
+                continue;
+            }
             let (sim, completeness) = similarity(g, &c.graph, cfg.clone());
             if !completeness.is_exact() {
                 degraded += 1;
@@ -149,9 +168,15 @@ impl IncrementalCatapult {
     pub fn insert_batch(&mut self, batch: Vec<Graph>) -> UpdateStats {
         let mut stats = UpdateStats::default();
         let mut touched: Vec<usize> = Vec::new();
-        for g in batch {
+        // Parallel audit: every arrival is assigned against `self.csgs`,
+        // rebuilt only after this loop, so the decisions are independent.
+        // The closure captures only `&self` and no RNG, counts kernel work
+        // through the atomic stage probe, and ordered collection applies
+        // the decisions in arrival order for every thread count.
+        let decisions: Vec<(Option<usize>, usize)> =
+            batch.par_iter().map(|g| self.assign(g)).collect();
+        for (g, (assigned, degraded)) in batch.into_iter().zip(decisions) {
             let id = self.db.len() as u32;
-            let (assigned, degraded) = self.assign(&g);
             stats.degraded_probes += degraded;
             match assigned {
                 Some(c) => {

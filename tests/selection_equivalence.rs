@@ -1,6 +1,8 @@
 //! Selection equivalence: the lazy, memoized greedy argmax in
 //! `find_canned_patterns` must pick exactly what an eager Algorithm 4 —
-//! every candidate scored in full, every iteration — picks.
+//! every candidate scored in full, every iteration — picks. Likewise the
+//! bound-skipped assignment in `IncrementalCatapult::insert_batch` must
+//! place every arrival where an MCCS against every CSG places it.
 //!
 //! The eager reference below is assembled from the public `walk`, `fcp`
 //! and `score` items and makes one kernel call per term per candidate per
@@ -16,6 +18,7 @@
 
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
+use catapult::cluster::{cluster_graphs, ClusteringConfig};
 use catapult::core::budget::SizeCounts;
 use catapult::core::fcp::generate_fcp;
 use catapult::core::score::{ccov, covering_csgs, diversity, eq2_score};
@@ -25,10 +28,12 @@ use catapult::core::{
     QueryLog, ScoreVariant, SelectionConfig, SelectionResult,
 };
 use catapult::csg::{build_csgs, ClusterWeights, Csg, EdgeLabelWeights, WeightedCsg};
-use catapult::datasets::{aids_profile, generate};
+use catapult::datasets::{aids_profile, emol_profile, generate, pubchem_profile, MoleculeProfile};
+use catapult::graph::fmt::{parse_graphs, write_graphs};
 use catapult::graph::iso::are_isomorphic_tagged;
+use catapult::graph::mcs::{similarity, McsConfig};
 use catapult::graph::metrics::cognitive_load;
-use catapult::graph::{Graph, Label, SearchBudget, Tally, TallyCounts};
+use catapult::graph::{Graph, Label, LabelInterner, SearchBudget, Tally, TallyCounts};
 use catapult::mining::EdgeLabelStats;
 use catapult_obs::Recorder;
 use rand::rngs::StdRng;
@@ -313,4 +318,134 @@ fn incremental_refresh_matches_eager() {
         let ctx = format!("threads={threads} cap={}", search.node_cap);
         assert_matches_eager(&lazy, &db, inc.csgs(), &cfg.selection, cfg.seed, &ctx);
     }
+}
+
+/// The exhaustive assignment loop: an MCCS against every CSG. Returns each
+/// similarity and the number of degraded calls.
+fn exhaustive_similarities(g: &Graph, csgs: &[Csg], search: &SearchBudget) -> (Vec<f64>, usize) {
+    let cfg = McsConfig {
+        budget: search.clone(),
+        ..McsConfig::connected()
+    };
+    let mut degraded = 0;
+    let sims = csgs
+        .iter()
+        .map(|c| {
+            let (sim, completeness) = similarity(g, &c.graph, cfg.clone());
+            degraded += usize::from(!completeness.is_exact());
+            sim
+        })
+        .collect();
+    (sims, degraded)
+}
+
+/// The exhaustive decision: strict-`>` argmax in index order, then the
+/// threshold.
+fn exhaustive_choice(sims: &[f64], threshold: f64) -> Option<usize> {
+    let mut best: Option<(usize, f64)> = None;
+    for (i, &sim) in sims.iter().enumerate() {
+        if best.is_none_or(|(_, s)| sim > s) {
+            best = Some((i, sim));
+        }
+    }
+    best.filter(|&(_, s)| s >= threshold).map(|(i, _)| i)
+}
+
+/// `count` graphs of `profile` from `seed`, interned into `interner` so
+/// that equal element names get equal labels across profiles.
+fn load(
+    profile: &MoleculeProfile,
+    count: usize,
+    seed: u64,
+    interner: &mut LabelInterner,
+) -> Vec<Graph> {
+    let generated = generate(profile, count, seed);
+    parse_graphs(
+        &write_graphs(&generated.graphs, &generated.interner),
+        interner,
+    )
+    .unwrap()
+}
+
+#[test]
+fn incremental_assignment_matches_exhaustive() {
+    let _guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    const N: usize = 10;
+    let (mut top_ties, mut chosen_at_one, mut degraded_at_cap) = (0, 0, 0);
+    for data_seed in [7u64, 11, 23] {
+        let mut interner = LabelInterner::new();
+        let repo = load(&aids_profile(), 60, data_seed, &mut interner);
+        let clustering = ClusteringConfig {
+            max_cluster_size: N,
+            ..Default::default()
+        };
+        let clusters =
+            cluster_graphs(&repo, &clustering, &mut StdRng::seed_from_u64(data_seed)).clusters;
+        // At most N arrivals per batch: the outlier pool never matures, so
+        // every arrival's placement is its assignment decision.
+        let batch: Vec<Graph> = [emol_profile(), pubchem_profile(), aids_profile()]
+            .iter()
+            .flat_map(|p| load(p, 3, data_seed.wrapping_mul(1_000) + 1, &mut interner))
+            .collect();
+        let base = IncrementalCatapult::new(repo.clone(), clusters.clone(), Default::default());
+        for cap in [1, 120, 20_000] {
+            let search = SearchBudget::nodes(cap);
+            let reference: Vec<(Vec<f64>, usize)> = batch
+                .iter()
+                .map(|g| exhaustive_similarities(g, base.csgs(), &search))
+                .collect();
+            let reference_degraded: usize = reference.iter().map(|r| r.1).sum();
+            if cap < 20_000 {
+                degraded_at_cap += reference_degraded;
+            }
+            for threshold in [0.0, 0.7, 1.0] {
+                let ctx = format!("data_seed={data_seed} cap={cap} threshold={threshold}");
+                let expected: Vec<Option<usize>> = reference
+                    .iter()
+                    .map(|(sims, _)| exhaustive_choice(sims, threshold))
+                    .collect();
+                for ((sims, _), choice) in reference.iter().zip(&expected) {
+                    if let Some(c) = *choice {
+                        top_ties += usize::from(sims.iter().filter(|&&s| s == sims[c]).count() > 1);
+                        chosen_at_one += usize::from(threshold == 1.0);
+                    }
+                }
+                let cfg = IncrementalConfig {
+                    assignment_threshold: threshold,
+                    search: search.clone(),
+                    max_cluster_size: N,
+                    ..Default::default()
+                };
+                let runs: Vec<_> = [1, 8]
+                    .into_iter()
+                    .map(|threads| {
+                        let mut inc =
+                            IncrementalCatapult::new(repo.clone(), clusters.clone(), cfg.clone());
+                        let stats = with_threads(threads, || inc.insert_batch(batch.clone()));
+                        (threads, stats, inc)
+                    })
+                    .collect();
+                for (threads, stats, inc) in &runs {
+                    let ctx = format!("{ctx} threads={threads}");
+                    assert_eq!(stats.new_clusters, 0, "{ctx}: the pool matured");
+                    for (k, want) in expected.iter().enumerate() {
+                        let id = (repo.len() + k) as u32;
+                        let got = inc.clusters().iter().position(|c| c.contains(&id));
+                        assert_eq!(got, *want, "{ctx}: arrival {k} misplaced");
+                    }
+                    assert!(
+                        stats.degraded_probes <= reference_degraded,
+                        "{ctx}: {} degraded calls exceed the exhaustive {reference_degraded}",
+                        stats.degraded_probes
+                    );
+                }
+                assert_eq!(runs[0].1, runs[1].1, "{ctx}: stats differ across threads");
+            }
+        }
+    }
+    // The fixture must exercise what the skips could get wrong: a winner
+    // at threshold 1.0, winners tied with a later CSG, and degraded calls.
+    assert!(chosen_at_one > 0, "no arrival reached ω = 1.0");
+    assert!(top_ties > 0, "no arrival had a tied winner");
+    assert!(degraded_at_cap > 0, "no MCCS call degraded");
 }
