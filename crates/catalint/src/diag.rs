@@ -12,41 +12,11 @@ use std::fmt::Write as _;
 
 /// Schema version of the JSON report (`--json`). v2 added the
 /// `fn` (enclosing function) field per finding; v3 added the
-/// `summary.suppressed_by_rule` per-rule suppression breakdown.
-pub const REPORT_SCHEMA_VERSION: u64 = 3;
-
-/// FNV-1a 64-bit hash, rendered as fixed-width hex. Used for baseline
-/// fingerprints; zero-dependency and stable across platforms.
-#[must_use]
-pub fn fnv1a_hex(text: &str) -> String {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in text.bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    format!("{h:016x}")
-}
-
-/// Why a finding does not fail the build (if it doesn't).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Suppression {
-    /// Active: counts against the exit status.
-    None,
-    /// Suppressed by an inline `// xtask-allow: <rule>` marker.
-    Allowed,
-    /// Grandfathered by `catalint.baseline.json` (warn until burned down).
-    Baselined,
-}
-
-impl Suppression {
-    fn label(self) -> Option<&'static str> {
-        match self {
-            Suppression::None => None,
-            Suppression::Allowed => Some("allow"),
-            Suppression::Baselined => Some("baseline"),
-        }
-    }
-}
+/// `summary.suppressed_by_rule` per-rule suppression breakdown; v4
+/// dropped the grandfather-baseline fields (`baselined`,
+/// `stale_baseline`, `suppressed_by`), leaving the inline allow as the
+/// only way a finding is suppressed.
+pub const REPORT_SCHEMA_VERSION: u64 = 4;
 
 /// One finding at a source position.
 #[derive(Clone, Debug)]
@@ -65,25 +35,12 @@ pub struct Diagnostic {
     pub enclosing_fn: String,
     /// What the rule objects to, with the sanctioned alternative.
     pub message: String,
-    /// Whether (and why) the finding is suppressed.
-    pub suppressed: Suppression,
+    /// Suppressed by an inline `// xtask-allow: <rule>` marker: reported
+    /// for the audit trail, but it does not fail the build.
+    pub allowed: bool,
 }
 
 impl Diagnostic {
-    /// The baseline-v2 identity of this finding: rule + path + enclosing
-    /// fn + a hash of the trimmed source line. Stable when unrelated code
-    /// moves the finding to another line; changes when the offending line
-    /// itself is edited, so a fixed finding can never mask a new one.
-    #[must_use]
-    pub fn fingerprint(&self) -> (String, String, String, String) {
-        (
-            self.rule.to_string(),
-            self.path.clone(),
-            self.enclosing_fn.clone(),
-            fnv1a_hex(&self.snippet),
-        )
-    }
-
     fn to_json(&self) -> Value {
         let mut v = Value::object();
         v.set("rule", self.rule)
@@ -93,11 +50,7 @@ impl Diagnostic {
             .set("fn", self.enclosing_fn.as_str())
             .set("message", self.message.as_str())
             .set("snippet", self.snippet.as_str())
-            .set("suppressed", self.suppressed != Suppression::None);
-        match self.suppressed.label() {
-            Some(label) => v.set("suppressed_by", label),
-            None => v.set("suppressed_by", Value::Null),
-        };
+            .set("suppressed", self.allowed);
         v
     }
 }
@@ -105,48 +58,36 @@ impl Diagnostic {
 /// The outcome of a lint run over the workspace.
 #[derive(Debug, Default)]
 pub struct Report {
-    /// Every finding (active and suppressed), in deterministic
+    /// Every finding (active and allowed), in deterministic
     /// `(path, line, col, rule)` order.
     pub findings: Vec<Diagnostic>,
     /// Number of files scanned.
     pub files_scanned: usize,
     /// Rule names that ran (after `--rule` filtering), sorted.
     pub rules_run: Vec<&'static str>,
-    /// Baseline entries whose current count is below the recorded count
-    /// (`(rule, path, recorded, current)`): stale, eligible for burn-down.
-    pub stale_baseline: Vec<(String, String, u64, u64)>,
 }
 
 impl Report {
-    /// Active (unsuppressed) findings — what fails the build.
+    /// Active (not allowed) findings — what fails the build.
     pub fn active(&self) -> impl Iterator<Item = &Diagnostic> {
-        self.findings
-            .iter()
-            .filter(|d| d.suppressed == Suppression::None)
+        self.findings.iter().filter(|d| !d.allowed)
     }
 
-    /// Count findings in a suppression state.
+    /// Number of findings suppressed by an inline allow.
     #[must_use]
-    pub fn count(&self, s: Suppression) -> usize {
-        self.findings.iter().filter(|d| d.suppressed == s).count()
+    pub fn allowed(&self) -> usize {
+        self.findings.iter().filter(|d| d.allowed).count()
     }
 
-    /// Per-rule suppression breakdown: rule name → `(allowed,
-    /// baselined)` counts, only for rules with at least one suppressed
+    /// Per-rule allowed counts, only for rules with at least one allowed
     /// finding. Sorted by rule name (`BTreeMap`), so both renderings
     /// below are deterministic.
     #[must_use]
-    pub fn suppressed_by_rule(&self) -> std::collections::BTreeMap<&'static str, (usize, usize)> {
+    pub fn allowed_by_rule(&self) -> std::collections::BTreeMap<&'static str, usize> {
         let mut by_rule = std::collections::BTreeMap::new();
-        for d in &self.findings {
-            let slot: &mut (usize, usize) = by_rule.entry(d.rule).or_default();
-            match d.suppressed {
-                Suppression::None => {}
-                Suppression::Allowed => slot.0 += 1,
-                Suppression::Baselined => slot.1 += 1,
-            }
+        for d in self.findings.iter().filter(|d| d.allowed) {
+            *by_rule.entry(d.rule).or_default() += 1;
         }
-        by_rule.retain(|_, &mut (a, b)| a + b > 0);
         by_rule
     }
 
@@ -155,11 +96,10 @@ impl Report {
         self.findings.sort_by(|a, b| {
             (&a.path, a.line, a.col, a.rule).cmp(&(&b.path, b.line, b.col, b.rule))
         });
-        self.stale_baseline.sort();
     }
 
     /// Human-readable report: one line per active finding, then a
-    /// summary of suppressed counts and stale baseline entries.
+    /// summary with the allowed counts per rule.
     #[must_use]
     pub fn render_human(&self) -> String {
         let mut out = String::new();
@@ -170,28 +110,16 @@ impl Report {
                 d.path, d.line, d.col, d.rule, d.message, d.snippet
             );
         }
-        for (rule, path, recorded, current) in &self.stale_baseline {
-            let _ = writeln!(
-                out,
-                "warning: baseline for [{rule}] {path} is stale ({recorded} recorded, \
-                 {current} now) — run `cargo xtask lint --update-baseline` to ratchet down"
-            );
-        }
-        let active = self.count(Suppression::None);
         let _ = writeln!(
             out,
-            "catalint: {} file(s), {} rule(s): {} active finding(s), {} allowed, {} baselined",
+            "catalint: {} file(s), {} rule(s): {} active finding(s), {} allowed",
             self.files_scanned,
             self.rules_run.len(),
-            active,
-            self.count(Suppression::Allowed),
-            self.count(Suppression::Baselined),
+            self.active().count(),
+            self.allowed(),
         );
-        for (rule, (allowed, baselined)) in self.suppressed_by_rule() {
-            let _ = writeln!(
-                out,
-                "    suppressed [{rule}]: {allowed} allowed, {baselined} baselined"
-            );
+        for (rule, allowed) in self.allowed_by_rule() {
+            let _ = writeln!(out, "    suppressed [{rule}]: {allowed} allowed");
         }
         out
     }
@@ -207,27 +135,15 @@ impl Report {
         for d in &self.findings {
             findings.push(d.to_json());
         }
-        let mut stale = Value::array();
-        for (rule, path, recorded, current) in &self.stale_baseline {
-            let mut e = Value::object();
-            e.set("rule", rule.as_str())
-                .set("path", path.as_str())
-                .set("recorded", *recorded)
-                .set("current", *current);
-            stale.push(e);
-        }
         let mut by_rule = Value::object();
-        for (rule, (allowed, baselined)) in self.suppressed_by_rule() {
-            let mut e = Value::object();
-            e.set("allowed", allowed).set("baselined", baselined);
-            by_rule.set(rule, e);
+        for (rule, allowed) in self.allowed_by_rule() {
+            by_rule.set(rule, allowed);
         }
         let mut summary = Value::object();
         summary
             .set("total", self.findings.len())
-            .set("active", self.count(Suppression::None))
-            .set("allowed", self.count(Suppression::Allowed))
-            .set("baselined", self.count(Suppression::Baselined))
+            .set("active", self.active().count())
+            .set("allowed", self.allowed())
             .set("suppressed_by_rule", by_rule);
         let mut v = Value::object();
         v.set("schema_version", REPORT_SCHEMA_VERSION)
@@ -235,8 +151,7 @@ impl Report {
             .set("files_scanned", self.files_scanned)
             .set("rules", rules)
             .set("summary", summary)
-            .set("findings", findings)
-            .set("stale_baseline", stale);
+            .set("findings", findings);
         v
     }
 }
@@ -245,7 +160,7 @@ impl Report {
 mod tests {
     use super::*;
 
-    fn diag(rule: &'static str, path: &str, line: usize, s: Suppression) -> Diagnostic {
+    fn diag(rule: &'static str, path: &str, line: usize, allowed: bool) -> Diagnostic {
         Diagnostic {
             rule,
             path: path.into(),
@@ -254,103 +169,75 @@ mod tests {
             snippet: "let x = 1;".into(),
             enclosing_fn: "f".into(),
             message: "msg".into(),
-            suppressed: s,
+            allowed,
         }
-    }
-
-    #[test]
-    fn fnv1a_is_stable_and_distinct() {
-        assert_eq!(fnv1a_hex(""), "cbf29ce484222325");
-        assert_eq!(fnv1a_hex("a"), "af63dc4c8601ec8c");
-        assert_ne!(fnv1a_hex("let x = 1;"), fnv1a_hex("let x = 2;"));
-    }
-
-    #[test]
-    fn fingerprint_tracks_snippet_not_line() {
-        let a = diag("a-rule", "a.rs", 1, Suppression::None);
-        let mut b = diag("a-rule", "a.rs", 99, Suppression::None);
-        assert_eq!(
-            a.fingerprint(),
-            b.fingerprint(),
-            "line moves are identity-preserving"
-        );
-        b.snippet = "let x = 2;".into();
-        assert_ne!(
-            a.fingerprint(),
-            b.fingerprint(),
-            "edited line changes identity"
-        );
     }
 
     #[test]
     fn report_orders_and_counts() {
         let mut r = Report {
             findings: vec![
-                diag("b-rule", "z.rs", 1, Suppression::None),
-                diag("a-rule", "a.rs", 9, Suppression::Allowed),
-                diag("a-rule", "a.rs", 2, Suppression::Baselined),
+                diag("b-rule", "z.rs", 1, false),
+                diag("a-rule", "a.rs", 9, true),
+                diag("a-rule", "a.rs", 2, true),
             ],
             files_scanned: 3,
             rules_run: vec!["a-rule", "b-rule"],
-            stale_baseline: vec![],
         };
         r.finalize();
         assert_eq!(r.findings[0].line, 2);
-        assert_eq!(r.count(Suppression::None), 1);
         assert_eq!(r.active().count(), 1);
+        assert_eq!(r.allowed(), 2);
         let human = r.render_human();
         assert!(human.contains("z.rs:1:1: [b-rule] msg"));
-        assert!(!human.contains("a.rs:9"), "suppressed findings not listed");
-        assert!(human.contains("1 active finding(s), 1 allowed, 1 baselined"));
+        assert!(!human.contains("a.rs:9"), "allowed findings not listed");
+        assert!(human.contains("1 active finding(s), 2 allowed\n"));
     }
 
     #[test]
     fn json_shape_is_stable() {
         let mut r = Report {
-            findings: vec![diag("a-rule", "a.rs", 1, Suppression::Baselined)],
+            findings: vec![diag("a-rule", "a.rs", 1, true)],
             files_scanned: 1,
             rules_run: vec!["a-rule"],
-            stale_baseline: vec![("a-rule".into(), "a.rs".into(), 3, 1)],
         };
         r.finalize();
         let text = r.to_json().render();
-        assert!(text.starts_with("{\n  \"schema_version\": 3"));
+        assert!(text.starts_with("{\n  \"schema_version\": 4"));
         assert!(text.contains("\"fn\": \"f\""));
         assert!(text.contains("\"suppressed\": true"));
-        assert!(text.contains("\"suppressed_by\": \"baseline\""));
         assert!(text.contains("\"suppressed_by_rule\""));
-        assert!(text.contains("\"recorded\": 3"));
+        for gone in ["baselined", "stale_baseline", "suppressed_by\":"] {
+            assert!(!text.contains(gone), "v4 dropped `{gone}`: {text}");
+        }
     }
 
     #[test]
     fn per_rule_suppression_breakdown() {
         let mut r = Report {
             findings: vec![
-                diag("b-rule", "z.rs", 1, Suppression::None),
-                diag("a-rule", "a.rs", 2, Suppression::Allowed),
-                diag("a-rule", "a.rs", 3, Suppression::Allowed),
-                diag("a-rule", "a.rs", 4, Suppression::Baselined),
-                diag("c-rule", "c.rs", 1, Suppression::Baselined),
+                diag("b-rule", "z.rs", 1, false),
+                diag("a-rule", "a.rs", 2, true),
+                diag("a-rule", "a.rs", 3, true),
+                diag("c-rule", "c.rs", 1, true),
             ],
             files_scanned: 3,
             rules_run: vec!["a-rule", "b-rule", "c-rule"],
-            stale_baseline: vec![],
         };
         r.finalize();
-        let by_rule = r.suppressed_by_rule();
-        assert_eq!(by_rule.get("a-rule"), Some(&(2, 1)));
-        assert_eq!(by_rule.get("c-rule"), Some(&(0, 1)));
+        let by_rule = r.allowed_by_rule();
+        assert_eq!(by_rule.get("a-rule"), Some(&2));
+        assert_eq!(by_rule.get("c-rule"), Some(&1));
         assert_eq!(
             by_rule.get("b-rule"),
             None,
             "rules with only active findings are omitted"
         );
         let human = r.render_human();
-        assert!(human.contains("suppressed [a-rule]: 2 allowed, 1 baselined"));
-        assert!(human.contains("suppressed [c-rule]: 0 allowed, 1 baselined"));
+        assert!(human.contains("suppressed [a-rule]: 2 allowed"));
+        assert!(human.contains("suppressed [c-rule]: 1 allowed"));
         assert!(!human.contains("suppressed [b-rule]"));
         let json = r.to_json().render();
-        assert!(json.contains("\"a-rule\": {"));
-        assert!(json.contains("\"allowed\": 2"));
+        assert!(json.contains("\"a-rule\": 2"));
     }
 }

@@ -17,8 +17,11 @@
 //!    any `golden` data directories);
 //! 2. each file is lexed and indexed into a [`scan::SourceFile`];
 //! 3. every enabled rule in [`rules`] runs over the token stream and
-//!    emits structured [`diag::Diagnostic`] records;
-//! 4. the optional [`baseline`] ratchet grandfathers known debt;
+//!    emits structured [`diag::Diagnostic`] records, which an inline
+//!    `// xtask-allow: <rule>` marker — the only suppression path —
+//!    records as allowed instead of active;
+//! 4. the symbol index and call graph are built once, and the
+//!    interprocedural rules in [`xrules`] and [`taint`] run on top;
 //! 5. the [`diag::Report`] renders human-readable text and, via the
 //!    insertion-ordered `catapult_obs::json` serializer, the `--json`
 //!    artifact CI uploads.
@@ -26,7 +29,6 @@
 //! Zero dependencies outside the workspace, by policy: the analyzer must
 //! never constrain what it analyzes.
 
-pub mod baseline;
 pub mod diag;
 pub mod lexer;
 pub mod rules;
@@ -159,8 +161,7 @@ pub fn enabled_rules(filter: &[String]) -> Result<BTreeSet<&'static str>, String
 /// index / call graph it ran on (for `--callgraph` exports and tests).
 #[derive(Debug)]
 pub struct Analysis {
-    /// The finalized report (no baseline applied — callers layer
-    /// [`baseline::Baseline::apply`] on top).
+    /// The finalized report.
     pub report: Report,
     /// The workspace index the interprocedural rules consumed.
     pub workspace: Workspace,

@@ -2,10 +2,11 @@
 //!
 //! **Ported rules** (from the old line-based pass — same names, same
 //! escape hatch, now immune to lookalike text in strings and comments):
-//! `kernel-no-panic`, `doc-coverage`, `float-eq`, `lint-header`,
-//! `no-raw-spawn`, `metric-name`, `raw-instant`. Pipeline calls into the
-//! unbudgeted kernel conveniences are the interprocedural
-//! `budget-threading` rule's job ([`crate::xrules`]).
+//! `doc-coverage`, `float-eq`, `lint-header`, `no-raw-spawn`,
+//! `metric-name`, `raw-instant`. Pipeline calls into the unbudgeted
+//! kernel conveniences are the interprocedural `budget-threading` rule's
+//! job, and panics in kernel fns — direct or through helpers — are
+//! `panic-reachability`'s ([`crate::xrules`]).
 //!
 //! **Determinism rules** (new): `hash-iter-order`, `float-total-order`,
 //! `cast-truncation`. CATAPULT's pattern scores are products of small
@@ -22,7 +23,7 @@
 //! scope taking two locks is flagged so acquisition order stays
 //! centrally auditable).
 
-use crate::diag::{Diagnostic, Suppression};
+use crate::diag::Diagnostic;
 use crate::lexer::TokenKind;
 use crate::scan::SourceFile;
 use crate::timing::RuleTimer;
@@ -41,10 +42,6 @@ pub struct RuleInfo {
 
 /// Every rule, in the order findings are reported.
 pub const RULES: &[RuleInfo] = &[
-    RuleInfo {
-        name: "kernel-no-panic",
-        summary: "search kernels must not panic!/unwrap outside tests",
-    },
     RuleInfo {
         name: "doc-coverage",
         summary: "public items in graph/core carry doc comments",
@@ -183,9 +180,6 @@ pub fn check_file_timed(
     let rel = f.rel.as_str();
     let on = |name: &str| enabled.contains(name);
 
-    if on("kernel-no-panic") && KERNEL_FILES.contains(&rel) {
-        timer.time("kernel-no-panic", || kernel_no_panic(f, out));
-    }
     if on("doc-coverage") && in_dirs(rel, DOC_COVERED_DIRS) {
         timer.time("doc-coverage", || doc_coverage(f, ctx, out));
     }
@@ -237,70 +231,10 @@ pub fn check_file_timed(
 
 /// Record a finding at code token `ci`, honoring the escape hatch.
 fn emit(f: &SourceFile, ci: usize, rule: &'static str, message: String, out: &mut Vec<Diagnostic>) {
-    let (line, col) = f.cpos(ci);
-    let enclosing = f.enclosing_fn(ci).unwrap_or_default().to_string();
-    emit_at(f, line, col, enclosing, rule, message, out);
-}
-
-fn emit_at(
-    f: &SourceFile,
-    line: usize,
-    col: usize,
-    enclosing_fn: String,
-    rule: &'static str,
-    message: String,
-    out: &mut Vec<Diagnostic>,
-) {
-    let suppressed = if f.allowed(line, rule) {
-        Suppression::Allowed
-    } else {
-        Suppression::None
-    };
-    out.push(Diagnostic {
-        rule,
-        path: f.rel.clone(),
-        line,
-        col,
-        snippet: f.line_snippet(line),
-        enclosing_fn,
-        message,
-        suppressed,
-    });
+    out.push(f.diagnostic(ci, rule, message));
 }
 
 // ---- ported rules ------------------------------------------------------
-
-/// Rule `kernel-no-panic`: no `panic!` / `.unwrap()` in kernel files
-/// outside `#[cfg(test)]` items.
-fn kernel_no_panic(f: &SourceFile, out: &mut Vec<Diagnostic>) {
-    for ci in 0..f.n_code() {
-        if f.in_test(ci) {
-            continue;
-        }
-        if f.is_ident(ci, "panic") && f.is_punct(ci + 1, "!") {
-            emit(
-                f,
-                ci,
-                "kernel-no-panic",
-                "`panic!` in a search kernel outside #[cfg(test)] aborts a whole \
-                 selection run; return an error or degrade via the SearchBudget"
-                    .into(),
-                out,
-            );
-        }
-        if f.is_punct(ci, ".") && f.is_ident(ci + 1, "unwrap") && f.is_punct(ci + 2, "(") {
-            emit(
-                f,
-                ci + 1,
-                "kernel-no-panic",
-                "`.unwrap()` in a search kernel outside #[cfg(test)]; handle the \
-                 None/Err arm explicitly"
-                    .into(),
-                out,
-            );
-        }
-    }
-}
 
 /// Item keywords whose `pub` form needs a doc comment.
 const DOC_ITEM_KINDS: &[&str] = &["fn", "struct", "enum", "trait", "const", "type", "mod"];
@@ -455,15 +389,12 @@ fn lint_header(f: &SourceFile, out: &mut Vec<Diagnostic>) {
         .iter()
         .any(|t| t.kind == TokenKind::LineComment && t.text(&f.text).trim() == LINT_HEADER);
     if !found {
-        emit_at(
-            f,
-            1,
-            1,
-            String::new(),
+        out.push(f.diagnostic_at(
+            (1, 1),
+            "",
             "lint-header",
             format!("crate root is missing the marker line `{LINT_HEADER}`"),
-            out,
-        );
+        ));
     }
 }
 
@@ -852,8 +783,7 @@ const NARROW_INT_TYPES: &[&str] = &[
 
 /// Rule `cast-truncation`: `as` casts to narrow integer types in kernel
 /// and index arithmetic silently wrap on overflow; use `try_into` with a
-/// handled error, or a checked helper. Grandfathered sites live in the
-/// baseline until burned down.
+/// handled error, or a checked helper.
 fn cast_truncation(f: &SourceFile, out: &mut Vec<Diagnostic>) {
     for ci in 0..f.n_code() {
         if f.in_test(ci) {

@@ -20,6 +20,7 @@
 //!
 //! Indices named `ci` below address the code view, not the raw stream.
 
+use crate::diag::Diagnostic;
 use crate::lexer::{lex, Token, TokenKind};
 use std::collections::BTreeMap;
 
@@ -51,8 +52,8 @@ pub struct SourceFile {
     fn_spans: Vec<FnSpan>,
 }
 
-/// The lexical extent of one `fn` definition (used for enclosing-fn
-/// lookups by baseline fingerprints and the symbol index).
+/// The lexical extent of one `fn` definition (used for the enclosing-fn
+/// field of diagnostics and by the symbol index).
 #[derive(Clone, Debug)]
 pub struct FnSpan {
     /// Code index of the `fn` keyword.
@@ -408,6 +409,35 @@ impl SourceFile {
     #[must_use]
     pub fn cpos(&self, ci: usize) -> (usize, usize) {
         self.offset_line_col(self.ctok(ci).start)
+    }
+
+    /// A `rule` finding at 1-based `(line, col)`, allowed when an
+    /// `xtask-allow` marker names the rule on that line or the one above.
+    #[must_use]
+    pub fn diagnostic_at(
+        &self,
+        (line, col): (usize, usize),
+        enclosing_fn: &str,
+        rule: &'static str,
+        message: String,
+    ) -> Diagnostic {
+        Diagnostic {
+            rule,
+            path: self.rel.clone(),
+            line,
+            col,
+            snippet: self.line_snippet(line),
+            enclosing_fn: enclosing_fn.to_string(),
+            message,
+            allowed: self.allowed(line, rule),
+        }
+    }
+
+    /// A `rule` finding at code token `ci` (see [`Self::diagnostic_at`]).
+    #[must_use]
+    pub fn diagnostic(&self, ci: usize, rule: &'static str, message: String) -> Diagnostic {
+        let enclosing = self.enclosing_fn(ci).unwrap_or_default();
+        self.diagnostic_at(self.cpos(ci), enclosing, rule, message)
     }
 
     /// The trimmed text of a 1-based line, truncated for display.

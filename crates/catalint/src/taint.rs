@@ -25,7 +25,7 @@
 //! propagate, so the call graph's approximations cause false negatives,
 //! never mis-attributed flows.
 
-use crate::diag::{Diagnostic, Suppression};
+use crate::diag::Diagnostic;
 use crate::lexer::TokenKind;
 use crate::rules::{self, RuleInfo};
 use crate::scan::SourceFile;
@@ -281,7 +281,7 @@ impl TaintGraph {
                 "`xtask-allow: taint` requires a written justification; append \
                  `-- <why this flow cannot change selection output>` to the marker"
                     .to_string(),
-                Suppression::None,
+                false,
                 out,
             );
         }
@@ -291,7 +291,7 @@ impl TaintGraph {
                 *fi,
                 *ci,
                 format!("sanctioned nondeterminism source ({kind}: {what}) -- {just}"),
-                Suppression::Allowed,
+                true,
                 out,
             );
         }
@@ -327,7 +327,7 @@ impl TaintGraph {
                 // Sanctioned sites never reach this point: a justified
                 // allow suppresses seeding (sources) or kills the hop
                 // (propagation), so every flow finding is active.
-                emit_taint(ws, origin.file, origin.ci, message, Suppression::None, out);
+                emit_taint(ws, origin.file, origin.ci, message, false, out);
             }
         }
     }
@@ -487,21 +487,12 @@ fn emit_taint(
     fi: usize,
     ci: usize,
     message: String,
-    suppressed: Suppression,
+    allowed: bool,
     out: &mut Vec<Diagnostic>,
 ) {
-    let f = &ws.files[fi];
-    let (line, col) = f.cpos(ci);
-    out.push(Diagnostic {
-        rule: "taint",
-        path: f.rel.clone(),
-        line,
-        col,
-        snippet: f.line_snippet(line),
-        enclosing_fn: f.enclosing_fn(ci).unwrap_or_default().to_string(),
-        message,
-        suppressed,
-    });
+    let mut d = ws.files[fi].diagnostic(ci, "taint", message);
+    d.allowed = allowed;
+    out.push(d);
 }
 
 /// Code indices of call-name tokens with a **resolved** workspace

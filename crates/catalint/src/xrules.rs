@@ -2,9 +2,11 @@
 //!
 //! These rules see what the per-file pass in [`crate::rules`] cannot: a
 //! helper that drops the `SearchBudget` on its way into a kernel, a
-//! library path that transitively reaches `unwrap`, a `Completeness`
-//! tag discarded one call away from the kernel, and lock acquisitions
-//! whose ordering only conflicts across function boundaries.
+//! kernel fn that reaches `unwrap` through a helper chain, a
+//! `Completeness` tag discarded one call away from the kernel, and lock
+//! acquisitions whose ordering only conflicts across function
+//! boundaries. `panic-reachability` also reports a panic written
+//! directly in a kernel file, so it is the single panic rule.
 //!
 //! `budget-threading` also guards the kernels' unbudgeted conveniences
 //! (`iso::contains`, `iso::are_isomorphic`, `iso::embeddings`): they pin
@@ -16,11 +18,11 @@
 //! edges: an unresolved or ambiguous call never produces a finding, so
 //! the graph's approximations can cause false negatives but not false
 //! positives from mis-attributed edges. Every finding anchors at a call
-//! site (never at a definition reached transitively), carries a witness
-//! path in its message, and honors the same `xtask-allow` escape hatch
-//! and fingerprint baseline as the file rules.
+//! site or at a panic written in a kernel file (never at a definition
+//! reached transitively), names the path in its message, and honors the
+//! same `xtask-allow` escape hatch as the file rules.
 
-use crate::diag::{Diagnostic, Suppression};
+use crate::diag::Diagnostic;
 use crate::lexer::TokenKind;
 use crate::rules::{in_dirs, RuleInfo, KERNEL_FILES};
 use crate::scan::SourceFile;
@@ -36,7 +38,7 @@ pub const XRULES: &[RuleInfo] = &[
     },
     RuleInfo {
         name: "panic-reachability",
-        summary: "kernel fns must not transitively reach panic!/unwrap",
+        summary: "kernel fns must not panic!/unwrap, directly or through helpers",
     },
     RuleInfo {
         name: "completeness-flow",
@@ -114,23 +116,7 @@ fn emit(
     message: String,
     out: &mut Vec<Diagnostic>,
 ) {
-    let f = &ws.files[fi];
-    let (line, col) = f.cpos(ci);
-    let suppressed = if f.allowed(line, rule) {
-        Suppression::Allowed
-    } else {
-        Suppression::None
-    };
-    out.push(Diagnostic {
-        rule,
-        path: f.rel.clone(),
-        line,
-        col,
-        snippet: f.line_snippet(line),
-        enclosing_fn: f.enclosing_fn(ci).unwrap_or_default().to_string(),
-        message,
-        suppressed,
-    });
+    out.push(ws.files[fi].diagnostic(ci, rule, message));
 }
 
 fn rel_of(ws: &Workspace, def: usize) -> &str {
@@ -323,63 +309,70 @@ fn witness(ws: &Workspace, from: usize, hops: &BTreeMap<usize, Option<usize>>) -
 
 // ---- panic-reachability ------------------------------------------------
 
-/// How a fn's own body panics, if it does. A `// xtask-allow:
-/// panic-reachability` on the panicking line sanctions that one site at
-/// its source (e.g. the deliberate, feature-gated crash of the
-/// fault-injection plans) instead of forcing an annotation onto every
-/// kernel call site whose closure passes through it.
-fn direct_panic(ws: &Workspace, id: usize) -> Option<&'static str> {
-    let f = &ws.files[ws.defs[id].file];
-    let sanctioned = |ci: usize| {
-        let (line, _) = f.cpos(ci);
-        f.allowed(line, "panic-reachability")
-    };
-    for ci in ws.own_body(id) {
-        if f.ckind(ci) == TokenKind::Ident && f.is_punct(ci + 1, "!") {
-            let kind = match f.ctext(ci) {
-                "panic" => Some("panic!"),
-                "unreachable" => Some("unreachable!"),
-                "todo" => Some("todo!"),
-                "unimplemented" => Some("unimplemented!"),
-                _ => None,
-            };
-            if let Some(kind) = kind {
-                if sanctioned(ci) {
-                    continue;
-                }
-                return Some(kind);
-            }
+/// The panic a code token starts, if any: a `panic!`-family macro or an
+/// `.unwrap()`/`.expect()` call.
+fn panic_kind(f: &SourceFile, ci: usize) -> Option<&'static str> {
+    if f.ckind(ci) == TokenKind::Ident && f.is_punct(ci + 1, "!") {
+        return match f.ctext(ci) {
+            "panic" => Some("panic!"),
+            "unreachable" => Some("unreachable!"),
+            "todo" => Some("todo!"),
+            "unimplemented" => Some("unimplemented!"),
+            _ => None,
+        };
+    }
+    if f.is_punct(ci, ".") && f.is_punct(ci + 2, "(") {
+        if f.is_ident(ci + 1, "unwrap") {
+            return Some(".unwrap()");
         }
-        if f.is_punct(ci, ".") && f.is_punct(ci + 2, "(") {
-            let kind = if f.is_ident(ci + 1, "unwrap") {
-                Some(".unwrap()")
-            } else if f.is_ident(ci + 1, "expect") {
-                Some(".expect()")
-            } else {
-                None
-            };
-            if let Some(kind) = kind {
-                if sanctioned(ci) {
-                    continue;
-                }
-                return Some(kind);
-            }
+        if f.is_ident(ci + 1, "expect") {
+            return Some(".expect()");
         }
     }
     None
 }
 
-/// Rule `panic-reachability`: a kernel fn calling a same-workspace
-/// helper that (transitively) panics aborts a whole selection run —
-/// exactly the hole the per-file `kernel-no-panic` rule cannot see.
+/// Rule `panic-reachability`: a kernel file that panics outside
+/// `#[cfg(test)]` — in a fn's own body, a macro body, or through a
+/// same-workspace helper that (transitively) panics — aborts a whole
+/// selection run.
+///
+/// A `// xtask-allow: panic-reachability` on a panicking line sanctions
+/// that one site at its source (e.g. the deliberate, feature-gated crash
+/// of the fault-injection plans) instead of forcing an annotation onto
+/// every kernel call site whose closure passes through it.
 fn panic_reachability(ws: &Workspace, out: &mut Vec<Diagnostic>) {
-    // Defs that panic directly, with the panic kind.
+    const RULE: &str = "panic-reachability";
+    // Direct panics anywhere in a kernel file.
+    for (fi, f) in ws.files.iter().enumerate() {
+        if !KERNEL_FILES.contains(&f.rel.as_str()) {
+            continue;
+        }
+        for ci in (0..f.n_code()).filter(|&ci| !f.in_test(ci)) {
+            let Some(kind) = panic_kind(f, ci) else {
+                continue;
+            };
+            let site = match f.enclosing_fn(ci) {
+                Some(name) => format!("kernel fn `{name}` calls {kind} directly"),
+                None => format!("{kind} in a kernel file outside any fn"),
+            };
+            let message =
+                format!("{site}; return an error or degrade via the SearchBudget instead");
+            emit(ws, fi, ci, RULE, message, out);
+        }
+    }
+    // Defs that panic directly at an unsanctioned site, with the kind.
     let mut reaches: BTreeMap<usize, (Option<usize>, &'static str)> = BTreeMap::new();
     for id in 0..ws.defs.len() {
         if ws.defs[id].in_test {
             continue;
         }
-        if let Some(kind) = direct_panic(ws, id) {
+        let f = &ws.files[ws.defs[id].file];
+        let unsanctioned = ws
+            .own_body(id)
+            .into_iter()
+            .find_map(|ci| panic_kind(f, ci).filter(|_| !f.allowed(f.cpos(ci).0, RULE)));
+        if let Some(kind) = unsanctioned {
             reaches.insert(id, (None, kind));
         }
     }
@@ -434,7 +427,7 @@ fn panic_reachability(ws: &Workspace, out: &mut Vec<Diagnostic>) {
                     ws,
                     c.file,
                     c.ci,
-                    "panic-reachability",
+                    RULE,
                     format!(
                         "kernel fn `{}` reaches {kind} via {}; return an error or \
                          degrade via the SearchBudget instead",

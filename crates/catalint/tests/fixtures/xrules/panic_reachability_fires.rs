@@ -17,3 +17,21 @@ use crate::helpers::mid;
 pub fn first_embedding(x: Option<u32>) -> u32 {
     mid(x)
 }
+
+/// Kernel fn panicking in its own body, after a string holding `//`
+/// that a line-based pass would mistake for a comment start.
+pub fn extend(x: Option<u32>) -> u32 {
+    let s = "// not a comment";
+    let v = x.unwrap();
+    if v > 10 && s.is_empty() {
+        panic!("boom");
+    }
+    v
+}
+
+// Outside any fn body, but still kernel code once expanded.
+macro_rules! first_or_die {
+    ($x:expr) => {
+        $x.expect("non-empty")
+    };
+}

@@ -9,7 +9,7 @@
 //! diagnostic; a bare marker is itself a finding).
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
-use catalint::diag::{Diagnostic, Suppression};
+use catalint::diag::Diagnostic;
 use catalint::scan::SourceFile;
 use catalint::symbols::Workspace;
 use catalint::taint::{self, TaintGraph};
@@ -48,10 +48,7 @@ fn run_taint(fixture: &str) -> Vec<Diagnostic> {
 }
 
 fn active(diags: &[Diagnostic]) -> Vec<&Diagnostic> {
-    diags
-        .iter()
-        .filter(|d| d.suppressed == Suppression::None)
-        .collect()
+    diags.iter().filter(|d| !d.allowed).collect()
 }
 
 fn messages(diags: &[Diagnostic]) -> String {
@@ -283,10 +280,7 @@ fn justified_allow_suppresses_with_an_audit_diagnostic() {
         "justified allow must not fail the build:\n{}",
         messages(&diags)
     );
-    let audits: Vec<&Diagnostic> = diags
-        .iter()
-        .filter(|d| d.suppressed == Suppression::Allowed)
-        .collect();
+    let audits: Vec<&Diagnostic> = diags.iter().filter(|d| d.allowed).collect();
     assert_eq!(audits.len(), 1, "findings:\n{}", messages(&diags));
     assert!(
         audits[0]

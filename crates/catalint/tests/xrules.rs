@@ -99,16 +99,46 @@ fn budget_threading_is_silent_when_budgets_are_threaded() {
 #[test]
 fn panic_reachability_follows_helper_chains_into_kernels() {
     let diags = run_rule("panic_reachability_fires.rs", "panic-reachability");
-    assert_eq!(diags.len(), 1, "findings:\n{}", messages(&diags));
-    let d = &diags[0];
-    assert_eq!(d.path, "crates/graph/src/iso.rs");
-    assert_eq!(d.enclosing_fn, "first_embedding");
+    assert_eq!(diags.len(), 4, "findings:\n{}", messages(&diags));
+    assert!(diags.iter().all(|d| d.path == "crates/graph/src/iso.rs"));
+    let chained: Vec<_> = diags
+        .iter()
+        .filter(|d| d.enclosing_fn == "first_embedding")
+        .collect();
+    assert_eq!(chained.len(), 1, "findings:\n{}", messages(&diags));
     assert!(
-        d.message.contains("first_embedding -> mid -> pick"),
+        chained[0]
+            .message
+            .contains("first_embedding -> mid -> pick"),
         "witness path shows the chain: {}",
-        d.message
+        chained[0].message
     );
-    assert!(d.message.contains(".unwrap()"), "{}", d.message);
+    assert!(
+        chained[0].message.contains(".unwrap()"),
+        "{}",
+        chained[0].message
+    );
+}
+
+#[test]
+fn panic_reachability_reports_direct_panics_in_kernel_files() {
+    let diags = run_rule("panic_reachability_fires.rs", "panic-reachability");
+    let direct: Vec<_> = diags
+        .iter()
+        .filter(|d| d.enclosing_fn == "extend")
+        .collect();
+    assert_eq!(direct.len(), 2, "findings:\n{}", messages(&diags));
+    // Both follow a string holding `//`, which must not swallow them as
+    // a comment.
+    assert!(direct[0].message.contains("calls .unwrap() directly"));
+    assert!(direct[1].message.contains("calls panic! directly"));
+    assert!(direct.iter().all(|d| !d.allowed));
+
+    let macro_body: Vec<_> = diags.iter().filter(|d| d.enclosing_fn.is_empty()).collect();
+    assert_eq!(macro_body.len(), 1, "findings:\n{}", messages(&diags));
+    assert!(macro_body[0]
+        .message
+        .contains(".expect() in a kernel file outside any fn"));
 }
 
 #[test]

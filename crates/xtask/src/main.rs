@@ -12,7 +12,6 @@
 //! cargo xtask lint --rule hash-iter-order,float-eq --rule budget-threading
 //! cargo xtask lint --callgraph cg.json  # export the workspace call graph
 //! cargo xtask lint --callgraph-dot cg.dot
-//! cargo xtask lint --update-baseline    # regenerate catalint.baseline.json
 //! ```
 //!
 //! `cargo xtask bench-diff` is the perf-regression gate over the
@@ -24,20 +23,15 @@
 //! cargo xtask bench-diff --allow-cross-host BENCH_kernels.json new.json
 //! ```
 //!
-//! Exit codes (both subcommands): `0` clean (or only allowed/baselined
-//! findings), `1` active findings / perf regressions, `2` usage or I/O
-//! errors. The lint baseline grandfathers findings by fingerprint — see
-//! `crates/catalint/src/baseline.rs` for the matching semantics and
-//! v1→v2 migration.
+//! Exit codes (both subcommands): `0` clean (no findings, or only ones
+//! an inline `// xtask-allow: <rule>` marker suppresses), `1` active
+//! findings / perf regressions / a lint over `--time-budget-ms`, `2`
+//! usage or I/O errors.
 
 mod bench_diff;
 
-use catalint::baseline::Baseline;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
-
-/// Name of the checked-in grandfather file at the workspace root.
-const BASELINE_FILE: &str = "catalint.baseline.json";
 
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
@@ -67,7 +61,7 @@ fn main() -> ExitCode {
 
 const USAGE: &str = "usage: cargo xtask lint [--json PATH] [--rule NAME[,NAME]...]... \
 [--callgraph PATH] [--callgraph-dot PATH] [--taint-graph PATH] [--taint-graph-dot PATH] \
-[--timing] [--time-budget-ms N] [--update-baseline]
+[--timing] [--time-budget-ms N]
        cargo xtask bench-diff [--tolerance PCT] [--allow-cross-host] \
 [--deterministic-only] OLD.json NEW.json";
 
@@ -165,8 +159,6 @@ struct LintOpts {
     /// Fail (exit 1) when the timed rules exceed this budget. Implies
     /// `--timing`.
     time_budget_ms: Option<u64>,
-    /// Regenerate the baseline from current findings instead of checking.
-    update_baseline: bool,
 }
 
 fn parse_lint_args(args: &[String]) -> Result<LintOpts, String> {
@@ -216,16 +208,8 @@ fn parse_lint_args(args: &[String]) -> Result<LintOpts, String> {
                         .map_err(|_| format!("--time-budget-ms got a bad number `{ms}`"))?,
                 );
             }
-            "--update-baseline" => opts.update_baseline = true,
             other => return Err(format!("unknown argument `{other}`")),
         }
-    }
-    if opts.update_baseline && !opts.rules.is_empty() {
-        return Err(
-            "--update-baseline cannot be combined with --rule (a partial run \
-                    would drop the other rules' baseline entries)"
-                .to_string(),
-        );
     }
     Ok(opts)
 }
@@ -248,7 +232,7 @@ fn lint(opts: &LintOpts) -> ExitCode {
         }
     };
     let catalint::Analysis {
-        mut report,
+        report,
         workspace,
         timings,
     } = analysis;
@@ -280,49 +264,6 @@ fn lint(opts: &LintOpts) -> ExitCode {
                 eprintln!("xtask lint: cannot write {}: {err}", path.display());
                 return ExitCode::from(2);
             }
-        }
-    }
-
-    let baseline_path = root.join(BASELINE_FILE);
-    if opts.update_baseline {
-        // A missing or unreadable previous ledger (including schema-v1
-        // files mid-migration) diffs against empty: everything current
-        // reads as added, which is exactly what the rewrite does.
-        let old = std::fs::read_to_string(&baseline_path)
-            .ok()
-            .and_then(|text| Baseline::parse(&text).ok())
-            .unwrap_or_default();
-        let baseline = Baseline::from_report(&report);
-        let text = baseline.to_json().render();
-        if let Err(err) = std::fs::write(&baseline_path, text + "\n") {
-            eprintln!(
-                "xtask lint: cannot write {}: {err}",
-                baseline_path.display()
-            );
-            return ExitCode::from(2);
-        }
-        println!(
-            "xtask lint: wrote {} ({} grandfathered entr{}; {})",
-            baseline_path.display(),
-            baseline.len(),
-            if baseline.len() == 1 { "y" } else { "ies" },
-            Baseline::diff(&old, &baseline).summary(),
-        );
-        return ExitCode::SUCCESS;
-    }
-
-    match std::fs::read_to_string(&baseline_path) {
-        Ok(text) => match Baseline::parse(&text) {
-            Ok(baseline) => baseline.apply(&mut report),
-            Err(msg) => {
-                eprintln!("xtask lint: malformed {BASELINE_FILE}: {msg}");
-                return ExitCode::from(2);
-            }
-        },
-        Err(err) if err.kind() == std::io::ErrorKind::NotFound => {}
-        Err(err) => {
-            eprintln!("xtask lint: cannot read {BASELINE_FILE}: {err}");
-            return ExitCode::from(2);
         }
     }
 
@@ -386,13 +327,6 @@ fn workspace_root() -> PathBuf {
     }
 }
 
-/// Used by `lint` to locate the baseline next to the root manifest; kept
-/// as a free function so the path logic stays testable.
-#[allow(dead_code)]
-fn baseline_path(root: &Path) -> PathBuf {
-    root.join(BASELINE_FILE)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -420,7 +354,6 @@ mod tests {
         assert_eq!(opts.rules, s(&["float-eq", "lock-order"]));
         assert_eq!(opts.callgraph.as_deref(), Some(Path::new("cg.json")));
         assert_eq!(opts.callgraph_dot.as_deref(), Some(Path::new("cg.dot")));
-        assert!(!opts.update_baseline);
     }
 
     #[test]
@@ -452,6 +385,7 @@ mod tests {
         assert!(parse_lint_args(&s(&["--time-budget-ms", "lots"])).is_err());
         assert!(parse_lint_args(&s(&["--time-budget-ms", "-5"])).is_err());
         assert!(parse_lint_args(&s(&["--frobnicate"])).is_err());
+        assert!(parse_lint_args(&s(&["--update-baseline"])).is_err());
     }
 
     #[test]
@@ -474,12 +408,6 @@ mod tests {
         let bare = parse_lint_args(&[]).expect("parses");
         assert!(!bare.timing);
         assert_eq!(bare.time_budget_ms, None);
-    }
-
-    #[test]
-    fn update_baseline_excludes_rule_filter() {
-        assert!(parse_lint_args(&s(&["--update-baseline"])).is_ok());
-        assert!(parse_lint_args(&s(&["--update-baseline", "--rule", "float-eq"])).is_err());
     }
 
     #[test]

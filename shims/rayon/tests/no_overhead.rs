@@ -7,6 +7,11 @@
 //! the whole output) per call, which is what the recorded
 //! `speedup: 0.744` mining regression on a 1-core host came from.
 //!
+//! The byte count is per thread: the one-worker fast path runs on the
+//! calling thread, and a process-global count would also charge a
+//! window with whatever the test harness allocates on its other threads
+//! meanwhile (spawning the next test, for one).
+//!
 //! `unsafe` is required by the `GlobalAlloc` contract (the impl only
 //! delegates to `System`).
 
@@ -15,16 +20,26 @@
 
 use rayon::prelude::*;
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 use std::sync::Mutex;
 
-static BYTES: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // Const-initialised and drop-free, so touching it from inside the
+    // allocator never allocates or registers a destructor.
+    static BYTES: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Charge `size` requested bytes to the calling thread.
+fn count_bytes(size: usize) {
+    // `try_with` rather than `with`: an allocator must never panic.
+    let _ = BYTES.try_with(|n| n.set(n.get() + size as u64));
+}
 
 struct CountingAllocator;
 
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
+        count_bytes(layout.size());
         System.alloc(layout)
     }
 
@@ -33,7 +48,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
+        count_bytes(new_size);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -41,11 +56,12 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static ALLOCATOR: CountingAllocator = CountingAllocator;
 
-/// Run `f` and return how many bytes of allocations it requested.
+/// Run `f` and return how many bytes of allocations it requested on
+/// this thread.
 fn bytes_in(f: impl FnOnce()) -> u64 {
-    let before = BYTES.load(Ordering::Relaxed);
+    let before = BYTES.with(Cell::get);
     f();
-    BYTES.load(Ordering::Relaxed) - before
+    BYTES.with(Cell::get) - before
 }
 
 /// `set_threads` is process-global; tests that flip it serialize here.
