@@ -8,18 +8,30 @@
 use crate::walk::Pcp;
 use catapult_csg::Csg;
 use catapult_graph::{EdgeId, Graph};
-use std::collections::HashMap;
+use std::cmp::Reverse;
 
 /// Count how often each CSG edge occurs across the library (Fig. 6c's
-/// `Freq` table).
-pub fn edge_frequencies(library: &[Pcp]) -> HashMap<EdgeId, usize> {
-    let mut freq = HashMap::new();
-    for pcp in library {
-        for &e in pcp {
-            *freq.entry(e).or_insert(0usize) += 1;
+/// `Freq` table), indexed by edge id over a CSG of `edge_count` edges.
+/// Ids outside the CSG are ignored.
+pub fn edge_frequencies(library: &[Pcp], edge_count: usize) -> Vec<usize> {
+    let mut freq = vec![0usize; edge_count];
+    for &e in library.iter().flatten() {
+        if let Some(c) = freq.get_mut(e.index()) {
+            *c += 1;
         }
     }
     freq
+}
+
+/// The most frequent library edge passing `eligible`: the argmax of the
+/// total key `(count, Reverse(id))`, so ties go to the lowest edge id.
+/// Edges the library never visited are not candidates.
+fn most_frequent(freq: &[usize], eligible: impl Fn(EdgeId) -> bool) -> Option<EdgeId> {
+    freq.iter()
+        .zip((0..=u32::MAX).map(EdgeId))
+        .filter(|&(&c, e)| c > 0 && eligible(e))
+        .max_by_key(|&(&c, e)| (c, Reverse(e.0)))
+        .map(|(_, e)| e)
 }
 
 /// Assemble the FCP of `target_edges` edges from the walk library.
@@ -33,21 +45,12 @@ pub fn generate_fcp(
     library: &[Pcp],
     target_edges: usize,
 ) -> Option<(Graph, Vec<EdgeId>)> {
-    let freq = edge_frequencies(library);
-    if freq.is_empty() || target_edges == 0 {
+    if target_edges == 0 {
         return None;
     }
     let g = &csg.graph;
-    // Most frequent edge; deterministic tie-break on edge id.
-    // `freq` was checked non-empty above; `?` keeps this selection kernel
-    // free of panicking paths without a reachable early return.
-    let first = *freq
-        // max_by_key over a total (count, Reverse(edge id)) key has a
-        // unique winner for any visit order.
-        // xtask-allow: hash-iter-order, taint -- argmax over a total (count, Reverse(id)) key; unique winner for any visit order
-        .iter()
-        .max_by_key(|&(e, &c)| (c, std::cmp::Reverse(e.0)))
-        .map(|(e, _)| e)?;
+    let freq = edge_frequencies(library, g.edge_count());
+    let first = most_frequent(&freq, |_| true)?;
     let mut chosen = vec![first];
     let mut in_pattern = vec![false; g.edge_count()];
     let mut in_vertices = vec![false; g.vertex_count()];
@@ -61,20 +64,13 @@ pub fn generate_fcp(
 
     while chosen.len() < target_edges {
         // Most frequent library edge connected to the current pattern.
-        let next = freq
-            // Same total (count, Reverse(id)) key as above: the argmax
-            // is unique, so visit order cannot leak.
-            // xtask-allow: hash-iter-order, taint -- argmax over a total (count, Reverse(id)) key; unique winner for any visit order
-            .iter()
-            .filter(|&(&eid, _)| {
-                if in_pattern[eid.index()] {
-                    return false;
-                }
-                let e = g.edge(eid);
-                in_vertices[e.u.index()] || in_vertices[e.v.index()]
-            })
-            .max_by_key(|&(&eid, &c)| (c, std::cmp::Reverse(eid.0)))
-            .map(|(&eid, _)| eid);
+        let next = most_frequent(&freq, |eid| {
+            if in_pattern[eid.index()] {
+                return false;
+            }
+            let e = g.edge(eid);
+            in_vertices[e.u.index()] || in_vertices[e.v.index()]
+        });
         match next {
             Some(eid) => {
                 mark(eid, &mut in_pattern, &mut in_vertices);
@@ -153,8 +149,7 @@ mod tests {
     #[test]
     fn frequencies_count_multiplicity() {
         let library: Vec<Pcp> = vec![vec![EdgeId(0)], vec![EdgeId(0), EdgeId(1)]];
-        let f = edge_frequencies(&library);
-        assert_eq!(f[&EdgeId(0)], 2);
-        assert_eq!(f[&EdgeId(1)], 1);
+        let f = edge_frequencies(&library, 3);
+        assert_eq!(f, vec![2, 1, 0]);
     }
 }

@@ -19,74 +19,130 @@ use rand::Rng;
 /// connected subgraph of the CSG.
 pub type Pcp = Vec<EdgeId>;
 
-/// Candidate adjacent edges of the partial pattern: CSG edges not yet in
-/// the pattern that share a vertex with it.
-fn candidate_adjacent_edges(
-    w: &WeightedCsg<'_>,
-    in_pattern: &[bool],
-    in_vertices: &[bool],
-) -> Vec<EdgeId> {
-    w.csg
-        .graph
-        .edges()
-        .filter(|&(eid, e)| {
-            !in_pattern[eid.index()] && (in_vertices[e.u.index()] || in_vertices[e.v.index()])
-        })
-        .map(|(eid, _)| eid)
-        .collect()
+/// Per-library walk state, reused across the library's walks.
+///
+/// `frontier` holds the candidate adjacent edges (CAEs) of the partial
+/// pattern: every CSG edge not in the pattern with at least one endpoint
+/// in it, in edge-id order, with `weights` its parallel weight column.
+/// That is exactly the sequence a scan of all CSG edges would filter out,
+/// so `weighted_choice` sums, subtracts and draws in the same order.
+/// Between walks the flags mark only the seed edge and its endpoints.
+struct Walker<'w, 'a> {
+    w: &'w WeightedCsg<'a>,
+    seed: EdgeId,
+    in_pattern: Vec<bool>,
+    in_vertices: Vec<bool>,
+    frontier: Vec<EdgeId>,
+    weights: Vec<f64>,
+    /// `frontier` and `weights` right after the seed edge is added: the
+    /// same for every walk, so each walk starts from a copy.
+    seed_frontier: Vec<EdgeId>,
+    seed_weights: Vec<f64>,
+}
+
+impl<'w, 'a> Walker<'w, 'a> {
+    /// `None` when the CSG has no usable seed edge.
+    fn new(w: &'w WeightedCsg<'a>) -> Option<Self> {
+        let seed = w.seed_edge()?;
+        let g = &w.csg.graph;
+        let mut walker = Walker {
+            w,
+            seed,
+            in_pattern: vec![false; g.edge_count()],
+            in_vertices: vec![false; g.vertex_count()],
+            frontier: Vec::new(),
+            weights: Vec::new(),
+            seed_frontier: Vec::new(),
+            seed_weights: Vec::new(),
+        };
+        walker.add_edge(seed);
+        walker.seed_frontier = std::mem::take(&mut walker.frontier);
+        walker.seed_weights = std::mem::take(&mut walker.weights);
+        Some(walker)
+    }
+
+    /// Set the pattern flags of `eid` and its endpoints to `on`.
+    fn flag(&mut self, eid: EdgeId, on: bool) {
+        self.in_pattern[eid.index()] = on;
+        let e = self.w.csg.graph.edge(eid);
+        self.in_vertices[e.u.index()] = on;
+        self.in_vertices[e.v.index()] = on;
+    }
+
+    /// Add `eid` (already off the frontier) to the pattern. Each endpoint
+    /// new to the pattern brings its edges to non-pattern vertices onto
+    /// the frontier; an edge to a pattern vertex is on it already.
+    fn add_edge(&mut self, eid: EdgeId) {
+        let g = &self.w.csg.graph;
+        self.in_pattern[eid.index()] = true;
+        let e = g.edge(eid);
+        for x in [e.u, e.v] {
+            if self.in_vertices[x.index()] {
+                continue;
+            }
+            self.in_vertices[x.index()] = true;
+            for &(y, f) in g.neighbors(x) {
+                if self.in_pattern[f.index()] || self.in_vertices[y.index()] {
+                    continue;
+                }
+                if let Err(pos) = self.frontier.binary_search(&f) {
+                    self.frontier.insert(pos, f);
+                    self.weights.insert(pos, self.w.weight(f));
+                }
+            }
+        }
+    }
+
+    /// One walk of (up to) `target_edges` edges from the seed edge.
+    fn walk<R: Rng>(&mut self, target_edges: usize, rng: &mut R) -> Pcp {
+        let mut pcp = Vec::with_capacity(target_edges);
+        pcp.push(self.seed);
+        self.frontier.clone_from(&self.seed_frontier);
+        self.weights.clone_from(&self.seed_weights);
+        while pcp.len() < target_edges && !self.frontier.is_empty() {
+            let i = match catapult_graph::random::weighted_choice(&self.weights, rng) {
+                Some(i) => i,
+                // All-zero weights: fall back to uniform choice so the walk
+                // can still cover rare regions.
+                None => rng.gen_range(0..self.frontier.len()),
+            };
+            let chosen = self.frontier.remove(i);
+            self.weights.remove(i);
+            self.add_edge(chosen);
+            pcp.push(chosen);
+        }
+        // Clear only what this walk set, then restore the seed's flags.
+        for &eid in &pcp {
+            self.flag(eid, false);
+        }
+        self.flag(self.seed, true);
+        pcp
+    }
 }
 
 /// Run one weighted random walk generating a PCP with (up to)
 /// `target_edges` edges. Returns `None` when the CSG has no usable seed
 /// edge (e.g. all weights zero on an empty graph).
 pub fn generate_pcp<R: Rng>(w: &WeightedCsg<'_>, target_edges: usize, rng: &mut R) -> Option<Pcp> {
-    let seed = w.seed_edge()?;
-    if target_edges == 0 {
-        return None;
-    }
-    let g = &w.csg.graph;
-    let mut in_pattern = vec![false; g.edge_count()];
-    let mut in_vertices = vec![false; g.vertex_count()];
-    let mut pcp = Vec::with_capacity(target_edges);
-
-    let add_edge = |eid: EdgeId, in_pattern: &mut [bool], in_vertices: &mut [bool]| {
-        in_pattern[eid.index()] = true;
-        let e = g.edge(eid);
-        in_vertices[e.u.index()] = true;
-        in_vertices[e.v.index()] = true;
-    };
-    add_edge(seed, &mut in_pattern, &mut in_vertices);
-    pcp.push(seed);
-
-    while pcp.len() < target_edges {
-        let caes = candidate_adjacent_edges(w, &in_pattern, &in_vertices);
-        if caes.is_empty() {
-            break;
-        }
-        let weights: Vec<f64> = caes.iter().map(|&e| w.weight(e)).collect();
-        let chosen = match catapult_graph::random::weighted_choice(&weights, rng) {
-            Some(i) => caes[i],
-            // All-zero weights: fall back to uniform choice so the walk can
-            // still cover rare regions.
-            None => caes[rng.gen_range(0..caes.len())],
-        };
-        add_edge(chosen, &mut in_pattern, &mut in_vertices);
-        pcp.push(chosen);
-    }
-    Some(pcp)
+    generate_library(w, target_edges, 1, rng).pop()
 }
 
 /// Generate the PCP library `L`: `x` independent walks (§5; the paper's
-/// default is 100 walks).
+/// default is 100 walks). The seed edge and the walk state are computed
+/// once per library.
 pub fn generate_library<R: Rng>(
     w: &WeightedCsg<'_>,
     target_edges: usize,
     walks: usize,
     rng: &mut R,
 ) -> Vec<Pcp> {
-    (0..walks)
-        .filter_map(|_| generate_pcp(w, target_edges, rng))
-        .collect()
+    if target_edges == 0 {
+        return Vec::new();
+    }
+    match Walker::new(w) {
+        Some(mut walker) => (0..walks).map(|_| walker.walk(target_edges, rng)).collect(),
+        None => Vec::new(),
+    }
 }
 
 #[cfg(test)]

@@ -12,6 +12,11 @@
 //! node caps tight enough to degrade VF2 and GED. The lazy run's
 //! `scoring` tally may only be smaller.
 //!
+//! Candidate generation has its own reference: the incremental-frontier
+//! walks and the dense FCP frequency table must produce the libraries,
+//! FCPs and RNG stream of the full-scan walker and `HashMap` table they
+//! replaced.
+//!
 //! The equivalence is pinned to node caps, never deadlines: a
 //! deadline-degraded kernel result depends on timing, so no two runs are
 //! comparable.
@@ -22,7 +27,7 @@ use catapult::cluster::{cluster_graphs, ClusteringConfig};
 use catapult::core::budget::SizeCounts;
 use catapult::core::fcp::generate_fcp;
 use catapult::core::score::{ccov, covering_csgs, diversity, eq2_score};
-use catapult::core::walk::generate_library;
+use catapult::core::walk::{generate_library, generate_pcp, Pcp};
 use catapult::core::{
     find_canned_patterns, EdgeLabelIndex, IncrementalCatapult, IncrementalConfig, PatternBudget,
     QueryLog, ScoreVariant, SelectionConfig, SelectionResult,
@@ -33,11 +38,12 @@ use catapult::graph::fmt::{parse_graphs, write_graphs};
 use catapult::graph::iso::are_isomorphic_tagged;
 use catapult::graph::mcs::{similarity, McsConfig};
 use catapult::graph::metrics::cognitive_load;
-use catapult::graph::{Graph, Label, LabelInterner, SearchBudget, Tally, TallyCounts};
+use catapult::graph::{EdgeId, Graph, Label, LabelInterner, SearchBudget, Tally, TallyCounts};
 use catapult::mining::EdgeLabelStats;
 use catapult_obs::Recorder;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::{Rng, RngCore, SeedableRng};
+use std::collections::HashMap;
 use std::sync::Mutex;
 
 /// `rayon::set_threads` is process-global; serialize the tests that flip it.
@@ -448,4 +454,193 @@ fn incremental_assignment_matches_exhaustive() {
     assert!(chosen_at_one > 0, "no arrival reached ω = 1.0");
     assert!(top_ties > 0, "no arrival had a tied winner");
     assert!(degraded_at_cap > 0, "no MCCS call degraded");
+}
+
+/// The walker and FCP assembly as they were before the incremental
+/// frontier: every walk recomputes the seed edge, every step rescans all
+/// CSG edges for candidate adjacent edges, and the FCP takes its argmaxes
+/// over a `HashMap` frequency table.
+mod full_scan {
+    use super::*;
+    use catapult::graph::random::weighted_choice;
+
+    fn candidate_adjacent_edges(
+        w: &WeightedCsg<'_>,
+        in_pattern: &[bool],
+        in_vertices: &[bool],
+    ) -> Vec<EdgeId> {
+        w.csg
+            .graph
+            .edges()
+            .filter(|&(eid, e)| {
+                !in_pattern[eid.index()] && (in_vertices[e.u.index()] || in_vertices[e.v.index()])
+            })
+            .map(|(eid, _)| eid)
+            .collect()
+    }
+
+    fn mark(g: &Graph, eid: EdgeId, in_pattern: &mut [bool], in_vertices: &mut [bool]) {
+        in_pattern[eid.index()] = true;
+        let e = g.edge(eid);
+        in_vertices[e.u.index()] = true;
+        in_vertices[e.v.index()] = true;
+    }
+
+    pub(super) fn generate_pcp<R: Rng>(
+        w: &WeightedCsg<'_>,
+        target: usize,
+        rng: &mut R,
+    ) -> Option<Pcp> {
+        let seed = w.seed_edge()?;
+        if target == 0 {
+            return None;
+        }
+        let g = &w.csg.graph;
+        let mut in_pattern = vec![false; g.edge_count()];
+        let mut in_vertices = vec![false; g.vertex_count()];
+        mark(g, seed, &mut in_pattern, &mut in_vertices);
+        let mut pcp = vec![seed];
+        while pcp.len() < target {
+            let caes = candidate_adjacent_edges(w, &in_pattern, &in_vertices);
+            if caes.is_empty() {
+                break;
+            }
+            let weights: Vec<f64> = caes.iter().map(|&e| w.weight(e)).collect();
+            let chosen = match weighted_choice(&weights, rng) {
+                Some(i) => caes[i],
+                None => caes[rng.gen_range(0..caes.len())],
+            };
+            mark(g, chosen, &mut in_pattern, &mut in_vertices);
+            pcp.push(chosen);
+        }
+        Some(pcp)
+    }
+
+    pub(super) fn generate_library<R: Rng>(
+        w: &WeightedCsg<'_>,
+        target: usize,
+        walks: usize,
+        rng: &mut R,
+    ) -> Vec<Pcp> {
+        (0..walks)
+            .filter_map(|_| generate_pcp(w, target, rng))
+            .collect()
+    }
+
+    pub(super) fn generate_fcp(csg: &Csg, library: &[Pcp], target: usize) -> Option<Vec<EdgeId>> {
+        let mut freq: HashMap<EdgeId, usize> = HashMap::new();
+        for &e in library.iter().flatten() {
+            *freq.entry(e).or_insert(0) += 1;
+        }
+        if freq.is_empty() || target == 0 {
+            return None;
+        }
+        let g = &csg.graph;
+        let first = *freq
+            .iter()
+            .max_by_key(|&(e, &c)| (c, std::cmp::Reverse(e.0)))
+            .map(|(e, _)| e)?;
+        let mut in_pattern = vec![false; g.edge_count()];
+        let mut in_vertices = vec![false; g.vertex_count()];
+        mark(g, first, &mut in_pattern, &mut in_vertices);
+        let mut chosen = vec![first];
+        while chosen.len() < target {
+            let next = freq
+                .iter()
+                .filter(|&(&eid, _)| {
+                    let e = g.edge(eid);
+                    !in_pattern[eid.index()]
+                        && (in_vertices[e.u.index()] || in_vertices[e.v.index()])
+                })
+                .max_by_key(|&(&eid, &c)| (c, std::cmp::Reverse(eid.0)))
+                .map(|(&eid, _)| eid);
+            match next {
+                Some(eid) => {
+                    mark(g, eid, &mut in_pattern, &mut in_vertices);
+                    chosen.push(eid);
+                }
+                None => break,
+            }
+        }
+        Some(chosen)
+    }
+}
+
+/// Require the walker and FCP assembly to match [`full_scan`] on `w` for
+/// every size in `sizes`: identical libraries and FCPs, and the same next
+/// RNG value after each library. Returns how many libraries saturated
+/// (some walk ran out of candidate edges before reaching its size).
+fn assert_walks_match(w: &WeightedCsg<'_>, sizes: &[usize], seed: u64, ctx: &str) -> usize {
+    const WALKS: usize = 20;
+    let (mut new_rng, mut old_rng) = (StdRng::seed_from_u64(seed), StdRng::seed_from_u64(seed));
+    let mut saturated = 0;
+    for &size in sizes {
+        let ctx = format!("{ctx} size={size}");
+        let library = generate_library(w, size, WALKS, &mut new_rng);
+        let reference = full_scan::generate_library(w, size, WALKS, &mut old_rng);
+        assert_eq!(library, reference, "{ctx}: libraries differ");
+        assert_eq!(library.len(), WALKS, "{ctx}: a walk was dropped");
+        saturated += usize::from(library.iter().any(|p| p.len() < size));
+        // One edge more than the walks took: the FCP must stop where the
+        // library's edges run out, not reach for an unseen adjacent edge.
+        for target in [size, size + 1] {
+            assert_eq!(
+                generate_fcp(w.csg, &library, target).map(|(_, edges)| edges),
+                full_scan::generate_fcp(w.csg, &reference, target),
+                "{ctx}: FCPs of {target} edges differ"
+            );
+        }
+        assert_eq!(
+            new_rng.next_u64(),
+            old_rng.next_u64(),
+            "{ctx}: RNG streams diverged"
+        );
+        assert_eq!(
+            generate_pcp(w, size, &mut new_rng),
+            full_scan::generate_pcp(w, size, &mut old_rng),
+            "{ctx}: single walks differ"
+        );
+    }
+    saturated
+}
+
+#[test]
+fn frontier_walks_and_dense_fcp_match_the_full_scan() {
+    let (mut csgs_checked, mut saturated) = (0, 0);
+    for data_seed in [7u64, 11, 23] {
+        let db = generate(&aids_profile(), 60, data_seed).graphs;
+        let clustering = ClusteringConfig {
+            max_cluster_size: 10,
+            ..Default::default()
+        };
+        let clusters =
+            cluster_graphs(&db, &clustering, &mut StdRng::seed_from_u64(data_seed)).clusters;
+        let csgs = build_csgs(&db, &clusters);
+        let mut elw = EdgeLabelWeights::new(EdgeLabelStats::from_graphs(&db));
+        for (ci, csg) in csgs.iter().enumerate() {
+            let edges = csg.graph.edge_count();
+            let sizes: Vec<usize> = (1..=12).chain([edges + 1]).collect();
+            let ctx = format!("data_seed={data_seed} csg={ci}");
+            let seed = data_seed * 1_000 + ci as u64;
+            let w = WeightedCsg::new(csg, &elw);
+            saturated += assert_walks_match(&w, &sizes, seed, &ctx);
+            csgs_checked += 1;
+            if ci == 0 {
+                // All-zero weights: every step takes the uniform fallback.
+                let zero = WeightedCsg {
+                    csg,
+                    edge_weights: vec![0.0; edges],
+                };
+                assert_walks_match(&zero, &sizes, seed, &format!("{ctx} zero-weight"));
+                // Damped weights, as after the greedy loop picks a pattern.
+                let before = w.edge_weights.clone();
+                elw.damp_pattern(&db[clusters[ci][0] as usize]);
+                let damped = WeightedCsg::new(csg, &elw);
+                assert_ne!(damped.edge_weights, before, "{ctx}: damping had no effect");
+                assert_walks_match(&damped, &sizes, seed, &format!("{ctx} damped"));
+            }
+        }
+    }
+    assert!(csgs_checked >= 9, "only {csgs_checked} CSGs checked");
+    assert!(saturated > 0, "no library saturated its CSG");
 }
