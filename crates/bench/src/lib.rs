@@ -19,7 +19,7 @@
 //! | [`exp10`] | Fig. 18 — cognitive-load measures |
 
 // Lint policy: see [workspace.lints] in the root Cargo.toml.
-#![warn(missing_docs)]
+#![warn(missing_docs, clippy::print_stderr)]
 // The experiment harness builds fixed, known-valid configurations and
 // synthetic stimuli; failing fast on a bad constant is the desired
 // behavior, so panicking shortcuts are accepted crate-wide here. The

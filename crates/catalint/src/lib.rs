@@ -197,7 +197,6 @@ pub fn analyze_timed(
         let text = std::fs::read_to_string(root.join(rel))?;
         let file = SourceFile::parse(rel.clone(), text);
         let ctx = FileCtx {
-            root,
             is_crate_root: roots.contains(rel.as_str()),
         };
         rules::check_file_timed(&file, &ctx, enabled, &mut report.findings, &mut timer);

@@ -2,11 +2,14 @@
 //!
 //! **Ported rules** (from the old line-based pass — same names, same
 //! escape hatch, now immune to lookalike text in strings and comments):
-//! `doc-coverage`, `float-eq`, `lint-header`, `no-raw-spawn`,
-//! `metric-name`, `raw-instant`. Pipeline calls into the unbudgeted
-//! kernel conveniences are the interprocedural `budget-threading` rule's
-//! job, and panics in kernel fns — direct or through helpers — are
-//! `panic-reachability`'s ([`crate::xrules`]).
+//! `float-eq`, `lint-header`, `metric-name`. Pipeline calls into the
+//! unbudgeted kernel conveniences are the interprocedural
+//! `budget-threading` rule's job, and panics in kernel fns — direct or
+//! through helpers — are `panic-reachability`'s ([`crate::xrules`]).
+//! Invariants the compiler can check are not rules here: doc coverage
+//! is `missing_docs` plus `unreachable_pub`, raw clocks, threads and
+//! unwinding are the root `clippy.toml`'s `disallowed-methods`, and raw
+//! `eprintln!` in pipeline crates is `clippy::print_stderr`.
 //!
 //! **Determinism rules** (new): `hash-iter-order`, `float-total-order`,
 //! `cast-truncation`. CATAPULT's pattern scores are products of small
@@ -28,7 +31,6 @@ use crate::lexer::TokenKind;
 use crate::scan::SourceFile;
 use crate::timing::RuleTimer;
 use std::collections::BTreeSet;
-use std::path::Path;
 
 /// Name and one-line summary of a rule (for `--rule` validation and the
 /// JSON report).
@@ -43,10 +45,6 @@ pub struct RuleInfo {
 /// Every rule, in the order findings are reported.
 pub const RULES: &[RuleInfo] = &[
     RuleInfo {
-        name: "doc-coverage",
-        summary: "public items in graph/core carry doc comments",
-    },
-    RuleInfo {
         name: "float-eq",
         summary: "no ==/!= against float literals in scoring code",
     },
@@ -55,17 +53,8 @@ pub const RULES: &[RuleInfo] = &[
         summary: "crate roots state where the lint policy lives",
     },
     RuleInfo {
-        name: "no-raw-spawn",
-        summary: "thread::spawn only inside the rayon shim",
-    },
-    RuleInfo {
         name: "metric-name",
-        summary:
-            "metric/flight-event names follow stage.kernel.metric; no raw eprintln in pipeline code",
-    },
-    RuleInfo {
-        name: "raw-instant",
-        summary: "Instant::now only inside crates/obs and the shims",
+        summary: "metric/flight-event names follow stage.kernel.metric",
     },
     RuleInfo {
         name: "hash-iter-order",
@@ -87,10 +76,6 @@ pub const RULES: &[RuleInfo] = &[
         name: "lock-order",
         summary: "scopes taking two locks are flagged for order audit",
     },
-    RuleInfo {
-        name: "unwind-safety",
-        summary: "catch_unwind/resume_unwind only in shims/rayon and crates/ckpt",
-    },
 ];
 
 /// Look up a rule by name.
@@ -101,9 +86,7 @@ pub fn rule_named(name: &str) -> Option<&'static RuleInfo> {
 
 /// Per-file context the path predicates cannot derive alone.
 #[derive(Debug)]
-pub struct FileCtx<'a> {
-    /// Absolute workspace root (for sibling-file doc resolution).
-    pub root: &'a Path,
+pub struct FileCtx {
     /// Whether this file is a crate root (`lint-header` target).
     pub is_crate_root: bool,
 }
@@ -129,9 +112,6 @@ const SCORING_FILES: &[&str] = &[
 
 /// Index-arithmetic files additionally covered by `cast-truncation`.
 const CAST_EXTRA_FILES: &[&str] = &["crates/csg/src/idset.rs"];
-
-/// Dirs whose public items must be documented.
-const DOC_COVERED_DIRS: &[&str] = &["crates/graph/src/", "crates/core/src/"];
 
 /// Modules sanctioned to own shared state: the fault-injection plans
 /// (kernel faults in the budget module, persistence faults in the
@@ -162,7 +142,7 @@ pub(crate) fn is_library_src(rel: &str) -> bool {
 /// Run every enabled rule over one file.
 pub fn check_file(
     f: &SourceFile,
-    ctx: &FileCtx<'_>,
+    ctx: &FileCtx,
     enabled: &BTreeSet<&'static str>,
     out: &mut Vec<Diagnostic>,
 ) {
@@ -172,7 +152,7 @@ pub fn check_file(
 /// [`check_file`] with per-rule wall-clock accounting (`--timing`).
 pub fn check_file_timed(
     f: &SourceFile,
-    ctx: &FileCtx<'_>,
+    ctx: &FileCtx,
     enabled: &BTreeSet<&'static str>,
     out: &mut Vec<Diagnostic>,
     timer: &mut RuleTimer,
@@ -180,32 +160,14 @@ pub fn check_file_timed(
     let rel = f.rel.as_str();
     let on = |name: &str| enabled.contains(name);
 
-    if on("doc-coverage") && in_dirs(rel, DOC_COVERED_DIRS) {
-        timer.time("doc-coverage", || doc_coverage(f, ctx, out));
-    }
     if on("float-eq") && SCORING_FILES.contains(&rel) {
         timer.time("float-eq", || float_eq(f, out));
     }
     if on("lint-header") && ctx.is_crate_root {
         timer.time("lint-header", || lint_header(f, out));
     }
-    if on("no-raw-spawn") && !rel.starts_with("shims/rayon/") {
-        timer.time("no-raw-spawn", || no_raw_spawn(f, out));
-    }
-    let obs_scope = !rel.starts_with("crates/obs/") && !rel.starts_with("shims/");
-    if on("metric-name") && obs_scope {
-        // CLI-style binaries (`/bin/`), xtask, and catalint itself talk
-        // to a terminal on purpose; the eprintln ban covers library
-        // pipeline code only, where stderr output should flow through
-        // `catapult_obs::warn` / the progress meter.
-        let forbid_eprintln = is_library_src(rel)
-            && !rel.contains("/bin/")
-            && !rel.starts_with("crates/xtask/")
-            && !rel.starts_with("crates/catalint/");
-        timer.time("metric-name", || metric_name(f, forbid_eprintln, out));
-    }
-    if on("raw-instant") && obs_scope {
-        timer.time("raw-instant", || raw_instant(f, out));
+    if on("metric-name") && !rel.starts_with("crates/obs/") && !rel.starts_with("shims/") {
+        timer.time("metric-name", || metric_name(f, out));
     }
     if on("hash-iter-order") && is_library_src(rel) {
         timer.time("hash-iter-order", || hash_iter_order(f, out));
@@ -222,11 +184,6 @@ pub fn check_file_timed(
     if on("lock-order") {
         timer.time("lock-order", || lock_order(f, out));
     }
-    let unwind_scope =
-        is_library_src(rel) && !rel.starts_with("shims/rayon/") && !rel.starts_with("crates/ckpt/");
-    if on("unwind-safety") && unwind_scope {
-        timer.time("unwind-safety", || unwind_safety(f, out));
-    }
 }
 
 /// Record a finding at code token `ci`, honoring the escape hatch.
@@ -235,128 +192,6 @@ fn emit(f: &SourceFile, ci: usize, rule: &'static str, message: String, out: &mu
 }
 
 // ---- ported rules ------------------------------------------------------
-
-/// Item keywords whose `pub` form needs a doc comment.
-const DOC_ITEM_KINDS: &[&str] = &["fn", "struct", "enum", "trait", "const", "type", "mod"];
-
-/// Rule `doc-coverage`: public items in the covered crates carry a doc
-/// comment (`///` line docs, `/** */` block docs, or a `#[doc]`
-/// attribute; `pub mod x;` counts when `x.rs` opens with `//!`).
-fn doc_coverage(f: &SourceFile, ctx: &FileCtx<'_>, out: &mut Vec<Diagnostic>) {
-    for ci in 0..f.n_code() {
-        if f.in_test(ci) || !f.is_ident(ci, "pub") {
-            continue;
-        }
-        if f.is_punct(ci + 1, "(") {
-            continue; // `pub(crate)` and friends are crate-internal.
-        }
-        if ci + 1 >= f.n_code() || f.ckind(ci + 1) != TokenKind::Ident {
-            continue;
-        }
-        let kw = f.ctext(ci + 1);
-        if !DOC_ITEM_KINDS.contains(&kw) {
-            continue;
-        }
-        if has_doc_above(f, ci) || (kw == "mod" && mod_file_has_inner_docs(f, ctx, ci + 2)) {
-            continue;
-        }
-        let item: String = (ci..f.n_code().min(ci + 3))
-            .map(|i| f.ctext(i))
-            .collect::<Vec<_>>()
-            .join(" ");
-        emit(
-            f,
-            ci,
-            "doc-coverage",
-            format!("undocumented public item: `{item} …`"),
-            out,
-        );
-    }
-}
-
-/// Walk the raw token stream upwards from the `pub` token, skipping
-/// whitespace and attribute stacks, looking for a doc comment.
-fn has_doc_above(f: &SourceFile, pub_ci: usize) -> bool {
-    let mut ri = f.raw_index(pub_ci);
-    while ri > 0 {
-        ri -= 1;
-        let t = f.tokens[ri];
-        match t.kind {
-            TokenKind::Whitespace => continue,
-            TokenKind::LineComment => {
-                let text = t.text(&f.text);
-                if text.starts_with("///") {
-                    return true;
-                }
-                continue; // plain comments between docs and item are fine
-            }
-            TokenKind::BlockComment => {
-                if t.text(&f.text).starts_with("/**") {
-                    return true;
-                }
-                continue;
-            }
-            TokenKind::Punct if t.text(&f.text) == "]" => {
-                // Skip an attribute stack `#[…]`; `#[doc…]` documents.
-                let Some(close_ci) = raw_to_code(f, ri) else {
-                    return false;
-                };
-                let Some(open_ci) = f.cmatch(close_ci) else {
-                    return false;
-                };
-                if f.is_ident(open_ci + 1, "doc") {
-                    return true;
-                }
-                let open_ri = f.raw_index(open_ci);
-                if open_ri == 0 {
-                    return false;
-                }
-                ri = open_ri - 1; // step over `#` next iteration
-                if f.tokens[ri].text(&f.text) == "#" {
-                    continue;
-                }
-                return false;
-            }
-            _ => return false,
-        }
-    }
-    false
-}
-
-/// Map a raw token index back to its code index (None for trivia).
-fn raw_to_code(f: &SourceFile, ri: usize) -> Option<usize> {
-    (0..f.n_code()).find(|&ci| f.raw_index(ci) == ri)
-}
-
-/// `pub mod x;` counts as documented when `x.rs` (or `x/mod.rs`) opens
-/// with `//!` / `/*!` inner docs — the shape `missing_docs` accepts.
-fn mod_file_has_inner_docs(f: &SourceFile, ctx: &FileCtx<'_>, name_ci: usize) -> bool {
-    if name_ci >= f.n_code() || !f.is_punct(name_ci + 1, ";") {
-        return false;
-    }
-    let name = f.ctext(name_ci);
-    let dir = match Path::new(&f.rel).parent() {
-        Some(d) => ctx.root.join(d),
-        None => return false,
-    };
-    for candidate in [
-        dir.join(format!("{name}.rs")),
-        dir.join(name).join("mod.rs"),
-    ] {
-        if let Ok(text) = std::fs::read_to_string(&candidate) {
-            let opens_with_docs = text
-                .lines()
-                .find(|l| !l.trim().is_empty())
-                .is_some_and(|l| {
-                    l.trim_start().starts_with("//!") || l.trim_start().starts_with("/*!")
-                });
-            if opens_with_docs {
-                return true;
-            }
-        }
-    }
-    false
-}
 
 /// Rule `float-eq`: no `==`/`!=` where either side is a float literal.
 fn float_eq(f: &SourceFile, out: &mut Vec<Diagnostic>) {
@@ -398,38 +233,11 @@ fn lint_header(f: &SourceFile, out: &mut Vec<Diagnostic>) {
     }
 }
 
-/// Rule `no-raw-spawn`: `thread::spawn` only inside the rayon shim,
-/// which owns pool sizing, ordered collection, and panic propagation.
-/// Test code is *not* exempt — a stray spawn leaks threads there too.
-fn no_raw_spawn(f: &SourceFile, out: &mut Vec<Diagnostic>) {
-    for ci in 0..f.n_code() {
-        if f.is_ident(ci, "thread")
-            && f.is_punct(ci + 1, "::")
-            && f.is_ident(ci + 2, "spawn")
-            && f.is_punct(ci + 3, "(")
-        {
-            emit(
-                f,
-                ci,
-                "no-raw-spawn",
-                "`thread::spawn` outside shims/rayon bypasses the pool size, ordered \
-                 collection, and panic propagation; use par_iter/join or annotate \
-                 `// xtask-allow: no-raw-spawn`"
-                    .into(),
-                out,
-            );
-        }
-    }
-}
-
 /// Rule `metric-name`: literal names registered on a `Recorder`
 /// (`.counter("…")` / `.histogram("…")`) or logged to the flight
 /// recorder (`flight::event("…", …)`) follow `stage.kernel.metric`
-/// (≥ 3 lowercase dot-separated segments). When `forbid_eprintln` is
-/// set (library pipeline code), raw `eprintln!` also fires: ad-hoc
-/// stderr output bypasses both the flight recorder and the `--progress`
-/// meter — route it through `catapult_obs::warn` instead.
-fn metric_name(f: &SourceFile, forbid_eprintln: bool, out: &mut Vec<Diagnostic>) {
+/// (≥ 3 lowercase dot-separated segments).
+fn metric_name(f: &SourceFile, out: &mut Vec<Diagnostic>) {
     for ci in 0..f.n_code() {
         if f.in_test(ci) {
             continue;
@@ -450,18 +258,6 @@ fn metric_name(f: &SourceFile, forbid_eprintln: bool, out: &mut Vec<Diagnostic>)
             && f.ckind(ci + 4) == TokenKind::StrLit
         {
             check_metric_literal(f, ci + 4, out);
-        }
-        if forbid_eprintln && f.is_ident(ci, "eprintln") && f.is_punct(ci + 1, "!") {
-            emit(
-                f,
-                ci,
-                "metric-name",
-                "raw `eprintln!` in pipeline code bypasses the flight recorder \
-                 and the `--progress` meter; use `catapult_obs::warn` (or a \
-                 counter/flight event), or annotate `// xtask-allow: metric-name`"
-                    .into(),
-                out,
-            );
         }
     }
 }
@@ -493,33 +289,6 @@ fn valid_metric_name(name: &str) -> bool {
                 && p.bytes()
                     .all(|b| b.is_ascii_lowercase() || b.is_ascii_digit() || b == b'_')
         })
-}
-
-/// Rule `raw-instant`: no `Instant::now()` outside `crates/obs` and the
-/// shims — ad-hoc clocks bypass the recorder epoch and the deadline
-/// plumbing.
-fn raw_instant(f: &SourceFile, out: &mut Vec<Diagnostic>) {
-    for ci in 0..f.n_code() {
-        if f.in_test(ci) {
-            continue;
-        }
-        if f.is_ident(ci, "Instant")
-            && f.is_punct(ci + 1, "::")
-            && f.is_ident(ci + 2, "now")
-            && f.is_punct(ci + 3, "(")
-        {
-            emit(
-                f,
-                ci,
-                "raw-instant",
-                "`Instant::now()` outside crates/obs bypasses the recorder epoch; \
-                 use catapult_obs::now()/Stopwatch or a span, or annotate \
-                 `// xtask-allow: raw-instant`"
-                    .into(),
-                out,
-            );
-        }
-    }
 }
 
 // ---- determinism rules -------------------------------------------------
@@ -928,36 +697,6 @@ fn lock_order(f: &SourceFile, out: &mut Vec<Diagnostic>) {
                         "this fn body acquires {} locks; document the acquisition \
                          order and annotate `// xtask-allow: lock-order` once audited",
                         locks.len()
-                    ),
-                    out,
-                );
-            }
-        }
-    }
-}
-
-/// Rule `unwind-safety`: `catch_unwind`/`resume_unwind` only inside the
-/// supervised executor (shims/rayon) and the checkpoint store
-/// (crates/ckpt) — ad-hoc unwind handling elsewhere hides worker deaths
-/// from the supervision policy and the `Completeness` tally, so a
-/// panicked item would neither abort the run (fail-fast) nor be counted
-/// as `failed` (keep-going).
-fn unwind_safety(f: &SourceFile, out: &mut Vec<Diagnostic>) {
-    for ci in 0..f.n_code() {
-        if f.in_test(ci) {
-            continue;
-        }
-        for name in ["catch_unwind", "resume_unwind"] {
-            if f.is_ident(ci, name) && f.is_punct(ci + 1, "(") {
-                emit(
-                    f,
-                    ci,
-                    "unwind-safety",
-                    format!(
-                        "`{name}` outside shims/rayon and crates/ckpt bypasses the \
-                         supervised executor's panic accounting; route worker \
-                         isolation through `rayon::collect_isolated` or annotate \
-                         `// xtask-allow: unwind-safety`"
                     ),
                     out,
                 );

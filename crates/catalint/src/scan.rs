@@ -386,13 +386,6 @@ impl SourceFile {
         self.test_mask.get(ci).copied().unwrap_or(false)
     }
 
-    /// The raw-stream token index of code token `ci` (for doc-comment
-    /// lookback, which must see trivia).
-    #[must_use]
-    pub fn raw_index(&self, ci: usize) -> usize {
-        self.code[ci]
-    }
-
     // ---- positions and lines -------------------------------------------
 
     /// 1-based `(line, col)` of a byte offset.

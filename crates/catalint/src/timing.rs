@@ -34,7 +34,7 @@ impl RuleTimer {
         if !self.on {
             return work();
         }
-        // xtask-allow: raw-instant -- analyzer self-timing; never feeds pipeline output
+        #[allow(clippy::disallowed_methods)] // analyzer self-timing; never feeds pipeline output
         let t0 = std::time::Instant::now();
         let r = work();
         *self.acc.entry(rule).or_insert(Duration::ZERO) += t0.elapsed();

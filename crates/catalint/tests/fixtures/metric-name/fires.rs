@@ -2,7 +2,6 @@ fn record(rec: &mut Recorder) {
     rec.counter("badname").incr(1);
     rec.histogram("Two.Part").record(2);
     flight::event("badflightname", "", 0);
-    eprintln!("33% done"); // raw progress output belongs to the meter
 }
 
 struct Recorder;

@@ -62,8 +62,8 @@ fn every_fixture_round_trips() {
         }
     }
     assert_eq!(
-        n, 54,
-        "12 file rules x (fires + clean) + 4 xrules x (fires + clean) \
+        n, 46,
+        "8 file rules x (fires + clean) + 4 xrules x (fires + clean) \
          + 11 taint pairs"
     );
 }

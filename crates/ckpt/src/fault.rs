@@ -148,6 +148,8 @@ fn crash() -> ! {
 }
 
 #[cfg(test)]
+// The tests catch the injected crashes.
+#[allow(clippy::disallowed_methods)]
 mod tests {
     use super::*;
     use crate::{CheckpointConfig, CkptError, Fingerprint, StageStore};

@@ -32,6 +32,7 @@
 //!   truncate, bit-flip, fail transiently, or crash the run right after
 //!   completing, so every recovery path is testable in-process.
 // Lint policy: see [workspace.lints] in the root Cargo.toml.
+#![warn(clippy::print_stderr)]
 #![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
 
 pub mod wire;

@@ -312,7 +312,7 @@ mod tests {
             budget: PatternBudget::new(3, 4, 3).unwrap(),
             walks: 10,
             search: SearchBudget::unbounded()
-                .with_deadline(catapult_graph::Deadline::at(std::time::Instant::now())),
+                .with_deadline(catapult_graph::Deadline::at(catapult_obs::now())),
             ..Default::default()
         };
         let r = run_catapult(&db, &cfg);

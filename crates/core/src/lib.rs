@@ -27,7 +27,7 @@
 //! ```
 
 // Lint policy: see [workspace.lints] in the root Cargo.toml.
-#![warn(missing_docs)]
+#![warn(missing_docs, clippy::print_stderr)]
 // Unit tests are allowed the ergonomic panicking shortcuts the library
 // itself forbids; the policy targets production code paths only.
 #![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used, clippy::panic))]

@@ -617,7 +617,6 @@ pub mod fault {
     use super::{BudgetMeter, CancelToken, Completeness};
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Mutex;
-    use std::time::Instant;
 
     /// Which degraded outcome to force.
     #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -706,7 +705,7 @@ pub mod fault {
             FaultKind::Deadline => {
                 // Test-only fault injection wants "already expired", not a
                 // measured duration; the monotonic source is irrelevant.
-                meter.deadline = Some(Instant::now()); // xtask-allow: raw-instant, taint -- test-only fault rig wants an already-expired deadline; the value is never observed
+                meter.deadline = Some(catapult_obs::now()); // xtask-allow: taint -- test-only fault rig wants an already-expired deadline; the value is never observed
                 meter.check_every = 1;
             }
             FaultKind::Cancel => {
@@ -752,7 +751,7 @@ mod tests {
 
     #[test]
     fn expired_deadline_trips_on_first_tick() {
-        let b = SearchBudget::unbounded().with_deadline(Deadline::at(Instant::now()));
+        let b = SearchBudget::unbounded().with_deadline(Deadline::at(catapult_obs::now()));
         let mut m = BudgetMeter::new(&b, Kernel::Iso);
         assert!(m.tick());
         assert_eq!(m.status(), Completeness::DeadlineExceeded);
@@ -972,7 +971,7 @@ mod tests {
         assert_eq!(b.interrupted(), None);
         token.cancel();
         assert_eq!(b.interrupted(), Some(Completeness::Cancelled));
-        let expired = SearchBudget::unbounded().with_deadline(Deadline::at(Instant::now()));
+        let expired = SearchBudget::unbounded().with_deadline(Deadline::at(catapult_obs::now()));
         assert_eq!(expired.interrupted(), Some(Completeness::DeadlineExceeded));
     }
 }

@@ -587,7 +587,7 @@ mod tests {
             &a,
             &b,
             None,
-            SearchBudget::unbounded().with_deadline(Deadline::at(std::time::Instant::now())),
+            SearchBudget::unbounded().with_deadline(Deadline::at(catapult_obs::now())),
         );
         assert_eq!(r.completeness, Completeness::DeadlineExceeded);
         assert!(r.distance >= ged_lower_bound(&a, &b));

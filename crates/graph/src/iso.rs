@@ -665,8 +665,7 @@ mod tests {
             &triangle(),
             &path(3),
             MatchOptions {
-                budget: SearchBudget::unbounded()
-                    .with_deadline(Deadline::at(std::time::Instant::now())),
+                budget: SearchBudget::unbounded().with_deadline(Deadline::at(catapult_obs::now())),
                 ..MatchOptions::default()
             },
             |_| ControlFlow::Continue(()),

@@ -736,8 +736,7 @@ mod tests {
             &g,
             McsConfig {
                 connected: false,
-                budget: SearchBudget::unbounded()
-                    .with_deadline(Deadline::at(std::time::Instant::now())),
+                budget: SearchBudget::unbounded().with_deadline(Deadline::at(catapult_obs::now())),
                 ..McsConfig::default()
             },
         );

@@ -31,7 +31,7 @@
 //!
 //! Event names follow the same `stage.kernel.metric` convention as
 //! counters (`flight.span.open`, `flight.ckpt.write`, …); `cargo xtask
-//! lint` rule 7 checks literal call sites.
+//! lint` rule `metric-name` checks literal call sites.
 
 use crate::json::Value;
 use std::path::{Path, PathBuf};
@@ -372,6 +372,7 @@ mod tests {
             let _ = std::fs::remove_file(&path);
             arm_crash_dump(&path);
             event("flight.test.precrash", "", 1);
+            #[allow(clippy::disallowed_methods)] // catches the injected crash
             let caught = std::panic::catch_unwind(|| panic!("synthetic crash"));
             assert!(caught.is_err());
             let text = std::fs::read_to_string(&path).expect("flight dump written");

@@ -26,8 +26,8 @@
 //!   `--metrics-out` and by the bench drivers.
 //!
 //! Counter names follow the `stage.kernel.metric` convention enforced by
-//! `cargo xtask lint` (rule 7); the same rule forbids raw
-//! `Instant::now()` timing outside this crate, so [`now`] and
+//! `cargo xtask lint` (rule `metric-name`). The root `clippy.toml`
+//! disallows raw `Instant::now()` everywhere but [`now`], so [`now`] and
 //! [`Stopwatch`] are the blessed clock accessors.
 
 pub mod chrome;
@@ -50,8 +50,8 @@ pub use trace::summary_table;
 /// recorder.
 ///
 /// The blessed replacement for raw `eprintln!` warnings in pipeline
-/// crates (xtask lint rule 7 forbids those outside this crate): routing
-/// warnings through here keeps them on stderr — never perturbing stdout
+/// crates (their roots deny `clippy::print_stderr`): routing warnings
+/// through here keeps them on stderr — never perturbing stdout
 /// determinism — and preserves them in crash dumps.
 pub fn warn(msg: impl std::fmt::Display) {
     flight::event("flight.log.warning", "", 0);
@@ -62,14 +62,15 @@ use std::time::{Duration, Instant};
 
 /// Read the monotonic clock.
 ///
-/// The only sanctioned `Instant::now()` call site in the workspace
-/// (xtask lint rule 7): routing every clock read through here keeps
-/// wall-time observability auditable and lets the budget layer
-/// ([`Deadline`]) share the recorder's clock.
+/// The only sanctioned `Instant::now()` call site in the pipeline (the
+/// root `clippy.toml` disallows it elsewhere): routing every clock read
+/// through here keeps wall-time observability auditable and lets the
+/// budget layer ([`Deadline`]) share the recorder's clock.
 ///
 /// [`Deadline`]: https://docs.rs/catapult-graph
 #[inline]
 #[must_use]
+#[allow(clippy::disallowed_methods)] // the one sanctioned clock read
 pub fn now() -> Instant {
     Instant::now()
 }

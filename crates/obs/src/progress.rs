@@ -166,7 +166,7 @@ impl ProgressMeter {
         // A plain thread, not the rayon shim: the heartbeat must tick
         // while the pool's workers are busy inside a parallel region,
         // and it outlives any single scope. Joined on drop.
-        // xtask-allow: no-raw-spawn
+        #[allow(clippy::disallowed_methods)]
         let handle = std::thread::spawn(move || {
             let started = crate::Stopwatch::start();
             let mut last_tick = started.elapsed();

@@ -130,9 +130,9 @@ impl Recorder {
 
     /// A handle to the named counter, registering it on first use.
     ///
-    /// Names must follow the `stage.kernel.metric` convention (xtask
-    /// lint rule 7 checks literal call sites). Disabled recorders return
-    /// a no-op handle without allocating.
+    /// Names must follow the `stage.kernel.metric` convention (the
+    /// `metric-name` lint rule checks literal call sites). Disabled
+    /// recorders return a no-op handle without allocating.
     #[must_use]
     pub fn counter(&self, name: &str) -> Counter {
         let Some(inner) = &self.inner else {

@@ -38,6 +38,7 @@
 //! ```
 
 // Lint policy: see [workspace.lints] in the root Cargo.toml.
+#![warn(clippy::print_stderr)]
 // Unit tests are allowed the ergonomic panicking shortcuts the library
 // itself forbids; the policy targets production code paths only.
 #![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used, clippy::panic))]

@@ -222,6 +222,7 @@ fn worker_panic_aborts_loudly_by_default() {
     });
     // Fail-fast is the default: the injected worker death must surface
     // as a panic of the whole run, not a silently weaker result.
+    #[allow(clippy::disallowed_methods)] // catches the injected worker death
     let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         run_catapult(&db, &fine_only_config(false))
     }));

@@ -116,9 +116,8 @@ fn budgets() -> Vec<(&'static str, SearchBudget)> {
         ("exhausted", SearchBudget::nodes(25)),
         (
             "deadline",
-            // An already-expired deadline needs a raw timestamp, not a
-            // recorder epoch. xtask-allow: raw-instant
-            SearchBudget::unbounded().with_deadline(Deadline::at(std::time::Instant::now())),
+            // Deadline "now": already expired by the first check.
+            SearchBudget::unbounded().with_deadline(Deadline::at(catapult_obs::now())),
         ),
     ]
 }

@@ -18,6 +18,8 @@
 //! Run with: `cargo test --features fault-injection --test resume_equivalence`
 #![cfg(feature = "fault-injection")]
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+// The injected crashes unwind into these tests, which catch them.
+#![allow(clippy::disallowed_methods)]
 
 use catapult::ckpt::fault::{self as pfault, PersistFaultKind, PersistFaultPlan, CRASH_PAYLOAD};
 use catapult::ckpt::CheckpointConfig;
