@@ -8,8 +8,8 @@
 //! acquisition order), **output sinks** (fns returning
 //! `SelectionResult`/`PipelineReport`/`RunManifest` or any struct that
 //! transitively embeds one, plus checkpoint wire writers), and
-//! **sanitizers** (sort/BTree canonicalization, `median_of_sorted`,
-//! commutative `merge`/`merge_all` folds), with taint propagated over
+//! **sanitizers** (sort/BTree canonicalization, commutative
+//! `merge`/`merge_all` folds), with taint propagated over
 //! the **resolved** call-graph edges of [`crate::symbols::Workspace`] by
 //! the same fixpoint machinery as the budget-threading obligation.
 //!
@@ -66,15 +66,15 @@ const SINK_TYPE_SEEDS: &[&str] = &["SelectionResult", "PipelineReport", "RunMani
 /// Statement tokens that canonicalize away *order* nondeterminism before
 /// it can reach a sink: the [`rules::ORDER_SINKS`] family plus the
 /// commutative+associative fold conveniences.
-const ORDER_SANITIZER_EXTRA: &[&str] = &["median_of_sorted", "merge", "merge_all"];
+const ORDER_SANITIZER_EXTRA: &[&str] = &["merge", "merge_all"];
 
 /// Modules outside the determinism contract, never scanned for sources
 /// or sinks: the observability crate (its recorder is proven
 /// output-neutral and it *owns* the sanctioned clock), the executor
-/// shim (thread topology is its job), the bench harness (time-valued by
-/// design; the bench-diff deterministic-field gate covers its
-/// manifests), the analyzer and driver themselves, and the
-/// fault-injection plans (test-only by feature gate).
+/// shim (thread topology is its job), the experiment harness (its
+/// reports carry wall-clock timings by design), the analyzer and driver
+/// themselves, and the fault-injection plans (test-only by feature
+/// gate).
 const EXEMPT_PREFIXES: &[&str] = &[
     "crates/obs/",
     "shims/",

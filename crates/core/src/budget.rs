@@ -167,7 +167,7 @@ impl PatternBudget {
 /// Tracks how many patterns of each size have been selected.
 #[derive(Clone, Debug, Default)]
 pub struct SizeCounts {
-    counts: std::collections::HashMap<usize, usize>,
+    counts: std::collections::BTreeMap<usize, usize>,
 }
 
 impl SizeCounts {
@@ -188,8 +188,6 @@ impl SizeCounts {
 
     /// Total selections.
     pub fn total(&self) -> usize {
-        // usize addition is commutative; order cannot affect the total.
-        // xtask-allow: hash-iter-order
         self.counts.values().sum()
     }
 }

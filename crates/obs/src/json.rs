@@ -236,9 +236,9 @@ impl std::error::Error for ParseError {}
 /// render→parse→render round trip is byte-identical. Numbers without a
 /// fraction/exponent parse as `UInt`/`Int`; everything else as `Float`.
 ///
-/// This is the read half of the hand-rolled serializer: `cargo xtask
-/// bench-diff` reads run manifests back with it, and tests read Chrome
-/// traces and flight-recorder dumps, all without a registry dependency.
+/// This is the read half of the hand-rolled serializer: the Chrome-trace,
+/// flight-recorder and CLI tests read their output back with it, without
+/// a registry dependency.
 pub fn parse(text: &str) -> Result<Value, ParseError> {
     let mut p = Parser {
         bytes: text.as_bytes(),

@@ -30,7 +30,7 @@ pub struct RunManifest {
 
 impl RunManifest {
     /// Start a manifest for `command` (e.g. `"select"`,
-    /// `"bench_kernels"`). `schema_version` is always the first field.
+    /// `"experiments"`). `schema_version` is always the first field.
     #[must_use]
     pub fn new(command: &str) -> RunManifest {
         let mut root = Value::object();

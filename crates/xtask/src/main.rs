@@ -14,23 +14,11 @@
 //! cargo xtask lint --callgraph-dot cg.dot
 //! ```
 //!
-//! `cargo xtask bench-diff` is the perf-regression gate over the
-//! `BENCH_kernels.json` manifests (see `bench_diff` and DESIGN.md §16):
-//!
-//! ```text
-//! cargo xtask bench-diff OLD.json NEW.json
-//! cargo xtask bench-diff --tolerance 50 OLD.json NEW.json
-//! cargo xtask bench-diff --allow-cross-host BENCH_kernels.json new.json
-//! ```
-//!
-//! Exit codes (both subcommands): `0` clean (no findings, or only ones
-//! an inline `// xtask-allow: <rule>` marker suppresses), `1` active
-//! findings / perf regressions / a lint over `--time-budget-ms`, `2`
-//! usage or I/O errors.
+//! Exit codes: `0` clean (no findings, or only ones an inline
+//! `// xtask-allow: <rule>` marker suppresses), `1` active findings or a
+//! lint over `--time-budget-ms`, `2` usage or I/O errors.
 
-mod bench_diff;
-
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
@@ -44,14 +32,6 @@ fn main() -> ExitCode {
                 ExitCode::from(2)
             }
         },
-        Some("bench-diff") => match parse_bench_diff_args(&argv[1..]) {
-            Ok((old, new, opts)) => run_bench_diff(&old, &new, &opts),
-            Err(msg) => {
-                eprintln!("xtask bench-diff: {msg}");
-                eprintln!("{USAGE}");
-                ExitCode::from(2)
-            }
-        },
         other => {
             eprintln!("got {:?}\n{USAGE}", other.unwrap_or("<nothing>"));
             ExitCode::from(2)
@@ -61,83 +41,7 @@ fn main() -> ExitCode {
 
 const USAGE: &str = "usage: cargo xtask lint [--json PATH] [--rule NAME[,NAME]...]... \
 [--callgraph PATH] [--callgraph-dot PATH] [--taint-graph PATH] [--taint-graph-dot PATH] \
-[--timing] [--time-budget-ms N]
-       cargo xtask bench-diff [--tolerance PCT] [--allow-cross-host] \
-[--deterministic-only] OLD.json NEW.json";
-
-fn parse_bench_diff_args(
-    args: &[String],
-) -> Result<(PathBuf, PathBuf, bench_diff::DiffOpts), String> {
-    let mut opts = bench_diff::DiffOpts::default();
-    let mut positional: Vec<PathBuf> = Vec::new();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--tolerance" => {
-                let pct = it.next().ok_or("--tolerance requires a PCT argument")?;
-                opts.tolerance_pct = pct
-                    .parse::<f64>()
-                    .ok()
-                    .filter(|p| p.is_finite() && *p >= 0.0)
-                    .ok_or(format!("--tolerance got a bad percentage `{pct}`"))?;
-            }
-            "--allow-cross-host" => opts.allow_cross_host = true,
-            "--deterministic-only" => opts.deterministic_only = true,
-            other if other.starts_with("--") => {
-                return Err(format!("unknown argument `{other}`"));
-            }
-            path => positional.push(PathBuf::from(path)),
-        }
-    }
-    match <[PathBuf; 2]>::try_from(positional) {
-        Ok([old, new]) => Ok((old, new, opts)),
-        Err(got) => Err(format!(
-            "expected exactly 2 manifest paths (OLD.json NEW.json), got {}",
-            got.len()
-        )),
-    }
-}
-
-fn run_bench_diff(old: &Path, new: &Path, opts: &bench_diff::DiffOpts) -> ExitCode {
-    let read = |path: &Path| {
-        std::fs::read_to_string(path).map_err(|e| format!("cannot read {}: {e}", path.display()))
-    };
-    let (old_text, new_text) = match (read(old), read(new)) {
-        (Ok(o), Ok(n)) => (o, n),
-        (Err(msg), _) | (_, Err(msg)) => {
-            eprintln!("xtask bench-diff: {msg}");
-            return ExitCode::from(2);
-        }
-    };
-    match bench_diff::diff(&old_text, &new_text, opts) {
-        Ok(report) => {
-            for line in &report.lines {
-                println!("{line}");
-            }
-            if report.regressions > 0 {
-                eprintln!(
-                    "xtask bench-diff: {} regression{} ({} vs {})",
-                    report.regressions,
-                    if report.regressions == 1 { "" } else { "s" },
-                    old.display(),
-                    new.display(),
-                );
-                ExitCode::FAILURE
-            } else {
-                println!(
-                    "xtask bench-diff: ok ({} vs {})",
-                    old.display(),
-                    new.display()
-                );
-                ExitCode::SUCCESS
-            }
-        }
-        Err(msg) => {
-            eprintln!("xtask bench-diff: {msg}");
-            ExitCode::from(2)
-        }
-    }
-}
+[--timing] [--time-budget-ms N]";
 
 /// Parsed `lint` subcommand options.
 #[derive(Debug, Default, PartialEq, Eq)]
@@ -330,6 +234,7 @@ fn workspace_root() -> PathBuf {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::path::Path;
 
     fn s(v: &[&str]) -> Vec<String> {
         v.iter().map(|x| (*x).to_string()).collect()
@@ -408,35 +313,5 @@ mod tests {
         let bare = parse_lint_args(&[]).expect("parses");
         assert!(!bare.timing);
         assert_eq!(bare.time_budget_ms, None);
-    }
-
-    #[test]
-    fn bench_diff_args_parse() {
-        let (old, new, opts) = parse_bench_diff_args(&s(&[
-            "--tolerance",
-            "55.5",
-            "old.json",
-            "--allow-cross-host",
-            "new.json",
-        ]))
-        .expect("parses");
-        assert_eq!(old, Path::new("old.json"));
-        assert_eq!(new, Path::new("new.json"));
-        assert!((opts.tolerance_pct - 55.5).abs() < 1e-9);
-        assert!(opts.allow_cross_host);
-
-        let (_, _, opts) = parse_bench_diff_args(&s(&["a.json", "b.json"])).expect("parses");
-        assert!((opts.tolerance_pct - bench_diff::DEFAULT_TOLERANCE_PCT).abs() < 1e-9);
-        assert!(!opts.allow_cross_host);
-    }
-
-    #[test]
-    fn bench_diff_args_reject_bad_input() {
-        assert!(parse_bench_diff_args(&s(&["only-one.json"])).is_err());
-        assert!(parse_bench_diff_args(&s(&["a", "b", "c"])).is_err());
-        assert!(parse_bench_diff_args(&s(&["--tolerance", "nan", "a", "b"])).is_err());
-        assert!(parse_bench_diff_args(&s(&["--tolerance", "-5", "a", "b"])).is_err());
-        assert!(parse_bench_diff_args(&s(&["--frobnicate", "a", "b"])).is_err());
-        assert!(parse_bench_diff_args(&s(&["--tolerance"])).is_err());
     }
 }

@@ -17,6 +17,9 @@
 //!   still a valid common subgraph (a sound lower bound), and a
 //!   budget-tripped-but-proven search is tagged `Exact` only when its
 //!   value matches the unbounded optimum.
+//! * **Pruning only removes work**: under the unbounded budget the
+//!   optimized MCS/MCCS never spends more search probes on a pair than
+//!   the reference search.
 //! * **Determinism**: every kernel returns bit-identical results on
 //!   repeated calls and across thread settings (the kernels are
 //!   sequential; the sweep proves no hidden dependence on the pool).
@@ -27,6 +30,7 @@
 
 use catapult::graph::mcs::{mcs, McsConfig, McsResult};
 use catapult::graph::{iso, Completeness, Deadline, Graph, Label, SearchBudget, VertexId};
+use catapult_obs::Recorder;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Mutex;
@@ -108,6 +112,16 @@ fn cfg(connected: bool, pruning: bool, budget: SearchBudget) -> McsConfig {
     }
 }
 
+/// Search probes (budget-metered node expansions) one unbounded `mcs`
+/// call spends, read back through the stage counters its meter flushes.
+fn probes_of(a: &Graph, b: &Graph, connected: bool, pruning: bool) -> u64 {
+    let rec = Recorder::enabled();
+    let budget = SearchBudget::unbounded().with_probe(rec.stage_probe("equivalence"));
+    mcs(a, b, cfg(connected, pruning, budget));
+    rec.snapshot()
+        .map_or(0, |s| s.stage_metric_total("equivalence", "probes"))
+}
+
 /// Budgets swept: an exhaustive run, a tiny node cap that trips on every
 /// non-trivial pair, and an already-expired deadline.
 fn budgets() -> Vec<(&'static str, SearchBudget)> {
@@ -134,6 +148,15 @@ fn pruned_search_is_equivalent_to_reference_unpruned() {
             for (pi, (a, b)) in pairs.iter().enumerate() {
                 let truth = mcs(a, b, cfg(connected, false, SearchBudget::unbounded()));
                 assert!(truth.is_exact(), "unbounded reference must be exact");
+                // Pruning only removes work: run to completion, the
+                // optimized search never probes more than the reference.
+                let pruned = probes_of(a, b, connected, true);
+                let unpruned = probes_of(a, b, connected, false);
+                assert!(
+                    pruned <= unpruned,
+                    "threads={threads} {kernel} pair={pi}: pruned search probed \
+                     {pruned} > reference {unpruned}"
+                );
                 for (bname, budget) in budgets() {
                     let ctx = format!("threads={threads} {kernel} pair={pi} budget={bname}");
                     let opt = mcs(a, b, cfg(connected, true, budget.clone()));
