@@ -63,7 +63,8 @@ fn main() {
         std::process::exit(2);
     }
     if let Some(path) = &metrics_out {
-        if let Err(e) = manifest::guard_overwrite(Path::new(path), force) {
+        if let Err(e) = manifest::guard_overwrite(Path::new(path), manifest::SCHEMA_VERSION, force)
+        {
             eprintln!("{e}");
             std::process::exit(2);
         }

@@ -309,7 +309,7 @@ impl StageStore {
     /// one. `seq` is the intra-stage sequence number (0 for
     /// whole-stage checkpoints; monotonically increasing for chunked
     /// flushes, so a torn sequence is detectable in tests).
-    pub fn save(&self, stage: &str, seq: u64, payload: &[u8]) -> Result<(), CkptError> {
+    pub fn save(&self, stage: &'static str, seq: u64, payload: &[u8]) -> Result<(), CkptError> {
         let _span = self.recorder.span("ckpt_write");
         let image = encode_file(stage, self.fp, seq, payload);
         let path = self.stage_path(stage);
@@ -322,11 +322,7 @@ impl StageStore {
             match write_once(&tmp, &path, &image) {
                 Ok(()) => {
                     self.recorder.counter("ckpt.store.write").incr();
-                    catapult_obs::flight::event(
-                        "flight.ckpt.write",
-                        catapult_obs::flight::interned(stage),
-                        seq,
-                    );
+                    catapult_obs::flight::event("flight.ckpt.write", stage, seq);
                     return Ok(());
                 }
                 Err(_) if attempt < attempts => {
@@ -355,7 +351,7 @@ impl StageStore {
     /// real I/O failures and for schema/fingerprint mismatches — those
     /// mean the checkpoint is *valid but foreign*, and recomputing
     /// would silently clobber another run's state.
-    pub fn load(&self, stage: &str) -> Result<Option<(u64, Vec<u8>)>, CkptError> {
+    pub fn load(&self, stage: &'static str) -> Result<Option<(u64, Vec<u8>)>, CkptError> {
         if !self.resume {
             return Ok(None);
         }
@@ -374,11 +370,7 @@ impl StageStore {
         match decode_file(&path, &raw, stage, self.fp) {
             Ok((seq, payload)) => {
                 self.recorder.counter("ckpt.store.load").incr();
-                catapult_obs::flight::event(
-                    "flight.ckpt.load",
-                    catapult_obs::flight::interned(stage),
-                    seq,
-                );
+                catapult_obs::flight::event("flight.ckpt.load", stage, seq);
                 Ok(Some((seq, payload)))
             }
             Err(Verdict::Corrupt(detail)) => {

@@ -219,7 +219,7 @@ pub fn cluster_graphs_resumable(
 /// stage recomputes.
 fn discard_undecodable(
     st: &StageStore,
-    stage: &str,
+    stage: &'static str,
     err: &dyn std::fmt::Display,
 ) -> Result<(), CkptError> {
     catapult_obs::warn(format!(

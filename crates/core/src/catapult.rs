@@ -195,7 +195,7 @@ fn run_inner(
 /// checksummed-but-undecodable payload so the stage recomputes.
 fn load_stage<T>(
     store: Option<&StageStore>,
-    stage: &str,
+    stage: &'static str,
     decode: impl Fn(&[u8]) -> Result<T, catapult_ckpt::wire::WireError>,
 ) -> Result<Option<T>, CkptError> {
     let Some(st) = store else { return Ok(None) };

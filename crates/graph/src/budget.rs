@@ -89,69 +89,29 @@ impl Completeness {
 }
 
 /// A wall-clock point in time after which budgeted searches stop.
-///
-/// Carries its creation instant so observers can report *headroom*
-/// ([`Deadline::remaining`]) and *burn* ([`Deadline::elapsed`]) instead
-/// of only expired / not-expired. Equality compares the target instant
-/// only — two deadlines for the same cutoff are the same deadline,
-/// whenever each was constructed ([`SearchBudget::overlay`] relies on
-/// this when it re-wraps the earlier of two instants).
-#[derive(Clone, Copy, Debug)]
-pub struct Deadline {
-    at: Instant,
-    created: Instant,
-}
-
-impl PartialEq for Deadline {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at
-    }
-}
-
-impl Eq for Deadline {}
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Deadline(Instant);
 
 impl Deadline {
     /// Deadline `d` from now.
     pub fn from_now(d: Duration) -> Self {
-        let now = catapult_obs::now();
-        Deadline {
-            at: now + d,
-            created: now,
-        }
+        Deadline(catapult_obs::now() + d)
     }
 
     /// Deadline at an absolute instant.
     pub fn at(instant: Instant) -> Self {
-        Deadline {
-            at: instant,
-            created: catapult_obs::now(),
-        }
+        Deadline(instant)
     }
 
     /// The underlying instant.
     pub fn instant(self) -> Instant {
-        self.at
+        self.0
     }
 
     /// Whether the deadline has passed.
     pub fn expired(self) -> bool {
         // xtask-allow: taint -- deadline checks gate interruption only; an interrupted run checkpoints and resumes, it never silently diverges
-        catapult_obs::now() >= self.at
-    }
-
-    /// Wall time since this deadline was created.
-    pub fn elapsed(self) -> Duration {
-        catapult_obs::now().saturating_duration_since(self.created)
-    }
-
-    /// Headroom left before the cutoff (zero once expired).
-    pub fn remaining(self) -> Duration {
-        self.at.saturating_duration_since(catapult_obs::now())
-    }
-
-    /// The total allotment this deadline was created with.
-    pub fn total(self) -> Duration {
-        self.at.saturating_duration_since(self.created)
+        catapult_obs::now() >= self.0
     }
 }
 
@@ -284,9 +244,7 @@ impl SearchBudget {
                 base.node_cap
             },
             deadline: match (self.deadline, base.deadline) {
-                // Keep the whole earlier deadline (not just its instant)
-                // so creation time — and thus elapsed()/remaining()
-                // reporting — survives the merge.
+                // The earlier of two deadlines applies.
                 (Some(a), Some(b)) => Some(if a.instant() <= b.instant() { a } else { b }),
                 (a, b) => a.or(b),
             },
@@ -891,34 +849,6 @@ mod tests {
             backward.record(t);
         }
         assert_eq!(forward.counts(), backward.counts());
-    }
-
-    #[test]
-    fn deadline_accessors_report_headroom() {
-        let d = Deadline::from_now(Duration::from_secs(3600));
-        assert!(!d.expired());
-        assert!(d.remaining() <= Duration::from_secs(3600));
-        assert!(d.remaining() > Duration::from_secs(3590));
-        assert!(d.elapsed() < Duration::from_secs(10));
-        assert_eq!(d.total(), Duration::from_secs(3600));
-        let expired = Deadline::at(catapult_obs::now());
-        assert_eq!(expired.remaining(), Duration::ZERO);
-    }
-
-    #[test]
-    fn overlay_keeps_the_earlier_deadline_whole() {
-        let early = Deadline::from_now(Duration::from_secs(1));
-        let late = Deadline::from_now(Duration::from_secs(100));
-        let merged = SearchBudget::unbounded()
-            .with_deadline(late)
-            .overlay(&SearchBudget::unbounded().with_deadline(early));
-        let Some(d) = merged.deadline else {
-            panic!("deadline lost in overlay");
-        };
-        assert_eq!(d, early);
-        // `total` proves the original creation instant survived, not
-        // just the target instant.
-        assert_eq!(d.total(), early.total());
     }
 
     #[test]

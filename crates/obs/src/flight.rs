@@ -1,98 +1,107 @@
 //! The flight recorder: an always-on, bounded, process-global log of
-//! structured runtime events for crash forensics.
+//! the rare runtime events nothing else records, for crash forensics.
 //!
-//! The [`Recorder`](crate::Recorder) answers "where did the time go"
-//! *after* a successful run; the flight recorder answers "what was the
-//! process doing" when a run dies. It is designed for the failure path:
+//! The [`Recorder`] answers "where did the time go"; the flight
+//! recorder answers "what was the process doing" when a run dies. It
+//! does not mirror spans or kernel flushes: its dump *embeds* a
+//! snapshot of the run's [`Recorder`], so the span tree and counters
+//! have one source.
 //!
-//! * **Bounded per-worker ring buffers.** Events land in one of
-//!   [`SLOTS`] fixed-capacity rings selected by the rayon-shim worker id
-//!   ([`crate::worker::current`]), so a hot worker can only evict its own
-//!   history and the caller thread's timeline survives a worker storm.
-//!   Overflow evicts the oldest event in that slot and bumps a `dropped`
-//!   count — truncation is reported, never silent.
+//! * **Rare events only.** Checkpoint loads and writes, worker panics,
+//!   warnings, progress ticks and the panic hook itself. None of them
+//!   sits on a kernel or span hot path.
+//! * **One bounded ring.** Events land in a single ring of [`CAPACITY`]
+//!   entries. `seq` is assigned under the ring's lock, so arrival order
+//!   is sequence order. Overflow evicts the oldest event and bumps a
+//!   `dropped` count — truncation is reported, never silent.
 //! * **Near-zero cost.** Disabled (the default), [`event`] is one
-//!   relaxed atomic load. Enabled, a push is a clock read plus an
-//!   uncontended per-slot mutex; event payloads are `Copy` (`&'static
-//!   str` names, two integers) so the hot path allocates nothing after
-//!   a slot's one-time ring allocation.
-//! * **Schema-versioned dumps.** [`dump_json`] renders the merged,
-//!   sequence-ordered log through the hand-rolled [`crate::json`]
-//!   writer with its own [`FLIGHT_SCHEMA_VERSION`], and
+//!   relaxed atomic load. Event payloads are `Copy` (`&'static str`
+//!   names, one integer).
+//! * **Schema-versioned dumps.** [`dump_json`] renders the log and the
+//!   recorder's `spans`, `counters` and `histograms` (with the same code
+//!   as [`RunManifest`](crate::RunManifest)) under its own
+//!   [`FLIGHT_SCHEMA_VERSION`], and
 //!   [`crate::manifest::guard_overwrite`] applies to dump paths like
 //!   any other manifest.
 //! * **Dump on panic.** [`arm_crash_dump`] installs a chaining panic
-//!   hook that writes the flight log before unwinding begins — it fires
-//!   for fail-fast worker panics, for the ckpt fault-injection crash
-//!   path, and for plain bugs. The supervised executor
+//!   hook that writes the dump before unwinding begins, so the span
+//!   chain that was running is still open (`duration_ns: null`). It
+//!   fires for fail-fast worker panics, for the ckpt fault-injection
+//!   crash path, and for plain bugs. The supervised executor
 //!   (`collect_isolated`) additionally logs every isolated
 //!   [`ItemPanic`](https://docs.rs/rayon) as a `flight.worker.panic`
 //!   event even though it never unwinds past the item.
 //!
 //! Event names follow the same `stage.kernel.metric` convention as
-//! counters (`flight.span.open`, `flight.ckpt.write`, …); `cargo xtask
-//! lint` rule `metric-name` checks literal call sites.
+//! counters (`flight.ckpt.write`, `flight.worker.panic`, …); `cargo
+//! xtask lint` rule `metric-name` checks literal call sites.
 
 use crate::json::Value;
+use crate::Recorder;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
 /// Schema version of `flight.json` dumps. Bump on any layout change.
-pub const FLIGHT_SCHEMA_VERSION: u64 = 1;
+pub const FLIGHT_SCHEMA_VERSION: u64 = 2;
 
-/// Number of per-worker ring buffers. Worker ids map onto slots modulo
-/// this, so arbitrarily large pools still get bounded memory; slot 0 is
-/// always the caller thread.
-pub const SLOTS: usize = 32;
-
-/// Events each slot retains; the oldest is evicted on overflow.
-pub const SLOT_CAPACITY: usize = 1024;
-
-/// Interned-detail table size cap (see [`interned`]).
-const MAX_INTERNED: usize = 64;
+/// Events the ring retains; the oldest is evicted on overflow.
+pub const CAPACITY: usize = 32_768;
 
 /// One recorded flight event.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct FlightEvent {
-    /// Process-global sequence number (total order across slots).
+    /// Process-global sequence number (arrival order).
     pub seq: u64,
     /// Monotonic ns since the flight recorder was first enabled.
     pub t_ns: u64,
     /// Rayon-shim worker id at push time (0 = caller thread).
     pub worker: u32,
-    /// Event name (`flight.span.open`, `flight.ckpt.write`, …).
+    /// Event name (`flight.ckpt.write`, `flight.worker.panic`, …).
     pub name: &'static str,
-    /// Event subject (span name, stage name, …); `""` when n/a.
+    /// Event subject (stage name, panic mode, …); `""` when n/a.
     pub detail: &'static str,
-    /// Event-specific magnitude (probe count, item index, seq, …).
+    /// Event-specific magnitude (checkpoint seq, item index, …).
     pub arg: u64,
 }
 
-/// One slot's bounded history.
-#[derive(Debug, Default)]
+/// The bounded event history.
+#[derive(Debug)]
 struct Ring {
-    /// Events in arrival order once rotated (see [`Ring::drain`]).
+    /// Events in arrival order once rotated (see [`Ring::ordered`]).
     buf: Vec<FlightEvent>,
     /// Next write position when the ring is full.
     head: usize,
-    /// Events evicted from this slot.
+    /// The next event's sequence number.
+    next_seq: u64,
+    /// Events evicted so far.
     dropped: u64,
 }
 
 impl Ring {
-    fn push(&mut self, ev: FlightEvent) {
-        if self.buf.len() < SLOT_CAPACITY {
+    const fn new() -> Ring {
+        Ring {
+            buf: Vec::new(),
+            head: 0,
+            next_seq: 0,
+            dropped: 0,
+        }
+    }
+
+    fn push(&mut self, mut ev: FlightEvent) {
+        ev.seq = self.next_seq;
+        self.next_seq += 1;
+        if self.buf.len() < CAPACITY {
             self.buf.push(ev);
             return;
         }
         self.buf[self.head] = ev;
-        self.head = (self.head + 1) % SLOT_CAPACITY;
+        self.head = (self.head + 1) % CAPACITY;
         self.dropped += 1;
     }
 
     /// Events in arrival order (oldest first), plus the dropped count.
-    fn drain(&self) -> (Vec<FlightEvent>, u64) {
+    fn ordered(&self) -> (Vec<FlightEvent>, u64) {
         let mut out = Vec::with_capacity(self.buf.len());
         out.extend_from_slice(&self.buf[self.head..]);
         out.extend_from_slice(&self.buf[..self.head]);
@@ -104,29 +113,20 @@ impl Ring {
 /// (and the no-alloc proofs) pay exactly one atomic load.
 static ENABLED: AtomicBool = AtomicBool::new(false);
 
-/// Process-global event sequence; also the total order for merged dumps.
-static SEQ: AtomicU64 = AtomicU64::new(0);
-
 /// Epoch for `t_ns`, fixed at first enable.
 static EPOCH: OnceLock<std::time::Instant> = OnceLock::new();
 
-/// The per-worker rings, allocated lazily on first enable.
-static RINGS: OnceLock<Vec<Mutex<Ring>>> = OnceLock::new();
+/// The event ring.
+static RING: Mutex<Ring> = Mutex::new(Ring::new());
 
-/// Where the panic hook dumps to (None = disarmed).
-static CRASH_PATH: Mutex<Option<PathBuf>> = Mutex::new(None);
+/// Where the panic hook dumps to, and the recorder it embeds (None =
+/// disarmed).
+static CRASH: Mutex<Option<(PathBuf, Recorder)>> = Mutex::new(None);
 
-/// Interned copies of dynamic detail strings (bounded; see [`interned`]).
-static INTERNED: Mutex<Vec<&'static str>> = Mutex::new(Vec::new());
-
-/// Lock a mutex, ignoring poison: rings hold plain data, and the panic
-/// hook must still be able to dump after a panicking instrumented thread.
+/// Lock a mutex, ignoring poison: the ring holds plain data, and the
+/// panic hook must still be able to dump after a panicking thread.
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
-fn rings() -> &'static Vec<Mutex<Ring>> {
-    RINGS.get_or_init(|| (0..SLOTS).map(|_| Mutex::new(Ring::default())).collect())
 }
 
 /// Turn the flight recorder on or off. The CLI enables it for every
@@ -134,7 +134,6 @@ fn rings() -> &'static Vec<Mutex<Ring>> {
 pub fn set_enabled(on: bool) {
     if on {
         let _ = EPOCH.set(crate::now());
-        let _ = rings();
     }
     ENABLED.store(on, Ordering::Relaxed);
 }
@@ -156,66 +155,36 @@ pub fn event(name: &'static str, detail: &'static str, arg: u64) {
 
 #[cold]
 fn record(name: &'static str, detail: &'static str, arg: u64) {
+    let worker = crate::worker::current();
+    let mut ring = lock(&RING);
     let t_ns = EPOCH.get().map_or(0, |e| {
         u64::try_from(e.elapsed().as_nanos()).unwrap_or(u64::MAX)
     });
-    let worker = crate::worker::current();
-    let ev = FlightEvent {
-        seq: SEQ.fetch_add(1, Ordering::Relaxed),
+    ring.push(FlightEvent {
+        seq: 0, // assigned by the ring
         t_ns,
         worker,
         name,
         detail,
         arg,
-    };
-    let slot = worker as usize % SLOTS;
-    lock(&rings()[slot]).push(ev);
+    });
 }
 
-/// Intern a dynamic detail string so call sites with non-`'static`
-/// subjects (checkpoint stage names) can still attach them to events.
-///
-/// The table is bounded at [`MAX_INTERNED`] distinct strings — the
-/// pipeline's stage vocabulary is a handful of names — and returns a
-/// sentinel once full, so unbounded caller input can never leak
-/// unbounded memory.
-#[must_use]
-pub fn interned(s: &str) -> &'static str {
-    let mut table = lock(&INTERNED);
-    if let Some(hit) = table.iter().find(|t| **t == s) {
-        return hit;
-    }
-    if table.len() >= MAX_INTERNED {
-        return "<interned-table-full>";
-    }
-    let leaked: &'static str = Box::leak(s.to_string().into_boxed_str());
-    table.push(leaked);
-    leaked
-}
-
-/// Everything currently retained, merged across slots in sequence
-/// order, plus the total evicted-event count.
+/// Everything currently retained, in sequence order, plus the total
+/// evicted-event count.
 #[must_use]
 pub fn snapshot() -> (Vec<FlightEvent>, u64) {
-    let mut events = Vec::new();
-    let mut dropped = 0;
-    for ring in rings() {
-        let (mut evs, d) = lock(ring).drain();
-        events.append(&mut evs);
-        dropped += d;
-    }
-    events.sort_by_key(|e| e.seq);
-    (events, dropped)
+    lock(&RING).ordered()
 }
 
-/// Render the current flight log as a schema-versioned JSON value.
+/// Render the flight log as a schema-versioned JSON value, followed by
+/// `recorder`'s `spans`, `counters` and `histograms` (left out when the
+/// recorder is disabled). Open spans render with `duration_ns: null`.
 #[must_use]
-pub fn dump_json() -> Value {
+pub fn dump_json(recorder: &Recorder) -> Value {
     let (events, dropped) = snapshot();
     let mut root = Value::object();
     root.set("schema_version", FLIGHT_SCHEMA_VERSION);
-    root.set("slots", SLOTS as u64);
-    root.set("slot_capacity", SLOT_CAPACITY as u64);
     root.set("dropped_events", dropped);
     let mut arr = Value::array();
     for e in &events {
@@ -231,36 +200,45 @@ pub fn dump_json() -> Value {
         arr.push(ev);
     }
     root.set("events", arr);
+    if let Some(snapshot) = recorder.snapshot() {
+        crate::manifest::set_snapshot_sections(&mut root, &snapshot);
+    }
     root
 }
 
-/// Write the current flight log to `path` (see [`dump_json`]).
+/// Write the flight log and `recorder`'s snapshot to `path` (see
+/// [`dump_json`]).
 ///
 /// The file is schema-versioned, so
 /// [`guard_overwrite`](crate::manifest::guard_overwrite) protects it
 /// like any other manifest: refuse a foreign file unless `--force`.
-pub fn dump_to(path: &Path) -> std::io::Result<()> {
-    std::fs::write(path, dump_json().render())
+pub fn dump_to(path: &Path, recorder: &Recorder) -> std::io::Result<()> {
+    std::fs::write(path, dump_json(recorder).render())
 }
 
 /// Arm the panic-time dump: any panic after this writes the flight log
-/// to `path` before unwinding continues (the previous panic hook still
-/// runs afterwards, so test-harness and default backtraces survive).
+/// and a snapshot of `recorder` to `path` before unwinding continues
+/// (the previous panic hook still runs afterwards, so test-harness and
+/// default backtraces survive).
 ///
 /// The hook itself is installed once per process; re-arming only
-/// swaps the destination path. Passing the path of an armed dump to
-/// [`disarm_crash_dump`] stops panic-time writes again.
-pub fn arm_crash_dump(path: &Path) {
-    *lock(&CRASH_PATH) = Some(path.to_path_buf());
+/// swaps the destination path and recorder. [`disarm_crash_dump`]
+/// stops panic-time writes again.
+pub fn arm_crash_dump(path: &Path, recorder: &Recorder) {
+    *lock(&CRASH) = Some((path.to_path_buf(), recorder.clone()));
     static HOOK: std::sync::Once = std::sync::Once::new();
     HOOK.call_once(|| {
         let previous = std::panic::take_hook();
         std::panic::set_hook(Box::new(move |info| {
             event("flight.panic.hook", "", 0);
-            if let Some(path) = lock(&CRASH_PATH).clone() {
-                // Best-effort: a failing dump must not turn a panic
-                // into an abort.
-                let _ = dump_to(&path);
+            let armed = lock(&CRASH).clone();
+            if let Some((path, recorder)) = armed {
+                // The recorder never panics while it holds one of its
+                // own locks, so snapshotting it here (through its
+                // poison-tolerant `lock`) cannot self-deadlock on the
+                // panicking thread. Best-effort: a failing dump must not
+                // turn a panic into an abort.
+                let _ = dump_to(&path, &recorder);
             }
             previous(info);
         }));
@@ -270,7 +248,7 @@ pub fn arm_crash_dump(path: &Path) {
 /// Stop panic-time dumps (normal-exit paths disarm after their own
 /// on-demand dump so a later unrelated panic cannot clobber it).
 pub fn disarm_crash_dump() {
-    *lock(&CRASH_PATH) = None;
+    *lock(&CRASH) = None;
 }
 
 #[cfg(test)]
@@ -278,14 +256,12 @@ mod tests {
     use super::*;
 
     /// The flight recorder is process-global; tests serialize on the
-    /// rings via this lock and reset state around each body.
+    /// ring via this lock and reset state around each body.
     static SERIAL: Mutex<()> = Mutex::new(());
 
     fn with_flight<R>(f: impl FnOnce() -> R) -> R {
         let _guard = lock(&SERIAL);
-        for ring in rings() {
-            *lock(ring) = Ring::default();
-        }
+        *lock(&RING) = Ring::new();
         set_enabled(true);
         let r = f();
         set_enabled(false);
@@ -296,9 +272,7 @@ mod tests {
     #[test]
     fn disabled_recorder_drops_events() {
         let _guard = lock(&SERIAL);
-        for ring in rings() {
-            *lock(ring) = Ring::default();
-        }
+        *lock(&RING) = Ring::new();
         set_enabled(false);
         event("flight.test.ignored", "", 1);
         let (events, dropped) = snapshot();
@@ -307,7 +281,7 @@ mod tests {
     }
 
     #[test]
-    fn events_merge_in_sequence_order() {
+    fn arrival_order_is_sequence_order() {
         with_flight(|| {
             event("flight.test.a", "one", 1);
             {
@@ -317,8 +291,11 @@ mod tests {
             event("flight.test.c", "", 3);
             let (events, dropped) = snapshot();
             assert_eq!(dropped, 0);
-            assert_eq!(events.len(), 3);
-            assert!(events.windows(2).all(|w| w[0].seq < w[1].seq));
+            let seqs: Vec<u64> = events.iter().map(|e| e.seq).collect();
+            assert_eq!(seqs, [0, 1, 2]);
+            let args: Vec<u64> = events.iter().map(|e| e.arg).collect();
+            assert_eq!(args, [1, 2, 3]);
+            assert_eq!(events[0].worker, 0);
             assert_eq!(events[1].worker, 3);
             assert_eq!(events[1].detail, "two");
         });
@@ -327,15 +304,16 @@ mod tests {
     #[test]
     fn ring_bounds_and_reports_truncation() {
         with_flight(|| {
-            for i in 0..(SLOT_CAPACITY as u64 + 10) {
+            for i in 0..(CAPACITY as u64 + 10) {
                 event("flight.test.flood", "", i);
             }
             let (events, dropped) = snapshot();
-            assert_eq!(events.len(), SLOT_CAPACITY);
+            assert_eq!(events.len(), CAPACITY);
             assert_eq!(dropped, 10);
             // The oldest events were evicted, the newest retained.
-            assert_eq!(events.last().map(|e| e.arg), Some(SLOT_CAPACITY as u64 + 9));
+            assert_eq!(events.last().map(|e| e.arg), Some(CAPACITY as u64 + 9));
             assert_eq!(events.first().map(|e| e.arg), Some(10));
+            assert!(events.windows(2).all(|w| w[0].seq + 1 == w[1].seq));
         });
     }
 
@@ -343,7 +321,7 @@ mod tests {
     fn dump_is_schema_versioned_and_parses() {
         with_flight(|| {
             event("flight.test.dump", "stage", 7);
-            let text = dump_json().render();
+            let text = dump_json(&Recorder::disabled()).render();
             assert_eq!(crate::schema_version_of(&text), Some(FLIGHT_SCHEMA_VERSION));
             let parsed = crate::json::parse(&text).expect("dump parses");
             let events = parsed.get("events").expect("events key");
@@ -351,18 +329,10 @@ mod tests {
                 Value::Array(items) => assert!(!items.is_empty()),
                 other => panic!("events not an array: {other:?}"),
             }
+            // A disabled recorder contributes no sections.
+            assert!(parsed.get("spans").is_none());
+            assert!(parsed.get("counters").is_none());
         });
-    }
-
-    #[test]
-    fn interning_is_bounded() {
-        let a = interned("clustering");
-        let b = interned("clustering");
-        assert!(std::ptr::eq(a, b), "repeat lookups reuse the entry");
-        for i in 0..(MAX_INTERNED + 5) {
-            let _ = interned(&format!("stage-{i}"));
-        }
-        assert_eq!(interned("one-too-many"), "<interned-table-full>");
     }
 
     #[test]
@@ -370,8 +340,11 @@ mod tests {
         with_flight(|| {
             let path = std::env::temp_dir().join("catapult-flight-hook-test.json");
             let _ = std::fs::remove_file(&path);
-            arm_crash_dump(&path);
+            let recorder = Recorder::enabled();
+            arm_crash_dump(&path, &recorder);
             event("flight.test.precrash", "", 1);
+            let _stage = recorder.span("flight_test_stage");
+            recorder.counter("test.flight.precrash").add(5);
             #[allow(clippy::disallowed_methods)] // catches the injected crash
             let caught = std::panic::catch_unwind(|| panic!("synthetic crash"));
             assert!(caught.is_err());
@@ -379,6 +352,20 @@ mod tests {
             assert_eq!(crate::schema_version_of(&text), Some(FLIGHT_SCHEMA_VERSION));
             assert!(text.contains("flight.test.precrash"));
             assert!(text.contains("flight.panic.hook"));
+            let parsed = crate::json::parse(&text).expect("dump parses");
+            // The span was still open when the hook ran.
+            let Some(Value::Array(spans)) = parsed.get("spans") else {
+                panic!("spans missing: {text}");
+            };
+            let open = spans
+                .iter()
+                .find(|s| s.get("name") == Some(&Value::from("flight_test_stage")))
+                .expect("open span in dump");
+            assert_eq!(open.get("duration_ns"), Some(&Value::Null));
+            let counter = parsed
+                .get("counters")
+                .and_then(|c| c.get("test.flight.precrash"));
+            assert_eq!(counter, Some(&Value::UInt(5)));
             let _ = std::fs::remove_file(&path);
         });
     }

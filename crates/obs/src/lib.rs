@@ -23,7 +23,12 @@
 //!   thread counts.
 //! * [`RunManifest`] — a schema-versioned, machine-readable JSON record
 //!   of a run (spans tree, counters, environment), written by the CLI's
-//!   `--metrics-out` and by the bench drivers.
+//!   `--metrics-out` and by the experiments driver.
+//! * [`flight`] — a bounded, process-global log of the rare events
+//!   nothing else records (checkpoint I/O, worker panics, warnings,
+//!   progress ticks). It mirrors no spans or kernel flushes: its dump
+//!   embeds a [`Recorder`] snapshot, and an armed panic hook writes it
+//!   before unwinding, open spans included.
 //!
 //! Counter names follow the `stage.kernel.metric` convention enforced by
 //! `cargo xtask lint` (rule `metric-name`). The root `clippy.toml`

@@ -3,8 +3,9 @@
 //! A [`RunManifest`] is the JSON record of one pipeline or bench run:
 //! what command ran, in which environment, the stage span tree, and
 //! every counter/histogram the [`Recorder`] captured. The CLI writes one
-//! per `--metrics-out PATH`; the bench drivers emit the same shape so
-//! `BENCH_*.json` trajectories stay comparable across PRs.
+//! per `--metrics-out PATH`, and the experiments driver emits the same
+//! shape. Flight dumps embed the same span, counter and histogram
+//! sections (see [`crate::flight`]).
 //!
 //! Field order is fixed (insertion-ordered [`json::Value`]) and pinned
 //! by a golden-file test; any layout change must bump
@@ -15,7 +16,7 @@
 //! [`Recorder`]: crate::Recorder
 
 use crate::json::{self, Value};
-use crate::recorder::{Recorder, Snapshot, SpanRecord};
+use crate::recorder::{Snapshot, SpanRecord};
 use std::io;
 use std::path::Path;
 
@@ -45,35 +46,10 @@ impl RunManifest {
         self
     }
 
-    /// Attach a recorder's capture: `spans` (nested tree), `counters`,
-    /// and `histograms` sections. A disabled recorder attaches nothing.
-    pub fn attach_recorder(&mut self, recorder: &Recorder) -> &mut RunManifest {
-        if let Some(snapshot) = recorder.snapshot() {
-            self.attach_snapshot(&snapshot);
-        }
-        self
-    }
-
-    /// Attach an already-captured [`Snapshot`] (the testable core of
-    /// [`RunManifest::attach_recorder`]).
+    /// Attach a recorder [`Snapshot`]: `spans` (nested tree),
+    /// `counters`, and `histograms` sections.
     pub fn attach_snapshot(&mut self, snapshot: &Snapshot) -> &mut RunManifest {
-        self.root.set("spans", span_tree(&snapshot.spans));
-        let mut counters = Value::object();
-        for (name, value) in &snapshot.counters {
-            counters.set(name, *value);
-        }
-        self.root.set("counters", counters);
-        let mut hists = Value::object();
-        for (name, h) in &snapshot.histograms {
-            let mut entry = Value::object();
-            entry.set("count", h.count);
-            entry.set("sum", h.sum);
-            entry.set("p50", h.p50);
-            entry.set("p90", h.p90);
-            entry.set("p99", h.p99);
-            hists.set(name, entry);
-        }
-        self.root.set("histograms", hists);
+        set_snapshot_sections(&mut self.root, snapshot);
         self
     }
 
@@ -83,37 +59,56 @@ impl RunManifest {
         self.root.render()
     }
 
-    /// The underlying JSON tree (for assembling composite documents).
-    #[must_use]
-    pub fn into_value(self) -> Value {
-        self.root
-    }
-
     /// Write to `path`, refusing to overwrite an existing manifest from
     /// a **different** schema version unless `force` is set.
     pub fn write(&self, path: &Path, force: bool) -> Result<(), ManifestError> {
-        guard_overwrite(path, force)?;
+        guard_overwrite(path, SCHEMA_VERSION, force)?;
         std::fs::write(path, self.render()).map_err(ManifestError::Io)
     }
 }
 
+/// Set a snapshot's `spans` (nested tree), `counters` and `histograms`
+/// sections on `root`: the one renderer behind run manifests and flight
+/// dumps.
+pub(crate) fn set_snapshot_sections(root: &mut Value, snapshot: &Snapshot) {
+    root.set("spans", span_tree(&snapshot.spans));
+    let mut counters = Value::object();
+    for (name, value) in &snapshot.counters {
+        counters.set(name, *value);
+    }
+    root.set("counters", counters);
+    let mut hists = Value::object();
+    for (name, h) in &snapshot.histograms {
+        let mut entry = Value::object();
+        entry.set("count", h.count);
+        entry.set("sum", h.sum);
+        entry.set("p50", h.p50);
+        entry.set("p90", h.p90);
+        entry.set("p99", h.p99);
+        hists.set(name, entry);
+    }
+    root.set("histograms", hists);
+}
+
 /// Check the overwrite guard for `path` without writing: an existing
-/// file whose `schema_version` is missing or differs from
-/// [`SCHEMA_VERSION`] is refused unless `force`. Shared with the bench
-/// drivers, whose `BENCH_*.json` carry the same version field.
-pub fn guard_overwrite(path: &Path, force: bool) -> Result<(), ManifestError> {
+/// file whose `schema_version` is missing or differs from `version`
+/// (the layout about to be written: [`SCHEMA_VERSION`] for manifests,
+/// the trace or flight version for those files) is refused unless
+/// `force`. Shared with the experiments driver.
+pub fn guard_overwrite(path: &Path, version: u64, force: bool) -> Result<(), ManifestError> {
     if force {
         return Ok(());
     }
     match std::fs::read_to_string(path) {
         Ok(existing) => {
             let found = schema_version_of(&existing);
-            if found == Some(SCHEMA_VERSION) {
+            if found == Some(version) {
                 Ok(())
             } else {
                 Err(ManifestError::SchemaMismatch {
                     path: path.display().to_string(),
                     found,
+                    expected: version,
                 })
             }
         }
@@ -130,7 +125,7 @@ pub fn schema_version_of(text: &str) -> Option<u64> {
 }
 
 /// The one overwrite-refusal message format, shared by every output the
-/// `--force` flag governs (manifests, `BENCH_*.json`, checkpoint
+/// `--force` flag governs (manifests, traces, flight dumps, checkpoint
 /// directories): `"<path>: <reason>; pass --force to overwrite"`.
 #[must_use]
 pub fn overwrite_refusal(path: &str, reason: &str) -> String {
@@ -146,6 +141,8 @@ pub enum ManifestError {
         path: String,
         /// The version found in the existing file, if any.
         found: Option<u64>,
+        /// The version that would have been written.
+        expected: u64,
     },
     /// Filesystem error.
     Io(io::Error),
@@ -154,11 +151,14 @@ pub enum ManifestError {
 impl std::fmt::Display for ManifestError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            ManifestError::SchemaMismatch { path, found } => {
+            ManifestError::SchemaMismatch {
+                path,
+                found,
+                expected,
+            } => {
                 let found = found.map_or_else(|| "none".to_string(), |v| v.to_string());
-                let reason = format!(
-                    "existing manifest has schema_version {found}, current is {SCHEMA_VERSION}"
-                );
+                let reason =
+                    format!("existing manifest has schema_version {found}, current is {expected}");
                 write!(f, "{}", overwrite_refusal(path, &reason))
             }
             ManifestError::Io(e) => write!(f, "{e}"),
@@ -323,25 +323,25 @@ mod tests {
 
         // Fresh path: fine.
         std::fs::remove_file(&path).ok();
-        assert!(guard_overwrite(&path, false).is_ok());
+        assert!(guard_overwrite(&path, SCHEMA_VERSION, false).is_ok());
 
         // Same schema: fine.
         RunManifest::new("a").write(&path, false).unwrap();
-        assert!(guard_overwrite(&path, false).is_ok());
+        assert!(guard_overwrite(&path, SCHEMA_VERSION, false).is_ok());
 
         // Pre-schema / foreign file: refused without force.
         std::fs::write(&path, "{\"host_threads\": 1}\n").unwrap();
-        let err = guard_overwrite(&path, false);
+        let err = guard_overwrite(&path, SCHEMA_VERSION, false);
         assert!(matches!(
             err,
             Err(ManifestError::SchemaMismatch { found: None, .. })
         ));
-        assert!(guard_overwrite(&path, true).is_ok());
+        assert!(guard_overwrite(&path, SCHEMA_VERSION, true).is_ok());
 
         // Different version: refused without force.
         std::fs::write(&path, "{\n  \"schema_version\": 999\n}\n").unwrap();
         assert!(matches!(
-            guard_overwrite(&path, false),
+            guard_overwrite(&path, SCHEMA_VERSION, false),
             Err(ManifestError::SchemaMismatch {
                 found: Some(999),
                 ..

@@ -17,6 +17,10 @@
 //!    `catapult-graph`) and flushes through [`StageProbe::flush`] once
 //!    per kernel invocation — the per-probe cost is one integer add, not
 //!    an atomic RMW.
+//! 4. **The one span log.** Nothing mirrors spans or kernel flushes
+//!    elsewhere: a flight dump ([`crate::flight::dump_json`]) embeds
+//!    this recorder's snapshot. No code path panics while holding one of
+//!    the recorder's locks, so the panic hook can snapshot it.
 //!
 //! [`BudgetMeter`]: https://docs.rs/catapult-graph
 
@@ -95,12 +99,8 @@ impl Recorder {
     /// worker id active at open time ([`worker::current`]).
     #[inline]
     pub fn span(&self, name: &'static str) -> SpanGuard {
-        // The flight recorder sees every span boundary, even under a
-        // disabled recorder — crash forensics must not depend on
-        // `--metrics-out` having been passed.
-        crate::flight::event("flight.span.open", name, 0);
         let Some(inner) = &self.inner else {
-            return SpanGuard { open: None, name };
+            return SpanGuard { open: None };
         };
         let start_ns = duration_ns(inner.epoch.elapsed());
         let parent = SPAN_STACK.with(|s| {
@@ -124,7 +124,6 @@ impl Recorder {
         SPAN_STACK.with(|s| s.borrow_mut().push((inner.id, id)));
         SpanGuard {
             open: Some((Arc::clone(inner), id)),
-            name,
         }
     }
 
@@ -251,12 +250,10 @@ impl SpanRecord {
 #[derive(Debug)]
 pub struct SpanGuard {
     open: Option<(Arc<Inner>, u32)>,
-    name: &'static str,
 }
 
 impl Drop for SpanGuard {
     fn drop(&mut self) {
-        crate::flight::event("flight.span.close", self.name, 0);
         let Some((inner, id)) = self.open.take() else {
             return;
         };
@@ -495,15 +492,6 @@ impl StageProbe {
 
     /// Flush one finished kernel invocation into the stage counters.
     pub fn flush(&self, kernel: Kernel, m: KernelMeasurement) {
-        // Flight events fire even for a disabled probe: the flight
-        // recorder's budget-degradation trail must not depend on
-        // `--metrics-out`. Without stage cells the kernel name is the
-        // best available subject.
-        let subject = self.0.as_ref().map_or(kernel.name(), |c| c.stage);
-        crate::flight::event("flight.probe.flush", subject, m.probes);
-        if !m.exact {
-            crate::flight::event("flight.budget.degraded", subject, m.probes);
-        }
         let Some(cells) = &self.0 else {
             return;
         };

@@ -151,29 +151,24 @@ impl Flags {
 /// contribute (pipeline report, budget configuration, …).
 #[derive(Debug)]
 pub struct ObsSession {
-    /// Disabled (a no-op) unless `--metrics-out` or `--trace` was given.
+    /// Always enabled (spans are stage-level, counters flush once per
+    /// kernel call), so every output and the flight dump read one log.
     pub recorder: Recorder,
     sections: Vec<(String, Value)>,
 }
 
 impl ObsSession {
-    fn new(enabled: bool) -> ObsSession {
+    fn new() -> ObsSession {
         ObsSession {
-            recorder: if enabled {
-                Recorder::enabled()
-            } else {
-                Recorder::disabled()
-            },
+            recorder: Recorder::enabled(),
             sections: Vec::new(),
         }
     }
 
-    /// Contribute a named manifest section. No-op when observability is
-    /// off, so subcommands call it unconditionally.
+    /// Contribute a named manifest section (written only under
+    /// `--metrics-out`).
     pub fn section(&mut self, key: &str, value: Value) {
-        if self.recorder.is_enabled() {
-            self.sections.push((key.to_string(), value));
-        }
+        self.sections.push((key.to_string(), value));
     }
 }
 
@@ -215,9 +210,10 @@ common:\n\
                      (loadable in chrome://tracing, Perfetto, Speedscope)\n\
   --folded-out FILE  write folded flame stacks (flamegraph.pl / inferno\n\
                      collapse format, weighted by span self time)\n\
-  --flight-out FILE  dump the flight-recorder event log to FILE at exit;\n\
-                     the same path is armed as the crash-dump target, so\n\
-                     a panicking run leaves its last moments behind\n\
+  --flight-out FILE  dump the flight-recorder events, with the run's spans\n\
+                     and counters, to FILE at exit; the same path is armed\n\
+                     as the crash-dump target, so a panicking run leaves\n\
+                     its last moments and open stages behind\n\
   --progress         print a live heartbeat (stage, items, probes/sec,\n\
                      ETA) to stderr every second; never touches stdout\n\
   --force            overwrite an output file whose schema_version differs\n\
@@ -453,11 +449,14 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
     // Refuse schema-incompatible overwrites up front, before any work.
     // Metrics manifests, Chrome traces, and flight dumps all carry a
     // `schema_version`, so one guard (and one `--force`) governs them.
-    for path in [&metrics_out, &trace_out, &flight_out]
-        .into_iter()
-        .flatten()
-    {
-        manifest::guard_overwrite(Path::new(path), force)?;
+    for (path, version) in [
+        (&metrics_out, manifest::SCHEMA_VERSION),
+        (&trace_out, chrome::TRACE_SCHEMA_VERSION),
+        (&flight_out, flight::FLIGHT_SCHEMA_VERSION),
+    ] {
+        if let Some(path) = path {
+            manifest::guard_overwrite(Path::new(path), version, force)?;
+        }
     }
     // Folded stacks are plain text (no schema field to check), so the
     // guard degrades to plain existence.
@@ -469,16 +468,15 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
             )));
         }
     }
-    // The flight recorder is on for every CLI run — bounded memory, one
-    // atomic load per event when nothing consumes it — so a crash always
-    // has forensics to dump. The *file* is written only on request
-    // (`--flight-out`) or by the armed panic hook.
+    // The flight recorder is on for every CLI run — bounded memory, and
+    // only rare events reach it — so a crash always has forensics to
+    // dump. The *file* is written only on request (`--flight-out`) or by
+    // the armed panic hook, and embeds the session recorder's snapshot.
     flight::set_enabled(true);
+    let mut obs = ObsSession::new();
     if let Some(path) = &flight_out {
-        flight::arm_crash_dump(Path::new(path));
+        flight::arm_crash_dump(Path::new(path), &obs.recorder);
     }
-    let telemetry = trace || progress || trace_out.is_some() || folded_out.is_some();
-    let mut obs = ObsSession::new(metrics_out.is_some() || telemetry);
     let meter =
         progress.then(|| ProgressMeter::start(&obs.recorder, std::time::Duration::from_secs(1)));
     let result = match cmd.as_str() {
@@ -530,7 +528,7 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
         // Disarm first: the run succeeded, so a later unrelated panic
         // (e.g. in a caller's teardown) must not clobber this dump.
         flight::disarm_crash_dump();
-        flight::dump_to(Path::new(path))?;
+        flight::dump_to(Path::new(path), &obs.recorder)?;
         out.push_str(&format!("\nwrote flight log to {path}"));
     }
     Ok(out)
@@ -955,13 +953,27 @@ mod tests {
             Some(flight::FLIGHT_SCHEMA_VERSION)
         );
         let parsed = catapult_obs::json::parse(&text).unwrap();
-        match parsed.get("events") {
-            Some(Value::Array(events)) => assert!(!events.is_empty()),
-            other => panic!("events missing: {other:?}"),
-        }
-        // Span boundaries and kernel flushes must both be on the record.
-        assert!(text.contains("flight.span.open"), "no span events");
-        assert!(text.contains("flight.probe.flush"), "no probe events");
+        assert!(matches!(parsed.get("events"), Some(Value::Array(_))));
+        // The dump embeds the session recorder's span tree and counters.
+        let spans = parsed.get("spans").map(Value::render).unwrap_or_default();
+        assert!(spans.contains("\"name\": \"pipeline\""), "{text}");
+        let iso_calls = parsed
+            .get("counters")
+            .and_then(|c| c.get("scoring.iso.calls"));
+        assert!(
+            matches!(iso_calls, Some(Value::UInt(n)) if *n > 0),
+            "{text}"
+        );
+        // A rerun may overwrite its own dump: the guard checks the
+        // flight schema version, not the run manifest's.
+        run(&args(&[
+            "stats",
+            "--db",
+            &db_path,
+            "--flight-out",
+            &fl_path,
+        ]))
+        .unwrap();
         let _ = std::fs::remove_file(&fl_path);
     }
 

@@ -144,9 +144,9 @@ fn flight_recorder_and_progress_meter_are_output_neutral() {
     let was_enabled = catapult_obs::flight::is_enabled();
     catapult_obs::flight::set_enabled(true);
     for threads in [1usize, 8] {
-        // Drain whatever earlier stages left in the rings so the
-        // per-iteration assertions see only this run's events.
-        let _ = catapult_obs::flight::snapshot();
+        // The ring is process-global and append-only here, so the tick
+        // assertion looks only at events after this mark.
+        let seen = catapult_obs::flight::snapshot().0.len();
         let recorder = catapult_obs::Recorder::enabled();
         let meter = catapult_obs::progress::ProgressMeter::start(
             &recorder,
@@ -165,13 +165,17 @@ fn flight_recorder_and_progress_meter_are_output_neutral() {
             got, golden,
             "threads={threads}: telemetry stack changed pipeline output"
         );
+        let dump = catapult_obs::flight::dump_json(&recorder);
+        let spans = dump.get("spans").map(|s| s.render()).unwrap_or_default();
+        assert!(
+            spans.contains("\"name\": \"pipeline\""),
+            "threads={threads}: flight dump holds no pipeline span"
+        );
         let (events, _dropped) = catapult_obs::flight::snapshot();
         assert!(
-            events.iter().any(|e| e.name == "flight.span.open"),
-            "threads={threads}: flight recorder captured no spans"
-        );
-        assert!(
-            events.iter().any(|e| e.name == "flight.progress.tick"),
+            events[seen..]
+                .iter()
+                .any(|e| e.name == "flight.progress.tick"),
             "threads={threads}: progress meter never ticked"
         );
     }
