@@ -1,4 +1,4 @@
-//! The lint rules, ported and new, all running on the token tree.
+//! The per-file lint rules, all running on the token tree.
 //!
 //! **Ported rules** (from the old line-based pass — same names, same
 //! escape hatch, now immune to lookalike text in strings and comments):
@@ -11,20 +11,20 @@
 //! unwinding are the root `clippy.toml`'s `disallowed-methods`, and raw
 //! `eprintln!` in pipeline crates is `clippy::print_stderr`.
 //!
-//! **Determinism rules** (new): `hash-iter-order`, `float-total-order`,
-//! `cast-truncation`. CATAPULT's pattern scores are products of small
-//! f64 factors (ccov × lcov × div / cog, paper §5) consumed by a greedy
-//! argmax, and the workspace guarantees byte-identical `SelectionResult`
-//! and run manifests across `threads ∈ {1,2,8}`. Hash-map iteration
-//! order, float comparators without a total order, and silently
-//! truncating casts are exactly the hazards that break that guarantee
-//! *before* a golden test can flake — these rules catch them at lint
-//! time.
+//! **Determinism rules** (new): `float-total-order`, `cast-truncation`.
+//! CATAPULT's pattern scores are products of small f64 factors (ccov ×
+//! lcov × div / cog, paper §5) consumed by a greedy argmax, and the
+//! workspace guarantees byte-identical `SelectionResult` and run
+//! manifests across `threads ∈ {1,2,8}`. Float comparators without a
+//! total order and silently truncating casts are hazards that break
+//! that guarantee *before* a golden test can flake — these rules catch
+//! them at lint time. Hash-container iteration order is the `taint`
+//! rule's ([`crate::taint`]), whether or not it reaches a sink.
 //!
-//! **Concurrency rules** (new): `interior-mutability` (shared state is
-//! only allowed where the execution model owns it), `lock-order` (any
-//! scope taking two locks is flagged so acquisition order stays
-//! centrally auditable).
+//! **Concurrency rule** (new): `interior-mutability` (shared state is
+//! only allowed where the execution model owns it). Scopes taking two
+//! locks are `lock-order-xfn`'s, together with the cross-function
+//! cycles ([`crate::xrules`]).
 
 use crate::diag::Diagnostic;
 use crate::lexer::TokenKind;
@@ -57,10 +57,6 @@ pub const RULES: &[RuleInfo] = &[
         summary: "metric/flight-event names follow stage.kernel.metric",
     },
     RuleInfo {
-        name: "hash-iter-order",
-        summary: "no unordered HashMap/HashSet iteration feeding results",
-    },
-    RuleInfo {
         name: "float-total-order",
         summary: "f64 comparators go through total_cmp",
     },
@@ -71,10 +67,6 @@ pub const RULES: &[RuleInfo] = &[
     RuleInfo {
         name: "interior-mutability",
         summary: "shared/global state only in sanctioned modules",
-    },
-    RuleInfo {
-        name: "lock-order",
-        summary: "scopes taking two locks are flagged for order audit",
     },
 ];
 
@@ -169,9 +161,6 @@ pub fn check_file_timed(
     if on("metric-name") && !rel.starts_with("crates/obs/") && !rel.starts_with("shims/") {
         timer.time("metric-name", || metric_name(f, out));
     }
-    if on("hash-iter-order") && is_library_src(rel) {
-        timer.time("hash-iter-order", || hash_iter_order(f, out));
-    }
     if on("float-total-order") && is_library_src(rel) {
         timer.time("float-total-order", || float_total_order(f, out));
     }
@@ -180,9 +169,6 @@ pub fn check_file_timed(
     }
     if on("interior-mutability") && is_library_src(rel) && !in_dirs(rel, INTERIOR_MUT_ALLOWED) {
         timer.time("interior-mutability", || interior_mutability(f, out));
-    }
-    if on("lock-order") {
-        timer.time("lock-order", || lock_order(f, out));
     }
 }
 
@@ -292,217 +278,6 @@ fn valid_metric_name(name: &str) -> bool {
 }
 
 // ---- determinism rules -------------------------------------------------
-
-/// Iterator-producing methods on hash containers.
-pub(crate) const HASH_ITER_METHODS: &[&str] = &[
-    "iter",
-    "iter_mut",
-    "keys",
-    "values",
-    "values_mut",
-    "into_iter",
-    "into_keys",
-    "into_values",
-    "drain",
-];
-
-/// Order-insensitive consumers and ordering sinks: a statement containing
-/// one of these cannot leak hash order into a result. `sum`, `min`, and
-/// `max` families are deliberately *absent*: f64 sums are
-/// order-sensitive (non-associative rounding) and min/max break ties by
-/// encounter order.
-pub(crate) const ORDER_SINKS: &[&str] = &[
-    "sort",
-    "sort_by",
-    "sort_unstable",
-    "sort_by_key",
-    "sort_unstable_by",
-    "sort_unstable_by_key",
-    "sort_by_cached_key",
-    "BTreeMap",
-    "BTreeSet",
-    "BinaryHeap",
-    "count",
-    "len",
-    "is_empty",
-    "all",
-    "any",
-    "contains",
-    "contains_key",
-];
-
-/// Rule `hash-iter-order`: iterating a `HashMap`/`HashSet` without an
-/// interposed ordering sink leaks nondeterministic order into whatever
-/// consumes it — pattern scores, output, or a Recorder snapshot.
-///
-/// Hash-typed names are inferred per file from `let` bindings whose
-/// statement mentions `HashMap`/`HashSet`, struct fields and fn params
-/// typed as one, and `let` bindings calling a same-file fn that returns
-/// one. A statement is clean when it contains an [`ORDER_SINKS`] token,
-/// or when it is a `let` binding whose *next* statement immediately
-/// sorts the bound collection (`let v = m.keys().collect(); v.sort();`).
-fn hash_iter_order(f: &SourceFile, out: &mut Vec<Diagnostic>) {
-    let hash_names = collect_hash_names(f);
-    if hash_names.is_empty() {
-        return;
-    }
-    let mut flagged_stmts: BTreeSet<usize> = BTreeSet::new();
-
-    for ci in 0..f.n_code() {
-        if f.in_test(ci) {
-            continue;
-        }
-        // `name.iter()` / `self.field.keys()` chains.
-        let chain = f.ckind(ci) == TokenKind::Ident
-            && hash_names.contains(f.ctext(ci))
-            && f.is_punct(ci + 1, ".")
-            && ci + 2 < f.n_code()
-            && f.ckind(ci + 2) == TokenKind::Ident
-            && HASH_ITER_METHODS.contains(&f.ctext(ci + 2))
-            && f.is_punct(ci + 3, "(");
-        // `for x in name`-style direct iteration.
-        let direct_for = f.is_ident(ci, "for") && {
-            let (s, e) = f.stmt_range(ci);
-            let in_at = (s..=e).find(|&i| f.is_ident(i, "in"));
-            in_at.is_some_and(|at| {
-                f.range_any((at + 1, e), |i| {
-                    f.ckind(i) == TokenKind::Ident && hash_names.contains(f.ctext(i))
-                })
-            })
-        };
-        if !(chain || direct_for) {
-            continue;
-        }
-        let emit_ci = if chain { ci + 2 } else { ci };
-        let range = f.stmt_range(ci);
-        if !flagged_stmts.insert(range.0) {
-            continue; // one finding per statement
-        }
-        if f.range_any(range, |i| {
-            f.ckind(i) == TokenKind::Ident && ORDER_SINKS.contains(&f.ctext(i))
-        }) {
-            continue;
-        }
-        if let_followed_by_sort(f, range) {
-            continue;
-        }
-        emit(
-            f,
-            emit_ci,
-            "hash-iter-order",
-            "HashMap/HashSet iteration order is nondeterministic and can leak into \
-             scores, output, or Recorder snapshots; collect into a BTreeMap/BTreeSet, \
-             sort the result, or annotate `// xtask-allow: hash-iter-order` with a \
-             justification"
-                .into(),
-            out,
-        );
-    }
-}
-
-/// Names known to hold a hash container in this file.
-pub(crate) fn collect_hash_names(f: &SourceFile) -> BTreeSet<&str> {
-    let mut names: BTreeSet<&str> = BTreeSet::new();
-    let mut hash_fns: BTreeSet<&str> = BTreeSet::new();
-
-    for ci in 0..f.n_code() {
-        if !(f.is_ident(ci, "HashMap") || f.is_ident(ci, "HashSet")) {
-            continue;
-        }
-        // (a) `let [mut] name` whose statement mentions the type.
-        let (s, _) = f.stmt_range(ci);
-        if f.is_ident(s, "let") {
-            let at = if f.is_ident(s + 1, "mut") {
-                s + 2
-            } else {
-                s + 1
-            };
-            if at < f.n_code()
-                && f.ckind(at) == TokenKind::Ident
-                && (f.is_punct(at + 1, ":") || f.is_punct(at + 1, "="))
-            {
-                names.insert(f.ctext(at));
-            }
-        }
-        // Walk back over the path prefix (`std :: collections ::`) and
-        // reference tokens to see what introduces the type.
-        let mut p = ci;
-        while p >= 2 && f.is_punct(p - 1, "::") && f.ckind(p - 2) == TokenKind::Ident {
-            p -= 2;
-        }
-        while p >= 1
-            && (f.is_punct(p - 1, "&")
-                || f.is_ident(p - 1, "mut")
-                || f.ckind(p - 1) == TokenKind::Lifetime)
-        {
-            p -= 1;
-        }
-        if p >= 2 && f.is_punct(p - 1, ":") && f.ckind(p - 2) == TokenKind::Ident {
-            // (b) field or parameter: `name: HashMap<…>`.
-            names.insert(f.ctext(p - 2));
-        } else if p >= 1 && f.is_punct(p - 1, "->") {
-            // (c) `fn name(…) -> HashMap<…>`: remember the fn.
-            if let Some(open) = (0..p - 1)
-                .rev()
-                .find(|&i| f.is_punct(i, ")"))
-                .and_then(|close| f.cmatch(close))
-            {
-                if open >= 1
-                    && f.ckind(open - 1) == TokenKind::Ident
-                    && open >= 2
-                    && f.is_ident(open - 2, "fn")
-                {
-                    hash_fns.insert(f.ctext(open - 1));
-                }
-            }
-        }
-    }
-    // (c, contd.) `let [mut] name = hash_fn(…)`.
-    if !hash_fns.is_empty() {
-        for ci in 0..f.n_code() {
-            if !f.is_ident(ci, "let") {
-                continue;
-            }
-            let at = if f.is_ident(ci + 1, "mut") {
-                ci + 2
-            } else {
-                ci + 1
-            };
-            if at + 2 < f.n_code()
-                && f.ckind(at) == TokenKind::Ident
-                && f.is_punct(at + 1, "=")
-                && f.ckind(at + 2) == TokenKind::Ident
-                && hash_fns.contains(f.ctext(at + 2))
-                && f.is_punct(at + 3, "(")
-            {
-                names.insert(f.ctext(at));
-            }
-        }
-    }
-    names
-}
-
-/// `let [mut] v = …;` immediately followed by `v.sort…` — the dominant
-/// collect-then-sort idiom.
-pub(crate) fn let_followed_by_sort(f: &SourceFile, (s, e): (usize, usize)) -> bool {
-    if !f.is_ident(s, "let") || !f.is_punct(e, ";") {
-        return false;
-    }
-    let at = if f.is_ident(s + 1, "mut") {
-        s + 2
-    } else {
-        s + 1
-    };
-    if at >= f.n_code() || f.ckind(at) != TokenKind::Ident {
-        return false;
-    }
-    let name = f.ctext(at);
-    e + 3 < f.n_code()
-        && f.is_ident(e + 1, name)
-        && f.is_punct(e + 2, ".")
-        && f.ckind(e + 3) == TokenKind::Ident
-        && f.ctext(e + 3).starts_with("sort")
-}
 
 /// Comparator-taking methods covered by `float-total-order`.
 const COMPARATOR_METHODS: &[&str] = &["sort_by", "sort_unstable_by", "min_by", "max_by"];
@@ -645,66 +420,6 @@ fn interior_mutability(f: &SourceFile, out: &mut Vec<Diagnostic>) {
     }
 }
 
-/// Rule `lock-order`: a lexical fn body that takes two or more locks is
-/// flagged (from the second acquisition on) so every multi-lock scope in
-/// the workspace carries an audited acquisition order.
-fn lock_order(f: &SourceFile, out: &mut Vec<Diagnostic>) {
-    let mut emitted: BTreeSet<usize> = BTreeSet::new();
-    for ci in 0..f.n_code() {
-        if !f.is_ident(ci, "fn") {
-            continue;
-        }
-        // Find the body `{` at the fn's own depth (a `;` first means a
-        // trait-method declaration without a body).
-        let d = f.cdepth(ci);
-        let mut body = None;
-        let mut j = ci + 1;
-        while j < f.n_code() {
-            if f.cdepth(j) < d {
-                break;
-            }
-            if f.cdepth(j) == d {
-                if f.is_punct(j, ";") {
-                    break;
-                }
-                if f.is_punct(j, "{") {
-                    body = f.cmatch(j).map(|close| (j, close));
-                    break;
-                }
-            }
-            j += 1;
-        }
-        let Some((open, close)) = body else { continue };
-        let mut locks: Vec<usize> = Vec::new();
-        for k in open..=close {
-            if f.is_punct(k, ".")
-                && (f.is_ident(k + 1, "lock") || f.is_ident(k + 1, "try_lock"))
-                && f.is_punct(k + 2, "(")
-            {
-                locks.push(k + 1);
-            }
-        }
-        if locks.len() < 2 {
-            continue;
-        }
-        for &at in &locks[1..] {
-            if emitted.insert(at) {
-                emit(
-                    f,
-                    at,
-                    "lock-order",
-                    format!(
-                        "this fn body acquires {} locks; document the acquisition \
-                         order and annotate `// xtask-allow: lock-order` once audited",
-                        locks.len()
-                    ),
-                    out,
-                );
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -730,7 +445,7 @@ mod tests {
         let before = names.len();
         names.dedup();
         assert_eq!(names.len(), before);
-        assert!(rule_named("hash-iter-order").is_some());
+        assert!(rule_named("float-total-order").is_some());
         assert!(rule_named("nope").is_none());
     }
 }

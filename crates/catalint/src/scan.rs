@@ -602,12 +602,12 @@ mod tests {
     fn allow_markers_cover_line_and_line_above() {
         let f = file(
             "let a = 1; // xtask-allow: float-eq\n\
-             // xtask-allow: hash-iter-order, cast-truncation\n\
+             // xtask-allow: interior-mutability, cast-truncation\n\
              let b = 2;\n",
         );
         assert!(f.allowed(1, "float-eq"));
-        assert!(!f.allowed(1, "hash-iter-order"));
-        assert!(f.allowed(3, "hash-iter-order"), "line-above marker");
+        assert!(!f.allowed(1, "interior-mutability"));
+        assert!(f.allowed(3, "interior-mutability"), "line-above marker");
         assert!(f.allowed(3, "cast-truncation"), "comma-separated list");
         assert!(!f.allowed(3, "float-eq"));
     }
@@ -617,7 +617,7 @@ mod tests {
         let f = file(
             "let a = x.lock(); // xtask-allow: taint -- cache stores pure values\n\
              let b = y.lock(); // xtask-allow: taint\n\
-             /* xtask-allow: taint, lock-order -- one guard, no nesting */\n\
+             /* xtask-allow: taint, lock-order-xfn -- one guard, no nesting */\n\
              let c = z.lock();\n",
         );
         assert_eq!(
@@ -632,7 +632,7 @@ mod tests {
         );
         assert_eq!(f.allow_justification(2, "float-eq"), None, "wrong rule");
         assert_eq!(
-            f.allow_justification(4, "lock-order"),
+            f.allow_justification(4, "lock-order-xfn"),
             Some("one guard, no nesting"),
             "block comment justification shared across the rule list"
         );

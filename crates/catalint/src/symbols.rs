@@ -361,12 +361,6 @@ impl Workspace {
 
     // ---- accessors -----------------------------------------------------
 
-    /// Crate name of file `fi`.
-    #[must_use]
-    pub fn krate_of_file(&self, fi: usize) -> &str {
-        &self.file_krate[fi]
-    }
-
     /// A human-readable `crate::module::Type::name` label for a def.
     #[must_use]
     pub fn label(&self, id: usize) -> String {
@@ -448,17 +442,6 @@ impl Workspace {
         &self.calls_by_caller[id]
     }
 
-    /// Def ids a call site may target (one for resolved, several for
-    /// ambiguous, none for unresolved).
-    #[must_use]
-    pub fn targets(&self, site: &CallSite) -> Vec<usize> {
-        match &site.callee {
-            Callee::Resolved(t) => vec![*t],
-            Callee::Ambiguous(ts) => ts.clone(),
-            Callee::Unresolved => Vec::new(),
-        }
-    }
-
     /// Look up a struct by name (optionally preferring `krate`).
     #[must_use]
     pub fn struct_named(&self, name: &str, krate: Option<&str>) -> Option<&StructDef> {
@@ -466,6 +449,34 @@ impl Workspace {
         match krate {
             Some(k) => hits.clone().find(|s| s.krate == k).or_else(|| hits.next()),
             None => hits.next(),
+        }
+    }
+
+    /// `seeds` plus the name of every struct that transitively embeds
+    /// one through a field type (`Config { budget: SearchBudget }`
+    /// carries a `SearchBudget`): the struct-embedding fixpoint the
+    /// type-driven rules share.
+    #[must_use]
+    pub fn embedding_closure(&self, seeds: &[&str]) -> BTreeSet<String> {
+        let mut names: BTreeSet<String> = seeds.iter().map(|s| (*s).to_string()).collect();
+        loop {
+            let mut grew = false;
+            for s in &self.structs {
+                if names.contains(&s.name) {
+                    continue;
+                }
+                let embeds = s
+                    .fields
+                    .iter()
+                    .any(|fd| fd.type_idents.iter().any(|t| names.contains(t)));
+                if embeds {
+                    names.insert(s.name.clone());
+                    grew = true;
+                }
+            }
+            if !grew {
+                return names;
+            }
         }
     }
 

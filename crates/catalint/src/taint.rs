@@ -19,7 +19,16 @@
 //! `rng`) survive any canonicalization and can only be sanctioned at
 //! their source site with `// xtask-allow: taint -- <justification>` —
 //! the justification is **mandatory**, a bare marker is itself an
-//! active finding. Every finding carries a source→…→sink witness path.
+//! active finding. Every flow finding carries a source→…→sink witness
+//! path.
+//!
+//! Hash-container iteration is also reported at its own site when no
+//! order sink canonicalizes it (the `ORDER_SINKS` family or an
+//! immediate collect-then-sort), in every library file, the exempt
+//! crates included, whether or not it reaches a sink: this rule is the
+//! one detector for hash iteration order. One finding per site — where
+//! a flow finding or a sanction already anchors at the iteration, the
+//! site adds nothing.
 //!
 //! Approximation contract (same as `xrules`): only resolved edges
 //! propagate, so the call graph's approximations cause false negatives,
@@ -58,13 +67,38 @@ fn is_order_kind(kind: &str) -> bool {
 }
 
 /// Deterministic-output type names seeding the sink closure. Structs
-/// transitively embedding one of these are sinks too (the struct-field
-/// fixpoint below), so a helper returning `Bundle { sel: SelectionResult }`
-/// inherits the obligation.
+/// transitively embedding one of these are sinks too
+/// ([`Workspace::embedding_closure`]), so a helper returning
+/// `Bundle { sel: SelectionResult }` inherits the obligation.
 const SINK_TYPE_SEEDS: &[&str] = &["SelectionResult", "PipelineReport", "RunManifest"];
 
+/// Order-insensitive consumers and ordering sinks: a statement containing
+/// one of these cannot leak hash order into a result. `sum`, `min`, and
+/// `max` families are deliberately *absent*: f64 sums are
+/// order-sensitive (non-associative rounding) and min/max break ties by
+/// encounter order.
+const ORDER_SINKS: &[&str] = &[
+    "sort",
+    "sort_by",
+    "sort_unstable",
+    "sort_by_key",
+    "sort_unstable_by",
+    "sort_unstable_by_key",
+    "sort_by_cached_key",
+    "BTreeMap",
+    "BTreeSet",
+    "BinaryHeap",
+    "count",
+    "len",
+    "is_empty",
+    "all",
+    "any",
+    "contains",
+    "contains_key",
+];
+
 /// Statement tokens that canonicalize away *order* nondeterminism before
-/// it can reach a sink: the [`rules::ORDER_SINKS`] family plus the
+/// it can reach a sink: the [`ORDER_SINKS`] family plus the
 /// commutative+associative fold conveniences.
 const ORDER_SANITIZER_EXTRA: &[&str] = &["merge", "merge_all"];
 
@@ -128,6 +162,10 @@ pub struct TaintGraph {
     sanctioned: Vec<(usize, usize, &'static str, String, String)>,
     /// Allow markers for `taint` with no justification: `(file, ci)`.
     unjustified: Vec<(usize, usize)>,
+    /// Hash-container iteration sites no order sink canonicalizes, in
+    /// every library file: `(file, ci)`. Reported even when they reach
+    /// no sink.
+    hash_sites: Vec<(usize, usize)>,
 }
 
 /// Run the taint rule over the workspace (no-op unless enabled).
@@ -147,27 +185,37 @@ impl TaintGraph {
     #[must_use]
     pub fn compute(ws: &Workspace) -> TaintGraph {
         let resolved_names = resolved_name_tokens(ws);
+        // Per-file hash-container names, over every library file: the
+        // site scan covers the exempt crates too.
+        let hash_names: Vec<BTreeSet<&str>> = ws
+            .files
+            .iter()
+            .map(|f| {
+                if rules::is_library_src(&f.rel) {
+                    collect_hash_names(f)
+                } else {
+                    BTreeSet::new()
+                }
+            })
+            .collect();
         let mut g = TaintGraph {
             sources: BTreeMap::new(),
             tainted: BTreeMap::new(),
             sinks: BTreeMap::new(),
             sanctioned: Vec::new(),
             unjustified: Vec::new(),
+            hash_sites: ws
+                .files
+                .iter()
+                .zip(&hash_names)
+                .enumerate()
+                .flat_map(|(fi, (f, names))| {
+                    hash_iter_sites(f, names)
+                        .into_iter()
+                        .map(move |ci| (fi, ci))
+                })
+                .collect(),
         };
-
-        // Per-file hash-container names (same inference as the per-file
-        // hash-iter-order rule).
-        let hash_names: Vec<BTreeSet<&str>> = ws
-            .files
-            .iter()
-            .map(|f| {
-                if in_scope(&f.rel) {
-                    rules::collect_hash_names(f)
-                } else {
-                    BTreeSet::new()
-                }
-            })
-            .collect();
 
         // 1. Direct sources, minus sanctioned sites.
         for (id, d) in ws.defs.iter().enumerate() {
@@ -254,7 +302,7 @@ impl TaintGraph {
 
         // 3. Sinks: deterministic-output returners (through the
         // struct-embedding closure) plus checkpoint wire writers.
-        let sink_types = sink_type_closure(ws);
+        let sink_types = ws.embedding_closure(SINK_TYPE_SEEDS);
         for (id, d) in ws.defs.iter().enumerate() {
             let rel = &ws.files[d.file].rel;
             if d.in_test || !in_scope(rel) {
@@ -273,27 +321,15 @@ impl TaintGraph {
     /// Emit the rule's diagnostics: unjustified sanctions, sanctioned
     /// sources (suppressed, for the audit trail), and source→sink flows.
     fn findings(&self, ws: &Workspace, out: &mut Vec<Diagnostic>) {
+        // Sites already holding a finding: one finding per site.
+        let mut anchored: BTreeSet<(usize, usize)> = BTreeSet::new();
         for &(fi, ci) in &self.unjustified {
-            emit_taint(
-                ws,
-                fi,
-                ci,
-                "`xtask-allow: taint` requires a written justification; append \
-                 `-- <why this flow cannot change selection output>` to the marker"
-                    .to_string(),
-                false,
-                out,
-            );
+            anchored.insert((fi, ci));
+            emit_taint(ws, fi, ci, UNJUSTIFIED_ALLOW.to_string(), false, out);
         }
         for (fi, ci, kind, what, just) in &self.sanctioned {
-            emit_taint(
-                ws,
-                *fi,
-                *ci,
-                format!("sanctioned nondeterminism source ({kind}: {what}) -- {just}"),
-                true,
-                out,
-            );
+            anchored.insert((*fi, *ci));
+            emit_taint(ws, *fi, *ci, sanctioned(kind, what, just), true, out);
         }
         for (&id, desc) in &self.sinks {
             for &kind in KINDS {
@@ -327,8 +363,31 @@ impl TaintGraph {
                 // Sanctioned sites never reach this point: a justified
                 // allow suppresses seeding (sources) or kills the hop
                 // (propagation), so every flow finding is active.
+                anchored.insert((origin.file, origin.ci));
                 emit_taint(ws, origin.file, origin.ci, message, false, out);
             }
+        }
+        for &(fi, ci) in &self.hash_sites {
+            if anchored.contains(&(fi, ci)) {
+                continue;
+            }
+            let f = &ws.files[fi];
+            let (message, allowed) = match f.allow_justification(f.cpos(ci).0, "taint") {
+                Some(just) if !just.is_empty() => (sanctioned("hash-order", HASH_ITER, just), true),
+                Some(_) => (UNJUSTIFIED_ALLOW.to_string(), false),
+                None => (
+                    format!(
+                        "{}HashMap/HashSet iteration order is nondeterministic and can \
+                         leak into scores, output, or Recorder snapshots; collect into a \
+                         BTreeMap/BTreeSet, sort the result, or sanction the site with \
+                         `// xtask-allow: taint -- <justification>`",
+                        f.enclosing_fn(ci)
+                            .map_or_else(String::new, |name| format!("in `{name}`: "))
+                    ),
+                    false,
+                ),
+            };
+            emit_taint(ws, fi, ci, message, allowed, out);
         }
     }
 
@@ -480,6 +539,15 @@ impl TaintGraph {
     }
 }
 
+/// The finding a bare `xtask-allow: taint` marker is.
+const UNJUSTIFIED_ALLOW: &str = "`xtask-allow: taint` requires a written justification; append \
+                                 `-- <why this flow cannot change selection output>` to the marker";
+
+/// The audit message of a site a justified allow sanctions.
+fn sanctioned(kind: &str, what: &str, just: &str) -> String {
+    format!("sanctioned nondeterminism source ({kind}: {what}) -- {just}")
+}
+
 /// Record a taint finding with an explicit suppression decision (the
 /// justification policy means a bare allow must NOT suppress).
 fn emit_taint(
@@ -523,15 +591,16 @@ fn edge_killed(f: &SourceFile, ci: usize, kind: &'static str) -> bool {
 /// `direct_sources` uses this so a justified allow still surfaces the
 /// site in the sanctioned audit trail instead of silently erasing it.
 fn order_sanitized(f: &SourceFile, ci: usize, kind: &'static str) -> bool {
-    if !is_order_kind(kind) {
-        return false;
-    }
-    let range = f.stmt_range(ci);
+    is_order_kind(kind) && canonicalized(f, f.stmt_range(ci), ORDER_SANITIZER_EXTRA)
+}
+
+/// Does the statement `range` contain an [`ORDER_SINKS`] or `extra`
+/// token, or bind a collection the next statement sorts?
+fn canonicalized(f: &SourceFile, range: (usize, usize), extra: &[&str]) -> bool {
     f.range_any(range, |i| {
         f.ckind(i) == TokenKind::Ident
-            && (rules::ORDER_SINKS.contains(&f.ctext(i))
-                || ORDER_SANITIZER_EXTRA.contains(&f.ctext(i)))
-    }) || rules::let_followed_by_sort(f, range)
+            && (ORDER_SINKS.contains(&f.ctext(i)) || extra.contains(&f.ctext(i)))
+    }) || let_followed_by_sort(f, range)
 }
 
 /// Scan a def's own body for nondeterminism reads.
@@ -629,32 +698,15 @@ fn direct_sources(
                 continue;
             }
         }
-        // Hash-container iteration (same patterns as `hash-iter-order`),
-        // locally sanitized by an order sink in the statement.
-        let chain = f.ckind(ci) == TokenKind::Ident
-            && hash_names.contains(f.ctext(ci))
-            && f.is_punct(ci + 1, ".")
-            && ci + 2 < f.n_code()
-            && f.ckind(ci + 2) == TokenKind::Ident
-            && rules::HASH_ITER_METHODS.contains(&f.ctext(ci + 2))
-            && f.is_punct(ci + 3, "(");
-        let direct_for = f.is_ident(ci, "for") && {
-            let (s, e) = f.stmt_range(ci);
-            let in_at = (s..=e).find(|&i| f.is_ident(i, "in"));
-            in_at.is_some_and(|at| {
-                f.range_any((at + 1, e), |i| {
-                    f.ckind(i) == TokenKind::Ident && hash_names.contains(f.ctext(i))
-                })
-            })
-        };
-        if chain || direct_for {
-            let anchor = if chain { ci + 2 } else { ci };
+        // Hash-container iteration, locally sanitized by an order sink
+        // in the statement.
+        if let Some(anchor) = hash_iter_at(f, ci, hash_names) {
             let range = f.stmt_range(ci);
             if flagged_stmts.insert(range.0) && !order_sanitized(f, anchor, "hash-order") {
                 out.push(SourceSite {
                     ci: anchor,
                     kind: "hash-order",
-                    what: "HashMap/HashSet iteration".to_string(),
+                    what: HASH_ITER.to_string(),
                 });
             }
             continue;
@@ -680,29 +732,172 @@ fn direct_sources(
     out
 }
 
-/// Sink type names: the seeds plus every struct transitively embedding
-/// one (the budget-threading struct-field fixpoint).
-fn sink_type_closure(ws: &Workspace) -> BTreeSet<String> {
-    let mut names: BTreeSet<String> = SINK_TYPE_SEEDS.iter().map(|s| (*s).to_string()).collect();
-    loop {
-        let mut grew = false;
-        for s in &ws.structs {
-            if names.contains(&s.name) {
-                continue;
-            }
-            let embeds = s
-                .fields
-                .iter()
-                .any(|fd| fd.type_idents.iter().any(|t| names.contains(t)));
-            if embeds {
-                names.insert(s.name.clone());
-                grew = true;
-            }
-        }
-        if !grew {
-            return names;
+// ---- hash-container iteration ------------------------------------------
+
+/// What a hash-iteration source reads.
+const HASH_ITER: &str = "HashMap/HashSet iteration";
+
+/// Iterator-producing methods on hash containers.
+const HASH_ITER_METHODS: &[&str] = &[
+    "iter",
+    "iter_mut",
+    "keys",
+    "values",
+    "values_mut",
+    "into_iter",
+    "into_keys",
+    "into_values",
+    "drain",
+];
+
+/// The hash-container iteration starting at code token `ci`, if any: a
+/// `name.iter()`-style chain (anchored at the method) or a
+/// `for x in name` loop (anchored at the `for`).
+fn hash_iter_at(f: &SourceFile, ci: usize, hash_names: &BTreeSet<&str>) -> Option<usize> {
+    let is_hash = |i: usize| f.ckind(i) == TokenKind::Ident && hash_names.contains(f.ctext(i));
+    if is_hash(ci)
+        && f.is_punct(ci + 1, ".")
+        && ci + 2 < f.n_code()
+        && f.ckind(ci + 2) == TokenKind::Ident
+        && HASH_ITER_METHODS.contains(&f.ctext(ci + 2))
+        && f.is_punct(ci + 3, "(")
+    {
+        return Some(ci + 2);
+    }
+    if !f.is_ident(ci, "for") {
+        return None;
+    }
+    let (s, e) = f.stmt_range(ci);
+    let in_at = (s..=e).find(|&i| f.is_ident(i, "in"))?;
+    f.range_any((in_at + 1, e), is_hash).then_some(ci)
+}
+
+/// The hash-container iterations of a file's non-test code that no
+/// [`ORDER_SINKS`] token or collect-then-sort canonicalizes, one per
+/// statement: the anchors of the sites reported even without a sink.
+fn hash_iter_sites(f: &SourceFile, hash_names: &BTreeSet<&str>) -> Vec<usize> {
+    let mut stmts: BTreeSet<usize> = BTreeSet::new();
+    let mut out = Vec::new();
+    if hash_names.is_empty() {
+        return out;
+    }
+    for ci in (0..f.n_code()).filter(|&ci| !f.in_test(ci)) {
+        let Some(anchor) = hash_iter_at(f, ci, hash_names) else {
+            continue;
+        };
+        let range = f.stmt_range(ci);
+        if stmts.insert(range.0) && !canonicalized(f, range, &[]) {
+            out.push(anchor);
         }
     }
+    out
+}
+
+/// Names known to hold a hash container in this file: `let` bindings
+/// whose statement mentions `HashMap`/`HashSet`, struct fields and fn
+/// params typed as one, and `let` bindings calling a same-file fn that
+/// returns one.
+fn collect_hash_names(f: &SourceFile) -> BTreeSet<&str> {
+    let mut names: BTreeSet<&str> = BTreeSet::new();
+    let mut hash_fns: BTreeSet<&str> = BTreeSet::new();
+
+    for ci in 0..f.n_code() {
+        if !(f.is_ident(ci, "HashMap") || f.is_ident(ci, "HashSet")) {
+            continue;
+        }
+        // (a) `let [mut] name` whose statement mentions the type.
+        let (s, _) = f.stmt_range(ci);
+        if f.is_ident(s, "let") {
+            let at = if f.is_ident(s + 1, "mut") {
+                s + 2
+            } else {
+                s + 1
+            };
+            if at < f.n_code()
+                && f.ckind(at) == TokenKind::Ident
+                && (f.is_punct(at + 1, ":") || f.is_punct(at + 1, "="))
+            {
+                names.insert(f.ctext(at));
+            }
+        }
+        // Walk back over the path prefix (`std :: collections ::`) and
+        // reference tokens to see what introduces the type.
+        let mut p = ci;
+        while p >= 2 && f.is_punct(p - 1, "::") && f.ckind(p - 2) == TokenKind::Ident {
+            p -= 2;
+        }
+        while p >= 1
+            && (f.is_punct(p - 1, "&")
+                || f.is_ident(p - 1, "mut")
+                || f.ckind(p - 1) == TokenKind::Lifetime)
+        {
+            p -= 1;
+        }
+        if p >= 2 && f.is_punct(p - 1, ":") && f.ckind(p - 2) == TokenKind::Ident {
+            // (b) field or parameter: `name: HashMap<…>`.
+            names.insert(f.ctext(p - 2));
+        } else if p >= 1 && f.is_punct(p - 1, "->") {
+            // (c) `fn name(…) -> HashMap<…>`: remember the fn.
+            if let Some(open) = (0..p - 1)
+                .rev()
+                .find(|&i| f.is_punct(i, ")"))
+                .and_then(|close| f.cmatch(close))
+            {
+                if open >= 1
+                    && f.ckind(open - 1) == TokenKind::Ident
+                    && open >= 2
+                    && f.is_ident(open - 2, "fn")
+                {
+                    hash_fns.insert(f.ctext(open - 1));
+                }
+            }
+        }
+    }
+    // (c, contd.) `let [mut] name = hash_fn(…)`.
+    if !hash_fns.is_empty() {
+        for ci in 0..f.n_code() {
+            if !f.is_ident(ci, "let") {
+                continue;
+            }
+            let at = if f.is_ident(ci + 1, "mut") {
+                ci + 2
+            } else {
+                ci + 1
+            };
+            if at + 2 < f.n_code()
+                && f.ckind(at) == TokenKind::Ident
+                && f.is_punct(at + 1, "=")
+                && f.ckind(at + 2) == TokenKind::Ident
+                && hash_fns.contains(f.ctext(at + 2))
+                && f.is_punct(at + 3, "(")
+            {
+                names.insert(f.ctext(at));
+            }
+        }
+    }
+    names
+}
+
+/// `let [mut] v = …;` immediately followed by `v.sort…` — the dominant
+/// collect-then-sort idiom.
+fn let_followed_by_sort(f: &SourceFile, (s, e): (usize, usize)) -> bool {
+    if !f.is_ident(s, "let") || !f.is_punct(e, ";") {
+        return false;
+    }
+    let at = if f.is_ident(s + 1, "mut") {
+        s + 2
+    } else {
+        s + 1
+    };
+    if at >= f.n_code() || f.ckind(at) != TokenKind::Ident {
+        return false;
+    }
+    let name = f.ctext(at);
+    e + 3 < f.n_code()
+        && f.is_ident(e + 1, name)
+        && f.is_punct(e + 2, ".")
+        && f.ckind(e + 3) == TokenKind::Ident
+        && f.ctext(e + 3).starts_with("sort")
 }
 
 /// The sink type a def's declared return type mentions, if any.

@@ -5,8 +5,9 @@
 //! kernel fn that reaches `unwrap` through a helper chain, a
 //! `Completeness` tag discarded one call away from the kernel, and lock
 //! acquisitions whose ordering only conflicts across function
-//! boundaries. `panic-reachability` also reports a panic written
-//! directly in a kernel file, so it is the single panic rule.
+//! boundaries. Each is also the single rule for its hazard's local
+//! shape: `panic-reachability` reports a panic written directly in a
+//! kernel file, and `lock-order-xfn` a fn body that takes two locks.
 //!
 //! `budget-threading` also guards the kernels' unbudgeted conveniences
 //! (`iso::contains`, `iso::are_isomorphic`, `iso::embeddings`): they pin
@@ -18,15 +19,16 @@
 //! edges: an unresolved or ambiguous call never produces a finding, so
 //! the graph's approximations can cause false negatives but not false
 //! positives from mis-attributed edges. Every finding anchors at a call
-//! site or at a panic written in a kernel file (never at a definition
-//! reached transitively), names the path in its message, and honors the
-//! same `xtask-allow` escape hatch as the file rules.
+//! site, a lock acquisition or a panic written in a kernel file (never
+//! at a definition reached transitively), names the path in its
+//! message, and honors the same `xtask-allow` escape hatch as the file
+//! rules.
 
 use crate::diag::Diagnostic;
 use crate::lexer::TokenKind;
 use crate::rules::{in_dirs, RuleInfo, KERNEL_FILES};
 use crate::scan::SourceFile;
-use crate::symbols::{CallSite, Callee, Workspace};
+use crate::symbols::{Callee, Workspace};
 use crate::timing::RuleTimer;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -46,7 +48,7 @@ pub const XRULES: &[RuleInfo] = &[
     },
     RuleInfo {
         name: "lock-order-xfn",
-        summary: "no cross-function lock ordering cycles or re-entry",
+        summary: "multi-lock fns are audited; no lock-order cycles or re-entry",
     },
 ];
 
@@ -123,34 +125,6 @@ fn rel_of(ws: &Workspace, def: usize) -> &str {
     &ws.files[ws.defs[def].file].rel
 }
 
-/// Budget-carrying type names: `SearchBudget`/`BudgetMeter` plus every
-/// struct that transitively embeds one (configs like `McsConfig`).
-fn budget_types(ws: &Workspace) -> BTreeSet<String> {
-    let mut names: BTreeSet<String> = ["SearchBudget", "BudgetMeter"]
-        .iter()
-        .map(|s| (*s).to_string())
-        .collect();
-    loop {
-        let mut grew = false;
-        for s in &ws.structs {
-            if names.contains(&s.name) {
-                continue;
-            }
-            let carries = s
-                .fields
-                .iter()
-                .any(|fd| fd.type_idents.iter().any(|t| names.contains(t)));
-            if carries {
-                names.insert(s.name.clone());
-                grew = true;
-            }
-        }
-        if !grew {
-            return names;
-        }
-    }
-}
-
 // ---- budget-threading --------------------------------------------------
 
 /// Rule `budget-threading`: every call path from the pipeline crates
@@ -159,7 +133,9 @@ fn budget_types(ws: &Workspace) -> BTreeSet<String> {
 /// budget at all, and a call toward a budgeted kernel from a fn that
 /// neither receives nor constructs any budget-carrying value.
 fn budget_threading(ws: &Workspace, out: &mut Vec<Diagnostic>) {
-    let carrying = budget_types(ws);
+    // Budget-carrying types: the budget itself and every struct that
+    // embeds one (configs like `McsConfig`).
+    let carrying = ws.embedding_closure(&["SearchBudget", "BudgetMeter"]);
     // A method on a budget-carrying struct reaches its budget through the
     // receiver (`self.cfg.search`), so it carries too.
     let carries: Vec<bool> = (0..ws.defs.len())
@@ -443,31 +419,6 @@ fn panic_reachability(ws: &Workspace, out: &mut Vec<Diagnostic>) {
 
 // ---- completeness-flow -------------------------------------------------
 
-/// Completeness-tagged type names: `Completeness` plus every struct
-/// that embeds one (results like `GedResult`).
-fn tagged_types(ws: &Workspace) -> BTreeSet<String> {
-    let mut names: BTreeSet<String> = ["Completeness".to_string()].into_iter().collect();
-    loop {
-        let mut grew = false;
-        for s in &ws.structs {
-            if names.contains(&s.name) {
-                continue;
-            }
-            let tagged = s
-                .fields
-                .iter()
-                .any(|fd| fd.type_idents.iter().any(|t| names.contains(t)));
-            if tagged {
-                names.insert(s.name.clone());
-                grew = true;
-            }
-        }
-        if !grew {
-            return names;
-        }
-    }
-}
-
 /// Does the def's declared return type mention a tagged name?
 fn returns_tagged(ws: &Workspace, id: usize, tagged: &BTreeSet<String>) -> bool {
     let f = &ws.files[ws.defs[id].file];
@@ -544,7 +495,9 @@ fn discard_reason(f: &SourceFile, ci: usize) -> Option<String> {
 /// confident one. It follows the *type*, not a fixed list of kernel
 /// names.
 fn completeness_flow(ws: &Workspace, out: &mut Vec<Diagnostic>) {
-    let tagged = tagged_types(ws);
+    // Tagged types: `Completeness` and every struct that embeds one
+    // (results like `GedResult`).
+    let tagged = ws.embedding_closure(&["Completeness"]);
     let tagged_defs: BTreeSet<usize> = (0..ws.defs.len())
         .filter(|&id| !ws.defs[id].in_test && returns_tagged(ws, id, &tagged))
         .collect();
@@ -616,19 +569,22 @@ fn lock_sites(ws: &Workspace, id: usize) -> Vec<(String, usize)> {
 
 /// Rule `lock-order-xfn`: propagate lock acquisitions through the call
 /// graph and flag (a) a lock re-acquired through a call path while
-/// textually held (re-entrant `Mutex::lock` self-deadlocks), and (b)
-/// lock-order cycles assembled across function boundaries, which the
-/// per-file `lock-order` audit cannot see.
+/// textually held (re-entrant `Mutex::lock` self-deadlocks), (b)
+/// lock-order cycles assembled across function boundaries, and (c) any
+/// fn body, test code included, that takes two or more locks, from the
+/// second acquisition on, so every multi-lock scope carries an audited
+/// acquisition order. One finding per site: (c) stays silent where (a)
+/// or (b) already anchors.
 fn lock_order_xfn(ws: &Workspace, out: &mut Vec<Diagnostic>) {
-    let own: Vec<Vec<(String, usize)>> = (0..ws.defs.len())
-        .map(|id| {
-            if ws.defs[id].in_test {
-                Vec::new()
-            } else {
-                lock_sites(ws, id)
-            }
-        })
+    let sites: Vec<Vec<(String, usize)>> =
+        (0..ws.defs.len()).map(|id| lock_sites(ws, id)).collect();
+    // Re-entry and cycles are judged on library code only.
+    let own: Vec<&[(String, usize)]> = sites
+        .iter()
+        .zip(&ws.defs)
+        .map(|(s, d)| if d.in_test { &[][..] } else { s.as_slice() })
         .collect();
+    let mut anchored: BTreeSet<(usize, usize)> = BTreeSet::new();
 
     // Transitive lock sets over resolved edges.
     let mut trans: Vec<BTreeSet<String>> = own
@@ -675,12 +631,13 @@ fn lock_order_xfn(ws: &Workspace, out: &mut Vec<Diagnostic>) {
             let Callee::Resolved(t) = c.callee else {
                 continue;
             };
-            for (ka, ca) in locks {
+            for (ka, ca) in locks.iter() {
                 if *ca >= c.ci {
                     continue;
                 }
                 for kb in &trans[t] {
                     if kb == ka {
+                        anchored.insert((c.file, c.ci));
                         emit(
                             ws,
                             c.file,
@@ -722,6 +679,7 @@ fn lock_order_xfn(ws: &Workspace, out: &mut Vec<Diagnostic>) {
             continue;
         }
         let (fi, ci, fn_name) = &edges[&(a.clone(), b.clone())];
+        anchored.insert((*fi, *ci));
         emit(
             ws,
             *fi,
@@ -734,6 +692,31 @@ fn lock_order_xfn(ws: &Workspace, out: &mut Vec<Diagnostic>) {
             ),
             out,
         );
+    }
+
+    // The multi-lock audit. A cycle witnessed by an acquisition anchors
+    // at its `.`, a re-entrant call through a workspace `lock` method at
+    // the method name.
+    for (id, locks) in sites.iter().enumerate() {
+        let fi = ws.defs[id].file;
+        for &(_, dot) in locks.iter().skip(1) {
+            if anchored.contains(&(fi, dot)) || anchored.contains(&(fi, dot + 1)) {
+                continue;
+            }
+            emit(
+                ws,
+                fi,
+                dot + 1,
+                "lock-order-xfn",
+                format!(
+                    "`{}` acquires {} locks; document the acquisition order and \
+                     annotate `// xtask-allow: lock-order-xfn` once audited",
+                    ws.defs[id].name,
+                    locks.len()
+                ),
+                out,
+            );
+        }
     }
 }
 
@@ -753,13 +736,4 @@ fn reaches_key(adj: &BTreeMap<&String, Vec<&String>>, from: &String, to: &String
         }
     }
     false
-}
-
-/// Shared by fixture tests: the resolved target of a call site, if any.
-#[must_use]
-pub fn resolved_target(c: &CallSite) -> Option<usize> {
-    match c.callee {
-        Callee::Resolved(t) => Some(t),
-        _ => None,
-    }
 }

@@ -4,6 +4,7 @@
 //! iso/mcs/ged kernels through resolved edges, or the rule is blind).
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
+use catalint::symbols::Callee;
 use std::collections::BTreeSet;
 use std::path::PathBuf;
 
@@ -49,7 +50,7 @@ fn kernel_budget_paths_resolve_from_cli_entry_points() {
     let mut stack: Vec<usize> = seen.iter().copied().collect();
     while let Some(id) = stack.pop() {
         for &si in ws.calls_of(id) {
-            if let Some(t) = catalint::xrules::resolved_target(&ws.calls[si]) {
+            if let Callee::Resolved(t) = ws.calls[si].callee {
                 if seen.insert(t) {
                     stack.push(t);
                 }
@@ -57,28 +58,9 @@ fn kernel_budget_paths_resolve_from_cli_entry_points() {
         }
     }
 
-    // Budget-carrying type names, via the same struct-embedding fixpoint
+    // Budget-carrying type names, via the struct-embedding fixpoint
     // budget-threading uses (SearchBudget riding inside config structs).
-    let mut carrying: BTreeSet<String> = ["SearchBudget", "BudgetMeter"]
-        .iter()
-        .map(|s| (*s).to_string())
-        .collect();
-    loop {
-        let mut grew = false;
-        for s in &ws.structs {
-            if !carrying.contains(&s.name)
-                && s.fields
-                    .iter()
-                    .any(|f| f.type_idents.iter().any(|t| carrying.contains(t)))
-            {
-                carrying.insert(s.name.clone());
-                grew = true;
-            }
-        }
-        if !grew {
-            break;
-        }
-    }
+    let carrying = ws.embedding_closure(&["SearchBudget", "BudgetMeter"]);
 
     for kernel in [
         "crates/graph/src/iso.rs",

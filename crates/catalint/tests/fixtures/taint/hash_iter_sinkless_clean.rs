@@ -1,5 +1,6 @@
-//! Clean: every hash iteration feeds an order-insensitive sink, an
-//! ordering collect, or an immediate sort.
+//@ file: crates/core/src/tally.rs
+//! Every hash iteration feeds an order-insensitive sink, an ordering
+//! collect, or an immediate sort.
 use std::collections::{BTreeMap, HashMap};
 
 fn sorted_view(m: &HashMap<String, u32>) -> BTreeMap<String, u32> {
@@ -18,4 +19,17 @@ fn membership(m: &HashMap<String, u32>) -> bool {
 
 fn size(m: &HashMap<String, u32>) -> usize {
     m.iter().count()
+}
+
+#[cfg(test)]
+mod tests {
+    fn in_test_code(m: &std::collections::HashMap<u32, u32>) -> Vec<u32> {
+        m.keys().copied().collect()
+    }
+}
+//@ file: tests/oracle.rs
+use std::collections::HashMap;
+
+pub fn outside_library_code(m: &HashMap<u32, u32>) -> Vec<u32> {
+    m.keys().copied().collect()
 }

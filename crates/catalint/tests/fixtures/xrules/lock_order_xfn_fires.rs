@@ -37,3 +37,18 @@ pub fn compact() {
     reindex();
     drop(g);
 }
+
+/// Two different locks and no cycle: the acquisition order still needs
+/// an audit.
+pub fn transfer(a: &Mutex<u32>, b: &Mutex<u32>) -> u32 {
+    let x = a.lock().unwrap_or_else(|e| e.into_inner());
+    let y = b.lock().unwrap_or_else(|e| e.into_inner());
+    *x + *y
+}
+//@ file: tests/ledger.rs
+use std::sync::Mutex;
+
+/// Test code is audited too.
+fn settle(a: &Mutex<u32>, b: &Mutex<u32>) -> u32 {
+    *a.lock().unwrap() + *b.lock().unwrap()
+}

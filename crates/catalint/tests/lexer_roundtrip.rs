@@ -62,9 +62,9 @@ fn every_fixture_round_trips() {
         }
     }
     assert_eq!(
-        n, 46,
-        "8 file rules x (fires + clean) + 4 xrules x (fires + clean) \
-         + 11 taint pairs"
+        n, 44,
+        "6 file rules x (fires + clean) + 4 xrules x (fires + clean) \
+         + 12 taint pairs"
     );
 }
 

@@ -92,10 +92,21 @@ fn instant_clean_twin_is_silent() {
 
 #[test]
 fn hash_iteration_flows_interprocedurally() {
+    // The flow anchors at the call in the sink; the unsorted iteration
+    // is also reported at its own site.
     let diags = run_taint("hash_iter_fires.rs");
     let act = active(&diags);
-    assert_eq!(act.len(), 1, "findings:\n{}", messages(&diags));
-    let d = act[0];
+    assert_eq!(act.len(), 2, "findings:\n{}", messages(&diags));
+    let site = act
+        .iter()
+        .find(|d| d.path == "crates/core/src/freq.rs")
+        .expect("source-site finding");
+    assert_eq!(site.enclosing_fn, "edge_frequencies");
+    assert!(site.snippet.starts_with("for (e, c) in freq.iter()"));
+    let d = act
+        .iter()
+        .find(|d| d.path == "crates/core/src/select.rs")
+        .expect("flow finding");
     assert!(
         d.message.contains("HashMap/HashSet iteration"),
         "{}",
@@ -116,6 +127,36 @@ fn hash_iteration_flows_interprocedurally() {
 #[test]
 fn hash_iteration_sorted_at_source_is_silent() {
     assert_clean("hash_iter_clean.rs");
+}
+
+#[test]
+fn sinkless_hash_iteration_fires_at_its_site() {
+    // No sink in sight, an exempt crate included: each unsanitized
+    // iteration is reported where it happens, with no witness path.
+    let diags = run_taint("hash_iter_sinkless_fires.rs");
+    let act = active(&diags);
+    let sites: Vec<(&str, &str)> = act
+        .iter()
+        .map(|d| (d.path.as_str(), d.enclosing_fn.as_str()))
+        .collect();
+    assert_eq!(
+        sites,
+        [
+            ("crates/core/src/tally.rs", "leak_order"),
+            ("crates/core/src/tally.rs", "leak_chain"),
+            ("crates/obs/src/seen.rs", "first_seen"),
+        ],
+        "findings:\n{}",
+        messages(&diags)
+    );
+    for d in &act {
+        let lead = format!("in `{}`: HashMap/HashSet iteration order", d.enclosing_fn);
+        assert!(d.message.starts_with(&lead), "{}", d.message);
+        assert!(!d.message.contains("path "), "{}", d.message);
+    }
+    // Sorted, sunk into an order-insensitive consumer, in test code, or
+    // outside library code: silent.
+    assert_clean("hash_iter_sinkless_clean.rs");
 }
 
 #[test]
@@ -211,16 +252,20 @@ fn struct_field_clean_twin_is_silent() {
 fn order_sanitizer_kills_the_propagation_hop() {
     // Acceptance pair: the same hash-order taint reaches the report in
     // `_fires`; a `sort_unstable` on the receiving binding kills the hop
-    // in `_clean`.
+    // in `_clean`. Both keep the unsorted iteration's own site finding.
     let diags = run_taint("sanitizer_fires.rs");
     let act = active(&diags);
-    assert_eq!(act.len(), 1, "findings:\n{}", messages(&diags));
+    assert_eq!(act.len(), 2, "findings:\n{}", messages(&diags));
     assert!(
-        act[0].message.contains("path summarize -> label_counts"),
-        "{}",
-        act[0].message
+        act.iter()
+            .any(|d| d.message.contains("path summarize -> label_counts")),
+        "findings:\n{}",
+        messages(&diags)
     );
-    assert_clean("sanitizer_clean.rs");
+    let diags = run_taint("sanitizer_clean.rs");
+    assert_eq!(diags.len(), 1, "findings:\n{}", messages(&diags));
+    assert_eq!(diags[0].enclosing_fn, "label_counts");
+    assert!(!diags[0].message.contains("path "), "{}", diags[0].message);
 }
 
 #[test]

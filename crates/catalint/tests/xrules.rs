@@ -172,9 +172,9 @@ fn completeness_flow_is_silent_when_the_tag_is_consumed() {
 }
 
 #[test]
-fn lock_order_xfn_finds_cross_function_cycles_and_reentry() {
+fn lock_order_xfn_finds_cycles_reentry_and_multi_lock_fns() {
     let diags = run_rule("lock_order_xfn_fires.rs", "lock-order-xfn");
-    assert_eq!(diags.len(), 2, "findings:\n{}", messages(&diags));
+    assert_eq!(diags.len(), 4, "findings:\n{}", messages(&diags));
     let cycle = diags
         .iter()
         .find(|d| d.message.contains("lock-order cycle"))
@@ -189,14 +189,41 @@ fn lock_order_xfn_finds_cross_function_cycles_and_reentry() {
         .find(|d| d.message.contains("re-entrant"))
         .expect("re-entrancy finding");
     assert_eq!(reentry.enclosing_fn, "compact");
+    // Two different locks with no cycle, in library and in test code:
+    // one audit finding each, at the second acquisition.
+    let audits: Vec<(&str, &str)> = diags
+        .iter()
+        .filter(|d| {
+            d.message
+                .contains(&format!("`{}` acquires 2 locks", d.enclosing_fn))
+        })
+        .map(|d| (d.path.as_str(), d.snippet.as_str()))
+        .collect();
+    assert_eq!(
+        audits,
+        [
+            (
+                "src/locks.rs",
+                "let y = b.lock().unwrap_or_else(|e| e.into_inner());"
+            ),
+            ("tests/ledger.rs", "*a.lock().unwrap() + *b.lock().unwrap()"),
+        ]
+    );
 }
 
 #[test]
 fn lock_order_xfn_is_silent_under_a_global_order() {
+    // Single-lock fns (and `.lock()` pairs in comments or strings) are
+    // silent; the one fn taking both locks inline records its audit as
+    // allowed.
     let diags = run_rule("lock_order_xfn_clean.rs", "lock-order-xfn");
+    let active: Vec<_> = diags.iter().filter(|d| !d.allowed).collect();
     assert!(
-        diags.is_empty(),
+        active.is_empty(),
         "unexpected findings:\n{}",
         messages(&diags)
     );
+    assert_eq!(diags.len(), 1, "findings:\n{}", messages(&diags));
+    assert_eq!(diags[0].enclosing_fn, "snapshot");
+    assert!(diags[0].message.contains("acquires 2 locks"));
 }

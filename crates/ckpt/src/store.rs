@@ -375,10 +375,13 @@ impl StageStore {
             }
             Err(Verdict::Corrupt(detail)) => {
                 self.recorder.counter("ckpt.store.reject").incr();
-                catapult_obs::warn(format!(
-                    "discarding corrupt checkpoint {}: {detail}; recomputing stage `{stage}`",
-                    path.display()
-                ));
+                catapult_obs::warn(
+                    stage,
+                    format!(
+                        "discarding corrupt checkpoint {}: {detail}; recomputing stage `{stage}`",
+                        path.display()
+                    ),
+                );
                 // Best-effort removal; a fresh save overwrites it anyway.
                 std::fs::remove_file(&path).ok();
                 Ok(None)

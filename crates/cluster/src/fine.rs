@@ -246,7 +246,7 @@ fn similarity(
     tally.record(tag);
     // The tag is stored, not consumed, and replayed into the caller's
     // tally on every later hit; the single cache lock nests inside no
-    // other lock. xtask-allow: completeness-flow, lock-order
+    // other lock. xtask-allow: completeness-flow, lock-order-xfn
     cache.lock().insert(key, (value, tag));
     value
 }
@@ -472,10 +472,13 @@ pub(crate) fn fine_inner<R: SnapRng>(
                 Err(e) => {
                     // Checksummed but undecodable: schema drift within a
                     // version. Recomputing is safe; reusing is not.
-                    catapult_obs::warn(format!(
-                        "discarding undecodable fine checkpoint ({e}); \
+                    catapult_obs::warn(
+                        "fine",
+                        format!(
+                            "discarding undecodable fine checkpoint ({e}); \
                          recomputing stage `fine`"
-                    ));
+                        ),
+                    );
                     st.discard("fine")?;
                 }
             }

@@ -12,8 +12,7 @@
 //!   stratified) sampling for large repositories;
 //! * [`pipeline`] — the five Exp-1 strategies (CC, mccsFC, mcsFC, mccsH,
 //!   mcsH) behind one entry point, [`pipeline::cluster_graphs`];
-//! * [`quality`] — misclassification distance (Lemma 4.2 / [29]) and
-//!   intra/inter-cluster similarity summaries.
+//! * [`quality`] — misclassification distance (Lemma 4.2 / [29]).
 
 // Lint policy: see [workspace.lints] in the root Cargo.toml.
 #![warn(missing_docs, clippy::print_stderr)]

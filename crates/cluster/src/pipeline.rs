@@ -222,9 +222,10 @@ fn discard_undecodable(
     stage: &'static str,
     err: &dyn std::fmt::Display,
 ) -> Result<(), CkptError> {
-    catapult_obs::warn(format!(
-        "discarding undecodable {stage} checkpoint ({err}); recomputing"
-    ));
+    catapult_obs::warn(
+        stage,
+        format!("discarding undecodable {stage} checkpoint ({err}); recomputing"),
+    );
     st.discard(stage)
 }
 

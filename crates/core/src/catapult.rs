@@ -205,9 +205,10 @@ fn load_stage<T>(
     match decode(&payload) {
         Ok(v) => Ok(Some(v)),
         Err(e) => {
-            catapult_obs::warn(format!(
-                "discarding undecodable {stage} checkpoint ({e}); recomputing"
-            ));
+            catapult_obs::warn(
+                stage,
+                format!("discarding undecodable {stage} checkpoint ({e}); recomputing"),
+            );
             st.discard(stage)?;
             Ok(None)
         }

@@ -328,7 +328,7 @@ mod tests {
         ];
         let naive = set
             .iter()
-            .map(|q| ged(&p, q, None, 1_000_000).distance)
+            .map(|q| ged(&p, q, None, &SearchBudget::nodes(1_000_000)).distance)
             .min();
         assert_eq!(div(&p, &set), naive);
     }

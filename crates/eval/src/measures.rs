@@ -168,15 +168,13 @@ pub fn mean_diversity(patterns: &[Graph]) -> f64 {
     if patterns.len() < 2 {
         return 0.0;
     }
+    let budget = SearchBudget::nodes(30_000);
     let mins: Vec<f64> = (0..patterns.len())
         .into_par_iter()
         .map(|i| {
             (0..patterns.len())
                 .filter(|&j| j != i)
-                .map(|j| {
-                    let budget = SearchBudget::nodes(30_000);
-                    ged(&patterns[i], &patterns[j], None, budget).distance as f64
-                })
+                .map(|j| ged(&patterns[i], &patterns[j], None, &budget).distance as f64)
                 .fold(f64::INFINITY, f64::min)
         })
         .collect();

@@ -156,7 +156,6 @@ pub const DEFAULT_CHECK_EVERY: u64 = 1024;
 /// * `cancel` — cooperative cancellation, polled on the same cadence.
 ///
 /// Whichever trips first determines the [`Completeness`] tag of the result.
-/// A plain node count converts directly: `SearchBudget::from(50_000u64)`.
 #[derive(Clone, Debug, Default)]
 pub struct SearchBudget {
     /// Node-expansion cap (`u64::MAX` = defer to the stage default).
@@ -274,20 +273,6 @@ impl SearchBudget {
             }
         }
         None
-    }
-}
-
-impl From<u64> for SearchBudget {
-    /// A bare number is a node-expansion cap (the legacy `node_budget`
-    /// calling convention).
-    fn from(cap: u64) -> Self {
-        SearchBudget::nodes(cap)
-    }
-}
-
-impl From<&SearchBudget> for SearchBudget {
-    fn from(b: &SearchBudget) -> Self {
-        b.clone()
     }
 }
 
@@ -766,7 +751,6 @@ mod tests {
             500
         );
         assert_eq!(SearchBudget::nodes(9).with_default_cap(500).node_cap, 9);
-        assert_eq!(SearchBudget::from(7u64).node_cap, 7);
     }
 
     #[test]

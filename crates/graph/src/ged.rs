@@ -369,14 +369,13 @@ impl<'a> GedSearch<'a> {
 }
 
 /// `min(GED, τ)` for the cutoff `τ = tau` (`None`: τ = ∞, the plain GED)
-/// by branch-and-bound, under a [`SearchBudget`] (a plain `u64` converts
-/// to a node cap).
+/// by branch-and-bound, under a [`SearchBudget`].
 ///
 /// The search looks only for edit paths cheaper than `min(ub, τ)`
 /// ([`ged_upper_bound`]); running out of branches proves there are none,
 /// so an answer of τ proves `GED ≥ τ`. A tripped limit is named by
 /// [`GedResult::completeness`] (see [`GedResult`] for what it returns).
-pub fn ged(a: &Graph, b: &Graph, tau: Option<usize>, budget: impl Into<SearchBudget>) -> GedResult {
+pub fn ged(a: &Graph, b: &Graph, tau: Option<usize>, budget: &SearchBudget) -> GedResult {
     let lb = ged_lower_bound(a, b);
     let seed = ged_upper_bound(a, b).min(tau.unwrap_or(usize::MAX));
     if lb >= seed {
@@ -431,7 +430,7 @@ pub fn ged(a: &Graph, b: &Graph, tau: Option<usize>, budget: impl Into<SearchBud
         b_used_count: 0,
         b_edges_used: 0,
         best: seed,
-        meter: BudgetMeter::new(&budget.into(), Kernel::Ged),
+        meter: BudgetMeter::new(budget, Kernel::Ged),
     };
     s.descend(0, 0);
     // `s.best` only holds the seed or cheaper completed edit paths, so it
@@ -466,7 +465,7 @@ mod tests {
     #[test]
     fn identical_graphs_distance_zero() {
         let g = cycle(5);
-        let r = ged(&g, &g, None, DEFAULT_NODE_CAP);
+        let r = ged(&g, &g, None, &SearchBudget::nodes(DEFAULT_NODE_CAP));
         assert!(r.is_exact());
         assert_eq!(r.distance, 0);
         assert_eq!(ged_lower_bound(&g, &g), 0);
@@ -478,7 +477,7 @@ mod tests {
         // path of n → cycle of n: insert one edge.
         let p = path(5);
         let c = cycle(5);
-        let r = ged(&p, &c, None, DEFAULT_NODE_CAP);
+        let r = ged(&p, &c, None, &SearchBudget::nodes(DEFAULT_NODE_CAP));
         assert!(r.is_exact());
         assert_eq!(r.distance, 1);
     }
@@ -487,7 +486,7 @@ mod tests {
     fn relabel_one_vertex() {
         let a = Graph::from_parts(&[l(0), l(0), l(0)], &[(0, 1), (1, 2)]);
         let b = Graph::from_parts(&[l(0), l(1), l(0)], &[(0, 1), (1, 2)]);
-        let r = ged(&a, &b, None, DEFAULT_NODE_CAP);
+        let r = ged(&a, &b, None, &SearchBudget::nodes(DEFAULT_NODE_CAP));
         assert!(r.is_exact());
         assert_eq!(r.distance, 1);
     }
@@ -505,7 +504,7 @@ mod tests {
         ];
         for (a, b) in &cases {
             let lb = ged_lower_bound(a, b);
-            let exact = ged(a, b, None, DEFAULT_NODE_CAP);
+            let exact = ged(a, b, None, &SearchBudget::nodes(DEFAULT_NODE_CAP));
             let ub = ged_upper_bound(a, b);
             assert!(exact.is_exact());
             assert!(lb <= exact.distance, "lb={lb} d={}", exact.distance);
@@ -517,8 +516,8 @@ mod tests {
     fn symmetry() {
         let a = path(4);
         let b = cycle(5);
-        let d1 = ged(&a, &b, None, DEFAULT_NODE_CAP);
-        let d2 = ged(&b, &a, None, DEFAULT_NODE_CAP);
+        let d1 = ged(&a, &b, None, &SearchBudget::nodes(DEFAULT_NODE_CAP));
+        let d2 = ged(&b, &a, None, &SearchBudget::nodes(DEFAULT_NODE_CAP));
         assert!(d1.is_exact() && d2.is_exact());
         assert_eq!(d1.distance, d2.distance);
     }
@@ -526,7 +525,12 @@ mod tests {
     #[test]
     fn deletion_and_insertion() {
         // path(3) → path(2): delete one vertex + one edge = 2.
-        let r = ged(&path(3), &path(2), None, DEFAULT_NODE_CAP);
+        let r = ged(
+            &path(3),
+            &path(2),
+            None,
+            &SearchBudget::nodes(DEFAULT_NODE_CAP),
+        );
         assert!(r.is_exact());
         assert_eq!(r.distance, 2);
     }
@@ -548,18 +552,18 @@ mod tests {
             lb < ub,
             "test premise: bounds must not meet (lb={lb} ub={ub})"
         );
-        let r = ged(&a, &b, None, 1u64);
+        let r = ged(&a, &b, None, &SearchBudget::nodes(1));
         assert_eq!(r.completeness, Completeness::BudgetExhausted);
         assert!(!r.is_exact());
         // The degraded distance is a valid, non-trivial upper bound.
-        let exact = ged(&a, &b, None, 5_000_000u64);
+        let exact = ged(&a, &b, None, &SearchBudget::nodes(5_000_000));
         assert!(exact.is_exact());
         assert!(r.distance >= exact.distance);
         assert!(r.distance <= ub);
         // With a cutoff the degraded value stays within
         // [min(GED, τ), ub].
         for tau in 0..=ub + 1 {
-            let r = ged(&a, &b, Some(tau), 1u64);
+            let r = ged(&a, &b, Some(tau), &SearchBudget::nodes(1));
             assert!(r.distance >= exact.distance.min(tau), "τ={tau}");
             assert!(r.distance <= ub, "τ={tau}");
         }
@@ -569,8 +573,8 @@ mod tests {
     fn generous_budget_matches_unbudgeted_answer() {
         let a = path(5);
         let b = cycle(6);
-        let default = ged(&a, &b, None, DEFAULT_NODE_CAP);
-        let generous = ged(&a, &b, None, 100_000_000u64);
+        let default = ged(&a, &b, None, &SearchBudget::nodes(DEFAULT_NODE_CAP));
+        let generous = ged(&a, &b, None, &SearchBudget::nodes(100_000_000));
         assert!(default.is_exact() && generous.is_exact());
         assert_eq!(default.distance, generous.distance);
     }
@@ -587,7 +591,7 @@ mod tests {
             &a,
             &b,
             None,
-            SearchBudget::unbounded().with_deadline(Deadline::at(catapult_obs::now())),
+            &SearchBudget::unbounded().with_deadline(Deadline::at(catapult_obs::now())),
         );
         assert_eq!(r.completeness, Completeness::DeadlineExceeded);
         assert!(r.distance >= ged_lower_bound(&a, &b));
@@ -597,7 +601,7 @@ mod tests {
     fn meeting_bounds_are_exact_under_zero_budget() {
         // Identical graphs: lb == ub == 0, proven without search.
         let g = cycle(5);
-        let r = ged(&g, &g, None, 0u64);
+        let r = ged(&g, &g, None, &SearchBudget::nodes(0));
         assert!(r.is_exact());
         assert_eq!(r.distance, 0);
         // A lower bound at or above the cutoff proves `GED ≥ τ` without
@@ -606,7 +610,7 @@ mod tests {
         let lb = ged_lower_bound(&a, &b);
         assert_eq!(lb, 7);
         for tau in 0..=lb {
-            let r = ged(&a, &b, Some(tau), 0u64);
+            let r = ged(&a, &b, Some(tau), &SearchBudget::nodes(0));
             assert_eq!(r.completeness, Completeness::Exact, "τ={tau}");
             assert_eq!(r.distance, tau);
         }
@@ -622,10 +626,10 @@ mod tests {
     #[test]
     fn empty_graphs() {
         let e = Graph::new();
-        let r = ged(&e, &e, None, DEFAULT_NODE_CAP);
+        let r = ged(&e, &e, None, &SearchBudget::nodes(DEFAULT_NODE_CAP));
         assert_eq!(r.distance, 0);
         let one = path(2);
-        let r2 = ged(&e, &one, None, DEFAULT_NODE_CAP);
+        let r2 = ged(&e, &one, None, &SearchBudget::nodes(DEFAULT_NODE_CAP));
         assert_eq!(r2.distance, 3); // 2 vertices + 1 edge inserted
     }
 }

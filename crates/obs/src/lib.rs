@@ -52,14 +52,16 @@ pub use recorder::{
 pub use trace::summary_table;
 
 /// Print a one-shot warning to stderr and log it to the flight
-/// recorder.
+/// recorder, with `subject` (what the warning is about: a checkpoint
+/// discard passes its stage name) as the event's detail, so a dump says
+/// which warning fired.
 ///
 /// The blessed replacement for raw `eprintln!` warnings in pipeline
 /// crates (their roots deny `clippy::print_stderr`): routing warnings
 /// through here keeps them on stderr — never perturbing stdout
 /// determinism — and preserves them in crash dumps.
-pub fn warn(msg: impl std::fmt::Display) {
-    flight::event("flight.log.warning", "", 0);
+pub fn warn(subject: &'static str, msg: impl std::fmt::Display) {
+    flight::event("flight.log.warning", subject, 0);
     eprintln!("warning: {msg}");
 }
 

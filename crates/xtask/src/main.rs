@@ -9,7 +9,7 @@
 //! ```text
 //! cargo xtask lint                      # human-readable report
 //! cargo xtask lint --json report.json   # also write the JSON artifact
-//! cargo xtask lint --rule hash-iter-order,float-eq --rule budget-threading
+//! cargo xtask lint --rule taint,float-eq --rule budget-threading
 //! cargo xtask lint --callgraph cg.json  # export the workspace call graph
 //! cargo xtask lint --callgraph-dot cg.dot
 //! ```
@@ -248,7 +248,7 @@ mod tests {
             "--json",
             "out.json",
             "--rule",
-            "lock-order",
+            "lock-order-xfn",
             "--callgraph",
             "cg.json",
             "--callgraph-dot",
@@ -256,7 +256,7 @@ mod tests {
         ]))
         .expect("parses");
         assert_eq!(opts.json.as_deref(), Some(Path::new("out.json")));
-        assert_eq!(opts.rules, s(&["float-eq", "lock-order"]));
+        assert_eq!(opts.rules, s(&["float-eq", "lock-order-xfn"]));
         assert_eq!(opts.callgraph.as_deref(), Some(Path::new("cg.json")));
         assert_eq!(opts.callgraph_dot.as_deref(), Some(Path::new("cg.dot")));
     }
@@ -265,16 +265,16 @@ mod tests {
     fn rule_lists_split_on_commas() {
         let opts = parse_lint_args(&s(&[
             "--rule",
-            "float-eq, lock-order",
+            "float-eq, lock-order-xfn",
             "--rule",
             "budget-threading",
         ]))
         .expect("parses");
         assert_eq!(
             opts.rules,
-            s(&["float-eq", "lock-order", "budget-threading"])
+            s(&["float-eq", "lock-order-xfn", "budget-threading"])
         );
-        assert!(parse_lint_args(&s(&["--rule", "float-eq,,lock-order"])).is_err());
+        assert!(parse_lint_args(&s(&["--rule", "float-eq,,lock-order-xfn"])).is_err());
         assert!(parse_lint_args(&s(&["--rule", ","])).is_err());
     }
 

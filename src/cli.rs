@@ -1109,6 +1109,68 @@ mod tests {
     }
 
     #[test]
+    fn resume_over_a_corrupt_checkpoint_names_its_stage_in_the_flight_log() {
+        let db_path = tmp("db_corrupt_ckpt.txt");
+        let ckpt_dir = tmp("ckpt_corrupt_dir");
+        let fl_path = tmp("flight_corrupt_ckpt.json");
+        let _ = std::fs::remove_dir_all(&ckpt_dir);
+        let _ = std::fs::remove_file(&fl_path);
+        run(&args(&[
+            "generate",
+            "--profile",
+            "emol",
+            "--count",
+            "10",
+            "--seed",
+            "4",
+            "--out",
+            &db_path,
+        ]))
+        .unwrap();
+        let select = |extra: &[&str]| {
+            let mut a = args(&[
+                "select",
+                "--db",
+                &db_path,
+                "--gamma",
+                "3",
+                "--min-size",
+                "3",
+                "--max-size",
+                "5",
+                "--walks",
+                "10",
+                "--checkpoint-dir",
+                &ckpt_dir,
+            ]);
+            a.extend(extra.iter().map(|s| s.to_string()));
+            run(&a).unwrap()
+        };
+        select(&[]);
+        let csg = Path::new(&ckpt_dir).join("csg.ckpt");
+        let mut raw = std::fs::read(&csg).unwrap();
+        let mid = raw.len() / 2;
+        raw[mid] ^= 0x40;
+        std::fs::write(&csg, &raw).unwrap();
+        select(&["--resume", "--flight-out", &fl_path]);
+        let dump = catapult_obs::json::parse(&std::fs::read_to_string(&fl_path).unwrap()).unwrap();
+        let Some(Value::Array(events)) = dump.get("events") else {
+            panic!("no events in the dump");
+        };
+        let warned = |e: &&Value| {
+            matches!(e.get("name"), Some(Value::Str(n)) if n == "flight.log.warning")
+                && matches!(e.get("detail"), Some(Value::Str(d)) if d == "csg")
+        };
+        assert!(
+            events.iter().any(|e| warned(&e)),
+            "no warning naming the `csg` stage: {}",
+            dump.render()
+        );
+        let _ = std::fs::remove_dir_all(&ckpt_dir);
+        let _ = std::fs::remove_file(&fl_path);
+    }
+
+    #[test]
     fn select_rejects_bad_budget() {
         let db_path = tmp("db2.txt");
         run(&args(&[

@@ -11,7 +11,7 @@
 use catapult::graph::edit::{apply_edit_script, edit_script};
 use catapult::graph::ged::{ged, ged_lower_bound, induced_edit_cost};
 use catapult::graph::iso::are_isomorphic;
-use catapult::graph::{Graph, Label, VertexId};
+use catapult::graph::{Graph, Label, SearchBudget, VertexId};
 use rand::{Rng, SeedableRng};
 
 /// Minimum induced edit cost over every injective partial mapping A → B.
@@ -71,7 +71,7 @@ fn search_matches_brute_force_on_tiny_graphs() {
     for trial in 0..120 {
         let a = random_graph(&mut rng, 4, 2);
         let b = random_graph(&mut rng, 4, 2);
-        let exact = ged(&a, &b, None, 5_000_000);
+        let exact = ged(&a, &b, None, &SearchBudget::nodes(5_000_000));
         assert!(exact.is_exact(), "trial {trial} exhausted budget");
         let brute = brute_force_ged(&a, &b);
         assert_eq!(
@@ -83,7 +83,7 @@ fn search_matches_brute_force_on_tiny_graphs() {
         // A cutoff τ answers `min(GED, τ)` exactly: a search that finds
         // nothing below τ has proven `GED ≥ τ`.
         for tau in 0..=brute + 1 {
-            let cut = ged(&a, &b, Some(tau), 5_000_000);
+            let cut = ged(&a, &b, Some(tau), &SearchBudget::nodes(5_000_000));
             assert!(cut.is_exact(), "trial {trial} τ={tau} exhausted budget");
             assert_eq!(cut.distance, brute.min(tau), "trial {trial} τ={tau}");
         }

@@ -116,11 +116,11 @@ proptest! {
     fn ged_sandwich_and_identity(a in graph_strategy(5, 2), b in graph_strategy(5, 2)) {
         let lb = ged_lower_bound(&a, &b);
         let ub = ged_upper_bound(&a, &b);
-        let d = ged(&a, &b, None, 500_000);
+        let d = ged(&a, &b, None, &SearchBudget::nodes(500_000));
         prop_assume!(d.is_exact());
         prop_assert!(lb <= d.distance);
         prop_assert!(d.distance <= ub);
-        let self_d = ged(&a, &a, None, 500_000);
+        let self_d = ged(&a, &a, None, &SearchBudget::nodes(500_000));
         prop_assert_eq!(self_d.distance, 0);
     }
 
@@ -130,9 +130,9 @@ proptest! {
         b in graph_strategy(4, 2),
         c in graph_strategy(4, 2),
     ) {
-        let ab = ged(&a, &b, None, 500_000);
-        let bc = ged(&b, &c, None, 500_000);
-        let ac = ged(&a, &c, None, 500_000);
+        let ab = ged(&a, &b, None, &SearchBudget::nodes(500_000));
+        let bc = ged(&b, &c, None, &SearchBudget::nodes(500_000));
+        let ac = ged(&a, &c, None, &SearchBudget::nodes(500_000));
         prop_assume!(ab.is_exact() && bc.is_exact() && ac.is_exact());
         prop_assert!(ac.distance <= ab.distance + bc.distance);
     }

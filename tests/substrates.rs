@@ -128,7 +128,7 @@ fn ged_bound_sandwich_on_random_pairs() {
         let b = random_graph(&mut rng, 6, 3);
         let lb = ged_lower_bound(&a, &b);
         let ub = ged_upper_bound(&a, &b);
-        let exact = ged(&a, &b, None, 2_000_000);
+        let exact = ged(&a, &b, None, &SearchBudget::nodes(2_000_000));
         assert!(exact.is_exact(), "trial {trial} exceeded budget");
         assert!(
             lb <= exact.distance,
@@ -141,7 +141,7 @@ fn ged_bound_sandwich_on_random_pairs() {
             exact.distance
         );
         // Symmetry of the exact distance.
-        let back = ged(&b, &a, None, 2_000_000);
+        let back = ged(&b, &a, None, &SearchBudget::nodes(2_000_000));
         assert_eq!(exact.distance, back.distance, "trial {trial} asymmetric");
     }
 }
@@ -152,7 +152,7 @@ fn ged_zero_iff_isomorphic() {
     for _ in 0..40 {
         let a = random_graph(&mut rng, 5, 2);
         let b = random_graph(&mut rng, 5, 2);
-        let d = ged(&a, &b, None, 2_000_000);
+        let d = ged(&a, &b, None, &SearchBudget::nodes(2_000_000));
         assert!(d.is_exact());
         assert_eq!(d.distance == 0, are_isomorphic(&a, &b));
     }
