@@ -591,16 +591,21 @@ fn edge_killed(f: &SourceFile, ci: usize, kind: &'static str) -> bool {
 /// `direct_sources` uses this so a justified allow still surfaces the
 /// site in the sanctioned audit trail instead of silently erasing it.
 fn order_sanitized(f: &SourceFile, ci: usize, kind: &'static str) -> bool {
-    is_order_kind(kind) && canonicalized(f, f.stmt_range(ci), ORDER_SANITIZER_EXTRA)
+    is_order_kind(kind) && canonicalized(f, ci)
 }
 
-/// Does the statement `range` contain an [`ORDER_SINKS`] or `extra`
-/// token, or bind a collection the next statement sorts?
-fn canonicalized(f: &SourceFile, range: (usize, usize), extra: &[&str]) -> bool {
+/// Does the statement holding `ci` contain an [`ORDER_SINKS`] or
+/// [`ORDER_SANITIZER_EXTRA`] token, bind a collection the next statement
+/// sorts, or form the argument list of a commutative fold
+/// (`acc.merge_all(m.values())`)?
+fn canonicalized(f: &SourceFile, ci: usize) -> bool {
+    let range = f.stmt_range(ci);
+    let is_fold =
+        |i: usize| f.ckind(i) == TokenKind::Ident && ORDER_SANITIZER_EXTRA.contains(&f.ctext(i));
     f.range_any(range, |i| {
-        f.ckind(i) == TokenKind::Ident
-            && (ORDER_SINKS.contains(&f.ctext(i)) || extra.contains(&f.ctext(i)))
+        is_fold(i) || (f.ckind(i) == TokenKind::Ident && ORDER_SINKS.contains(&f.ctext(i)))
     }) || let_followed_by_sort(f, range)
+        || (range.0 >= 2 && f.is_punct(range.0 - 1, "(") && is_fold(range.0 - 2))
 }
 
 /// Scan a def's own body for nondeterminism reads.
@@ -773,8 +778,10 @@ fn hash_iter_at(f: &SourceFile, ci: usize, hash_names: &BTreeSet<&str>) -> Optio
 }
 
 /// The hash-container iterations of a file's non-test code that no
-/// [`ORDER_SINKS`] token or collect-then-sort canonicalizes, one per
-/// statement: the anchors of the sites reported even without a sink.
+/// [`ORDER_SINKS`] token, commutative fold ([`ORDER_SANITIZER_EXTRA`]) or
+/// collect-then-sort canonicalizes, one per statement: the anchors of the
+/// sites reported even without a sink. These are the sanitizers the flow
+/// sources honor, so a site is silent exactly when its flow would be.
 fn hash_iter_sites(f: &SourceFile, hash_names: &BTreeSet<&str>) -> Vec<usize> {
     let mut stmts: BTreeSet<usize> = BTreeSet::new();
     let mut out = Vec::new();
@@ -785,8 +792,7 @@ fn hash_iter_sites(f: &SourceFile, hash_names: &BTreeSet<&str>) -> Vec<usize> {
         let Some(anchor) = hash_iter_at(f, ci, hash_names) else {
             continue;
         };
-        let range = f.stmt_range(ci);
-        if stmts.insert(range.0) && !canonicalized(f, range, &[]) {
+        if stmts.insert(f.stmt_range(ci).0) && !canonicalized(f, ci) {
             out.push(anchor);
         }
     }

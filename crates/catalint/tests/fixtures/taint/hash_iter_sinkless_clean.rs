@@ -1,6 +1,6 @@
 //@ file: crates/core/src/tally.rs
-//! Every hash iteration feeds an order-insensitive sink, an ordering
-//! collect, or an immediate sort.
+//! Every hash iteration feeds an order-insensitive sink, a commutative
+//! fold, an ordering collect, or an immediate sort.
 use std::collections::{BTreeMap, HashMap};
 
 fn sorted_view(m: &HashMap<String, u32>) -> BTreeMap<String, u32> {
@@ -19,6 +19,10 @@ fn membership(m: &HashMap<String, u32>) -> bool {
 
 fn size(m: &HashMap<String, u32>) -> usize {
     m.iter().count()
+}
+
+fn fold(acc: &mut Tally, m: &HashMap<u32, Tally>) {
+    acc.merge_all(m.values());
 }
 
 #[cfg(test)]

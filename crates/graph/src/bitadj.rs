@@ -48,6 +48,16 @@ impl BitAdjacency {
         let start = u.index() * self.stride;
         self.words.get(start..start + self.stride).unwrap_or(&[])
     }
+
+    /// `|N(u) ∩ set|` for a vertex bitset `set` laid out like a row.
+    #[inline]
+    pub(crate) fn row_overlap(&self, u: VertexId, set: &[u64]) -> usize {
+        self.row(u)
+            .iter()
+            .zip(set)
+            .map(|(r, s)| (r & s).count_ones() as usize)
+            .sum()
+    }
 }
 
 #[cfg(test)]
@@ -92,5 +102,9 @@ mod tests {
         assert!(bits.has_edge(VertexId(64), VertexId(0)));
         assert!(bits.has_edge(VertexId(69), VertexId(63)));
         assert!(!bits.has_edge(VertexId(2), VertexId(69)));
+        // N(0) = {63, 64}; the set {1, 63, 64} meets it in both words.
+        let set = [(1u64 << 1) | (1u64 << 63), 1u64];
+        assert_eq!(bits.row_overlap(VertexId(0), &set), 2);
+        assert_eq!(bits.row_overlap(VertexId(1), &set), 0);
     }
 }

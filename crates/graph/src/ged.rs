@@ -20,6 +20,7 @@
 //!   best-known value (at most `min(ub, τ) ≤ ub`), flagged via
 //!   [`GedResult::completeness`].
 
+use crate::bitadj::BitAdjacency;
 use crate::budget::{BudgetMeter, Completeness, Kernel, SearchBudget};
 use crate::graph::{Graph, VertexId};
 use crate::labels::Label;
@@ -195,80 +196,98 @@ pub fn ged_upper_bound_mapping(a: &Graph, b: &Graph) -> (usize, Vec<Option<Verte
     (induced_edit_cost(a, b, &mapping), mapping)
 }
 
+/// Depth-first branch-and-bound over vertex mappings A → B ∪ {deleted}.
+///
+/// Every per-node quantity lives in dense tables, bitsets and per-depth
+/// buffers built once per call (DESIGN.md §15, "GED inner loop"): a node
+/// allocates nothing, hashes nothing, and prices a target with two
+/// popcounts over one row of B's adjacency.
 struct GedSearch<'a> {
     a: &'a Graph,
     b: &'a Graph,
     order: Vec<VertexId>,
-    /// a-vertex → its position in `order` (O(1) decidedness checks).
-    pos: Vec<usize>,
     /// `prefix_a_edges[d]` = number of A edges with both endpoints among
     /// the first `d` ordered vertices (precomputed once; the order is
     /// static).
     prefix_a_edges: Vec<usize>,
-    /// Per-label running count of undecided A vertices / unused B
-    /// vertices, packed as parallel counts over the union label alphabet.
-    rem_a: Vec<i32>,
-    avail_b: Vec<i32>,
-    label_ids: std::collections::HashMap<Label, usize>,
+    /// `back[back_start[d]..back_start[d + 1]]`: the neighbours of
+    /// `order[d]` that come before it in `order`, i.e. those already
+    /// decided when it is.
+    back_start: Vec<usize>,
+    back: Vec<VertexId>,
+    /// Dense label id of each A / B vertex over the sorted, deduplicated
+    /// union label alphabet.
+    a_lid: Vec<usize>,
+    b_lid: Vec<usize>,
+    /// Per-label count of undecided A vertices / unused B vertices.
+    rem_a: Vec<usize>,
+    avail_b: Vec<usize>,
+    /// `Σ_l min(rem_a[l], avail_b[l])`, kept current on every count change.
+    matched: usize,
+    /// a-vertex → its image in B (`None`: undecided or deleted).
     mapping: Vec<Option<VertexId>>,
-    /// b-vertex → a-vertex that maps onto it (for O(1) preimage lookups).
-    preimage: Vec<Option<VertexId>>,
-    b_used: Vec<bool>,
+    /// Adjacency rows of B, `stride` words each.
+    b_bits: BitAdjacency,
+    stride: usize,
+    /// Bitset of used B vertices.
+    used: Vec<u64>,
     /// Number of used B vertices (incremental).
     b_used_count: usize,
     /// Number of B edges with both endpoints used (incremental).
     b_edges_used: usize,
+    /// Per-depth scratch, reused across siblings: depth `d` owns
+    /// `targets[d·|V_B|..]` (its branch order) and `img[d·stride..]` (the
+    /// images of its vertex's mapped back-neighbours).
+    targets: Vec<VertexId>,
+    img: Vec<u64>,
     best: usize,
     meter: BudgetMeter,
 }
 
-impl<'a> GedSearch<'a> {
-    fn label_id(&self, l: Label) -> usize {
-        self.label_ids[&l]
+impl GedSearch<'_> {
+    // `min(x, y)` falls with `x` iff `x ≤ y` before the decrement, and
+    // rises with it iff `x ≤ y` after the increment.
+    fn take_a(&mut self, l: usize) {
+        self.matched -= usize::from(self.rem_a[l] <= self.avail_b[l]);
+        self.rem_a[l] -= 1;
     }
 
-    /// Incremental cost of deciding `v` (the vertex at `depth`):
-    /// counts vertex cost plus edge costs between `v` and already-decided
-    /// vertices on both sides.
-    fn step_cost(&self, v: VertexId, target: Option<VertexId>, depth: usize) -> usize {
-        let mut c = 0usize;
-        match target {
-            None => {
-                c += 1; // deletion
-                for &(w, _) in self.a.neighbors(v) {
-                    if self.pos[w.index()] < depth {
-                        c += 1; // edge (v,w) deleted
-                    }
-                }
-            }
-            Some(t) => {
-                if self.a.label(v) != self.b.label(t) {
-                    c += 1;
-                }
-                for &(w, _) in self.a.neighbors(v) {
-                    if self.pos[w.index()] >= depth {
-                        continue;
-                    }
-                    match self.mapping[w.index()] {
-                        Some(x) if self.b.has_edge(x, t) => {} // matched
-                        _ => c += 1,                           // deleted
-                    }
-                }
-                // B-side insertions: edges from t to already-used images
-                // with no corresponding A edge.
-                for &(y, _) in self.b.neighbors(t) {
-                    if !self.b_used[y.index()] {
-                        continue;
-                    }
-                    match self.preimage[y.index()] {
-                        Some(w) if self.a.has_edge(w, v) => {} // matched above
-                        Some(_) => c += 1,                     // inserted
-                        None => {}
-                    }
-                }
-            }
-        }
-        c
+    fn return_a(&mut self, l: usize) {
+        self.rem_a[l] += 1;
+        self.matched += usize::from(self.rem_a[l] <= self.avail_b[l]);
+    }
+
+    fn take_b(&mut self, l: usize) {
+        self.matched -= usize::from(self.avail_b[l] <= self.rem_a[l]);
+        self.avail_b[l] -= 1;
+    }
+
+    fn return_b(&mut self, l: usize) {
+        self.avail_b[l] += 1;
+        self.matched += usize::from(self.avail_b[l] <= self.rem_a[l]);
+    }
+
+    /// Number of decided neighbours of the vertex at `depth`: the edges a
+    /// deletion of it deletes.
+    fn decided_degree(&self, depth: usize) -> usize {
+        self.back_start[depth + 1] - self.back_start[depth]
+    }
+
+    /// Incremental cost of mapping the vertex at `depth` (label id `vl`)
+    /// onto the unused B vertex `t`: a relabel, each edge to a decided
+    /// vertex whose image is not adjacent to `t` (deleted), and each edge
+    /// from `t` to a used vertex whose preimage is not adjacent to the
+    /// vertex (inserted). Both edge terms exclude the same overlap
+    /// `|N_B(t) ∩ img|`, so on simple graphs, where every used B vertex
+    /// has a preimage, the cost is
+    /// `[vl ≠ l(t)] + |decided N_A| + |N_B(t) ∩ used| − 2·|N_B(t) ∩ img|`.
+    fn map_cost(&self, depth: usize, vl: usize, t: VertexId) -> usize {
+        let img = &self.img[depth * self.stride..(depth + 1) * self.stride];
+        let overlap = self.b_bits.row_overlap(t, img);
+        let touched = self.b_bits.row_overlap(t, &self.used);
+        usize::from(self.b_lid[t.index()] != vl)
+            + (self.decided_degree(depth) - overlap)
+            + (touched - overlap)
     }
 
     /// Admissible heuristic on the remaining subproblem: label-multiset
@@ -276,11 +295,7 @@ impl<'a> GedSearch<'a> {
     fn heuristic(&self, depth: usize) -> usize {
         let ra = self.order.len() - depth;
         let rb = self.b.vertex_count() - self.b_used_count;
-        let mut matched = 0usize;
-        for (x, y) in self.rem_a.iter().zip(&self.avail_b) {
-            matched += usize::try_from((*x).min(*y)).unwrap_or(0);
-        }
-        let v_h = ra.max(rb) - matched.min(ra.min(rb));
+        let v_h = ra.max(rb) - self.matched.min(ra.min(rb));
         let ea = self.a.edge_count() - self.prefix_a_edges[depth];
         let eb = self.b.edge_count() - self.b_edges_used;
         v_h + ea.abs_diff(eb)
@@ -293,32 +308,49 @@ impl<'a> GedSearch<'a> {
         unused + (self.b.edge_count() - self.b_edges_used)
     }
 
-    fn use_b(&mut self, t: VertexId, v: VertexId) {
-        self.b_used[t.index()] = true;
+    fn use_b(&mut self, t: VertexId) {
+        self.b_edges_used += self.b_bits.row_overlap(t, &self.used);
+        self.used[t.index() / 64] |= 1u64 << (t.index() % 64);
         self.b_used_count += 1;
-        self.preimage[t.index()] = Some(v);
-        let lid = self.label_id(self.b.label(t));
-        self.avail_b[lid] -= 1;
-        self.b_edges_used += self
-            .b
-            .neighbors(t)
-            .iter()
-            .filter(|(y, _)| self.b_used[y.index()])
-            .count();
+        self.take_b(self.b_lid[t.index()]);
     }
 
     fn release_b(&mut self, t: VertexId) {
-        self.b_edges_used -= self
-            .b
-            .neighbors(t)
-            .iter()
-            .filter(|(y, _)| self.b_used[y.index()])
-            .count();
-        self.b_used[t.index()] = false;
+        self.used[t.index() / 64] &= !(1u64 << (t.index() % 64));
+        self.b_edges_used -= self.b_bits.row_overlap(t, &self.used);
         self.b_used_count -= 1;
-        self.preimage[t.index()] = None;
-        let lid = self.label_id(self.b.label(t));
-        self.avail_b[lid] += 1;
+        self.return_b(self.b_lid[t.index()]);
+    }
+
+    /// Fill depth `depth`'s target buffer with the unused B vertices,
+    /// those labelled `vl` first, each group in vertex order: the order a
+    /// stable sort by "label differs" gives. Returns how many.
+    fn fill_targets(&mut self, depth: usize, vl: usize) -> usize {
+        let nb = self.b.vertex_count();
+        let buf = &mut self.targets[depth * nb..(depth + 1) * nb];
+        let mut k = 0;
+        for same in [true, false] {
+            for (t, &l) in self.b.vertices().zip(&self.b_lid) {
+                let unused = (self.used[t.index() / 64] >> (t.index() % 64)) & 1 == 0;
+                if unused && (l == vl) == same {
+                    buf[k] = t;
+                    k += 1;
+                }
+            }
+        }
+        k
+    }
+
+    /// Set depth `depth`'s image bitset to the images of the mapped
+    /// back-neighbours of the vertex at `depth`.
+    fn fill_img(&mut self, depth: usize) {
+        let img = &mut self.img[depth * self.stride..(depth + 1) * self.stride];
+        img.fill(0);
+        for &w in &self.back[self.back_start[depth]..self.back_start[depth + 1]] {
+            if let Some(x) = self.mapping[w.index()] {
+                img[x.index() / 64] |= 1u64 << (x.index() % 64);
+            }
+        }
     }
 
     fn descend(&mut self, depth: usize, g: usize) {
@@ -337,34 +369,32 @@ impl<'a> GedSearch<'a> {
             return;
         }
         let v = self.order[depth];
-        let v_label_id = self.label_id(self.a.label(v));
-        self.rem_a[v_label_id] -= 1;
+        let vl = self.a_lid[v.index()];
+        self.take_a(vl);
+        let n_targets = self.fill_targets(depth, vl);
+        self.fill_img(depth);
+        let base = depth * self.b.vertex_count();
         // Substitution branches, same-label targets first.
-        let mut targets: Vec<VertexId> = self
-            .b
-            .vertices()
-            .filter(|t| !self.b_used[t.index()])
-            .collect();
-        targets.sort_by_key(|&t| self.b.label(t) != self.a.label(v));
-        for t in targets {
-            let dc = self.step_cost(v, Some(t), depth);
+        for i in 0..n_targets {
+            let t = self.targets[base + i];
+            let dc = self.map_cost(depth, vl, t);
             if g + dc >= self.best {
                 continue;
             }
             self.mapping[v.index()] = Some(t);
-            self.use_b(t, v);
+            self.use_b(t);
             self.descend(depth + 1, g + dc);
             self.release_b(t);
             self.mapping[v.index()] = None;
             if self.meter.tripped() {
-                self.rem_a[v_label_id] += 1;
+                self.return_a(vl);
                 return;
             }
         }
-        // Deletion branch.
-        let dc = self.step_cost(v, None, depth);
+        // Deletion branch: the vertex and its edges to decided vertices.
+        let dc = 1 + self.decided_degree(depth);
         self.descend(depth + 1, g + dc);
-        self.rem_a[v_label_id] += 1;
+        self.return_a(vl);
     }
 }
 
@@ -386,14 +416,15 @@ pub fn ged(a: &Graph, b: &Graph, tau: Option<usize>, budget: &SearchBudget) -> G
             completeness: Completeness::Exact,
         };
     }
+    let (na, nb) = (a.vertex_count(), b.vertex_count());
     let mut order: Vec<VertexId> = a.vertices().collect();
     order.sort_by_key(|&v| std::cmp::Reverse(a.degree(v)));
-    let mut pos = vec![usize::MAX; a.vertex_count()];
+    let mut pos = vec![usize::MAX; na];
     for (i, &v) in order.iter().enumerate() {
         pos[v.index()] = i;
     }
     // prefix_a_edges[d]: A edges with both endpoint positions < d.
-    let mut prefix_a_edges = vec![0usize; order.len() + 1];
+    let mut prefix_a_edges = vec![0usize; na + 1];
     for (_, e) in a.edges() {
         let later = pos[e.u.index()].max(pos[e.v.index()]);
         prefix_a_edges[later + 1] += 1;
@@ -401,34 +432,55 @@ pub fn ged(a: &Graph, b: &Graph, tau: Option<usize>, budget: &SearchBudget) -> G
     for d in 1..prefix_a_edges.len() {
         prefix_a_edges[d] += prefix_a_edges[d - 1];
     }
+    let mut back_start = Vec::with_capacity(na + 1);
+    let mut back = Vec::with_capacity(a.edge_count());
+    back_start.push(0);
+    for (d, &v) in order.iter().enumerate() {
+        back.extend(
+            a.neighbors(v)
+                .iter()
+                .map(|&(w, _)| w)
+                .filter(|w| pos[w.index()] < d),
+        );
+        back_start.push(back.len());
+    }
     // Union label alphabet with per-side counts.
-    let mut label_ids = std::collections::HashMap::new();
-    for l in a.labels().iter().chain(b.labels()) {
-        let next = label_ids.len();
-        label_ids.entry(*l).or_insert(next);
+    let mut alphabet: Vec<Label> = a.labels().iter().chain(b.labels()).copied().collect();
+    alphabet.sort_unstable();
+    alphabet.dedup();
+    let lid = |l: &Label| alphabet.partition_point(|x| x < l);
+    let a_lid: Vec<usize> = a.labels().iter().map(lid).collect();
+    let b_lid: Vec<usize> = b.labels().iter().map(lid).collect();
+    let mut rem_a = vec![0usize; alphabet.len()];
+    let mut avail_b = vec![0usize; alphabet.len()];
+    for &l in &a_lid {
+        rem_a[l] += 1;
     }
-    let mut rem_a = vec![0i32; label_ids.len()];
-    let mut avail_b = vec![0i32; label_ids.len()];
-    for &l in a.labels() {
-        rem_a[label_ids[&l]] += 1;
+    for &l in &b_lid {
+        avail_b[l] += 1;
     }
-    for &l in b.labels() {
-        avail_b[label_ids[&l]] += 1;
-    }
+    let matched = rem_a.iter().zip(&avail_b).map(|(x, y)| *x.min(y)).sum();
+    let stride = nb.div_ceil(64);
     let mut s = GedSearch {
         a,
         b,
         order,
-        pos,
         prefix_a_edges,
+        back_start,
+        back,
+        a_lid,
+        b_lid,
         rem_a,
         avail_b,
-        label_ids,
-        mapping: vec![None; a.vertex_count()],
-        preimage: vec![None; b.vertex_count()],
-        b_used: vec![false; b.vertex_count()],
+        matched,
+        mapping: vec![None; na],
+        b_bits: BitAdjacency::new(b),
+        stride,
+        used: vec![0; stride],
         b_used_count: 0,
         b_edges_used: 0,
+        targets: vec![VertexId(0); na * nb],
+        img: vec![0; na * stride],
         best: seed,
         meter: BudgetMeter::new(budget, Kernel::Ged),
     };

@@ -176,6 +176,7 @@ impl Recorder {
                 improved: self.counter(&name("improved")),
                 exact: self.counter(&name("exact")),
                 degraded: self.counter(&name("degraded")),
+                probes_degraded: self.counter(&name("probes_degraded")),
                 probe_sizes: self.histogram(&name("probes_per_call")),
             }
         };
@@ -473,6 +474,8 @@ struct KernelCells {
     improved: Counter,
     exact: Counter,
     degraded: Counter,
+    /// Probes spent by calls that ended degraded (their share of `probes`).
+    probes_degraded: Counter,
     probe_sizes: HistogramHandle,
 }
 
@@ -504,6 +507,7 @@ impl StageProbe {
             k.exact.incr();
         } else {
             k.degraded.incr();
+            k.probes_degraded.add(m.probes);
         }
         k.probe_sizes.record(m.probes);
     }
@@ -645,6 +649,8 @@ mod tests {
         assert_eq!(rec.counter("scoring.iso.improved").get(), 1);
         assert_eq!(rec.counter("scoring.iso.exact").get(), 1);
         assert_eq!(rec.counter("scoring.iso.degraded").get(), 1);
+        // Only the degraded call's probes count as wasted.
+        assert_eq!(rec.counter("scoring.iso.probes_degraded").get(), 30);
         assert_eq!(rec.counter("scoring.mcs.calls").get(), 0);
         let snap = rec.snapshot().unwrap();
         assert_eq!(snap.stage_metric_total("scoring", "probes"), 40);

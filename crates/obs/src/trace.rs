@@ -2,8 +2,8 @@
 //!
 //! Two sections: the span tree (per-stage wall time and share of the
 //! run), and a kernel-effort table (per stage: calls, probes, probes/sec,
-//! budget checks, degraded calls) derived from the
-//! `stage.kernel.metric` counters.
+//! budget checks, degraded calls and the probes those degraded calls
+//! spent) derived from the `stage.kernel.metric` counters.
 
 use crate::recorder::Snapshot;
 
@@ -119,19 +119,20 @@ fn kernel_section(snapshot: &Snapshot) -> String {
         return String::new();
     }
     let mut out = format!(
-        "{:<12}  {:>8}  {:>10}  {:>12}  {:>8}  {:>8}\n",
-        "stage", "calls", "probes", "probes/sec", "checks", "degraded"
+        "{:<12}  {:>8}  {:>10}  {:>12}  {:>8}  {:>8}  {:>15}\n",
+        "stage", "calls", "probes", "probes/sec", "checks", "degraded", "probes_degraded"
     );
     for stage in stages {
         let calls = snapshot.stage_metric_total(stage, "calls");
         let probes = snapshot.stage_metric_total(stage, "probes");
         let checks = snapshot.stage_metric_total(stage, "budget_checks");
         let degraded = snapshot.stage_metric_total(stage, "degraded");
+        let wasted = snapshot.stage_metric_total(stage, "probes_degraded");
         let wall_ns = stage_wall_ns(snapshot, stage).max(1);
         let rate = probes as f64 / (wall_ns as f64 / 1e9);
         out.push_str(&format!(
-            "{:<12}  {:>8}  {:>10}  {:>12.0}  {:>8}  {:>8}\n",
-            stage, calls, probes, rate, checks, degraded,
+            "{:<12}  {:>8}  {:>10}  {:>12.0}  {:>8}  {:>8}  {:>15}\n",
+            stage, calls, probes, rate, checks, degraded, wasted,
         ));
     }
     out
@@ -157,6 +158,15 @@ mod tests {
                     exact: true,
                 },
             );
+            rec.stage_probe("mining").flush(
+                Kernel::Iso,
+                KernelMeasurement {
+                    probes: 7,
+                    checks: 1,
+                    improved: 0,
+                    exact: false,
+                },
+            );
         }
         let snap = rec.snapshot().unwrap();
         let table = summary_table(&snap);
@@ -166,7 +176,12 @@ mod tests {
             "missing indented child: {table}"
         );
         assert!(table.contains("probes/sec"), "{table}");
-        assert!(table.contains("40"), "{table}");
+        assert!(table.contains("probes_degraded"), "{table}");
+        // 47 probes in all, 7 of them in the degraded call.
+        let row = table.lines().find(|l| l.starts_with("mining ")).unwrap();
+        let cells: Vec<&str> = row.split_whitespace().collect();
+        assert_eq!(cells[2], "47", "{table}");
+        assert_eq!(cells.last(), Some(&"7"), "{table}");
     }
 
     #[test]
