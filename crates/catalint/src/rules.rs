@@ -54,7 +54,7 @@ pub const RULES: &[RuleInfo] = &[
     },
     RuleInfo {
         name: "metric-name",
-        summary: "metric/flight-event names follow stage.kernel.metric",
+        summary: "metric and event names follow stage.kernel.metric",
     },
     RuleInfo {
         name: "float-total-order",
@@ -220,35 +220,27 @@ fn lint_header(f: &SourceFile, out: &mut Vec<Diagnostic>) {
 }
 
 /// Rule `metric-name`: literal names registered on a `Recorder`
-/// (`.counter("…")` / `.histogram("…")`) or logged to the flight
-/// recorder (`flight::event("…", …)`) follow `stage.kernel.metric`
-/// (≥ 3 lowercase dot-separated segments).
+/// (`.counter("…")` / `.histogram("…")` / `.event("…", …)`) follow
+/// `stage.kernel.metric` (≥ 3 lowercase dot-separated segments).
 fn metric_name(f: &SourceFile, out: &mut Vec<Diagnostic>) {
     for ci in 0..f.n_code() {
         if f.in_test(ci) {
             continue;
         }
         if f.is_punct(ci, ".")
-            && (f.is_ident(ci + 1, "counter") || f.is_ident(ci + 1, "histogram"))
+            && ["counter", "histogram", "event"]
+                .iter()
+                .any(|m| f.is_ident(ci + 1, m))
             && f.is_punct(ci + 2, "(")
             && ci + 3 < f.n_code()
             && f.ckind(ci + 3) == TokenKind::StrLit
         {
             check_metric_literal(f, ci + 3, out);
         }
-        if f.is_ident(ci, "flight")
-            && f.is_punct(ci + 1, "::")
-            && f.is_ident(ci + 2, "event")
-            && f.is_punct(ci + 3, "(")
-            && ci + 4 < f.n_code()
-            && f.ckind(ci + 4) == TokenKind::StrLit
-        {
-            check_metric_literal(f, ci + 4, out);
-        }
     }
 }
 
-/// Shared literal check for recorder metrics and flight event names.
+/// The literal check for recorder metric and event names.
 fn check_metric_literal(f: &SourceFile, ci: usize, out: &mut Vec<Diagnostic>) {
     let lit = f.ctext(ci);
     let name = lit.trim_matches(|c| c == '"' || c == '#' || c == 'r' || c == 'b');

@@ -1,7 +1,7 @@
 fn record(rec: &mut Recorder) {
     rec.counter("badname").incr(1);
     rec.histogram("Two.Part").record(2);
-    flight::event("badflightname", "", 0);
+    rec.event("badeventname", "", 0);
 }
 
 struct Recorder;

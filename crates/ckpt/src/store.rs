@@ -33,6 +33,9 @@
 //!   `ckpt.store.reject`, delete the carcass, `Ok(None)`. Corruption is
 //!   what crashes produce; recomputing is always safe and the result is
 //!   identical by the determinism invariant.
+//! * **Undecodable** payload (the checksum held but the stage decoder
+//!   rejects it: schema drift within a version) → the same warn, delete
+//!   and recompute, through [`StageStore::load_decoded`].
 //! * **Foreign** file (schema version or any fingerprint field differs)
 //!   → hard error naming the first mismatched field. This is operator
 //!   error — resuming someone else's run would silently produce wrong
@@ -322,7 +325,7 @@ impl StageStore {
             match write_once(&tmp, &path, &image) {
                 Ok(()) => {
                     self.recorder.counter("ckpt.store.write").incr();
-                    catapult_obs::flight::event("flight.ckpt.write", stage, seq);
+                    self.recorder.event("flight.ckpt.write", stage, seq);
                     return Ok(());
                 }
                 Err(_) if attempt < attempts => {
@@ -370,12 +373,12 @@ impl StageStore {
         match decode_file(&path, &raw, stage, self.fp) {
             Ok((seq, payload)) => {
                 self.recorder.counter("ckpt.store.load").incr();
-                catapult_obs::flight::event("flight.ckpt.load", stage, seq);
+                self.recorder.event("flight.ckpt.load", stage, seq);
                 Ok(Some((seq, payload)))
             }
             Err(Verdict::Corrupt(detail)) => {
                 self.recorder.counter("ckpt.store.reject").incr();
-                catapult_obs::warn(
+                self.recorder.warn(
                     stage,
                     format!(
                         "discarding corrupt checkpoint {}: {detail}; recomputing stage `{stage}`",
@@ -389,6 +392,32 @@ impl StageStore {
             Err(Verdict::Foreign(e)) => {
                 self.recorder.counter("ckpt.store.reject").incr();
                 Err(e)
+            }
+        }
+    }
+
+    /// [`load`](StageStore::load) `stage`'s checkpoint and `decode` its
+    /// payload. A payload that passed its checksum but does not decode
+    /// (schema drift within a version) is warned about, deleted and
+    /// reported as absent, so the stage recomputes: recomputing is safe,
+    /// reusing is not.
+    pub fn load_decoded<T>(
+        &self,
+        stage: &'static str,
+        decode: impl FnOnce(&[u8]) -> Result<T, wire::WireError>,
+    ) -> Result<Option<(u64, T)>, CkptError> {
+        let Some((seq, payload)) = self.load(stage)? else {
+            return Ok(None);
+        };
+        match decode(&payload) {
+            Ok(value) => Ok(Some((seq, value))),
+            Err(e) => {
+                self.recorder.warn(
+                    stage,
+                    format!("discarding undecodable {stage} checkpoint ({e}); recomputing"),
+                );
+                self.discard(stage)?;
+                Ok(None)
             }
         }
     }
@@ -735,6 +764,35 @@ mod tests {
         };
         assert_eq!(get("ckpt.store.write"), Some(2));
         assert_eq!(get("ckpt.store.load"), Some(1));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn undecodable_payload_is_warned_about_and_discarded() {
+        let dir = tmp_dir("undecodable");
+        let recorder = Recorder::enabled();
+        let mut c = cfg(&dir);
+        c.resume = true;
+        let store = StageStore::open(&c, fp(), recorder.clone()).unwrap();
+        store.save("csg", 2, b"xx").unwrap();
+        let decoded = store.load_decoded("csg", |b| wire::Dec::new(b).u64());
+        assert!(matches!(decoded, Ok(None)), "{decoded:?}");
+        assert!(!store.stage_path("csg").exists(), "undecodable file kept");
+        store.save("csg", 3, &7u64.to_le_bytes()).unwrap();
+        let decoded = store.load_decoded("csg", |b| wire::Dec::new(b).u64());
+        assert_eq!(decoded.unwrap(), Some((3, 7)));
+        let snapshot = recorder.snapshot().unwrap();
+        let names: Vec<(&str, &str)> = snapshot.events.iter().map(|e| (e.name, e.detail)).collect();
+        assert_eq!(
+            names,
+            [
+                ("flight.ckpt.write", "csg"),
+                ("flight.ckpt.load", "csg"),
+                ("flight.log.warning", "csg"),
+                ("flight.ckpt.write", "csg"),
+                ("flight.ckpt.load", "csg"),
+            ]
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -1,10 +1,10 @@
-//! Checkpoint payload encodings for the clustering phase, plus the
-//! RNG-snapshot plumbing resumable runs need.
+//! Checkpoint payload encodings for the clustering phase.
 //!
 //! Three whole-stage payloads ([`MiningCkpt`], [`CoarseCkpt`],
 //! [`ClusteringCkpt`]) mark the phase's pipeline boundaries, and one
 //! intra-stage payload ([`FineState`]) lets a resume land *inside* fine
-//! clustering: the work/done lists, the RNG stream position, the kernel
+//! clustering: the work/done lists, the RNG stream position
+//! (`StdRng::state`, restored with `StdRng::from_state`), the kernel
 //! tally so far, and — mid-split — the completed prefix of the pairwise
 //! similarity rows. Every payload round-trips byte-identically through
 //! [`catapult_ckpt::wire`]; the resume-equals-uninterrupted property
@@ -14,49 +14,6 @@ use crate::pipeline::Clustering;
 use catapult_ckpt::wire::{Dec, Enc, WireError};
 use catapult_graph::{Completeness, TallyCounts};
 use catapult_mining::subtree::FrequentSubtree;
-use rand::rngs::StdRng;
-use rand::RngCore;
-
-/// An [`RngCore`] whose full stream position can be captured and
-/// restored — the property that makes mid-stage resume byte-identical.
-///
-/// Checkpointed runs drive the pipeline with a concrete [`StdRng`]
-/// (snapshot always available); the pre-existing generic entry points
-/// wrap their caller's RNG in [`NoSnap`], which never snapshots and so
-/// never pays for state it cannot use.
-pub(crate) trait SnapRng: RngCore {
-    /// The current stream position, if this RNG supports capture.
-    fn snapshot(&self) -> Option<[u64; 4]>;
-    /// Jump to a previously captured position.
-    fn restore(&mut self, s: [u64; 4]);
-}
-
-impl SnapRng for StdRng {
-    fn snapshot(&self) -> Option<[u64; 4]> {
-        Some(self.state())
-    }
-    fn restore(&mut self, s: [u64; 4]) {
-        *self = StdRng::from_state(s);
-    }
-}
-
-/// Adapter giving any [`RngCore`] a (vacuous) [`SnapRng`] impl.
-pub(crate) struct NoSnap<'a, R: RngCore>(pub &'a mut R);
-
-impl<R: RngCore> RngCore for NoSnap<'_, R> {
-    fn next_u64(&mut self) -> u64 {
-        self.0.next_u64()
-    }
-}
-
-impl<R: RngCore> SnapRng for NoSnap<'_, R> {
-    fn snapshot(&self) -> Option<[u64; 4]> {
-        None
-    }
-    // Restore only happens when a checkpoint was loaded, and checkpoints
-    // are only loaded by store-backed runs, which use `StdRng` directly.
-    fn restore(&mut self, _s: [u64; 4]) {}
-}
 
 /// Progress through one in-flight cluster split (Algorithm 3's inner
 /// loop), checkpointed every `chunk_pairs` similarity computations.

@@ -19,9 +19,7 @@
 //! persists through the fine-state checkpoint, so a resumed run reuses
 //! instead of recomputing.
 
-use crate::ckpt_io::{
-    decode_fine_state, encode_fine_state, CacheEntry, FineState, NoSnap, SnapRng, SplitProgress,
-};
+use crate::ckpt_io::{decode_fine_state, encode_fine_state, CacheEntry, FineState, SplitProgress};
 use catapult_ckpt::{CkptError, StageStore};
 use catapult_graph::canonical::{canonical_form, CanonTokens};
 use catapult_graph::mcs::{self, McsConfig};
@@ -377,13 +375,13 @@ pub struct FineOutcome {
 /// fit (or a cluster refuses to shrink, in which case it is cut in half
 /// deterministically to guarantee termination — this only happens when all
 /// members are identical), reporting per-kernel-call completeness.
-pub fn fine_cluster<R: Rng>(
+pub fn fine_cluster(
     db: &[Graph],
     clusters: Vec<Vec<u32>>,
     cfg: &FineConfig,
-    rng: &mut R,
+    rng: &mut StdRng,
 ) -> FineOutcome {
-    match fine_inner(db, clusters, cfg, &mut NoSnap(rng), None) {
+    match fine_inner(db, clusters, cfg, rng, None) {
         Ok(out) => out,
         // A store-free run performs no checkpoint I/O and cannot fail.
         Err(_) => unreachable!("checkpoint-free fine clustering cannot fail"),
@@ -406,20 +404,19 @@ pub fn fine_cluster_resumable(
     fine_inner(db, clusters, cfg, rng, Some(store))
 }
 
-/// Flush the fine stage's state to the store (no-op without one, or
-/// when the RNG cannot snapshot — the two always coincide).
+/// Flush the fine stage's state to the store (no-op without one).
 #[allow(clippy::too_many_arguments)]
 fn write_state(
     store: Option<&StageStore>,
     seq: &mut u64,
     done: &[Vec<u32>],
     work: &[Vec<u32>],
-    rng: Option<[u64; 4]>,
+    rng: [u64; 4],
     tally: TallyCounts,
     current: Option<&SplitProgress>,
     cache: &SimCache,
 ) -> Result<(), CkptError> {
-    let (Some(st), Some(rng)) = (store, rng) else {
+    let Some(st) = store else {
         return Ok(());
     };
     let state = FineState {
@@ -438,11 +435,11 @@ fn write_state(
 /// The shared engine behind [`fine_cluster`] and
 /// [`fine_cluster_resumable`] (and the pipeline's store-aware fine
 /// stage).
-pub(crate) fn fine_inner<R: SnapRng>(
+pub(crate) fn fine_inner(
     db: &[Graph],
     clusters: Vec<Vec<u32>>,
     cfg: &FineConfig,
-    rng: &mut R,
+    rng: &mut StdRng,
     store: Option<&StageStore>,
 ) -> Result<FineOutcome, CkptError> {
     let n = cfg.max_cluster_size;
@@ -457,31 +454,15 @@ pub(crate) fn fine_inner<R: SnapRng>(
     let mut seq: u64 = 0;
     let mut resumed = false;
     if let Some(st) = store {
-        if let Some((loaded_seq, payload)) = st.load("fine")? {
-            match decode_fine_state(&payload) {
-                Ok(state) => {
-                    done = state.done;
-                    work = state.work;
-                    rng.restore(state.rng);
-                    baseline = state.tally;
-                    current = state.current;
-                    restored_cache = state.cache;
-                    seq = loaded_seq + 1;
-                    resumed = true;
-                }
-                Err(e) => {
-                    // Checksummed but undecodable: schema drift within a
-                    // version. Recomputing is safe; reusing is not.
-                    catapult_obs::warn(
-                        "fine",
-                        format!(
-                            "discarding undecodable fine checkpoint ({e}); \
-                         recomputing stage `fine`"
-                        ),
-                    );
-                    st.discard("fine")?;
-                }
-            }
+        if let Some((loaded_seq, state)) = st.load_decoded("fine", decode_fine_state)? {
+            done = state.done;
+            work = state.work;
+            *rng = StdRng::from_state(state.rng);
+            baseline = state.tally;
+            current = state.current;
+            restored_cache = state.cache;
+            seq = loaded_seq + 1;
+            resumed = true;
         }
     }
     if !resumed {
@@ -527,7 +508,7 @@ pub(crate) fn fine_inner<R: SnapRng>(
         };
         // The RNG is untouched for the rest of the split, so this
         // post-draw snapshot stays valid for every mid-split flush.
-        let rng_state = rng.snapshot();
+        let rng_state = rng.state();
         write_state(
             store,
             &mut seq,
@@ -581,7 +562,7 @@ pub(crate) fn fine_inner<R: SnapRng>(
             &mut seq,
             &done,
             &work,
-            rng.snapshot(),
+            rng.state(),
             baseline.merge(tally.counts()),
             None,
             &cache,

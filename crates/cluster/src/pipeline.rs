@@ -7,7 +7,7 @@
 
 use crate::ckpt_io::{
     decode_clustering, decode_coarse, decode_mining, encode_clustering, encode_coarse,
-    encode_mining, ClusteringCkpt, CoarseCkpt, MiningCkpt, NoSnap, SnapRng,
+    encode_mining, ClusteringCkpt, CoarseCkpt, MiningCkpt,
 };
 use crate::coarse::{coarse_cluster_with_subtrees, CoarseConfig, CoarseResult};
 use crate::fine::{fine_inner, FineConfig, SimilarityKind};
@@ -59,9 +59,14 @@ pub struct ClusteringConfig {
     pub miner: SubtreeMinerConfig,
     /// Facility-location feature cap.
     pub max_features: usize,
-    /// Execution budget shared by the phase's NP-hard kernels: the node
-    /// cap bounds each MCS/MCCS fine-clustering search (default 100k), and
-    /// any deadline/cancellation also stops mining and containment probes.
+    /// Execution budget shared by the phase's NP-hard kernels. Its node
+    /// cap (default [`fine::DEFAULT_MCS_CAP`], 100k) bounds every search
+    /// the phase runs: each MCS/MCCS fine-clustering search *and* each
+    /// VF2 containment probe of feature mining and the sampling recount
+    /// (their own 10M `iso::DEFAULT_NODE_CAP` applies only when this cap
+    /// is unbounded). Any deadline/cancellation stops all of them.
+    ///
+    /// [`fine::DEFAULT_MCS_CAP`]: crate::fine::DEFAULT_MCS_CAP
     pub search: SearchBudget,
     /// Enable §4.3 sampling (eager + lazy).
     pub sampling: Option<SamplingConfig>,
@@ -93,7 +98,7 @@ impl Default for ClusteringConfig {
             max_cluster_size: 20,
             miner: SubtreeMinerConfig::default(),
             max_features: 64,
-            search: SearchBudget::nodes(100_000),
+            search: SearchBudget::nodes(crate::fine::DEFAULT_MCS_CAP),
             sampling: None,
             keep_going: false,
             recorder: Recorder::disabled(),
@@ -191,8 +196,8 @@ fn mine_features<R: Rng>(
 }
 
 /// Run the configured small-graph clustering strategy over `db`.
-pub fn cluster_graphs<R: Rng>(db: &[Graph], cfg: &ClusteringConfig, rng: &mut R) -> Clustering {
-    match cluster_inner(db, cfg, &mut NoSnap(rng), None) {
+pub fn cluster_graphs(db: &[Graph], cfg: &ClusteringConfig, rng: &mut StdRng) -> Clustering {
+    match cluster_inner(db, cfg, rng, None) {
         Ok(c) => c,
         // A store-free run performs no checkpoint I/O and cannot fail.
         Err(_) => unreachable!("checkpoint-free clustering cannot fail"),
@@ -214,46 +219,26 @@ pub fn cluster_graphs_resumable(
     cluster_inner(db, cfg, rng, Some(store))
 }
 
-/// Warn about a checkpoint whose checksum held but whose payload no
-/// longer decodes (schema drift within a version), and drop it so the
-/// stage recomputes.
-fn discard_undecodable(
-    st: &StageStore,
-    stage: &'static str,
-    err: &dyn std::fmt::Display,
-) -> Result<(), CkptError> {
-    catapult_obs::warn(
-        stage,
-        format!("discarding undecodable {stage} checkpoint ({err}); recomputing"),
-    );
-    st.discard(stage)
-}
-
 /// The mining stage with checkpoint load/save around [`mine_features`].
-fn mining_stage<R: SnapRng>(
+fn mining_stage(
     db: &[Graph],
     cfg: &ClusteringConfig,
     search: &SearchBudget,
-    rng: &mut R,
+    rng: &mut StdRng,
     store: Option<&StageStore>,
 ) -> Result<(Vec<FrequentSubtree>, TallyCounts), CkptError> {
     if let Some(st) = store {
-        if let Some((_seq, payload)) = st.load("mining")? {
-            match decode_mining(&payload) {
-                Ok(m) => {
-                    rng.restore(m.rng);
-                    return Ok((m.features, m.mining));
-                }
-                Err(e) => discard_undecodable(st, "mining", &e)?,
-            }
+        if let Some((_seq, m)) = st.load_decoded("mining", decode_mining)? {
+            *rng = StdRng::from_state(m.rng);
+            return Ok((m.features, m.mining));
         }
     }
     let (features, kernel) = mine_features(db, cfg, search, rng);
-    if let (Some(st), Some(state)) = (store, rng.snapshot()) {
+    if let Some(st) = store {
         let ck = MiningCkpt {
             features,
             mining: kernel,
-            rng: state,
+            rng: rng.state(),
         };
         st.save("mining", 0, &encode_mining(&ck))?;
         return Ok((ck.features, ck.mining));
@@ -264,23 +249,18 @@ fn mining_stage<R: SnapRng>(
 /// The coarse stage (mining → k-means → lazy sampling) with checkpoint
 /// load/save. The returned [`CoarseCkpt`] carries the post-lazy
 /// clusters, the selected features, and the mining audit.
-fn coarse_stage<R: SnapRng>(
+fn coarse_stage(
     db: &[Graph],
     cfg: &ClusteringConfig,
     mining_search: &SearchBudget,
     coarse_cfg: &CoarseConfig,
-    rng: &mut R,
+    rng: &mut StdRng,
     store: Option<&StageStore>,
 ) -> Result<CoarseCkpt, CkptError> {
     if let Some(st) = store {
-        if let Some((_seq, payload)) = st.load("coarse")? {
-            match decode_coarse(&payload) {
-                Ok(c) => {
-                    rng.restore(c.rng);
-                    return Ok(c);
-                }
-                Err(e) => discard_undecodable(st, "coarse", &e)?,
-            }
+        if let Some((_seq, c)) = st.load_decoded("coarse", decode_coarse)? {
+            *rng = StdRng::from_state(c.rng);
+            return Ok(c);
         }
     }
     let (subtrees, mine_kernel) = mining_stage(db, cfg, mining_search, rng, store)?;
@@ -300,9 +280,9 @@ fn coarse_stage<R: SnapRng>(
         clusters,
         features,
         mining: mine_kernel,
-        rng: rng.snapshot().unwrap_or_default(),
+        rng: rng.state(),
     };
-    if let (Some(st), Some(_)) = (store, rng.snapshot()) {
+    if let Some(st) = store {
         st.save("coarse", 0, &encode_coarse(&ck))?;
     }
     Ok(ck)
@@ -310,24 +290,19 @@ fn coarse_stage<R: SnapRng>(
 
 /// The shared engine behind [`cluster_graphs`] and
 /// [`cluster_graphs_resumable`].
-fn cluster_inner<R: SnapRng>(
+fn cluster_inner(
     db: &[Graph],
     cfg: &ClusteringConfig,
-    rng: &mut R,
+    rng: &mut StdRng,
     store: Option<&StageStore>,
 ) -> Result<Clustering, CkptError> {
     let _span = cfg.recorder.span("clustering");
     // Whole-phase checkpoint present: the phase already ran to
     // completion — reuse its output and fast-forward the RNG.
     if let Some(st) = store {
-        if let Some((_seq, payload)) = st.load("clustering")? {
-            match decode_clustering(&payload) {
-                Ok(c) => {
-                    rng.restore(c.rng);
-                    return Ok(c.clustering);
-                }
-                Err(e) => discard_undecodable(st, "clustering", &e)?,
-            }
+        if let Some((_seq, c)) = st.load_decoded("clustering", decode_clustering)? {
+            *rng = StdRng::from_state(c.rng);
+            return Ok(c.clustering);
         }
     }
     let start = Stopwatch::start();
@@ -395,10 +370,10 @@ fn cluster_inner<R: SnapRng>(
         mining,
         fine,
     };
-    if let (Some(st), Some(state)) = (store, rng.snapshot()) {
+    if let Some(st) = store {
         let ck = ClusteringCkpt {
             clustering,
-            rng: state,
+            rng: rng.state(),
         };
         st.save("clustering", 0, &encode_clustering(&ck))?;
         return Ok(ck.clustering);

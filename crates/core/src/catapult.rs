@@ -191,28 +191,15 @@ fn run_inner(
     })
 }
 
-/// Load and decode one stage checkpoint, discarding (with a warning) a
-/// checksummed-but-undecodable payload so the stage recomputes.
+/// Load and decode one stage checkpoint when running with a store (see
+/// [`StageStore::load_decoded`]).
 fn load_stage<T>(
     store: Option<&StageStore>,
     stage: &'static str,
-    decode: impl Fn(&[u8]) -> Result<T, catapult_ckpt::wire::WireError>,
+    decode: impl FnOnce(&[u8]) -> Result<T, catapult_ckpt::wire::WireError>,
 ) -> Result<Option<T>, CkptError> {
     let Some(st) = store else { return Ok(None) };
-    let Some((_seq, payload)) = st.load(stage)? else {
-        return Ok(None);
-    };
-    match decode(&payload) {
-        Ok(v) => Ok(Some(v)),
-        Err(e) => {
-            catapult_obs::warn(
-                stage,
-                format!("discarding undecodable {stage} checkpoint ({e}); recomputing"),
-            );
-            st.discard(stage)?;
-            Ok(None)
-        }
-    }
+    Ok(st.load_decoded(stage, decode)?.map(|(_seq, v)| v))
 }
 
 #[cfg(test)]
@@ -375,6 +362,61 @@ mod tests {
             );
         }
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A payload that passes its checksum but does not decode (schema
+    /// drift within a version) is discarded with a warning naming its
+    /// stage, and the stage recomputes to the cold run's bytes — for the
+    /// pipeline's own `csg` stage and for clustering's `fine` stage.
+    #[test]
+    fn undecodable_checkpoints_warn_and_recompute() {
+        let db = small_db();
+        let cfg = CatapultConfig {
+            budget: PatternBudget::new(3, 4, 3).unwrap(),
+            walks: 10,
+            seed: 42,
+            clustering: catapult_cluster::ClusteringConfig {
+                max_cluster_size: 4,
+                ..Default::default()
+            },
+            ..Default::default()
+        };
+        let cold = ckpt_io::result_digest(&run_catapult(&db, &cfg));
+        for (stage, later) in [
+            ("csg", &["selection"][..]),
+            ("fine", &["clustering", "csg", "selection"][..]),
+        ] {
+            let dir = std::env::temp_dir().join(format!("catapult-core-undecodable-{stage}"));
+            std::fs::remove_dir_all(&dir).ok();
+            run_catapult_resumable(&db, &cfg, &CheckpointConfig::new(&dir)).unwrap();
+            for s in later {
+                std::fs::remove_file(dir.join(format!("{s}.ckpt"))).unwrap();
+            }
+            let mut resume = CheckpointConfig::new(&dir);
+            resume.resume = true;
+            let fp = ckpt_io::fingerprint(&db, &cfg);
+            StageStore::open(&resume, fp, Recorder::disabled())
+                .unwrap()
+                .save(stage, 0, b"xx")
+                .unwrap();
+            let recorder = Recorder::enabled();
+            let watched = CatapultConfig {
+                recorder: recorder.clone(),
+                ..cfg.clone()
+            };
+            let resumed = run_catapult_resumable(&db, &watched, &resume).unwrap();
+            assert_eq!(ckpt_io::result_digest(&resumed), cold, "stage {stage}");
+            let snapshot = recorder.snapshot().unwrap();
+            assert!(
+                snapshot
+                    .events
+                    .iter()
+                    .any(|e| e.name == "flight.log.warning" && e.detail == stage),
+                "no warning naming `{stage}`: {:?}",
+                snapshot.events
+            );
+            std::fs::remove_dir_all(&dir).ok();
+        }
     }
 
     #[test]

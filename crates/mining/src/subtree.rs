@@ -151,10 +151,15 @@ pub fn mine_with_counts(db: &[Graph], cfg: &SubtreeMinerConfig) -> (Vec<Frequent
 }
 
 /// Budgeted frequent-subtree mining: the level-wise pattern-growth miner
-/// with every containment probe under `budget` (per-probe node cap
-/// defaulting to [`iso::DEFAULT_NODE_CAP`]) and deadline/cancellation
+/// with every containment probe under `budget` and deadline/cancellation
 /// checked between candidates, stopping early with the frequent trees
 /// found so far.
+///
+/// The per-probe node cap is `budget`'s own when it has one;
+/// [`iso::DEFAULT_NODE_CAP`] (10M) applies only to an unbounded budget.
+/// Under `run_catapult` the clustering phase passes its shared budget,
+/// whose default cap is fine clustering's 100k, so every mining probe is
+/// capped at 100k there.
 pub fn mine_subtrees(
     db: &[Graph],
     cfg: &SubtreeMinerConfig,

@@ -1,4 +1,4 @@
-//! Trace export: Chrome trace-event JSON and folded flame stacks.
+//! Trace export: the span tree's one export, Chrome trace-event JSON.
 //!
 //! [`chrome_trace`] converts a recorder [`Snapshot`] into the Trace
 //! Event Format consumed by `chrome://tracing`, Perfetto, and Speedscope
@@ -7,21 +7,16 @@
 //! every rayon-shim worker gets its own lane via the `tid` field plus a
 //! `thread_name` metadata record. Timestamps are the recorder's
 //! monotonic nanoseconds floored to the format's microseconds; the exact
-//! ns values ride along in `args` so nothing is lost.
+//! ns values ride along in `args` so nothing is lost. Speedscope and
+//! Perfetto render the same file as a flame graph, so there is no
+//! separate folded-stack export.
 //!
-//! [`folded_stacks`] renders the same span tree in the folded-stack text
-//! format flamegraph tooling consumes (`inferno`, `flamegraph.pl`,
-//! Speedscope): one `root;child;leaf <self_ns>` line per call path,
-//! weighted by *self* time so a parent's bar does not double-count its
-//! children.
-//!
-//! Both writers use the crate's hand-rolled [`crate::json`] output —
-//! zero new dependencies — and both are deterministic for a given
-//! snapshot: trace events in span-creation order, folded lines sorted
-//! lexicographically.
+//! The writer uses the crate's hand-rolled [`crate::json`] output —
+//! zero new dependencies — and is deterministic for a given snapshot:
+//! trace events come out in span-creation order.
 
 use crate::json::Value;
-use crate::recorder::{Snapshot, SpanRecord};
+use crate::recorder::Snapshot;
 
 /// Schema version stamped on [`chrome_trace`] output. Chrome and
 /// Perfetto ignore unknown top-level keys, so the versioned envelope
@@ -85,61 +80,6 @@ pub fn chrome_trace(snapshot: &Snapshot) -> Value {
     root.set("displayTimeUnit", "ms");
     root.set("traceEvents", events);
     root
-}
-
-/// Self time of `span`: its duration minus its direct children's
-/// durations (saturating — children recorded on worker threads can
-/// overlap and exceed the parent's wall clock).
-fn self_time_ns(span: &SpanRecord, spans: &[SpanRecord]) -> u64 {
-    let children: u64 = spans
-        .iter()
-        .filter(|c| c.parent == Some(span.id))
-        .map(SpanRecord::duration_ns)
-        .sum();
-    span.duration_ns().saturating_sub(children)
-}
-
-/// Root-to-span call path, `;`-joined (the folded-stack convention).
-fn path_of(span: &SpanRecord, spans: &[SpanRecord]) -> String {
-    let mut names = vec![span.name];
-    let mut cur = span.parent;
-    // Parent ids strictly precede children (creation order), so this
-    // walk terminates even on a malformed snapshot.
-    while let Some(pid) = cur {
-        match spans.iter().find(|s| s.id == pid) {
-            Some(p) => {
-                names.push(p.name);
-                cur = p.parent;
-            }
-            None => break,
-        }
-    }
-    names.reverse();
-    names.join(";")
-}
-
-/// Render the span tree as folded flame stacks: one
-/// `path;to;span <self_ns>` line per distinct call path, sorted
-/// lexicographically, weighted by self time in nanoseconds. Open spans
-/// (no end time) are skipped — their duration is undefined.
-#[must_use]
-pub fn folded_stacks(snapshot: &Snapshot) -> String {
-    let mut weights: std::collections::BTreeMap<String, u64> = std::collections::BTreeMap::new();
-    for span in &snapshot.spans {
-        if span.end_ns.is_none() {
-            continue;
-        }
-        let path = path_of(span, &snapshot.spans);
-        *weights.entry(path).or_insert(0) += self_time_ns(span, &snapshot.spans);
-    }
-    let mut out = String::new();
-    for (path, ns) in &weights {
-        out.push_str(path);
-        out.push(' ');
-        out.push_str(&ns.to_string());
-        out.push('\n');
-    }
-    out
 }
 
 #[cfg(test)]
@@ -221,27 +161,7 @@ mod tests {
     }
 
     #[test]
-    fn folded_stacks_weight_by_self_time() {
-        let folded = folded_stacks(&sample_snapshot());
-        let lines: Vec<&str> = folded.lines().collect();
-        assert_eq!(lines.len(), 4, "{folded}");
-        assert!(lines.iter().any(|l| l.starts_with("pipeline ")));
-        assert!(lines
-            .iter()
-            .any(|l| l.starts_with("pipeline;clustering;mining ")));
-        assert!(lines.iter().any(|l| l.starts_with("pipeline;selection ")));
-        for line in &lines {
-            let (_, weight) = line.rsplit_once(' ').expect("space-separated weight");
-            let _: u64 = weight.parse().expect("integer ns weight");
-        }
-        // Lines come out sorted, so diffs of two exports are meaningful.
-        let mut sorted = lines.clone();
-        sorted.sort_unstable();
-        assert_eq!(lines, sorted);
-    }
-
-    #[test]
-    fn open_spans_export_as_begin_events_and_skip_folding() {
+    fn open_spans_export_as_begin_events() {
         let rec = Recorder::enabled();
         let _open = rec.span("still_running");
         let snap = rec.snapshot().expect("snapshot");
@@ -255,6 +175,5 @@ mod tests {
             .expect("open span exported");
         assert_eq!(open.get("ph"), Some(&Value::Str("B".into())));
         assert!(open.get("dur").is_none());
-        assert_eq!(folded_stacks(&snap), "");
     }
 }

@@ -237,8 +237,8 @@ impl std::error::Error for ParseError {}
 /// fraction/exponent parse as `UInt`/`Int`; everything else as `Float`.
 ///
 /// This is the read half of the hand-rolled serializer: the Chrome-trace,
-/// flight-recorder and CLI tests read their output back with it, without
-/// a registry dependency.
+/// manifest and CLI tests read their output back with it, without a
+/// registry dependency.
 pub fn parse(text: &str) -> Result<Value, ParseError> {
     let mut p = Parser {
         bytes: text.as_bytes(),

@@ -21,22 +21,23 @@
 //!   ([`StageProbe::flush`]), so per-thread effort aggregates through
 //!   commutative `fetch_add`s and totals stay deterministic across
 //!   thread counts.
+//! * [`Event`] — a bounded ring, inside the recorder, of the rare events
+//!   nothing else records (checkpoint I/O, warnings, progress ticks, the
+//!   panic hook), appended by [`Recorder::event`] and [`Recorder::warn`].
 //! * [`RunManifest`] — a schema-versioned, machine-readable JSON record
-//!   of a run (spans tree, counters, environment), written by the CLI's
-//!   `--metrics-out` and by the experiments driver.
-//! * [`flight`] — a bounded, process-global log of the rare events
-//!   nothing else records (checkpoint I/O, worker panics, warnings,
-//!   progress ticks). It mirrors no spans or kernel flushes: its dump
-//!   embeds a [`Recorder`] snapshot, and an armed panic hook writes it
-//!   before unwinding, open spans included.
+//!   of a run (span tree, counters, histograms, events, environment),
+//!   written by the CLI's `--metrics-out` and by the experiments driver.
+//!   It is also the crash dump: [`manifest::arm_crash_dump`] installs a
+//!   panic hook that writes the same document before unwinding, with the
+//!   spans still open shown as `duration_ns: null`.
+//! * [`chrome`] — the span tree's one export, Chrome trace-event JSON.
 //!
-//! Counter names follow the `stage.kernel.metric` convention enforced by
-//! `cargo xtask lint` (rule `metric-name`). The root `clippy.toml`
-//! disallows raw `Instant::now()` everywhere but [`now`], so [`now`] and
-//! [`Stopwatch`] are the blessed clock accessors.
+//! Counter and event names follow the `stage.kernel.metric` convention
+//! enforced by `cargo xtask lint` (rule `metric-name`). The root
+//! `clippy.toml` disallows raw `Instant::now()` everywhere but [`now`],
+//! so [`now`] and [`Stopwatch`] are the blessed clock accessors.
 
 pub mod chrome;
-pub mod flight;
 pub mod json;
 pub mod manifest;
 pub mod progress;
@@ -46,24 +47,10 @@ pub mod worker;
 
 pub use manifest::{schema_version_of, ManifestError, RunManifest, SCHEMA_VERSION};
 pub use recorder::{
-    Counter, Histogram, HistogramHandle, HistogramSummary, Kernel, KernelMeasurement, Recorder,
-    Snapshot, SpanGuard, SpanRecord, StageProbe,
+    Counter, Event, Histogram, HistogramHandle, HistogramSummary, Kernel, KernelMeasurement,
+    Recorder, Snapshot, SpanGuard, SpanRecord, StageProbe,
 };
 pub use trace::summary_table;
-
-/// Print a one-shot warning to stderr and log it to the flight
-/// recorder, with `subject` (what the warning is about: a checkpoint
-/// discard passes its stage name) as the event's detail, so a dump says
-/// which warning fired.
-///
-/// The blessed replacement for raw `eprintln!` warnings in pipeline
-/// crates (their roots deny `clippy::print_stderr`): routing warnings
-/// through here keeps them on stderr — never perturbing stdout
-/// determinism — and preserves them in crash dumps.
-pub fn warn(subject: &'static str, msg: impl std::fmt::Display) {
-    flight::event("flight.log.warning", subject, 0);
-    eprintln!("warning: {msg}");
-}
 
 use std::time::{Duration, Instant};
 

@@ -2,10 +2,18 @@
 //!
 //! A [`RunManifest`] is the JSON record of one pipeline or bench run:
 //! what command ran, in which environment, the stage span tree, and
-//! every counter/histogram the [`Recorder`] captured. The CLI writes one
-//! per `--metrics-out PATH`, and the experiments driver emits the same
-//! shape. Flight dumps embed the same span, counter and histogram
-//! sections (see [`crate::flight`]).
+//! every counter, histogram and event the [`Recorder`] captured. The CLI
+//! writes one per `--metrics-out PATH`, and the experiments driver emits
+//! the same shape.
+//!
+//! The manifest is also the crash dump. [`arm_crash_dump`] installs a
+//! chaining panic hook that writes the armed manifest header, completed
+//! by the recorder's snapshot, before unwinding begins: the span chain
+//! that was running is still open (`duration_ns: null`), and a
+//! `flight.panic.hook` event marks the moment. It fires for fail-fast
+//! worker panics, for the ckpt fault-injection crash path, and for plain
+//! bugs; the normal exit later overwrites the file with the complete
+//! manifest.
 //!
 //! Field order is fixed (insertion-ordered [`json::Value`]) and pinned
 //! by a golden-file test; any layout change must bump
@@ -17,11 +25,16 @@
 
 use crate::json::{self, Value};
 use crate::recorder::{Snapshot, SpanRecord};
+use crate::Recorder;
 use std::io;
-use std::path::Path;
+use std::path::{Path, PathBuf};
+use std::sync::{Mutex, MutexGuard};
 
 /// Version of the manifest layout. Bump on any field add/remove/reorder.
-pub const SCHEMA_VERSION: u64 = 1;
+///
+/// v2: `dropped_events` and `events` (the recorder's event ring) follow
+/// `histograms`.
+pub const SCHEMA_VERSION: u64 = 2;
 
 /// Builder for one run's manifest.
 #[derive(Clone, Debug)]
@@ -47,9 +60,41 @@ impl RunManifest {
     }
 
     /// Attach a recorder [`Snapshot`]: `spans` (nested tree),
-    /// `counters`, and `histograms` sections.
+    /// `counters`, `histograms`, `dropped_events` and `events` sections.
     pub fn attach_snapshot(&mut self, snapshot: &Snapshot) -> &mut RunManifest {
-        set_snapshot_sections(&mut self.root, snapshot);
+        let root = &mut self.root;
+        root.set("spans", span_tree(&snapshot.spans));
+        let mut counters = Value::object();
+        for (name, value) in &snapshot.counters {
+            counters.set(name, *value);
+        }
+        root.set("counters", counters);
+        let mut hists = Value::object();
+        for (name, h) in &snapshot.histograms {
+            let mut entry = Value::object();
+            entry.set("count", h.count);
+            entry.set("sum", h.sum);
+            entry.set("p50", h.p50);
+            entry.set("p90", h.p90);
+            entry.set("p99", h.p99);
+            hists.set(name, entry);
+        }
+        root.set("histograms", hists);
+        root.set("dropped_events", snapshot.dropped_events);
+        let mut events = Value::array();
+        for e in &snapshot.events {
+            let mut ev = Value::object();
+            ev.set("seq", e.seq);
+            ev.set("t_ns", e.t_ns);
+            ev.set("worker", e.worker);
+            ev.set("name", e.name);
+            if !e.detail.is_empty() {
+                ev.set("detail", e.detail);
+            }
+            ev.set("arg", e.arg);
+            events.push(ev);
+        }
+        root.set("events", events);
         self
     }
 
@@ -67,34 +112,71 @@ impl RunManifest {
     }
 }
 
-/// Set a snapshot's `spans` (nested tree), `counters` and `histograms`
-/// sections on `root`: the one renderer behind run manifests and flight
-/// dumps.
-pub(crate) fn set_snapshot_sections(root: &mut Value, snapshot: &Snapshot) {
-    root.set("spans", span_tree(&snapshot.spans));
-    let mut counters = Value::object();
-    for (name, value) in &snapshot.counters {
-        counters.set(name, *value);
+/// Where the panic hook writes the crash manifest: the path, the
+/// manifest header (command, argv, environment) and the recorder whose
+/// snapshot completes it. `None` = disarmed.
+static CRASH: Mutex<Option<(PathBuf, RunManifest, Recorder)>> = Mutex::new(None);
+
+/// Lock the crash slot, ignoring poison: the panic hook must still be
+/// able to read it after a panicking thread.
+fn crash_slot() -> MutexGuard<'static, Option<(PathBuf, RunManifest, Recorder)>> {
+    CRASH
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
+/// Arm the crash dump: any panic after this records a
+/// `flight.panic.hook` event on `recorder`, then writes `header` plus the
+/// recorder's snapshot to `path` — the document a normal exit writes,
+/// open spans included — before unwinding continues. The previous panic
+/// hook still runs afterwards, so test-harness and default backtraces
+/// survive.
+///
+/// The hook itself is installed once per process; re-arming only swaps
+/// the slot. Dropping the returned guard disarms it again, on a normal
+/// exit (so a later unrelated panic cannot clobber the final manifest)
+/// and while a panic unwinds past the arming frame alike.
+pub fn arm_crash_dump(path: &Path, header: &RunManifest, recorder: &Recorder) -> CrashDumpGuard {
+    *crash_slot() = Some((path.to_path_buf(), header.clone(), recorder.clone()));
+    static HOOK: std::sync::Once = std::sync::Once::new();
+    HOOK.call_once(|| {
+        let previous = std::panic::take_hook();
+        std::panic::set_hook(Box::new(move |info| {
+            let armed = crash_slot().clone();
+            if let Some((path, mut manifest, recorder)) = armed {
+                recorder.event("flight.panic.hook", "", 0);
+                // The recorder never panics while it holds one of its
+                // own locks, so snapshotting it here (through its
+                // poison-tolerant `lock`) cannot self-deadlock on the
+                // panicking thread. Best-effort: a failing write must
+                // not turn a panic into an abort.
+                if let Some(snapshot) = recorder.snapshot() {
+                    manifest.attach_snapshot(&snapshot);
+                }
+                let _ = std::fs::write(&path, manifest.render());
+            }
+            previous(info);
+        }));
+    });
+    CrashDumpGuard(())
+}
+
+/// Disarms the crash dump when dropped (see [`arm_crash_dump`]).
+#[must_use = "dropping the guard disarms the crash dump"]
+#[derive(Debug)]
+pub struct CrashDumpGuard(());
+
+impl Drop for CrashDumpGuard {
+    fn drop(&mut self) {
+        *crash_slot() = None;
     }
-    root.set("counters", counters);
-    let mut hists = Value::object();
-    for (name, h) in &snapshot.histograms {
-        let mut entry = Value::object();
-        entry.set("count", h.count);
-        entry.set("sum", h.sum);
-        entry.set("p50", h.p50);
-        entry.set("p90", h.p90);
-        entry.set("p99", h.p99);
-        hists.set(name, entry);
-    }
-    root.set("histograms", hists);
 }
 
 /// Check the overwrite guard for `path` without writing: an existing
 /// file whose `schema_version` is missing or differs from `version`
 /// (the layout about to be written: [`SCHEMA_VERSION`] for manifests,
-/// the trace or flight version for those files) is refused unless
-/// `force`. Shared with the experiments driver.
+/// the trace version for traces) is refused unless `force`. Shared with
+/// the experiments driver.
 pub fn guard_overwrite(path: &Path, version: u64, force: bool) -> Result<(), ManifestError> {
     if force {
         return Ok(());
@@ -125,8 +207,7 @@ pub fn schema_version_of(text: &str) -> Option<u64> {
 }
 
 /// The one overwrite-refusal message format, shared by every output the
-/// `--force` flag governs (manifests, traces, flight dumps, checkpoint
-/// directories): `"<path>: <reason>; pass --force to overwrite"`.
+/// `--force` flag governs (manifests, traces, checkpoint directories): `"<path>: <reason>; pass --force to overwrite"`.
 #[must_use]
 pub fn overwrite_refusal(path: &str, reason: &str) -> String {
     format!("{path}: {reason}; pass --force to overwrite")
@@ -287,6 +368,8 @@ mod tests {
                     p99: 31,
                 },
             )],
+            events: Vec::new(),
+            dropped_events: 0,
         }
     }
 
@@ -295,7 +378,7 @@ mod tests {
         let m = RunManifest::new("select");
         let text = m.render();
         assert!(
-            text.starts_with("{\n  \"schema_version\": 1,\n  \"command\": \"select\""),
+            text.starts_with("{\n  \"schema_version\": 2,\n  \"command\": \"select\""),
             "unexpected prefix: {text}"
         );
         assert_eq!(schema_version_of(&text), Some(SCHEMA_VERSION));
@@ -348,6 +431,58 @@ mod tests {
             })
         ));
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn panic_hook_writes_the_armed_manifest() {
+        let path = std::env::temp_dir().join("catapult-obs-crash-hook-test.json");
+        let _ = std::fs::remove_file(&path);
+        let recorder = Recorder::enabled();
+        let mut header = RunManifest::new("select");
+        header.set("argv", Value::array());
+        let armed = arm_crash_dump(&path, &header, &recorder);
+        recorder.event("flight.test.precrash", "stage", 1);
+        let _stage = recorder.span("crash_test_stage");
+        recorder.counter("test.crash.precrash").add(5);
+        #[allow(clippy::disallowed_methods)] // catches the injected crash
+        let caught = std::panic::catch_unwind(|| panic!("synthetic crash"));
+        assert!(caught.is_err());
+        let text = std::fs::read_to_string(&path).expect("crash manifest written");
+        let _ = std::fs::remove_file(&path);
+        // Disarmed, a panic writes nothing.
+        drop(armed);
+        #[allow(clippy::disallowed_methods)] // catches the injected crash
+        let caught = std::panic::catch_unwind(|| panic!("after disarm"));
+        assert!(caught.is_err());
+        assert!(!path.exists(), "a disarmed hook wrote the manifest");
+        assert_eq!(schema_version_of(&text), Some(SCHEMA_VERSION));
+        let parsed = json::parse(&text).expect("crash manifest parses");
+        assert_eq!(parsed.get("command"), Some(&Value::from("select")));
+        assert!(parsed.get("argv").is_some(), "header section lost");
+        // The span was still open when the hook ran.
+        let Some(Value::Array(spans)) = parsed.get("spans") else {
+            panic!("spans missing: {text}");
+        };
+        let open = spans
+            .iter()
+            .find(|s| s.get("name") == Some(&Value::from("crash_test_stage")))
+            .expect("open span in the crash manifest");
+        assert_eq!(open.get("duration_ns"), Some(&Value::Null));
+        let counter = parsed
+            .get("counters")
+            .and_then(|c| c.get("test.crash.precrash"));
+        assert_eq!(counter, Some(&Value::UInt(5)));
+        let Some(Value::Array(events)) = parsed.get("events") else {
+            panic!("events missing: {text}");
+        };
+        let names: Vec<&Value> = events.iter().filter_map(|e| e.get("name")).collect();
+        assert_eq!(
+            names,
+            [
+                &Value::from("flight.test.precrash"),
+                &Value::from("flight.panic.hook")
+            ]
+        );
     }
 
     #[test]

@@ -6,12 +6,14 @@
 //! current stage), per-stage item counts from the
 //! `<stage>.items.done` / `<stage>.items.total` counters pipeline
 //! fan-outs maintain, the kernel probe rate since the previous tick,
-//! and an ETA extrapolated from the item completion rate.
+//! and an ETA extrapolated from the item completion rate. Each tick is
+//! also recorded as a `flight.progress.tick` event (arg: total probes)
+//! on the recorder it watches, so the run manifest shows the heartbeat.
 //!
-//! Determinism: the meter only *reads* the recorder and writes to
-//! stderr — stdout and every `--*-out` artifact are byte-identical with
-//! or without it (tests/parallel_determinism.rs runs the pipeline under
-//! a heartbeat to prove it). The ETA/rate arithmetic lives in pure
+//! Determinism: the meter only reads the recorder, appends tick events
+//! and writes to stderr — stdout and the pipeline's outputs are
+//! byte-identical with or without it (tests/parallel_determinism.rs
+//! runs the pipeline under a heartbeat to prove it). The ETA/rate arithmetic lives in pure
 //! functions ([`eta_secs`], [`rate_per_sec`], [`render_line`]) so the
 //! math is unit-testable without threads or clocks.
 
@@ -183,7 +185,7 @@ impl ProgressMeter {
                 let probes = total_probes(&snap);
                 let dt = elapsed.saturating_sub(last_tick).as_secs_f64();
                 let pps = rate_per_sec(probes.saturating_sub(last_probes), dt);
-                crate::flight::event("flight.progress.tick", "", probes);
+                rec.event("flight.progress.tick", "", probes);
                 eprintln!("{}", render_line(&snap, elapsed.as_secs_f64(), pps));
                 last_tick = elapsed;
                 last_probes = probes;
@@ -318,6 +320,11 @@ mod tests {
         let _span = rec.span("pipeline");
         std::thread::sleep(Duration::from_millis(120));
         drop(meter); // must stop promptly and join without panicking
+        let snap = rec.snapshot().expect("snapshot");
+        assert!(
+            snap.events.iter().any(|e| e.name == "flight.progress.tick"),
+            "ticks reach the watched recorder"
+        );
     }
 
     #[test]

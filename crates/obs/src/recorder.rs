@@ -1,4 +1,4 @@
-//! [`Recorder`]: spans, counters, histograms, and kernel probes.
+//! [`Recorder`]: spans, counters, histograms, kernel probes, and events.
 //!
 //! Design constraints, in order:
 //!
@@ -17,10 +17,18 @@
 //!    `catapult-graph`) and flushes through [`StageProbe::flush`] once
 //!    per kernel invocation — the per-probe cost is one integer add, not
 //!    an atomic RMW.
-//! 4. **The one span log.** Nothing mirrors spans or kernel flushes
-//!    elsewhere: a flight dump ([`crate::flight::dump_json`]) embeds
-//!    this recorder's snapshot. No code path panics while holding one of
-//!    the recorder's locks, so the panic hook can snapshot it.
+//! 4. **The one log.** Spans, counters and the rare events nothing else
+//!    records (checkpoint I/O, warnings, progress ticks, the panic hook:
+//!    [`Recorder::event`]) live in one store, and the run manifest is
+//!    its one rendering — also at crash time
+//!    ([`crate::manifest::arm_crash_dump`]). No code path panics while
+//!    holding one of the recorder's locks, so the panic hook can
+//!    snapshot it.
+//! 5. **Bounded events.** Events land in a ring of [`CAPACITY`]
+//!    entries. `seq` is assigned under the ring's lock, so arrival order
+//!    is sequence order; overflow evicts the oldest event and counts it
+//!    in [`Snapshot::dropped_events`] — truncation is reported, never
+//!    silent.
 //!
 //! [`BudgetMeter`]: https://docs.rs/catapult-graph
 
@@ -44,6 +52,9 @@ pub struct Recorder {
 /// tests with independent recorders never cross-parent spans.
 static RECORDER_IDS: AtomicU64 = AtomicU64::new(1);
 
+/// Events a recorder retains; the oldest is evicted on overflow.
+pub const CAPACITY: usize = 32_768;
+
 #[derive(Debug)]
 struct Inner {
     id: u64,
@@ -51,6 +62,42 @@ struct Inner {
     spans: Mutex<Vec<SpanRecord>>,
     counters: Mutex<BTreeMap<String, Arc<AtomicU64>>>,
     histograms: Mutex<BTreeMap<String, Arc<Histogram>>>,
+    events: Mutex<EventRing>,
+}
+
+/// The bounded event history.
+#[derive(Debug, Default)]
+struct EventRing {
+    /// Events in arrival order once rotated at `head`.
+    buf: Vec<Event>,
+    /// Next write position when the ring is full.
+    head: usize,
+    /// The next event's sequence number.
+    next_seq: u64,
+    /// Events evicted so far.
+    dropped: u64,
+}
+
+impl EventRing {
+    fn push(&mut self, mut ev: Event) {
+        ev.seq = self.next_seq;
+        self.next_seq += 1;
+        if self.buf.len() < CAPACITY {
+            self.buf.push(ev);
+            return;
+        }
+        self.buf[self.head] = ev;
+        self.head = (self.head + 1) % CAPACITY;
+        self.dropped += 1;
+    }
+
+    /// Events in arrival order (oldest first).
+    fn ordered(&self) -> Vec<Event> {
+        let mut out = Vec::with_capacity(self.buf.len());
+        out.extend_from_slice(&self.buf[self.head..]);
+        out.extend_from_slice(&self.buf[..self.head]);
+        out
+    }
 }
 
 thread_local! {
@@ -75,6 +122,7 @@ impl Recorder {
                 spans: Mutex::new(Vec::new()),
                 counters: Mutex::new(BTreeMap::new()),
                 histograms: Mutex::new(BTreeMap::new()),
+                events: Mutex::new(EventRing::default()),
             })),
         }
     }
@@ -157,6 +205,45 @@ impl Recorder {
         HistogramHandle(Some(Arc::clone(cell)))
     }
 
+    /// Record one rare event: `name` follows the `stage.kernel.metric`
+    /// convention (`flight.ckpt.write`, …; the `metric-name` lint rule
+    /// checks literal call sites), `detail` names its subject (a stage,
+    /// `""` when n/a) and `arg` carries a magnitude (a checkpoint seq,
+    /// a probe total). The event is stamped with the span clock and the
+    /// rayon-shim worker id. A no-op on a disabled recorder.
+    #[inline]
+    pub fn event(&self, name: &'static str, detail: &'static str, arg: u64) {
+        let Some(inner) = &self.inner else {
+            return;
+        };
+        let worker = worker::current();
+        let mut events = lock(&inner.events);
+        // Read the clock under the lock, so `t_ns` is monotone in `seq`.
+        let t_ns = duration_ns(inner.epoch.elapsed());
+        events.push(Event {
+            seq: 0, // assigned by the ring
+            t_ns,
+            worker,
+            name,
+            detail,
+            arg,
+        });
+    }
+
+    /// Print a one-shot warning to stderr and record it as a
+    /// `flight.log.warning` event whose detail is `subject` (what the
+    /// warning is about: a checkpoint discard passes its stage name), so
+    /// the manifest says which warning fired.
+    ///
+    /// The blessed replacement for raw `eprintln!` warnings in pipeline
+    /// crates (their roots deny `clippy::print_stderr`): warnings stay on
+    /// stderr — never perturbing stdout determinism — and reach the run
+    /// manifest, crash dumps included.
+    pub fn warn(&self, subject: &'static str, msg: impl std::fmt::Display) {
+        self.event("flight.log.warning", subject, 0);
+        eprintln!("warning: {msg}");
+    }
+
     /// Pre-resolve the full set of kernel cells for a pipeline stage.
     ///
     /// The probe rides on `SearchBudget` into every NP-hard kernel;
@@ -194,8 +281,8 @@ impl Recorder {
     /// Capture everything recorded so far; `None` when disabled.
     ///
     /// Counters and histograms come out in lexicographic name order;
-    /// spans in creation order. Open spans are reported with
-    /// `end_ns = None`.
+    /// spans in creation order, events in arrival order. Open spans are
+    /// reported with `end_ns = None`.
     #[must_use]
     pub fn snapshot(&self) -> Option<Snapshot> {
         let inner = self.inner.as_ref()?;
@@ -208,10 +295,13 @@ impl Recorder {
             .iter()
             .map(|(k, v)| (k.clone(), v.summary()))
             .collect();
+        let ring = lock(&inner.events);
         Some(Snapshot {
             spans,
             counters,
             histograms,
+            events: ring.ordered(),
+            dropped_events: ring.dropped,
         })
     }
 }
@@ -245,6 +335,23 @@ impl SpanRecord {
         self.end_ns
             .map_or(0, |end| end.saturating_sub(self.start_ns))
     }
+}
+
+/// One recorded event (see [`Recorder::event`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Event {
+    /// Per-recorder sequence number (arrival order).
+    pub seq: u64,
+    /// Monotonic ns since the recorder's epoch (the span clock).
+    pub t_ns: u64,
+    /// Rayon-shim worker id at record time (0 = caller thread).
+    pub worker: u32,
+    /// Event name (`flight.ckpt.write`, `flight.log.warning`, …).
+    pub name: &'static str,
+    /// Event subject (stage name, …); `""` when n/a.
+    pub detail: &'static str,
+    /// Event-specific magnitude (checkpoint seq, probe total, …).
+    pub arg: u64,
 }
 
 /// RAII guard from [`Recorder::span`]; closes the span on drop.
@@ -535,6 +642,10 @@ pub struct Snapshot {
     pub counters: Vec<(String, u64)>,
     /// Histograms sorted by name.
     pub histograms: Vec<(String, HistogramSummary)>,
+    /// Retained events in arrival order (the newest [`CAPACITY`]).
+    pub events: Vec<Event>,
+    /// Events evicted from the ring so far.
+    pub dropped_events: u64,
 }
 
 impl Snapshot {
@@ -564,7 +675,44 @@ mod tests {
         rec.counter("a.b.c").add(5);
         rec.stage_probe("s")
             .flush(Kernel::Iso, KernelMeasurement::default());
+        rec.event("flight.test.ignored", "", 1);
         assert!(rec.snapshot().is_none());
+    }
+
+    #[test]
+    fn event_arrival_order_is_sequence_order() {
+        let rec = Recorder::enabled();
+        rec.event("flight.test.a", "one", 1);
+        {
+            let _w = crate::worker::enter(3);
+            rec.event("flight.test.b", "two", 2);
+        }
+        rec.event("flight.test.c", "", 3);
+        let snap = rec.snapshot().unwrap();
+        assert_eq!(snap.dropped_events, 0);
+        let seqs: Vec<u64> = snap.events.iter().map(|e| e.seq).collect();
+        assert_eq!(seqs, [0, 1, 2]);
+        let args: Vec<u64> = snap.events.iter().map(|e| e.arg).collect();
+        assert_eq!(args, [1, 2, 3]);
+        assert_eq!(snap.events[0].worker, 0);
+        assert_eq!(snap.events[1].worker, 3);
+        assert_eq!(snap.events[1].detail, "two");
+        assert!(snap.events.windows(2).all(|w| w[0].t_ns <= w[1].t_ns));
+    }
+
+    #[test]
+    fn event_ring_bounds_and_reports_dropped_events() {
+        let rec = Recorder::enabled();
+        for i in 0..(CAPACITY as u64 + 10) {
+            rec.event("flight.test.flood", "", i);
+        }
+        let snap = rec.snapshot().unwrap();
+        assert_eq!(snap.events.len(), CAPACITY);
+        assert_eq!(snap.dropped_events, 10);
+        // The oldest events were evicted, the newest retained.
+        assert_eq!(snap.events.last().map(|e| e.arg), Some(CAPACITY as u64 + 9));
+        assert_eq!(snap.events.first().map(|e| e.arg), Some(10));
+        assert!(snap.events.windows(2).all(|w| w[0].seq + 1 == w[1].seq));
     }
 
     #[test]

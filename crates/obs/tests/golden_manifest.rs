@@ -4,7 +4,7 @@
 //! run and downstream tooling: field *order* and field *names* are part
 //! of the schema, versioned by `schema_version`. This test renders a
 //! manifest from a fully synthetic snapshot (no clocks, no host info) and
-//! compares it byte-for-byte against `tests/golden/manifest_v1.json`.
+//! compares it byte-for-byte against `tests/golden/manifest_v2.json`.
 //!
 //! If this test fails because the layout intentionally changed, bump
 //! [`catapult_obs::SCHEMA_VERSION`] and regenerate the golden file (the
@@ -14,10 +14,10 @@
 
 use catapult_obs::json::Value;
 use catapult_obs::recorder::Snapshot;
-use catapult_obs::{HistogramSummary, RunManifest, SpanRecord, SCHEMA_VERSION};
+use catapult_obs::{Event, HistogramSummary, RunManifest, SpanRecord, SCHEMA_VERSION};
 
 /// A snapshot with every value pinned: two nested spans plus one root
-/// sibling, kernel counters for one stage, one histogram.
+/// sibling, kernel counters for one stage, one histogram, two events.
 fn synthetic_snapshot() -> Snapshot {
     Snapshot {
         spans: vec![
@@ -61,6 +61,25 @@ fn synthetic_snapshot() -> Snapshot {
                 p99: 64,
             },
         )],
+        events: vec![
+            Event {
+                seq: 4,
+                t_ns: 20_000,
+                worker: 0,
+                name: "flight.ckpt.write",
+                detail: "mining",
+                arg: 0,
+            },
+            Event {
+                seq: 5,
+                t_ns: 700_000,
+                worker: 1,
+                name: "flight.progress.tick",
+                detail: "",
+                arg: 345,
+            },
+        ],
+        dropped_events: 4,
     }
 }
 
@@ -81,18 +100,18 @@ fn synthetic_manifest() -> String {
 #[test]
 fn manifest_layout_matches_the_golden_file() {
     let got = synthetic_manifest();
-    let golden = include_str!("golden/manifest_v1.json");
+    let golden = include_str!("golden/manifest_v2.json");
     assert_eq!(
         got, golden,
         "RunManifest layout drifted from the v{SCHEMA_VERSION} golden; if \
          intentional, bump SCHEMA_VERSION and refresh \
-         crates/obs/tests/golden/manifest_v1.json with the rendering above"
+         crates/obs/tests/golden/manifest_v2.json with the rendering above"
     );
 }
 
 #[test]
 fn golden_file_is_self_describing() {
-    let golden = include_str!("golden/manifest_v1.json");
+    let golden = include_str!("golden/manifest_v2.json");
     assert_eq!(
         catapult_obs::schema_version_of(golden),
         Some(SCHEMA_VERSION),
@@ -112,7 +131,7 @@ fn rendering_is_deterministic() {
 #[ignore]
 fn regen_golden() {
     std::fs::write(
-        concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/manifest_v1.json"),
+        concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/manifest_v2.json"),
         synthetic_manifest(),
     )
     .unwrap();

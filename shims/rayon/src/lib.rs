@@ -220,18 +220,14 @@ where
             })
             .collect();
         let mut out = Vec::with_capacity(len);
-        for (w, handle) in handles.into_iter().enumerate() {
+        for handle in handles {
             match handle.join() {
                 Ok(part) => out.extend(part),
                 // A worker closure panicked: re-raise its payload on the
                 // caller. `scope` has already joined (or will join) the
-                // remaining workers, so nothing leaks. The flight
-                // recorder logs the re-raise (the worker's own panic
-                // already hit the panic hook on the worker thread).
-                Err(payload) => {
-                    catapult_obs::flight::event("flight.worker.panic", "fail_fast", w as u64 + 1);
-                    std::panic::resume_unwind(payload)
-                }
+                // remaining workers, so nothing leaks. The worker's own
+                // panic already ran the panic hook on the worker thread.
+                Err(payload) => std::panic::resume_unwind(payload),
             }
         }
         out
@@ -288,16 +284,12 @@ where
         match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(i, x))) {
             Ok(Some(out)) => Some(Ok(out)),
             Ok(None) => None,
-            Err(payload) => {
-                // Supervised mode never unwinds past the item, so this
-                // flight event is the isolated panic's only footprint
-                // besides the ItemPanic value itself.
-                catapult_obs::flight::event("flight.worker.panic", "isolated", i as u64);
-                Some(Err(ItemPanic {
-                    index: i,
-                    message: panic_message(payload.as_ref()),
-                }))
-            }
+            // Supervised mode never unwinds past the item: the caller
+            // gets the panic as a value and reports it.
+            Err(payload) => Some(Err(ItemPanic {
+                index: i,
+                message: panic_message(payload.as_ref()),
+            })),
         }
     })
 }

@@ -23,7 +23,7 @@ use catapult_graph::fmt::{parse_graphs, write_graphs};
 use catapult_graph::{Deadline, Graph, LabelInterner, SearchBudget};
 use catapult_obs::json::Value;
 use catapult_obs::progress::ProgressMeter;
-use catapult_obs::{chrome, flight, manifest, ManifestError, Recorder, RunManifest};
+use catapult_obs::{chrome, manifest, ManifestError, Recorder, RunManifest};
 use std::collections::HashMap;
 use std::fmt;
 use std::path::Path;
@@ -87,6 +87,60 @@ impl From<CkptError> for CliError {
 /// Flags that take no value — their presence is the value.
 const BOOL_FLAGS: &[&str] = &["trace", "force", "resume", "keep-going", "progress"];
 
+/// Flags every subcommand accepts (see "common" in [`USAGE`]).
+const COMMON_FLAGS: &[&str] = &[
+    "threads",
+    "metrics-out",
+    "trace",
+    "trace-out",
+    "progress",
+    "force",
+];
+
+/// A subcommand's entry point.
+type Command = fn(&Flags, &mut ObsSession) -> Result<String, CliError>;
+
+/// Every subcommand: its name, entry point, and the flags it accepts
+/// besides [`COMMON_FLAGS`].
+const COMMANDS: &[(&str, Command, &[&str])] = &[
+    (
+        "generate",
+        cmd_generate,
+        &["profile", "count", "seed", "out"],
+    ),
+    (
+        "select",
+        cmd_select,
+        &[
+            "db",
+            "gamma",
+            "min-size",
+            "max-size",
+            "walks",
+            "seed",
+            "search-budget",
+            "deadline-ms",
+            "out",
+            "checkpoint-dir",
+            "resume",
+            "keep-going",
+        ],
+    ),
+    (
+        "evaluate",
+        cmd_evaluate,
+        &[
+            "db",
+            "patterns",
+            "queries",
+            "min-edges",
+            "max-edges",
+            "seed",
+        ],
+    ),
+    ("stats", cmd_stats, &["db"]),
+];
+
 /// Parsed `--key value` flags.
 #[derive(Debug)]
 pub struct Flags {
@@ -95,9 +149,11 @@ pub struct Flags {
 }
 
 impl Flags {
-    /// Parse `--key value` pairs (and the valueless switches in
-    /// [`BOOL_FLAGS`]); rejects dangling flags.
-    pub fn parse(args: &[String]) -> Result<Flags, CliError> {
+    /// Parse `cmd`'s `--key value` pairs (and the valueless switches in
+    /// [`BOOL_FLAGS`]). A flag outside `accepted` and [`COMMON_FLAGS`],
+    /// a flag given twice, and a dangling flag are usage errors naming
+    /// the flag and `cmd`.
+    pub fn parse(cmd: &str, accepted: &[&str], args: &[String]) -> Result<Flags, CliError> {
         let mut values = HashMap::new();
         let mut switches = Vec::new();
         let mut it = args.iter();
@@ -105,6 +161,14 @@ impl Flags {
             let key = a
                 .strip_prefix("--")
                 .ok_or_else(|| CliError::Usage(format!("expected --flag, got '{a}'")))?;
+            if !accepted.contains(&key) && !COMMON_FLAGS.contains(&key) {
+                return Err(CliError::Usage(format!(
+                    "`{cmd}` does not accept --{key}\n{USAGE}"
+                )));
+            }
+            if values.contains_key(key) || switches.iter().any(|s| s == key) {
+                return Err(CliError::Usage(format!("--{key} given twice to `{cmd}`")));
+            }
             if BOOL_FLAGS.contains(&key) {
                 switches.push(key.to_string());
                 continue;
@@ -147,28 +211,42 @@ impl Flags {
 }
 
 /// Per-invocation observability session: the [`Recorder`] every stage
-/// reports into, plus the manifest sections individual subcommands
-/// contribute (pipeline report, budget configuration, …).
+/// reports into, and the run manifest it completes, to which individual
+/// subcommands contribute sections (pipeline report, budget
+/// configuration, …).
 #[derive(Debug)]
 pub struct ObsSession {
     /// Always enabled (spans are stage-level, counters flush once per
-    /// kernel call), so every output and the flight dump read one log.
+    /// kernel call, events are rare), so every output — the crash dump
+    /// included — reads one log.
     pub recorder: Recorder,
-    sections: Vec<(String, Value)>,
+    manifest: RunManifest,
 }
 
 impl ObsSession {
-    fn new() -> ObsSession {
+    /// A session for `cmd`: its manifest header records `argv` and the
+    /// environment.
+    fn new(cmd: &str, argv: &[String]) -> ObsSession {
+        let mut header = RunManifest::new(cmd);
+        let mut args = Value::array();
+        for a in argv {
+            args.push(a.as_str());
+        }
+        header.set("argv", args);
+        header.set(
+            "environment",
+            manifest::environment(rayon::current_threads()),
+        );
         ObsSession {
             recorder: Recorder::enabled(),
-            sections: Vec::new(),
+            manifest: header,
         }
     }
 
     /// Contribute a named manifest section (written only under
     /// `--metrics-out`).
     pub fn section(&mut self, key: &str, value: Value) {
-        self.sections.push((key.to_string(), value));
+        self.manifest.set(key, value);
     }
 }
 
@@ -204,21 +282,18 @@ common:\n\
                      (all cores), 1 = exact sequential legacy behavior\n\
                      (default: CATAPULT_THREADS env var, else auto)\n\
   --metrics-out FILE write a schema-versioned JSON run manifest (spans,\n\
-                     kernel counters, environment) after the command\n\
+                     kernel counters, events, environment) after the\n\
+                     command; a panicking run writes the same file as its\n\
+                     crash dump, with the stages still open\n\
   --trace            print a per-stage wall-time / kernel-effort table\n\
   --trace-out FILE   write the span tree as Chrome trace-event JSON\n\
-                     (loadable in chrome://tracing, Perfetto, Speedscope)\n\
-  --folded-out FILE  write folded flame stacks (flamegraph.pl / inferno\n\
-                     collapse format, weighted by span self time)\n\
-  --flight-out FILE  dump the flight-recorder events, with the run's spans\n\
-                     and counters, to FILE at exit; the same path is armed\n\
-                     as the crash-dump target, so a panicking run leaves\n\
-                     its last moments and open stages behind\n\
+                     (chrome://tracing, Perfetto; Speedscope shows it as\n\
+                     a flame graph)\n\
   --progress         print a live heartbeat (stage, items, probes/sec,\n\
                      ETA) to stderr every second; never touches stdout\n\
   --force            overwrite an output file whose schema_version differs\n\
-                     (metrics/trace/flight), or wipe a checkpoint\n\
-                     directory and start over\n\
+                     (metrics/trace), or wipe a checkpoint directory and\n\
+                     start over\n\
 select crash safety:\n\
   --checkpoint-dir D write a checkpoint at every pipeline stage boundary\n\
                      (and mid-fine-clustering) under D\n\
@@ -434,102 +509,57 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
     let (cmd, rest) = args
         .split_first()
         .ok_or_else(|| CliError::Usage(USAGE.into()))?;
-    let flags = Flags::parse(rest)?;
+    let Some(&(_, command, accepted)) = COMMANDS.iter().find(|(name, ..)| name == cmd) else {
+        return Err(CliError::Usage(format!("unknown command '{cmd}'\n{USAGE}")));
+    };
+    let flags = Flags::parse(cmd, accepted, rest)?;
     // A malformed CATAPULT_THREADS is a usage error up front, not a
     // silently ignored setting.
     rayon::check_thread_env().map_err(CliError::Usage)?;
     apply_threads(&flags)?;
-    let metrics_out = flags.get("metrics-out").map(str::to_string);
-    let trace_out = flags.get("trace-out").map(str::to_string);
-    let folded_out = flags.get("folded-out").map(str::to_string);
-    let flight_out = flags.get("flight-out").map(str::to_string);
-    let trace = flags.switch("trace");
-    let progress = flags.switch("progress");
+    let metrics_out = flags.get("metrics-out").map(Path::new);
+    let trace_out = flags.get("trace-out").map(Path::new);
     let force = flags.switch("force");
     // Refuse schema-incompatible overwrites up front, before any work.
-    // Metrics manifests, Chrome traces, and flight dumps all carry a
-    // `schema_version`, so one guard (and one `--force`) governs them.
+    // Manifests and Chrome traces both carry a `schema_version`, so one
+    // guard (and one `--force`) governs them.
     for (path, version) in [
-        (&metrics_out, manifest::SCHEMA_VERSION),
-        (&trace_out, chrome::TRACE_SCHEMA_VERSION),
-        (&flight_out, flight::FLIGHT_SCHEMA_VERSION),
+        (metrics_out, manifest::SCHEMA_VERSION),
+        (trace_out, chrome::TRACE_SCHEMA_VERSION),
     ] {
         if let Some(path) = path {
-            manifest::guard_overwrite(Path::new(path), version, force)?;
+            manifest::guard_overwrite(path, version, force)?;
         }
     }
-    // Folded stacks are plain text (no schema field to check), so the
-    // guard degrades to plain existence.
-    if let Some(path) = &folded_out {
-        if Path::new(path).exists() && !force {
-            return Err(CliError::Usage(manifest::overwrite_refusal(
-                path,
-                "existing file would be overwritten",
-            )));
-        }
-    }
-    // The flight recorder is on for every CLI run — bounded memory, and
-    // only rare events reach it — so a crash always has forensics to
-    // dump. The *file* is written only on request (`--flight-out`) or by
-    // the armed panic hook, and embeds the session recorder's snapshot.
-    flight::set_enabled(true);
-    let mut obs = ObsSession::new();
-    if let Some(path) = &flight_out {
-        flight::arm_crash_dump(Path::new(path), &obs.recorder);
-    }
-    let meter =
-        progress.then(|| ProgressMeter::start(&obs.recorder, std::time::Duration::from_secs(1)));
-    let result = match cmd.as_str() {
-        "generate" => cmd_generate(&flags, &mut obs),
-        "select" => cmd_select(&flags, &mut obs),
-        "evaluate" => cmd_evaluate(&flags, &mut obs),
-        "stats" => cmd_stats(&flags, &mut obs),
-        other => Err(CliError::Usage(format!(
-            "unknown command '{other}'\n{USAGE}"
-        ))),
-    };
+    let mut obs = ObsSession::new(cmd, rest);
+    // The run manifest is the crash dump: a panic writes the header and
+    // the recorder's snapshot, open stages included, to the same path.
+    let armed =
+        metrics_out.map(|path| manifest::arm_crash_dump(path, &obs.manifest, &obs.recorder));
+    let meter = flags
+        .switch("progress")
+        .then(|| ProgressMeter::start(&obs.recorder, std::time::Duration::from_secs(1)));
+    let result = command(&flags, &mut obs);
     // Stop the heartbeat before writing artifacts or composing output so
-    // its stderr lines cannot interleave with the epilogue.
+    // its stderr lines cannot interleave with the epilogue, and disarm:
+    // the command returned, so no panic may clobber the final manifest.
     drop(meter);
+    drop(armed);
     let mut out = result?;
     if let Some(snapshot) = obs.recorder.snapshot() {
-        if trace {
+        if flags.switch("trace") {
             out.push('\n');
             out.push_str(&catapult_obs::summary_table(&snapshot));
         }
-        if let Some(path) = &trace_out {
+        if let Some(path) = trace_out {
             std::fs::write(path, chrome::chrome_trace(&snapshot).render())?;
-            out.push_str(&format!("\nwrote trace to {path}"));
-        }
-        if let Some(path) = &folded_out {
-            std::fs::write(path, chrome::folded_stacks(&snapshot))?;
-            out.push_str(&format!("\nwrote folded stacks to {path}"));
+            out.push_str(&format!("\nwrote trace to {}", path.display()));
         }
         if let Some(path) = metrics_out {
-            let mut m = RunManifest::new(cmd);
-            let mut argv = Value::array();
-            for a in rest {
-                argv.push(a.as_str());
-            }
-            m.set("argv", argv);
-            m.set(
-                "environment",
-                manifest::environment(rayon::current_threads()),
-            );
-            for (key, value) in std::mem::take(&mut obs.sections) {
-                m.set(&key, value);
-            }
-            m.attach_snapshot(&snapshot);
-            m.write(Path::new(&path), force)?;
-            out.push_str(&format!("\nwrote metrics to {path}"));
+            obs.manifest.attach_snapshot(&snapshot);
+            obs.manifest.write(path, force)?;
+            out.push_str(&format!("\nwrote metrics to {}", path.display()));
         }
-    }
-    if let Some(path) = &flight_out {
-        // Disarm first: the run succeeded, so a later unrelated panic
-        // (e.g. in a caller's teardown) must not clobber this dump.
-        flight::disarm_crash_dump();
-        flight::dump_to(Path::new(path), &obs.recorder)?;
-        out.push_str(&format!("\nwrote flight log to {path}"));
     }
     Ok(out)
 }
@@ -550,12 +580,39 @@ mod tests {
 
     #[test]
     fn flags_parse_and_validate() {
-        let f = Flags::parse(&args(&["--count", "5", "--seed", "9"])).unwrap();
+        let accepted = ["count", "seed", "dangling"];
+        let parse = |a: &[&str]| Flags::parse("generate", &accepted, &args(a));
+        let f = parse(&["--count", "5", "--seed", "9", "--trace"]).unwrap();
         assert_eq!(f.num::<usize>("count", 0).unwrap(), 5);
         assert_eq!(f.num::<u64>("missing", 3).unwrap(), 3);
+        assert!(f.switch("trace"));
         assert!(f.require("nope").is_err());
-        assert!(Flags::parse(&args(&["--dangling"])).is_err());
-        assert!(Flags::parse(&args(&["positional"])).is_err());
+        assert!(parse(&["--dangling"]).is_err());
+        assert!(parse(&["positional"]).is_err());
+        assert!(parse(&["--bogus", "3"]).is_err());
+        assert!(parse(&["--count", "5", "--count", "6"]).is_err());
+        assert!(parse(&["--trace", "--trace"]).is_err());
+    }
+
+    #[test]
+    fn unknown_and_repeated_flags_are_usage_errors() {
+        let usage = |a: &[&str]| match run(&args(a)) {
+            Err(CliError::Usage(m)) => m,
+            other => panic!("{a:?}: expected a usage error, got {other:?}"),
+        };
+        // A misspelt flag is refused, not run with the default (γ = 30).
+        let m = usage(&["select", "--db", "db.txt", "--gama", "5"]);
+        assert!(m.contains("--gama") && m.contains("`select`"), "{m}");
+        // The retired telemetry flags are refused, not ignored.
+        for retired in ["--flight-out", "--folded-out"] {
+            let m = usage(&["select", "--db", "db.txt", retired, "x"]);
+            assert!(m.contains(retired) && m.contains("`select`"), "{m}");
+        }
+        let m = usage(&["select", "--db", "db.txt", "--gamma", "5", "--gamma", "6"]);
+        assert!(m.contains("--gamma") && m.contains("`select`"), "{m}");
+        // Another subcommand's flag is unknown here.
+        let m = usage(&["stats", "--db", "db.txt", "--gamma", "5"]);
+        assert!(m.contains("--gamma") && m.contains("`stats`"), "{m}");
     }
 
     #[test]
@@ -780,7 +837,7 @@ mod tests {
         .unwrap();
         assert!(out.contains("wrote metrics to"), "{out}");
         let manifest = std::fs::read_to_string(&m_path).unwrap();
-        assert!(manifest.starts_with("{\n  \"schema_version\": 1,"));
+        assert!(manifest.starts_with("{\n  \"schema_version\": 2,"));
         assert!(manifest.contains("\"command\": \"select\""));
         assert!(manifest.contains("\"pipeline\""), "missing root span");
         assert!(
@@ -792,6 +849,11 @@ mod tests {
         // The mining stage ran, so its VF2 counters must be nonzero.
         let calls = catapult_obs::json::extract_uint_field(&manifest, "mining.iso.calls").unwrap();
         assert!(calls > 0, "mining ran but recorded no kernel calls");
+        // The event log is part of every manifest (empty here: no
+        // checkpoint, warning or heartbeat happened).
+        let parsed = catapult_obs::json::parse(&manifest).unwrap();
+        assert!(matches!(parsed.get("events"), Some(Value::Array(_))));
+        assert_eq!(parsed.get("dropped_events"), Some(&Value::UInt(0)));
     }
 
     #[test]
@@ -829,12 +891,10 @@ mod tests {
     }
 
     #[test]
-    fn trace_out_writes_chrome_trace_and_folded_stacks() {
+    fn trace_out_writes_chrome_trace() {
         let db_path = tmp("db_trace_out.txt");
         let t_path = tmp("trace_out.json");
-        let f_path = tmp("folded_out.txt");
         let _ = std::fs::remove_file(&t_path);
-        let _ = std::fs::remove_file(&f_path);
         run(&args(&[
             "generate",
             "--profile",
@@ -862,15 +922,12 @@ mod tests {
                 "10",
                 "--trace-out",
                 &t_path,
-                "--folded-out",
-                &f_path,
             ]);
             a.extend(extra.iter().map(|s| s.to_string()));
             run(&a)
         };
         let out = select(&[]).unwrap();
         assert!(out.contains("wrote trace to"), "{out}");
-        assert!(out.contains("wrote folded stacks to"), "{out}");
         // The trace must be structurally valid Chrome trace-event JSON.
         let trace = std::fs::read_to_string(&t_path).unwrap();
         assert_eq!(
@@ -883,98 +940,18 @@ mod tests {
             other => panic!("traceEvents missing: {other:?}"),
         }
         assert!(trace.contains("\"pipeline\""), "missing root span");
-        // Folded stacks: `path;to;span <ns>` lines rooted at the pipeline.
-        let folded = std::fs::read_to_string(&f_path).unwrap();
-        assert!(
-            folded.lines().any(|l| l.starts_with("pipeline;")),
-            "{folded}"
-        );
-        for line in folded.lines() {
-            let (_, w) = line.rsplit_once(' ').expect("weighted line");
-            let _: u64 = w.parse().expect("integer weight");
-        }
-        // Overwriting the (schema-less) folded file needs --force, and
-        // the refusal names the flag.
+        // A rerun may overwrite its own trace.
+        select(&[]).unwrap();
+        // A foreign-schema trace file is refused, and the refusal names
+        // the flag that overrides it.
+        std::fs::write(&t_path, "{\n  \"schema_version\": 999\n}\n").unwrap();
         let r = select(&[]);
         assert!(
             matches!(&r, Err(CliError::Usage(m)) if m.contains("--force")),
             "{r:?}"
         );
         select(&["--force"]).unwrap();
-        // A foreign-schema trace file is refused with the same message.
-        std::fs::write(&t_path, "{\n  \"schema_version\": 999\n}\n").unwrap();
-        let _ = std::fs::remove_file(&f_path);
-        let r = select(&[]);
-        assert!(
-            matches!(&r, Err(CliError::Usage(m)) if m.contains("--force")),
-            "{r:?}"
-        );
         let _ = std::fs::remove_file(&t_path);
-        let _ = std::fs::remove_file(&f_path);
-    }
-
-    #[test]
-    fn flight_out_dumps_versioned_event_log() {
-        let db_path = tmp("db_flight.txt");
-        let fl_path = tmp("flight_out.json");
-        let _ = std::fs::remove_file(&fl_path);
-        run(&args(&[
-            "generate",
-            "--profile",
-            "emol",
-            "--count",
-            "10",
-            "--seed",
-            "6",
-            "--out",
-            &db_path,
-        ]))
-        .unwrap();
-        let out = run(&args(&[
-            "select",
-            "--db",
-            &db_path,
-            "--gamma",
-            "3",
-            "--min-size",
-            "3",
-            "--max-size",
-            "5",
-            "--walks",
-            "10",
-            "--flight-out",
-            &fl_path,
-        ]))
-        .unwrap();
-        assert!(out.contains("wrote flight log to"), "{out}");
-        let text = std::fs::read_to_string(&fl_path).unwrap();
-        assert_eq!(
-            catapult_obs::schema_version_of(&text),
-            Some(flight::FLIGHT_SCHEMA_VERSION)
-        );
-        let parsed = catapult_obs::json::parse(&text).unwrap();
-        assert!(matches!(parsed.get("events"), Some(Value::Array(_))));
-        // The dump embeds the session recorder's span tree and counters.
-        let spans = parsed.get("spans").map(Value::render).unwrap_or_default();
-        assert!(spans.contains("\"name\": \"pipeline\""), "{text}");
-        let iso_calls = parsed
-            .get("counters")
-            .and_then(|c| c.get("scoring.iso.calls"));
-        assert!(
-            matches!(iso_calls, Some(Value::UInt(n)) if *n > 0),
-            "{text}"
-        );
-        // A rerun may overwrite its own dump: the guard checks the
-        // flight schema version, not the run manifest's.
-        run(&args(&[
-            "stats",
-            "--db",
-            &db_path,
-            "--flight-out",
-            &fl_path,
-        ]))
-        .unwrap();
-        let _ = std::fs::remove_file(&fl_path);
     }
 
     #[test]
@@ -1112,7 +1089,7 @@ mod tests {
     fn resume_over_a_corrupt_checkpoint_names_its_stage_in_the_flight_log() {
         let db_path = tmp("db_corrupt_ckpt.txt");
         let ckpt_dir = tmp("ckpt_corrupt_dir");
-        let fl_path = tmp("flight_corrupt_ckpt.json");
+        let fl_path = tmp("metrics_corrupt_ckpt.json");
         let _ = std::fs::remove_dir_all(&ckpt_dir);
         let _ = std::fs::remove_file(&fl_path);
         run(&args(&[
@@ -1152,10 +1129,10 @@ mod tests {
         let mid = raw.len() / 2;
         raw[mid] ^= 0x40;
         std::fs::write(&csg, &raw).unwrap();
-        select(&["--resume", "--flight-out", &fl_path]);
+        select(&["--resume", "--metrics-out", &fl_path]);
         let dump = catapult_obs::json::parse(&std::fs::read_to_string(&fl_path).unwrap()).unwrap();
         let Some(Value::Array(events)) = dump.get("events") else {
-            panic!("no events in the dump");
+            panic!("no events in the manifest");
         };
         let warned = |e: &&Value| {
             matches!(e.get("name"), Some(Value::Str(n)) if n == "flight.log.warning")

@@ -128,10 +128,10 @@ fn recorder_enabled_run_is_byte_identical_to_disabled() {
     }
 }
 
-/// The *full* telemetry stack — flight recorder capturing events, a
-/// `--progress` heartbeat ticking on its own thread, recorder enabled —
-/// must also be invisible in the output, for both a sequential and a
-/// saturated pool. This is the CLI's `--progress`/`--flight-out`
+/// The *full* telemetry stack — a `--progress` heartbeat ticking on its
+/// own thread into the run's recorder, spans, counters and events — must
+/// also be invisible in the output, for both a sequential and a
+/// saturated pool. This is the CLI's `--progress`/`--metrics-out`
 /// neutrality contract.
 #[test]
 fn flight_recorder_and_progress_meter_are_output_neutral() {
@@ -141,12 +141,7 @@ fn flight_recorder_and_progress_meter_are_output_neutral() {
         serialize(&db, &run_catapult(&db.graphs, &quickstart_cfg()))
     });
 
-    let was_enabled = catapult_obs::flight::is_enabled();
-    catapult_obs::flight::set_enabled(true);
     for threads in [1usize, 8] {
-        // The ring is process-global and append-only here, so the tick
-        // assertion looks only at events after this mark.
-        let seen = catapult_obs::flight::snapshot().0.len();
         let recorder = catapult_obs::Recorder::enabled();
         let meter = catapult_obs::progress::ProgressMeter::start(
             &recorder,
@@ -165,21 +160,16 @@ fn flight_recorder_and_progress_meter_are_output_neutral() {
             got, golden,
             "threads={threads}: telemetry stack changed pipeline output"
         );
-        let dump = catapult_obs::flight::dump_json(&recorder);
-        let spans = dump.get("spans").map(|s| s.render()).unwrap_or_default();
+        let snap = recorder.snapshot().unwrap();
         assert!(
-            spans.contains("\"name\": \"pipeline\""),
-            "threads={threads}: flight dump holds no pipeline span"
+            snap.spans.iter().any(|sp| sp.name == "pipeline"),
+            "threads={threads}: recorder holds no pipeline span"
         );
-        let (events, _dropped) = catapult_obs::flight::snapshot();
         assert!(
-            events[seen..]
-                .iter()
-                .any(|e| e.name == "flight.progress.tick"),
+            snap.events.iter().any(|e| e.name == "flight.progress.tick"),
             "threads={threads}: progress meter never ticked"
         );
     }
-    catapult_obs::flight::set_enabled(was_enabled);
 }
 
 #[test]
@@ -377,10 +367,9 @@ mod fault_sweep_under_threads {
                     };
                     let off = run_with(catapult_obs::Recorder::disabled());
                     // The "on" side runs the full telemetry stack:
-                    // recorder + flight recorder + progress heartbeat.
+                    // recorder (spans, counters, events) + progress
+                    // heartbeat ticking into it.
                     let on = {
-                        let was_enabled = catapult_obs::flight::is_enabled();
-                        catapult_obs::flight::set_enabled(true);
                         let rec = catapult_obs::Recorder::enabled();
                         let meter = catapult_obs::progress::ProgressMeter::start(
                             &rec,
@@ -388,7 +377,6 @@ mod fault_sweep_under_threads {
                         );
                         let out = run_with(rec);
                         drop(meter);
-                        catapult_obs::flight::set_enabled(was_enabled);
                         out
                     };
                     assert_eq!(

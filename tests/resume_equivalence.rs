@@ -362,3 +362,96 @@ fn kill_between_stages_resumes_from_prefix() {
     }
     rayon::set_threads(0);
 }
+
+/// The run manifest is the CLI's crash dump: a `select` run that dies at
+/// its second checkpoint write leaves `--metrics-out` behind at the
+/// current schema, with the stage chain still open and the events that
+/// led up to the crash.
+#[test]
+fn cli_crash_leaves_the_run_manifest_as_its_dump() {
+    use catapult_obs::json::{self, Value};
+    let _guard = SERIAL.lock().unwrap();
+    pfault::clear();
+    let dir = fresh_dir("cli-crash");
+    let db_path = std::env::temp_dir().join("catapult-resume-eq-cli-db.txt");
+    let m_path = std::env::temp_dir().join("catapult-resume-eq-cli-metrics.json");
+    let _ = std::fs::remove_file(&m_path);
+    let arg = |p: &PathBuf| p.to_string_lossy().into_owned();
+    let args = |a: &[&str]| a.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+    catapult::cli::run(&args(&[
+        "generate",
+        "--profile",
+        "emol",
+        "--count",
+        "12",
+        "--seed",
+        "4",
+        "--out",
+        &arg(&db_path),
+    ]))
+    .unwrap();
+    pfault::install(PersistFaultPlan {
+        kind: PersistFaultKind::Crash,
+        at: 2,
+    });
+    let crashed = catch_unwind(AssertUnwindSafe(|| {
+        catapult::cli::run(&args(&[
+            "select",
+            "--db",
+            &arg(&db_path),
+            "--gamma",
+            "3",
+            "--min-size",
+            "3",
+            "--max-size",
+            "5",
+            "--walks",
+            "10",
+            "--checkpoint-dir",
+            &arg(&dir),
+            "--metrics-out",
+            &arg(&m_path),
+        ]))
+    }));
+    pfault::clear();
+    let payload = crashed.expect_err("the second checkpoint write crashes");
+    assert_eq!(payload.downcast_ref::<String>().unwrap(), CRASH_PAYLOAD);
+
+    let text = std::fs::read_to_string(&m_path).expect("crash manifest written");
+    assert_eq!(
+        catapult_obs::schema_version_of(&text),
+        Some(catapult_obs::SCHEMA_VERSION)
+    );
+    assert_eq!(catapult_obs::SCHEMA_VERSION, 2);
+    let manifest = json::parse(&text).unwrap();
+    assert_eq!(manifest.get("command"), Some(&Value::from("select")));
+    let Some(Value::Array(spans)) = manifest.get("spans") else {
+        panic!("no spans: {text}");
+    };
+    let pipeline = spans
+        .iter()
+        .find(|s| s.get("name") == Some(&Value::from("pipeline")))
+        .unwrap_or_else(|| panic!("no pipeline span: {text}"));
+    assert_eq!(pipeline.get("duration_ns"), Some(&Value::Null), "{text}");
+    let Some(Value::Array(events)) = manifest.get("events") else {
+        panic!("no events: {text}");
+    };
+    let names: Vec<&str> = events
+        .iter()
+        .filter_map(|e| match e.get("name") {
+            Some(Value::Str(n)) => Some(n.as_str()),
+            _ => None,
+        })
+        .collect();
+    assert!(names.contains(&"flight.ckpt.write"), "{names:?}");
+    assert_eq!(names.last(), Some(&"flight.panic.hook"), "{names:?}");
+
+    // The hook was disarmed as the panic unwound out of `run`: a later
+    // panic writes nothing.
+    std::fs::remove_file(&m_path).unwrap();
+    let later = catch_unwind(|| panic!("unrelated later panic"));
+    assert!(later.is_err());
+    assert!(!m_path.exists(), "a disarmed hook rewrote the manifest");
+    std::fs::remove_dir_all(&dir).ok();
+    let _ = std::fs::remove_file(&db_path);
+}
