@@ -41,14 +41,6 @@ pub fn run_pipeline(
     catapult_core::run_catapult(db, &cfg)
 }
 
-/// Relabel a whole query set to a uniform blank label (Exp 3 preparation).
-pub fn total_steps_unlabeled(queries: &[Graph], panel: &[Graph], cap: usize) -> usize {
-    queries
-        .iter()
-        .map(|q| catapult_eval::formulate_unlabeled(q, panel, cap).steps)
-        .sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -31,7 +31,7 @@ pub const CRASH_PAYLOAD: &str = "injected persistence crash (fault-injection pla
 pub enum PersistFaultKind {
     /// Fail with a synthetic transient I/O error for `times`
     /// consecutive attempts starting at the target, then let the write
-    /// proceed — exercises [`RetryPolicy`](crate::RetryPolicy).
+    /// proceed — exercises the store's bounded write retry.
     IoError {
         /// How many consecutive attempts fail.
         times: u32,
@@ -156,7 +156,6 @@ mod tests {
     use catapult_obs::Recorder;
     use std::panic::{catch_unwind, AssertUnwindSafe};
     use std::path::{Path, PathBuf};
-    use std::time::Duration;
 
     /// Fault plans are process-global; tests sharing them run one at a
     /// time.
@@ -187,7 +186,6 @@ mod tests {
     fn open(dir: &Path, resume: bool, recorder: Recorder) -> StageStore {
         let mut c = CheckpointConfig::new(dir);
         c.resume = resume;
-        c.retry.base_backoff = Duration::from_millis(0);
         StageStore::open(&c, fp(), recorder).unwrap()
     }
 

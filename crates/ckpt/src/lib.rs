@@ -20,7 +20,7 @@
 //!   truncation, bit-flip) fails its checksum and is recomputed — never
 //!   silently reused.
 //! * Transient I/O failures during a write are retried with bounded
-//!   exponential backoff ([`RetryPolicy`]).
+//!   exponential backoff (3 tries, 5 ms then 10 ms apart).
 //! * Checkpoint traffic is observable: each save/load runs under a
 //!   recorder span and bumps the `ckpt.store.{write,load,reject,retry}`
 //!   counters that land in the run manifest.
@@ -39,9 +39,7 @@ pub mod wire;
 
 mod store;
 
-pub use store::{
-    CheckpointConfig, CkptError, Fingerprint, RetryPolicy, StageStore, SCHEMA_VERSION,
-};
+pub use store::{CheckpointConfig, CkptError, Fingerprint, StageStore, SCHEMA_VERSION};
 
 #[cfg(feature = "fault-injection")]
 pub mod fault;

@@ -53,7 +53,18 @@ use std::time::Duration;
 ///
 /// v2: the fine-clustering payload gained a persisted similarity-cache
 /// section (class-pair memoization entries).
-pub const SCHEMA_VERSION: u32 = 2;
+/// v3: every kernel tally lost its `cancelled` counter (four `u64`s, not
+/// five).
+pub const SCHEMA_VERSION: u32 = 3;
+
+/// Total tries for a checkpoint write before its I/O error surfaces.
+/// Checkpoints are an availability feature, but a write that keeps
+/// failing is a real error (disk full, permissions), so the bound is
+/// small.
+const WRITE_ATTEMPTS: u32 = 3;
+
+/// Sleep before the first write retry; it doubles for each further one.
+const FIRST_BACKOFF: Duration = Duration::from_millis(5);
 
 /// Leading magic of every checkpoint file.
 const MAGIC: &[u8; 8] = b"CATCKPT1";
@@ -98,30 +109,6 @@ impl Fingerprint {
     }
 }
 
-/// Bounded retry for transient checkpoint I/O failures.
-///
-/// A failed write is retried up to `attempts` total tries, sleeping
-/// `base_backoff * 2^(try - 1)` between tries. Checkpoints are an
-/// availability feature — but a write that keeps failing is a real
-/// error (disk full, permissions) and must surface, so the bound is
-/// small.
-#[derive(Clone, Copy, Debug)]
-pub struct RetryPolicy {
-    /// Total write attempts (≥ 1; 0 is treated as 1).
-    pub attempts: u32,
-    /// Sleep before the first retry; doubles each further retry.
-    pub base_backoff: Duration,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            attempts: 3,
-            base_backoff: Duration::from_millis(5),
-        }
-    }
-}
-
 /// How a run uses its checkpoint directory.
 #[derive(Clone, Debug)]
 pub struct CheckpointConfig {
@@ -136,13 +123,11 @@ pub struct CheckpointConfig {
     /// Similarity entries computed between intra-stage checkpoint
     /// flushes in the chunked fine-clustering stage.
     pub chunk_pairs: usize,
-    /// Retry policy for transient write failures.
-    pub retry: RetryPolicy,
 }
 
 impl CheckpointConfig {
     /// Config with default policy: fresh run, no force, default
-    /// chunking and retry.
+    /// chunking.
     #[must_use]
     pub fn new(dir: impl Into<PathBuf>) -> CheckpointConfig {
         CheckpointConfig {
@@ -150,7 +135,6 @@ impl CheckpointConfig {
             resume: false,
             force: false,
             chunk_pairs: 4096,
-            retry: RetryPolicy::default(),
         }
     }
 }
@@ -245,7 +229,6 @@ pub struct StageStore {
     fp: Fingerprint,
     resume: bool,
     chunk_pairs: usize,
-    retry: RetryPolicy,
     recorder: Recorder,
 }
 
@@ -285,7 +268,6 @@ impl StageStore {
             fp,
             resume: cfg.resume,
             chunk_pairs: cfg.chunk_pairs.max(1),
-            retry: cfg.retry,
             recorder,
         })
     }
@@ -319,19 +301,20 @@ impl StageStore {
         // Hidden temp name: never matches `existing_checkpoints`, so a
         // crash mid-write cannot trip the overwrite guard on restart.
         let tmp = self.dir.join(format!(".{stage}{CKPT_SUFFIX}.tmp"));
-        let mut backoff = self.retry.base_backoff;
-        let attempts = self.retry.attempts.max(1);
-        for attempt in 1..=attempts {
+        let mut backoff = FIRST_BACKOFF;
+        let mut attempt = 1;
+        loop {
             match write_once(&tmp, &path, &image) {
                 Ok(()) => {
                     self.recorder.counter("ckpt.store.write").incr();
                     self.recorder.event("flight.ckpt.write", stage, seq);
                     return Ok(());
                 }
-                Err(_) if attempt < attempts => {
+                Err(_) if attempt < WRITE_ATTEMPTS => {
                     self.recorder.counter("ckpt.store.retry").incr();
                     std::thread::sleep(backoff);
-                    backoff = backoff.saturating_mul(2);
+                    backoff *= 2;
+                    attempt += 1;
                 }
                 Err(source) => {
                     return Err(CkptError::Io {
@@ -341,8 +324,6 @@ impl StageStore {
                 }
             }
         }
-        // The loop always returns on its last attempt.
-        unreachable!("retry loop exited without returning")
     }
 
     /// Load `stage`'s checkpoint, if one exists and this store is in
@@ -591,14 +572,8 @@ mod tests {
         dir
     }
 
-    fn cfg(dir: &Path) -> CheckpointConfig {
-        let mut c = CheckpointConfig::new(dir);
-        c.retry.base_backoff = Duration::from_millis(0);
-        c
-    }
-
     fn open(dir: &Path, resume: bool) -> StageStore {
-        let mut c = cfg(dir);
+        let mut c = CheckpointConfig::new(dir);
         c.resume = resume;
         StageStore::open(&c, fp(), Recorder::disabled()).unwrap()
     }
@@ -625,7 +600,8 @@ mod tests {
         store.save("mining", 0, b"x").unwrap();
         // Fresh run into a populated dir: refused, message carries the
         // shared --force suffix.
-        let err = StageStore::open(&cfg(&dir), fp(), Recorder::disabled()).unwrap_err();
+        let err =
+            StageStore::open(&CheckpointConfig::new(&dir), fp(), Recorder::disabled()).unwrap_err();
         let msg = err.to_string();
         assert!(
             msg.ends_with("; pass --force to overwrite"),
@@ -633,7 +609,7 @@ mod tests {
         );
         assert!(matches!(err, CkptError::WouldOverwrite { .. }));
         // Force wipes and proceeds.
-        let mut forced = cfg(&dir);
+        let mut forced = CheckpointConfig::new(&dir);
         forced.force = true;
         StageStore::open(&forced, fp(), Recorder::disabled()).unwrap();
         assert!(!dir.join("mining.ckpt").exists());
@@ -669,7 +645,7 @@ mod tests {
             std::fs::write(&path, &raw).unwrap();
 
             let recorder = Recorder::enabled();
-            let mut resume = cfg(&dir);
+            let mut resume = CheckpointConfig::new(&dir);
             resume.resume = true;
             let resumed = StageStore::open(&resume, fp(), recorder.clone()).unwrap();
             assert_eq!(resumed.load("fine").unwrap(), None, "case {tag}");
@@ -702,7 +678,7 @@ mod tests {
             store.save("csg", 0, b"zzz").unwrap();
             let mut other = fp();
             mutate(&mut other);
-            let mut resume = cfg(&dir);
+            let mut resume = CheckpointConfig::new(&dir);
             resume.resume = true;
             let resumed = StageStore::open(&resume, other, Recorder::disabled()).unwrap();
             let err = resumed.load("csg").unwrap_err();
@@ -722,33 +698,45 @@ mod tests {
 
     #[test]
     fn schema_mismatch_is_a_hard_error() {
-        let dir = tmp_dir("schema");
-        let store = open(&dir, false);
-        store.save("selection", 0, b"abc").unwrap();
-        let path = store.stage_path("selection");
-        let raw = std::fs::read(&path).unwrap();
-        // Rewrite with a bumped version *and* a fixed-up checksum, so
-        // the file is valid-but-future rather than corrupt.
-        let body_len = raw.len() - 8;
-        let mut body = raw[..body_len].to_vec();
-        let ver_at = MAGIC.len();
-        body[ver_at..ver_at + 4].copy_from_slice(&99u32.to_le_bytes());
-        let sum = crate::fnv1a(&body);
-        body.extend_from_slice(&sum.to_le_bytes());
-        std::fs::write(&path, &body).unwrap();
+        // 2 is the layout before the tally lost its `cancelled` slot; 99
+        // stands for a future one.
+        for version in [2u32, 99] {
+            let dir = tmp_dir("schema");
+            let store = open(&dir, false);
+            store.save("selection", 0, b"abc").unwrap();
+            let path = store.stage_path("selection");
+            let raw = std::fs::read(&path).unwrap();
+            // Rewrite with another version *and* a fixed-up checksum, so
+            // the file is valid-but-foreign rather than corrupt.
+            let body_len = raw.len() - 8;
+            let mut body = raw[..body_len].to_vec();
+            let ver_at = MAGIC.len();
+            body[ver_at..ver_at + 4].copy_from_slice(&version.to_le_bytes());
+            let sum = crate::fnv1a(&body);
+            body.extend_from_slice(&sum.to_le_bytes());
+            std::fs::write(&path, &body).unwrap();
 
-        let resumed = open(&dir, true);
-        let err = resumed.load("selection").unwrap_err();
-        assert!(matches!(err, CkptError::SchemaMismatch { found: 99, .. }));
-        assert!(err.to_string().contains("schema version 99"), "{err}");
-        std::fs::remove_dir_all(&dir).ok();
+            let resumed = open(&dir, true);
+            let err = resumed.load("selection").unwrap_err();
+            assert!(
+                matches!(err, CkptError::SchemaMismatch { found, .. } if found == version),
+                "{err}"
+            );
+            assert!(
+                err.to_string().contains(&format!(
+                    "schema version {version}, this build writes {SCHEMA_VERSION}"
+                )),
+                "{err}"
+            );
+            std::fs::remove_dir_all(&dir).ok();
+        }
     }
 
     #[test]
     fn write_and_load_counters_flow_to_recorder() {
         let dir = tmp_dir("counters");
         let recorder = Recorder::enabled();
-        let mut c = cfg(&dir);
+        let mut c = CheckpointConfig::new(&dir);
         c.resume = true;
         let store = StageStore::open(&c, fp(), recorder.clone()).unwrap();
         store.save("mining", 0, b"a").unwrap();
@@ -771,7 +759,7 @@ mod tests {
     fn undecodable_payload_is_warned_about_and_discarded() {
         let dir = tmp_dir("undecodable");
         let recorder = Recorder::enabled();
-        let mut c = cfg(&dir);
+        let mut c = CheckpointConfig::new(&dir);
         c.resume = true;
         let store = StageStore::open(&c, fp(), recorder.clone()).unwrap();
         store.save("csg", 2, b"xx").unwrap();

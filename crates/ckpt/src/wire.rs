@@ -158,12 +158,11 @@ impl Enc {
         }
     }
 
-    /// A [`TallyCounts`] snapshot (all five counters).
+    /// A [`TallyCounts`] snapshot (all four counters).
     pub fn tally(&mut self, t: &TallyCounts) {
         self.u64(t.exact);
         self.u64(t.budget_exhausted);
         self.u64(t.deadline_exceeded);
-        self.u64(t.cancelled);
         self.u64(t.failed);
     }
 
@@ -331,7 +330,6 @@ impl<'a> Dec<'a> {
             exact: self.u64()?,
             budget_exhausted: self.u64()?,
             deadline_exceeded: self.u64()?,
-            cancelled: self.u64()?,
             failed: self.u64()?,
         })
     }
@@ -394,7 +392,6 @@ mod tests {
             exact: 10,
             budget_exhausted: 2,
             deadline_exceeded: 1,
-            cancelled: 0,
             failed: 3,
         };
         let mut e = Enc::new();

@@ -56,12 +56,13 @@ pub(crate) struct FineState {
 /// the value was first computed (replayed into the tally on every hit).
 pub(crate) type CacheEntry = (u32, u32, f64, Completeness);
 
+// Code 3 was a retired `Cancelled` tag; it stays unassigned so the
+// remaining codes keep their meaning.
 fn completeness_code(c: Completeness) -> u32 {
     match c {
         Completeness::Exact => 0,
         Completeness::BudgetExhausted => 1,
         Completeness::DeadlineExceeded => 2,
-        Completeness::Cancelled => 3,
         Completeness::Degraded => 4,
     }
 }
@@ -71,7 +72,6 @@ fn completeness_from_code(v: u32) -> Result<Completeness, WireError> {
         0 => Completeness::Exact,
         1 => Completeness::BudgetExhausted,
         2 => Completeness::DeadlineExceeded,
-        3 => Completeness::Cancelled,
         4 => Completeness::Degraded,
         _ => return Err(WireError::Malformed("unknown completeness tag")),
     })
@@ -383,6 +383,30 @@ mod tests {
         let mut extended = bytes;
         extended.push(0);
         assert!(decode_fine_state(&extended).is_err());
+    }
+
+    #[test]
+    fn every_completeness_tag_roundtrips_and_code_3_is_rejected() {
+        let tags = [
+            Completeness::Exact,
+            Completeness::BudgetExhausted,
+            Completeness::DeadlineExceeded,
+            Completeness::Degraded,
+        ];
+        assert_eq!(tags.map(completeness_code), [0, 1, 2, 4]);
+        let s = FineState {
+            done: vec![],
+            work: vec![],
+            rng: [0; 4],
+            tally: TallyCounts::default(),
+            current: None,
+            cache: (0..).zip(tags).map(|(b, tag)| (0, b, 0.5, tag)).collect(),
+        };
+        assert_eq!(decode_fine_state(&encode_fine_state(&s)).unwrap(), s);
+        assert!(matches!(
+            completeness_from_code(3),
+            Err(WireError::Malformed(_))
+        ));
     }
 
     #[test]

@@ -10,9 +10,7 @@
 use crate::kmeans::{as_clusters, kmeans, KMeansConfig};
 use catapult_graph::Graph;
 use catapult_mining::facility::select_features;
-use catapult_mining::subtree::{
-    feature_matrix, mine_frequent_subtrees, FrequentSubtree, SubtreeMinerConfig,
-};
+use catapult_mining::subtree::{feature_matrix, FrequentSubtree, SubtreeMinerConfig};
 use rand::Rng;
 
 /// Parameters for coarse clustering.
@@ -98,17 +96,17 @@ pub fn coarse_cluster_with_subtrees<R: Rng>(
     }
 }
 
-/// Run Algorithm 2 end to end (mining included).
-pub fn coarse_cluster<R: Rng>(db: &[Graph], cfg: &CoarseConfig, rng: &mut R) -> CoarseResult {
-    let subtrees = mine_frequent_subtrees(db, &cfg.miner);
-    coarse_cluster_with_subtrees(db, subtrees, cfg, rng)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use catapult_graph::{Label, VertexId};
+    use catapult_mining::subtree::mine_frequent_subtrees;
     use rand::SeedableRng;
+
+    /// Algorithm 2 end to end, mining included.
+    fn coarse_cluster(db: &[Graph], cfg: &CoarseConfig, rng: &mut impl Rng) -> CoarseResult {
+        coarse_cluster_with_subtrees(db, mine_frequent_subtrees(db, &cfg.miner), cfg, rng)
+    }
 
     fn l(x: u32) -> Label {
         Label(x)

@@ -53,7 +53,7 @@ fn sq_dist(a: &[f32], b: &[f32]) -> f64 {
 /// k-means++ seeding: first centroid uniform, subsequent centroids sampled
 /// with probability proportional to squared distance to the nearest chosen
 /// centroid [4].
-pub fn kmeans_pp_seeds<R: Rng>(points: &[Vec<f32>], k: usize, rng: &mut R) -> Vec<usize> {
+fn kmeans_pp_seeds<R: Rng>(points: &[Vec<f32>], k: usize, rng: &mut R) -> Vec<usize> {
     let n = points.len();
     if n == 0 || k == 0 {
         return Vec::new();

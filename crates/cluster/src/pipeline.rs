@@ -64,7 +64,7 @@ pub struct ClusteringConfig {
     /// the phase runs: each MCS/MCCS fine-clustering search *and* each
     /// VF2 containment probe of feature mining and the sampling recount
     /// (their own 10M `iso::DEFAULT_NODE_CAP` applies only when this cap
-    /// is unbounded). Any deadline/cancellation stops all of them.
+    /// is unbounded). Its deadline stops all of them.
     ///
     /// [`fine::DEFAULT_MCS_CAP`]: crate::fine::DEFAULT_MCS_CAP
     pub search: SearchBudget,

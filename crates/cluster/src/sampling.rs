@@ -38,7 +38,7 @@ impl Default for EagerConfig {
 }
 
 /// `|S_eager| = ⌈(1 / 2ε²) ln(2/ρ)⌉` — e.g. 6623 for ε = 0.02, ρ = 0.01.
-pub fn eager_sample_size(cfg: &EagerConfig) -> usize {
+fn eager_sample_size(cfg: &EagerConfig) -> usize {
     ((1.0 / (2.0 * cfg.epsilon * cfg.epsilon)) * (2.0 / cfg.rho).ln()).ceil() as usize
 }
 
@@ -86,7 +86,7 @@ impl Default for LazyConfig {
 }
 
 /// Cochran representative sample size `|S_sample| = Z² p q / e²`.
-pub fn cochran_sample_size(cfg: &LazyConfig) -> f64 {
+fn cochran_sample_size(cfg: &LazyConfig) -> f64 {
     let q = 1.0 - cfg.p;
     cfg.z * cfg.z * cfg.p * q / (cfg.e * cfg.e)
 }
@@ -94,7 +94,7 @@ pub fn cochran_sample_size(cfg: &LazyConfig) -> f64 {
 /// Per-cluster lazy sample size (Lemma 4.5):
 /// `|S_lazy(C)| = (|S_sample| / Σ|C_i|) × |C|`, at least 1 for non-empty
 /// clusters and never more than `|C|`.
-pub fn lazy_sample_size(cluster_size: usize, total_size: usize, cfg: &LazyConfig) -> usize {
+fn lazy_sample_size(cluster_size: usize, total_size: usize, cfg: &LazyConfig) -> usize {
     if cluster_size == 0 || total_size == 0 {
         return 0;
     }

@@ -123,7 +123,7 @@ impl PatternBudget {
     }
 
     /// Number of distinct pattern sizes.
-    pub fn size_count(&self) -> usize {
+    fn size_count(&self) -> usize {
         self.eta_max - self.eta_min + 1
     }
 

@@ -39,8 +39,8 @@ pub struct CatapultConfig {
     /// RNG seed (the whole pipeline is deterministic given the seed).
     pub seed: u64,
     /// Global execution budget overlaid on every stage: an explicit node
-    /// cap overrides the per-stage defaults, and its deadline/cancellation
-    /// reaches mining, clustering, and the greedy selection loop. Leave
+    /// cap overrides the per-stage defaults, and its deadline reaches
+    /// mining, clustering, and the greedy selection loop. Leave
     /// unbounded for the per-stage defaults (and an exact run).
     pub search: SearchBudget,
     /// Observability recorder (disabled by default — a no-op). When

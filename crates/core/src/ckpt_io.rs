@@ -24,7 +24,7 @@ use catapult_graph::{Graph, VertexId};
 /// is rejected loudly instead of silently resumed.
 ///
 /// Execution-mode knobs that cannot change a run's output — thread
-/// count, `keep_going`, deadlines/cancellation, the recorder — are
+/// count, `keep_going`, deadlines, the recorder — are
 /// deliberately excluded, so a crashed 8-thread run can resume on 1
 /// thread (or vice versa) and still reproduce the original bytes.
 #[must_use]
@@ -154,22 +154,6 @@ pub fn decode_csgs(bytes: &[u8]) -> Result<Vec<Csg>, WireError> {
     }
     d.finish()?;
     Ok(out)
-}
-
-/// Encode a [`PipelineReport`] (three per-stage tallies).
-#[must_use]
-pub fn encode_report(r: &PipelineReport) -> Vec<u8> {
-    let mut e = Enc::new();
-    report_into(&mut e, r);
-    e.into_bytes()
-}
-
-/// Decode a [`PipelineReport`].
-pub fn decode_report(bytes: &[u8]) -> Result<PipelineReport, WireError> {
-    let mut d = Dec::new(bytes);
-    let r = report_from(&mut d)?;
-    d.finish()?;
-    Ok(r)
 }
 
 /// Encode the final [`SelectionResult`] (payload of the `selection`
@@ -325,23 +309,11 @@ mod tests {
         let bytes = encode_selection(&r);
         let back = decode_selection(&bytes).unwrap();
         assert_eq!(encode_selection(&back), bytes, "re-encode byte-identical");
+        assert_eq!(back.report, r.report);
         assert_eq!(back.selected.len(), 2);
         assert_eq!(back.selected[0].score.to_bits(), 1.5f64.to_bits());
         assert_eq!(back.selected[1].score.to_bits(), (-0.0f64).to_bits());
         assert!(decode_selection(&bytes[..bytes.len() - 1]).is_err());
-    }
-
-    #[test]
-    fn pipeline_report_roundtrips_byte_identically() {
-        let r = PipelineReport {
-            mining: tally(),
-            clustering: tally(),
-            scoring: TallyCounts::default(),
-        };
-        let bytes = encode_report(&r);
-        let back = decode_report(&bytes).unwrap();
-        assert_eq!(back, r);
-        assert_eq!(encode_report(&back), bytes);
     }
 
     #[test]

@@ -240,17 +240,17 @@ mod tests {
 
     #[test]
     fn worst_ranks_across_stages() {
-        let cancelled = {
+        let timed_out = {
             let t = Tally::new();
-            t.record(Completeness::Cancelled);
+            t.record(Completeness::DeadlineExceeded);
             t.counts()
         };
         let r = PipelineReport {
             mining: counts(1, 1),
-            clustering: cancelled,
+            clustering: timed_out,
             scoring: counts(0, 0),
         };
-        assert_eq!(r.worst(), Completeness::Cancelled);
+        assert_eq!(r.worst(), Completeness::DeadlineExceeded);
         assert_eq!(r.degraded_stages(), vec!["mining", "clustering"]);
     }
 }

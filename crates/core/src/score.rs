@@ -72,25 +72,6 @@ impl EdgeLabelIndex {
         let covered: u32 = acc.iter().map(|b| b.count_ones()).sum();
         covered as f64 / self.db_size as f64
     }
-
-    /// `lcov` for a whole pattern set (union over all patterns' labels).
-    pub fn lcov_set(&self, patterns: &[Graph]) -> f64 {
-        if self.db_size == 0 {
-            return 0.0;
-        }
-        let mut acc = vec![0u64; self.blocks_per_row];
-        for p in patterns {
-            for el in p.edge_label_set() {
-                if let Some(row) = self.rows.get(&el) {
-                    for (a, &b) in acc.iter_mut().zip(row) {
-                        *a |= b;
-                    }
-                }
-            }
-        }
-        let covered: u32 = acc.iter().map(|b| b.count_ones()).sum();
-        covered as f64 / self.db_size as f64
-    }
 }
 
 /// Default node cap for each CSG-containment VF2 test (CSGs are small;
@@ -255,7 +236,6 @@ mod tests {
         assert!((idx.lcov(&p) - 2.0 / 3.0).abs() < 1e-12);
         let q = Graph::from_parts(&[l(0), l(1), l(3), l(4)], &[(0, 1), (2, 3)]);
         assert!((idx.lcov(&q) - 1.0).abs() < 1e-12);
-        assert!((idx.lcov_set(&[p, q]) - 1.0).abs() < 1e-12);
     }
 
     fn covering(p: &Graph, csgs: &[Csg]) -> Vec<usize> {

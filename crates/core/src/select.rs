@@ -48,8 +48,8 @@ pub struct SelectionConfig {
     /// Strength `λ` of the query-log boost.
     pub log_weight: f64,
     /// Execution budget shared by selection's NP-hard kernels (dedup VF2,
-    /// ccov and query-log probes, diversity GEDs). Its deadline or
-    /// cancellation also stops the greedy loop between iterations,
+    /// ccov and query-log probes, diversity GEDs). Its deadline also
+    /// stops the greedy loop between iterations,
     /// returning the patterns selected so far. Per-kernel default node
     /// caps apply when unbounded.
     pub search: SearchBudget,
@@ -276,7 +276,7 @@ pub fn find_canned_patterns<R: Rng>(
     let mut slots: Vec<Memo> = Vec::new();
 
     while selected.len() < budget.gamma() {
-        // A deadline or cancellation stops the greedy loop between
+        // An expired deadline stops the greedy loop between
         // iterations: the patterns chosen so far remain valid and
         // budget-conforming, and the report records why we stopped early.
         if let Some(c) = search.interrupted() {
@@ -437,7 +437,7 @@ mod tests {
     use super::*;
     use catapult_csg::build_csgs;
     use catapult_graph::iso::are_isomorphic;
-    use catapult_graph::{CancelToken, Label, VertexId};
+    use catapult_graph::{Deadline, Label, VertexId};
     use rand::SeedableRng;
 
     fn ring(n: u32, label: u32) -> Graph {
@@ -662,23 +662,24 @@ mod tests {
     }
 
     #[test]
-    fn cancelled_search_stops_greedy_loop_and_is_reported() {
+    fn expired_deadline_stops_greedy_loop_and_is_reported() {
         let (db, csgs) = db_and_csgs();
-        let token = CancelToken::new();
-        token.cancel();
         let cfg = SelectionConfig {
             budget: PatternBudget::new(3, 5, 4).unwrap(),
             walks: 30,
-            search: SearchBudget::unbounded().with_cancel(token),
+            search: SearchBudget::unbounded().with_deadline(Deadline::at(catapult_obs::now())),
             ..Default::default()
         };
         let mut rng = rand::rngs::StdRng::seed_from_u64(1);
         let r = find_canned_patterns(&db, &csgs, &cfg, &mut rng);
-        assert!(r.selected.is_empty(), "pre-cancelled run selects nothing");
+        assert!(
+            r.selected.is_empty(),
+            "a run past its deadline selects nothing"
+        );
         assert_eq!(r.report.degraded_stages(), vec!["scoring"]);
         assert_eq!(
             r.report.worst(),
-            catapult_graph::Completeness::Cancelled,
+            catapult_graph::Completeness::DeadlineExceeded,
             "report must say why the loop stopped"
         );
     }

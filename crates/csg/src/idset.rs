@@ -77,28 +77,6 @@ impl IdSet {
         IdSet(out)
     }
 
-    /// Size of the intersection with `other`.
-    pub fn intersection_len(&self, other: &IdSet) -> usize {
-        let (mut i, mut j, mut c) = (0, 0, 0);
-        while i < self.0.len() && j < other.0.len() {
-            match self.0[i].cmp(&other.0[j]) {
-                std::cmp::Ordering::Less => i += 1,
-                std::cmp::Ordering::Greater => j += 1,
-                std::cmp::Ordering::Equal => {
-                    c += 1;
-                    i += 1;
-                    j += 1;
-                }
-            }
-        }
-        c
-    }
-
-    /// Whether `self ⊆ other`.
-    pub fn is_subset_of(&self, other: &IdSet) -> bool {
-        self.intersection_len(other) == self.len()
-    }
-
     /// Ids as a slice.
     pub fn as_slice(&self) -> &[u32] {
         &self.0
@@ -130,14 +108,10 @@ mod tests {
     }
 
     #[test]
-    fn union_and_intersection() {
+    fn union_merges_sorted() {
         let a: IdSet = [1, 3, 5].into_iter().collect();
         let b: IdSet = [3, 4, 5, 6].into_iter().collect();
         assert_eq!(a.union(&b).as_slice(), &[1, 3, 4, 5, 6]);
-        assert_eq!(a.intersection_len(&b), 2);
-        assert!(!a.is_subset_of(&b));
-        let c: IdSet = [3, 5].into_iter().collect();
-        assert!(c.is_subset_of(&a));
     }
 
     #[test]
@@ -152,6 +126,5 @@ mod tests {
         let e = IdSet::new();
         assert!(e.is_empty());
         assert_eq!(e.union(&e), e);
-        assert!(e.is_subset_of(&e));
     }
 }

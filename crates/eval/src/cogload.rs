@@ -22,7 +22,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 /// One participant's simulated decision time for one pattern (seconds).
-pub fn simulate_decision_time(pattern: &Graph, rng: &mut StdRng) -> f64 {
+fn simulate_decision_time(pattern: &Graph, rng: &mut StdRng) -> f64 {
     let crossings = best_effort_crossings(pattern) as f64;
     let vertices = pattern.vertex_count() as f64;
     // Crossing-dominated per [25]: a long sparse pattern reads quickly, a
@@ -43,7 +43,7 @@ fn standard_normal(rng: &mut StdRng) -> f64 {
 /// Average rank of each pattern across simulated participants, following
 /// the paper's protocol (rank per participant, then average ranks — not
 /// times — to avoid outlier-driven rank reversal).
-pub fn simulated_actual_ranking(patterns: &[Graph], participants: usize, seed: u64) -> Vec<f64> {
+fn simulated_actual_ranking(patterns: &[Graph], participants: usize, seed: u64) -> Vec<f64> {
     let mut rng = StdRng::seed_from_u64(seed);
     let n = patterns.len();
     let mut rank_sums = vec![0.0f64; n];
@@ -75,7 +75,7 @@ pub struct CogLoadCorrelation {
 }
 
 /// Run the Exp 10 protocol on one pattern set.
-pub fn correlate(patterns: &[Graph], participants: usize, seed: u64) -> CogLoadCorrelation {
+fn correlate(patterns: &[Graph], participants: usize, seed: u64) -> CogLoadCorrelation {
     let actual = simulated_actual_ranking(patterns, participants, seed);
     let f1: Vec<f64> = patterns.iter().map(cognitive_load).collect();
     let f2: Vec<f64> = patterns.iter().map(cognitive_load_f2).collect();

@@ -132,7 +132,7 @@ impl WorkloadEvaluation {
 /// `μ_rel = (step_baseline − step_ours) / step_baseline` (used for μ_G in
 /// Exp 3, μ_F in Exp 9 and μ_DS in Exp 6). Positive means `ours` is
 /// better; may be negative.
-pub fn relative_reduction(baseline_steps: usize, our_steps: usize) -> f64 {
+fn relative_reduction(baseline_steps: usize, our_steps: usize) -> f64 {
     if baseline_steps == 0 {
         return 0.0;
     }
@@ -150,16 +150,6 @@ pub fn mean_relative_reduction(baseline: &WorkloadEvaluation, ours: &WorkloadEva
         .map(|(b, o)| relative_reduction(b.steps, o.steps))
         .collect();
     crate::stats::mean(&ratios)
-}
-
-/// Max per-query relative reduction between two evaluations.
-pub fn max_relative_reduction(baseline: &WorkloadEvaluation, ours: &WorkloadEvaluation) -> f64 {
-    baseline
-        .formulations
-        .iter()
-        .zip(&ours.formulations)
-        .map(|(b, o)| relative_reduction(b.steps, o.steps))
-        .fold(f64::MIN, f64::max)
 }
 
 /// Pattern-set diversity: mean over patterns of `min GED` to the others
@@ -255,7 +245,6 @@ mod tests {
         let bad = WorkloadEvaluation::evaluate(&[path(2)], &queries);
         let rel = mean_relative_reduction(&bad, &good);
         assert!(rel > 0.0, "good patterns should reduce steps: {rel}");
-        assert!(max_relative_reduction(&bad, &good) >= rel);
     }
 
     #[test]

@@ -76,17 +76,15 @@ pub fn greedy_mwis(g: &ConflictGraph) -> Vec<usize> {
     selected
 }
 
-/// Verify a vertex set is independent (no conflict edge inside). Used by
-/// tests and debug assertions.
-pub fn is_independent(g: &ConflictGraph, set: &[usize]) -> bool {
-    let in_set: std::collections::HashSet<usize> = set.iter().copied().collect();
-    set.iter()
-        .all(|&v| g.conflicts[v].iter().all(|u| !in_set.contains(u)))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Whether `set` is independent (no conflict edge inside).
+    fn is_independent(g: &ConflictGraph, set: &[usize]) -> bool {
+        set.iter()
+            .all(|&v| g.conflicts[v].iter().all(|u| !set.contains(u)))
+    }
 
     #[test]
     fn independent_vertices_all_selected() {

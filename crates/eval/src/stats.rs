@@ -47,15 +47,6 @@ pub fn mean(xs: &[f64]) -> f64 {
     xs.iter().sum::<f64>() / xs.len() as f64
 }
 
-/// Population standard deviation; 0 for fewer than 2 values.
-pub fn std_dev(xs: &[f64]) -> f64 {
-    if xs.len() < 2 {
-        return 0.0;
-    }
-    let m = mean(xs);
-    (xs.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / xs.len() as f64).sqrt()
-}
-
 /// Maximum; 0 for an empty slice.
 pub fn max(xs: &[f64]) -> f64 {
     xs.iter().copied().fold(0.0, f64::max)
@@ -101,11 +92,9 @@ mod tests {
     }
 
     #[test]
-    fn mean_and_std() {
+    fn mean_and_max() {
         assert_eq!(mean(&[]), 0.0);
         assert_eq!(mean(&[2.0, 4.0]), 3.0);
-        assert!((std_dev(&[2.0, 4.0]) - 1.0).abs() < 1e-12);
-        assert_eq!(std_dev(&[5.0]), 0.0);
         assert_eq!(max(&[1.0, 7.0, 3.0]), 7.0);
     }
 }

@@ -50,7 +50,7 @@ impl Default for ActionTimes {
 /// are vertex relabels (non-zero only for the unlabeled-GUI model); the
 /// remaining non-pattern steps split into vertex and edge additions
 /// proportionally to the uncovered counts.
-pub fn simulate_qft(
+fn simulate_qft(
     formulation: &Formulation,
     panel: &[Graph],
     relabel_steps: usize,

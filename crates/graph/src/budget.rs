@@ -11,9 +11,9 @@
 //! This module is that mechanism:
 //!
 //! * [`SearchBudget`] — one budget type for every kernel: a node-expansion
-//!   cap, an optional wall-clock [`Deadline`] (checked every
-//!   [`SearchBudget::check_every`] expansions, so the fast path stays a
-//!   counter compare), and an optional cooperative [`CancelToken`].
+//!   cap and an optional wall-clock [`Deadline`] (polled on the first
+//!   expansion and every 1,024 after it, so the fast path stays a counter
+//!   compare).
 //! * [`Completeness`] — why a search stopped: [`Completeness::Exact`] (the
 //!   search space was exhausted / the caller got everything it asked for),
 //!   or one of the degraded outcomes. Kernels *always* return best-so-far
@@ -23,7 +23,7 @@
 //! * [`Tally`] / [`TallyCounts`] — thread-safe accumulation of completeness
 //!   tags across many kernel calls, feeding the pipeline-level report.
 //! * [`fault`] (behind the `fault-injection` feature) — a deterministic
-//!   harness that forces exhaustion / deadline / cancellation at the K-th
+//!   harness that forces exhaustion / deadline / a worker panic at the K-th
 //!   kernel invocation, so graceful degradation is testable.
 //!
 //! The budget is also the carrier for kernel **observability**: a
@@ -34,8 +34,7 @@
 //! default (disabled) probe costs nothing.
 
 pub use catapult_obs::{Kernel, KernelMeasurement, StageProbe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 /// Why a budgeted search stopped.
@@ -55,8 +54,6 @@ pub enum Completeness {
     BudgetExhausted,
     /// The wall-clock [`Deadline`] passed; best-so-far result.
     DeadlineExceeded,
-    /// The [`CancelToken`] was triggered; best-so-far result.
-    Cancelled,
     /// The work item never produced a result at all: its worker panicked
     /// and the supervised executor (`--keep-going`) isolated the panic,
     /// substituting a panic-free fallback value. The most severe tag —
@@ -82,7 +79,6 @@ impl Completeness {
             Completeness::Exact => "exact",
             Completeness::BudgetExhausted => "budget-exhausted",
             Completeness::DeadlineExceeded => "deadline-exceeded",
-            Completeness::Cancelled => "cancelled",
             Completeness::Degraded => "degraded",
         }
     }
@@ -115,57 +111,28 @@ impl Deadline {
     }
 }
 
-/// A cheap, cloneable cooperative cancellation flag.
-///
-/// Clones share one flag: `cancel()` on any clone is observed by every
-/// search holding another clone (checked every
-/// [`SearchBudget::check_every`] expansions).
-#[derive(Clone, Debug, Default)]
-pub struct CancelToken(Arc<AtomicBool>);
-
-impl CancelToken {
-    /// A fresh, un-cancelled token.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Trip the flag; all searches sharing this token stop at their next
-    /// check point and report [`Completeness::Cancelled`].
-    pub fn cancel(&self) {
-        self.0.store(true, Ordering::Relaxed);
-    }
-
-    /// Whether the token has been tripped.
-    pub fn is_cancelled(&self) -> bool {
-        self.0.load(Ordering::Relaxed)
-    }
-}
-
-/// How many expansions pass between wall-clock / cancellation checks by
-/// default. The node-cap check runs on every expansion regardless.
-pub const DEFAULT_CHECK_EVERY: u64 = 1024;
+/// How many expansions pass between deadline polls (the first expansion
+/// is polled too). A power of two, so the cadence test is a mask. The
+/// node-cap check runs on every expansion regardless.
+const CHECK_EVERY: u64 = 1024;
 
 /// The unified execution budget accepted by every NP-hard kernel.
 ///
-/// Three independent limits, all optional:
+/// Two independent limits:
 ///
 /// * `node_cap` — maximum backtracking-node expansions (deterministic;
 ///   `u64::MAX` means "use the call site's stage default", see
 ///   [`SearchBudget::with_default_cap`]);
-/// * `deadline` — wall-clock cutoff, polled every `check_every` expansions;
-/// * `cancel` — cooperative cancellation, polled on the same cadence.
+/// * `deadline` — optional wall-clock cutoff, polled on the first
+///   expansion and every 1,024 after it.
 ///
 /// Whichever trips first determines the [`Completeness`] tag of the result.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug)]
 pub struct SearchBudget {
     /// Node-expansion cap (`u64::MAX` = defer to the stage default).
     pub node_cap: u64,
     /// Optional wall-clock cutoff.
     pub deadline: Option<Deadline>,
-    /// Optional cooperative cancellation flag.
-    pub cancel: Option<CancelToken>,
-    /// Expansions between deadline / cancellation polls (0 behaves as 1).
-    pub check_every: u64,
     /// Kernel observability probe (disabled by default; stamped per
     /// stage by the pipeline so kernel effort lands in
     /// `stage.kernel.metric` counters).
@@ -174,13 +141,11 @@ pub struct SearchBudget {
 
 impl SearchBudget {
     /// An unbounded budget: no cap of its own (call sites substitute their
-    /// stage default), no deadline, no cancellation.
+    /// stage default), no deadline.
     pub fn unbounded() -> Self {
         SearchBudget {
             node_cap: u64::MAX,
             deadline: None,
-            cancel: None,
-            check_every: DEFAULT_CHECK_EVERY,
             probe: StageProbe::default(),
         }
     }
@@ -199,18 +164,6 @@ impl SearchBudget {
         self
     }
 
-    /// Attach a cancellation token.
-    pub fn with_cancel(mut self, token: CancelToken) -> Self {
-        self.cancel = Some(token);
-        self
-    }
-
-    /// Set the deadline / cancellation polling cadence.
-    pub fn with_check_every(mut self, every: u64) -> Self {
-        self.check_every = every;
-        self
-    }
-
     /// Stamp a stage observability probe onto the budget; every kernel
     /// metered under it flushes its counters into the probe's stage.
     pub fn with_probe(mut self, probe: StageProbe) -> Self {
@@ -219,8 +172,8 @@ impl SearchBudget {
     }
 
     /// Resolve the node cap against a stage default: an explicit cap wins;
-    /// an unset cap (`u64::MAX`) becomes `default_cap`. Deadline and
-    /// cancellation carry over unchanged.
+    /// an unset cap (`u64::MAX`) becomes `default_cap`. The deadline
+    /// carries over unchanged.
     ///
     /// This is how one user-facing budget (e.g. `--search-budget`) flows
     /// through stages that each have their own sensible cap.
@@ -234,7 +187,7 @@ impl SearchBudget {
 
     /// Combine this budget (the override) with a base budget: the override
     /// cap wins when set, the *earlier* deadline applies, and the override
-    /// token wins when present.
+    /// probe wins when enabled.
     pub fn overlay(&self, base: &SearchBudget) -> SearchBudget {
         SearchBudget {
             node_cap: if self.node_cap != u64::MAX {
@@ -247,8 +200,6 @@ impl SearchBudget {
                 (Some(a), Some(b)) => Some(if a.instant() <= b.instant() { a } else { b }),
                 (a, b) => a.or(b),
             },
-            cancel: self.cancel.clone().or_else(|| base.cancel.clone()),
-            check_every: self.check_every.min(base.check_every).max(1),
             probe: if self.probe.is_enabled() {
                 self.probe.clone()
             } else {
@@ -257,22 +208,14 @@ impl SearchBudget {
         }
     }
 
-    /// Whether the budget's asynchronous limits have already tripped (an
-    /// expired deadline or a cancelled token). Used by coarse-grained loops
-    /// (mining levels, greedy selection rounds) to stop *between* kernel
-    /// calls; the node cap is per-search and is not consulted here.
+    /// Whether the budget's deadline has already passed. Used by
+    /// coarse-grained loops (mining levels, greedy selection rounds) to
+    /// stop *between* kernel calls; the node cap is per-search and is not
+    /// consulted here.
     pub fn interrupted(&self) -> Option<Completeness> {
-        if let Some(c) = &self.cancel {
-            if c.is_cancelled() {
-                return Some(Completeness::Cancelled);
-            }
-        }
-        if let Some(d) = self.deadline {
-            if d.expired() {
-                return Some(Completeness::DeadlineExceeded);
-            }
-        }
-        None
+        self.deadline
+            .filter(|d| d.expired())
+            .map(|_| Completeness::DeadlineExceeded)
     }
 }
 
@@ -282,12 +225,12 @@ impl SearchBudget {
 /// [`BudgetMeter::tick`] once per node expansion, and stop unwinding when
 /// it returns `true`. [`BudgetMeter::status`] then reports why.
 ///
-/// The fast path is one increment and one compare; deadline and
-/// cancellation polls run on the `check_every` cadence (and once on the
-/// very first expansion, so pre-expired deadlines stop searches promptly).
+/// The fast path is one increment and one compare; deadline polls run
+/// every 1,024 expansions (and once on the very first expansion, so
+/// pre-expired deadlines stop searches promptly).
 ///
 /// The meter doubles as the kernel's observability accumulator: probes,
-/// signal checks, and best-so-far improvements are counted as plain
+/// deadline polls, and best-so-far improvements are counted as plain
 /// integers and flushed into the budget's [`StageProbe`] exactly once —
 /// on drop — so instrumentation adds no atomics to the search loop and
 /// totals stay deterministic under any worker interleaving.
@@ -296,8 +239,6 @@ pub struct BudgetMeter {
     nodes: u64,
     node_cap: u64,
     deadline: Option<Instant>,
-    cancel: Option<CancelToken>,
-    check_every: u64,
     status: Completeness,
     kernel: Kernel,
     checks: u64,
@@ -316,8 +257,6 @@ impl BudgetMeter {
             nodes: 0,
             node_cap: budget.node_cap,
             deadline: budget.deadline.map(Deadline::instant),
-            cancel: budget.cancel.clone(),
-            check_every: budget.check_every.max(1),
             status: Completeness::Exact,
             kernel,
             checks: 0,
@@ -338,22 +277,12 @@ impl BudgetMeter {
             self.status = Completeness::BudgetExhausted;
             return true;
         }
-        if (self.nodes == 1 || self.nodes.is_multiple_of(self.check_every)) && self.check_signals()
-        {
-            return true;
-        }
-        false
+        (self.nodes == 1 || self.nodes.is_multiple_of(CHECK_EVERY)) && self.poll_deadline()
     }
 
     #[cold]
-    fn check_signals(&mut self) -> bool {
+    fn poll_deadline(&mut self) -> bool {
         self.checks += 1;
-        if let Some(c) = &self.cancel {
-            if c.is_cancelled() {
-                self.status = Completeness::Cancelled;
-                return true;
-            }
-        }
         if let Some(d) = self.deadline {
             // xtask-allow: taint -- deadline trip gates interruption only and is recorded as Completeness::DeadlineExceeded, never silent
             if catapult_obs::now() >= d {
@@ -380,7 +309,7 @@ impl BudgetMeter {
         self.nodes
     }
 
-    /// Deadline / cancellation polls performed so far.
+    /// Deadline polls performed so far.
     pub fn checks(&self) -> u64 {
         self.checks
     }
@@ -435,7 +364,6 @@ pub struct Tally {
     exact: AtomicU64,
     budget_exhausted: AtomicU64,
     deadline_exceeded: AtomicU64,
-    cancelled: AtomicU64,
     failed: AtomicU64,
 }
 
@@ -451,7 +379,6 @@ impl Tally {
             Completeness::Exact => &self.exact,
             Completeness::BudgetExhausted => &self.budget_exhausted,
             Completeness::DeadlineExceeded => &self.deadline_exceeded,
-            Completeness::Cancelled => &self.cancelled,
             Completeness::Degraded => &self.failed,
         };
         counter.fetch_add(1, Ordering::Relaxed);
@@ -463,7 +390,6 @@ impl Tally {
             exact: self.exact.load(Ordering::Relaxed),
             budget_exhausted: self.budget_exhausted.load(Ordering::Relaxed),
             deadline_exceeded: self.deadline_exceeded.load(Ordering::Relaxed),
-            cancelled: self.cancelled.load(Ordering::Relaxed),
             failed: self.failed.load(Ordering::Relaxed),
         }
     }
@@ -478,8 +404,6 @@ pub struct TallyCounts {
     pub budget_exhausted: u64,
     /// Calls stopped by the wall-clock deadline.
     pub deadline_exceeded: u64,
-    /// Calls stopped by cancellation.
-    pub cancelled: u64,
     /// Calls whose worker panicked and was isolated by the supervised
     /// executor (tagged [`Completeness::Degraded`]); their results are
     /// panic-free fallback values, not truncated searches.
@@ -494,7 +418,7 @@ impl TallyCounts {
 
     /// Calls that returned a degraded (non-exact) result.
     pub fn degraded(&self) -> u64 {
-        self.budget_exhausted + self.deadline_exceeded + self.cancelled + self.failed
+        self.budget_exhausted + self.deadline_exceeded + self.failed
     }
 
     /// Whether every recorded call was exact.
@@ -506,8 +430,6 @@ impl TallyCounts {
     pub fn worst(&self) -> Completeness {
         if self.failed > 0 {
             Completeness::Degraded
-        } else if self.cancelled > 0 {
-            Completeness::Cancelled
         } else if self.deadline_exceeded > 0 {
             Completeness::DeadlineExceeded
         } else if self.budget_exhausted > 0 {
@@ -527,7 +449,6 @@ impl TallyCounts {
             exact: self.exact + other.exact,
             budget_exhausted: self.budget_exhausted + other.budget_exhausted,
             deadline_exceeded: self.deadline_exceeded + other.deadline_exceeded,
-            cancelled: self.cancelled + other.cancelled,
             failed: self.failed + other.failed,
         }
     }
@@ -538,7 +459,6 @@ impl TallyCounts {
             Completeness::Exact => self.exact += 1,
             Completeness::BudgetExhausted => self.budget_exhausted += 1,
             Completeness::DeadlineExceeded => self.deadline_exceeded += 1,
-            Completeness::Cancelled => self.cancelled += 1,
             Completeness::Degraded => self.failed += 1,
         }
     }
@@ -557,7 +477,7 @@ impl TallyCounts {
 /// [`fault::clear`] when done.
 #[cfg(feature = "fault-injection")]
 pub mod fault {
-    use super::{BudgetMeter, CancelToken, Completeness};
+    use super::{BudgetMeter, Completeness};
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Mutex;
 
@@ -569,9 +489,6 @@ pub mod fault {
         /// Force [`Completeness::DeadlineExceeded`] (already-expired
         /// deadline, polled on the first expansion).
         Deadline,
-        /// Force [`Completeness::Cancelled`] (pre-tripped token, polled on
-        /// the first expansion).
-        Cancel,
         /// Panic inside the K-th kernel invocation — the executor-layer
         /// fault. Without supervised execution the fan-out aborts (the
         /// fail-fast default); under `--keep-going` the item is isolated
@@ -585,7 +502,6 @@ pub mod fault {
             match self {
                 FaultKind::Exhaust => Completeness::BudgetExhausted,
                 FaultKind::Deadline => Completeness::DeadlineExceeded,
-                FaultKind::Cancel => Completeness::Cancelled,
                 FaultKind::Panic => Completeness::Degraded,
             }
         }
@@ -649,13 +565,6 @@ pub mod fault {
                 // Test-only fault injection wants "already expired", not a
                 // measured duration; the monotonic source is irrelevant.
                 meter.deadline = Some(catapult_obs::now()); // xtask-allow: taint -- test-only fault rig wants an already-expired deadline; the value is never observed
-                meter.check_every = 1;
-            }
-            FaultKind::Cancel => {
-                let token = CancelToken::new();
-                token.cancel();
-                meter.cancel = Some(token);
-                meter.check_every = 1;
             }
             // The whole point of this fault is an uncontrolled worker
             // death; test-only (feature-gated) by construction.
@@ -711,37 +620,22 @@ mod tests {
     }
 
     #[test]
-    fn cancel_token_trips_at_checkpoint() {
-        let token = CancelToken::new();
-        let b = SearchBudget::unbounded()
-            .with_cancel(token.clone())
-            .with_check_every(8);
+    fn deadline_is_polled_on_the_first_tick_and_every_1024th() {
+        let b =
+            SearchBudget::unbounded().with_deadline(Deadline::from_now(Duration::from_secs(3600)));
         let mut m = BudgetMeter::new(&b, Kernel::Iso);
-        assert!(!m.tick()); // first-tick poll: not yet cancelled
-        token.cancel();
-        let mut tripped = false;
-        for _ in 0..8 {
-            if m.tick() {
-                tripped = true;
-                break;
-            }
+        assert!(!m.tick());
+        assert_eq!(m.checks(), 1);
+        for _ in 1..1023 {
+            assert!(!m.tick());
         }
-        assert!(tripped);
-        assert_eq!(m.status(), Completeness::Cancelled);
-    }
-
-    #[test]
-    fn cap_takes_priority_over_later_checks() {
-        let token = CancelToken::new();
-        token.cancel();
-        // Cap 2 with polls every 1000: the cap trips first.
-        let b = SearchBudget::nodes(2)
-            .with_cancel(token)
-            .with_check_every(1000);
-        let mut m = BudgetMeter::new(&b, Kernel::Iso);
-        // Tick 1 polls signals (first tick) → cancelled immediately.
-        assert!(m.tick());
-        assert_eq!(m.status(), Completeness::Cancelled);
+        assert_eq!(m.checks(), 1);
+        assert!(!m.tick()); // expansion 1,024
+        assert_eq!(m.checks(), 2);
+        for _ in 0..1024 {
+            assert!(!m.tick());
+        }
+        assert_eq!(m.checks(), 3);
     }
 
     #[test]
@@ -770,13 +664,13 @@ mod tests {
     fn completeness_ordering_and_worst() {
         assert!(Completeness::Exact < Completeness::BudgetExhausted);
         assert!(Completeness::BudgetExhausted < Completeness::DeadlineExceeded);
-        assert!(Completeness::DeadlineExceeded < Completeness::Cancelled);
+        assert!(Completeness::DeadlineExceeded < Completeness::Degraded);
         assert_eq!(
             Completeness::Exact.worst(Completeness::BudgetExhausted),
             Completeness::BudgetExhausted
         );
         assert!(Completeness::Exact.is_exact());
-        assert!(!Completeness::Cancelled.is_exact());
+        assert!(!Completeness::Degraded.is_exact());
     }
 
     #[test]
@@ -791,21 +685,20 @@ mod tests {
         assert!(!c.all_exact());
         assert_eq!(c.worst(), Completeness::BudgetExhausted);
         let mut d = TallyCounts::default();
-        d.record(Completeness::Cancelled);
+        d.record(Completeness::DeadlineExceeded);
         let m = c.merge(d);
         assert_eq!(m.total(), 4);
-        assert_eq!(m.worst(), Completeness::Cancelled);
+        assert_eq!(m.worst(), Completeness::DeadlineExceeded);
     }
 
     #[test]
     fn budget_plumbing_is_thread_safe() {
         // The parallel executor shares these by reference across scoped
         // worker threads; a regression away from Send + Sync (say, an
-        // Rc-based token) must fail to compile — asserted here so the
+        // Rc-based probe) must fail to compile — asserted here so the
         // error points at the contract, not at a distant call site.
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<SearchBudget>();
-        assert_send_sync::<CancelToken>();
         assert_send_sync::<Deadline>();
         assert_send_sync::<Tally>();
         assert_send_sync::<TallyCounts>();
@@ -822,7 +715,7 @@ mod tests {
             Completeness::Exact,
             Completeness::BudgetExhausted,
             Completeness::Exact,
-            Completeness::Cancelled,
+            Completeness::Degraded,
             Completeness::DeadlineExceeded,
         ];
         for &t in &tags {
@@ -878,13 +771,11 @@ mod tests {
     }
 
     #[test]
-    fn interrupted_reports_async_limits() {
+    fn interrupted_reports_an_expired_deadline() {
         assert_eq!(SearchBudget::nodes(1).interrupted(), None);
-        let token = CancelToken::new();
-        let b = SearchBudget::unbounded().with_cancel(token.clone());
-        assert_eq!(b.interrupted(), None);
-        token.cancel();
-        assert_eq!(b.interrupted(), Some(Completeness::Cancelled));
+        let later =
+            SearchBudget::unbounded().with_deadline(Deadline::from_now(Duration::from_secs(3600)));
+        assert_eq!(later.interrupted(), None);
         let expired = SearchBudget::unbounded().with_deadline(Deadline::at(catapult_obs::now()));
         assert_eq!(expired.interrupted(), Some(Completeness::DeadlineExceeded));
     }

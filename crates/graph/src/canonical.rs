@@ -17,12 +17,9 @@
 //! family per BFS node — empty for leaves — with redundant trailing empty
 //! families trimmed; this makes the encoding decodable (hence injective on
 //! isomorphism classes), which the frequent-subtree dedup relies on.
-//! [`CanonicalTree::display_compact`] reproduces the paper's exact (lossy)
-//! rendering for presentation.
 
 use crate::components::{is_tree, tree_centers};
 use crate::graph::{Graph, VertexId};
-use crate::labels::LabelInterner;
 
 /// Token stream of a canonical string.
 ///
@@ -36,67 +33,8 @@ pub const TOK_SEP: u32 = 0;
 pub const TOK_END: u32 = 1;
 /// Encode a label id as a token.
 #[inline]
-pub fn label_token(label: crate::labels::Label) -> u32 {
+fn label_token(label: crate::labels::Label) -> u32 {
     label.0 + 2
-}
-
-/// A canonicalized labeled tree.
-#[derive(Clone, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct CanonicalTree {
-    /// The breadth-first canonical token stream (Fig. 5 format).
-    pub tokens: CanonTokens,
-}
-
-impl CanonicalTree {
-    /// Render the full (injective) token stream, e.g. `A$1B1C$$1D#`,
-    /// resolving labels through `interner` when possible. Empty families
-    /// appear as consecutive `$`.
-    pub fn display(&self, interner: &LabelInterner) -> String {
-        let mut out = String::new();
-        let mut first = true;
-        for &t in &self.tokens {
-            match t {
-                TOK_SEP => out.push('$'),
-                TOK_END => out.push('#'),
-                _ => {
-                    if !first {
-                        out.push('1'); // implicit edge label
-                    }
-                    let label = crate::labels::Label(t - 2);
-                    out.push_str(&interner.display(label));
-                }
-            }
-            first = false;
-        }
-        out
-    }
-
-    /// Render in the paper's exact Fig. 5 notation (empty families elided),
-    /// e.g. `A$1B1B1B$1C1D$1D$1F1G$1E$1E#`. Lossy: for display only.
-    pub fn display_compact(&self, interner: &LabelInterner) -> String {
-        let mut out = String::new();
-        let mut at_family_start = false;
-        let mut first = true;
-        for &t in &self.tokens {
-            match t {
-                TOK_SEP => at_family_start = true,
-                TOK_END => out.push('#'),
-                _ => {
-                    if at_family_start {
-                        out.push('$');
-                        out.push('1');
-                        at_family_start = false;
-                    } else if !first {
-                        out.push('1');
-                    }
-                    let label = crate::labels::Label(t - 2);
-                    out.push_str(&interner.display(label));
-                }
-            }
-            first = false;
-        }
-        out
-    }
 }
 
 /// Recursive AHU-style subtree encoding used to order children.
@@ -150,26 +88,21 @@ fn bfs_tokens(g: &Graph, root: VertexId) -> CanonTokens {
     tokens
 }
 
-/// Canonicalize a labeled free tree.
+/// Canonicalize a labeled free tree: its breadth-first canonical token
+/// stream (Fig. 5 format).
 ///
 /// # Panics
 /// Panics if `g` is not a tree (connected, `|E| = |V| - 1`, `|V| ≥ 1`).
-pub fn canonical_tree(g: &Graph) -> CanonicalTree {
-    assert!(is_tree(g), "canonical_tree requires a tree");
+pub fn canonical_tokens(g: &Graph) -> CanonTokens {
+    assert!(is_tree(g), "canonical_tokens requires a tree");
     // The `is_tree` assertion above guarantees a non-empty connected graph,
     // which always has one or two centers.
     #[allow(clippy::expect_used)]
-    let tokens = tree_centers(g)
+    tree_centers(g)
         .into_iter()
         .map(|c| bfs_tokens(g, c))
         .min()
-        .expect("trees have at least one center");
-    CanonicalTree { tokens }
-}
-
-/// Canonical token stream of a tree (convenience wrapper).
-pub fn canonical_tokens(g: &Graph) -> CanonTokens {
-    canonical_tree(g).tokens
+        .expect("trees have at least one center")
 }
 
 /// Work cap for [`canonical_form`]: maximum color-refinement passes across
@@ -187,7 +120,7 @@ const TOK_FALLBACK: u32 = u32::MAX;
 
 /// Canonical form of an arbitrary labeled graph.
 ///
-/// Unlike [`canonical_tree`] this accepts any simple labeled graph
+/// Unlike [`canonical_tokens`] this accepts any simple labeled graph
 /// (cyclic, disconnected, empty). Two graphs receive equal token streams
 /// **iff** they are isomorphic — the memoized similarity cache in fine
 /// clustering keys on this, so both directions matter:
@@ -369,18 +302,38 @@ fn encode_under(g: &Graph, positions: &[u32]) -> CanonTokens {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::labels::Label;
+    use crate::labels::{Label, LabelInterner};
 
     fn l(x: u32) -> Label {
         Label(x)
+    }
+
+    /// Render the full (injective) token stream, e.g. `A$1B1C$$1D#`,
+    /// resolving labels through `interner`. Empty families appear as
+    /// consecutive `$`.
+    fn display(tokens: &[u32], interner: &LabelInterner) -> String {
+        let mut out = String::new();
+        for (i, &t) in tokens.iter().enumerate() {
+            match t {
+                TOK_SEP => out.push('$'),
+                TOK_END => out.push('#'),
+                _ => {
+                    if i > 0 {
+                        out.push('1'); // implicit edge label
+                    }
+                    out.push_str(&interner.display(Label(t - 2)));
+                }
+            }
+        }
+        out
     }
 
     #[test]
     fn single_vertex() {
         let mut g = Graph::new();
         g.add_vertex(l(7));
-        let c = canonical_tree(&g);
-        assert_eq!(c.tokens, vec![label_token(l(7)), TOK_END]);
+        let c = canonical_tokens(&g);
+        assert_eq!(c, vec![label_token(l(7)), TOK_END]);
     }
 
     #[test]
@@ -388,7 +341,7 @@ mod tests {
         // Star with center label 0 and leaves 1,2,3 in two different orders.
         let a = Graph::from_parts(&[l(0), l(1), l(2), l(3)], &[(0, 1), (0, 2), (0, 3)]);
         let b = Graph::from_parts(&[l(3), l(0), l(1), l(2)], &[(1, 0), (1, 3), (1, 2)]);
-        assert_eq!(canonical_tree(&a), canonical_tree(&b));
+        assert_eq!(canonical_tokens(&a), canonical_tokens(&b));
     }
 
     #[test]
@@ -396,14 +349,14 @@ mod tests {
         // Path of 4 vs star of 4, same labels.
         let p = Graph::from_parts(&[l(0); 4], &[(0, 1), (1, 2), (2, 3)]);
         let s = Graph::from_parts(&[l(0); 4], &[(0, 1), (0, 2), (0, 3)]);
-        assert_ne!(canonical_tree(&p), canonical_tree(&s));
+        assert_ne!(canonical_tokens(&p), canonical_tokens(&s));
     }
 
     #[test]
     fn distinguishes_labels() {
         let a = Graph::from_parts(&[l(0), l(1)], &[(0, 1)]);
         let b = Graph::from_parts(&[l(0), l(2)], &[(0, 1)]);
-        assert_ne!(canonical_tree(&a), canonical_tree(&b));
+        assert_ne!(canonical_tokens(&a), canonical_tokens(&b));
     }
 
     #[test]
@@ -411,7 +364,7 @@ mod tests {
         // Even path: two centers; both orders must give the same result.
         let a = Graph::from_parts(&[l(0), l(1), l(2), l(3)], &[(0, 1), (1, 2), (2, 3)]);
         let b = Graph::from_parts(&[l(3), l(2), l(1), l(0)], &[(0, 1), (1, 2), (2, 3)]);
-        assert_eq!(canonical_tree(&a), canonical_tree(&b));
+        assert_eq!(canonical_tokens(&a), canonical_tokens(&b));
     }
 
     #[test]
@@ -421,8 +374,8 @@ mod tests {
         let b = it.intern("B");
         // A with two B children.
         let g = Graph::from_parts(&[a, b, b], &[(0, 1), (0, 2)]);
-        let c = canonical_tree(&g);
-        assert_eq!(c.display(&it), "A$1B1B#");
+        let c = canonical_tokens(&g);
+        assert_eq!(display(&c, &it), "A$1B1B#");
     }
 
     #[test]
@@ -453,18 +406,18 @@ mod tests {
             (3, 10), // B3-G
         ];
         let t = Graph::from_parts(&labels, &edges);
-        let canon = canonical_tree(&t);
-        // The paper's (lossy) Fig. 5 rendering:
-        assert_eq!(canon.display_compact(&it), "A$1B1B1B$1C1D$1D$1F1G$1E$1E#");
-        // The injective stream additionally shows C's empty family:
-        assert_eq!(canon.display(&it), "A$1B1B1B$1C1D$1D$1F1G$$1E$1E#");
+        let canon = canonical_tokens(&t);
+        // The paper's (lossy) Fig. 5 rendering is
+        // `A$1B1B1B$1C1D$1D$1F1G$1E$1E#`; the injective stream additionally
+        // shows C's empty family:
+        assert_eq!(display(&canon, &it), "A$1B1B1B$1C1D$1D$1F1G$$1E$1E#");
     }
 
     #[test]
     #[should_panic(expected = "requires a tree")]
     fn rejects_cycles() {
         let g = Graph::from_parts(&[l(0); 3], &[(0, 1), (1, 2), (0, 2)]);
-        canonical_tree(&g);
+        canonical_tokens(&g);
     }
 
     /// Apply the vertex permutation `perm` (old id -> new id) to `g`.

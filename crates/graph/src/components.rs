@@ -66,26 +66,6 @@ pub fn is_tree(g: &Graph) -> bool {
     g.vertex_count() >= 1 && g.edge_count() + 1 == g.vertex_count() && is_connected(g)
 }
 
-/// Single-source shortest-path distances (in hops); `usize::MAX` marks
-/// unreachable vertices.
-pub fn bfs_distances(g: &Graph, start: VertexId) -> Vec<usize> {
-    let n = g.vertex_count();
-    let mut dist = vec![usize::MAX; n];
-    let mut queue = std::collections::VecDeque::new();
-    dist[start.index()] = 0;
-    queue.push_back(start);
-    while let Some(v) = queue.pop_front() {
-        let d = dist[v.index()];
-        for &(w, _) in g.neighbors(v) {
-            if dist[w.index()] == usize::MAX {
-                dist[w.index()] = d + 1;
-                queue.push_back(w);
-            }
-        }
-    }
-    dist
-}
-
 /// Center vertex or vertices of a tree (1 for odd-diameter trees, 2 for even).
 ///
 /// Computed by iteratively peeling leaves. Used to root free trees for
@@ -163,12 +143,6 @@ mod tests {
     fn centers_of_star() {
         let star = Graph::from_parts(&[l(0); 5], &[(0, 1), (0, 2), (0, 3), (0, 4)]);
         assert_eq!(tree_centers(&star), vec![VertexId(0)]);
-    }
-
-    #[test]
-    fn bfs_distances_on_path() {
-        let p = Graph::from_parts(&[l(0); 4], &[(0, 1), (1, 2), (2, 3)]);
-        assert_eq!(bfs_distances(&p, VertexId(0)), vec![0, 1, 2, 3]);
     }
 
     #[test]

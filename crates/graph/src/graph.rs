@@ -280,7 +280,7 @@ impl Graph {
     }
 
     /// Sorted degree sequence (an isomorphism invariant).
-    pub fn degree_sequence(&self) -> Vec<usize> {
+    fn degree_sequence(&self) -> Vec<usize> {
         let mut v: Vec<usize> = (0..self.vertex_count())
             .map(|i| self.adj[i].len())
             .collect();

@@ -20,7 +20,7 @@ pub struct CircularLayout {
 /// Lay the graph out on a circle in BFS order (a cheap but sensible
 /// ordering that keeps neighborhoods contiguous), covering every
 /// connected component.
-pub fn circular_layout(g: &Graph) -> CircularLayout {
+fn circular_layout(g: &Graph) -> CircularLayout {
     let n = g.vertex_count();
     let mut position = vec![usize::MAX; n];
     let mut next = 0usize;
@@ -47,7 +47,7 @@ fn chords_cross(a: usize, b: usize, c: usize, d: usize) -> bool {
 }
 
 /// Exact number of edge crossings in the given circular layout.
-pub fn crossing_count(g: &Graph, layout: &CircularLayout) -> usize {
+fn crossing_count(g: &Graph, layout: &CircularLayout) -> usize {
     let edges: Vec<(usize, usize)> = g
         .edges()
         .map(|(_, e)| (layout.position[e.u.index()], layout.position[e.v.index()]))

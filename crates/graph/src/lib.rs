@@ -44,7 +44,7 @@ pub mod metrics;
 pub mod random;
 
 pub use bitadj::BitAdjacency;
-pub use budget::{CancelToken, Completeness, Deadline, SearchBudget, Tally, TallyCounts};
+pub use budget::{Completeness, Deadline, SearchBudget, Tally, TallyCounts};
 pub use graph::{CorruptionKind, Edge, EdgeId, Graph, GraphError, VertexId};
 pub use invariants::InvariantViolation;
 pub use labels::{EdgeLabel, Label, LabelInterner};

@@ -27,14 +27,6 @@ pub fn cognitive_load_f3(g: &Graph) -> f64 {
     2.0 * g.edge_count() as f64 / g.vertex_count() as f64
 }
 
-/// Mean cognitive load (F1) over a pattern set; `0` for an empty set.
-pub fn mean_cognitive_load(patterns: &[Graph]) -> f64 {
-    if patterns.is_empty() {
-        return 0.0;
-    }
-    patterns.iter().map(cognitive_load).sum::<f64>() / patterns.len() as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -85,13 +77,6 @@ mod tests {
         let c = clique(4);
         assert!((cognitive_load_f3(&c) - 3.0).abs() < 1e-12);
         assert_eq!(cognitive_load_f3(&Graph::new()), 0.0);
-    }
-
-    #[test]
-    fn mean_over_set() {
-        let set = vec![path(4), clique(4)];
-        assert!((mean_cognitive_load(&set) - (1.5 + 6.0) / 2.0).abs() < 1e-12);
-        assert_eq!(mean_cognitive_load(&[]), 0.0);
     }
 
     #[test]

@@ -35,11 +35,6 @@ impl EdgeLabelStats {
         }
     }
 
-    /// Number of graphs counted.
-    pub fn graph_count(&self) -> usize {
-        self.total_graphs
-    }
-
     /// Number of graphs containing an edge with label `el`.
     pub fn count(&self, el: EdgeLabel) -> usize {
         self.counts.get(&el).copied().unwrap_or(0)
@@ -63,7 +58,7 @@ impl EdgeLabelStats {
 
     /// The `k` most frequent edge labels (by transaction count, ties broken
     /// by label order for determinism).
-    pub fn top_k(&self, k: usize) -> Vec<(EdgeLabel, usize)> {
+    fn top_k(&self, k: usize) -> Vec<(EdgeLabel, usize)> {
         let mut v: Vec<(EdgeLabel, usize)> = self.counts.iter().map(|(&l, &c)| (l, c)).collect();
         v.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
         v.truncate(k);
@@ -81,7 +76,7 @@ impl EdgeLabelStats {
 }
 
 /// Build the one-edge pattern graph for an edge label.
-pub fn edge_pattern(el: EdgeLabel) -> Graph {
+fn edge_pattern(el: EdgeLabel) -> Graph {
     Graph::from_parts(&[el.0, el.1], &[(0, 1)])
 }
 
@@ -183,7 +178,7 @@ mod tests {
     #[test]
     fn empty_stats() {
         let stats = EdgeLabelStats::from_graphs(std::iter::empty());
-        assert_eq!(stats.graph_count(), 0);
+        assert_eq!(stats.total_graphs, 0);
         assert_eq!(stats.lcov(EdgeLabel::new(l(0), l(1))), 0.0);
         assert!(stats.top_k(3).is_empty());
     }

@@ -15,7 +15,7 @@
 use catapult_graph::canonical::CanonTokens;
 
 /// Longest common subsequence length of two token streams (O(n·m) DP).
-pub fn token_lcs(a: &[u32], b: &[u32]) -> usize {
+fn token_lcs(a: &[u32], b: &[u32]) -> usize {
     if a.is_empty() || b.is_empty() {
         return 0;
     }
@@ -35,7 +35,7 @@ pub fn token_lcs(a: &[u32], b: &[u32]) -> usize {
 }
 
 /// `σ_subtree(i, j) = |lcs(i, j)| / max(|i|, |j|)` on canonical tokens.
-pub fn subtree_similarity(a: &[u32], b: &[u32]) -> f64 {
+fn subtree_similarity(a: &[u32], b: &[u32]) -> f64 {
     let m = a.len().max(b.len());
     if m == 0 {
         return 1.0;
@@ -96,22 +96,21 @@ pub fn select_features(all: &[CanonTokens], k: usize, min_gain: f64) -> Vec<usiz
     selected
 }
 
-/// The objective `q(T_sel)` for a given selection (used by tests and
-/// ablations).
-pub fn coverage_objective(all: &[CanonTokens], selected: &[usize]) -> f64 {
-    all.iter()
-        .map(|i| {
-            selected
-                .iter()
-                .map(|&j| subtree_similarity(i, &all[j]))
-                .fold(0.0, f64::max)
-        })
-        .sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The objective `q(T_sel)` for a given selection.
+    fn coverage_objective(all: &[CanonTokens], selected: &[usize]) -> f64 {
+        all.iter()
+            .map(|i| {
+                selected
+                    .iter()
+                    .map(|&j| subtree_similarity(i, &all[j]))
+                    .fold(0.0, f64::max)
+            })
+            .sum()
+    }
 
     #[test]
     fn lcs_basics() {

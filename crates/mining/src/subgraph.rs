@@ -173,7 +173,7 @@ pub struct SubgraphMiningOutcome {
 /// Mine frequent connected subgraphs of size 1..=`cfg.max_edges` edges.
 ///
 /// Output is sorted by (size, descending support) and deterministic.
-/// Unbudgeted convenience wrapper around [`mine_subgraphs`]; completeness
+/// Unbudgeted convenience wrapper around the budgeted miner; completeness
 /// is swallowed.
 pub fn mine_frequent_subgraphs(db: &[Graph], cfg: &SubgraphMinerConfig) -> Vec<FrequentSubgraph> {
     mine_subgraphs(db, cfg, &SearchBudget::unbounded()).subgraphs
@@ -181,9 +181,9 @@ pub fn mine_frequent_subgraphs(db: &[Graph], cfg: &SubgraphMinerConfig) -> Vec<F
 
 /// Budgeted frequent-subgraph mining: every containment / isomorphism
 /// probe runs under `budget` (per-probe cap defaulting to
-/// [`iso::DEFAULT_NODE_CAP`]); deadline and cancellation are additionally
-/// checked between parents, stopping early with the patterns found so far.
-pub fn mine_subgraphs(
+/// [`iso::DEFAULT_NODE_CAP`]); the deadline is additionally checked
+/// between parents, stopping early with the patterns found so far.
+fn mine_subgraphs(
     db: &[Graph],
     cfg: &SubgraphMinerConfig,
     budget: &SearchBudget,

@@ -57,15 +57,6 @@ impl FrequentSubtree {
     pub fn support(&self) -> usize {
         self.transactions.len()
     }
-
-    /// Relative support in a database of `n` graphs.
-    pub fn relative_support(&self, n: usize) -> f64 {
-        if n == 0 {
-            0.0
-        } else {
-            self.support() as f64 / n as f64
-        }
-    }
 }
 
 /// Frequent vertex labels with their supporting transactions.
@@ -142,16 +133,8 @@ pub fn mine_frequent_subtrees(db: &[Graph], cfg: &SubtreeMinerConfig) -> Vec<Fre
     mine_subtrees(db, cfg, &SearchBudget::unbounded()).subtrees
 }
 
-/// As [`mine_frequent_subtrees`], additionally returning the number of
-/// candidate trees whose support was counted (used by tests and the
-/// sampling experiments).
-pub fn mine_with_counts(db: &[Graph], cfg: &SubtreeMinerConfig) -> (Vec<FrequentSubtree>, usize) {
-    let out = mine_subtrees(db, cfg, &SearchBudget::unbounded());
-    (out.subtrees, out.candidates_counted)
-}
-
 /// Budgeted frequent-subtree mining: the level-wise pattern-growth miner
-/// with every containment probe under `budget` and deadline/cancellation
+/// with every containment probe under `budget` and its deadline
 /// checked between candidates, stopping early with the frequent trees
 /// found so far.
 ///
@@ -440,18 +423,17 @@ mod tests {
     }
 
     #[test]
-    fn cancelled_mining_stops_early_with_sound_partial_result() {
-        use catapult_graph::CancelToken;
+    fn interrupted_mining_stops_early_with_sound_partial_result() {
+        use catapult_graph::Deadline;
         let db = db_paths_and_stars();
         let cfg = SubtreeMinerConfig {
             min_support: 0.2,
             max_edges: 3,
             ..Default::default()
         };
-        let token = CancelToken::new();
-        token.cancel();
-        let out = mine_subtrees(&db, &cfg, &SearchBudget::unbounded().with_cancel(token));
-        assert_eq!(out.completeness, Completeness::Cancelled);
+        let expired = SearchBudget::unbounded().with_deadline(Deadline::at(catapult_obs::now()));
+        let out = mine_subtrees(&db, &cfg, &expired);
+        assert_eq!(out.completeness, Completeness::DeadlineExceeded);
         // Sound: anything reported is genuinely frequent.
         for t in &out.subtrees {
             for &i in &t.transactions {

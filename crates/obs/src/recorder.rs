@@ -547,7 +547,8 @@ impl Kernel {
 pub struct KernelMeasurement {
     /// Search nodes expanded (`BudgetMeter` ticks).
     pub probes: u64,
-    /// Deadline/cancellation polls performed.
+    /// Deadline polls performed (the first expansion and every 1,024th;
+    /// counted whether or not the search has a deadline).
     pub checks: u64,
     /// Best-so-far improvements (embeddings found, bounds tightened).
     pub improved: u64,

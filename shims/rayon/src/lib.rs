@@ -36,7 +36,7 @@
 //! The thread-safety contract this imposes on call sites: item types
 //! must be `Send`, closures `Sync` (they are shared by reference across
 //! workers), and any shared mutable state must be synchronized *and*
-//! commutative (atomics such as `Tally`, `CancelToken`).
+//! commutative (atomics such as `Tally`).
 //!
 //! Swapping the real `rayon` back in later remains a one-line change in
 //! the root `Cargo.toml` (plus wiring `--threads` to

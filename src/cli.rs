@@ -261,7 +261,6 @@ fn report_value(report: &PipelineReport) -> Value {
         tv.set("exact", t.exact);
         tv.set("budget_exhausted", t.budget_exhausted);
         tv.set("deadline_exceeded", t.deadline_exceeded);
-        tv.set("cancelled", t.cancelled);
         tv.set("failed", t.failed);
         v.set(stage, tv);
     }
@@ -269,38 +268,39 @@ fn report_value(report: &PipelineReport) -> Value {
 }
 
 /// Top-level usage text.
-pub const USAGE: &str = "usage: catapult <generate|select|evaluate|stats> [--flags]\n\
-  generate --profile aids|pubchem|emol --count N [--seed S] [--out FILE]\n\
-  select   --db FILE [--gamma N] [--min-size A] [--max-size B] [--walks W] [--seed S]\n\
-           [--search-budget NODES] [--deadline-ms MS] [--threads N] [--out FILE]\n\
-           [--checkpoint-dir DIR] [--resume] [--keep-going]\n\
-  evaluate --db FILE --patterns FILE [--queries N] [--min-edges A] [--max-edges B] [--seed S]\n\
-           [--threads N]\n\
-  stats    --db FILE\n\
-common:\n\
-  --threads N        worker threads for the parallel fan-outs: 0 = auto\n\
-                     (all cores), 1 = exact sequential legacy behavior\n\
-                     (default: CATAPULT_THREADS env var, else auto)\n\
-  --metrics-out FILE write a schema-versioned JSON run manifest (spans,\n\
-                     kernel counters, events, environment) after the\n\
-                     command; a panicking run writes the same file as its\n\
-                     crash dump, with the stages still open\n\
-  --trace            print a per-stage wall-time / kernel-effort table\n\
-  --trace-out FILE   write the span tree as Chrome trace-event JSON\n\
-                     (chrome://tracing, Perfetto; Speedscope shows it as\n\
-                     a flame graph)\n\
-  --progress         print a live heartbeat (stage, items, probes/sec,\n\
-                     ETA) to stderr every second; never touches stdout\n\
-  --force            overwrite an output file whose schema_version differs\n\
-                     (metrics/trace), or wipe a checkpoint directory and\n\
-                     start over\n\
-select crash safety:\n\
-  --checkpoint-dir D write a checkpoint at every pipeline stage boundary\n\
-                     (and mid-fine-clustering) under D\n\
-  --resume           continue from the furthest compatible checkpoint in\n\
-                     --checkpoint-dir instead of refusing a populated one\n\
-  --keep-going       isolate a panicking parallel worker to its own item\n\
-                     (reported as 'failed' in the run report) instead of\n\
+pub const USAGE: &str = "\
+usage: catapult <generate|select|evaluate|stats> [--flags]
+  generate --profile aids|pubchem|emol --count N [--seed S] [--out FILE]
+  select   --db FILE [--gamma N] [--min-size A] [--max-size B] [--walks W] [--seed S]
+           [--search-budget NODES] [--deadline-ms MS] [--threads N] [--out FILE]
+           [--checkpoint-dir DIR] [--resume] [--keep-going]
+  evaluate --db FILE --patterns FILE [--queries N] [--min-edges A] [--max-edges B] [--seed S]
+           [--threads N]
+  stats    --db FILE
+common:
+  --threads N        worker threads for the parallel fan-outs: 0 = auto
+                     (all cores), 1 = exact sequential legacy behavior
+                     (default: CATAPULT_THREADS env var, else auto)
+  --metrics-out FILE write a schema-versioned JSON run manifest (spans,
+                     kernel counters, events, environment) after the
+                     command; a panicking run writes the same file as its
+                     crash dump, with the stages still open
+  --trace            print a per-stage wall-time / kernel-effort table
+  --trace-out FILE   write the span tree as Chrome trace-event JSON
+                     (chrome://tracing, Perfetto; Speedscope shows it as
+                     a flame graph)
+  --progress         print a live heartbeat (stage, items, probes/sec,
+                     ETA) to stderr every second; never touches stdout
+  --force            overwrite an output file whose schema_version differs
+                     (metrics/trace), or wipe a checkpoint directory and
+                     start over
+select crash safety:
+  --checkpoint-dir D write a checkpoint at every pipeline stage boundary
+                     (and mid-fine-clustering) under D
+  --resume           continue from the furthest compatible checkpoint in
+                     --checkpoint-dir instead of refusing a populated one
+  --keep-going       isolate a panicking parallel worker to its own item
+                     (reported as 'failed' in the run report) instead of
                      aborting the run";
 
 fn load_db(path: &str, interner: &mut LabelInterner) -> Result<Vec<Graph>, CliError> {
@@ -508,7 +508,7 @@ fn apply_threads(flags: &Flags) -> Result<(), CliError> {
 pub fn run(args: &[String]) -> Result<String, CliError> {
     let (cmd, rest) = args
         .split_first()
-        .ok_or_else(|| CliError::Usage(USAGE.into()))?;
+        .ok_or_else(|| CliError::Usage(format!("missing command\n{USAGE}")))?;
     let Some(&(_, command, accepted)) = COMMANDS.iter().find(|(name, ..)| name == cmd) else {
         return Err(CliError::Usage(format!("unknown command '{cmd}'\n{USAGE}")));
     };
@@ -613,6 +613,47 @@ mod tests {
         // Another subcommand's flag is unknown here.
         let m = usage(&["stats", "--db", "db.txt", "--gamma", "5"]);
         assert!(m.contains("--gamma") && m.contains("`stats`"), "{m}");
+    }
+
+    #[test]
+    fn usage_text_renders_aligned_and_prefixed_once() {
+        let rendered = |a: &[&str]| run(&args(a)).unwrap_err().to_string();
+        assert_eq!(
+            rendered(&[]),
+            format!("usage error: missing command\n{USAGE}")
+        );
+        assert_eq!(
+            rendered(&["select", "--db", "db.txt", "--gama", "5"]),
+            format!("usage error: `select` does not accept --gama\n{USAGE}")
+        );
+        let lines: Vec<&str> = USAGE.lines().collect();
+        assert_eq!(
+            lines[0],
+            "usage: catapult <generate|select|evaluate|stats> [--flags]"
+        );
+        assert_eq!(
+            lines[3],
+            "           [--search-budget NODES] [--deadline-ms MS] [--threads N] [--out FILE]"
+        );
+        assert_eq!(
+            lines[10],
+            "                     (all cores), 1 = exact sequential legacy behavior"
+        );
+        // Below the header, only section titles sit flush left; in the
+        // option sections every help text starts at column 21.
+        let mut in_options = false;
+        for l in &lines[1..] {
+            if !l.starts_with(' ') {
+                assert!(l.ends_with(':'), "flush-left line: {l:?}");
+                in_options = true;
+                continue;
+            }
+            assert!(l.starts_with("  "), "{l:?}");
+            if in_options {
+                let (flag, help) = l.split_at(21);
+                assert!(flag.ends_with(' ') && !help.starts_with(' '), "{l:?}");
+            }
+        }
     }
 
     #[test]

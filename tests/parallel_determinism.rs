@@ -284,7 +284,7 @@ mod fault_sweep_under_threads {
                 ks.push(total);
             }
             for k in ks {
-                for kind in [FaultKind::Exhaust, FaultKind::Deadline, FaultKind::Cancel] {
+                for kind in [FaultKind::Exhaust, FaultKind::Deadline] {
                     fault::install(FaultPlan {
                         kind,
                         at: k,
@@ -344,7 +344,7 @@ mod fault_sweep_under_threads {
             assert!(total > 0);
 
             for k in [1, total / 2 + 1, total] {
-                for kind in [FaultKind::Exhaust, FaultKind::Deadline, FaultKind::Cancel] {
+                for kind in [FaultKind::Exhaust, FaultKind::Deadline] {
                     let run_with = |recorder: catapult_obs::Recorder| {
                         fault::install(FaultPlan {
                             kind,

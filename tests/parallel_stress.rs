@@ -1,20 +1,21 @@
-//! Stress test: wide fan-out, shared cancellation, no torn results.
+//! Stress test: wide fan-out, mixed budgets, no torn results.
 //!
-//! A 64-way `par_iter` drives budgeted VF2 kernels that all share one
-//! [`CancelToken`]. One worker trips the token mid-flight. The contract
-//! under fire:
+//! A 64-way `par_iter` drives budgeted VF2 kernels. Some items carry an
+//! already-expired [`Deadline`], the rest no bound at all, and the two
+//! kinds interleave across every worker's chunk. The contract under
+//! fire:
 //!
 //! * all 64 results come back, in input order;
-//! * every result is a whole `(bool, Completeness)` pair tagged either
-//!   `Exact` or `Cancelled` — cancellation can never tear a result or
-//!   surface a bogus tag;
+//! * every result is a whole `(bool, Completeness)` pair carrying the tag
+//!   its own budget implies — `DeadlineExceeded` for an expired deadline,
+//!   `Exact` otherwise — so no item's stop leaks into another's result;
 //! * the executor survives: follow-up fan-outs on the same pool work,
 //!   and no scoped worker threads outlive their `par_iter` call.
 
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use catapult::graph::iso::contains_tagged;
-use catapult::graph::{CancelToken, Completeness, Graph, Label, SearchBudget, VertexId};
+use catapult::graph::{Completeness, Deadline, Graph, Label, SearchBudget, VertexId};
 use rayon::prelude::*;
 use std::sync::Mutex;
 
@@ -55,88 +56,80 @@ fn live_threads() -> Option<usize> {
     std::fs::read_dir("/proc/self/task").ok().map(|d| d.count())
 }
 
-/// One fan-out: 64 budgeted kernels sharing `token`; worker `canceller`
-/// trips it before running its own probe. Returns the collected tags.
-fn cancelling_fanout(token: &CancelToken, canceller: usize) -> Vec<(bool, Completeness)> {
+/// Whether item `i` of fan-out `round` runs under an expired deadline.
+fn expired(i: usize, round: usize) -> bool {
+    (i + round).is_multiple_of(3)
+}
+
+/// One fan-out of 64 kernels probing a 14-ring, under an already-expired
+/// deadline where [`expired`] says so and unbounded elsewhere. Even items
+/// probe a 7-path (contained), odd items a 7-ring (not contained, but
+/// past every pre-filter, so it reaches the search too); the `found` bits
+/// of the unbounded items also pin the output order.
+fn mixed_fanout(round: usize) -> Vec<(bool, Completeness)> {
     let target = ring(14, 0);
-    let pattern = path(7, 0);
-    // Poll cadence 1: a kernel started after the trip observes it on its
-    // first expansion instead of after DEFAULT_CHECK_EVERY nodes.
-    let budget = SearchBudget::unbounded()
-        .with_cancel(token.clone())
-        .with_check_every(1);
+    let patterns = [path(7, 0), ring(7, 0)];
+    let past = SearchBudget::unbounded().with_deadline(Deadline::at(catapult_obs::now()));
+    let open = SearchBudget::unbounded();
     (0..64usize)
         .into_par_iter()
         .map(|i| {
-            if i == canceller {
-                token.cancel();
-            }
-            contains_tagged(&target, &pattern, &budget)
+            let budget = if expired(i, round) { &past } else { &open };
+            contains_tagged(&target, &patterns[i % 2], budget)
         })
         .collect()
 }
 
+/// Every item is whole, in place, and tagged as its own budget implies.
+fn assert_whole_and_in_order(results: &[(bool, Completeness)], round: usize, ctx: &str) {
+    assert_eq!(results.len(), 64, "{ctx}: lost results");
+    for (i, &(found, c)) in results.iter().enumerate() {
+        if expired(i, round) {
+            // The deadline is polled on the first expansion, before any
+            // match can complete.
+            assert_eq!(
+                (found, c),
+                (false, Completeness::DeadlineExceeded),
+                "{ctx} item {i}: expired deadline"
+            );
+        } else {
+            assert_eq!(
+                (found, c),
+                (i % 2 == 0, Completeness::Exact),
+                "{ctx} item {i}: unbounded probe"
+            );
+        }
+    }
+}
+
 #[test]
-fn cancellation_mid_flight_never_tears_a_result() {
+fn mixed_deadline_fanout_keeps_results_whole_and_in_order() {
     let _guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     for threads in [8usize, 64] {
         with_threads(threads, || {
-            let token = CancelToken::new();
-            let results = cancelling_fanout(&token, 0);
-            assert_eq!(results.len(), 64, "threads={threads}: lost results");
-            for (i, (found, c)) in results.iter().enumerate() {
-                match c {
-                    Completeness::Exact => {
-                        // A ring always contains a shorter path.
-                        assert!(found, "threads={threads} item {i}: exact but wrong");
-                    }
-                    Completeness::Cancelled => {
-                        // Best-so-far semantics: a cancelled probe may or
-                        // may not have found the embedding yet; both are
-                        // whole, sound results.
-                    }
-                    other => {
-                        panic!("threads={threads} item {i}: torn/bogus tag {other:?}")
-                    }
-                }
-            }
-            // Worker 0 cancels before its own probe: with poll cadence 1
-            // that probe must come back Cancelled, proving the trip
-            // happened mid-flight rather than after the fan-out drained.
-            assert_eq!(
-                results[0].1,
-                Completeness::Cancelled,
-                "threads={threads}: the cancelling worker's own probe escaped"
-            );
+            let results = mixed_fanout(0);
+            assert_whole_and_in_order(&results, 0, &format!("threads={threads}"));
         });
     }
 }
 
 #[test]
-fn executor_survives_repeated_cancelled_fanouts() {
+fn executor_survives_repeated_mixed_deadline_fanouts() {
     let _guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     with_threads(8, || {
         let before = live_threads();
-        // Hammer the pool: every round shares a fresh token and cancels
-        // from a different position, so the Exact/Cancelled frontier
-        // lands differently each time.
+        // Hammer the pool: each round shifts which items carry the
+        // expired deadline, so the Exact/DeadlineExceeded pattern lands
+        // differently in every worker's chunk.
         for round in 0..12usize {
-            let token = CancelToken::new();
-            let results = cancelling_fanout(&token, (round * 5) % 64);
-            assert_eq!(results.len(), 64, "round {round}: lost results");
-            assert!(
-                results
-                    .iter()
-                    .all(|(_, c)| matches!(c, Completeness::Exact | Completeness::Cancelled)),
-                "round {round}: torn result"
-            );
+            let results = mixed_fanout(round);
+            assert_whole_and_in_order(&results, round, &format!("round {round}"));
         }
         // A clean fan-out on the same pool still works afterwards.
-        let token = CancelToken::new();
         let clean: Vec<(bool, Completeness)> = {
             let target = ring(14, 0);
             let pattern = path(7, 0);
-            let budget = SearchBudget::unbounded().with_cancel(token);
+            let budget = SearchBudget::unbounded();
             (0..64usize)
                 .into_par_iter()
                 .map(|_| contains_tagged(&target, &pattern, &budget))
@@ -146,7 +139,7 @@ fn executor_survives_repeated_cancelled_fanouts() {
             clean
                 .iter()
                 .all(|&(found, c)| found && c == Completeness::Exact),
-            "pool unhealthy after cancelled fan-outs"
+            "pool unhealthy after mixed-deadline fan-outs"
         );
         // Scoped workers must all have joined: thread count is back to
         // (at most) where it started. Skipped where /proc is missing.

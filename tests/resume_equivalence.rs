@@ -84,7 +84,6 @@ fn ckpt_cfg(dir: &PathBuf, resume: bool) -> CheckpointConfig {
     // Tiny chunks: many mid-fine-clustering flushes, so the write-index
     // sweep lands faults inside a stage, not just between stages.
     c.chunk_pairs = 4;
-    c.retry.base_backoff = std::time::Duration::from_millis(0);
     c
 }
 
