@@ -16,15 +16,18 @@
 //!    sorted order; skips `target/`, `.git/`, this crate's fixtures and
 //!    any `golden` data directories);
 //! 2. each file is lexed and indexed into a [`scan::SourceFile`];
-//! 3. every enabled rule in [`rules`] runs over the token stream and
-//!    emits structured [`diag::Diagnostic`] records, which an inline
+//! 3. every enabled file rule in [`rules`] runs over the token stream
+//!    and emits structured [`diag::Diagnostic`] records, which an inline
 //!    `// xtask-allow: <rule>` marker — the only suppression path —
 //!    records as allowed instead of active;
 //! 4. the symbol index and call graph are built once, and the
 //!    interprocedural rules in [`xrules`] and [`taint`] run on top;
-//! 5. the [`diag::Report`] renders human-readable text and, via the
-//!    insertion-ordered `catapult_obs::json` serializer, the `--json`
-//!    artifact CI uploads.
+//! 5. the [`diag::Report`] — the analyzer's one output — renders
+//!    human-readable text and, via the insertion-ordered
+//!    `catapult_obs::json` serializer, the `--json` artifact CI uploads.
+//!
+//! [`RULES`] is the one registry of rule names; each module keeps its
+//! own check functions.
 //!
 //! Zero dependencies outside the workspace, by policy: the analyzer must
 //! never constrain what it analyzes.
@@ -35,7 +38,6 @@ pub mod rules;
 pub mod scan;
 pub mod symbols;
 pub mod taint;
-pub mod timing;
 pub mod xrules;
 
 use diag::Report;
@@ -43,9 +45,70 @@ use rules::FileCtx;
 use scan::SourceFile;
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
-use std::time::Duration;
 use symbols::Workspace;
-use timing::RuleTimer;
+
+/// Name and one-line summary of a rule.
+#[derive(Clone, Copy, Debug)]
+pub struct RuleInfo {
+    /// The rule's name as used by `--rule` and `xtask-allow`.
+    pub name: &'static str,
+    /// One-line summary.
+    pub summary: &'static str,
+}
+
+/// Every rule: the file rules ([`rules`]), the interprocedural rules
+/// ([`xrules`]), then [`taint`].
+pub const RULES: &[RuleInfo] = &[
+    RuleInfo {
+        name: "float-eq",
+        summary: "no ==/!= against float literals in scoring code",
+    },
+    RuleInfo {
+        name: "lint-header",
+        summary: "crate roots state where the lint policy lives",
+    },
+    RuleInfo {
+        name: "metric-name",
+        summary: "metric and event names follow stage.kernel.metric",
+    },
+    RuleInfo {
+        name: "float-total-order",
+        summary: "f64 comparators go through total_cmp",
+    },
+    RuleInfo {
+        name: "cast-truncation",
+        summary: "no narrowing `as` casts in kernel/index arithmetic",
+    },
+    RuleInfo {
+        name: "interior-mutability",
+        summary: "shared/global state only in sanctioned modules",
+    },
+    RuleInfo {
+        name: "budget-threading",
+        summary: "pipeline→kernel call paths must pass a SearchBudget",
+    },
+    RuleInfo {
+        name: "panic-reachability",
+        summary: "kernel fns must not panic!/unwrap, directly or through helpers",
+    },
+    RuleInfo {
+        name: "completeness-flow",
+        summary: "callers of Completeness-tagged fns must keep the tag",
+    },
+    RuleInfo {
+        name: "lock-order-xfn",
+        summary: "multi-lock fns are audited; no lock-order cycles or re-entry",
+    },
+    RuleInfo {
+        name: "taint",
+        summary: "nondeterminism sources must not flow into deterministic outputs",
+    },
+];
+
+/// Look up a rule by name.
+fn rule_named(name: &str) -> Option<&'static RuleInfo> {
+    RULES.iter().find(|r| r.name == name)
+}
 
 /// Top-level directories scanned for Rust sources.
 const SCAN_ROOTS: &[&str] = &["src", "crates", "shims", "tests", "examples", "benches"];
@@ -121,32 +184,20 @@ pub fn crate_roots(files: &[String]) -> BTreeSet<&str> {
         .collect()
 }
 
-/// Every rule name — file-level, interprocedural, then taint — in
-/// registry order.
-pub fn all_rules() -> impl Iterator<Item = &'static rules::RuleInfo> {
-    rules::RULES
-        .iter()
-        .chain(xrules::XRULES.iter())
-        .chain(taint::TAINT_RULES.iter())
-}
-
 /// The set of enabled rule names for a `--rule` filter (empty filter →
 /// every rule). Returns an error naming any unknown rule.
 pub fn enabled_rules(filter: &[String]) -> Result<BTreeSet<&'static str>, String> {
     if filter.is_empty() {
-        return Ok(all_rules().map(|r| r.name).collect());
+        return Ok(RULES.iter().map(|r| r.name).collect());
     }
     let mut on = BTreeSet::new();
     for name in filter {
-        match rules::rule_named(name)
-            .or_else(|| xrules::xrule_named(name))
-            .or_else(|| taint::taint_rule_named(name))
-        {
+        match rule_named(name) {
             Some(info) => {
                 on.insert(info.name);
             }
             None => {
-                let known: Vec<&str> = all_rules().map(|r| r.name).collect();
+                let known: Vec<&str> = RULES.iter().map(|r| r.name).collect();
                 return Err(format!(
                     "unknown rule `{name}` (known rules: {})",
                     known.join(", ")
@@ -158,16 +209,13 @@ pub fn enabled_rules(filter: &[String]) -> Result<BTreeSet<&'static str>, String
 }
 
 /// A full analysis: the finalized lint report plus the workspace symbol
-/// index / call graph it ran on (for `--callgraph` exports and tests).
+/// index / call graph it ran on (for tests of the graph itself).
 #[derive(Debug)]
 pub struct Analysis {
     /// The finalized report.
     pub report: Report,
     /// The workspace index the interprocedural rules consumed.
     pub workspace: Workspace,
-    /// Per-rule wall-clock totals in rule-name order (empty unless the
-    /// analysis was run with timing; never part of the JSON report).
-    pub timings: Vec<(&'static str, Duration)>,
 }
 
 /// Run the enabled rules over the workspace at `root`: the per-file
@@ -175,15 +223,6 @@ pub struct Analysis {
 /// graph are built once and the interprocedural rules (taint included)
 /// run on top.
 pub fn analyze(root: &Path, enabled: &BTreeSet<&'static str>) -> std::io::Result<Analysis> {
-    analyze_timed(root, enabled, false)
-}
-
-/// [`analyze`] with optional per-rule wall-clock accounting.
-pub fn analyze_timed(
-    root: &Path,
-    enabled: &BTreeSet<&'static str>,
-    timing: bool,
-) -> std::io::Result<Analysis> {
     let files = discover(root)?;
     let roots = crate_roots(&files);
     let mut report = Report {
@@ -191,7 +230,6 @@ pub fn analyze_timed(
         files_scanned: files.len(),
         ..Report::default()
     };
-    let mut timer = RuleTimer::new(timing);
     let mut parsed = Vec::with_capacity(files.len());
     for rel in &files {
         let text = std::fs::read_to_string(root.join(rel))?;
@@ -199,25 +237,14 @@ pub fn analyze_timed(
         let ctx = FileCtx {
             is_crate_root: roots.contains(rel.as_str()),
         };
-        rules::check_file_timed(&file, &ctx, enabled, &mut report.findings, &mut timer);
+        rules::check_file(&file, &ctx, enabled, &mut report.findings);
         parsed.push(file);
     }
     let workspace = Workspace::build(parsed);
-    xrules::check_workspace_timed(&workspace, enabled, &mut report.findings, &mut timer);
-    timer.time("taint", || {
-        taint::check_workspace(&workspace, enabled, &mut report.findings);
-    });
+    xrules::check_workspace(&workspace, enabled, &mut report.findings);
+    taint::check_workspace(&workspace, enabled, &mut report.findings);
     report.finalize();
-    Ok(Analysis {
-        report,
-        workspace,
-        timings: timer.finish(),
-    })
-}
-
-/// Run the enabled rules and return just the report (see [`analyze`]).
-pub fn run(root: &Path, enabled: &BTreeSet<&'static str>) -> std::io::Result<Report> {
-    analyze(root, enabled).map(|a| a.report)
+    Ok(Analysis { report, workspace })
 }
 
 #[cfg(test)]
@@ -247,7 +274,7 @@ mod tests {
 
     #[test]
     fn rule_filter_validates_names() {
-        assert_eq!(enabled_rules(&[]).map(|s| s.len()), Ok(all_rules().count()));
+        assert_eq!(enabled_rules(&[]).map(|s| s.len()), Ok(RULES.len()));
         let one = enabled_rules(&["float-eq".to_string()]).expect("known rule");
         assert_eq!(one.len(), 1);
         let x = enabled_rules(&["budget-threading".to_string()]).expect("xrule name");
@@ -255,5 +282,14 @@ mod tests {
         assert!(enabled_rules(&["bogus".to_string()])
             .unwrap_err()
             .contains("unknown rule"));
+    }
+
+    #[test]
+    fn every_rule_has_unique_name() {
+        let names: BTreeSet<&str> = RULES.iter().map(|r| r.name).collect();
+        assert_eq!(names.len(), RULES.len());
+        assert!(rule_named("float-total-order").is_some());
+        assert!(rule_named("taint").is_some());
+        assert!(rule_named("nope").is_none());
     }
 }

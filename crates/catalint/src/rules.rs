@@ -29,52 +29,7 @@
 use crate::diag::Diagnostic;
 use crate::lexer::TokenKind;
 use crate::scan::SourceFile;
-use crate::timing::RuleTimer;
 use std::collections::BTreeSet;
-
-/// Name and one-line summary of a rule (for `--rule` validation and the
-/// JSON report).
-#[derive(Clone, Copy, Debug)]
-pub struct RuleInfo {
-    /// The rule's name as used by `--rule` and `xtask-allow`.
-    pub name: &'static str,
-    /// One-line summary.
-    pub summary: &'static str,
-}
-
-/// Every rule, in the order findings are reported.
-pub const RULES: &[RuleInfo] = &[
-    RuleInfo {
-        name: "float-eq",
-        summary: "no ==/!= against float literals in scoring code",
-    },
-    RuleInfo {
-        name: "lint-header",
-        summary: "crate roots state where the lint policy lives",
-    },
-    RuleInfo {
-        name: "metric-name",
-        summary: "metric and event names follow stage.kernel.metric",
-    },
-    RuleInfo {
-        name: "float-total-order",
-        summary: "f64 comparators go through total_cmp",
-    },
-    RuleInfo {
-        name: "cast-truncation",
-        summary: "no narrowing `as` casts in kernel/index arithmetic",
-    },
-    RuleInfo {
-        name: "interior-mutability",
-        summary: "shared/global state only in sanctioned modules",
-    },
-];
-
-/// Look up a rule by name.
-#[must_use]
-pub fn rule_named(name: &str) -> Option<&'static RuleInfo> {
-    RULES.iter().find(|r| r.name == name)
-}
 
 /// Per-file context the path predicates cannot derive alone.
 #[derive(Debug)]
@@ -131,44 +86,33 @@ pub(crate) fn is_library_src(rel: &str) -> bool {
 
 // ---- driver ------------------------------------------------------------
 
-/// Run every enabled rule over one file.
+/// Run every enabled file rule over one file.
 pub fn check_file(
     f: &SourceFile,
     ctx: &FileCtx,
     enabled: &BTreeSet<&'static str>,
     out: &mut Vec<Diagnostic>,
 ) {
-    check_file_timed(f, ctx, enabled, out, &mut RuleTimer::new(false));
-}
-
-/// [`check_file`] with per-rule wall-clock accounting (`--timing`).
-pub fn check_file_timed(
-    f: &SourceFile,
-    ctx: &FileCtx,
-    enabled: &BTreeSet<&'static str>,
-    out: &mut Vec<Diagnostic>,
-    timer: &mut RuleTimer,
-) {
     let rel = f.rel.as_str();
     let on = |name: &str| enabled.contains(name);
 
     if on("float-eq") && SCORING_FILES.contains(&rel) {
-        timer.time("float-eq", || float_eq(f, out));
+        float_eq(f, out);
     }
     if on("lint-header") && ctx.is_crate_root {
-        timer.time("lint-header", || lint_header(f, out));
+        lint_header(f, out);
     }
     if on("metric-name") && !rel.starts_with("crates/obs/") && !rel.starts_with("shims/") {
-        timer.time("metric-name", || metric_name(f, out));
+        metric_name(f, out);
     }
     if on("float-total-order") && is_library_src(rel) {
-        timer.time("float-total-order", || float_total_order(f, out));
+        float_total_order(f, out);
     }
     if on("cast-truncation") && (KERNEL_FILES.contains(&rel) || CAST_EXTRA_FILES.contains(&rel)) {
-        timer.time("cast-truncation", || cast_truncation(f, out));
+        cast_truncation(f, out);
     }
     if on("interior-mutability") && is_library_src(rel) && !in_dirs(rel, INTERIOR_MUT_ALLOWED) {
-        timer.time("interior-mutability", || interior_mutability(f, out));
+        interior_mutability(f, out);
     }
 }
 
@@ -428,16 +372,5 @@ mod tests {
         assert!(!valid_metric_name("Mining.Iso.Calls"));
         assert!(!valid_metric_name("mining..calls"));
         assert!(!valid_metric_name("mining.iso."));
-    }
-
-    #[test]
-    fn every_rule_has_unique_name() {
-        let mut names: Vec<&str> = RULES.iter().map(|r| r.name).collect();
-        names.sort_unstable();
-        let before = names.len();
-        names.dedup();
-        assert_eq!(names.len(), before);
-        assert!(rule_named("float-total-order").is_some());
-        assert!(rule_named("nope").is_none());
     }
 }

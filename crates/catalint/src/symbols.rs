@@ -19,19 +19,15 @@
 //!
 //! The graph is deliberately *approximate* (no generics instantiation,
 //! no trait dispatch, no macro expansion) but deterministic: files are
-//! indexed in sorted order, every map is a `BTreeMap`, and the JSON/DOT
-//! exports render identically across runs. Unresolvable calls are kept
+//! indexed in sorted order and every map is a `BTreeMap`, so the rules
+//! built on it report identically across runs. Unresolvable calls are kept
 //! as explicit `Unresolved` sites so rules can reason about coverage.
 //! The interprocedural rules in [`crate::xrules`] run on top of this.
 
 use crate::lexer::TokenKind;
 use crate::scan::{FnSpan, SourceFile};
-use catapult_obs::json::Value;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
-
-/// Schema version of the `--callgraph` JSON export.
-pub const CALLGRAPH_SCHEMA_VERSION: u64 = 1;
 
 /// Ubiquitous std/collection method names: a bare name+arity match on
 /// one of these is never trusted to resolve a method call, because the
@@ -121,29 +117,6 @@ const COMMON_METHODS: &[&str] = &[
     "zip",
 ];
 
-/// How a call site spells its callee.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum CallKind {
-    /// `f(…)` — a bare identifier.
-    Free,
-    /// `a::b::f(…)` — a path.
-    Path,
-    /// `recv.m(…)` — a method.
-    Method,
-}
-
-impl CallKind {
-    /// Stable label for the JSON export.
-    #[must_use]
-    pub fn label(self) -> &'static str {
-        match self {
-            CallKind::Free => "free",
-            CallKind::Path => "path",
-            CallKind::Method => "method",
-        }
-    }
-}
-
 /// Resolution state of one call site.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Callee {
@@ -165,8 +138,6 @@ pub struct FnDef {
     pub file: usize,
     /// Index of the span in that file's `fn_spans()`.
     pub span: usize,
-    /// 1-based line of the `fn` keyword.
-    pub line: usize,
     /// Crate name as spelled in Rust paths (e.g. `catapult_graph`).
     pub krate: String,
     /// Module path within the crate (`::`-joined; empty at the root).
@@ -220,14 +191,10 @@ pub struct CallSite {
     pub file: usize,
     /// Code index of the callee name token.
     pub ci: usize,
-    /// 1-based line of the callee name token.
-    pub line: usize,
     /// The callee name as written.
     pub name: String,
     /// Number of arguments at the site (excluding any receiver).
     pub arity: usize,
-    /// Syntactic shape of the call.
-    pub kind: CallKind,
     /// Resolution outcome.
     pub callee: Callee,
 }
@@ -491,7 +458,6 @@ impl Workspace {
             let f = &self.files[fi];
             let library = crate::rules::is_library_src(&f.rel);
             for (si, span) in f.fn_spans().iter().enumerate() {
-                let (line, _) = f.cpos(span.kw);
                 let receiver = impls
                     .iter()
                     .filter(|(open, close, _)| *open < span.kw && span.end <= *close)
@@ -502,7 +468,6 @@ impl Workspace {
                     name: f.ctext(span.name_ci).to_string(),
                     file: fi,
                     span: si,
-                    line,
                     krate: self.file_krate[fi].clone(),
                     module: self.file_module[fi].clone(),
                     receiver,
@@ -638,8 +603,6 @@ impl Workspace {
         self.calls_by_caller = by_caller;
     }
 
-    #[allow(clippy::too_many_arguments)]
-    // A call site genuinely has this many independent coordinates.
     fn site(
         &self,
         caller: usize,
@@ -647,18 +610,14 @@ impl Workspace {
         ci: usize,
         name: &str,
         arity: usize,
-        kind: CallKind,
         callee: Callee,
     ) -> CallSite {
-        let (line, _) = self.files[fi].cpos(ci);
         CallSite {
             caller,
             file: fi,
             ci,
-            line,
             name: name.to_string(),
             arity,
-            kind,
             callee,
         }
     }
@@ -696,15 +655,7 @@ impl Workspace {
                 .iter()
                 .find(|&&c| self.defs[c].name == name)
             {
-                return Some(self.site(
-                    caller,
-                    fi,
-                    ci,
-                    name,
-                    arity,
-                    CallKind::Free,
-                    Callee::Resolved(child),
-                ));
+                return Some(self.site(caller, fi, ci, name, arity, Callee::Resolved(child)));
             }
             anc = self.defs[a].parent;
         }
@@ -722,21 +673,13 @@ impl Workspace {
             })
             .collect();
         if !here.is_empty() {
-            return Some(self.site(
-                caller,
-                fi,
-                ci,
-                name,
-                arity,
-                CallKind::Free,
-                Self::decide(here),
-            ));
+            return Some(self.site(caller, fi, ci, name, arity, Self::decide(here)));
         }
 
         // 3. A `use` import naming it.
         if let Some(path) = imports.get(name) {
             let callee = self.resolve_segments(fi, path, known_crates);
-            return Some(self.site(caller, fi, ci, name, arity, CallKind::Free, callee));
+            return Some(self.site(caller, fi, ci, name, arity, callee));
         }
 
         // 4. Workspace-unique free fn of that name.
@@ -750,7 +693,7 @@ impl Workspace {
         } else {
             Callee::Unresolved
         };
-        Some(self.site(caller, fi, ci, name, arity, CallKind::Free, callee))
+        Some(self.site(caller, fi, ci, name, arity, callee))
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -776,15 +719,7 @@ impl Workspace {
             j -= 2;
         }
         if segs.len() < 2 {
-            return Some(self.site(
-                caller,
-                fi,
-                ci,
-                name,
-                arity,
-                CallKind::Path,
-                Callee::Unresolved,
-            ));
+            return Some(self.site(caller, fi, ci, name, arity, Callee::Unresolved));
         }
         // `Self::assoc(…)` targets the caller's own impl type.
         if segs.first().map(String::as_str) == Some("Self") {
@@ -799,7 +734,7 @@ impl Workspace {
             segs = full;
         }
         let callee = self.resolve_segments(fi, &segs, known_crates);
-        Some(self.site(caller, fi, ci, name, arity, CallKind::Path, callee))
+        Some(self.site(caller, fi, ci, name, arity, callee))
     }
 
     /// Resolve a full path (`crate`/`self`/`super` heads, workspace
@@ -960,7 +895,7 @@ impl Workspace {
         if let Some(recv) = recv_type {
             let callee = self.resolve_assoc(name, &recv, Some(&krate));
             if callee != Callee::Unresolved {
-                return Some(self.site(caller, fi, ci, name, arity, CallKind::Method, callee));
+                return Some(self.site(caller, fi, ci, name, arity, callee));
             }
         }
 
@@ -982,7 +917,7 @@ impl Workspace {
             2..=4 => Self::decide(candidates),
             _ => Callee::Unresolved,
         };
-        Some(self.site(caller, fi, ci, name, arity, CallKind::Method, callee))
+        Some(self.site(caller, fi, ci, name, arity, callee))
     }
 
     /// Infer the principal type of local `var` inside `caller`: a typed
@@ -1029,110 +964,6 @@ impl Workspace {
             }
         }
         found
-    }
-
-    // ---- exports -------------------------------------------------------
-
-    /// The `--callgraph` JSON document: every non-test def, every
-    /// resolved/ambiguous edge, and summary counts. Deterministic:
-    /// byte-identical across scans of the same sources.
-    #[must_use]
-    pub fn callgraph_json(&self) -> Value {
-        let mut defs = Value::array();
-        for (id, d) in self.defs.iter().enumerate() {
-            if d.in_test {
-                continue;
-            }
-            let mut e = Value::object();
-            e.set("id", id)
-                .set("label", self.label(id).as_str())
-                .set("name", d.name.as_str())
-                .set("crate", d.krate.as_str())
-                .set("module", d.module.as_str())
-                .set("path", self.files[d.file].rel.as_str())
-                .set("line", d.line)
-                .set("pub", d.is_pub)
-                .set("arity", d.arity)
-                .set("has_self", d.has_self);
-            match &d.receiver {
-                Some(r) => e.set("receiver", r.as_str()),
-                None => e.set("receiver", Value::Null),
-            };
-            defs.push(e);
-        }
-        let mut edges = Value::array();
-        let (mut n_resolved, mut n_ambiguous, mut n_unresolved) = (0u64, 0u64, 0u64);
-        for c in &self.calls {
-            match &c.callee {
-                Callee::Resolved(t) => {
-                    n_resolved += 1;
-                    let mut e = Value::object();
-                    e.set("from", c.caller)
-                        .set("to", *t)
-                        .set("kind", c.kind.label())
-                        .set("name", c.name.as_str())
-                        .set("path", self.files[c.file].rel.as_str())
-                        .set("line", c.line);
-                    edges.push(e);
-                }
-                Callee::Ambiguous(ts) => {
-                    n_ambiguous += 1;
-                    let mut cands = Value::array();
-                    for t in ts {
-                        cands.push(*t);
-                    }
-                    let mut e = Value::object();
-                    e.set("from", c.caller)
-                        .set("candidates", cands)
-                        .set("kind", c.kind.label())
-                        .set("name", c.name.as_str())
-                        .set("path", self.files[c.file].rel.as_str())
-                        .set("line", c.line);
-                    edges.push(e);
-                }
-                Callee::Unresolved => n_unresolved += 1,
-            }
-        }
-        let mut summary = Value::object();
-        summary
-            .set("defs", self.defs.len())
-            .set("structs", self.structs.len())
-            .set("resolved", n_resolved)
-            .set("ambiguous", n_ambiguous)
-            .set("unresolved", n_unresolved);
-        let mut v = Value::object();
-        v.set("schema_version", CALLGRAPH_SCHEMA_VERSION)
-            .set("tool", "catalint-callgraph")
-            .set("summary", summary)
-            .set("defs", defs)
-            .set("edges", edges);
-        v
-    }
-
-    /// Graphviz DOT export of the resolved edges (nodes that take part
-    /// in at least one edge).
-    #[must_use]
-    pub fn callgraph_dot(&self) -> String {
-        let mut used: BTreeSet<usize> = BTreeSet::new();
-        let mut edges: Vec<(usize, usize)> = Vec::new();
-        for c in &self.calls {
-            if let Callee::Resolved(t) = c.callee {
-                used.insert(c.caller);
-                used.insert(t);
-                edges.push((c.caller, t));
-            }
-        }
-        edges.sort_unstable();
-        edges.dedup();
-        let mut out = String::from("digraph callgraph {\n  rankdir=LR;\n  node [shape=box];\n");
-        for id in &used {
-            let _ = writeln!(out, "  n{} [label=\"{}\"];", id, self.label(*id));
-        }
-        for (from, to) in &edges {
-            let _ = writeln!(out, "  n{from} -> n{to};");
-        }
-        out.push_str("}\n");
-        out
     }
 }
 
@@ -1696,27 +1527,6 @@ mod tests {
         let t = w.defs.iter().find(|d| d.name == "t").expect("indexed");
         assert!(t.in_test);
         assert!(w.calls.is_empty(), "test-code calls are not graphed");
-    }
-
-    #[test]
-    fn callgraph_json_is_deterministic() {
-        let files = [
-            (
-                "crates/graph/src/iso.rs",
-                "pub fn contains(a: u32) -> bool { helper(a) }\nfn helper(a: u32) -> bool { a > 0 }\n",
-            ),
-            (
-                "crates/eval/src/basic.rs",
-                "use catapult_graph::iso::contains;\npub fn run(x: u32) -> bool { contains(x) }\n",
-            ),
-        ];
-        let one = ws(&files).callgraph_json().render();
-        let two = ws(&files).callgraph_json().render();
-        assert_eq!(one, two, "byte-identical across scans");
-        assert!(one.contains("\"tool\": \"catalint-callgraph\""));
-        let dot = ws(&files).callgraph_dot();
-        assert!(dot.contains("catapult_eval::basic::run"));
-        assert!(dot.contains("->"));
     }
 
     #[test]

@@ -33,29 +33,16 @@
 //! Approximation contract (same as `xrules`): only resolved edges
 //! propagate, so the call graph's approximations cause false negatives,
 //! never mis-attributed flows.
+//!
+//! The source/sink/propagation graph is internal to the rule: what
+//! leaves it is findings, each carrying its own witness path.
 
 use crate::diag::Diagnostic;
 use crate::lexer::TokenKind;
-use crate::rules::{self, RuleInfo};
+use crate::rules;
 use crate::scan::SourceFile;
 use crate::symbols::{Callee, Workspace};
-use catapult_obs::json::Value;
 use std::collections::{BTreeMap, BTreeSet};
-
-/// The taint rule's registry entry (`--rule taint`, `xtask-allow: taint`).
-pub const TAINT_RULES: &[RuleInfo] = &[RuleInfo {
-    name: "taint",
-    summary: "nondeterminism sources must not flow into deterministic outputs",
-}];
-
-/// Look up the taint rule by name.
-#[must_use]
-pub fn taint_rule_named(name: &str) -> Option<&'static RuleInfo> {
-    TAINT_RULES.iter().find(|r| r.name == name)
-}
-
-/// Schema version of the `--taint-graph` JSON export.
-pub const TAINT_GRAPH_SCHEMA_VERSION: u64 = 1;
 
 /// Taint kinds, in report order. `hash-order` and `lock-order` are the
 /// *order* kinds an order sanitizer can kill; the rest are value kinds.
@@ -147,12 +134,9 @@ struct Origin {
     what: String,
 }
 
-/// The computed source/sink/propagation state, reused by the findings
-/// pass and the `--taint-graph` exports.
+/// The computed source/sink/propagation state the findings pass reads.
 #[derive(Debug)]
-pub struct TaintGraph {
-    /// Per-def direct source sites (in-scope, unsanctioned).
-    sources: BTreeMap<usize, Vec<SourceSite>>,
+struct TaintGraph {
     /// `(def, kind)` → how the taint got there.
     tainted: BTreeMap<(usize, &'static str), Origin>,
     /// Sink defs with a description of their obligation.
@@ -182,8 +166,7 @@ pub fn check_workspace(
 
 impl TaintGraph {
     /// Build the full source→sink taint state for the workspace.
-    #[must_use]
-    pub fn compute(ws: &Workspace) -> TaintGraph {
+    fn compute(ws: &Workspace) -> TaintGraph {
         let resolved_names = resolved_name_tokens(ws);
         // Per-file hash-container names, over every library file: the
         // site scan covers the exempt crates too.
@@ -199,7 +182,6 @@ impl TaintGraph {
             })
             .collect();
         let mut g = TaintGraph {
-            sources: BTreeMap::new(),
             tainted: BTreeMap::new(),
             sinks: BTreeMap::new(),
             sanctioned: Vec::new(),
@@ -223,7 +205,6 @@ impl TaintGraph {
                 continue;
             }
             let f = &ws.files[d.file];
-            let mut kept = Vec::new();
             for site in direct_sources(ws, id, &hash_names[d.file], &resolved_names) {
                 let (line, _) = f.cpos(site.ci);
                 match f.allow_justification(line, "taint") {
@@ -232,24 +213,20 @@ impl TaintGraph {
                             d.file,
                             site.ci,
                             site.kind,
-                            site.what.clone(),
+                            site.what,
                             just.to_string(),
                         ));
                     }
                     Some(_) => g.unjustified.push((d.file, site.ci)),
-                    None => kept.push(site),
+                    None => {
+                        g.tainted.entry((id, site.kind)).or_insert(Origin {
+                            via: None,
+                            file: d.file,
+                            ci: site.ci,
+                            what: site.what,
+                        });
+                    }
                 }
-            }
-            if !kept.is_empty() {
-                for site in &kept {
-                    g.tainted.entry((id, site.kind)).or_insert(Origin {
-                        via: None,
-                        file: d.file,
-                        ci: site.ci,
-                        what: site.what.clone(),
-                    });
-                }
-                g.sources.insert(id, kept);
             }
         }
 
@@ -430,112 +407,6 @@ impl TaintGraph {
             d.file,
             ws.span_of(cur).name_ci,
         )
-    }
-
-    /// The `--taint-graph` JSON export: sources, sinks, and the tainted
-    /// defs with their next hops. Byte-stable across runs.
-    #[must_use]
-    pub fn to_json(&self, ws: &Workspace) -> Value {
-        let def_at = |id: usize| {
-            let d = &ws.defs[id];
-            let mut v = Value::object();
-            v.set("fn", ws.label(id))
-                .set("file", ws.files[d.file].rel.as_str());
-            v
-        };
-        let mut sources = Value::array();
-        for (&id, sites) in &self.sources {
-            for s in sites {
-                let f = &ws.files[ws.defs[id].file];
-                let (line, _) = f.cpos(s.ci);
-                let mut v = def_at(id);
-                v.set("line", line)
-                    .set("kind", s.kind)
-                    .set("what", s.what.as_str());
-                sources.push(v);
-            }
-        }
-        let mut sanctioned = Value::array();
-        for (fi, ci, kind, what, just) in &self.sanctioned {
-            let f = &ws.files[*fi];
-            let (line, _) = f.cpos(*ci);
-            let mut v = Value::object();
-            v.set("file", f.rel.as_str())
-                .set("line", line)
-                .set("kind", *kind)
-                .set("what", what.as_str())
-                .set("justification", just.as_str());
-            sanctioned.push(v);
-        }
-        let mut sinks = Value::array();
-        for (&id, desc) in &self.sinks {
-            let mut v = def_at(id);
-            v.set("obligation", desc.as_str());
-            sinks.push(v);
-        }
-        let mut tainted = Value::array();
-        for ((id, kind), origin) in &self.tainted {
-            let mut v = def_at(*id);
-            v.set("kind", *kind);
-            match origin.via {
-                Some(next) => v.set("via", ws.label(next)),
-                None => v.set("via", Value::Null),
-            };
-            tainted.push(v);
-        }
-        let mut v = Value::object();
-        v.set("schema_version", TAINT_GRAPH_SCHEMA_VERSION)
-            .set("tool", "catalint")
-            .set("kinds", {
-                let mut a = Value::array();
-                for k in KINDS {
-                    a.push(*k);
-                }
-                a
-            })
-            .set("sources", sources)
-            .set("sanctioned", sanctioned)
-            .set("sinks", sinks)
-            .set("tainted", tainted);
-        v
-    }
-
-    /// The `--taint-graph-dot` Graphviz export: tainted defs as nodes
-    /// (sources shaded, sinks boxed), propagation hops as edges.
-    #[must_use]
-    pub fn to_dot(&self, ws: &Workspace) -> String {
-        use std::fmt::Write as _;
-        let mut s =
-            String::from("digraph taint {\n  rankdir=LR;\n  node [fontname=\"monospace\"];\n");
-        let mut nodes: BTreeSet<usize> = BTreeSet::new();
-        for &(id, _) in self.tainted.keys() {
-            nodes.insert(id);
-        }
-        for &id in self.sinks.keys() {
-            nodes.insert(id);
-        }
-        for &id in &nodes {
-            let mut attrs = Vec::new();
-            if self.sources.contains_key(&id) {
-                attrs.push("style=filled, fillcolor=lightcoral");
-            }
-            if self.sinks.contains_key(&id) {
-                attrs.push("shape=box");
-            }
-            let _ = writeln!(s, "  \"{}\" [{}];", ws.label(id), attrs.join(", "));
-        }
-        for ((id, kind), origin) in &self.tainted {
-            if let Some(next) = origin.via {
-                let _ = writeln!(
-                    s,
-                    "  \"{}\" -> \"{}\" [label=\"{kind}\"];",
-                    ws.label(*id),
-                    ws.label(next)
-                );
-            }
-        }
-        s.push_str("}\n");
-        s
     }
 }
 

@@ -26,37 +26,10 @@
 
 use crate::diag::Diagnostic;
 use crate::lexer::TokenKind;
-use crate::rules::{in_dirs, RuleInfo, KERNEL_FILES};
+use crate::rules::{in_dirs, KERNEL_FILES};
 use crate::scan::SourceFile;
 use crate::symbols::{Callee, Workspace};
-use crate::timing::RuleTimer;
 use std::collections::{BTreeMap, BTreeSet};
-
-/// Every interprocedural rule, in the order findings are reported.
-pub const XRULES: &[RuleInfo] = &[
-    RuleInfo {
-        name: "budget-threading",
-        summary: "pipeline→kernel call paths must pass a SearchBudget",
-    },
-    RuleInfo {
-        name: "panic-reachability",
-        summary: "kernel fns must not panic!/unwrap, directly or through helpers",
-    },
-    RuleInfo {
-        name: "completeness-flow",
-        summary: "callers of Completeness-tagged fns must keep the tag",
-    },
-    RuleInfo {
-        name: "lock-order-xfn",
-        summary: "multi-lock fns are audited; no lock-order cycles or re-entry",
-    },
-];
-
-/// Look up an interprocedural rule by name.
-#[must_use]
-pub fn xrule_named(name: &str) -> Option<&'static RuleInfo> {
-    XRULES.iter().find(|r| r.name == name)
-}
 
 /// Pipeline directories: their kernel calls must thread a budget
 /// (`budget-threading`) and keep every `Completeness` tag
@@ -85,27 +58,17 @@ pub fn check_workspace(
     enabled: &BTreeSet<&'static str>,
     out: &mut Vec<Diagnostic>,
 ) {
-    check_workspace_timed(ws, enabled, out, &mut RuleTimer::new(false));
-}
-
-/// [`check_workspace`] with per-rule wall-clock accounting (`--timing`).
-pub fn check_workspace_timed(
-    ws: &Workspace,
-    enabled: &BTreeSet<&'static str>,
-    out: &mut Vec<Diagnostic>,
-    timer: &mut RuleTimer,
-) {
     if enabled.contains("budget-threading") {
-        timer.time("budget-threading", || budget_threading(ws, out));
+        budget_threading(ws, out);
     }
     if enabled.contains("panic-reachability") {
-        timer.time("panic-reachability", || panic_reachability(ws, out));
+        panic_reachability(ws, out);
     }
     if enabled.contains("completeness-flow") {
-        timer.time("completeness-flow", || completeness_flow(ws, out));
+        completeness_flow(ws, out);
     }
     if enabled.contains("lock-order-xfn") {
-        timer.time("lock-order-xfn", || lock_order_xfn(ws, out));
+        lock_order_xfn(ws, out);
     }
 }
 

@@ -1,5 +1,5 @@
-//! Whole-workspace call-graph properties over the *real* repository:
-//! determinism of the exported artifact and resolution of the paths the
+//! Whole-workspace properties over the *real* repository: determinism
+//! of the findings report and resolution of the call-graph paths the
 //! budget-threading rule depends on (CLI entry points must reach the
 //! iso/mcs/ged kernels through resolved edges, or the rule is blind).
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
@@ -17,18 +17,20 @@ fn repo_root() -> PathBuf {
 }
 
 #[test]
-fn callgraph_json_is_byte_identical_across_scans() {
+fn report_json_is_byte_identical_across_scans() {
     let root = repo_root();
-    let none = BTreeSet::new();
-    let a = catalint::analyze(&root, &none).expect("first scan");
-    let b = catalint::analyze(&root, &none).expect("second scan");
-    let (ja, jb) = (
-        a.workspace.callgraph_json().render(),
-        b.workspace.callgraph_json().render(),
-    );
-    assert!(!ja.is_empty());
-    assert_eq!(ja, jb, "call-graph export must be deterministic");
+    let all = catalint::enabled_rules(&[]).expect("every rule");
+    let scan = || {
+        catalint::analyze(&root, &all)
+            .expect("scan")
+            .report
+            .to_json()
+            .render()
+    };
+    let (ja, jb) = (scan(), scan());
     assert!(ja.contains("\"schema_version\""));
+    assert!(ja.contains("\"taint\""), "every rule ran: {ja}");
+    assert_eq!(ja, jb, "findings report must be deterministic");
 }
 
 #[test]

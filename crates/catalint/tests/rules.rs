@@ -3,8 +3,9 @@
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use catalint::diag::Diagnostic;
-use catalint::rules::{check_file, FileCtx, RULES};
+use catalint::rules::{check_file, FileCtx};
 use catalint::scan::SourceFile;
+use catalint::RULES;
 use std::collections::BTreeSet;
 use std::path::Path;
 
@@ -30,29 +31,56 @@ fn run_source(rule: &'static str, rel: &str, text: String) -> Vec<Diagnostic> {
     out
 }
 
+fn fixture_dir() -> std::path::PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures")
+}
+
 fn run_fixture(rule: &'static str, which: &str) -> Vec<Diagnostic> {
-    let path = Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("tests/fixtures")
-        .join(rule)
-        .join(format!("{which}.rs"));
+    let path = fixture_dir().join(rule).join(format!("{which}.rs"));
     let text = std::fs::read_to_string(&path)
         .unwrap_or_else(|e| panic!("missing fixture {}: {e}", path.display()));
     run_source(rule, scoped_rel(rule), text)
 }
 
+/// The file rules: those with a `fixtures/<rule>/` pair. The
+/// interprocedural rules keep theirs under `fixtures/xrules/`, taint
+/// under `fixtures/taint/`.
+fn file_rules() -> impl Iterator<Item = &'static str> {
+    RULES
+        .iter()
+        .map(|r| r.name)
+        .filter(|name| fixture_dir().join(name).join("fires.rs").is_file())
+}
+
+#[test]
+fn every_rule_has_fixtures() {
+    let dir = fixture_dir();
+    for rule in RULES {
+        let snake = rule.name.replace('-', "_");
+        let paired = |a: std::path::PathBuf, b: std::path::PathBuf| a.is_file() && b.is_file();
+        let ok = paired(
+            dir.join(rule.name).join("fires.rs"),
+            dir.join(rule.name).join("clean.rs"),
+        ) || paired(
+            dir.join("xrules").join(format!("{snake}_fires.rs")),
+            dir.join("xrules").join(format!("{snake}_clean.rs")),
+        ) || (rule.name == "taint" && dir.join("taint").is_dir());
+        assert!(ok, "no fires/clean fixture pair for `{}`", rule.name);
+    }
+    assert_eq!(file_rules().count(), 6, "the six file rules");
+}
+
 #[test]
 fn every_rule_has_a_firing_fixture() {
-    for rule in RULES {
-        let found = run_fixture(rule.name, "fires");
+    for rule in file_rules() {
+        let found = run_fixture(rule, "fires");
         assert!(
-            found.iter().any(|d| d.rule == rule.name && !d.allowed),
-            "fixture for `{}` does not fire: {found:?}",
-            rule.name
+            found.iter().any(|d| d.rule == rule && !d.allowed),
+            "fixture for `{rule}` does not fire: {found:?}"
         );
         assert!(
-            found.iter().all(|d| d.rule == rule.name),
-            "cross-rule finding in `{}` fixture: {found:?}",
-            rule.name
+            found.iter().all(|d| d.rule == rule),
+            "cross-rule finding in `{rule}` fixture: {found:?}"
         );
         for d in &found {
             assert!(d.line >= 1 && d.col >= 1, "positions are 1-based: {d:?}");
@@ -63,12 +91,11 @@ fn every_rule_has_a_firing_fixture() {
 
 #[test]
 fn every_rule_has_a_clean_fixture() {
-    for rule in RULES {
-        let found = run_fixture(rule.name, "clean");
+    for rule in file_rules() {
+        let found = run_fixture(rule, "clean");
         assert!(
             found.is_empty(),
-            "clean fixture for `{}` fired: {found:?}",
-            rule.name
+            "clean fixture for `{rule}` fired: {found:?}"
         );
     }
 }

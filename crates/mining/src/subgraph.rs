@@ -9,7 +9,7 @@
 //! exact support counting restricted to the parent's transactions.
 
 use catapult_graph::iso::{self, are_isomorphic_tagged, contains_tagged};
-use catapult_graph::{Completeness, Graph, Label, SearchBudget, Tally, TallyCounts, VertexId};
+use catapult_graph::{Graph, Label, SearchBudget, VertexId};
 use rayon::prelude::*;
 use std::collections::HashMap;
 
@@ -83,16 +83,15 @@ impl IsoDedup {
     }
 
     /// Returns true if `g` was new (inserted). A degraded isomorphism
-    /// probe (recorded into `tally`) reports "not isomorphic", so under
-    /// budget pressure a duplicate may slip through — sound for mining
-    /// (the duplicate's support is still correct) but not minimal.
-    fn insert(&mut self, g: &Graph, budget: &SearchBudget, tally: &Tally) -> bool {
+    /// probe counts as "not isomorphic", so a duplicate may slip through
+    /// — sound for mining (the duplicate's support is still correct) but
+    /// not minimal.
+    fn insert(&mut self, g: &Graph, probe: &SearchBudget) -> bool {
         let sig = g.invariant_signature();
         let bucket = self.buckets.entry(sig).or_default();
         let dup = bucket.iter().any(|h| {
-            let (iso, c) = are_isomorphic_tagged(h, g, budget);
-            tally.record(c);
-            iso
+            let (iso, c) = are_isomorphic_tagged(h, g, probe);
+            iso && c.is_exact()
         });
         if dup {
             return false;
@@ -102,25 +101,22 @@ impl IsoDedup {
     }
 }
 
-/// Support counting under `budget`; degraded probes (recorded in `tally`)
-/// under-count, so the result is a lower bound on true support.
+/// Support counting under `probe`: a degraded probe counts as "not
+/// contained", so the result is a lower bound on true support.
 fn count_support(
     db: &[Graph],
     candidates: &[u32],
     pattern: &Graph,
     probe: &SearchBudget,
-    tally: &Tally,
 ) -> Vec<u32> {
-    // Parallel audit: read-only captures + commutative `Tally` recording;
-    // the shim's ordered collection keeps the transaction list identical
-    // across thread counts.
+    // Parallel audit: read-only captures; the shim's ordered collection
+    // keeps the transaction list identical across thread counts.
     candidates
         .par_iter()
         .copied()
         .filter(|&i| {
             let (found, c) = contains_tagged(&db[i as usize], pattern, probe);
-            tally.record(c);
-            found
+            found && c.is_exact()
         })
         .collect()
 }
@@ -157,59 +153,29 @@ fn extensions(g: &Graph, labels: &[Label]) -> Vec<Graph> {
     out
 }
 
-/// Result of a budgeted frequent-subgraph mining run.
-#[derive(Clone, Debug)]
-pub struct SubgraphMiningOutcome {
-    /// The mined frequent subgraphs (sorted by size, then support).
-    pub subgraphs: Vec<FrequentSubgraph>,
-    /// Per-probe completeness of the underlying kernel calls (containment
-    /// and dedup isomorphism checks).
-    pub kernel: TallyCounts,
-    /// Overall completeness; degraded results remain sound but may miss
-    /// frequent patterns or keep an isomorphic duplicate.
-    pub completeness: Completeness,
-}
-
 /// Mine frequent connected subgraphs of size 1..=`cfg.max_edges` edges.
 ///
 /// Output is sorted by (size, descending support) and deterministic.
-/// Unbudgeted convenience wrapper around the budgeted miner; completeness
-/// is swallowed.
+/// Every containment / isomorphism probe is capped at
+/// [`iso::DEFAULT_NODE_CAP`] nodes; a probe that hits the cap counts as
+/// "no match", so supports are lower bounds.
 pub fn mine_frequent_subgraphs(db: &[Graph], cfg: &SubgraphMinerConfig) -> Vec<FrequentSubgraph> {
-    mine_subgraphs(db, cfg, &SearchBudget::unbounded()).subgraphs
-}
-
-/// Budgeted frequent-subgraph mining: every containment / isomorphism
-/// probe runs under `budget` (per-probe cap defaulting to
-/// [`iso::DEFAULT_NODE_CAP`]); the deadline is additionally checked
-/// between parents, stopping early with the patterns found so far.
-fn mine_subgraphs(
-    db: &[Graph],
-    cfg: &SubgraphMinerConfig,
-    budget: &SearchBudget,
-) -> SubgraphMiningOutcome {
     let n = db.len();
     let min_count = ((cfg.min_support * n as f64).ceil() as usize).max(1);
     let labels = frequent_labels(db, min_count);
     let all: Vec<u32> = (0..n as u32).collect();
-    let tally = Tally::new();
-    let probe = budget.with_default_cap(iso::DEFAULT_NODE_CAP);
-    let mut interrupted = Completeness::Exact;
+    let probe = SearchBudget::nodes(iso::DEFAULT_NODE_CAP);
 
     // Level 1: single edges.
     let mut dedup = IsoDedup::new();
     let mut level: Vec<FrequentSubgraph> = Vec::new();
-    'level1: for (ai, &a) in labels.iter().enumerate() {
+    for (ai, &a) in labels.iter().enumerate() {
         for &b in &labels[ai..] {
-            if let Some(cut) = budget.interrupted() {
-                interrupted = cut;
-                break 'level1;
-            }
             let g = Graph::from_parts(&[a, b], &[(0, 1)]);
-            if !dedup.insert(&g, &probe, &tally) {
+            if !dedup.insert(&g, &probe) {
                 continue;
             }
-            let txs = count_support(db, &all, &g, &probe, &tally);
+            let txs = count_support(db, &all, &g, &probe);
             if txs.len() >= min_count {
                 level.push(FrequentSubgraph {
                     graph: g,
@@ -221,22 +187,18 @@ fn mine_subgraphs(
 
     let mut result: Vec<FrequentSubgraph> = Vec::new();
     let mut size = 1;
-    while !level.is_empty() && size < cfg.max_edges && interrupted.is_exact() {
+    while !level.is_empty() && size < cfg.max_edges {
         sort_level(&mut level);
         level.truncate(cfg.max_patterns_per_level);
         result.extend(level.iter().cloned());
         let mut dedup = IsoDedup::new();
         let mut next: Vec<FrequentSubgraph> = Vec::new();
-        'grow: for parent in &level {
-            if let Some(cut) = budget.interrupted() {
-                interrupted = cut;
-                break 'grow;
-            }
+        for parent in &level {
             for ext in extensions(&parent.graph, &labels) {
-                if !dedup.insert(&ext, &probe, &tally) {
+                if !dedup.insert(&ext, &probe) {
                     continue;
                 }
-                let txs = count_support(db, &parent.transactions, &ext, &probe, &tally);
+                let txs = count_support(db, &parent.transactions, &ext, &probe);
                 if txs.len() >= min_count {
                     next.push(FrequentSubgraph {
                         graph: ext,
@@ -248,22 +210,14 @@ fn mine_subgraphs(
         level = next;
         size += 1;
     }
-    // Discard an in-flight (partially grown) level on interruption.
-    if interrupted.is_exact() {
-        sort_level(&mut level);
-        level.truncate(cfg.max_patterns_per_level);
-        result.extend(level);
-    }
+    sort_level(&mut level);
+    level.truncate(cfg.max_patterns_per_level);
+    result.extend(level);
     result.sort_by(|a, b| {
         (a.graph.edge_count(), std::cmp::Reverse(a.support()))
             .cmp(&(b.graph.edge_count(), std::cmp::Reverse(b.support())))
     });
-    let kernel = tally.counts();
-    SubgraphMiningOutcome {
-        subgraphs: result,
-        kernel,
-        completeness: kernel.worst().worst(interrupted),
-    }
+    result
 }
 
 fn sort_level(level: &mut [FrequentSubgraph]) {

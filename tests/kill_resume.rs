@@ -1,9 +1,10 @@
 //! Kill-and-resume integration test against the real `catapult` binary:
 //! SIGKILL a checkpointed `select` run mid-flight, resume it, and
-//! require the resumed output to be identical to an uninterrupted
-//! golden run. This is the process-level counterpart of the in-process
-//! fault sweep in `tests/resume_equivalence.rs` — no fault injection,
-//! an actual `kill -9`.
+//! require the resumed pattern file to be byte-identical to an
+//! uninterrupted golden run's, `%` summary lines included. This is the
+//! process-level counterpart of the in-process fault sweep in
+//! `tests/resume_equivalence.rs` — no fault injection, an actual
+//! `kill -9`. A second test pins the same file across thread counts.
 #![cfg(unix)]
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
@@ -24,15 +25,9 @@ fn run_ok(args: &[&str]) {
     );
 }
 
-/// Pattern-file contents minus the `%` comment lines (which carry
-/// wall-clock timings, the one thing resume legitimately changes).
-fn patterns_only(path: &Path) -> String {
-    std::fs::read_to_string(path)
-        .expect("read pattern file")
-        .lines()
-        .filter(|l| !l.starts_with('%'))
-        .collect::<Vec<_>>()
-        .join("\n")
+/// The whole pattern file, `%` summary lines included.
+fn read(path: &Path) -> String {
+    std::fs::read_to_string(path).expect("read pattern file")
 }
 
 fn select_args<'a>(db: &'a str, ckpt_dir: &'a str, out: &'a str, resume: bool) -> Vec<&'a str> {
@@ -97,8 +92,11 @@ fn sigkill_mid_run_then_resume_matches_golden() {
         golden_out.to_str().unwrap(),
         false,
     ));
-    let golden = patterns_only(&golden_out);
-    assert!(!golden.is_empty(), "golden run selected no patterns");
+    let golden = read(&golden_out);
+    assert!(
+        golden.lines().any(|l| !l.starts_with('%')),
+        "golden run selected no patterns"
+    );
 
     // Victim: same run, SIGKILLed as soon as its first checkpoint lands.
     let victim_out = work.join("victim.txt");
@@ -133,7 +131,7 @@ fn sigkill_mid_run_then_resume_matches_golden() {
         true,
     ));
     assert_eq!(
-        patterns_only(&victim_out),
+        read(&victim_out),
         golden,
         "resumed run diverged from the uninterrupted golden run"
     );
@@ -145,6 +143,51 @@ fn sigkill_mid_run_then_resume_matches_golden() {
         victim_out.to_str().unwrap(),
         true,
     ));
-    assert_eq!(patterns_only(&victim_out), golden);
+    assert_eq!(read(&victim_out), golden);
+    std::fs::remove_dir_all(&work).ok();
+}
+
+#[test]
+fn select_out_is_byte_identical_across_thread_counts() {
+    let work: PathBuf = std::env::temp_dir().join("catapult-select-threads");
+    std::fs::remove_dir_all(&work).ok();
+    std::fs::create_dir_all(&work).unwrap();
+    let db = work.join("db.txt");
+    let db_s = db.to_str().unwrap();
+    run_ok(&[
+        "generate",
+        "--profile",
+        "emol",
+        "--count",
+        "40",
+        "--seed",
+        "4",
+        "--out",
+        db_s,
+    ]);
+    let select = |threads: &str| {
+        let out = work.join(format!("patterns-{threads}.txt"));
+        run_ok(&[
+            "select",
+            "--db",
+            db_s,
+            "--gamma",
+            "6",
+            "--min-size",
+            "3",
+            "--max-size",
+            "6",
+            "--walks",
+            "30",
+            "--threads",
+            threads,
+            "--out",
+            out.to_str().unwrap(),
+        ]);
+        read(&out)
+    };
+    let one = select("1");
+    assert!(one.starts_with("% "), "summary header: {one}");
+    assert_eq!(select("8"), one, "pattern file differs across --threads");
     std::fs::remove_dir_all(&work).ok();
 }
