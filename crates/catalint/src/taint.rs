@@ -494,7 +494,8 @@ fn direct_sources(
     for ci in ws.own_body(id) {
         // Clock reads: `Instant::now()`, `SystemTime::now()`, and the
         // sanctioned wrapper `catapult_obs::now()` (the wrapper is how
-        // deadline plumbing reads time; the *read* is still a source).
+        // timers and the progress meter read time; the *read* is still a
+        // source).
         if f.ckind(ci) == TokenKind::Ident
             && f.is_punct(ci + 1, "::")
             && f.is_ident(ci + 2, "now")

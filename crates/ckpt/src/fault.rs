@@ -152,20 +152,10 @@ fn crash() -> ! {
 #[allow(clippy::disallowed_methods)]
 mod tests {
     use super::*;
-    use crate::{CheckpointConfig, CkptError, Fingerprint, StageStore};
+    use crate::{serial_writes, CheckpointConfig, CkptError, Fingerprint, StageStore};
     use catapult_obs::Recorder;
     use std::panic::{catch_unwind, AssertUnwindSafe};
     use std::path::{Path, PathBuf};
-
-    /// Fault plans are process-global; tests sharing them run one at a
-    /// time.
-    static SERIAL: Mutex<()> = Mutex::new(());
-
-    fn serial() -> MutexGuard<'static, ()> {
-        SERIAL
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
 
     fn fp() -> Fingerprint {
         Fingerprint {
@@ -191,7 +181,7 @@ mod tests {
 
     #[test]
     fn transient_io_error_is_retried_and_counted() {
-        let _guard = serial();
+        let _guard = serial_writes();
         let dir = tmp_dir("retry");
         let recorder = Recorder::enabled();
         let store = open(&dir, false, recorder.clone());
@@ -221,7 +211,7 @@ mod tests {
 
     #[test]
     fn persistent_io_error_exhausts_retries_and_surfaces() {
-        let _guard = serial();
+        let _guard = serial_writes();
         let dir = tmp_dir("exhaust");
         let store = open(&dir, false, Recorder::disabled());
         install(PersistFaultPlan {
@@ -242,7 +232,7 @@ mod tests {
             PersistFaultKind::Truncate,
             PersistFaultKind::BitFlip,
         ] {
-            let _guard = serial();
+            let _guard = serial_writes();
             let dir = tmp_dir(&format!("{kind:?}"));
             let store = open(&dir, false, Recorder::disabled());
             store.save("mining", 0, b"good earlier stage").unwrap();
@@ -280,7 +270,7 @@ mod tests {
 
     #[test]
     fn crash_after_completed_write_loses_nothing() {
-        let _guard = serial();
+        let _guard = serial_writes();
         let dir = tmp_dir("crash-after");
         let store = open(&dir, false, Recorder::disabled());
         install(PersistFaultPlan {

@@ -90,6 +90,18 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
     h.finish()
 }
 
+/// Serializes this crate's tests that write checkpoints. Under
+/// `fault-injection` every write bumps the process-global attempt counter
+/// that a fault plan keys on, so a concurrent writer would consume another
+/// test's planned fault.
+#[cfg(test)]
+pub(crate) fn serial_writes() -> std::sync::MutexGuard<'static, ()> {
+    static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    SERIAL
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
 #[cfg(test)]
 mod tests {
     use super::fnv1a;

@@ -55,7 +55,9 @@ use std::time::Duration;
 /// section (class-pair memoization entries).
 /// v3: every kernel tally lost its `cancelled` counter (four `u64`s, not
 /// five).
-pub const SCHEMA_VERSION: u32 = 3;
+/// v4: every kernel tally is three `u64`s (`exact`, `budget_exhausted`,
+/// `failed`), not four.
+pub const SCHEMA_VERSION: u32 = 4;
 
 /// Total tries for a checkpoint write before its I/O error surfaces.
 /// Checkpoints are an availability feature, but a write that keeps
@@ -555,6 +557,7 @@ fn decode_file(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::serial_writes;
 
     fn fp() -> Fingerprint {
         Fingerprint {
@@ -580,6 +583,7 @@ mod tests {
 
     #[test]
     fn save_load_roundtrip() {
+        let _guard = serial_writes();
         let dir = tmp_dir("roundtrip");
         let store = open(&dir, false);
         store.save("mining", 7, b"hello checkpoints").unwrap();
@@ -595,6 +599,7 @@ mod tests {
 
     #[test]
     fn overwrite_guard_refuses_then_force_wipes() {
+        let _guard = serial_writes();
         let dir = tmp_dir("guard");
         let store = open(&dir, false);
         store.save("mining", 0, b"x").unwrap();
@@ -618,6 +623,7 @@ mod tests {
 
     #[test]
     fn corrupt_checkpoints_are_discarded_not_trusted() {
+        let _guard = serial_writes();
         for (tag, mutate) in [
             (
                 "truncate",
@@ -664,6 +670,7 @@ mod tests {
 
     #[test]
     fn foreign_fingerprint_is_a_hard_error_naming_the_field() {
+        let _guard = serial_writes();
         type Mutator = fn(&mut Fingerprint);
         let cases: [(&'static str, Mutator); 5] = [
             ("dataset_hash", |f| f.dataset_hash ^= 1),
@@ -698,9 +705,10 @@ mod tests {
 
     #[test]
     fn schema_mismatch_is_a_hard_error() {
-        // 2 is the layout before the tally lost its `cancelled` slot; 99
+        let _guard = serial_writes();
+        // 2 and 3 are the layouts with five- and four-slot tallies; 99
         // stands for a future one.
-        for version in [2u32, 99] {
+        for version in [2u32, 3, 99] {
             let dir = tmp_dir("schema");
             let store = open(&dir, false);
             store.save("selection", 0, b"abc").unwrap();
@@ -734,6 +742,7 @@ mod tests {
 
     #[test]
     fn write_and_load_counters_flow_to_recorder() {
+        let _guard = serial_writes();
         let dir = tmp_dir("counters");
         let recorder = Recorder::enabled();
         let mut c = CheckpointConfig::new(&dir);
@@ -757,6 +766,7 @@ mod tests {
 
     #[test]
     fn undecodable_payload_is_warned_about_and_discarded() {
+        let _guard = serial_writes();
         let dir = tmp_dir("undecodable");
         let recorder = Recorder::enabled();
         let mut c = CheckpointConfig::new(&dir);
@@ -786,6 +796,7 @@ mod tests {
 
     #[test]
     fn discard_removes_stage_file() {
+        let _guard = serial_writes();
         let dir = tmp_dir("discard");
         let store = open(&dir, false);
         store.save("fine", 0, b"x").unwrap();

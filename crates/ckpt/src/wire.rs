@@ -158,11 +158,10 @@ impl Enc {
         }
     }
 
-    /// A [`TallyCounts`] snapshot (all four counters).
+    /// A [`TallyCounts`] snapshot (all three counters).
     pub fn tally(&mut self, t: &TallyCounts) {
         self.u64(t.exact);
         self.u64(t.budget_exhausted);
-        self.u64(t.deadline_exceeded);
         self.u64(t.failed);
     }
 
@@ -329,7 +328,6 @@ impl<'a> Dec<'a> {
         Ok(TallyCounts {
             exact: self.u64()?,
             budget_exhausted: self.u64()?,
-            deadline_exceeded: self.u64()?,
             failed: self.u64()?,
         })
     }
@@ -391,7 +389,6 @@ mod tests {
         let t = TallyCounts {
             exact: 10,
             budget_exhausted: 2,
-            deadline_exceeded: 1,
             failed: 3,
         };
         let mut e = Enc::new();

@@ -56,13 +56,12 @@ pub(crate) struct FineState {
 /// the value was first computed (replayed into the tally on every hit).
 pub(crate) type CacheEntry = (u32, u32, f64, Completeness);
 
-// Code 3 was a retired `Cancelled` tag; it stays unassigned so the
-// remaining codes keep their meaning.
+// Codes 2 and 3 were the retired `DeadlineExceeded` and `Cancelled`
+// tags; they stay unassigned so the remaining codes keep their meaning.
 fn completeness_code(c: Completeness) -> u32 {
     match c {
         Completeness::Exact => 0,
         Completeness::BudgetExhausted => 1,
-        Completeness::DeadlineExceeded => 2,
         Completeness::Degraded => 4,
     }
 }
@@ -71,7 +70,6 @@ fn completeness_from_code(v: u32) -> Result<Completeness, WireError> {
     Ok(match v {
         0 => Completeness::Exact,
         1 => Completeness::BudgetExhausted,
-        2 => Completeness::DeadlineExceeded,
         4 => Completeness::Degraded,
         _ => return Err(WireError::Malformed("unknown completeness tag")),
     })
@@ -386,14 +384,13 @@ mod tests {
     }
 
     #[test]
-    fn every_completeness_tag_roundtrips_and_code_3_is_rejected() {
+    fn every_completeness_tag_roundtrips_and_retired_codes_are_rejected() {
         let tags = [
             Completeness::Exact,
             Completeness::BudgetExhausted,
-            Completeness::DeadlineExceeded,
             Completeness::Degraded,
         ];
-        assert_eq!(tags.map(completeness_code), [0, 1, 2, 4]);
+        assert_eq!(tags.map(completeness_code), [0, 1, 4]);
         let s = FineState {
             done: vec![],
             work: vec![],
@@ -403,10 +400,12 @@ mod tests {
             cache: (0..).zip(tags).map(|(b, tag)| (0, b, 0.5, tag)).collect(),
         };
         assert_eq!(decode_fine_state(&encode_fine_state(&s)).unwrap(), s);
-        assert!(matches!(
-            completeness_from_code(3),
-            Err(WireError::Malformed(_))
-        ));
+        for retired in [2, 3] {
+            assert!(matches!(
+                completeness_from_code(retired),
+                Err(WireError::Malformed(_))
+            ));
+        }
     }
 
     #[test]

@@ -39,9 +39,8 @@ pub struct CatapultConfig {
     /// RNG seed (the whole pipeline is deterministic given the seed).
     pub seed: u64,
     /// Global execution budget overlaid on every stage: an explicit node
-    /// cap overrides the per-stage defaults, and its deadline reaches
-    /// mining, clustering, and the greedy selection loop. Leave
-    /// unbounded for the per-stage defaults (and an exact run).
+    /// cap overrides the per-stage defaults of mining, clustering and
+    /// selection. Leave unbounded for the per-stage defaults.
     pub search: SearchBudget,
     /// Observability recorder (disabled by default — a no-op). When
     /// enabled, the run emits a `pipeline` span tree covering every stage
@@ -294,13 +293,12 @@ mod tests {
     }
 
     #[test]
-    fn expired_deadline_degrades_but_still_returns() {
+    fn exhausted_budget_degrades_but_still_returns() {
         let db = small_db();
         let cfg = CatapultConfig {
             budget: PatternBudget::new(3, 4, 3).unwrap(),
             walks: 10,
-            search: SearchBudget::unbounded()
-                .with_deadline(catapult_graph::Deadline::at(catapult_obs::now())),
+            search: SearchBudget::nodes(0),
             ..Default::default()
         };
         let r = run_catapult(&db, &cfg);
@@ -441,6 +439,13 @@ mod tests {
             ..cfg.clone()
         };
         let err = run_catapult_resumable(&db, &reseeded, &resume).unwrap_err();
+        assert!(err.to_string().contains("config_hash"), "{err}");
+        // A different node cap, the only search-budget input, changes it too.
+        let recapped = CatapultConfig {
+            search: SearchBudget::nodes(50_000),
+            ..cfg.clone()
+        };
+        let err = run_catapult_resumable(&db, &recapped, &resume).unwrap_err();
         assert!(err.to_string().contains("config_hash"), "{err}");
         // A different budget changes a first-class fingerprint field.
         let rebudgeted = CatapultConfig {

@@ -24,7 +24,7 @@ use catapult_graph::{Graph, VertexId};
 /// is rejected loudly instead of silently resumed.
 ///
 /// Execution-mode knobs that cannot change a run's output — thread
-/// count, `keep_going`, deadlines, the recorder — are
+/// count, `keep_going`, the recorder — are
 /// deliberately excluded, so a crashed 8-thread run can resume on 1
 /// thread (or vice versa) and still reproduce the original bytes.
 #[must_use]
@@ -52,8 +52,9 @@ pub fn dataset_hash(db: &[Graph]) -> u64 {
 
 /// FNV-1a over every configuration field that can change the pipeline's
 /// output: clustering strategy and parameters, the sampling plan, the
-/// walk count, the seed, the node cap, and the full budget (size
-/// distribution included).
+/// walk count, the seed, both node caps (the clustering phase's and the
+/// pipeline-wide override), and the full budget (size distribution
+/// included).
 #[must_use]
 pub fn config_hash(cfg: &CatapultConfig) -> u64 {
     let c = &cfg.clustering;
@@ -81,6 +82,7 @@ pub fn config_hash(cfg: &CatapultConfig) -> u64 {
     e.usize(c.miner.max_edges);
     e.usize(c.miner.max_patterns_per_level);
     e.usize(c.max_features);
+    e.u64(c.search.node_cap);
     match &c.sampling {
         None => e.bool(false),
         Some(s) => {
@@ -263,7 +265,7 @@ fn decode_idsets(d: &mut Dec<'_>) -> Result<Vec<IdSet>, WireError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use catapult_graph::{Completeness, Label, Tally, TallyCounts};
+    use catapult_graph::{Completeness, Label, SearchBudget, Tally, TallyCounts};
 
     fn pattern(n: u32) -> Graph {
         let mut g = Graph::new();
@@ -346,6 +348,9 @@ mod tests {
         let mut resized = base.clone();
         resized.clustering.max_cluster_size += 1;
         assert_ne!(fingerprint(&db, &resized).config_hash, fp.config_hash);
+        let mut recapped = base.clone();
+        recapped.clustering.search = SearchBudget::nodes(30_000);
+        assert_ne!(fingerprint(&db, &recapped).config_hash, fp.config_hash);
         assert_ne!(fingerprint(&db[..1], &base).dataset_hash, fp.dataset_hash);
     }
 }

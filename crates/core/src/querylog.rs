@@ -77,7 +77,7 @@ impl QueryLog {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use catapult_graph::{Deadline, Label};
+    use catapult_graph::Label;
 
     fn freq(log: &QueryLog, p: &Graph) -> f64 {
         log.pattern_frequency(p, &SearchBudget::unbounded(), &Tally::new())
@@ -132,10 +132,9 @@ mod tests {
         log.pattern_frequency(&path(3), &SearchBudget::unbounded(), &tally);
         assert_eq!(tally.counts().total(), 3, "one audited probe per query");
         assert!(tally.counts().all_exact());
-        // An expired deadline reaches the log probes too.
-        let budget = SearchBudget::unbounded().with_deadline(Deadline::at(catapult_obs::now()));
-        let interrupted = Tally::new();
-        log.pattern_frequency(&cycle(5), &budget, &interrupted);
-        assert!(interrupted.counts().degraded() > 0);
+        // A zero node cap reaches the log probes too.
+        let exhausted = Tally::new();
+        log.pattern_frequency(&cycle(5), &SearchBudget::nodes(0), &exhausted);
+        assert!(exhausted.counts().degraded() > 0);
     }
 }

@@ -240,17 +240,17 @@ mod tests {
 
     #[test]
     fn worst_ranks_across_stages() {
-        let timed_out = {
+        let failed = {
             let t = Tally::new();
-            t.record(Completeness::DeadlineExceeded);
+            t.record(Completeness::Degraded);
             t.counts()
         };
         let r = PipelineReport {
             mining: counts(1, 1),
-            clustering: timed_out,
+            clustering: failed,
             scoring: counts(0, 0),
         };
-        assert_eq!(r.worst(), Completeness::DeadlineExceeded);
+        assert_eq!(r.worst(), Completeness::Degraded);
         assert_eq!(r.degraded_stages(), vec!["mining", "clustering"]);
     }
 }

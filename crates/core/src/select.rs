@@ -48,10 +48,8 @@ pub struct SelectionConfig {
     /// Strength `λ` of the query-log boost.
     pub log_weight: f64,
     /// Execution budget shared by selection's NP-hard kernels (dedup VF2,
-    /// ccov and query-log probes, diversity GEDs). Its deadline also
-    /// stops the greedy loop between iterations,
-    /// returning the patterns selected so far. Per-kernel default node
-    /// caps apply when unbounded.
+    /// ccov and query-log probes, diversity GEDs). Per-kernel default
+    /// node caps apply when unbounded.
     pub search: SearchBudget,
     /// Observability recorder (disabled by default). When enabled, the
     /// loop emits a `selection` span with per-iteration `greedy_iter`
@@ -276,13 +274,6 @@ pub fn find_canned_patterns<R: Rng>(
     let mut slots: Vec<Memo> = Vec::new();
 
     while selected.len() < budget.gamma() {
-        // An expired deadline stops the greedy loop between
-        // iterations: the patterns chosen so far remain valid and
-        // budget-conforming, and the report records why we stopped early.
-        if let Some(c) = search.interrupted() {
-            scoring.record(c);
-            break;
-        }
         iterations.incr();
         let _iter_span = cfg.recorder.span("greedy_iter");
         let sizes = budget.open_sizes(&counts);
@@ -437,7 +428,7 @@ mod tests {
     use super::*;
     use catapult_csg::build_csgs;
     use catapult_graph::iso::are_isomorphic;
-    use catapult_graph::{Deadline, Label, VertexId};
+    use catapult_graph::{Label, VertexId};
     use rand::SeedableRng;
 
     fn ring(n: u32, label: u32) -> Graph {
@@ -659,29 +650,6 @@ mod tests {
         assert!(r.report.all_exact(), "unbounded run must be exact");
         assert!(r.report.scoring.total() > 0, "kernels must be audited");
         assert!(r.report.degraded_stages().is_empty());
-    }
-
-    #[test]
-    fn expired_deadline_stops_greedy_loop_and_is_reported() {
-        let (db, csgs) = db_and_csgs();
-        let cfg = SelectionConfig {
-            budget: PatternBudget::new(3, 5, 4).unwrap(),
-            walks: 30,
-            search: SearchBudget::unbounded().with_deadline(Deadline::at(catapult_obs::now())),
-            ..Default::default()
-        };
-        let mut rng = rand::rngs::StdRng::seed_from_u64(1);
-        let r = find_canned_patterns(&db, &csgs, &cfg, &mut rng);
-        assert!(
-            r.selected.is_empty(),
-            "a run past its deadline selects nothing"
-        );
-        assert_eq!(r.report.degraded_stages(), vec!["scoring"]);
-        assert_eq!(
-            r.report.worst(),
-            catapult_graph::Completeness::DeadlineExceeded,
-            "report must say why the loop stopped"
-        );
     }
 
     #[test]

@@ -632,24 +632,6 @@ mod tests {
     }
 
     #[test]
-    fn expired_deadline_reports_deadline_exceeded() {
-        use crate::budget::Deadline;
-        let a = cycle(6);
-        let b = Graph::from_parts(
-            &[l(0); 6],
-            &[(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)],
-        );
-        let r = ged(
-            &a,
-            &b,
-            None,
-            &SearchBudget::unbounded().with_deadline(Deadline::at(catapult_obs::now())),
-        );
-        assert_eq!(r.completeness, Completeness::DeadlineExceeded);
-        assert!(r.distance >= ged_lower_bound(&a, &b));
-    }
-
-    #[test]
     fn meeting_bounds_are_exact_under_zero_budget() {
         // Identical graphs: lb == ub == 0, proven without search.
         let g = cycle(5);

@@ -727,22 +727,6 @@ mod tests {
     }
 
     #[test]
-    fn expired_deadline_reports_deadline_exceeded() {
-        use crate::budget::Deadline;
-        let g = cycle(5);
-        let r = mcs(
-            &g,
-            &g,
-            McsConfig {
-                connected: false,
-                budget: SearchBudget::unbounded().with_deadline(Deadline::at(catapult_obs::now())),
-                ..McsConfig::default()
-            },
-        );
-        assert_eq!(r.completeness, Completeness::DeadlineExceeded);
-    }
-
-    #[test]
     fn tagged_similarity_exposes_degradation() {
         let g = cycle(6);
         let (exact_sim, c) = similarity(&g, &g, McsConfig::default());

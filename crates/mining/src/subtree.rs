@@ -115,8 +115,8 @@ pub struct SubtreeMiningOutcome {
     pub candidates_counted: usize,
     /// Per-probe completeness of the underlying isomorphism kernel calls.
     pub kernel: TallyCounts,
-    /// Overall completeness: `Exact` when every support count is exact and
-    /// no level was cut short; otherwise the worst degradation observed.
+    /// Overall completeness: `Exact` when every support count is exact;
+    /// otherwise the worst degradation observed.
     /// Degraded results are still sound (every reported subtree is frequent
     /// among the transactions listed) but may be incomplete.
     pub completeness: Completeness,
@@ -134,9 +134,7 @@ pub fn mine_frequent_subtrees(db: &[Graph], cfg: &SubtreeMinerConfig) -> Vec<Fre
 }
 
 /// Budgeted frequent-subtree mining: the level-wise pattern-growth miner
-/// with every containment probe under `budget` and its deadline
-/// checked between candidates, stopping early with the frequent trees
-/// found so far.
+/// with every containment probe under `budget`.
 ///
 /// The per-probe node cap is `budget`'s own when it has one;
 /// [`iso::DEFAULT_NODE_CAP`] (10M) applies only to an unbounded budget.
@@ -154,17 +152,12 @@ pub fn mine_subtrees(
     let mut candidates_counted = 0usize;
     let tally = Tally::new();
     let probe = budget.with_default_cap(iso::DEFAULT_NODE_CAP);
-    let mut interrupted = Completeness::Exact;
 
     // Level 1: one-edge trees over frequent label pairs.
     let mut level: Vec<FrequentSubtree> = Vec::new();
     let all: Vec<u32> = (0..n as u32).collect();
-    'level1: for (ai, &a) in labels.iter().enumerate() {
+    for (ai, &a) in labels.iter().enumerate() {
         for &b in &labels[ai..] {
-            if let Some(cut) = budget.interrupted() {
-                interrupted = cut;
-                break 'level1;
-            }
             let tree = Graph::from_parts(&[a, b], &[(0, 1)]);
             candidates_counted += 1;
             let txs = count_support(db, &all, &tree, &probe, &tally);
@@ -180,16 +173,12 @@ pub fn mine_subtrees(
 
     let mut result: Vec<FrequentSubtree> = Vec::new();
     let mut size = 1;
-    while !level.is_empty() && size < cfg.max_edges && interrupted.is_exact() {
+    while !level.is_empty() && size < cfg.max_edges {
         level.truncate(cfg.max_patterns_per_level);
         result.extend(level.iter().cloned());
         // Grow each tree by one leaf in every position × frequent label.
         let mut next: HashMap<CanonTokens, FrequentSubtree> = HashMap::new();
-        'grow: for parent in &level {
-            if let Some(cut) = budget.interrupted() {
-                interrupted = cut;
-                break 'grow;
-            }
+        for parent in &level {
             for v in parent.tree.vertices() {
                 for &l in &labels {
                     let mut t = parent.tree.clone();
@@ -222,12 +211,8 @@ pub fn mine_subtrees(
         level = next;
         size += 1;
     }
-    // On interruption the in-flight level is discarded (its counts may be
-    // partial); everything in `result` plus the last complete level stands.
-    if interrupted.is_exact() {
-        level.truncate(cfg.max_patterns_per_level);
-        result.extend(level);
-    }
+    level.truncate(cfg.max_patterns_per_level);
+    result.extend(level);
     result.sort_by(|a, b| {
         (a.tree.edge_count(), &a.canonical).cmp(&(b.tree.edge_count(), &b.canonical))
     });
@@ -244,7 +229,7 @@ pub fn mine_subtrees(
         subtrees: result,
         candidates_counted,
         kernel,
-        completeness: kernel.worst().worst(interrupted),
+        completeness: kernel.worst(),
     }
 }
 
@@ -423,17 +408,15 @@ mod tests {
     }
 
     #[test]
-    fn interrupted_mining_stops_early_with_sound_partial_result() {
-        use catapult_graph::Deadline;
+    fn exhausted_probes_leave_a_sound_partial_result() {
         let db = db_paths_and_stars();
         let cfg = SubtreeMinerConfig {
             min_support: 0.2,
             max_edges: 3,
             ..Default::default()
         };
-        let expired = SearchBudget::unbounded().with_deadline(Deadline::at(catapult_obs::now()));
-        let out = mine_subtrees(&db, &cfg, &expired);
-        assert_eq!(out.completeness, Completeness::DeadlineExceeded);
+        let out = mine_subtrees(&db, &cfg, &SearchBudget::nodes(0));
+        assert_eq!(out.completeness, Completeness::BudgetExhausted);
         // Sound: anything reported is genuinely frequent.
         for t in &out.subtrees {
             for &i in &t.transactions {

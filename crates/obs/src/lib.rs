@@ -58,8 +58,7 @@ use std::time::{Duration, Instant};
 ///
 /// The only sanctioned `Instant::now()` call site in the pipeline (the
 /// root `clippy.toml` disallows it elsewhere): routing every clock read
-/// through here keeps wall-time observability auditable and lets the
-/// budget layer (`catapult_graph::Deadline`) share the recorder's clock.
+/// through here keeps wall-time observability auditable.
 #[inline]
 #[must_use]
 #[allow(clippy::disallowed_methods)] // the one sanctioned clock read

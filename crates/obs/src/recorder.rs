@@ -259,7 +259,6 @@ impl Recorder {
             KernelCells {
                 calls: self.counter(&name("calls")),
                 probes: self.counter(&name("probes")),
-                checks: self.counter(&name("budget_checks")),
                 improved: self.counter(&name("improved")),
                 exact: self.counter(&name("exact")),
                 degraded: self.counter(&name("degraded")),
@@ -547,9 +546,6 @@ impl Kernel {
 pub struct KernelMeasurement {
     /// Search nodes expanded (`BudgetMeter` ticks).
     pub probes: u64,
-    /// Deadline polls performed (the first expansion and every 1,024th;
-    /// counted whether or not the search has a deadline).
-    pub checks: u64,
     /// Best-so-far improvements (embeddings found, bounds tightened).
     pub improved: u64,
     /// Whether the search ran to completion ([`Completeness::Exact`]).
@@ -578,7 +574,6 @@ struct StageCells {
 struct KernelCells {
     calls: Counter,
     probes: Counter,
-    checks: Counter,
     improved: Counter,
     exact: Counter,
     degraded: Counter,
@@ -609,7 +604,6 @@ impl StageProbe {
         let k = &cells.kernels[kernel as usize];
         k.calls.incr();
         k.probes.add(m.probes);
-        k.checks.add(m.checks);
         k.improved.add(m.improved);
         if m.exact {
             k.exact.incr();
@@ -778,7 +772,6 @@ mod tests {
             Kernel::Iso,
             KernelMeasurement {
                 probes: 10,
-                checks: 2,
                 improved: 1,
                 exact: true,
             },
@@ -787,14 +780,12 @@ mod tests {
             Kernel::Iso,
             KernelMeasurement {
                 probes: 30,
-                checks: 4,
                 improved: 0,
                 exact: false,
             },
         );
         assert_eq!(rec.counter("scoring.iso.calls").get(), 2);
         assert_eq!(rec.counter("scoring.iso.probes").get(), 40);
-        assert_eq!(rec.counter("scoring.iso.budget_checks").get(), 6);
         assert_eq!(rec.counter("scoring.iso.improved").get(), 1);
         assert_eq!(rec.counter("scoring.iso.exact").get(), 1);
         assert_eq!(rec.counter("scoring.iso.degraded").get(), 1);

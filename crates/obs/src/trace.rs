@@ -2,8 +2,7 @@
 //!
 //! Two sections: the span tree (per-stage wall time and share of the
 //! run), and a kernel-effort table (per stage: calls, probes, probes/sec,
-//! budget checks, degraded calls and the probes those degraded calls
-//! spent) derived from the `stage.kernel.metric` counters.
+//! degraded calls and the probes those degraded calls spent) derived from the `stage.kernel.metric` counters.
 
 use crate::recorder::Snapshot;
 
@@ -119,20 +118,19 @@ fn kernel_section(snapshot: &Snapshot) -> String {
         return String::new();
     }
     let mut out = format!(
-        "{:<12}  {:>8}  {:>10}  {:>12}  {:>8}  {:>8}  {:>15}\n",
-        "stage", "calls", "probes", "probes/sec", "checks", "degraded", "probes_degraded"
+        "{:<12}  {:>8}  {:>10}  {:>12}  {:>8}  {:>15}\n",
+        "stage", "calls", "probes", "probes/sec", "degraded", "probes_degraded"
     );
     for stage in stages {
         let calls = snapshot.stage_metric_total(stage, "calls");
         let probes = snapshot.stage_metric_total(stage, "probes");
-        let checks = snapshot.stage_metric_total(stage, "budget_checks");
         let degraded = snapshot.stage_metric_total(stage, "degraded");
         let wasted = snapshot.stage_metric_total(stage, "probes_degraded");
         let wall_ns = stage_wall_ns(snapshot, stage).max(1);
         let rate = probes as f64 / (wall_ns as f64 / 1e9);
         out.push_str(&format!(
-            "{:<12}  {:>8}  {:>10}  {:>12.0}  {:>8}  {:>8}  {:>15}\n",
-            stage, calls, probes, rate, checks, degraded, wasted,
+            "{:<12}  {:>8}  {:>10}  {:>12.0}  {:>8}  {:>15}\n",
+            stage, calls, probes, rate, degraded, wasted,
         ));
     }
     out
@@ -153,7 +151,6 @@ mod tests {
                 Kernel::Iso,
                 KernelMeasurement {
                     probes: 40,
-                    checks: 4,
                     improved: 1,
                     exact: true,
                 },
@@ -162,7 +159,6 @@ mod tests {
                 Kernel::Iso,
                 KernelMeasurement {
                     probes: 7,
-                    checks: 1,
                     improved: 0,
                     exact: false,
                 },

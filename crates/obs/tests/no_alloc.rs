@@ -82,7 +82,6 @@ fn disabled_recorder_hot_path_never_allocates() {
                 Kernel::Iso,
                 KernelMeasurement {
                     probes: i,
-                    checks: 1,
                     improved: 0,
                     exact: true,
                 },

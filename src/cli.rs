@@ -20,14 +20,13 @@ use catapult_core::{
 use catapult_datasets::{aids_profile, emol_profile, generate, pubchem_profile, random_queries};
 use catapult_eval::WorkloadEvaluation;
 use catapult_graph::fmt::{parse_graphs, write_graphs};
-use catapult_graph::{Deadline, Graph, LabelInterner, SearchBudget};
+use catapult_graph::{Graph, LabelInterner, SearchBudget};
 use catapult_obs::json::Value;
 use catapult_obs::progress::ProgressMeter;
 use catapult_obs::{chrome, manifest, ManifestError, Recorder, RunManifest};
 use std::collections::HashMap;
 use std::fmt;
 use std::path::Path;
-use std::time::Duration;
 
 /// CLI errors.
 #[derive(Debug)]
@@ -119,7 +118,6 @@ const COMMANDS: &[(&str, Command, &[&str])] = &[
             "walks",
             "seed",
             "search-budget",
-            "deadline-ms",
             "out",
             "checkpoint-dir",
             "resume",
@@ -260,7 +258,6 @@ fn report_value(report: &PipelineReport) -> Value {
         let mut tv = Value::object();
         tv.set("exact", t.exact);
         tv.set("budget_exhausted", t.budget_exhausted);
-        tv.set("deadline_exceeded", t.deadline_exceeded);
         tv.set("failed", t.failed);
         v.set(stage, tv);
     }
@@ -272,7 +269,7 @@ pub const USAGE: &str = "\
 usage: catapult <generate|select|evaluate|stats> [--flags]
   generate --profile aids|pubchem|emol --count N [--seed S] [--out FILE]
   select   --db FILE [--gamma N] [--min-size A] [--max-size B] [--walks W] [--seed S]
-           [--search-budget NODES] [--deadline-ms MS] [--threads N] [--out FILE]
+           [--search-budget NODES] [--threads N] [--out FILE]
            [--checkpoint-dir DIR] [--resume] [--keep-going]
   evaluate --db FILE --patterns FILE [--queries N] [--min-edges A] [--max-edges B] [--seed S]
            [--threads N]
@@ -347,20 +344,12 @@ pub fn cmd_select(flags: &Flags, obs: &mut ObsSession) -> Result<String, CliErro
     let budget = PatternBudget::new(min_size, max_size, gamma)
         .map_err(|e| CliError::Usage(e.to_string()))?;
     // Execution budget: `--search-budget` caps the nodes each NP-hard
-    // kernel may expand; `--deadline-ms` bounds the whole run's wall
-    // clock. Either alone is fine; unset means per-stage defaults.
+    // kernel may expand; unset means per-stage defaults.
     let search_nodes = match flags.num::<u64>("search-budget", u64::MAX)? {
         u64::MAX => None,
         cap => Some(cap),
     };
-    let deadline_ms: Option<u64> = flags
-        .get("deadline-ms")
-        .map(|_| flags.num("deadline-ms", 0))
-        .transpose()?;
-    let mut search = search_nodes.map_or_else(SearchBudget::unbounded, SearchBudget::nodes);
-    if let Some(ms) = deadline_ms {
-        search = search.with_deadline(Deadline::from_now(Duration::from_millis(ms)));
-    }
+    let search = search_nodes.map_or_else(SearchBudget::unbounded, SearchBudget::nodes);
     let mut cfg = CatapultConfig {
         budget,
         walks: flags.num("walks", 100)?,
@@ -386,7 +375,6 @@ pub fn cmd_select(flags: &Flags, obs: &mut ObsSession) -> Result<String, CliErro
         "search_nodes",
         search_nodes.map_or(Value::Null, Value::from),
     );
-    budget_v.set("deadline_ms", deadline_ms.map_or(Value::Null, Value::from));
     obs.section("budget", budget_v);
     let result = match flags.get("checkpoint-dir") {
         None => run_catapult(&db, &cfg),
@@ -415,14 +403,19 @@ pub fn cmd_select(flags: &Flags, obs: &mut ObsSession) -> Result<String, CliErro
 
 /// `evaluate`: workload metrics of a pattern file against a repository.
 pub fn cmd_evaluate(flags: &Flags, obs: &mut ObsSession) -> Result<String, CliError> {
+    let n: usize = flags.num("queries", 200)?;
+    let lo: usize = flags.num("min-edges", 4)?;
+    let hi: usize = flags.num("max-edges", 25)?;
+    if lo > hi {
+        return Err(CliError::Usage(format!(
+            "--min-edges ({lo}) exceeds --max-edges ({hi})"
+        )));
+    }
+    let seed: u64 = flags.num("seed", 7)?;
     let mut interner = LabelInterner::new();
     let db = load_db(flags.require("db")?, &mut interner)?;
     // Same interner: label names shared between the two files.
     let patterns = load_db(flags.require("patterns")?, &mut interner)?;
-    let n: usize = flags.num("queries", 200)?;
-    let lo: usize = flags.num("min-edges", 4)?;
-    let hi: usize = flags.num("max-edges", 25)?;
-    let seed: u64 = flags.num("seed", 7)?;
     let queries = random_queries(&db, n, (lo, hi), seed);
     let ev = WorkloadEvaluation::evaluate_recorded(&patterns, &queries, &obs.recorder);
     let mut eval_v = Value::object();
@@ -633,7 +626,7 @@ mod tests {
         );
         assert_eq!(
             lines[3],
-            "           [--search-budget NODES] [--deadline-ms MS] [--threads N] [--out FILE]"
+            "           [--search-budget NODES] [--threads N] [--out FILE]"
         );
         assert_eq!(
             lines[10],
@@ -737,6 +730,22 @@ mod tests {
             run(&args(&["stats", "--db", "/nonexistent/file"])),
             Err(CliError::Io(_))
         ));
+        // An inverted query size range is refused before any file is read.
+        let r = run(&args(&[
+            "evaluate",
+            "--db",
+            "/nonexistent/file",
+            "--patterns",
+            "/nonexistent/file",
+            "--min-edges",
+            "9",
+            "--max-edges",
+            "2",
+        ]));
+        assert!(
+            matches!(&r, Err(CliError::Usage(m)) if m.contains("--min-edges")),
+            "{r:?}"
+        );
     }
 
     #[test]
@@ -771,7 +780,7 @@ mod tests {
         .unwrap();
         assert!(out.contains("% search: all"), "missing summary: {out}");
         assert!(out.contains("exact"), "missing exactness: {out}");
-        // A zero-millisecond deadline degrades but still produces output.
+        // A zero node cap degrades but still produces output.
         let out = run(&args(&[
             "select",
             "--db",
@@ -784,37 +793,12 @@ mod tests {
             "5",
             "--walks",
             "10",
-            "--deadline-ms",
-            "0",
             "--search-budget",
-            "50000",
+            "0",
         ]))
         .unwrap();
         assert!(out.contains("% search:"), "missing summary: {out}");
-        assert!(out.contains("degraded"), "deadline 0 must degrade: {out}");
-    }
-
-    #[test]
-    fn select_rejects_bad_deadline() {
-        let db_path = tmp("db_bad_deadline.txt");
-        run(&args(&[
-            "generate",
-            "--profile",
-            "emol",
-            "--count",
-            "5",
-            "--out",
-            &db_path,
-        ]))
-        .unwrap();
-        let r = run(&args(&[
-            "select",
-            "--db",
-            &db_path,
-            "--deadline-ms",
-            "soon",
-        ]));
-        assert!(matches!(r, Err(CliError::Usage(_))));
+        assert!(out.contains("degraded"), "a zero cap must degrade: {out}");
     }
 
     #[test]
@@ -872,8 +856,6 @@ mod tests {
             "5",
             "--walks",
             "10",
-            "--deadline-ms",
-            "5000",
             "--metrics-out",
             &m_path,
         ]))
@@ -899,7 +881,6 @@ mod tests {
         assert_eq!(parsed.get("dropped_events"), Some(&Value::UInt(0)));
         // The budget section records the parsed flag values.
         let budget = parsed.get("budget").expect("budget section");
-        assert_eq!(budget.get("deadline_ms"), Some(&Value::UInt(5000)));
         assert_eq!(budget.get("search_nodes"), Some(&Value::Null));
     }
 

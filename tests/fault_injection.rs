@@ -2,7 +2,7 @@
 //!
 //! With the `fault-injection` feature, [`catapult::graph::budget::fault`]
 //! deterministically cripples the K-th budgeted kernel invocation
-//! (forcing budget exhaustion or an expired deadline, or panicking).
+//! (forcing budget exhaustion, or panicking).
 //! These tests sweep K and the fault kind across an end-to-end
 //! `run_catapult` and prove the robustness contract: the pipeline always
 //! returns a valid, budget-conforming pattern set, and whenever a fault
@@ -130,36 +130,35 @@ fn every_injection_point_degrades_gracefully_and_loudly() {
     assert_valid_pattern_set(&clean, "baseline");
 
     for k in injection_points(total) {
-        for kind in [FaultKind::Exhaust, FaultKind::Deadline] {
-            let (r, fired) = run_with_fault(&db, kind, k);
-            let ctx = format!("K={k} kind={kind:?}");
-            assert_valid_pattern_set(&r, &ctx);
-            if fired {
-                // The whole point: degradation must be visible, with the
-                // stage and the reason on the report.
+        let kind = FaultKind::Exhaust;
+        let (r, fired) = run_with_fault(&db, kind, k);
+        let ctx = format!("K={k} kind={kind:?}");
+        assert_valid_pattern_set(&r, &ctx);
+        if fired {
+            // The whole point: degradation must be visible, with the
+            // stage and the reason on the report.
+            assert!(
+                !r.report().all_exact(),
+                "{ctx}: fault fired but report claims exact"
+            );
+            let stages = r.report().degraded_stages();
+            assert!(!stages.is_empty(), "{ctx}: no degraded stage named");
+            for s in &stages {
                 assert!(
-                    !r.report().all_exact(),
-                    "{ctx}: fault fired but report claims exact"
-                );
-                let stages = r.report().degraded_stages();
-                assert!(!stages.is_empty(), "{ctx}: no degraded stage named");
-                for s in &stages {
-                    assert!(
-                        ["mining", "clustering", "scoring"].contains(s),
-                        "{ctx}: unknown stage {s}"
-                    );
-                }
-                assert_eq!(
-                    r.report().worst(),
-                    kind.completeness(),
-                    "{ctx}: report must carry the injected fault's tag"
-                );
-            } else {
-                assert!(
-                    r.report().all_exact(),
-                    "{ctx}: no fault fired, run must be exact"
+                    ["mining", "clustering", "scoring"].contains(s),
+                    "{ctx}: unknown stage {s}"
                 );
             }
+            assert_eq!(
+                r.report().worst(),
+                kind.completeness(),
+                "{ctx}: report must carry the injected fault's tag"
+            );
+        } else {
+            assert!(
+                r.report().all_exact(),
+                "{ctx}: no fault fired, run must be exact"
+            );
         }
     }
 }
@@ -182,21 +181,20 @@ fn first_invocation_fault_lands_in_mining() {
 fn sticky_fault_from_start_still_yields_conforming_output() {
     let _guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let db = small_db();
-    for kind in [FaultKind::Exhaust, FaultKind::Deadline] {
-        fault::install(FaultPlan {
-            kind,
-            at: 1,
-            sticky: true,
-        });
-        let r = run_catapult(&db, &config());
-        fault::clear();
-        // With every kernel crippled the selection may be small or empty,
-        // but it must never violate the budget contract or hide the
-        // degradation.
-        assert_valid_pattern_set(&r, &format!("sticky {kind:?}"));
-        assert!(!r.report().all_exact(), "sticky {kind:?} must degrade");
-        assert_eq!(r.report().worst(), kind.completeness());
-    }
+    let kind = FaultKind::Exhaust;
+    fault::install(FaultPlan {
+        kind,
+        at: 1,
+        sticky: true,
+    });
+    let r = run_catapult(&db, &config());
+    fault::clear();
+    // With every kernel crippled the selection may be small or empty,
+    // but it must never violate the budget contract or hide the
+    // degradation.
+    assert_valid_pattern_set(&r, &format!("sticky {kind:?}"));
+    assert!(!r.report().all_exact(), "sticky {kind:?} must degrade");
+    assert_eq!(r.report().worst(), kind.completeness());
 }
 
 /// A config whose kernel invocations all belong to the fine-clustering

@@ -284,41 +284,40 @@ mod fault_sweep_under_threads {
                 ks.push(total);
             }
             for k in ks {
-                for kind in [FaultKind::Exhaust, FaultKind::Deadline] {
-                    fault::install(FaultPlan {
-                        kind,
-                        at: k,
-                        sticky: false,
-                    });
-                    let r = run_catapult(&db, &config());
-                    let fired = fault::invocations() >= k;
-                    fault::clear();
-                    let ctx = format!("8t K={k} kind={kind:?}");
-                    assert_valid_pattern_set(&r, &ctx);
-                    if fired {
+                let kind = FaultKind::Exhaust;
+                fault::install(FaultPlan {
+                    kind,
+                    at: k,
+                    sticky: false,
+                });
+                let r = run_catapult(&db, &config());
+                let fired = fault::invocations() >= k;
+                fault::clear();
+                let ctx = format!("8t K={k} kind={kind:?}");
+                assert_valid_pattern_set(&r, &ctx);
+                if fired {
+                    assert!(
+                        !r.report().all_exact(),
+                        "{ctx}: fault fired but report claims exact"
+                    );
+                    let stages = r.report().degraded_stages();
+                    assert!(!stages.is_empty(), "{ctx}: no degraded stage named");
+                    for s in &stages {
                         assert!(
-                            !r.report().all_exact(),
-                            "{ctx}: fault fired but report claims exact"
-                        );
-                        let stages = r.report().degraded_stages();
-                        assert!(!stages.is_empty(), "{ctx}: no degraded stage named");
-                        for s in &stages {
-                            assert!(
-                                ["mining", "clustering", "scoring"].contains(s),
-                                "{ctx}: unknown stage {s}"
-                            );
-                        }
-                        assert_eq!(
-                            r.report().worst(),
-                            kind.completeness(),
-                            "{ctx}: report must carry the injected fault's tag"
-                        );
-                    } else {
-                        assert!(
-                            r.report().all_exact(),
-                            "{ctx}: no fault fired, run must be exact"
+                            ["mining", "clustering", "scoring"].contains(s),
+                            "{ctx}: unknown stage {s}"
                         );
                     }
+                    assert_eq!(
+                        r.report().worst(),
+                        kind.completeness(),
+                        "{ctx}: report must carry the injected fault's tag"
+                    );
+                } else {
+                    assert!(
+                        r.report().all_exact(),
+                        "{ctx}: no fault fired, run must be exact"
+                    );
                 }
             }
         });
@@ -344,46 +343,45 @@ mod fault_sweep_under_threads {
             assert!(total > 0);
 
             for k in [1, total / 2 + 1, total] {
-                for kind in [FaultKind::Exhaust, FaultKind::Deadline] {
-                    let run_with = |recorder: catapult_obs::Recorder| {
-                        fault::install(FaultPlan {
-                            kind,
-                            at: k,
-                            sticky: false,
-                        });
-                        let r = run_catapult(
-                            &db,
-                            &CatapultConfig {
-                                recorder,
-                                ..config()
-                            },
-                        );
-                        fault::clear();
-                        (
-                            format!("{:?}", r.patterns()),
-                            r.report().degraded_stages(),
-                            r.report().worst(),
-                        )
-                    };
-                    let off = run_with(catapult_obs::Recorder::disabled());
-                    // The "on" side runs the full telemetry stack:
-                    // recorder (spans, counters, events) + progress
-                    // heartbeat ticking into it.
-                    let on = {
-                        let rec = catapult_obs::Recorder::enabled();
-                        let meter = catapult_obs::progress::ProgressMeter::start(
-                            &rec,
-                            std::time::Duration::from_millis(1),
-                        );
-                        let out = run_with(rec);
-                        drop(meter);
-                        out
-                    };
-                    assert_eq!(
-                        on, off,
-                        "K={k} kind={kind:?}: telemetry changed the degraded outcome"
+                let kind = FaultKind::Exhaust;
+                let run_with = |recorder: catapult_obs::Recorder| {
+                    fault::install(FaultPlan {
+                        kind,
+                        at: k,
+                        sticky: false,
+                    });
+                    let r = run_catapult(
+                        &db,
+                        &CatapultConfig {
+                            recorder,
+                            ..config()
+                        },
                     );
-                }
+                    fault::clear();
+                    (
+                        format!("{:?}", r.patterns()),
+                        r.report().degraded_stages(),
+                        r.report().worst(),
+                    )
+                };
+                let off = run_with(catapult_obs::Recorder::disabled());
+                // The "on" side runs the full telemetry stack:
+                // recorder (spans, counters, events) + progress
+                // heartbeat ticking into it.
+                let on = {
+                    let rec = catapult_obs::Recorder::enabled();
+                    let meter = catapult_obs::progress::ProgressMeter::start(
+                        &rec,
+                        std::time::Duration::from_millis(1),
+                    );
+                    let out = run_with(rec);
+                    drop(meter);
+                    out
+                };
+                assert_eq!(
+                    on, off,
+                    "K={k} kind={kind:?}: telemetry changed the degraded outcome"
+                );
             }
         });
     }

@@ -1,21 +1,21 @@
 //! Stress test: wide fan-out, mixed budgets, no torn results.
 //!
-//! A 64-way `par_iter` drives budgeted VF2 kernels. Some items carry an
-//! already-expired [`Deadline`], the rest no bound at all, and the two
-//! kinds interleave across every worker's chunk. The contract under
+//! A 64-way `par_iter` drives budgeted VF2 kernels. Some items carry a
+//! zero node cap, the rest no bound at all, and the two kinds interleave
+//! across every worker's chunk. The contract under
 //! fire:
 //!
 //! * all 64 results come back, in input order;
 //! * every result is a whole `(bool, Completeness)` pair carrying the tag
-//!   its own budget implies — `DeadlineExceeded` for an expired deadline,
-//!   `Exact` otherwise — so no item's stop leaks into another's result;
+//!   its own budget implies — `BudgetExhausted` for a zero cap, `Exact`
+//!   otherwise — so no item's stop leaks into another's result;
 //! * the executor survives: follow-up fan-outs on the same pool work,
 //!   and no scoped worker threads outlive their `par_iter` call.
 
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use catapult::graph::iso::contains_tagged;
-use catapult::graph::{Completeness, Deadline, Graph, Label, SearchBudget, VertexId};
+use catapult::graph::{Completeness, Graph, Label, SearchBudget, VertexId};
 use rayon::prelude::*;
 use std::sync::Mutex;
 
@@ -56,25 +56,25 @@ fn live_threads() -> Option<usize> {
     std::fs::read_dir("/proc/self/task").ok().map(|d| d.count())
 }
 
-/// Whether item `i` of fan-out `round` runs under an expired deadline.
-fn expired(i: usize, round: usize) -> bool {
+/// Whether item `i` of fan-out `round` runs under a zero node cap.
+fn capped(i: usize, round: usize) -> bool {
     (i + round).is_multiple_of(3)
 }
 
-/// One fan-out of 64 kernels probing a 14-ring, under an already-expired
-/// deadline where [`expired`] says so and unbounded elsewhere. Even items
+/// One fan-out of 64 kernels probing a 14-ring, under a zero node cap
+/// where [`capped`] says so and unbounded elsewhere. Even items
 /// probe a 7-path (contained), odd items a 7-ring (not contained, but
 /// past every pre-filter, so it reaches the search too); the `found` bits
 /// of the unbounded items also pin the output order.
 fn mixed_fanout(round: usize) -> Vec<(bool, Completeness)> {
     let target = ring(14, 0);
     let patterns = [path(7, 0), ring(7, 0)];
-    let past = SearchBudget::unbounded().with_deadline(Deadline::at(catapult_obs::now()));
+    let zero = SearchBudget::nodes(0);
     let open = SearchBudget::unbounded();
     (0..64usize)
         .into_par_iter()
         .map(|i| {
-            let budget = if expired(i, round) { &past } else { &open };
+            let budget = if capped(i, round) { &zero } else { &open };
             contains_tagged(&target, &patterns[i % 2], budget)
         })
         .collect()
@@ -84,13 +84,13 @@ fn mixed_fanout(round: usize) -> Vec<(bool, Completeness)> {
 fn assert_whole_and_in_order(results: &[(bool, Completeness)], round: usize, ctx: &str) {
     assert_eq!(results.len(), 64, "{ctx}: lost results");
     for (i, &(found, c)) in results.iter().enumerate() {
-        if expired(i, round) {
-            // The deadline is polled on the first expansion, before any
-            // match can complete.
+        if capped(i, round) {
+            // A zero cap trips on the first expansion, before any match
+            // can complete.
             assert_eq!(
                 (found, c),
-                (false, Completeness::DeadlineExceeded),
-                "{ctx} item {i}: expired deadline"
+                (false, Completeness::BudgetExhausted),
+                "{ctx} item {i}: zero cap"
             );
         } else {
             assert_eq!(
@@ -103,7 +103,7 @@ fn assert_whole_and_in_order(results: &[(bool, Completeness)], round: usize, ctx
 }
 
 #[test]
-fn mixed_deadline_fanout_keeps_results_whole_and_in_order() {
+fn mixed_budget_fanout_keeps_results_whole_and_in_order() {
     let _guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     for threads in [8usize, 64] {
         with_threads(threads, || {
@@ -114,12 +114,12 @@ fn mixed_deadline_fanout_keeps_results_whole_and_in_order() {
 }
 
 #[test]
-fn executor_survives_repeated_mixed_deadline_fanouts() {
+fn executor_survives_repeated_mixed_budget_fanouts() {
     let _guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     with_threads(8, || {
         let before = live_threads();
         // Hammer the pool: each round shifts which items carry the
-        // expired deadline, so the Exact/DeadlineExceeded pattern lands
+        // zero cap, so the Exact/BudgetExhausted pattern lands
         // differently in every worker's chunk.
         for round in 0..12usize {
             let results = mixed_fanout(round);
@@ -139,7 +139,7 @@ fn executor_survives_repeated_mixed_deadline_fanouts() {
             clean
                 .iter()
                 .all(|&(found, c)| found && c == Completeness::Exact),
-            "pool unhealthy after mixed-deadline fan-outs"
+            "pool unhealthy after mixed-budget fan-outs"
         );
         // Scoped workers must all have joined: thread count is back to
         // (at most) where it started. Skipped where /proc is missing.

@@ -16,10 +16,6 @@
 //! walks and the dense FCP frequency table must produce the libraries,
 //! FCPs and RNG stream of the full-scan walker and `HashMap` table they
 //! replaced.
-//!
-//! The equivalence is pinned to node caps, never deadlines: a
-//! deadline-degraded kernel result depends on timing, so no two runs are
-//! comparable.
 
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
