@@ -14,20 +14,20 @@ use catapult_bench::{run_experiment, Scale, ALL_ABLATIONS, ALL_EXPERIMENTS};
 use catapult_obs::{manifest, Recorder, RunManifest, Stopwatch};
 use std::path::Path;
 
-/// Experiment ids as `&'static str` span names (spans borrow their name).
-fn span_name(id: &str) -> &'static str {
+/// A known experiment id as a `&'static str` (spans borrow their name),
+/// or `None` for an unknown one.
+fn known_id(id: &str) -> Option<&'static str> {
     ALL_EXPERIMENTS
         .iter()
         .chain(ALL_ABLATIONS.iter())
         .find(|s| **s == id)
         .copied()
-        .unwrap_or("experiment")
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut scale = Scale::Quick;
-    let mut ids: Vec<String> = Vec::new();
+    let mut ids: Vec<&'static str> = Vec::new();
     let mut metrics_out: Option<String> = None;
     let mut force = false;
     let mut it = args.iter().peekable();
@@ -51,9 +51,17 @@ fn main() {
                 }
             },
             "--force" => force = true,
-            "all" => ids.extend(ALL_EXPERIMENTS.iter().map(|s| s.to_string())),
-            "ablations" => ids.extend(ALL_ABLATIONS.iter().map(|s| s.to_string())),
-            other => ids.push(other.to_string()),
+            "all" => ids.extend(ALL_EXPERIMENTS),
+            "ablations" => ids.extend(ALL_ABLATIONS),
+            // Every id is checked before any experiment runs, so a typo
+            // late in the list does not cost the runs before it.
+            other => match known_id(other) {
+                Some(id) => ids.push(id),
+                None => {
+                    eprintln!("unknown experiment '{other}'");
+                    std::process::exit(2);
+                }
+            },
         }
     }
     if ids.is_empty() {
@@ -77,14 +85,14 @@ fn main() {
     let mut results = catapult_obs::json::Value::array();
     for id in ids {
         let start = Stopwatch::start();
-        let _span = recorder.span(span_name(&id));
-        match run_experiment(&id, scale) {
+        let _span = recorder.span(id);
+        match run_experiment(id, scale) {
             Some(report) => {
                 println!("{report}");
                 let secs = start.elapsed().as_secs_f64();
                 println!("[{id} completed in {secs:.1}s]\n");
                 let mut e = catapult_obs::json::Value::object();
-                e.set("id", id.as_str());
+                e.set("id", id);
                 e.set("secs", secs);
                 results.push(e);
             }

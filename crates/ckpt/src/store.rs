@@ -57,7 +57,9 @@ use std::time::Duration;
 /// five).
 /// v4: every kernel tally is three `u64`s (`exact`, `budget_exhausted`,
 /// `failed`), not four.
-pub const SCHEMA_VERSION: u32 = 4;
+/// v5: every kernel tally is two `u64`s (`exact`, `budget_exhausted`),
+/// not three.
+pub const SCHEMA_VERSION: u32 = 5;
 
 /// Total tries for a checkpoint write before its I/O error surfaces.
 /// Checkpoints are an availability feature, but a write that keeps
@@ -706,9 +708,9 @@ mod tests {
     #[test]
     fn schema_mismatch_is_a_hard_error() {
         let _guard = serial_writes();
-        // 2 and 3 are the layouts with five- and four-slot tallies; 99
-        // stands for a future one.
-        for version in [2u32, 3, 99] {
+        // 2, 3 and 4 are the layouts with five-, four- and three-slot
+        // tallies; 99 stands for a future one.
+        for version in [2u32, 3, 4, 99] {
             let dir = tmp_dir("schema");
             let store = open(&dir, false);
             store.save("selection", 0, b"abc").unwrap();

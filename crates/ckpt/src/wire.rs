@@ -158,11 +158,10 @@ impl Enc {
         }
     }
 
-    /// A [`TallyCounts`] snapshot (all three counters).
+    /// A [`TallyCounts`] snapshot (both counters).
     pub fn tally(&mut self, t: &TallyCounts) {
         self.u64(t.exact);
         self.u64(t.budget_exhausted);
-        self.u64(t.failed);
     }
 
     /// Nested clusters (`Vec<Vec<u32>>`).
@@ -328,7 +327,6 @@ impl<'a> Dec<'a> {
         Ok(TallyCounts {
             exact: self.u64()?,
             budget_exhausted: self.u64()?,
-            failed: self.u64()?,
         })
     }
 
@@ -389,7 +387,6 @@ mod tests {
         let t = TallyCounts {
             exact: 10,
             budget_exhausted: 2,
-            failed: 3,
         };
         let mut e = Enc::new();
         e.graph(&g);

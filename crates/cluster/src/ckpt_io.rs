@@ -56,13 +56,13 @@ pub(crate) struct FineState {
 /// the value was first computed (replayed into the tally on every hit).
 pub(crate) type CacheEntry = (u32, u32, f64, Completeness);
 
-// Codes 2 and 3 were the retired `DeadlineExceeded` and `Cancelled`
-// tags; they stay unassigned so the remaining codes keep their meaning.
+// Codes 2, 3 and 4 were the retired `DeadlineExceeded`, `Cancelled` and
+// `Degraded` tags; they stay unassigned so the remaining codes keep their
+// meaning.
 fn completeness_code(c: Completeness) -> u32 {
     match c {
         Completeness::Exact => 0,
         Completeness::BudgetExhausted => 1,
-        Completeness::Degraded => 4,
     }
 }
 
@@ -70,7 +70,6 @@ fn completeness_from_code(v: u32) -> Result<Completeness, WireError> {
     Ok(match v {
         0 => Completeness::Exact,
         1 => Completeness::BudgetExhausted,
-        4 => Completeness::Degraded,
         _ => return Err(WireError::Malformed("unknown completeness tag")),
     })
 }
@@ -293,7 +292,6 @@ mod tests {
         t.record(Completeness::Exact);
         t.record(Completeness::Exact);
         t.record(Completeness::BudgetExhausted);
-        t.record(Completeness::Degraded);
         t.counts()
     }
 
@@ -374,7 +372,7 @@ mod tests {
             rng: [0; 4],
             tally: TallyCounts::default(),
             current: None,
-            cache: vec![(0, 1, 0.75, Completeness::Degraded)],
+            cache: vec![(0, 1, 0.75, Completeness::BudgetExhausted)],
         };
         let bytes = encode_fine_state(&s);
         assert!(decode_fine_state(&bytes[..bytes.len() - 1]).is_err());
@@ -385,12 +383,8 @@ mod tests {
 
     #[test]
     fn every_completeness_tag_roundtrips_and_retired_codes_are_rejected() {
-        let tags = [
-            Completeness::Exact,
-            Completeness::BudgetExhausted,
-            Completeness::Degraded,
-        ];
-        assert_eq!(tags.map(completeness_code), [0, 1, 4]);
+        let tags = [Completeness::Exact, Completeness::BudgetExhausted];
+        assert_eq!(tags.map(completeness_code), [0, 1]);
         let s = FineState {
             done: vec![],
             work: vec![],
@@ -400,7 +394,7 @@ mod tests {
             cache: (0..).zip(tags).map(|(b, tag)| (0, b, 0.5, tag)).collect(),
         };
         assert_eq!(decode_fine_state(&encode_fine_state(&s)).unwrap(), s);
-        for retired in [2, 3] {
+        for retired in [2, 3, 4] {
             assert!(matches!(
                 completeness_from_code(retired),
                 Err(WireError::Malformed(_))

@@ -49,11 +49,6 @@ pub struct FineConfig {
     /// Execution budget for each MCS/MCCS computation (node cap defaulting
     /// to 100k expansions per search).
     pub budget: SearchBudget,
-    /// Supervised execution: isolate a panicking similarity worker to its
-    /// item instead of aborting the fan-out. The isolated item is tagged
-    /// [`Completeness::Degraded`] and its split decision falls back to the
-    /// panic-free label-vector similarity. Off (fail-fast) by default.
-    pub keep_going: bool,
 }
 
 impl Default for FineConfig {
@@ -62,7 +57,6 @@ impl Default for FineConfig {
             max_cluster_size: 20,
             similarity: SimilarityKind::Mccs,
             budget: SearchBudget::nodes(DEFAULT_MCS_CAP),
-            keep_going: false,
         }
     }
 }
@@ -255,10 +249,7 @@ fn similarity(
 /// Parallel audit: no RNG is captured (seeds were drawn before the
 /// fan-out), the closure reads only shared state plus the commutative
 /// `Tally`, and ordered collection keeps result `[i]` aligned with
-/// `targets[i]` — identical across thread counts. With `keep_going`,
-/// each item runs isolated: a panicking worker loses only its own
-/// entry, which is tagged [`Completeness::Degraded`] and falls back to
-/// the panic-free label-vector similarity.
+/// `targets[i]` — identical across thread counts.
 fn omega_chunk(
     db: &[Graph],
     targets: &[u32],
@@ -274,23 +265,7 @@ fn omega_chunk(
             similarity(g, seed, db, cache, cfg, tally)
         }
     };
-    if !cfg.keep_going {
-        return targets.par_iter().map(compute).collect();
-    }
-    targets
-        .par_iter()
-        .map(compute)
-        .collect_isolated()
-        .into_iter()
-        .zip(targets)
-        .map(|(r, &g)| match r {
-            Ok(v) => v,
-            Err(_panic) => {
-                tally.record(Completeness::Degraded);
-                label_vector_similarity(&db[g as usize], &db[seed as usize])
-            }
-        })
-        .collect()
+    targets.par_iter().map(compute).collect()
 }
 
 /// Split one oversized cluster into two by seed dissimilarity

@@ -70,11 +70,6 @@ pub struct ClusteringConfig {
     pub search: SearchBudget,
     /// Enable §4.3 sampling (eager + lazy).
     pub sampling: Option<SamplingConfig>,
-    /// Supervised execution for the fine stage's parallel similarity
-    /// rows: a panicking worker loses only its own item (tagged
-    /// `Degraded`, label-vector fallback) instead of aborting the run.
-    /// Off (fail-fast) by default.
-    pub keep_going: bool,
     /// Observability recorder (disabled by default). When enabled, the
     /// phase emits `clustering` spans (with `mining` / `coarse` /
     /// `lazy_sample` / `fine` children) and attributes kernel effort to
@@ -100,7 +95,6 @@ impl Default for ClusteringConfig {
             max_features: 64,
             search: SearchBudget::nodes(crate::fine::DEFAULT_MCS_CAP),
             sampling: None,
-            keep_going: false,
             recorder: Recorder::disabled(),
         }
     }
@@ -321,7 +315,6 @@ fn cluster_inner(
         max_cluster_size: cfg.max_cluster_size,
         similarity: kind,
         budget: fine_search.clone(),
-        keep_going: cfg.keep_going,
     };
     let coarse_cfg = CoarseConfig {
         max_cluster_size: cfg.max_cluster_size,

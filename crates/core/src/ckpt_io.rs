@@ -24,9 +24,9 @@ use catapult_graph::{Graph, VertexId};
 /// is rejected loudly instead of silently resumed.
 ///
 /// Execution-mode knobs that cannot change a run's output — thread
-/// count, `keep_going`, the recorder — are
-/// deliberately excluded, so a crashed 8-thread run can resume on 1
-/// thread (or vice versa) and still reproduce the original bytes.
+/// count and the recorder — are deliberately excluded, so a crashed
+/// 8-thread run can resume on 1 thread (or vice versa) and still
+/// reproduce the original bytes.
 #[must_use]
 pub fn fingerprint(db: &[Graph], cfg: &CatapultConfig) -> Fingerprint {
     Fingerprint {
@@ -282,7 +282,6 @@ mod tests {
         let t = Tally::new();
         t.record(Completeness::Exact);
         t.record(Completeness::BudgetExhausted);
-        t.record(Completeness::Degraded);
         t.counts()
     }
 
@@ -336,9 +335,11 @@ mod tests {
         let base = CatapultConfig::default();
         let fp = fingerprint(&db, &base);
         // Execution-mode knobs leave the fingerprint alone…
-        let mut keep = base.clone();
-        keep.clustering.keep_going = true;
-        assert_eq!(fingerprint(&db, &keep), fp);
+        let observed = CatapultConfig {
+            recorder: catapult_obs::Recorder::enabled(),
+            ..base.clone()
+        };
+        assert_eq!(fingerprint(&db, &observed), fp);
         // …output-affecting knobs do not.
         let reseeded = CatapultConfig {
             seed: base.seed + 1,

@@ -240,17 +240,12 @@ mod tests {
 
     #[test]
     fn worst_ranks_across_stages() {
-        let failed = {
-            let t = Tally::new();
-            t.record(Completeness::Degraded);
-            t.counts()
-        };
         let r = PipelineReport {
-            mining: counts(1, 1),
-            clustering: failed,
+            mining: counts(3, 0),
+            clustering: counts(1, 2),
             scoring: counts(0, 0),
         };
-        assert_eq!(r.worst(), Completeness::Degraded);
-        assert_eq!(r.degraded_stages(), vec!["mining", "clustering"]);
+        assert_eq!(r.worst(), Completeness::BudgetExhausted);
+        assert_eq!(r.degraded_stages(), vec!["clustering"]);
     }
 }

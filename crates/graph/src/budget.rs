@@ -15,16 +15,17 @@
 //!   machine and thread count, so a bounded run's output never depends on
 //!   timing.
 //! * [`Completeness`] — why a search stopped: [`Completeness::Exact`] (the
-//!   search space was exhausted / the caller got everything it asked for),
-//!   or one of the degraded outcomes. Kernels *always* return best-so-far
-//!   results tagged with this value; nothing is silently truncated.
+//!   search space was exhausted / the caller got everything it asked for)
+//!   or [`Completeness::BudgetExhausted`]. Kernels *always* return
+//!   best-so-far results tagged with this value; nothing is silently
+//!   truncated.
 //! * [`BudgetMeter`] — the per-search instrument: `tick()` once per
 //!   expansion, stop when it returns `true`, report `status()` to callers.
 //! * [`Tally`] / [`TallyCounts`] — thread-safe accumulation of completeness
 //!   tags across many kernel calls, feeding the pipeline-level report.
 //! * [`fault`] (behind the `fault-injection` feature) — a deterministic
-//!   harness that forces exhaustion or a worker panic at the K-th
-//!   kernel invocation, so graceful degradation is testable.
+//!   harness that forces exhaustion at the K-th kernel invocation, so
+//!   graceful degradation is testable.
 //!
 //! The budget is also the carrier for kernel **observability**: a
 //! [`StageProbe`] (from `catapult-obs`) stamped onto a [`SearchBudget`]
@@ -39,7 +40,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// Why a budgeted search stopped.
 ///
 /// Ordered by severity: [`Completeness::Exact`] is best; the degraded
-/// variants compare greater, so "worst over many calls" is simply `max`.
+/// variant compares greater, so "worst over many calls" is simply `max`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub enum Completeness {
     /// The search space was exhausted, or the caller stopped the search on
@@ -51,12 +52,6 @@ pub enum Completeness {
     /// (a lower bound for maximization problems such as MCS, an upper
     /// bound for minimization problems such as GED).
     BudgetExhausted,
-    /// The work item never produced a result at all: its worker panicked
-    /// and the supervised executor (`--keep-going`) isolated the panic,
-    /// substituting a panic-free fallback value. The most severe tag —
-    /// unlike the budget variants there is no best-so-far result behind
-    /// it.
-    Degraded,
 }
 
 impl Completeness {
@@ -75,7 +70,6 @@ impl Completeness {
         match self {
             Completeness::Exact => "exact",
             Completeness::BudgetExhausted => "budget-exhausted",
-            Completeness::Degraded => "degraded",
         }
     }
 }
@@ -272,7 +266,6 @@ impl Drop for BudgetMeter {
 pub struct Tally {
     exact: AtomicU64,
     budget_exhausted: AtomicU64,
-    failed: AtomicU64,
 }
 
 impl Tally {
@@ -286,7 +279,6 @@ impl Tally {
         let counter = match c {
             Completeness::Exact => &self.exact,
             Completeness::BudgetExhausted => &self.budget_exhausted,
-            Completeness::Degraded => &self.failed,
         };
         counter.fetch_add(1, Ordering::Relaxed);
     }
@@ -296,7 +288,6 @@ impl Tally {
         TallyCounts {
             exact: self.exact.load(Ordering::Relaxed),
             budget_exhausted: self.budget_exhausted.load(Ordering::Relaxed),
-            failed: self.failed.load(Ordering::Relaxed),
         }
     }
 }
@@ -308,10 +299,6 @@ pub struct TallyCounts {
     pub exact: u64,
     /// Calls stopped by the node-expansion cap.
     pub budget_exhausted: u64,
-    /// Calls whose worker panicked and was isolated by the supervised
-    /// executor (tagged [`Completeness::Degraded`]); their results are
-    /// panic-free fallback values, not truncated searches.
-    pub failed: u64,
 }
 
 impl TallyCounts {
@@ -322,7 +309,7 @@ impl TallyCounts {
 
     /// Calls that returned a degraded (non-exact) result.
     pub fn degraded(&self) -> u64 {
-        self.budget_exhausted + self.failed
+        self.budget_exhausted
     }
 
     /// Whether every recorded call was exact.
@@ -332,9 +319,7 @@ impl TallyCounts {
 
     /// The worst outcome observed (Exact for an empty tally).
     pub fn worst(&self) -> Completeness {
-        if self.failed > 0 {
-            Completeness::Degraded
-        } else if self.budget_exhausted > 0 {
+        if self.budget_exhausted > 0 {
             Completeness::BudgetExhausted
         } else {
             Completeness::Exact
@@ -350,7 +335,6 @@ impl TallyCounts {
         TallyCounts {
             exact: self.exact + other.exact,
             budget_exhausted: self.budget_exhausted + other.budget_exhausted,
-            failed: self.failed + other.failed,
         }
     }
 
@@ -359,7 +343,6 @@ impl TallyCounts {
         match c {
             Completeness::Exact => self.exact += 1,
             Completeness::BudgetExhausted => self.budget_exhausted += 1,
-            Completeness::Degraded => self.failed += 1,
         }
     }
 }
@@ -367,48 +350,24 @@ impl TallyCounts {
 /// Deterministic fault injection for kernel invocations.
 ///
 /// Every [`BudgetMeter::new`] counts as one kernel invocation; an installed
-/// [`FaultPlan`] rewrites the K-th (or every ≥ K-th, when sticky) meter so
-/// the search trips immediately with the planned [`Completeness`]. This
-/// turns "what does the pipeline do when GED call #7 hits its cap?" into a
-/// reproducible unit test.
+/// [`fault::FaultPlan`] sets the node cap of the K-th (or every ≥ K-th, when
+/// sticky) meter to zero, so the search trips on its first expansion with
+/// [`Completeness::BudgetExhausted`]. This turns "what does the pipeline
+/// do when GED call #7 hits its cap?" into a reproducible unit test.
 ///
 /// The plan and the invocation counter are process-global: tests that
 /// install plans must serialize (e.g. behind a shared mutex) and
 /// [`fault::clear`] when done.
 #[cfg(feature = "fault-injection")]
 pub mod fault {
-    use super::{BudgetMeter, Completeness};
+    use super::BudgetMeter;
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Mutex;
 
-    /// Which degraded outcome to force.
-    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-    pub enum FaultKind {
-        /// Force [`Completeness::BudgetExhausted`] (node cap set to zero).
-        Exhaust,
-        /// Panic inside the K-th kernel invocation — the executor-layer
-        /// fault. Without supervised execution the fan-out aborts (the
-        /// fail-fast default); under `--keep-going` the item is isolated
-        /// and tagged [`Completeness::Degraded`].
-        Panic,
-    }
-
-    impl FaultKind {
-        /// The completeness tag this fault produces.
-        pub fn completeness(self) -> Completeness {
-            match self {
-                FaultKind::Exhaust => Completeness::BudgetExhausted,
-                FaultKind::Panic => Completeness::Degraded,
-            }
-        }
-    }
-
-    /// A deterministic fault: trip the `at`-th kernel invocation
+    /// A deterministic fault: exhaust the `at`-th kernel invocation
     /// (1-based) — and, when `sticky`, every later one too.
     #[derive(Clone, Copy, Debug)]
     pub struct FaultPlan {
-        /// Outcome to force.
-        pub kind: FaultKind,
         /// 1-based kernel-invocation index to fault.
         pub at: u64,
         /// Fault every invocation from `at` onward.
@@ -452,18 +411,8 @@ pub mod fault {
         } else {
             n == plan.at
         };
-        if !hit {
-            return;
-        }
-        match plan.kind {
-            FaultKind::Exhaust => meter.node_cap = 0,
-            // The whole point of this fault is an uncontrolled worker
-            // death; test-only (feature-gated) by construction.
-            #[allow(clippy::panic)]
-            FaultKind::Panic => {
-                // xtask-allow: panic-reachability
-                panic!("injected worker panic (fault-injection plan, kernel invocation {n})")
-            }
+        if hit {
+            meter.node_cap = 0;
         }
     }
 }
@@ -512,13 +461,12 @@ mod tests {
     #[test]
     fn completeness_ordering_and_worst() {
         assert!(Completeness::Exact < Completeness::BudgetExhausted);
-        assert!(Completeness::BudgetExhausted < Completeness::Degraded);
         assert_eq!(
             Completeness::Exact.worst(Completeness::BudgetExhausted),
             Completeness::BudgetExhausted
         );
         assert!(Completeness::Exact.is_exact());
-        assert!(!Completeness::Degraded.is_exact());
+        assert!(!Completeness::BudgetExhausted.is_exact());
     }
 
     #[test]
@@ -533,10 +481,10 @@ mod tests {
         assert!(!c.all_exact());
         assert_eq!(c.worst(), Completeness::BudgetExhausted);
         let mut d = TallyCounts::default();
-        d.record(Completeness::Degraded);
+        d.record(Completeness::Exact);
         let m = c.merge(d);
         assert_eq!(m.total(), 4);
-        assert_eq!(m.worst(), Completeness::Degraded);
+        assert_eq!(m.worst(), Completeness::BudgetExhausted);
     }
 
     #[test]
@@ -562,7 +510,7 @@ mod tests {
             Completeness::Exact,
             Completeness::BudgetExhausted,
             Completeness::Exact,
-            Completeness::Degraded,
+            Completeness::BudgetExhausted,
             Completeness::BudgetExhausted,
         ];
         for &t in &tags {

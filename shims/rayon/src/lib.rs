@@ -27,11 +27,8 @@
 //!   in any order, which is why shared accumulators must be commutative.
 //! * **Panic propagation** — a panicking worker closure does not poison
 //!   anything: the panic payload is re-raised on the calling thread
-//!   after the remaining scoped threads are joined.
-//! * **Supervised mode** — [`prelude::ParIter::collect_isolated`] opts a
-//!   fan-out into per-item `catch_unwind` isolation: a panicking work
-//!   item becomes a per-item [`ItemPanic`] value and the remaining items
-//!   still run. Every other consumer keeps the fail-fast default above.
+//!   after the remaining scoped threads are joined, so every consumer
+//!   is fail-fast.
 //!
 //! The thread-safety contract this imposes on call sites: item types
 //! must be `Send`, closures `Sync` (they are shared by reference across
@@ -46,9 +43,6 @@
 // Unit tests are allowed the ergonomic panicking shortcuts the library
 // itself forbids; the policy targets production code paths only.
 #![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
-// The executor owns spawning and unwinding: worker panics are caught per
-// item and re-raised here, which the root clippy.toml forbids elsewhere.
-#![allow(clippy::disallowed_methods)]
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
@@ -227,70 +221,13 @@ where
                 // caller. `scope` has already joined (or will join) the
                 // remaining workers, so nothing leaks. The worker's own
                 // panic already ran the panic hook on the worker thread.
+                // The executor owns unwinding, so this is the sanctioned
+                // re-raise: every fan-out is fail-fast.
+                #[allow(clippy::disallowed_methods)]
                 Err(payload) => std::panic::resume_unwind(payload),
             }
         }
         out
-    })
-}
-
-/// A panic captured from one work item by the supervised executor
-/// ([`prelude::ParIter::collect_isolated`]).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ItemPanic {
-    /// Position of the item in the source collection.
-    pub index: usize,
-    /// Best-effort rendering of the panic payload (`&str` / `String`
-    /// payloads verbatim, a placeholder otherwise).
-    pub message: String,
-}
-
-impl std::fmt::Display for ItemPanic {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "work item {} panicked: {}", self.index, self.message)
-    }
-}
-
-impl std::error::Error for ItemPanic {}
-
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
-}
-
-/// As [`run_ordered`], but with **per-item panic isolation**: each item's
-/// pipeline invocation runs under `catch_unwind`, and a panic becomes a
-/// per-item [`ItemPanic`] in the output instead of aborting the whole
-/// fan-out. The remaining items still run.
-///
-/// `AssertUnwindSafe` is sound under the same contract parallel execution
-/// already imposes on call sites: shared mutable state must be
-/// synchronized and commutative (atomics), so an item abandoned mid-flight
-/// leaves no torn invariants behind — at worst its side-effect counters
-/// recorded partially, which supervised call sites must tolerate.
-fn run_isolated_ordered<I, U, F>(source: I, f: F) -> Vec<Result<U, ItemPanic>>
-where
-    I: IntoIterator,
-    I::Item: Send,
-    U: Send,
-    F: Fn(usize, I::Item) -> Option<U> + Sync,
-{
-    run_lazy(source, move |i, x| {
-        match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(i, x))) {
-            Ok(Some(out)) => Some(Ok(out)),
-            Ok(None) => None,
-            // Supervised mode never unwinds past the item: the caller
-            // gets the panic as a value and reports it.
-            Err(payload) => Some(Err(ItemPanic {
-                index: i,
-                message: panic_message(payload.as_ref()),
-            })),
-        }
     })
 }
 
@@ -317,6 +254,9 @@ where
         let ra = a();
         match hb.join() {
             Ok(rb) => (ra, rb),
+            // As in `run_ordered`: the executor re-raises `b`'s panic on
+            // the caller, unchanged.
+            #[allow(clippy::disallowed_methods)]
             Err(payload) => std::panic::resume_unwind(payload),
         }
     })
@@ -578,20 +518,6 @@ pub mod prelude {
                 .collect()
         }
 
-        /// Collect outputs in input order with **per-item panic
-        /// isolation** (the supervised executor): a panicking item
-        /// becomes `Err(ItemPanic)` in its slot instead of aborting the
-        /// fan-out, so `--keep-going` callers can substitute a fallback
-        /// and tag the degradation. Every other consumer stays fail-fast.
-        ///
-        /// Items dropped by a `filter` stage are absent from the output
-        /// (exactly as with [`ParIter::collect`]); for map-only pipelines
-        /// the output is index-aligned with the input.
-        pub fn collect_isolated(self) -> Vec<Result<P::Out, super::ItemPanic>> {
-            let ParIter { source, pipe } = self;
-            super::run_isolated_ordered(source, move |i, x| pipe.apply(i, x))
-        }
-
         /// Count surviving outputs.
         pub fn count(self) -> usize {
             if super::current_threads() <= 1 {
@@ -757,64 +683,31 @@ mod tests {
         }
     }
 
+    // Pins fail-fast: a panic in any item reaches the caller, at every
+    // pool size. Catching it here is the only way to observe that.
     #[test]
+    #[allow(clippy::disallowed_methods)]
     fn worker_panic_propagates_to_caller() {
-        let caught = std::panic::catch_unwind(|| {
-            with_threads(4, || {
-                (0..64u32)
-                    .into_par_iter()
-                    .map(|x| {
-                        assert!(x != 17, "boom at 17");
-                        x
-                    })
-                    .collect::<Vec<u32>>()
-            })
-        });
-        assert!(caught.is_err(), "worker panic must reach the caller");
-        // The executor is not poisoned: the next fan-out still works.
-        let ok: Vec<u32> = with_threads(4, || (0..8u32).into_par_iter().collect());
-        assert_eq!(ok, (0..8).collect::<Vec<u32>>());
-    }
-
-    #[test]
-    fn collect_isolated_confines_panics_to_their_item() {
         for threads in [1, 4] {
-            let out: Vec<Result<u32, super::ItemPanic>> = with_threads(threads, || {
-                (0..32u32)
-                    .into_par_iter()
-                    .map(|x| {
-                        assert!(x % 13 != 4, "boom at {x}");
-                        x * 2
-                    })
-                    .collect_isolated()
+            let caught = std::panic::catch_unwind(|| {
+                with_threads(threads, || {
+                    (0..64u32)
+                        .into_par_iter()
+                        .map(|x| {
+                            assert!(x != 17, "boom at 17");
+                            x
+                        })
+                        .collect::<Vec<u32>>()
+                })
             });
-            assert_eq!(out.len(), 32, "threads={threads}");
-            for (i, r) in out.iter().enumerate() {
-                if i % 13 == 4 {
-                    let e = r.as_ref().unwrap_err();
-                    assert_eq!(e.index, i);
-                    assert!(e.message.contains("boom"), "payload: {}", e.message);
-                } else {
-                    assert_eq!(*r, Ok(i as u32 * 2));
-                }
-            }
+            assert!(
+                caught.is_err(),
+                "threads={threads}: worker panic must reach the caller"
+            );
+            // The executor is not poisoned: the next fan-out still works.
+            let ok: Vec<u32> = with_threads(threads, || (0..8u32).into_par_iter().collect());
+            assert_eq!(ok, (0..8).collect::<Vec<u32>>());
         }
-    }
-
-    #[test]
-    fn collect_isolated_with_no_panics_matches_collect() {
-        let plain: Vec<u32> =
-            with_threads(3, || (0..50u32).into_par_iter().map(|x| x + 1).collect());
-        let isolated: Vec<u32> = with_threads(3, || {
-            (0..50u32)
-                .into_par_iter()
-                .map(|x| x + 1)
-                .collect_isolated()
-                .into_iter()
-                .map(|r| r.unwrap())
-                .collect()
-        });
-        assert_eq!(plain, isolated);
     }
 
     #[test]

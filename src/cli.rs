@@ -84,7 +84,7 @@ impl From<CkptError> for CliError {
 }
 
 /// Flags that take no value — their presence is the value.
-const BOOL_FLAGS: &[&str] = &["trace", "force", "resume", "keep-going", "progress"];
+const BOOL_FLAGS: &[&str] = &["trace", "force", "resume", "progress"];
 
 /// Flags every subcommand accepts (see "common" in [`USAGE`]).
 const COMMON_FLAGS: &[&str] = &[
@@ -121,7 +121,6 @@ const COMMANDS: &[(&str, Command, &[&str])] = &[
             "out",
             "checkpoint-dir",
             "resume",
-            "keep-going",
         ],
     ),
     (
@@ -258,7 +257,6 @@ fn report_value(report: &PipelineReport) -> Value {
         let mut tv = Value::object();
         tv.set("exact", t.exact);
         tv.set("budget_exhausted", t.budget_exhausted);
-        tv.set("failed", t.failed);
         v.set(stage, tv);
     }
     v
@@ -270,7 +268,7 @@ usage: catapult <generate|select|evaluate|stats> [--flags]
   generate --profile aids|pubchem|emol --count N [--seed S] [--out FILE]
   select   --db FILE [--gamma N] [--min-size A] [--max-size B] [--walks W] [--seed S]
            [--search-budget NODES] [--threads N] [--out FILE]
-           [--checkpoint-dir DIR] [--resume] [--keep-going]
+           [--checkpoint-dir DIR] [--resume]
   evaluate --db FILE --patterns FILE [--queries N] [--min-edges A] [--max-edges B] [--seed S]
            [--threads N]
   stats    --db FILE
@@ -295,10 +293,7 @@ select crash safety:
   --checkpoint-dir D write a checkpoint at every pipeline stage boundary
                      (and mid-fine-clustering) under D
   --resume           continue from the furthest compatible checkpoint in
-                     --checkpoint-dir instead of refusing a populated one
-  --keep-going       isolate a panicking parallel worker to its own item
-                     (reported as 'failed' in the run report) instead of
-                     aborting the run";
+                     --checkpoint-dir instead of refusing a populated one";
 
 fn load_db(path: &str, interner: &mut LabelInterner) -> Result<Vec<Graph>, CliError> {
     let text = std::fs::read_to_string(path)?;
@@ -350,7 +345,7 @@ pub fn cmd_select(flags: &Flags, obs: &mut ObsSession) -> Result<String, CliErro
         cap => Some(cap),
     };
     let search = search_nodes.map_or_else(SearchBudget::unbounded, SearchBudget::nodes);
-    let mut cfg = CatapultConfig {
+    let cfg = CatapultConfig {
         budget,
         walks: flags.num("walks", 100)?,
         seed: flags.num("seed", 0xCA7A)?,
@@ -358,7 +353,6 @@ pub fn cmd_select(flags: &Flags, obs: &mut ObsSession) -> Result<String, CliErro
         recorder: obs.recorder.clone(),
         ..Default::default()
     };
-    cfg.clustering.keep_going = flags.switch("keep-going");
     if flags.switch("resume") && flags.get("checkpoint-dir").is_none() {
         return Err(CliError::Usage(
             "--resume needs --checkpoint-dir to resume from".into(),
@@ -417,6 +411,23 @@ pub fn cmd_evaluate(flags: &Flags, obs: &mut ObsSession) -> Result<String, CliEr
     // Same interner: label names shared between the two files.
     let patterns = load_db(flags.require("patterns")?, &mut interner)?;
     let queries = random_queries(&db, n, (lo, hi), seed);
+    // An evaluation over no query reads as a flawless one, so refuse it.
+    if queries.is_empty() {
+        let largest = db.iter().map(Graph::edge_count).max().unwrap_or(0);
+        return Err(CliError::Usage(format!(
+            "no query drawn for --queries {n} with edges in [{lo}, {hi}]: \
+             the largest database graph has {largest} edges"
+        )));
+    }
+    if queries.len() < n {
+        obs.recorder.warn(
+            "evaluate.queries",
+            format_args!(
+                "drew {} of {n} queries with edges in [{lo}, {hi}]",
+                queries.len()
+            ),
+        );
+    }
     let ev = WorkloadEvaluation::evaluate_recorded(&patterns, &queries, &obs.recorder);
     let mut eval_v = Value::object();
     eval_v.set("queries", queries.len() as u64);
@@ -601,6 +612,9 @@ mod tests {
             let m = usage(&["select", "--db", "db.txt", retired, "x"]);
             assert!(m.contains(retired) && m.contains("`select`"), "{m}");
         }
+        // So is the retired worker-isolation switch: a panic aborts the run.
+        let m = usage(&["select", "--db", "db.txt", "--keep-going"]);
+        assert!(m.contains("--keep-going") && m.contains("`select`"), "{m}");
         let m = usage(&["select", "--db", "db.txt", "--gamma", "5", "--gamma", "6"]);
         assert!(m.contains("--gamma") && m.contains("`select`"), "{m}");
         // Another subcommand's flag is unknown here.
@@ -746,6 +760,39 @@ mod tests {
             matches!(&r, Err(CliError::Usage(m)) if m.contains("--min-edges")),
             "{r:?}"
         );
+        // A run that draws no query is refused, naming the edge range and
+        // the largest graph, instead of reporting a perfect evaluation.
+        let db_path = tmp("db_no_queries.txt");
+        run(&args(&[
+            "generate",
+            "--profile",
+            "aids",
+            "--count",
+            "40",
+            "--out",
+            &db_path,
+        ]))
+        .unwrap();
+        for (queries, lo, hi) in [("5", "200", "300"), ("0", "4", "25")] {
+            let r = run(&args(&[
+                "evaluate",
+                "--db",
+                &db_path,
+                "--patterns",
+                &db_path,
+                "--queries",
+                queries,
+                "--min-edges",
+                lo,
+                "--max-edges",
+                hi,
+            ]));
+            assert!(
+                matches!(&r, Err(CliError::Usage(m))
+                    if m.contains(&format!("[{lo}, {hi}]")) && m.contains("largest")),
+                "--queries {queries}: {r:?}"
+            );
+        }
     }
 
     #[test]

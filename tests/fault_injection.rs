@@ -1,9 +1,8 @@
 //! Fault-injected graceful-degradation tests for the whole pipeline.
 //!
 //! With the `fault-injection` feature, [`catapult::graph::budget::fault`]
-//! deterministically cripples the K-th budgeted kernel invocation
-//! (forcing budget exhaustion, or panicking).
-//! These tests sweep K and the fault kind across an end-to-end
+//! deterministically exhausts the K-th budgeted kernel invocation.
+//! These tests sweep K across an end-to-end
 //! `run_catapult` and prove the robustness contract: the pipeline always
 //! returns a valid, budget-conforming pattern set, and whenever a fault
 //! actually fired, the [`PipelineReport`] names the degraded stage and
@@ -13,9 +12,9 @@
 #![cfg(feature = "fault-injection")]
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
-use catapult::graph::budget::fault::{self, FaultKind, FaultPlan};
+use catapult::graph::budget::fault::{self, FaultPlan};
 use catapult::graph::components::is_connected;
-use catapult::graph::{Graph, Label, VertexId};
+use catapult::graph::{Completeness, Graph, Label, VertexId};
 use catapult::prelude::*;
 use std::sync::Mutex;
 
@@ -83,9 +82,8 @@ fn assert_valid_pattern_set(r: &catapult::core::CatapultResult, ctx: &str) {
 
 /// Run one pipeline with a fault armed at invocation `k`; returns the
 /// result and whether the fault actually fired.
-fn run_with_fault(db: &[Graph], kind: FaultKind, k: u64) -> (catapult::core::CatapultResult, bool) {
+fn run_with_fault(db: &[Graph], k: u64) -> (catapult::core::CatapultResult, bool) {
     fault::install(FaultPlan {
-        kind,
         at: k,
         sticky: false,
     });
@@ -118,7 +116,6 @@ fn every_injection_point_degrades_gracefully_and_loudly() {
     // Baseline: count kernel invocations of a clean run (a never-firing
     // plan resets the counter without crippling anything).
     fault::install(FaultPlan {
-        kind: FaultKind::Exhaust,
         at: u64::MAX,
         sticky: false,
     });
@@ -130,9 +127,8 @@ fn every_injection_point_degrades_gracefully_and_loudly() {
     assert_valid_pattern_set(&clean, "baseline");
 
     for k in injection_points(total) {
-        let kind = FaultKind::Exhaust;
-        let (r, fired) = run_with_fault(&db, kind, k);
-        let ctx = format!("K={k} kind={kind:?}");
+        let (r, fired) = run_with_fault(&db, k);
+        let ctx = format!("K={k}");
         assert_valid_pattern_set(&r, &ctx);
         if fired {
             // The whole point: degradation must be visible, with the
@@ -151,7 +147,7 @@ fn every_injection_point_degrades_gracefully_and_loudly() {
             }
             assert_eq!(
                 r.report().worst(),
-                kind.completeness(),
+                Completeness::BudgetExhausted,
                 "{ctx}: report must carry the injected fault's tag"
             );
         } else {
@@ -167,7 +163,7 @@ fn every_injection_point_degrades_gracefully_and_loudly() {
 fn first_invocation_fault_lands_in_mining() {
     let _guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let db = small_db();
-    let (r, fired) = run_with_fault(&db, FaultKind::Exhaust, 1);
+    let (r, fired) = run_with_fault(&db, 1);
     assert!(fired, "a non-empty db must invoke at least one kernel");
     assert_valid_pattern_set(&r, "K=1");
     assert!(
@@ -181,9 +177,7 @@ fn first_invocation_fault_lands_in_mining() {
 fn sticky_fault_from_start_still_yields_conforming_output() {
     let _guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let db = small_db();
-    let kind = FaultKind::Exhaust;
     fault::install(FaultPlan {
-        kind,
         at: 1,
         sticky: true,
     });
@@ -192,66 +186,9 @@ fn sticky_fault_from_start_still_yields_conforming_output() {
     // With every kernel crippled the selection may be small or empty,
     // but it must never violate the budget contract or hide the
     // degradation.
-    assert_valid_pattern_set(&r, &format!("sticky {kind:?}"));
-    assert!(!r.report().all_exact(), "sticky {kind:?} must degrade");
-    assert_eq!(r.report().worst(), kind.completeness());
-}
-
-/// A config whose kernel invocations all belong to the fine-clustering
-/// fan-out (no mining stage), so a small K lands the panic inside a
-/// parallel worker item.
-fn fine_only_config(keep_going: bool) -> CatapultConfig {
-    let mut cfg = config();
-    cfg.clustering.strategy =
-        catapult::cluster::Strategy::FineOnly(catapult::cluster::SimilarityKind::Mccs);
-    cfg.clustering.max_cluster_size = 6;
-    cfg.clustering.keep_going = keep_going;
-    cfg
-}
-
-#[test]
-fn worker_panic_aborts_loudly_by_default() {
-    let _guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-    let db = small_db();
-    fault::install(FaultPlan {
-        kind: FaultKind::Panic,
-        at: 3,
-        sticky: false,
-    });
-    // Fail-fast is the default: the injected worker death must surface
-    // as a panic of the whole run, not a silently weaker result.
-    #[allow(clippy::disallowed_methods)] // catches the injected worker death
-    let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        run_catapult(&db, &fine_only_config(false))
-    }));
-    fault::clear();
-    assert!(r.is_err(), "worker panic must abort without --keep-going");
-}
-
-#[test]
-fn keep_going_isolates_worker_panics_and_reports_them() {
-    let _guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-    let db = small_db();
-    fault::install(FaultPlan {
-        kind: FaultKind::Panic,
-        at: 3,
-        sticky: false,
-    });
-    let r = run_catapult(&db, &fine_only_config(true));
-    let fired = fault::invocations() >= 3;
-    fault::clear();
-    assert!(fired, "the fine fan-out must reach the faulted invocation");
-    assert_valid_pattern_set(&r, "keep-going panic");
-    // The panicked item is confined and visible: tagged Degraded, which
-    // surfaces as `failed` on the clustering tally and flips the
-    // overall verdict.
-    assert!(
-        r.report().clustering.failed > 0,
-        "isolated panic must be tallied as failed, got {:?}",
-        r.report().clustering
-    );
-    assert!(!r.report().all_exact(), "degradation must not be silent");
-    assert!(r.report().degraded_stages().contains(&"clustering"));
+    assert_valid_pattern_set(&r, "sticky");
+    assert!(!r.report().all_exact(), "sticky fault must degrade");
+    assert_eq!(r.report().worst(), Completeness::BudgetExhausted);
 }
 
 #[test]
@@ -269,8 +206,8 @@ fn deterministic_under_identical_fault_plans() {
             .map(|p| p.invariant_signature())
             .collect::<Vec<_>>()
     };
-    let (a, _) = run_with_fault(&db, FaultKind::Exhaust, 7);
-    let (b, _) = run_with_fault(&db, FaultKind::Exhaust, 7);
+    let (a, _) = run_with_fault(&db, 7);
+    let (b, _) = run_with_fault(&db, 7);
     rayon::set_threads(0);
     assert_eq!(fingerprint(&a), fingerprint(&b));
     assert_eq!(a.report(), b.report(), "audit must replay identically");

@@ -193,9 +193,9 @@ fn auto_sizing_also_matches_the_golden() {
 #[cfg(feature = "fault-injection")]
 mod fault_sweep_under_threads {
     use super::*;
-    use catapult::graph::budget::fault::{self, FaultKind, FaultPlan};
+    use catapult::graph::budget::fault::{self, FaultPlan};
     use catapult::graph::components::is_connected;
-    use catapult::graph::Graph;
+    use catapult::graph::{Completeness, Graph};
 
     const GAMMA: usize = 4;
     const ETA_MIN: usize = 3;
@@ -265,7 +265,6 @@ mod fault_sweep_under_threads {
             // is racy under 8 workers but the total is not: every probe
             // runs exactly once.
             fault::install(FaultPlan {
-                kind: FaultKind::Exhaust,
                 at: u64::MAX,
                 sticky: false,
             });
@@ -284,16 +283,14 @@ mod fault_sweep_under_threads {
                 ks.push(total);
             }
             for k in ks {
-                let kind = FaultKind::Exhaust;
                 fault::install(FaultPlan {
-                    kind,
                     at: k,
                     sticky: false,
                 });
                 let r = run_catapult(&db, &config());
                 let fired = fault::invocations() >= k;
                 fault::clear();
-                let ctx = format!("8t K={k} kind={kind:?}");
+                let ctx = format!("8t K={k}");
                 assert_valid_pattern_set(&r, &ctx);
                 if fired {
                     assert!(
@@ -310,7 +307,7 @@ mod fault_sweep_under_threads {
                     }
                     assert_eq!(
                         r.report().worst(),
-                        kind.completeness(),
+                        Completeness::BudgetExhausted,
                         "{ctx}: report must carry the injected fault's tag"
                     );
                 } else {
@@ -333,7 +330,6 @@ mod fault_sweep_under_threads {
         with_threads(1, || {
             let db = small_db();
             fault::install(FaultPlan {
-                kind: FaultKind::Exhaust,
                 at: u64::MAX,
                 sticky: false,
             });
@@ -343,10 +339,8 @@ mod fault_sweep_under_threads {
             assert!(total > 0);
 
             for k in [1, total / 2 + 1, total] {
-                let kind = FaultKind::Exhaust;
                 let run_with = |recorder: catapult_obs::Recorder| {
                     fault::install(FaultPlan {
-                        kind,
                         at: k,
                         sticky: false,
                     });
@@ -378,10 +372,7 @@ mod fault_sweep_under_threads {
                     drop(meter);
                     out
                 };
-                assert_eq!(
-                    on, off,
-                    "K={k} kind={kind:?}: telemetry changed the degraded outcome"
-                );
+                assert_eq!(on, off, "K={k}: telemetry changed the degraded outcome");
             }
         });
     }
@@ -392,7 +383,6 @@ mod fault_sweep_under_threads {
         let db = small_db();
         let run = |k: u64| {
             fault::install(FaultPlan {
-                kind: FaultKind::Exhaust,
                 at: k,
                 sticky: false,
             });
