@@ -9,10 +9,38 @@
 //! `catapult` CLI emits: one span per experiment plus per-experiment wall
 //! clock in a `results` section (`--force` overwrites a file written at a
 //! different schema version).
+//!
+//! A closed stdout (`experiments … | head -n 1`) only silences the
+//! printed reports: the run, and its manifest, carry on and exit 0.
 
 use catapult_bench::{run_experiment, Scale, ALL_ABLATIONS, ALL_EXPERIMENTS};
 use catapult_obs::{manifest, Recorder, RunManifest, Stopwatch};
+use std::fmt;
+use std::io::{ErrorKind, StdoutLock, Write};
 use std::path::Path;
+
+/// Line writer over the locked stdout that treats a reader that went
+/// away as the end of printing, not as an error.
+struct Out {
+    stdout: StdoutLock<'static>,
+    closed: bool,
+}
+
+impl Out {
+    fn line(&mut self, args: fmt::Arguments<'_>) {
+        if self.closed {
+            return;
+        }
+        match writeln!(self.stdout, "{args}").and_then(|()| self.stdout.flush()) {
+            Ok(()) => {}
+            Err(e) if e.kind() == ErrorKind::BrokenPipe => self.closed = true,
+            Err(e) => {
+                eprintln!("experiments: cannot write to stdout: {e}");
+                std::process::exit(1);
+            }
+        }
+    }
+}
 
 /// A known experiment id as a `&'static str` (spans borrow their name),
 /// or `None` for an unknown one.
@@ -82,15 +110,19 @@ fn main() {
     } else {
         Recorder::disabled()
     };
+    let mut out = Out {
+        stdout: std::io::stdout().lock(),
+        closed: false,
+    };
     let mut results = catapult_obs::json::Value::array();
     for id in ids {
         let start = Stopwatch::start();
         let _span = recorder.span(id);
         match run_experiment(id, scale) {
             Some(report) => {
-                println!("{report}");
+                out.line(format_args!("{report}"));
                 let secs = start.elapsed().as_secs_f64();
-                println!("[{id} completed in {secs:.1}s]\n");
+                out.line(format_args!("[{id} completed in {secs:.1}s]\n"));
                 let mut e = catapult_obs::json::Value::object();
                 e.set("id", id);
                 e.set("secs", secs);
@@ -117,6 +149,6 @@ fn main() {
             eprintln!("failed to write {path}: {e}");
             std::process::exit(1);
         }
-        println!("wrote metrics to {path}");
+        out.line(format_args!("wrote metrics to {path}"));
     }
 }

@@ -59,7 +59,10 @@ use std::time::Duration;
 /// `failed`), not four.
 /// v5: every kernel tally is two `u64`s (`exact`, `budget_exhausted`),
 /// not three.
-pub const SCHEMA_VERSION: u32 = 5;
+/// v6: the fine-clustering payload lost its in-flight split section (the
+/// seed and partial similarity rows); a fine flush is the last split
+/// boundary plus the similarity cache.
+pub const SCHEMA_VERSION: u32 = 6;
 
 /// Total tries for a checkpoint write before its I/O error surfaces.
 /// Checkpoints are an availability feature, but a write that keeps
@@ -709,8 +712,9 @@ mod tests {
     fn schema_mismatch_is_a_hard_error() {
         let _guard = serial_writes();
         // 2, 3 and 4 are the layouts with five-, four- and three-slot
-        // tallies; 99 stands for a future one.
-        for version in [2u32, 3, 4, 99] {
+        // tallies, 5 the one whose fine payload carried partial
+        // similarity rows; 99 stands for a future one.
+        for version in [2u32, 3, 4, 5, 99] {
             let dir = tmp_dir("schema");
             let store = open(&dir, false);
             store.save("selection", 0, b"abc").unwrap();

@@ -131,14 +131,6 @@ impl Enc {
         }
     }
 
-    /// Length-prefixed `f64` sequence (bit-exact).
-    pub fn f64s(&mut self, v: &[f64]) {
-        self.usize(v.len());
-        for &x in v {
-            self.f64(x);
-        }
-    }
-
     /// A [`Duration`] as whole seconds + subsecond nanos (lossless).
     pub fn duration(&mut self, v: Duration) {
         self.u64(v.as_secs());
@@ -289,12 +281,6 @@ impl<'a> Dec<'a> {
         (0..n).map(|_| self.u64()).collect()
     }
 
-    /// Length-prefixed `f64` sequence (bit-exact).
-    pub fn f64s(&mut self) -> Result<Vec<f64>, WireError> {
-        let n = self.len_capped(8)?;
-        (0..n).map(|_| self.f64()).collect()
-    }
-
     /// A [`Duration`].
     pub fn duration(&mut self) -> Result<Duration, WireError> {
         let secs = self.u64()?;
@@ -360,10 +346,10 @@ mod tests {
         e.u64(u64::MAX);
         e.f64(-0.0);
         e.f64(f64::NAN);
+        e.f64(f64::INFINITY);
         e.bool(true);
         e.str("hällo");
         e.u32s(&[1, 2, 3]);
-        e.f64s(&[0.1, f64::INFINITY]);
         e.duration(Duration::new(5, 999_999_999));
         let bytes = e.into_bytes();
 
@@ -373,10 +359,10 @@ mod tests {
         assert_eq!(d.u64().unwrap(), u64::MAX);
         assert_eq!(d.f64().unwrap().to_bits(), (-0.0f64).to_bits());
         assert!(d.f64().unwrap().is_nan());
+        assert_eq!(d.f64().unwrap(), f64::INFINITY);
         assert!(d.bool().unwrap());
         assert_eq!(d.str().unwrap(), "hällo");
         assert_eq!(d.u32s().unwrap(), vec![1, 2, 3]);
-        assert_eq!(d.f64s().unwrap(), vec![0.1, f64::INFINITY]);
         assert_eq!(d.duration().unwrap(), Duration::new(5, 999_999_999));
         d.finish().unwrap();
     }

@@ -4,9 +4,9 @@
 //! [`ClusteringCkpt`]) mark the phase's pipeline boundaries, and one
 //! intra-stage payload ([`FineState`]) lets a resume land *inside* fine
 //! clustering: the work/done lists, the RNG stream position
-//! (`StdRng::state`, restored with `StdRng::from_state`), the kernel
-//! tally so far, and — mid-split — the completed prefix of the pairwise
-//! similarity rows. Every payload round-trips byte-identically through
+//! (`StdRng::state`, restored with `StdRng::from_state`) and the kernel
+//! tally as of the last split boundary, plus the similarity cache as it
+//! stands. Every payload round-trips byte-identically through
 //! [`catapult_ckpt::wire`]; the resume-equals-uninterrupted property
 //! test leans on that directly.
 
@@ -15,36 +15,22 @@ use catapult_ckpt::wire::{Dec, Enc, WireError};
 use catapult_graph::{Completeness, TallyCounts};
 use catapult_mining::subtree::FrequentSubtree;
 
-/// Progress through one in-flight cluster split (Algorithm 3's inner
-/// loop), checkpointed every `chunk_pairs` similarity computations.
-#[derive(Clone, Debug, PartialEq)]
-pub(crate) struct SplitProgress {
-    /// The cluster being split.
-    pub cluster: Vec<u32>,
-    /// First seed (already drawn — the RNG state in the enclosing
-    /// [`FineState`] is *post*-draw).
-    pub seed1: u32,
-    /// Completed prefix of ω(G, seed1), aligned with the cluster minus
-    /// `seed1` in order.
-    pub omega1: Vec<f64>,
-    /// Completed prefix of ω(G, seed2); only grows once `omega1` is
-    /// complete (seed2 is derived from the full `omega1`).
-    pub omega2: Vec<f64>,
-}
-
-/// The fine-clustering stage's resumable state.
+/// The fine-clustering stage's resumable state: the last split boundary
+/// plus the similarity cache. A flush taken mid-split still records the
+/// boundary before that split (the cluster in flight on top of `work`,
+/// the RNG before its first seed is drawn, the tally as of its start);
+/// a resume redoes the split, and the rows already computed come back
+/// as cache hits that replay their completeness tags.
 #[derive(Clone, Debug, PartialEq)]
 pub(crate) struct FineState {
     /// Clusters already at or under the size cap.
     pub done: Vec<Vec<u32>>,
-    /// Oversized clusters still to split.
+    /// Oversized clusters still to split; the next split pops the last.
     pub work: Vec<Vec<u32>>,
     /// RNG stream position to resume from.
     pub rng: [u64; 4],
-    /// Kernel completeness counts accumulated so far.
+    /// Kernel completeness counts up to the boundary.
     pub tally: TallyCounts,
-    /// The split in flight, if the checkpoint landed mid-split.
-    pub current: Option<SplitProgress>,
     /// Memoized pairwise-similarity entries, keyed by unordered
     /// isomorphism-class pair (`a <= b`), sorted by key so the encoding
     /// is byte-identical regardless of which worker filled which entry.
@@ -80,16 +66,6 @@ pub(crate) fn encode_fine_state(s: &FineState) -> Vec<u8> {
     e.clusters(&s.work);
     e.u64s(&s.rng);
     e.tally(&s.tally);
-    match &s.current {
-        None => e.bool(false),
-        Some(p) => {
-            e.bool(true);
-            e.u32s(&p.cluster);
-            e.u32(p.seed1);
-            e.f64s(&p.omega1);
-            e.f64s(&p.omega2);
-        }
-    }
     e.usize(s.cache.len());
     for &(a, b, value, tag) in &s.cache {
         e.u32(a);
@@ -106,16 +82,6 @@ pub(crate) fn decode_fine_state(bytes: &[u8]) -> Result<FineState, WireError> {
     let work = d.clusters()?;
     let rng = fixed4(d.u64s()?)?;
     let tally = d.tally()?;
-    let current = if d.bool()? {
-        Some(SplitProgress {
-            cluster: d.u32s()?,
-            seed1: d.u32()?,
-            omega1: d.f64s()?,
-            omega2: d.f64s()?,
-        })
-    } else {
-        None
-    };
     let cache_len = d.usize()?;
     let mut cache = Vec::with_capacity(cache_len.min(bytes.len()));
     for _ in 0..cache_len {
@@ -131,7 +97,6 @@ pub(crate) fn decode_fine_state(bytes: &[u8]) -> Result<FineState, WireError> {
         work,
         rng,
         tally,
-        current,
         cache,
     })
 }
@@ -297,32 +262,21 @@ mod tests {
 
     #[test]
     fn fine_state_roundtrips_byte_identically() {
-        for current in [
-            None,
-            Some(SplitProgress {
-                cluster: vec![3, 1, 4, 1, 5],
-                seed1: 4,
-                omega1: vec![0.25, -0.0, f64::INFINITY],
-                omega2: vec![],
-            }),
-        ] {
-            let s = FineState {
-                done: vec![vec![1, 2], vec![7]],
-                work: vec![vec![3, 4, 5, 6]],
-                rng: [1, u64::MAX, 0, 42],
-                tally: tally(),
-                current,
-                cache: vec![
-                    (0, 2, 0.5, Completeness::Exact),
-                    (1, 1, 1.0, Completeness::Exact),
-                    (1, 3, 0.125, Completeness::BudgetExhausted),
-                ],
-            };
-            let bytes = encode_fine_state(&s);
-            let back = decode_fine_state(&bytes).unwrap();
-            assert_eq!(back, s);
-            assert_eq!(encode_fine_state(&back), bytes, "re-encode byte-identical");
-        }
+        let s = FineState {
+            done: vec![vec![1, 2], vec![7]],
+            work: vec![vec![3, 4, 5, 6]],
+            rng: [1, u64::MAX, 0, 42],
+            tally: tally(),
+            cache: vec![
+                (0, 2, 0.5, Completeness::Exact),
+                (1, 1, 1.0, Completeness::Exact),
+                (1, 3, 0.125, Completeness::BudgetExhausted),
+            ],
+        };
+        let bytes = encode_fine_state(&s);
+        let back = decode_fine_state(&bytes).unwrap();
+        assert_eq!(back, s);
+        assert_eq!(encode_fine_state(&back), bytes, "re-encode byte-identical");
     }
 
     #[test]
@@ -371,7 +325,6 @@ mod tests {
             work: vec![],
             rng: [0; 4],
             tally: TallyCounts::default(),
-            current: None,
             cache: vec![(0, 1, 0.75, Completeness::BudgetExhausted)],
         };
         let bytes = encode_fine_state(&s);
@@ -390,7 +343,6 @@ mod tests {
             work: vec![],
             rng: [0; 4],
             tally: TallyCounts::default(),
-            current: None,
             cache: (0..).zip(tags).map(|(b, tag)| (0, b, 0.5, tag)).collect(),
         };
         assert_eq!(decode_fine_state(&encode_fine_state(&s)).unwrap(), s);
@@ -409,7 +361,6 @@ mod tests {
             work: vec![],
             rng: [0; 4],
             tally: TallyCounts::default(),
-            current: None,
             cache: vec![(2, 3, 0.5, Completeness::Exact)],
         };
         let mut bytes = encode_fine_state(&s);

@@ -19,7 +19,7 @@
 //! persists through the fine-state checkpoint, so a resumed run reuses
 //! instead of recomputing.
 
-use crate::ckpt_io::{decode_fine_state, encode_fine_state, CacheEntry, FineState, SplitProgress};
+use crate::ckpt_io::{decode_fine_state, encode_fine_state, CacheEntry, FineState};
 use catapult_ckpt::{CkptError, StageStore};
 use catapult_graph::canonical::{canonical_form, CanonTokens};
 use catapult_graph::mcs::{self, McsConfig};
@@ -269,62 +269,39 @@ fn omega_chunk(
 }
 
 /// Split one oversized cluster into two by seed dissimilarity
-/// (Algorithm 3, lines 6–21), continuing from — and checkpointing via
-/// `flush` — the similarity rows already in `progress`.
-fn resume_split(
-    db: &[Graph],
-    cfg: &FineConfig,
-    tally: &Tally,
-    cache: &SimCache,
-    progress: &mut SplitProgress,
-    chunk: usize,
-    flush: &mut dyn FnMut(&SplitProgress) -> Result<(), CkptError>,
+/// (Algorithm 3, lines 6–21) around the already-drawn `seed1`. `row`
+/// returns ω(G, seed) for each given graph; the caller fans it out in
+/// checkpoint-sized chunks. The split is a pure function of (cluster,
+/// seed1, similarities), so a resumed run that redoes it reaches the same
+/// halves, with the rows a crashed run had computed coming back as cache
+/// hits.
+fn split(
+    cluster: &[u32],
+    seed1: u32,
+    mut row: impl FnMut(&[u32], u32) -> Result<Vec<f64>, CkptError>,
 ) -> Result<(Vec<u32>, Vec<u32>), CkptError> {
-    debug_assert!(progress.cluster.len() >= 2);
-    let seed1 = progress.seed1;
-    let rest: Vec<u32> = progress
-        .cluster
-        .iter()
-        .copied()
-        .filter(|&g| g != seed1)
-        .collect();
-    // ω(G, Seed1) for every remaining graph, `chunk` rows per
-    // checkpoint flush. Chunking cannot change the values — every row
-    // is computed independently — so chunked and monolithic runs agree.
-    while progress.omega1.len() < rest.len() {
-        let lo = progress.omega1.len();
-        let hi = lo.saturating_add(chunk).min(rest.len());
-        let vals = omega_chunk(db, &rest[lo..hi], seed1, cfg, tally, cache);
-        progress.omega1.extend(vals);
-        flush(progress)?;
-    }
+    debug_assert!(cluster.len() >= 2);
+    let rest: Vec<u32> = cluster.iter().copied().filter(|&g| g != seed1).collect();
+    let omega1 = row(&rest, seed1)?;
     // Second seed: the most dissimilar graph (deterministic tie-break on id).
     // Callers split only oversized clusters (`> max_cluster_size ≥ 1`), so
     // `rest` — and with it `omega1` — is never empty here. `total_cmp`
     // keeps the selection well-defined even if a similarity turned NaN.
     #[allow(clippy::expect_used)]
-    let (seed2_pos, _) = progress
-        .omega1
+    let (seed2_pos, _) = omega1
         .iter()
         .enumerate()
         .min_by(|a, b| a.1.total_cmp(b.1).then(rest[a.0].cmp(&rest[b.0])))
         .expect("cluster has at least two members");
     let seed2 = rest[seed2_pos];
-
-    while progress.omega2.len() < rest.len() {
-        let lo = progress.omega2.len();
-        let hi = lo.saturating_add(chunk).min(rest.len());
-        let vals = omega_chunk(db, &rest[lo..hi], seed2, cfg, tally, cache);
-        progress.omega2.extend(vals);
-        flush(progress)?;
-    }
+    let omega2 = row(&rest, seed2)?;
     let mut c1 = vec![seed1];
     let mut c2 = vec![seed2];
     for (i, &g) in rest.iter().enumerate() {
         if g == seed2 {
             continue;
         }
-        if progress.omega1[i] > progress.omega2[i] {
+        if omega1[i] > omega2[i] {
             c1.push(g);
         } else {
             c2.push(g);
@@ -366,9 +343,10 @@ pub fn fine_cluster(
 /// As [`fine_cluster`], checkpointing progress into `store`'s
 /// `fine` slot every [`StageStore::chunk_pairs`] similarity rows and —
 /// when the store is resuming — continuing from any compatible `fine`
-/// checkpoint already on disk, mid-split included. Given the same seed
-/// and inputs, an interrupted-then-resumed run returns exactly what the
-/// uninterrupted run would have.
+/// checkpoint already on disk. A checkpoint taken mid-split resumes at
+/// that split's start with the similarity cache it had filled. Given the
+/// same seed and inputs, an interrupted-then-resumed run returns exactly
+/// what the uninterrupted run would have.
 pub fn fine_cluster_resumable(
     db: &[Graph],
     clusters: Vec<Vec<u32>>,
@@ -379,8 +357,8 @@ pub fn fine_cluster_resumable(
     fine_inner(db, clusters, cfg, rng, Some(store))
 }
 
-/// Flush the fine stage's state to the store (no-op without one).
-#[allow(clippy::too_many_arguments)]
+/// Flush the fine stage's state — a split boundary plus the cache as it
+/// stands — to the store (no-op without one).
 fn write_state(
     store: Option<&StageStore>,
     seq: &mut u64,
@@ -388,7 +366,6 @@ fn write_state(
     work: &[Vec<u32>],
     rng: [u64; 4],
     tally: TallyCounts,
-    current: Option<&SplitProgress>,
     cache: &SimCache,
 ) -> Result<(), CkptError> {
     let Some(st) = store else {
@@ -399,7 +376,6 @@ fn write_state(
         work: work.to_vec(),
         rng,
         tally,
-        current: current.cloned(),
         cache: cache.snapshot(),
     };
     st.save("fine", *seq, &encode_fine_state(&state))?;
@@ -424,7 +400,6 @@ pub(crate) fn fine_inner(
     let mut baseline = TallyCounts::default();
     let mut done: Vec<Vec<u32>> = Vec::new();
     let mut work: Vec<Vec<u32>> = Vec::new();
-    let mut current: Option<SplitProgress> = None;
     let mut restored_cache: Vec<CacheEntry> = Vec::new();
     let mut seq: u64 = 0;
     let mut resumed = false;
@@ -434,7 +409,6 @@ pub(crate) fn fine_inner(
             work = state.work;
             *rng = StdRng::from_state(state.rng);
             baseline = state.tally;
-            current = state.current;
             restored_cache = state.cache;
             seq = loaded_seq + 1;
             resumed = true;
@@ -453,11 +427,7 @@ pub(crate) fn fine_inner(
     // is one item; a split retires its input and enqueues its halves, so
     // the total grows by the extra pieces as the run discovers them.
     let items = &cfg.budget.probe;
-    items.add(
-        "items",
-        "total",
-        (done.len() + work.len() + usize::from(current.is_some())) as u64,
-    );
+    items.add("items", "total", (done.len() + work.len()) as u64);
     items.add("items", "done", done.len() as u64);
     let chunk = store.map_or(usize::MAX, StageStore::chunk_pairs);
     // Memoized similarity matrix, shared across every split this run
@@ -465,48 +435,34 @@ pub(crate) fn fine_inner(
     // class pair's MCS is ever computed twice.
     let cache = SimCache::build(db);
     cache.seed(&restored_cache);
-    loop {
-        let mut progress = match current.take() {
-            Some(p) => p,
-            None => match work.pop() {
-                None => break,
-                Some(cluster) => {
-                    let seed1 = cluster[rng.gen_range(0..cluster.len())];
-                    SplitProgress {
-                        cluster,
-                        seed1,
-                        omega1: Vec::new(),
-                        omega2: Vec::new(),
-                    }
-                }
-            },
-        };
-        // The RNG is untouched for the rest of the split, so this
-        // post-draw snapshot stays valid for every mid-split flush.
-        let rng_state = rng.state();
-        write_state(
-            store,
-            &mut seq,
-            &done,
-            &work,
-            rng_state,
-            baseline.merge(tally.counts()),
-            Some(&progress),
-            &cache,
-        )?;
-        let (c1, c2) = resume_split(db, cfg, &tally, &cache, &mut progress, chunk, &mut |p| {
-            write_state(
-                store,
-                &mut seq,
-                &done,
-                &work,
-                rng_state,
-                baseline.merge(tally.counts()),
-                Some(p),
-                &cache,
-            )
+    // The cluster stays on top of `work` until its split finishes, so
+    // every mid-split flush records the boundary before the split: this
+    // queue, the RNG before seed₁ is drawn, and the tally at the start.
+    while let Some(cluster) = work.last() {
+        let rng_start = rng.state();
+        let tally_start = baseline.merge(tally.counts());
+        let seed1 = cluster[rng.gen_range(0..cluster.len())];
+        // ω(G, seed) for every member, `chunk` rows per checkpoint flush.
+        // Chunking cannot change the values — every row is computed
+        // independently — so chunked and monolithic runs agree.
+        let (c1, c2) = split(cluster, seed1, |targets, seed| {
+            let mut omega = Vec::with_capacity(targets.len());
+            for piece in targets.chunks(chunk) {
+                omega.extend(omega_chunk(db, piece, seed, cfg, &tally, &cache));
+                write_state(
+                    store,
+                    &mut seq,
+                    &done,
+                    &work,
+                    rng_start,
+                    tally_start,
+                    &cache,
+                )?;
+            }
+            Ok(omega)
         })?;
-        let cluster_len = progress.cluster.len();
+        let cluster_len = cluster.len();
+        work.pop();
         let (work_before, done_before) = (work.len(), done.len());
         for mut c in [c1, c2] {
             if c.len() == cluster_len {
@@ -539,7 +495,6 @@ pub(crate) fn fine_inner(
             &work,
             rng.state(),
             baseline.merge(tally.counts()),
-            None,
             &cache,
         )?;
     }

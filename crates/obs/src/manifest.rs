@@ -276,34 +276,30 @@ pub fn environment(threads: usize) -> Value {
     env
 }
 
-/// Best-effort HEAD commit hash: walks up from the current directory to
-/// the nearest `.git` and resolves `HEAD` through loose or packed refs.
+/// Best-effort HEAD commit hash of the checkout that holds the running
+/// binary: walks up from the executable (not the working directory,
+/// which may sit in an unrelated repository) to the nearest `.git` and
+/// resolves `HEAD` through loose or packed refs.
 #[must_use]
 pub fn git_commit() -> Option<String> {
-    let mut dir = std::env::current_dir().ok()?;
-    loop {
-        let head_path = dir.join(".git").join("HEAD");
-        if let Ok(head) = std::fs::read_to_string(&head_path) {
-            let head = head.trim();
-            let Some(reference) = head.strip_prefix("ref: ") else {
-                return Some(head.to_string()); // detached HEAD
-            };
-            if let Ok(hash) = std::fs::read_to_string(dir.join(".git").join(reference)) {
-                return Some(hash.trim().to_string());
-            }
-            if let Ok(packed) = std::fs::read_to_string(dir.join(".git").join("packed-refs")) {
-                for line in packed.lines() {
-                    if let Some(hash) = line.strip_suffix(reference) {
-                        return Some(hash.trim().to_string());
-                    }
-                }
-            }
-            return None;
-        }
-        if !dir.pop() {
-            return None;
-        }
+    let exe = std::env::current_exe().ok()?;
+    let git = exe
+        .ancestors()
+        .map(|dir| dir.join(".git"))
+        .find(|git| git.join("HEAD").is_file())?;
+    let head = std::fs::read_to_string(git.join("HEAD")).ok()?;
+    let head = head.trim();
+    let Some(reference) = head.strip_prefix("ref: ") else {
+        return Some(head.to_string()); // detached HEAD
+    };
+    if let Ok(hash) = std::fs::read_to_string(git.join(reference)) {
+        return Some(hash.trim().to_string());
     }
+    let packed = std::fs::read_to_string(git.join("packed-refs")).ok()?;
+    packed
+        .lines()
+        .find_map(|line| line.strip_suffix(reference))
+        .map(|hash| hash.trim().to_string())
 }
 
 /// Render a flat span list as a nested tree (children in creation

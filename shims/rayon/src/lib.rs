@@ -1,5 +1,8 @@
 //! Offline parallel stand-in for the subset of `rayon` this workspace
-//! uses, built on `std::thread::scope`.
+//! calls, built on `std::thread::scope`: `par_iter` / `into_par_iter`,
+//! the `map`, `filter`, `copied` and `enumerate` stages, and the
+//! `collect` and `count` consumers, plus the pool-size controls. Nothing
+//! else is provided; a new call site adds what it needs.
 //!
 //! The build container cannot fetch crates, so the real `rayon` is
 //! unavailable. Earlier this shim degraded every `par_iter()` to the
@@ -22,7 +25,7 @@
 //!   thread per chunk.
 //! * **Order-preserving collection** — every consumer reassembles chunk
 //!   results in input-index order, so `map → collect` (and `filter`,
-//!   `sum`, `count`, …) return byte-identical results regardless of
+//!   `count`) return byte-identical results regardless of
 //!   thread interleaving. Side effects (e.g. `Tally::record`) may occur
 //!   in any order, which is why shared accumulators must be commutative.
 //! * **Panic propagation** — a panicking worker closure does not poison
@@ -231,37 +234,6 @@ where
     })
 }
 
-/// Run two closures, potentially in parallel, and return both results.
-///
-/// `a` runs on the calling thread; `b` runs on a scoped worker when the
-/// pool size allows, sequentially otherwise. A panic in either closure
-/// propagates to the caller after both have finished.
-pub fn join<A, B, RA, RB>(a: A, b: B) -> (RA, RB)
-where
-    A: FnOnce() -> RA + Send,
-    B: FnOnce() -> RB + Send,
-    RA: Send,
-    RB: Send,
-{
-    if current_threads() <= 1 {
-        return (a(), b());
-    }
-    std::thread::scope(|scope| {
-        let hb = scope.spawn(|| {
-            let _worker = catapult_obs::worker::enter(1);
-            b()
-        });
-        let ra = a();
-        match hb.join() {
-            Ok(rb) => (ra, rb),
-            // As in `run_ordered`: the executor re-raises `b`'s panic on
-            // the caller, unchanged.
-            #[allow(clippy::disallowed_methods)]
-            Err(payload) => std::panic::resume_unwind(payload),
-        }
-    })
-}
-
 /// Drop-in traits and iterator types mirroring `rayon::prelude`.
 pub mod prelude {
     use super::run_lazy;
@@ -359,23 +331,6 @@ pub mod prelude {
         }
     }
 
-    /// `cloned` stage (items are references to `Clone` values).
-    #[derive(Clone, Copy, Debug)]
-    pub struct ClonedPipe<P> {
-        inner: P,
-    }
-
-    impl<'a, T, P, U> ParPipe<T> for ClonedPipe<P>
-    where
-        P: ParPipe<T, Out = &'a U>,
-        U: Clone + Send + Sync + 'a,
-    {
-        type Out = U;
-        fn apply(&self, index: usize, item: T) -> Option<U> {
-            self.inner.apply(index, item).cloned()
-        }
-    }
-
     /// `enumerate` stage: pairs each output with its **source** index.
     ///
     /// Matches real rayon for indexed pipelines (`par_iter().enumerate()`,
@@ -398,8 +353,7 @@ pub mod prelude {
 
     /// A parallel iterator: a **lazy** source plus a composed per-item
     /// stage pipeline. Consumers ([`ParIter::collect`],
-    /// [`ParIter::count`], [`ParIter::sum`], [`ParIter::for_each`])
-    /// stream the source through a plain sequential loop when one worker
+    /// [`ParIter::count`]) stream the source through a plain sequential loop when one worker
     /// is configured, and only materialize it for chunked fan-out when a
     /// run is genuinely parallel — so `threads <= 1` pays zero per-item
     /// overhead over the equivalent `std` iterator chain. Parallel runs
@@ -475,19 +429,6 @@ pub mod prelude {
             }
         }
 
-        /// Clone referenced items out (`Iterator::cloned`).
-        pub fn cloned<'a, U>(self) -> ParIter<I, ClonedPipe<P>>
-        where
-            P: ParPipe<I::Item, Out = &'a U>,
-            U: Clone + Send + Sync + 'a,
-        {
-            let ParIter { source, pipe } = self;
-            ParIter {
-                source,
-                pipe: ClonedPipe { inner: pipe },
-            }
-        }
-
         /// Pair each item with its source index (see [`EnumeratePipe`]).
         pub fn enumerate(self) -> ParIter<I, EnumeratePipe<P>> {
             let ParIter { source, pipe } = self;
@@ -525,35 +466,6 @@ pub mod prelude {
             }
             let ParIter { source, pipe } = self;
             run_lazy(source, move |i, x| pipe.apply(i, x).map(|_| ())).len()
-        }
-
-        /// Sum outputs **in input order** (deterministic for floats).
-        pub fn sum<S: std::iter::Sum<P::Out>>(self) -> S {
-            if super::current_threads() <= 1 {
-                return self.stream().sum();
-            }
-            let ParIter { source, pipe } = self;
-            run_lazy(source, move |i, x| pipe.apply(i, x))
-                .into_iter()
-                .sum()
-        }
-
-        /// Run `g` on every output (ordering of side effects is
-        /// unspecified across chunks — `g` must be commutative).
-        pub fn for_each<G>(self, g: G)
-        where
-            G: Fn(P::Out) + Sync,
-        {
-            if super::current_threads() <= 1 {
-                return self.stream().for_each(g);
-            }
-            let ParIter { source, pipe } = self;
-            run_lazy(source, move |i, x| {
-                if let Some(out) = pipe.apply(i, x) {
-                    g(out);
-                }
-                None::<()>
-            });
         }
     }
 
@@ -595,19 +507,6 @@ pub mod prelude {
             ParIter::new(self)
         }
     }
-
-    /// Parallel stand-in for `rayon::slice::ParallelSlice`.
-    pub trait ParallelSlice<T: Sync> {
-        /// Parallel iterator over contiguous `chunk_size`-sized windows
-        /// (the last chunk may be shorter). `chunk_size` must be > 0.
-        fn par_chunks(&self, chunk_size: usize) -> ParIter<std::slice::Chunks<'_, T>, Identity>;
-    }
-
-    impl<T: Sync> ParallelSlice<T> for [T] {
-        fn par_chunks(&self, chunk_size: usize) -> ParIter<std::slice::Chunks<'_, T>, Identity> {
-            ParIter::new(self.chunks(chunk_size.max(1)))
-        }
-    }
 }
 
 #[cfg(test)]
@@ -632,15 +531,6 @@ mod tests {
         let v = vec![1u32, 2, 3, 4];
         let doubled: Vec<u32> = v.par_iter().map(|&x| x * 2).collect();
         assert_eq!(doubled, vec![2, 4, 6, 8]);
-        let sum: u32 = (0u32..10).into_par_iter().sum();
-        assert_eq!(sum, 45);
-    }
-
-    #[test]
-    fn join_runs_both() {
-        let (a, b) = super::join(|| 2 + 2, || "ok");
-        assert_eq!(a, 4);
-        assert_eq!(b, "ok");
     }
 
     #[test]
@@ -671,15 +561,11 @@ mod tests {
     }
 
     #[test]
-    fn count_and_chunks() {
+    fn count_matches_iter() {
         let v: Vec<u32> = (0..97).collect();
         for threads in [1, 5] {
             let n = with_threads(threads, || v.par_iter().filter(|&&x| x < 10).count());
             assert_eq!(n, 10);
-            let sizes: Vec<usize> =
-                with_threads(threads, || v.par_chunks(10).map(<[u32]>::len).collect());
-            assert_eq!(sizes.iter().sum::<usize>(), 97);
-            assert_eq!(sizes.last(), Some(&7));
         }
     }
 
@@ -740,17 +626,6 @@ mod tests {
         });
         assert_eq!(out.len(), 500);
         assert_eq!(hits.load(Ordering::Relaxed), 500);
-    }
-
-    #[test]
-    fn for_each_visits_everything() {
-        let hits = AtomicUsize::new(0);
-        with_threads(3, || {
-            (0..100u32).into_par_iter().for_each(|_| {
-                hits.fetch_add(1, Ordering::Relaxed);
-            })
-        });
-        assert_eq!(hits.load(Ordering::Relaxed), 100);
     }
 
     #[test]

@@ -26,7 +26,7 @@ use catapult_obs::progress::ProgressMeter;
 use catapult_obs::{chrome, manifest, ManifestError, Recorder, RunManifest};
 use std::collections::HashMap;
 use std::fmt;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 /// CLI errors.
 #[derive(Debug)]
@@ -508,6 +508,52 @@ fn apply_threads(flags: &Flags) -> Result<(), CliError> {
     Ok(())
 }
 
+/// Flags that name a file the run reads.
+const INPUT_FILES: [&str; 2] = ["db", "patterns"];
+
+/// Flags that name a file the run writes.
+const OUTPUT_FILES: [&str; 3] = ["out", "metrics-out", "trace-out"];
+
+/// Refuse, before any work, an output flag that names the same file as
+/// another file flag: the run would overwrite its own input, or one of
+/// its outputs with another. Paths are compared after resolving their
+/// directory, so `m.json` and `./m.json` collide.
+fn refuse_colliding_files(flags: &Flags) -> Result<(), CliError> {
+    let named: Vec<(&str, PathBuf)> = INPUT_FILES
+        .iter()
+        .chain(&OUTPUT_FILES)
+        .filter_map(|&flag| flags.get(flag).map(|v| (flag, file_identity(Path::new(v)))))
+        .collect();
+    for (j, (flag, path)) in named.iter().enumerate() {
+        if !OUTPUT_FILES.contains(flag) {
+            continue;
+        }
+        if let Some((other, _)) = named[..j].iter().find(|(_, p)| p == path) {
+            return Err(CliError::Usage(format!(
+                "--{other} and --{flag} name the same file {}",
+                path.display()
+            )));
+        }
+    }
+    Ok(())
+}
+
+/// The file `p` names: its canonical path when it exists, else its
+/// resolved directory joined with its file name, else `p` as given.
+fn file_identity(p: &Path) -> PathBuf {
+    if let Ok(full) = std::fs::canonicalize(p) {
+        return full;
+    }
+    let dir = match p.parent() {
+        Some(d) if !d.as_os_str().is_empty() => d,
+        _ => Path::new("."),
+    };
+    match (std::fs::canonicalize(dir), p.file_name()) {
+        (Ok(dir), Some(name)) => dir.join(name),
+        _ => p.to_path_buf(),
+    }
+}
+
 /// Dispatch a full argument vector (without the program name).
 pub fn run(args: &[String]) -> Result<String, CliError> {
     let (cmd, rest) = args
@@ -521,6 +567,7 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
     // silently ignored setting.
     rayon::check_thread_env().map_err(CliError::Usage)?;
     apply_threads(&flags)?;
+    refuse_colliding_files(&flags)?;
     let metrics_out = flags.get("metrics-out").map(Path::new);
     let trace_out = flags.get("trace-out").map(Path::new);
     let force = flags.switch("force");
@@ -727,6 +774,55 @@ mod tests {
         let report = run(&args(&["stats", "--db", &db_path])).unwrap();
         assert!(report.contains("graphs: 10"));
         assert!(report.contains("C ")); // carbon leads the label histogram
+    }
+
+    #[test]
+    fn colliding_file_flags_are_refused_before_any_work() {
+        let db = tmp("collide_db.txt");
+        run(&args(&[
+            "generate",
+            "--profile",
+            "aids",
+            "--count",
+            "20",
+            "--out",
+            &db,
+        ]))
+        .unwrap();
+        let db_bytes = std::fs::read(&db).unwrap();
+        let (p, m) = (tmp("collide_p.txt"), tmp("collide_m.json"));
+        // The same file spelled through `.`: it must still collide.
+        let m_dotted = tmp("./collide_m.json");
+        let cases: [(&[&str], &str, &str); 3] = [
+            (&["--out", &db], "--db and --out", &db),
+            (
+                &["--out", &p, "--metrics-out", &p],
+                "--out and --metrics-out",
+                &p,
+            ),
+            (
+                &["--metrics-out", &m, "--trace-out", &m_dotted],
+                "--metrics-out and --trace-out",
+                &m,
+            ),
+        ];
+        for (extra, names, target) in cases {
+            for f in [&p, &m] {
+                std::fs::remove_file(f).ok();
+            }
+            let mut a = vec!["select", "--db", &db, "--gamma", "3"];
+            a.extend_from_slice(extra);
+            let r = run(&args(&a));
+            assert!(
+                matches!(&r, Err(CliError::Usage(msg)) if msg.contains(names)),
+                "{extra:?}: {r:?}"
+            );
+            if target == db {
+                assert_eq!(std::fs::read(&db).unwrap(), db_bytes, "input DB rewritten");
+            } else {
+                assert!(!Path::new(target).exists(), "{extra:?} wrote {target}");
+            }
+        }
     }
 
     #[test]
