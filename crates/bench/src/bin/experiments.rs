@@ -98,6 +98,12 @@ fn main() {
         );
         std::process::exit(2);
     }
+    // A malformed `CATAPULT_THREADS` is a usage error up front, not a
+    // panic in the first fan-out (or while the manifest is written).
+    if let Err(e) = rayon::check_thread_env() {
+        eprintln!("{e}");
+        std::process::exit(2);
+    }
     if let Some(path) = &metrics_out {
         if let Err(e) = manifest::guard_overwrite(Path::new(path), manifest::SCHEMA_VERSION, force)
         {

@@ -16,7 +16,7 @@ use catapult_eval::measures::{mean_cog, mean_diversity};
 use catapult_eval::steps::DEFAULT_EMBEDDING_CAP;
 use catapult_eval::{formulate, formulate_unlabeled};
 use catapult_graph::Graph;
-use rayon::prelude::*;
+use rayon::par_map;
 
 /// Comparison of one GUI against CATAPULT on one repository.
 #[derive(Clone, Debug)]
@@ -45,19 +45,16 @@ pub fn compare(
     // Parallel audit: both formulations are pure functions of shared `&`
     // state; ordered collection keeps per-query rows aligned with
     // `queries` across thread counts.
-    let per_query: Vec<(usize, usize, bool, bool)> = queries
-        .par_iter()
-        .map(|q| {
-            let f_gui = formulate_unlabeled(q, gui_panel, DEFAULT_EMBEDDING_CAP);
-            let f_cat = formulate(q, catapult_panel, DEFAULT_EMBEDDING_CAP);
-            (
-                f_gui.steps,
-                f_cat.steps,
-                f_gui.used_any_pattern(),
-                f_cat.used_any_pattern(),
-            )
-        })
-        .collect();
+    let per_query: Vec<(usize, usize, bool, bool)> = par_map(queries, |q| {
+        let f_gui = formulate_unlabeled(q, gui_panel, DEFAULT_EMBEDDING_CAP);
+        let f_cat = formulate(q, catapult_panel, DEFAULT_EMBEDDING_CAP);
+        (
+            f_gui.steps,
+            f_cat.steps,
+            f_gui.used_any_pattern(),
+            f_cat.used_any_pattern(),
+        )
+    });
     let n = per_query.len().max(1) as f64;
     let mp_gui = per_query.iter().filter(|r| !r.2).count() as f64 / n * 100.0;
     let mp_cat = per_query.iter().filter(|r| !r.3).count() as f64 / n * 100.0;

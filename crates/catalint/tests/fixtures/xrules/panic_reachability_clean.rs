@@ -8,12 +8,27 @@ pub fn mid(x: Option<u32>) -> Option<u32> {
     pick(x)
 }
 
+/// Panics only on a value every binary validates at startup: sanctioned
+/// at its source, so no kernel call chain through it fires.
+pub fn pool_size(x: Option<u32>) -> u32 {
+    match x {
+        Some(n) => n,
+        // xtask-allow: panic-reachability -- validated before any kernel runs
+        None => panic!("unset"),
+    }
+}
+
 //@ file: crates/graph/src/iso.rs
-use crate::helpers::mid;
+use crate::helpers::{mid, pool_size};
 
 /// Kernel fn whose helper chain degrades instead of panicking.
 pub fn first_embedding(x: Option<u32>) -> Option<u32> {
     mid(x)
+}
+
+/// Kernel fn reaching a panic sanctioned at its source.
+pub fn fan_out(x: Option<u32>) -> u32 {
+    pool_size(x)
 }
 
 // a comment mentioning x.unwrap() and panic!("no") must not fire

@@ -26,7 +26,7 @@ use catapult_graph::mcs::{self, McsConfig};
 use catapult_graph::{Completeness, Graph, SearchBudget, Tally, TallyCounts};
 use rand::rngs::StdRng;
 use rand::Rng;
-use rayon::prelude::*;
+use rayon::par_map;
 use std::collections::BTreeMap;
 use std::sync::{Mutex, MutexGuard, PoisonError}; // xtask-allow: interior-mutability
 
@@ -265,7 +265,7 @@ fn omega_chunk(
             similarity(g, seed, db, cache, cfg, tally)
         }
     };
-    targets.par_iter().map(compute).collect()
+    par_map(targets, compute)
 }
 
 /// Split one oversized cluster into two by seed dissimilarity

@@ -22,7 +22,7 @@ use catapult_graph::mcs::{common_edge_upper_bound, similarity, McsConfig};
 use catapult_graph::{Graph, SearchBudget};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use rayon::prelude::*;
+use rayon::par_map;
 
 /// Maintenance parameters.
 #[derive(Clone, Debug)]
@@ -173,8 +173,7 @@ impl IncrementalCatapult {
         // The closure captures only `&self` and no RNG, counts kernel work
         // through the atomic stage probe, and ordered collection applies
         // the decisions in arrival order for every thread count.
-        let decisions: Vec<(Option<usize>, usize)> =
-            batch.par_iter().map(|g| self.assign(g)).collect();
+        let decisions: Vec<(Option<usize>, usize)> = par_map(&batch, |g| self.assign(g));
         for (g, (assigned, degraded)) in batch.into_iter().zip(decisions) {
             let id = self.db.len() as u32;
             stats.degraded_probes += degraded;

@@ -27,7 +27,7 @@ use catapult_graph::{Graph, Label, SearchBudget, Tally};
 use catapult_mining::EdgeLabelStats;
 use catapult_obs::{Recorder, Stopwatch};
 use rand::Rng;
-use rayon::prelude::*;
+use rayon::par_map;
 use std::collections::BTreeMap;
 use std::time::Duration;
 
@@ -342,38 +342,33 @@ pub fn find_canned_patterns<R: Rng>(
             slot_of.push(slot);
         }
         memo_hits.add((candidates.len() - fresh.len()) as u64);
-        let new_slots: Vec<Memo> = fresh
-            .par_iter()
-            .map(|&i| Memo::new(&candidates[i].0, csgs, &index, cfg, &search, &scoring))
-            .collect();
+        let new_slots: Vec<Memo> = par_map(&fresh, |&i| {
+            Memo::new(&candidates[i].0, csgs, &index, cfg, &search, &scoring)
+        });
         slots.extend(new_slots);
         // Lazy argmax: visit candidates in descending-bound order, scoring
         // a fixed-size block at a time, until the best exact score beats
         // the next bound under the tie rule — then no later candidate can
-        // win. `enumerate` keys everything by *source* index, so the pick
-        // is the same for every thread count.
-        let bounds: Vec<f64> = candidates
-            .par_iter()
-            .enumerate()
-            .map(|(i, (c, _))| slots[slot_of[i]].bound(c, cfg.variant, &cw, &selected_graphs))
-            .collect();
+        // win. Everything is keyed by *candidate* index (`order` is the
+        // identity permutation until it is sorted), so the pick is the
+        // same for every thread count.
         let mut order: Vec<usize> = (0..candidates.len()).collect();
+        let bounds: Vec<f64> = par_map(&order, |&i| {
+            slots[slot_of[i]].bound(&candidates[i].0, cfg.variant, &cw, &selected_graphs)
+        });
         order.sort_by(|&a, &b| bounds[b].total_cmp(&bounds[a]).then(a.cmp(&b)));
         let mut best: Option<(f64, usize)> = None;
         for block in order.chunks(RESCORE_BLOCK) {
             if best.is_some_and(|b| beats(b, (bounds[block[0]], block[0]))) {
                 break;
             }
-            let exact: Vec<(usize, f64, Option<usize>, usize)> = block
-                .par_iter()
-                .map(|&i| {
-                    let memo = &slots[slot_of[i]];
-                    let c = &candidates[i].0;
-                    let (score, div, covers) =
-                        memo.rescore(c, cfg.variant, &cw, &selected_graphs, &search, &scoring);
-                    (i, score, div, covers)
-                })
-                .collect();
+            let exact: Vec<(usize, f64, Option<usize>, usize)> = par_map(block, |&i| {
+                let memo = &slots[slot_of[i]];
+                let c = &candidates[i].0;
+                let (score, div, covers) =
+                    memo.rescore(c, cfg.variant, &cw, &selected_graphs, &search, &scoring);
+                (i, score, div, covers)
+            });
             rescored.add(block.len() as u64);
             for (i, score, div, covers) in exact {
                 let memo = &mut slots[slot_of[i]];

@@ -8,20 +8,20 @@ use catapult_graph::ged::ged;
 use catapult_graph::iso::contains;
 use catapult_graph::metrics::cognitive_load;
 use catapult_graph::{Graph, SearchBudget};
-use rayon::prelude::*;
+use rayon::{par_filter_map, par_map};
 
 /// `scov(P, D)`: fraction of data graphs containing at least one pattern.
 pub fn subgraph_coverage(patterns: &[Graph], db: &[Graph]) -> f64 {
     if db.is_empty() {
         return 0.0;
     }
-    let covered = db
-        .par_iter()
-        // Offline evaluation measure under the default node cap: a
-        // tripped probe only lowers the reported coverage (a conservative
-        // estimate), never correctness.
-        .filter(|g| patterns.iter().any(|p| contains(g, p))) // xtask-allow: budget-threading
-        .count();
+    // Offline evaluation measure under the default node cap: a tripped
+    // probe only lowers the reported coverage (a conservative estimate),
+    // never correctness.
+    let covered = par_filter_map(db, |g| {
+        patterns.iter().any(|p| contains(g, p)).then_some(()) // xtask-allow: budget-threading
+    })
+    .len();
     covered as f64 / db.len() as f64
 }
 
@@ -62,16 +62,13 @@ impl WorkloadEvaluation {
             .counter("evaluate.items.total")
             .add(queries.len() as u64);
         // Parallel audit: `formulate` is a pure function of its arguments
-        // and the shim collects in input order, so `formulations[i]` always
+        // and `par_map` keeps input order, so `formulations[i]` always
         // belongs to `queries[i]` regardless of thread count.
-        let formulations: Vec<Formulation> = queries
-            .par_iter()
-            .map(|q| {
-                let f = formulate(q, patterns, DEFAULT_EMBEDDING_CAP);
-                items_done.incr();
-                f
-            })
-            .collect();
+        let formulations: Vec<Formulation> = par_map(queries, |q| {
+            let f = formulate(q, patterns, DEFAULT_EMBEDDING_CAP);
+            items_done.incr();
+            f
+        });
         if recorder.is_enabled() {
             recorder
                 .counter("eval.workload.queries")
@@ -159,15 +156,13 @@ pub fn mean_diversity(patterns: &[Graph]) -> f64 {
         return 0.0;
     }
     let budget = SearchBudget::nodes(30_000);
-    let mins: Vec<f64> = (0..patterns.len())
-        .into_par_iter()
-        .map(|i| {
-            (0..patterns.len())
-                .filter(|&j| j != i)
-                .map(|j| ged(&patterns[i], &patterns[j], None, &budget).distance as f64)
-                .fold(f64::INFINITY, f64::min)
-        })
-        .collect();
+    let indices: Vec<usize> = (0..patterns.len()).collect();
+    let mins: Vec<f64> = par_map(&indices, |&i| {
+        (0..patterns.len())
+            .filter(|&j| j != i)
+            .map(|j| ged(&patterns[i], &patterns[j], None, &budget).distance as f64)
+            .fold(f64::INFINITY, f64::min)
+    });
     crate::stats::mean(&mins)
 }
 

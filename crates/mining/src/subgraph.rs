@@ -10,7 +10,7 @@
 
 use catapult_graph::iso::{self, are_isomorphic_tagged, contains_tagged};
 use catapult_graph::{Graph, Label, SearchBudget, VertexId};
-use rayon::prelude::*;
+use rayon::par_filter_map;
 use std::collections::HashMap;
 
 /// Mining parameters for the frequent-subgraph baseline.
@@ -111,14 +111,10 @@ fn count_support(
 ) -> Vec<u32> {
     // Parallel audit: read-only captures; the shim's ordered collection
     // keeps the transaction list identical across thread counts.
-    candidates
-        .par_iter()
-        .copied()
-        .filter(|&i| {
-            let (found, c) = contains_tagged(&db[i as usize], pattern, probe);
-            found && c.is_exact()
-        })
-        .collect()
+    par_filter_map(candidates, |&i| {
+        let (found, c) = contains_tagged(&db[i as usize], pattern, probe);
+        (found && c.is_exact()).then_some(i)
+    })
 }
 
 /// Enumerate all one-edge extensions of `g`: cycle-closing edges between

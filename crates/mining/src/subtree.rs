@@ -16,7 +16,7 @@
 use catapult_graph::canonical::{canonical_tokens, CanonTokens};
 use catapult_graph::iso::{self, contains_tagged};
 use catapult_graph::{Completeness, Graph, Label, SearchBudget, Tally, TallyCounts};
-use rayon::prelude::*;
+use rayon::par_filter_map;
 use std::collections::HashMap;
 
 /// Mining parameters.
@@ -92,18 +92,14 @@ fn count_support(
     tally: &Tally,
 ) -> Vec<u32> {
     // Parallel audit: the closure only reads shared `&` state and records
-    // into `Tally` (commutative atomic counters), and the shim collects in
+    // into `Tally` (commutative atomic counters), and `par_filter_map` keeps
     // input order — so the returned transaction list is byte-identical for
     // every thread count.
-    candidates
-        .par_iter()
-        .copied()
-        .filter(|&i| {
-            let (found, c) = contains_tagged(&db[i as usize], tree, probe);
-            tally.record(c);
-            found
-        })
-        .collect()
+    par_filter_map(candidates, |&i| {
+        let (found, c) = contains_tagged(&db[i as usize], tree, probe);
+        tally.record(c);
+        found.then_some(i)
+    })
 }
 
 /// Result of a budgeted frequent-subtree mining run.

@@ -195,7 +195,7 @@ fn sticky_fault_from_start_still_yields_conforming_output() {
 fn deterministic_under_identical_fault_plans() {
     let _guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     // Probe-level replay: which probe is the K-th depends on worker
-    // interleaving once `par_iter` is truly parallel, so fingerprint
+    // interleaving once a fan-out is truly parallel, so fingerprint
     // equality is only guaranteed single-threaded. (Stage-level replay
     // under 8 workers is covered by tests/parallel_determinism.rs.)
     rayon::set_threads(1);

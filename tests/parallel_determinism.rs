@@ -1,8 +1,8 @@
 //! Parallel determinism: the executor must be invisible in the output.
 //!
-//! The rayon shim (`shims/rayon`) fans `par_iter` out over real
-//! `std::thread::scope` workers but guarantees order-preserving
-//! collection, and every parallel closure in the pipeline touches shared
+//! The parallel fan-out (`shims/rayon`: `par_map`, `par_filter_map`)
+//! runs on real `std::thread::scope` workers but returns results in
+//! input order, and every parallel closure in the pipeline touches shared
 //! state only through commutative accumulators ([`Tally`]) — so a full
 //! `run_catapult` must produce **byte-identical** results for every
 //! thread count. These tests pin that contract: the quickstart pipeline

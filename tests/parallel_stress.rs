@@ -1,6 +1,6 @@
 //! Stress test: wide fan-out, mixed budgets, no torn results.
 //!
-//! A 64-way `par_iter` drives budgeted VF2 kernels. Some items carry a
+//! A 64-way `par_map` drives budgeted VF2 kernels. Some items carry a
 //! zero node cap, the rest no bound at all, and the two kinds interleave
 //! across every worker's chunk. The contract under
 //! fire:
@@ -10,13 +10,13 @@
 //!   its own budget implies — `BudgetExhausted` for a zero cap, `Exact`
 //!   otherwise — so no item's stop leaks into another's result;
 //! * the executor survives: follow-up fan-outs on the same pool work,
-//!   and no scoped worker threads outlive their `par_iter` call.
+//!   and no scoped worker threads outlive their `par_map` call.
 
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use catapult::graph::iso::contains_tagged;
 use catapult::graph::{Completeness, Graph, Label, SearchBudget, VertexId};
-use rayon::prelude::*;
+use rayon::par_map;
 use std::sync::Mutex;
 
 /// `rayon::set_threads` is process-global; hold this across every flip.
@@ -71,13 +71,11 @@ fn mixed_fanout(round: usize) -> Vec<(bool, Completeness)> {
     let patterns = [path(7, 0), ring(7, 0)];
     let zero = SearchBudget::nodes(0);
     let open = SearchBudget::unbounded();
-    (0..64usize)
-        .into_par_iter()
-        .map(|i| {
-            let budget = if capped(i, round) { &zero } else { &open };
-            contains_tagged(&target, &patterns[i % 2], budget)
-        })
-        .collect()
+    let items: Vec<usize> = (0..64).collect();
+    par_map(&items, |&i| {
+        let budget = if capped(i, round) { &zero } else { &open };
+        contains_tagged(&target, &patterns[i % 2], budget)
+    })
 }
 
 /// Every item is whole, in place, and tagged as its own budget implies.
@@ -130,10 +128,7 @@ fn executor_survives_repeated_mixed_budget_fanouts() {
             let target = ring(14, 0);
             let pattern = path(7, 0);
             let budget = SearchBudget::unbounded();
-            (0..64usize)
-                .into_par_iter()
-                .map(|_| contains_tagged(&target, &pattern, &budget))
-                .collect()
+            par_map(&[(); 64], |_| contains_tagged(&target, &pattern, &budget))
         };
         assert!(
             clean
