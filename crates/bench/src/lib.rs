@@ -18,7 +18,6 @@
 //! | [`exp09`] | Fig. 17 — frequent-subgraph baseline |
 //! | [`exp10`] | Fig. 18 — cognitive-load measures |
 
-// Lint policy: see [workspace.lints] in the root Cargo.toml.
 #![warn(missing_docs, clippy::print_stderr)]
 // The experiment harness builds fixed, known-valid configurations and
 // synthetic stimuli; failing fast on a bad constant is the desired

@@ -21,7 +21,7 @@ pub const REPORT_SCHEMA_VERSION: u64 = 4;
 /// One finding at a source position.
 #[derive(Clone, Debug)]
 pub struct Diagnostic {
-    /// Rule name (e.g. `float-eq`).
+    /// Rule name (e.g. `metric-name`).
     pub rule: &'static str,
     /// Workspace-relative path with forward slashes.
     pub path: String,

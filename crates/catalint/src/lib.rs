@@ -1,4 +1,3 @@
-// Lint policy: see [workspace.lints] in the root Cargo.toml.
 // Unit tests are allowed the ergonomic panicking shortcuts the library
 // itself forbids; the policy targets production code paths only.
 #![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
@@ -9,6 +8,14 @@
 //! original line/substring pass with a small hand-rolled Rust lexer
 //! ([`lexer`]) and a per-file token-tree model ([`scan`]), so rules see
 //! *code*, never lookalike text inside string literals or comments.
+//!
+//! It keeps only the invariants clippy cannot check: two file rules on
+//! string literals and comparator bodies ([`rules`]), and the rules
+//! that need the workspace call graph ([`xrules`], [`taint`]). Float
+//! `==` in scoring code, lossy `as` casts in kernel code and shared
+//! state outside its owner modules are clippy lints (module-level
+//! `clippy::float_cmp` and `clippy::cast_*` levels, and the root
+//! `clippy.toml`'s `disallowed-types` and `disallowed-macros`).
 //!
 //! The pipeline per run:
 //!
@@ -41,7 +48,6 @@ pub mod taint;
 pub mod xrules;
 
 use diag::Report;
-use rules::FileCtx;
 use scan::SourceFile;
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
@@ -60,28 +66,12 @@ pub struct RuleInfo {
 /// ([`xrules`]), then [`taint`].
 pub const RULES: &[RuleInfo] = &[
     RuleInfo {
-        name: "float-eq",
-        summary: "no ==/!= against float literals in scoring code",
-    },
-    RuleInfo {
-        name: "lint-header",
-        summary: "crate roots state where the lint policy lives",
-    },
-    RuleInfo {
         name: "metric-name",
         summary: "metric and event names follow stage.kernel.metric",
     },
     RuleInfo {
         name: "float-total-order",
         summary: "f64 comparators go through total_cmp",
-    },
-    RuleInfo {
-        name: "cast-truncation",
-        summary: "no narrowing `as` casts in kernel/index arithmetic",
-    },
-    RuleInfo {
-        name: "interior-mutability",
-        summary: "shared/global state only in sanctioned modules",
     },
     RuleInfo {
         name: "budget-threading",
@@ -158,32 +148,6 @@ fn walk(dir: &Path, root: &Path, out: &mut Vec<String>) -> std::io::Result<()> {
     Ok(())
 }
 
-/// Crate roots among `files`: per `src/` directory, `lib.rs` when
-/// present, else `main.rs`. These are the files `lint-header` checks.
-#[must_use]
-pub fn crate_roots(files: &[String]) -> BTreeSet<&str> {
-    let mut by_dir: std::collections::BTreeMap<&str, (&str, Option<&str>, Option<&str>)> =
-        std::collections::BTreeMap::new();
-    for rel in files {
-        let Some((dir, name)) = rel.rsplit_once('/') else {
-            continue;
-        };
-        if !(dir == "src" || dir.ends_with("/src")) {
-            continue;
-        }
-        let slot = by_dir.entry(dir).or_insert((dir, None, None));
-        if name == "lib.rs" {
-            slot.1 = Some(rel.as_str());
-        } else if name == "main.rs" {
-            slot.2 = Some(rel.as_str());
-        }
-    }
-    by_dir
-        .values()
-        .filter_map(|&(_, lib, main)| lib.or(main))
-        .collect()
-}
-
 /// The set of enabled rule names for a `--rule` filter (empty filter →
 /// every rule). Returns an error naming any unknown rule.
 pub fn enabled_rules(filter: &[String]) -> Result<BTreeSet<&'static str>, String> {
@@ -224,7 +188,6 @@ pub struct Analysis {
 /// run on top.
 pub fn analyze(root: &Path, enabled: &BTreeSet<&'static str>) -> std::io::Result<Analysis> {
     let files = discover(root)?;
-    let roots = crate_roots(&files);
     let mut report = Report {
         rules_run: enabled.iter().copied().collect(),
         files_scanned: files.len(),
@@ -234,10 +197,7 @@ pub fn analyze(root: &Path, enabled: &BTreeSet<&'static str>) -> std::io::Result
     for rel in &files {
         let text = std::fs::read_to_string(root.join(rel))?;
         let file = SourceFile::parse(rel.clone(), text);
-        let ctx = FileCtx {
-            is_crate_root: roots.contains(rel.as_str()),
-        };
-        rules::check_file(&file, &ctx, enabled, &mut report.findings);
+        rules::check_file(&file, enabled, &mut report.findings);
         parsed.push(file);
     }
     let workspace = Workspace::build(parsed);
@@ -252,36 +212,23 @@ mod tests {
     use super::*;
 
     #[test]
-    fn crate_roots_prefer_lib_over_main() {
-        let files: Vec<String> = [
-            "crates/a/src/lib.rs",
-            "crates/a/src/main.rs",
-            "crates/b/src/main.rs",
-            "crates/b/src/other.rs",
-            "src/lib.rs",
-            "tests/integration.rs",
-        ]
-        .iter()
-        .map(|s| (*s).to_string())
-        .collect();
-        let roots = crate_roots(&files);
-        assert!(roots.contains("crates/a/src/lib.rs"));
-        assert!(!roots.contains("crates/a/src/main.rs"));
-        assert!(roots.contains("crates/b/src/main.rs"));
-        assert!(roots.contains("src/lib.rs"));
-        assert!(!roots.contains("tests/integration.rs"));
-    }
-
-    #[test]
     fn rule_filter_validates_names() {
         assert_eq!(enabled_rules(&[]).map(|s| s.len()), Ok(RULES.len()));
-        let one = enabled_rules(&["float-eq".to_string()]).expect("known rule");
+        let one = enabled_rules(&["metric-name".to_string()]).expect("known rule");
         assert_eq!(one.len(), 1);
         let x = enabled_rules(&["budget-threading".to_string()]).expect("xrule name");
         assert_eq!(x.len(), 1);
-        assert!(enabled_rules(&["bogus".to_string()])
-            .unwrap_err()
-            .contains("unknown rule"));
+        for retired in [
+            "bogus",
+            "float-eq",
+            "cast-truncation",
+            "interior-mutability",
+            "lint-header",
+        ] {
+            assert!(enabled_rules(&[retired.to_string()])
+                .unwrap_err()
+                .contains("unknown rule"));
+        }
     }
 
     #[test]

@@ -404,33 +404,21 @@ impl SourceFile {
         self.offset_line_col(self.ctok(ci).start)
     }
 
-    /// A `rule` finding at 1-based `(line, col)`, allowed when an
-    /// `xtask-allow` marker names the rule on that line or the one above.
+    /// A `rule` finding at code token `ci`, allowed when an
+    /// `xtask-allow` marker names the rule on its line or the one above.
     #[must_use]
-    pub fn diagnostic_at(
-        &self,
-        (line, col): (usize, usize),
-        enclosing_fn: &str,
-        rule: &'static str,
-        message: String,
-    ) -> Diagnostic {
+    pub fn diagnostic(&self, ci: usize, rule: &'static str, message: String) -> Diagnostic {
+        let (line, col) = self.cpos(ci);
         Diagnostic {
             rule,
             path: self.rel.clone(),
             line,
             col,
             snippet: self.line_snippet(line),
-            enclosing_fn: enclosing_fn.to_string(),
+            enclosing_fn: self.enclosing_fn(ci).unwrap_or_default().to_string(),
             message,
             allowed: self.allowed(line, rule),
         }
-    }
-
-    /// A `rule` finding at code token `ci` (see [`Self::diagnostic_at`]).
-    #[must_use]
-    pub fn diagnostic(&self, ci: usize, rule: &'static str, message: String) -> Diagnostic {
-        let enclosing = self.enclosing_fn(ci).unwrap_or_default();
-        self.diagnostic_at(self.cpos(ci), enclosing, rule, message)
     }
 
     /// The trimmed text of a 1-based line, truncated for display.
@@ -601,15 +589,15 @@ mod tests {
     #[test]
     fn allow_markers_cover_line_and_line_above() {
         let f = file(
-            "let a = 1; // xtask-allow: float-eq\n\
-             // xtask-allow: interior-mutability, cast-truncation\n\
+            "let a = 1; // xtask-allow: metric-name\n\
+             // xtask-allow: panic-reachability, float-total-order\n\
              let b = 2;\n",
         );
-        assert!(f.allowed(1, "float-eq"));
-        assert!(!f.allowed(1, "interior-mutability"));
-        assert!(f.allowed(3, "interior-mutability"), "line-above marker");
-        assert!(f.allowed(3, "cast-truncation"), "comma-separated list");
-        assert!(!f.allowed(3, "float-eq"));
+        assert!(f.allowed(1, "metric-name"));
+        assert!(!f.allowed(1, "panic-reachability"));
+        assert!(f.allowed(3, "panic-reachability"), "line-above marker");
+        assert!(f.allowed(3, "float-total-order"), "comma-separated list");
+        assert!(!f.allowed(3, "metric-name"));
     }
 
     #[test]
@@ -630,7 +618,7 @@ mod tests {
             Some(""),
             "marker without text is allowed-but-unjustified"
         );
-        assert_eq!(f.allow_justification(2, "float-eq"), None, "wrong rule");
+        assert_eq!(f.allow_justification(2, "metric-name"), None, "wrong rule");
         assert_eq!(
             f.allow_justification(4, "lock-order-xfn"),
             Some("one guard, no nesting"),

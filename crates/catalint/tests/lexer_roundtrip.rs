@@ -62,8 +62,8 @@ fn every_fixture_round_trips() {
         }
     }
     assert_eq!(
-        n, 44,
-        "6 file rules x (fires + clean) + 4 xrules x (fires + clean) \
+        n, 36,
+        "2 file rules x (fires + clean) + 4 xrules x (fires + clean) \
          + 12 taint pairs"
     );
 }

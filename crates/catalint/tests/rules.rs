@@ -3,31 +3,21 @@
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use catalint::diag::Diagnostic;
-use catalint::rules::{check_file, FileCtx};
+use catalint::rules::check_file;
 use catalint::scan::SourceFile;
 use catalint::RULES;
 use std::collections::BTreeSet;
 use std::path::Path;
 
-/// A workspace-relative path that puts a fixture inside the rule's scope.
-fn scoped_rel(rule: &str) -> &'static str {
-    match rule {
-        "float-eq" => "crates/core/src/score.rs",
-        "lint-header" => "crates/fixture/src/lib.rs",
-        "cast-truncation" => "crates/graph/src/ged.rs",
-        _ => "crates/core/src/fixture.rs",
-    }
-}
+/// A workspace-relative library path inside both file rules' scope.
+const SCOPED_REL: &str = "crates/core/src/fixture.rs";
 
 fn run_source(rule: &'static str, rel: &str, text: String) -> Vec<Diagnostic> {
     let file = SourceFile::parse(rel.to_string(), text);
     let mut enabled = BTreeSet::new();
     enabled.insert(rule);
-    let ctx = FileCtx {
-        is_crate_root: rule == "lint-header",
-    };
     let mut out = Vec::new();
-    check_file(&file, &ctx, &enabled, &mut out);
+    check_file(&file, &enabled, &mut out);
     out
 }
 
@@ -39,7 +29,7 @@ fn run_fixture(rule: &'static str, which: &str) -> Vec<Diagnostic> {
     let path = fixture_dir().join(rule).join(format!("{which}.rs"));
     let text = std::fs::read_to_string(&path)
         .unwrap_or_else(|e| panic!("missing fixture {}: {e}", path.display()));
-    run_source(rule, scoped_rel(rule), text)
+    run_source(rule, SCOPED_REL, text)
 }
 
 /// The file rules: those with a `fixtures/<rule>/` pair. The
@@ -67,7 +57,7 @@ fn every_rule_has_fixtures() {
         ) || (rule.name == "taint" && dir.join("taint").is_dir());
         assert!(ok, "no fires/clean fixture pair for `{}`", rule.name);
     }
-    assert_eq!(file_rules().count(), 6, "the six file rules");
+    assert_eq!(file_rules().count(), 2, "the two file rules");
 }
 
 #[test]
@@ -107,20 +97,20 @@ fn every_rule_has_a_clean_fixture() {
 fn string_and_comment_lookalikes_never_fire() {
     let cases: [(&'static str, &str); 3] = [
         (
-            "cast-truncation",
-            "fn f() -> usize { let s = \"x as u8\"; s.len() }\n",
+            "float-total-order",
+            "fn f(v: &mut [f64]) { let s = \"v.sort_by(|a, b| a.partial_cmp(b).unwrap())\"; v.sort_by(f64::total_cmp); let _ = s; }\n",
         ),
         (
-            "cast-truncation",
-            "/* let b = x as u8; */ fn f() -> u32 { 0 }\n",
+            "float-total-order",
+            "/* v.sort_by(|a, b| a.partial_cmp(b).unwrap()); */ fn f() -> u32 { 0 }\n",
         ),
         (
-            "float-eq",
-            "fn f(x: f64) -> bool { let d = \"x == 1.0\"; !d.is_empty() && x < 1.0 }\n",
+            "metric-name",
+            "fn f(r: &Recorder) { let d = \"r.counter(\\\"bad\\\")\"; // r.counter(\"bad\")\n r.counter(\"mining.iso.calls\").incr(d.len()); }\n",
         ),
     ];
     for (rule, src) in cases {
-        let found = run_source(rule, scoped_rel(rule), src.to_string());
+        let found = run_source(rule, SCOPED_REL, src.to_string());
         assert!(
             found.is_empty(),
             "[{rule}] fired on lookalike: {found:?}\nsource: {src}"
@@ -132,54 +122,45 @@ fn string_and_comment_lookalikes_never_fire() {
 /// old pass lost the rest of the line after a stripped fake comment.
 #[test]
 fn violation_after_comment_lookalike_string_still_fires() {
-    let src =
-        "fn f(x: u64) -> u8 { let s = \"// fake\"; if s.is_empty() { 0 } else { x as u8 } }\n";
-    let found = run_source(
-        "cast-truncation",
-        scoped_rel("cast-truncation"),
-        src.to_string(),
+    let src = "fn f(r: &Recorder) { let s = \"// fake\"; r.counter(\"bad\").incr(s.len()); }\n";
+    let found = run_source("metric-name", SCOPED_REL, src.to_string());
+    assert_eq!(
+        found.len(),
+        1,
+        "exactly the real `counter(\"bad\")`: {found:?}"
     );
-    assert_eq!(found.len(), 1, "exactly the real `as u8`: {found:?}");
     assert!(!found[0].allowed);
 }
 
 #[test]
 fn inline_allow_suppresses_but_is_recorded() {
-    let src = "fn f(i: u64) -> u32 {\n    // xtask-allow: cast-truncation\n    i as u32\n}\n";
-    let found = run_source(
-        "cast-truncation",
-        scoped_rel("cast-truncation"),
-        src.to_string(),
-    );
+    let src = "fn f(v: &mut [f64]) {\n    // xtask-allow: float-total-order\n    v.sort_by(|a, b| a.partial_cmp(b).unwrap());\n}\n";
+    let found = run_source("float-total-order", SCOPED_REL, src.to_string());
     assert_eq!(found.len(), 1);
     assert!(found[0].allowed);
 
-    let wrong_rule = "fn f(i: u64) -> u32 {\n    // xtask-allow: float-eq\n    i as u32\n}\n";
-    let found = run_source(
-        "cast-truncation",
-        scoped_rel("cast-truncation"),
-        wrong_rule.to_string(),
-    );
+    let wrong_rule = "fn f(v: &mut [f64]) {\n    // xtask-allow: metric-name\n    v.sort_by(|a, b| a.partial_cmp(b).unwrap());\n}\n";
+    let found = run_source("float-total-order", SCOPED_REL, wrong_rule.to_string());
     assert!(!found[0].allowed, "allow must name the rule");
 }
 
 #[test]
 fn out_of_scope_paths_are_not_checked() {
-    let src = "fn f(x: f64) -> bool { x == 1.0 }\n";
-    let found = run_source("float-eq", "crates/eval/src/basic.rs", src.to_string());
-    assert!(
-        found.is_empty(),
-        "scoring rule outside scoring files: {found:?}"
-    );
+    let cmp = "fn f(v: &mut [f64]) { v.sort_by(|a, b| a.partial_cmp(b).unwrap()); }\n";
+    for rel in ["tests/ranking.rs", "examples/rank.rs"] {
+        let found = run_source("float-total-order", rel, cmp.to_string());
+        assert!(
+            found.is_empty(),
+            "comparator rule outside library code ({rel}): {found:?}"
+        );
+    }
 
-    let cast = "fn f(i: u64) -> u32 { i as u32 }\n";
-    let found = run_source(
-        "cast-truncation",
-        "crates/cluster/src/kmeans.rs",
-        cast.to_string(),
-    );
-    assert!(
-        found.is_empty(),
-        "cast rule outside kernel/index files: {found:?}"
-    );
+    let metric = "fn f(r: &Recorder) { r.counter(\"bad\").incr(1); }\n";
+    for rel in ["crates/obs/src/recorder.rs", "shims/rayon/src/lib.rs"] {
+        let found = run_source("metric-name", rel, metric.to_string());
+        assert!(
+            found.is_empty(),
+            "metric rule inside the recorder's own crates ({rel}): {found:?}"
+        );
+    }
 }

@@ -17,6 +17,11 @@
 //! The plan is global state, so tests that install one must serialize
 //! on a shared lock and [`clear`] it when done.
 
+// The persistence fault plan and its write-attempt counter are
+// process-global by design, sanctioned here by the root clippy.toml's
+// `disallowed-types` policy.
+#![allow(clippy::disallowed_types)]
+
 use std::io;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};

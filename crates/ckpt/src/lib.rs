@@ -31,7 +31,6 @@
 //!   persistence faults: the K-th checkpoint write can be made to tear,
 //!   truncate, bit-flip, fail transiently, or crash the run right after
 //!   completing, so every recovery path is testable in-process.
-// Lint policy: see [workspace.lints] in the root Cargo.toml.
 #![warn(clippy::print_stderr)]
 #![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
 
@@ -95,6 +94,7 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
 /// that a fault plan keys on, so a concurrent writer would consume another
 /// test's planned fault.
 #[cfg(test)]
+#[allow(clippy::disallowed_types)] // a test-only lock, not pipeline state
 pub(crate) fn serial_writes() -> std::sync::MutexGuard<'static, ()> {
     static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
     SERIAL

@@ -28,7 +28,8 @@ use rand::rngs::StdRng;
 use rand::Rng;
 use rayon::par_map;
 use std::collections::BTreeMap;
-use std::sync::{Mutex, MutexGuard, PoisonError}; // xtask-allow: interior-mutability
+#[allow(clippy::disallowed_types)] // the `SimCache` lock, shared by the ω workers
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Which common-subgraph similarity drives the split (Exp 1 compares both).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -139,7 +140,8 @@ pub(crate) struct SimCache {
     /// `BTreeMap` so snapshots serialize in key order byte-identically.
     /// Writes are value-deterministic (every worker computes the same
     /// similarity for a class pair), so insertion order cannot change
-    /// any cached value. xtask-allow: interior-mutability
+    /// any cached value.
+    #[allow(clippy::disallowed_types)] // value-deterministic writes, sorted reads
     entries: Mutex<BTreeMap<(u32, u32), (f64, Completeness)>>,
 }
 
@@ -168,7 +170,8 @@ impl SimCache {
         SimCache {
             class_of,
             rep_of,
-            entries: Mutex::new(BTreeMap::new()), // xtask-allow: interior-mutability
+            #[allow(clippy::disallowed_types)] // the cache lock declared above
+            entries: Mutex::new(BTreeMap::new()),
         }
     }
 
@@ -444,20 +447,26 @@ pub(crate) fn fine_inner(
         let seed1 = cluster[rng.gen_range(0..cluster.len())];
         // ω(G, seed) for every member, `chunk` rows per checkpoint flush.
         // Chunking cannot change the values — every row is computed
-        // independently — so chunked and monolithic runs agree.
+        // independently — so chunked and monolithic runs agree. The flush
+        // comes before each chunk but the split's first, so it always
+        // holds rows computed since the last one (the post-split flush
+        // covers the final chunk).
+        let mut first_chunk = true;
         let (c1, c2) = split(cluster, seed1, |targets, seed| {
             let mut omega = Vec::with_capacity(targets.len());
             for piece in targets.chunks(chunk) {
+                if !std::mem::take(&mut first_chunk) {
+                    write_state(
+                        store,
+                        &mut seq,
+                        &done,
+                        &work,
+                        rng_start,
+                        tally_start,
+                        &cache,
+                    )?;
+                }
                 omega.extend(omega_chunk(db, piece, seed, cfg, &tally, &cache));
-                write_state(
-                    store,
-                    &mut seq,
-                    &done,
-                    &work,
-                    rng_start,
-                    tally_start,
-                    &cache,
-                )?;
             }
             Ok(omega)
         })?;

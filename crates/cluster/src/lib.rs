@@ -14,7 +14,6 @@
 //!   mcsH) behind one entry point, [`pipeline::cluster_graphs`];
 //! * [`quality`] — misclassification distance (Lemma 4.2 / [29]).
 
-// Lint policy: see [workspace.lints] in the root Cargo.toml.
 #![warn(missing_docs, clippy::print_stderr)]
 // Unit tests are allowed the ergonomic panicking shortcuts the library
 // itself forbids; the policy targets production code paths only.

@@ -6,6 +6,10 @@
 //! the paper's uniform size distribution. Patterns smaller than 3 edges are
 //! basic GUI widgets, not canned patterns, hence `ηmin > 2`.
 
+// Eq. 2 scores feed a greedy argmax whose picks must not depend on
+// float noise: compare with ranges or `total_cmp`, never `==`.
+#![warn(clippy::float_cmp)]
+
 use std::fmt;
 
 /// Errors from constructing a [`PatternBudget`].

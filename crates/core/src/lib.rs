@@ -26,7 +26,6 @@
 //! assert_eq!(result.patterns().len(), 1);
 //! ```
 
-// Lint policy: see [workspace.lints] in the root Cargo.toml.
 #![warn(missing_docs, clippy::print_stderr)]
 // Unit tests are allowed the ergonomic panicking shortcuts the library
 // itself forbids; the policy targets production code paths only.

@@ -14,6 +14,10 @@
 //! The four criteria combine multiplicatively following Tofallis [37]
 //! because no trade-off rate between them is known a priori.
 
+// Eq. 2 scores feed a greedy argmax whose picks must not depend on
+// float noise: compare with ranges or `total_cmp`, never `==`.
+#![warn(clippy::float_cmp)]
+
 use catapult_csg::{ClusterWeights, Csg};
 use catapult_graph::ged::{ged, ged_lower_bound};
 use catapult_graph::iso::{for_each_embedding, MatchOptions};
@@ -438,6 +442,7 @@ mod tests {
     }
 
     #[test]
+    #[allow(clippy::float_cmp)] // an empty DB scores exactly zero
     fn empty_db_scores_zero() {
         let idx = EdgeLabelIndex::build(&[]);
         let p = Graph::from_parts(&[l(0), l(1)], &[(0, 1)]);

@@ -13,6 +13,16 @@
 //! wins. The pick is the one an eager loop scoring every candidate would
 //! make; see DESIGN.md §15, "Lazy greedy selection".
 
+// Eq. 2 scores feed a greedy argmax whose picks must not depend on
+// float noise, and counts index kernel tables: no float `==`, and no
+// `as` cast that can change the value (use `total_cmp` and `try_from`).
+#![warn(
+    clippy::float_cmp,
+    clippy::cast_possible_truncation,
+    clippy::cast_possible_wrap,
+    clippy::cast_sign_loss
+)]
+
 use crate::budget::{PatternBudget, SizeCounts};
 use crate::fcp::generate_fcp;
 use crate::querylog::QueryLog;

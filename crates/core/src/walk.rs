@@ -11,6 +11,14 @@
 //! module checks the distributional equivalence against an explicit LCM
 //! replication on rational weights.
 
+// Kernel and index arithmetic: an `as` cast that can change the value
+// (truncate, wrap or drop a sign) must be a `try_from` with a handled error.
+#![warn(
+    clippy::cast_possible_truncation,
+    clippy::cast_possible_wrap,
+    clippy::cast_sign_loss
+)]
+
 use catapult_csg::WeightedCsg;
 use catapult_graph::EdgeId;
 use rand::Rng;

@@ -5,6 +5,14 @@
 //! small (≤ N ≈ 20 graphs), so a sorted `Vec<u32>` beats any fancier
 //! structure.
 
+// Kernel and index arithmetic: an `as` cast that can change the value
+// (truncate, wrap or drop a sign) must be a `try_from` with a handled error.
+#![warn(
+    clippy::cast_possible_truncation,
+    clippy::cast_possible_wrap,
+    clippy::cast_sign_loss
+)]
+
 /// A sorted, deduplicated set of graph ids.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct IdSet(Vec<u32>);

@@ -9,7 +9,6 @@
 //! * [`weights`] — cluster weights `cw`, edge-label weights `elw`, and the
 //!   weighted CSGs that drive the §5 random walks.
 
-// Lint policy: see [workspace.lints] in the root Cargo.toml.
 #![warn(missing_docs, clippy::print_stderr)]
 // Unit tests are allowed the ergonomic panicking shortcuts the library
 // itself forbids; the policy targets production code paths only.

@@ -10,6 +10,10 @@
 //! * After a pattern is selected, both weight families are damped with the
 //!   multiplicative-weights update `w' = (1 − n) · w`, `n = 0.5` [2].
 
+// Eq. 2 scores feed a greedy argmax whose picks must not depend on
+// float noise: compare with ranges or `total_cmp`, never `==`.
+#![warn(clippy::float_cmp)]
+
 use crate::summary::Csg;
 use catapult_graph::{EdgeId, EdgeLabel, Graph};
 use catapult_mining::edges::EdgeLabelStats;
@@ -218,6 +222,7 @@ mod tests {
     }
 
     #[test]
+    #[allow(clippy::float_cmp)] // an unseen label weighs exactly zero
     fn unknown_label_weight_zero() {
         let db = db();
         let elw = EdgeLabelWeights::new(EdgeLabelStats::from_graphs(&db));

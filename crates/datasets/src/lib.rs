@@ -10,7 +10,6 @@
 //! [`queries`] draws the §6.1 random-connected-subgraph workloads plus the
 //! Exp-9 frequent/infrequent mixes.
 
-// Lint policy: see [workspace.lints] in the root Cargo.toml.
 #![warn(missing_docs, clippy::print_stderr)]
 // Unit tests are allowed the ergonomic panicking shortcuts the library
 // itself forbids; the policy targets production code paths only.

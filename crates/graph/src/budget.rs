@@ -34,6 +34,11 @@
 //! `stage.kernel.metric` counters exactly once, when it drops. A
 //! default (disabled) probe costs nothing.
 
+// The commutative `Tally` counters and the process-global kernel fault
+// plan are the budget layer's shared state, sanctioned here by the root
+// clippy.toml's `disallowed-types` policy.
+#![allow(clippy::disallowed_types)]
+
 pub use catapult_obs::{Kernel, KernelMeasurement, StageProbe};
 use std::sync::atomic::{AtomicU64, Ordering};
 

@@ -20,6 +20,14 @@
 //!   best-known value (at most `min(ub, τ) ≤ ub`), flagged via
 //!   [`GedResult::completeness`].
 
+// Kernel and index arithmetic: an `as` cast that can change the value
+// (truncate, wrap or drop a sign) must be a `try_from` with a handled error.
+#![warn(
+    clippy::cast_possible_truncation,
+    clippy::cast_possible_wrap,
+    clippy::cast_sign_loss
+)]
+
 use crate::bitadj::BitAdjacency;
 use crate::budget::{BudgetMeter, Completeness, Kernel, SearchBudget};
 use crate::graph::{Graph, VertexId};
@@ -501,16 +509,16 @@ mod tests {
         Label(x)
     }
 
-    fn path(n: usize) -> Graph {
-        let labels = vec![l(0); n];
-        let edges: Vec<(u32, u32)> = (0..n as u32 - 1).map(|i| (i, i + 1)).collect();
+    fn path(n: u32) -> Graph {
+        let labels = vec![l(0); n as usize];
+        let edges: Vec<(u32, u32)> = (0..n - 1).map(|i| (i, i + 1)).collect();
         Graph::from_parts(&labels, &edges)
     }
 
-    fn cycle(n: usize) -> Graph {
-        let labels = vec![l(0); n];
-        let mut edges: Vec<(u32, u32)> = (0..n as u32 - 1).map(|i| (i, i + 1)).collect();
-        edges.push((n as u32 - 1, 0));
+    fn cycle(n: u32) -> Graph {
+        let labels = vec![l(0); n as usize];
+        let mut edges: Vec<(u32, u32)> = (0..n - 1).map(|i| (i, i + 1)).collect();
+        edges.push((n - 1, 0));
         Graph::from_parts(&labels, &edges)
     }
 

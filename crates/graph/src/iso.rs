@@ -12,6 +12,14 @@
 //! semantics of subgraph search in graph databases [36]. Induced matching
 //! is available via [`MatchOptions::induced`].
 
+// Kernel and index arithmetic: an `as` cast that can change the value
+// (truncate, wrap or drop a sign) must be a `try_from` with a handled error.
+#![warn(
+    clippy::cast_possible_truncation,
+    clippy::cast_possible_wrap,
+    clippy::cast_sign_loss
+)]
+
 use crate::bitadj::BitAdjacency;
 use crate::budget::{BudgetMeter, Completeness, Kernel, SearchBudget};
 use crate::graph::{Graph, VertexId};
@@ -467,9 +475,9 @@ mod tests {
         Graph::from_parts(&[l(0); 3], &[(0, 1), (1, 2), (0, 2)])
     }
 
-    fn path(n: usize) -> Graph {
-        let labels = vec![l(0); n];
-        let edges: Vec<(u32, u32)> = (0..n as u32 - 1).map(|i| (i, i + 1)).collect();
+    fn path(n: u32) -> Graph {
+        let labels = vec![l(0); n as usize];
+        let edges: Vec<(u32, u32)> = (0..n - 1).map(|i| (i, i + 1)).collect();
         Graph::from_parts(&labels, &edges)
     }
 

@@ -20,7 +20,6 @@
 //! * [`budget`] — shared execution budgets ([`SearchBudget`]) and
 //!   completeness tags ([`Completeness`]) for every NP-hard kernel.
 
-// Lint policy: see [workspace.lints] in the root Cargo.toml.
 #![warn(missing_docs, clippy::print_stderr)]
 // Unit tests are allowed the ergonomic panicking shortcuts the library
 // itself forbids; the policy targets production code paths only.

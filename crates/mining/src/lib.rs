@@ -11,7 +11,6 @@
 //! * [`gindex`] — filter–verify subgraph search over the repository (the
 //!   §1 query primitive the interface formulates for).
 
-// Lint policy: see [workspace.lints] in the root Cargo.toml.
 #![warn(missing_docs, clippy::print_stderr)]
 // Unit tests are allowed the ergonomic panicking shortcuts the library
 // itself forbids; the policy targets production code paths only.

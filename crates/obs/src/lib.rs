@@ -1,7 +1,8 @@
-// Lint policy: see [workspace.lints] in the root Cargo.toml.
-// (This crate carries a local copy with `unsafe_code = "deny"`; the
-// rationale lives next to the `[lints]` table in crates/obs/Cargo.toml.)
 #![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
+// The recorder is the workspace's one shared telemetry sink: its
+// counters, locks and per-thread worker ids are the state the root
+// clippy.toml keeps out of every other crate.
+#![allow(clippy::disallowed_types, clippy::disallowed_macros)]
 //! Zero-dependency tracing and metrics for the CATAPULT pipeline.
 //!
 //! The paper's experiments (§7) report *where* pattern-selection time

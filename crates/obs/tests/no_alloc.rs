@@ -13,6 +13,8 @@
 
 #![allow(unsafe_code)]
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+// The per-thread allocation counter is the instrument itself.
+#![allow(clippy::disallowed_types, clippy::disallowed_macros)]
 
 use catapult_obs::{Kernel, KernelMeasurement, Recorder};
 use std::alloc::{GlobalAlloc, Layout, System};

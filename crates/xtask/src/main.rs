@@ -1,4 +1,3 @@
-// Lint policy: see [workspace.lints] in the root Cargo.toml.
 // Unit tests are allowed the ergonomic panicking shortcuts the binary
 // itself forbids; the policy targets production code paths only.
 #![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
@@ -10,7 +9,7 @@
 //! ```text
 //! cargo xtask lint                      # human-readable report
 //! cargo xtask lint --json report.json   # also write the JSON artifact
-//! cargo xtask lint --rule taint,float-eq --rule budget-threading
+//! cargo xtask lint --rule taint,metric-name --rule budget-threading
 //! ```
 //!
 //! Exit codes: `0` clean (no findings, or only ones an inline
@@ -140,7 +139,7 @@ mod tests {
     fn parses_flags_in_any_order() {
         let opts = parse_lint_args(&s(&[
             "--rule",
-            "float-eq",
+            "metric-name",
             "--json",
             "out.json",
             "--rule",
@@ -148,7 +147,7 @@ mod tests {
         ]))
         .expect("parses");
         assert_eq!(opts.json.as_deref(), Some(Path::new("out.json")));
-        assert_eq!(opts.rules, s(&["float-eq", "lock-order-xfn"]));
+        assert_eq!(opts.rules, s(&["metric-name", "lock-order-xfn"]));
         assert_eq!(parse_lint_args(&[]), Ok(LintOpts::default()));
     }
 
@@ -156,16 +155,16 @@ mod tests {
     fn rule_lists_split_on_commas() {
         let opts = parse_lint_args(&s(&[
             "--rule",
-            "float-eq, lock-order-xfn",
+            "metric-name, lock-order-xfn",
             "--rule",
             "budget-threading",
         ]))
         .expect("parses");
         assert_eq!(
             opts.rules,
-            s(&["float-eq", "lock-order-xfn", "budget-threading"])
+            s(&["metric-name", "lock-order-xfn", "budget-threading"])
         );
-        assert!(parse_lint_args(&s(&["--rule", "float-eq,,lock-order-xfn"])).is_err());
+        assert!(parse_lint_args(&s(&["--rule", "metric-name,,lock-order-xfn"])).is_err());
         assert!(parse_lint_args(&s(&["--rule", ","])).is_err());
     }
 

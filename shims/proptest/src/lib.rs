@@ -10,7 +10,6 @@
 //! case reports the seed and case index instead of a minimized input.
 //! Case generation is deterministic per test (seeded from the test name,
 //! overridable with `CATAPULT_PROPTEST_SEED`).
-// Lint policy: see [workspace.lints] in the root Cargo.toml.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SampleRange, SampleUniform, SeedableRng};

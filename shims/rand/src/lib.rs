@@ -10,7 +10,6 @@
 //! *not* bit-compatible with the real `rand::rngs::StdRng` (ChaCha12);
 //! tests in this workspace assert structural properties, not exact
 //! sampled values, so only determinism matters.
-// Lint policy: see [workspace.lints] in the root Cargo.toml.
 
 /// Low-level source of randomness: everything derives from `next_u64`.
 pub trait RngCore {

@@ -24,10 +24,13 @@
 //! (`U: Send`), closures are `Sync`, and any shared mutable state they
 //! touch must be synchronized *and* commutative (atomics such as
 //! `Tally`), because side effects happen in any order.
-// Lint policy: see [workspace.lints] in the root Cargo.toml.
 // Unit tests are allowed the ergonomic panicking shortcuts the library
 // itself forbids; the policy targets production code paths only.
 #![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
+// The executor owns the pool size (an override slot and the parsed
+// `CATAPULT_THREADS`) and its workers' claim counters: the shared state
+// the root clippy.toml keeps out of every other crate.
+#![allow(clippy::disallowed_types)]
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;

@@ -17,6 +17,9 @@
 
 #![allow(unsafe_code)]
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+// The per-thread allocation counter is the instrument itself, and the
+// pool-size override these tests flip is process-global.
+#![allow(clippy::disallowed_types, clippy::disallowed_macros)]
 
 use rayon::{par_filter_map, par_map};
 use std::alloc::{GlobalAlloc, Layout, System};

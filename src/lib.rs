@@ -37,7 +37,6 @@
 //! assert!(!result.patterns().is_empty());
 //! ```
 
-// Lint policy: see [workspace.lints] in the root Cargo.toml.
 #![warn(clippy::print_stderr)]
 // Unit tests are allowed the ergonomic panicking shortcuts the library
 // itself forbids; the policy targets production code paths only.

@@ -16,11 +16,11 @@ use catapult::graph::budget::fault::{self, FaultPlan};
 use catapult::graph::components::is_connected;
 use catapult::graph::{Completeness, Graph, Label, VertexId};
 use catapult::prelude::*;
-use std::sync::Mutex;
 
 /// The fault plan and invocation counter are process-global; every test
 /// must hold this lock so plans do not bleed between tests.
-static SERIAL: Mutex<()> = Mutex::new(());
+#[allow(clippy::disallowed_types)] // a test lock, not pipeline state
+static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
 fn ring(n: u32, label: u32) -> Graph {
     let mut g = Graph::new();

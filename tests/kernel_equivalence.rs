@@ -40,10 +40,10 @@ use catapult::graph::{iso, Completeness, Graph, Label, SearchBudget, VertexId};
 use catapult_obs::Recorder;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::sync::Mutex;
 
 /// `set_threads` is process-global; tests that sweep it serialize here.
-static SERIAL: Mutex<()> = Mutex::new(());
+#[allow(clippy::disallowed_types)] // a test lock, not pipeline state
+static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
 /// Random labeled graph: `n` vertices over a small label alphabet, each
 /// candidate edge kept with probability ~`density`/n.

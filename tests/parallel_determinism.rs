@@ -24,11 +24,11 @@ use catapult::datasets::{aids_profile, generate, MoleculeDb};
 use catapult::graph::fmt::write_graphs;
 use catapult::prelude::*;
 use std::fmt::Write as _;
-use std::sync::Mutex;
 
 /// `rayon::set_threads` is process-global; serialize every test that
 /// flips it so concurrent tests never observe a half-changed setting.
-static SERIAL: Mutex<()> = Mutex::new(());
+#[allow(clippy::disallowed_types)] // a test lock, not pipeline state
+static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
 /// Run `f` with the pool pinned to `n` workers, restoring auto sizing.
 fn with_threads<T>(n: usize, f: impl FnOnce() -> T) -> T {

@@ -24,10 +24,10 @@ use catapult::mining::SubtreeMinerConfig;
 use catapult::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::sync::Mutex;
 
 /// `rayon::set_threads` is process-global; hold this across every flip.
-static SERIAL: Mutex<()> = Mutex::new(());
+#[allow(clippy::disallowed_types)] // a test lock, not pipeline state
+static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
 fn with_threads<T>(n: usize, f: impl FnOnce() -> T) -> T {
     rayon::set_threads(n);

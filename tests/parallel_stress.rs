@@ -17,10 +17,10 @@
 use catapult::graph::iso::contains_tagged;
 use catapult::graph::{Completeness, Graph, Label, SearchBudget, VertexId};
 use rayon::par_map;
-use std::sync::Mutex;
 
 /// `rayon::set_threads` is process-global; hold this across every flip.
-static SERIAL: Mutex<()> = Mutex::new(());
+#[allow(clippy::disallowed_types)] // a test lock, not pipeline state
+static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
 fn with_threads<T>(n: usize, f: impl FnOnce() -> T) -> T {
     rayon::set_threads(n);

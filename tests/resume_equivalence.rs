@@ -28,11 +28,11 @@ use catapult::core::{run_catapult, run_catapult_resumable, CatapultConfig, Patte
 use catapult::graph::{Graph, Label, VertexId};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::Mutex;
 
 /// The persistence fault plan, the write counter, and the rayon thread
 /// override are process-global; every test holds this lock.
-static SERIAL: Mutex<()> = Mutex::new(());
+#[allow(clippy::disallowed_types)] // a test lock, not pipeline state
+static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
 fn ring(n: u32, label: u32) -> Graph {
     let mut g = Graph::new();

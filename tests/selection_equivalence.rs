@@ -40,10 +40,10 @@ use catapult_obs::Recorder;
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
 use std::collections::HashMap;
-use std::sync::Mutex;
 
 /// `rayon::set_threads` is process-global; serialize the tests that flip it.
-static SERIAL: Mutex<()> = Mutex::new(());
+#[allow(clippy::disallowed_types)] // a test lock, not pipeline state
+static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
 /// Run `f` with the pool pinned to `n` workers, restoring auto sizing.
 fn with_threads<T>(n: usize, f: impl FnOnce() -> T) -> T {
