@@ -15,9 +15,9 @@ use crate::sampling::{
     eager_sample, lazy_sample_clusters, lowered_support, EagerConfig, LazyConfig,
 };
 use catapult_ckpt::{CkptError, StageStore};
-use catapult_graph::iso::contains_tagged;
+use catapult_graph::iso::PreparedGraph;
 use catapult_graph::{Graph, SearchBudget, Tally, TallyCounts};
-use catapult_mining::subtree::{mine_subtrees, FrequentSubtree, SubtreeMinerConfig};
+use catapult_mining::subtree::{count_support, mine_subtrees, FrequentSubtree, SubtreeMinerConfig};
 use catapult_obs::{Recorder, Stopwatch};
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -127,7 +127,9 @@ impl Clustering {
 
 /// Mine coarse features, honouring eager sampling when configured:
 /// mine on the sample at the lowered support (Lemma 4.4), then recount the
-/// survivors on the full database at the original support. The returned
+/// survivors on the full database at the original support, through the
+/// miner's own fanned-out [`count_support`] over the database prepared
+/// once. The returned
 /// [`TallyCounts`] audits every containment probe the stage ran; degraded
 /// probes can only under-count support (lower bounds), never invent it.
 fn mine_features<R: Rng>(
@@ -168,14 +170,10 @@ fn mine_features<R: Rng>(
             search
                 .probe
                 .add("items", "total", mined.subtrees.len() as u64);
+            let full: Vec<PreparedGraph> = db.iter().map(PreparedGraph::new).collect();
+            let all: Vec<u32> = (0..db.len() as u32).collect();
             for t in mined.subtrees {
-                let txs: Vec<u32> = (0..db.len() as u32)
-                    .filter(|&i| {
-                        let (found, c) = contains_tagged(&db[i as usize], &t.tree, &probe);
-                        tally.record(c);
-                        found
-                    })
-                    .collect();
+                let txs = count_support(&full, &all, &t.tree, &probe, &tally);
                 if txs.len() >= min_count {
                     confirmed.push(FrequentSubtree {
                         transactions: txs,

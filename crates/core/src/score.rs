@@ -20,10 +20,9 @@
 
 use catapult_csg::{ClusterWeights, Csg};
 use catapult_graph::ged::{ged, ged_lower_bound};
-use catapult_graph::iso::{for_each_embedding, MatchOptions};
+use catapult_graph::iso::{contains_prepared, PreparedGraph};
 use catapult_graph::{EdgeLabel, Graph, SearchBudget, Tally};
 use std::collections::HashMap;
-use std::ops::ControlFlow;
 
 /// Bitset index: per edge label, which data graphs contain it.
 ///
@@ -82,28 +81,32 @@ impl EdgeLabelIndex {
 /// this is generous). A user [`SearchBudget`] node cap overrides it.
 pub const CCOV_ISO_BUDGET: u64 = 2_000_000;
 
+/// The CSGs' closure graphs prepared for VF2, once per selection run:
+/// [`covering_csgs`] then tests every candidate pattern against them
+/// without redoing the per-graph setup.
+pub fn prepare_csgs(csgs: &[Csg]) -> Vec<PreparedGraph<'_>> {
+    csgs.iter().map(|c| PreparedGraph::new(&c.graph)).collect()
+}
+
 /// Which CSGs contain `p` (subgraph isomorphism against the closure graph),
 /// recording each VF2 probe's [`Completeness`](catapult_graph::Completeness)
-/// in `tally`. A degraded probe may miss a covering CSG (never invents
-/// one), so `ccov` built from it is a lower bound.
+/// in `tally`. `csgs` comes from [`prepare_csgs`]. A degraded probe may
+/// miss a covering CSG (never invents one), so `ccov` built from it is a
+/// lower bound.
 pub fn covering_csgs(
     pattern: &Graph,
-    csgs: &[Csg],
+    csgs: &[PreparedGraph],
     budget: &SearchBudget,
     tally: &Tally,
 ) -> Vec<usize> {
     let probe = budget.with_default_cap(CCOV_ISO_BUDGET);
+    let pattern = PreparedGraph::new(pattern);
     csgs.iter()
         .enumerate()
         .filter(|(_, c)| {
-            let opts = MatchOptions {
-                max_embeddings: 1,
-                budget: probe.clone(),
-                ..MatchOptions::default()
-            };
-            let out = for_each_embedding(&c.graph, pattern, opts, |_| ControlFlow::Break(()));
-            tally.record(out.completeness);
-            out.embeddings > 0
+            let (found, completeness) = contains_prepared(c, &pattern, &probe);
+            tally.record(completeness);
+            found
         })
         .map(|(i, _)| i)
         .collect()
@@ -243,7 +246,12 @@ mod tests {
     }
 
     fn covering(p: &Graph, csgs: &[Csg]) -> Vec<usize> {
-        covering_csgs(p, csgs, &SearchBudget::unbounded(), &Tally::new())
+        covering_csgs(
+            p,
+            &prepare_csgs(csgs),
+            &SearchBudget::unbounded(),
+            &Tally::new(),
+        )
     }
 
     fn div(p: &Graph, picks: &[Graph]) -> Option<usize> {
@@ -288,7 +296,7 @@ mod tests {
         let csgs = build_csgs(&db, &[vec![0, 1], vec![2]]);
         let p = Graph::from_parts(&[l(0), l(1)], &[(0, 1)]);
         let tally = Tally::new();
-        covering_csgs(&p, &csgs, &SearchBudget::unbounded(), &tally);
+        covering_csgs(&p, &prepare_csgs(&csgs), &SearchBudget::unbounded(), &tally);
         assert_eq!(tally.counts().total(), csgs.len() as u64);
         assert!(tally.counts().all_exact());
     }

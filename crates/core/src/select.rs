@@ -27,11 +27,13 @@ use crate::budget::{PatternBudget, SizeCounts};
 use crate::fcp::generate_fcp;
 use crate::querylog::QueryLog;
 use crate::report::PipelineReport;
-use crate::score::{ccov, covering_csgs, diversity, eq2_score, EdgeLabelIndex, ScoreVariant};
+use crate::score::{
+    ccov, covering_csgs, diversity, eq2_score, prepare_csgs, EdgeLabelIndex, ScoreVariant,
+};
 use crate::walk::generate_library;
 use catapult_csg::{ClusterWeights, Csg, EdgeLabelWeights, WeightedCsg};
 use catapult_graph::ged::{ged_lower_bound, ged_upper_bound};
-use catapult_graph::iso::are_isomorphic_tagged;
+use catapult_graph::iso::{are_isomorphic_tagged, PreparedGraph};
 use catapult_graph::metrics::cognitive_load;
 use catapult_graph::{Graph, Label, SearchBudget, Tally};
 use catapult_mining::EdgeLabelStats;
@@ -147,7 +149,7 @@ struct Memo {
 impl Memo {
     fn new(
         pattern: &Graph,
-        csgs: &[Csg],
+        csgs: &[PreparedGraph],
         index: &EdgeLabelIndex,
         cfg: &SelectionConfig,
         search: &SearchBudget,
@@ -275,6 +277,7 @@ pub fn find_canned_patterns<R: Rng>(
     let mut elw = EdgeLabelWeights::new(EdgeLabelStats::from_graphs(db));
     let mut cw = ClusterWeights::new(csgs, db.len());
     let index = EdgeLabelIndex::build(db);
+    let prepared = prepare_csgs(csgs);
     let mut selected: Vec<SelectedPattern> = Vec::new();
     let mut selected_graphs: Vec<Graph> = Vec::new();
     let mut counts = SizeCounts::new();
@@ -353,7 +356,7 @@ pub fn find_canned_patterns<R: Rng>(
         }
         memo_hits.add((candidates.len() - fresh.len()) as u64);
         let new_slots: Vec<Memo> = par_map(&fresh, |&i| {
-            Memo::new(&candidates[i].0, csgs, &index, cfg, &search, &scoring)
+            Memo::new(&candidates[i].0, &prepared, &index, cfg, &search, &scoring)
         });
         slots.extend(new_slots);
         // Lazy argmax: visit candidates in descending-bound order, scoring
@@ -700,7 +703,8 @@ mod tests {
                     // A memo brought up to date against each prefix of the
                     // picks, then bounded against all of them.
                     for seen in 0..=picks.len() {
-                        let mut memo = Memo::new(c, &csgs, &index, &cfg, search, &tally);
+                        let mut memo =
+                            Memo::new(c, &prepare_csgs(&csgs), &index, &cfg, search, &tally);
                         let (_, div, covers) =
                             memo.rescore(c, variant, &cw, &picks[..seen], search, &tally);
                         memo.div = div;

@@ -23,6 +23,7 @@
 use crate::bitadj::BitAdjacency;
 use crate::budget::{BudgetMeter, Completeness, Kernel, SearchBudget};
 use crate::graph::{Graph, VertexId};
+use crate::labels::{EdgeLabel, Label};
 use std::ops::ControlFlow;
 
 /// Default backtracking-node cap for isomorphism searches; guards
@@ -72,51 +73,111 @@ impl MatchOutcome {
     }
 }
 
+/// A graph with everything the matcher derives from it, computed once.
+///
+/// A graph that is matched many times — a database transaction against
+/// every mined tree, a tree against every transaction, a CSG against every
+/// candidate pattern — pays for this setup once instead of per call.
+/// [`contains_prepared`] takes two of them; [`for_each_embedding`]
+/// prepares both of its graphs and runs the same search, so the two entry
+/// points visit the same nodes in the same order.
+#[derive(Debug)]
+pub struct PreparedGraph<'g> {
+    graph: &'g Graph,
+    /// Sorted edge-label multiset (`quick_reject`'s containment sweep).
+    edge_labels: Vec<EdgeLabel>,
+    /// Vertex degrees grouped by label, each group in descending order.
+    degrees: Vec<usize>,
+    /// One entry per distinct vertex label, ascending: the label and its
+    /// group's range in `degrees`, whose length is the label's vertex
+    /// count.
+    classes: Vec<(Label, usize, usize)>,
+    /// Bitset adjacency: O(1) edge probes during the search.
+    bits: BitAdjacency,
+}
+
+impl<'g> PreparedGraph<'g> {
+    /// Derive the matcher's per-graph data from `graph`.
+    pub fn new(graph: &'g Graph) -> Self {
+        let mut by_label: Vec<(Label, usize)> = graph
+            .vertices()
+            .map(|v| (graph.label(v), graph.degree(v)))
+            .collect();
+        by_label.sort_unstable_by(|a, b| a.0.cmp(&b.0).then(b.1.cmp(&a.1)));
+        let mut classes: Vec<(Label, usize, usize)> = Vec::new();
+        for (i, &(l, _)) in by_label.iter().enumerate() {
+            match classes.last_mut() {
+                Some(class) if class.0 == l => class.2 = i + 1,
+                _ => classes.push((l, i, i + 1)),
+            }
+        }
+        PreparedGraph {
+            graph,
+            edge_labels: graph.sorted_edge_labels(),
+            degrees: by_label.into_iter().map(|(_, d)| d).collect(),
+            classes,
+            bits: BitAdjacency::new(graph),
+        }
+    }
+
+    /// Number of vertices labelled `l`.
+    fn label_count(&self, l: Label) -> usize {
+        self.classes
+            .binary_search_by_key(&l, |&(c, _, _)| c)
+            .map_or(0, |i| self.classes[i].2 - self.classes[i].1)
+    }
+
+    /// `(label, degrees of its vertices, descending)` per label, ascending.
+    fn degree_classes(&self) -> impl Iterator<Item = (Label, &[usize])> + '_ {
+        self.classes
+            .iter()
+            .map(|&(l, lo, hi)| (l, self.degrees.get(lo..hi).unwrap_or(&[])))
+    }
+}
+
 struct Matcher<'a, F>
 where
     F: FnMut(&[VertexId]) -> ControlFlow<()>,
 {
     pattern: &'a Graph,
     target: &'a Graph,
-    opts: MatchOptions,
+    /// Bitset adjacency of the target: O(1) edge probes in `feasible`.
+    tbits: &'a BitAdjacency,
+    max_embeddings: usize,
     /// Pattern vertices in matching order.
     order: Vec<VertexId>,
-    /// For order position i: pattern neighbors of order[i] that appear
-    /// earlier in the order.
-    back_neighbors: Vec<Vec<VertexId>>,
-    /// For induced mode: earlier-ordered pattern vertices NOT adjacent to order[i].
-    back_non_neighbors: Vec<Vec<VertexId>>,
-    /// pattern vertex -> target vertex (or MAX)
-    map: Vec<u32>,
+    /// For order position i, `back[lo..mid]` are the pattern neighbors of
+    /// `order[i]` that appear earlier in the order and, in induced mode,
+    /// `back[mid..hi]` the earlier ones NOT adjacent to it, where
+    /// `(lo, mid, hi) = spans[i]`.
+    back: Vec<VertexId>,
+    spans: Vec<(usize, usize, usize)>,
+    /// pattern vertex -> target vertex (or `UNMAPPED`)
+    map: Vec<VertexId>,
     /// target vertex used?
     used: Vec<bool>,
-    /// Bitset adjacency of the target: O(1) edge probes in `feasible`.
-    tbits: BitAdjacency,
-    /// Per-depth candidate buffers, reused across branches so the
+    /// Candidate stack shared by every depth: a depth pushes its
+    /// candidates above its caller's and truncates them on return, so the
     /// backtracking loop is allocation-free after warmup.
-    scratch: Vec<Vec<VertexId>>,
+    stack: Vec<VertexId>,
     meter: BudgetMeter,
     found: usize,
     callback: F,
 }
 
-const UNMAPPED: u32 = u32::MAX;
+const UNMAPPED: VertexId = VertexId(u32::MAX);
 
 /// Compute a connectivity-first matching order: start at the vertex whose
 /// (label rarity in target, degree) makes it most selective, then repeatedly
 /// append the unordered vertex with the most already-ordered neighbors
 /// (ties broken by degree). Disconnected patterns are handled by restarting
 /// at the most selective remaining vertex.
-fn matching_order(pattern: &Graph, target: &Graph) -> Vec<VertexId> {
+fn matching_order(pattern: &Graph, target: &PreparedGraph) -> Vec<VertexId> {
     let np = pattern.vertex_count();
     // Label frequency in target for selectivity.
-    let mut freq = std::collections::HashMap::new();
-    for v in target.vertices() {
-        *freq.entry(target.label(v)).or_insert(0usize) += 1;
-    }
     let selectivity = |v: VertexId| -> (usize, std::cmp::Reverse<usize>) {
         (
-            *freq.get(&pattern.label(v)).unwrap_or(&0),
+            target.label_count(pattern.label(v)),
             std::cmp::Reverse(pattern.degree(v)),
         )
     };
@@ -166,43 +227,55 @@ impl<'a, F> Matcher<'a, F>
 where
     F: FnMut(&[VertexId]) -> ControlFlow<()>,
 {
-    fn new(pattern: &'a Graph, target: &'a Graph, opts: MatchOptions, callback: F) -> Self {
-        let order = matching_order(pattern, target);
-        let np = pattern.vertex_count();
+    fn new(
+        pattern: &'a PreparedGraph,
+        target: &'a PreparedGraph,
+        induced: bool,
+        max_embeddings: usize,
+        budget: &SearchBudget,
+        callback: F,
+    ) -> Self {
+        let p = pattern.graph;
+        let order = matching_order(p, target);
+        let np = p.vertex_count();
         let mut pos = vec![usize::MAX; np];
         for (i, &v) in order.iter().enumerate() {
             pos[v.index()] = i;
         }
-        let mut back_neighbors = vec![Vec::new(); np];
-        let mut back_non_neighbors = vec![Vec::new(); np];
+        let mut back = Vec::new();
+        let mut spans = Vec::with_capacity(np);
         for (i, &v) in order.iter().enumerate() {
-            for &(w, _) in pattern.neighbors(v) {
-                if pos[w.index()] < i {
-                    back_neighbors[i].push(w);
-                }
+            let lo = back.len();
+            back.extend(
+                p.neighbors(v)
+                    .iter()
+                    .map(|&(w, _)| w)
+                    .filter(|w| pos[w.index()] < i),
+            );
+            let mid = back.len();
+            if induced {
+                back.extend(
+                    order
+                        .iter()
+                        .take(i)
+                        .copied()
+                        .filter(|&w| !pattern.bits.has_edge(v, w)),
+                );
             }
-            if opts.induced {
-                for (j, &w) in order.iter().enumerate().take(i) {
-                    let _ = j;
-                    if !pattern.has_edge(v, w) {
-                        back_non_neighbors[i].push(w);
-                    }
-                }
-            }
+            spans.push((lo, mid, back.len()));
         }
-        let meter = BudgetMeter::new(&opts.budget, Kernel::Iso);
         Matcher {
-            pattern,
-            target,
-            opts,
+            pattern: p,
+            target: target.graph,
+            tbits: &target.bits,
+            max_embeddings,
             order,
-            back_neighbors,
-            back_non_neighbors,
+            back,
+            spans,
             map: vec![UNMAPPED; np],
-            used: vec![false; target.vertex_count()],
-            tbits: BitAdjacency::new(target),
-            scratch: vec![Vec::new(); np + 1],
-            meter,
+            used: vec![false; target.graph.vertex_count()],
+            stack: Vec::new(),
+            meter: BudgetMeter::new(budget, Kernel::Iso),
             found: 0,
             callback,
         }
@@ -218,21 +291,14 @@ where
         if self.pattern.degree(pv) > self.target.degree(tv) {
             return false;
         }
-        for &bn in &self.back_neighbors[depth] {
-            let mapped = VertexId(self.map[bn.index()]);
-            if !self.tbits.has_edge(mapped, tv) {
-                return false;
-            }
-        }
-        if self.opts.induced {
-            for &nn in &self.back_non_neighbors[depth] {
-                let mapped = VertexId(self.map[nn.index()]);
-                if self.tbits.has_edge(mapped, tv) {
-                    return false;
-                }
-            }
-        }
-        true
+        let (lo, mid, hi) = self.spans[depth];
+        let mapped = |w: &VertexId| self.map[w.index()];
+        self.back[lo..mid]
+            .iter()
+            .all(|w| self.tbits.has_edge(mapped(w), tv))
+            && !self.back[mid..hi]
+                .iter()
+                .any(|w| self.tbits.has_edge(mapped(w), tv))
     }
 
     /// Returns `Break` to stop the whole search.
@@ -240,9 +306,8 @@ where
         if depth == self.order.len() {
             self.found += 1;
             self.meter.note_improvement();
-            let embedding: Vec<VertexId> = self.map.iter().map(|&t| VertexId(t)).collect();
-            (self.callback)(&embedding)?;
-            if self.found >= self.opts.max_embeddings {
+            (self.callback)(&self.map)?;
+            if self.found >= self.max_embeddings {
                 return ControlFlow::Break(());
             }
             return ControlFlow::Continue(());
@@ -251,34 +316,35 @@ where
             return ControlFlow::Break(());
         }
         let pv = self.order[depth];
-        let mut candidates = std::mem::take(&mut self.scratch[depth]);
-        candidates.clear();
-        if let Some(&anchor) = self.back_neighbors[depth].first() {
+        let (lo, mid, _) = self.spans[depth];
+        let base = self.stack.len();
+        if lo < mid {
             // Candidates restricted to target-neighbors of the mapped anchor.
-            let mapped = VertexId(self.map[anchor.index()]);
-            candidates.extend(self.target.neighbors(mapped).iter().map(|&(w, _)| w));
+            let mapped = self.map[self.back[lo].index()];
+            self.stack
+                .extend(self.target.neighbors(mapped).iter().map(|&(w, _)| w));
         } else {
-            candidates.extend(self.target.vertices());
+            self.stack.extend(self.target.vertices());
         }
-        for ci in 0..candidates.len() {
-            let tv = candidates[ci];
+        let mut flow = ControlFlow::Continue(());
+        for ci in base..self.stack.len() {
+            let tv = self.stack[ci];
             if self.feasible(depth, pv, tv) {
                 self.assign(pv, tv);
-                let flow = self.descend(depth + 1);
+                flow = self.descend(depth + 1);
                 self.unassign(pv, tv);
                 if flow.is_break() {
-                    self.scratch[depth] = candidates;
-                    return flow;
+                    break;
                 }
             }
         }
-        self.scratch[depth] = candidates;
-        ControlFlow::Continue(())
+        self.stack.truncate(base);
+        flow
     }
 
     #[inline]
     fn assign(&mut self, pv: VertexId, tv: VertexId) {
-        self.map[pv.index()] = tv.0;
+        self.map[pv.index()] = tv;
         self.used[tv.index()] = true;
     }
 
@@ -289,6 +355,13 @@ where
     }
 }
 
+/// Whether `pattern` has more vertices or edges than `target`: the first
+/// and cheapest of the [`quick_reject`] conditions, which the unprepared
+/// entry points also test before they prepare anything.
+fn too_large(pattern: &Graph, target: &Graph) -> bool {
+    pattern.vertex_count() > target.vertex_count() || pattern.edge_count() > target.edge_count()
+}
+
 /// Quick necessary conditions for `pattern ⊆ target` (monomorphism):
 /// size bounds, edge-label multiset containment (a vertex-injective map is
 /// edge-injective, so every pattern edge label must be matched by a
@@ -296,16 +369,14 @@ where
 /// dominance (the i-th largest pattern degree within each label class must
 /// not exceed the i-th largest target degree in that class — if it did,
 /// more pattern vertices would need high-degree images than exist).
-fn quick_reject(pattern: &Graph, target: &Graph) -> bool {
-    if pattern.vertex_count() > target.vertex_count() || pattern.edge_count() > target.edge_count()
-    {
+fn quick_reject(pattern: &PreparedGraph, target: &PreparedGraph) -> bool {
+    if too_large(pattern.graph, target.graph) {
         return true;
     }
     // Edge-label multiset containment (sorted two-pointer sweep).
-    let pe = pattern.sorted_edge_labels();
-    let te = target.sorted_edge_labels();
+    let te = &target.edge_labels;
     let mut j = 0usize;
-    for l in &pe {
+    for l in &pattern.edge_labels {
         while j < te.len() && te[j] < *l {
             j += 1;
         }
@@ -316,47 +387,33 @@ fn quick_reject(pattern: &Graph, target: &Graph) -> bool {
     }
     // Per-label degree-sequence dominance (subsumes vertex-label multiset
     // containment: the length check is exactly the per-label count check).
-    let mut pd: std::collections::BTreeMap<crate::labels::Label, Vec<usize>> = Default::default();
-    for v in pattern.vertices() {
-        pd.entry(pattern.label(v))
-            .or_default()
-            .push(pattern.degree(v));
-    }
-    let mut td: std::collections::BTreeMap<crate::labels::Label, Vec<usize>> = Default::default();
-    for v in target.vertices() {
-        td.entry(target.label(v))
-            .or_default()
-            .push(target.degree(v));
-    }
-    for (l, ps) in &mut pd {
-        let Some(ts) = td.get_mut(l) else {
+    // Both class lists ascend by label, so one sweep pairs them up.
+    let mut tclasses = target.degree_classes().peekable();
+    for (l, ps) in pattern.degree_classes() {
+        while tclasses.next_if(|&(tl, _)| tl < l).is_some() {}
+        let Some((_, ts)) = tclasses.next_if(|&(tl, _)| tl == l) else {
             return true;
         };
-        if ps.len() > ts.len() {
-            return true;
-        }
-        ps.sort_unstable_by(|a, b| b.cmp(a));
-        ts.sort_unstable_by(|a, b| b.cmp(a));
-        if ps.iter().zip(ts.iter()).any(|(p, t)| p > t) {
+        if ps.len() > ts.len() || ps.iter().zip(ts).any(|(p, t)| p > t) {
             return true;
         }
     }
     false
 }
 
-/// Enumerate embeddings of `pattern` in `target`, invoking `callback` with
-/// each mapping (indexed by pattern vertex id, values are target vertex
-/// ids). Return `ControlFlow::Break(())` from the callback to stop early.
-pub fn for_each_embedding<F>(
-    target: &Graph,
-    pattern: &Graph,
-    opts: MatchOptions,
+/// The one search behind every entry point.
+fn search<F>(
+    target: &PreparedGraph,
+    pattern: &PreparedGraph,
+    induced: bool,
+    max_embeddings: usize,
+    budget: &SearchBudget,
     callback: F,
 ) -> MatchOutcome
 where
     F: FnMut(&[VertexId]) -> ControlFlow<()>,
 {
-    if pattern.vertex_count() == 0 {
+    if pattern.graph.vertex_count() == 0 {
         // The empty pattern embeds trivially, once.
         let mut cb = callback;
         let _ = cb(&[]);
@@ -371,7 +428,7 @@ where
             completeness: Completeness::Exact,
         };
     }
-    let mut m = Matcher::new(pattern, target, opts, callback);
+    let mut m = Matcher::new(pattern, target, induced, max_embeddings, budget, callback);
     let _ = m.descend(0);
     // A `Break` from the callback or the embedding cap leaves the meter
     // Exact: the caller got everything it asked for. Only a tripped budget
@@ -380,6 +437,55 @@ where
         embeddings: m.found,
         completeness: m.meter.status(),
     }
+}
+
+/// Enumerate embeddings of `pattern` in `target`, invoking `callback` with
+/// each mapping (indexed by pattern vertex id, values are target vertex
+/// ids). Return `ControlFlow::Break(())` from the callback to stop early.
+pub fn for_each_embedding<F>(
+    target: &Graph,
+    pattern: &Graph,
+    opts: MatchOptions,
+    callback: F,
+) -> MatchOutcome
+where
+    F: FnMut(&[VertexId]) -> ControlFlow<()>,
+{
+    if too_large(pattern, target) {
+        return MatchOutcome {
+            embeddings: 0,
+            completeness: Completeness::Exact,
+        };
+    }
+    search(
+        &PreparedGraph::new(target),
+        &PreparedGraph::new(pattern),
+        opts.induced,
+        opts.max_embeddings,
+        &opts.budget,
+        callback,
+    )
+}
+
+/// Budgeted containment test over prepared graphs: whether an embedding
+/// of `pattern` was found in `target`, plus why the search stopped.
+/// `(false, Exact)` proves non-containment; `(false, degraded)` only means
+/// no embedding was found before the budget tripped.
+///
+/// The budget's node cap applies as given (an unbounded budget searches
+/// without a cap): a caller that tests one pattern against many targets
+/// resolves its default cap once, with [`SearchBudget::with_default_cap`].
+pub fn contains_prepared(
+    target: &PreparedGraph,
+    pattern: &PreparedGraph,
+    budget: &SearchBudget,
+) -> (bool, Completeness) {
+    let mut found = false;
+    let out = search(target, pattern, false, 1, budget, |_| {
+        found = true;
+        ControlFlow::Break(())
+    });
+    (found, out.completeness)
 }
 
 /// Whether `pattern` is subgraph-isomorphic to `target` (non-induced).
@@ -401,21 +507,14 @@ pub fn contains_tagged(
     pattern: &Graph,
     budget: &SearchBudget,
 ) -> (bool, Completeness) {
-    let mut found = false;
-    let out = for_each_embedding(
-        target,
-        pattern,
-        MatchOptions {
-            max_embeddings: 1,
-            budget: budget.with_default_cap(DEFAULT_NODE_CAP),
-            ..MatchOptions::default()
-        },
-        |_| {
-            found = true;
-            ControlFlow::Break(())
-        },
-    );
-    (found, out.completeness)
+    if too_large(pattern, target) {
+        return (false, Completeness::Exact);
+    }
+    contains_prepared(
+        &PreparedGraph::new(target),
+        &PreparedGraph::new(pattern),
+        &budget.with_default_cap(DEFAULT_NODE_CAP),
+    )
 }
 
 /// Collect up to `cap` embeddings of `pattern` in `target` (non-induced).
@@ -469,6 +568,10 @@ mod tests {
 
     fn l(x: u32) -> Label {
         Label(x)
+    }
+
+    fn rejects(pattern: &Graph, target: &Graph) -> bool {
+        quick_reject(&PreparedGraph::new(pattern), &PreparedGraph::new(target))
     }
 
     fn triangle() -> Graph {
@@ -556,11 +659,11 @@ mod tests {
         // the pattern needs a (0,0) edge the target does not have.
         let p = Graph::from_parts(&[l(0), l(0), l(1)], &[(0, 1), (1, 2)]);
         let t = Graph::from_parts(&[l(0), l(1), l(0)], &[(0, 1), (1, 2)]);
-        assert!(quick_reject(&p, &t));
+        assert!(rejects(&p, &t));
         assert!(!contains(&t, &p));
         // Flip the middle label and containment holds again.
         let t2 = Graph::from_parts(&[l(0), l(0), l(1)], &[(0, 1), (1, 2)]);
-        assert!(!quick_reject(&p, &t2));
+        assert!(!rejects(&p, &t2));
         assert!(contains(&t2, &p));
     }
 
@@ -571,14 +674,14 @@ mod tests {
         // out at 2 — rejected without any search.
         let star = Graph::from_parts(&[l(0); 4], &[(0, 1), (0, 2), (0, 3)]);
         let p4 = path(4);
-        assert!(quick_reject(&star, &p4));
+        assert!(rejects(&star, &p4));
         assert!(!contains(&p4, &star));
         // The reverse is also rejected by dominance alone: the path needs
         // two degree-2 images and the star has only one such vertex.
-        assert!(quick_reject(&p4, &star));
+        assert!(rejects(&p4, &star));
         assert!(!contains(&star, &p4));
         // A shape that survives all pre-filters still reaches the search.
-        assert!(!quick_reject(&path(3), &p4));
+        assert!(!rejects(&path(3), &p4));
         assert!(contains(&p4, &path(3)));
     }
 

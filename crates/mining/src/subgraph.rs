@@ -8,7 +8,7 @@
 //! vertex or cycle-closing edge), deduplicated by graph isomorphism, with
 //! exact support counting restricted to the parent's transactions.
 
-use catapult_graph::iso::{self, are_isomorphic_tagged, contains_tagged};
+use catapult_graph::iso::{self, are_isomorphic_tagged, contains_prepared, PreparedGraph};
 use catapult_graph::{Graph, Label, SearchBudget, VertexId};
 use rayon::par_filter_map;
 use std::collections::HashMap;
@@ -101,18 +101,21 @@ impl IsoDedup {
     }
 }
 
-/// Support counting under `probe`: a degraded probe counts as "not
-/// contained", so the result is a lower bound on true support.
+/// Support counting under `probe` over the database prepared once per
+/// mining run, with the pattern prepared once for the fan-out: a degraded
+/// probe counts as "not contained", so the result is a lower bound on
+/// true support.
 fn count_support(
-    db: &[Graph],
+    db: &[PreparedGraph],
     candidates: &[u32],
     pattern: &Graph,
     probe: &SearchBudget,
 ) -> Vec<u32> {
+    let pattern = PreparedGraph::new(pattern);
     // Parallel audit: read-only captures; the shim's ordered collection
     // keeps the transaction list identical across thread counts.
     par_filter_map(candidates, |&i| {
-        let (found, c) = contains_tagged(&db[i as usize], pattern, probe);
+        let (found, c) = contains_prepared(&db[i as usize], &pattern, probe);
         (found && c.is_exact()).then_some(i)
     })
 }
@@ -161,6 +164,7 @@ pub fn mine_frequent_subgraphs(db: &[Graph], cfg: &SubgraphMinerConfig) -> Vec<F
     let labels = frequent_labels(db, min_count);
     let all: Vec<u32> = (0..n as u32).collect();
     let probe = SearchBudget::nodes(iso::DEFAULT_NODE_CAP);
+    let prepared: Vec<PreparedGraph> = db.iter().map(PreparedGraph::new).collect();
 
     // Level 1: single edges.
     let mut dedup = IsoDedup::new();
@@ -171,7 +175,7 @@ pub fn mine_frequent_subgraphs(db: &[Graph], cfg: &SubgraphMinerConfig) -> Vec<F
             if !dedup.insert(&g, &probe) {
                 continue;
             }
-            let txs = count_support(db, &all, &g, &probe);
+            let txs = count_support(&prepared, &all, &g, &probe);
             if txs.len() >= min_count {
                 level.push(FrequentSubgraph {
                     graph: g,
@@ -194,7 +198,7 @@ pub fn mine_frequent_subgraphs(db: &[Graph], cfg: &SubgraphMinerConfig) -> Vec<F
                 if !dedup.insert(&ext, &probe) {
                     continue;
                 }
-                let txs = count_support(db, &parent.transactions, &ext, &probe);
+                let txs = count_support(&prepared, &parent.transactions, &ext, &probe);
                 if txs.len() >= min_count {
                     next.push(FrequentSubgraph {
                         graph: ext,

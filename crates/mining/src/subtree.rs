@@ -14,7 +14,7 @@
 //! deleting a leaf.
 
 use catapult_graph::canonical::{canonical_tokens, CanonTokens};
-use catapult_graph::iso::{self, contains_tagged};
+use catapult_graph::iso::{self, contains_prepared, contains_tagged, PreparedGraph};
 use catapult_graph::{Completeness, Graph, Label, SearchBudget, Tally, TallyCounts};
 use rayon::par_filter_map;
 use std::collections::HashMap;
@@ -80,23 +80,27 @@ fn frequent_labels(db: &[Graph], min_count: usize) -> Vec<Label> {
 }
 
 /// Count the transactions (restricted to `candidates`) containing `tree`,
-/// recording each containment probe's completeness into `tally`. A
-/// degraded probe reports "not contained", so under budget pressure the
-/// returned support is a *lower bound* (frequent trees may be missed, but
-/// every reported transaction genuinely contains the tree).
-fn count_support(
-    db: &[Graph],
+/// recording each containment probe's completeness into `tally`. `db` is
+/// the database prepared once per mining run; the tree is prepared once
+/// here, for the whole fan-out. `probe`'s node cap applies as given, so
+/// resolve its default first (`probe.with_default_cap`). A degraded probe
+/// reports "not contained", so under budget pressure the returned support
+/// is a *lower bound* (frequent trees may be missed, but every reported
+/// transaction genuinely contains the tree).
+pub fn count_support(
+    db: &[PreparedGraph],
     candidates: &[u32],
     tree: &Graph,
     probe: &SearchBudget,
     tally: &Tally,
 ) -> Vec<u32> {
+    let tree = PreparedGraph::new(tree);
     // Parallel audit: the closure only reads shared `&` state and records
     // into `Tally` (commutative atomic counters), and `par_filter_map` keeps
     // input order — so the returned transaction list is byte-identical for
     // every thread count.
     par_filter_map(candidates, |&i| {
-        let (found, c) = contains_tagged(&db[i as usize], tree, probe);
+        let (found, c) = contains_prepared(&db[i as usize], &tree, probe);
         tally.record(c);
         found.then_some(i)
     })
@@ -148,6 +152,7 @@ pub fn mine_subtrees(
     let mut candidates_counted = 0usize;
     let tally = Tally::new();
     let probe = budget.with_default_cap(iso::DEFAULT_NODE_CAP);
+    let prepared: Vec<PreparedGraph> = db.iter().map(PreparedGraph::new).collect();
 
     // Level 1: one-edge trees over frequent label pairs.
     let mut level: Vec<FrequentSubtree> = Vec::new();
@@ -156,7 +161,7 @@ pub fn mine_subtrees(
         for &b in &labels[ai..] {
             let tree = Graph::from_parts(&[a, b], &[(0, 1)]);
             candidates_counted += 1;
-            let txs = count_support(db, &all, &tree, &probe, &tally);
+            let txs = count_support(&prepared, &all, &tree, &probe, &tally);
             if txs.len() >= min_count {
                 level.push(FrequentSubtree {
                     canonical: canonical_tokens(&tree),
@@ -188,7 +193,7 @@ pub fn mine_subtrees(
                         continue;
                     }
                     candidates_counted += 1;
-                    let txs = count_support(db, &parent.transactions, &t, &probe, &tally);
+                    let txs = count_support(&prepared, &parent.transactions, &t, &probe, &tally);
                     if txs.len() >= min_count {
                         next.insert(
                             canon.clone(),

@@ -2,7 +2,7 @@
 //!
 //! The rayon shim (`shims/rayon`) runs parallel closures on short-lived
 //! `std::thread::scope` workers. Each worker calls [`enter`] with its
-//! 1-based slot index before draining its chunk; spans opened on that
+//! 1-based slot index before it starts claiming items; spans opened on that
 //! thread then carry the worker id in [`SpanRecord::worker`]. Id `0`
 //! means "the caller thread" (no pool involved).
 //!

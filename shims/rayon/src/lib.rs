@@ -3,18 +3,26 @@
 //! controls. Built on `std::thread::scope`; there is no persistent pool.
 //!
 //! * **Pool size** — resolved from the [`set_threads`] override if one is
-//!   installed, else `CATAPULT_THREADS` (parsed once, strictly), else
-//!   `available_parallelism()`. `1` is the plain sequential path.
+//!   installed, else `CATAPULT_THREADS` (parsed once, strictly, at most
+//!   [`MAX_THREADS`]), else `available_parallelism()`. `1` is the plain
+//!   sequential path. There is no persistent pool: a `cluster` operation
+//!   runs about 700 fan-outs, and spawning their workers costs about 1%
+//!   of its run time.
 //! * **Sequential streaming** — with one worker (or at most one item) a
 //!   call is a plain `std` iterator chain over the slice on the calling
-//!   thread: no chunk bookkeeping, no allocation beyond the output.
-//! * **Contiguous split** — otherwise the slice is split into
-//!   `min(workers, len)` contiguous chunks whose sizes differ by at most
-//!   one, one scoped thread each. Worker `w` runs tagged with
-//!   `catapult_obs::worker::enter(w + 1)`, so spans recorded inside the
-//!   closure attribute to that pool slot in run manifests.
-//! * **Ordering** — chunk results are concatenated in chunk order, which
-//!   is input order: the output is identical for every thread count.
+//!   thread: no index bookkeeping, no allocation beyond the output.
+//! * **Work pulling** — otherwise `min(workers, len)` scoped threads
+//!   share one `AtomicUsize` cursor: each claims the next unclaimed index,
+//!   runs the closure on it, and keeps `(index, output)` in its own `Vec`.
+//!   Item costs are skewed (one capped kernel search can cost as much as
+//!   a hundred exact ones), so pulling keeps every worker busy where a
+//!   contiguous split would leave one idle behind an expensive chunk.
+//!   Worker `w` runs tagged with `catapult_obs::worker::enter(w + 1)`, so
+//!   spans recorded inside the closure attribute to that pool slot in run
+//!   manifests.
+//! * **Ordering** — after the join the caller sorts the pairs by index
+//!   (each index was claimed exactly once), which is input order: the
+//!   output is identical for every thread count and every interleaving.
 //! * **Panic propagation** — a panicking closure poisons nothing: its
 //!   payload is re-raised on the calling thread once the scope has joined
 //!   every worker, so every fan-out is fail-fast.
@@ -35,6 +43,11 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
+/// The largest worker count a user may ask for. Every fan-out spawns
+/// `min(threads, items)` OS threads at once, so an unchecked value such as
+/// `100000` would ask the OS for tens of thousands of threads per call.
+pub const MAX_THREADS: usize = 1024;
+
 /// Sentinel meaning "no runtime override installed".
 const NO_OVERRIDE: usize = usize::MAX;
 
@@ -48,7 +61,8 @@ static ENV_THREADS: OnceLock<Result<usize, String>> = OnceLock::new();
 /// Parse a raw `CATAPULT_THREADS` lookup. An unset variable means auto
 /// (`0`); a set-but-invalid value is an error, never a silent fallback —
 /// a user who exports `CATAPULT_THREADS=eight` asked for eight workers
-/// and must not quietly get a sequential (or all-core) run instead.
+/// and must not quietly get a sequential (or all-core) run instead. A
+/// count above [`MAX_THREADS`] is refused the same way.
 fn parse_thread_env(raw: Result<String, std::env::VarError>) -> Result<usize, String> {
     match raw {
         Err(std::env::VarError::NotPresent) => Ok(0),
@@ -56,9 +70,16 @@ fn parse_thread_env(raw: Result<String, std::env::VarError>) -> Result<usize, St
             "invalid CATAPULT_THREADS value: not valid UTF-8 (expected an integer, 0 = auto)"
                 .to_string(),
         ),
-        Ok(v) => v.trim().parse::<usize>().map_err(|e| {
-            format!("invalid CATAPULT_THREADS value {v:?}: {e} (expected an integer, 0 = auto)")
-        }),
+        Ok(v) => match v.trim().parse::<usize>() {
+            Ok(n) if n <= MAX_THREADS => Ok(n),
+            Ok(n) => Err(format!(
+                "invalid CATAPULT_THREADS value {v:?}: {n} exceeds the ceiling of {MAX_THREADS} \
+                 (expected an integer, 0 = auto)"
+            )),
+            Err(e) => Err(format!(
+                "invalid CATAPULT_THREADS value {v:?}: {e} (expected an integer, 0 = auto)"
+            )),
+        },
     }
 }
 
@@ -140,7 +161,8 @@ where
 /// The `Some` outputs of `f` over `items`, **in input order**.
 ///
 /// The one executor behind both fan-outs. A zero-sized output (such as
-/// `cond.then_some(())`, then `.len()`) counts without allocating.
+/// `cond.then_some(())`, then `.len()`) counts without allocating on the
+/// one-worker path.
 pub fn par_filter_map<T, U, F>(items: &[T], f: F) -> Vec<U>
 where
     T: Sync,
@@ -151,26 +173,34 @@ where
     if workers <= 1 {
         return items.iter().filter_map(f).collect();
     }
-    let base = items.len() / workers;
-    let rem = items.len() % workers;
-    let f = &f;
-    std::thread::scope(|scope| {
-        let mut rest = items;
+    // Work pulling: each worker claims the next unclaimed index, so a run
+    // of expensive items never strands the other workers idle. Each keeps
+    // its outputs tagged with their index.
+    let next = AtomicUsize::new(0);
+    let (f, next) = (&f, &next);
+    let mut tagged: Vec<(usize, U)> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..workers)
             .map(|w| {
-                let (chunk, tail) = rest.split_at(base + usize::from(w < rem));
-                rest = tail;
                 scope.spawn(move || {
                     // Worker slot w+1: slot 0 means "the calling thread".
                     let _worker = catapult_obs::worker::enter(w as u32 + 1);
-                    chunk.iter().filter_map(f).collect::<Vec<U>>()
+                    let mut run = Vec::new();
+                    loop {
+                        // Relaxed: the cursor publishes no data, only
+                        // which index is whose; outputs return by `join`.
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        let Some(item) = items.get(i) else {
+                            return run;
+                        };
+                        run.extend(f(item).map(|u| (i, u)));
+                    }
                 })
             })
             .collect();
-        let mut out = Vec::with_capacity(items.len());
+        let mut tagged = Vec::new();
         for handle in handles {
             match handle.join() {
-                Ok(part) => out.extend(part),
+                Ok(run) => tagged.extend(run),
                 // A worker closure panicked: re-raise its payload on the
                 // caller. `scope` joins the remaining workers first, so
                 // nothing leaks; the panic hook already ran on the worker.
@@ -180,8 +210,12 @@ where
                 Err(payload) => std::panic::resume_unwind(payload),
             }
         }
-        out
-    })
+        tagged
+    });
+    // Every index was claimed exactly once, so sorting by it restores
+    // input order whatever the interleaving was.
+    tagged.sort_unstable_by_key(|&(i, _)| i);
+    tagged.into_iter().map(|(_, u)| u).collect()
 }
 
 #[cfg(test)]
@@ -251,13 +285,56 @@ mod tests {
         assert_eq!(super::parse_thread_env(Err(VarError::NotPresent)), Ok(0));
         assert_eq!(super::parse_thread_env(Ok("8".into())), Ok(8));
         assert_eq!(super::parse_thread_env(Ok(" 2 ".into())), Ok(2));
-        for bad in ["eight", "", "-1", "1.5", "99999999999999999999999999"] {
+        assert_eq!(super::parse_thread_env(Ok("1024".into())), Ok(1024));
+        for bad in [
+            "eight",
+            "",
+            "-1",
+            "1.5",
+            "1025",
+            "100000",
+            "99999999999999999999999999",
+        ] {
             let err = super::parse_thread_env(Ok(bad.into()))
                 .expect_err("must reject invalid thread counts");
             assert!(
                 err.contains("invalid CATAPULT_THREADS"),
                 "diagnostic must name the variable: {err}"
             );
+        }
+    }
+
+    // Pins pulling: item 0 blocks its worker until every other item has
+    // run. Under pulling the other workers drain the rest of the slice;
+    // under a contiguous split item 0 would wait on items queued behind it
+    // in its own chunk, so the deadline (not a hang) fails the test.
+    #[test]
+    #[allow(clippy::disallowed_methods)] // the test's own wall-clock deadline
+    fn a_blocked_item_does_not_hold_back_the_rest() {
+        let input: Vec<usize> = (0..64).collect();
+        for threads in [2, 8] {
+            let done = AtomicUsize::new(0);
+            let out = with_threads(threads, || {
+                par_map(&input, |&x| {
+                    if x != 0 {
+                        done.fetch_add(1, Ordering::SeqCst);
+                        return x;
+                    }
+                    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
+                    while done.load(Ordering::SeqCst) < input.len() - 1
+                        && std::time::Instant::now() < deadline
+                    {
+                        std::thread::sleep(std::time::Duration::from_millis(1));
+                    }
+                    done.load(Ordering::SeqCst)
+                })
+            });
+            assert_eq!(
+                out[0],
+                input.len() - 1,
+                "threads={threads}: item 0 must see every other item run"
+            );
+            assert_eq!(out[1..], input[1..], "threads={threads}: input order");
         }
     }
 

@@ -275,7 +275,8 @@ usage: catapult <generate|select|evaluate|stats> [--flags]
 common:
   --threads N        worker threads for the parallel fan-outs: 0 = auto
                      (all cores), 1 = exact sequential legacy behavior
-                     (default: CATAPULT_THREADS env var, else auto)
+                     (default: CATAPULT_THREADS env var, else auto;
+                     at most 1024)
   --metrics-out FILE write a schema-versioned JSON run manifest (spans,
                      kernel counters, events, environment) after the
                      command; a panicking run writes the same file as its
@@ -499,10 +500,18 @@ pub fn cmd_stats(flags: &Flags, obs: &mut ObsSession) -> Result<String, CliError
 /// parallel fan-outs to the exact sequential legacy behavior. When the
 /// flag is absent the process-wide default stands (the
 /// `CATAPULT_THREADS` env var, else auto) — we deliberately do not
-/// overwrite it so env-configured runs keep working.
+/// overwrite it so env-configured runs keep working. A count above
+/// [`rayon::MAX_THREADS`] is refused: every fan-out would spawn that many
+/// OS threads at once.
 fn apply_threads(flags: &Flags) -> Result<(), CliError> {
     if flags.get("threads").is_some() {
         let n: usize = flags.num("threads", 0)?;
+        if n > rayon::MAX_THREADS {
+            return Err(CliError::Usage(format!(
+                "--threads got {n}, above the ceiling of {}",
+                rayon::MAX_THREADS
+            )));
+        }
         rayon::set_threads(n);
     }
     Ok(())
@@ -947,8 +956,10 @@ mod tests {
     #[test]
     fn threads_flag_is_validated() {
         // Invalid values are usage errors before any work happens.
-        let r = run(&args(&["stats", "--db", "x", "--threads", "many"]));
-        assert!(matches!(r, Err(CliError::Usage(_))));
+        for bad in ["many", "1025", "100000"] {
+            let r = run(&args(&["stats", "--db", "x", "--threads", bad]));
+            assert!(matches!(r, Err(CliError::Usage(_))), "--threads {bad}");
+        }
         // A valid value is accepted by every subcommand (the run itself
         // then proceeds; here generate exercises the full path).
         let db_path = tmp("db_threads.txt");

@@ -28,17 +28,23 @@
 //! * **GED visits the reference tree**: the bitset GED branch-and-bound
 //!   returns the same distance and tag after the same number of probes
 //!   as the pre-bitset search kept below, at every cap and cutoff.
+//! * **Prepared VF2 visits the reference tree**: containment over
+//!   prepared graphs and induced/non-induced enumeration report the same
+//!   embeddings, tag, probes and meter calls as the per-call-setup matcher
+//!   kept below, at every cap.
 
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use catapult::core::score::DIV_GED_BUDGET;
 use catapult::datasets::{aids_profile, generate};
 use catapult::graph::ged::{ged, ged_upper_bound, GedResult};
+use catapult::graph::iso::MatchOutcome;
 use catapult::graph::mcs::{mcs, McsConfig, McsResult};
 use catapult::graph::random::random_connected_subgraph;
 use catapult::graph::{iso, Completeness, Graph, Label, SearchBudget, VertexId};
 use catapult_obs::Recorder;
 use rand::rngs::StdRng;
+use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 
 /// `set_threads` is process-global; tests that sweep it serialize here.
@@ -384,6 +390,155 @@ fn ged_search_visits_the_reference_tree() {
     assert!(degraded > 0, "the fixture must contain degraded GED calls");
 }
 
+/// One VF2 call with the search probes and meter calls it flushed.
+fn vf2_probed(
+    cap: u64,
+    search: impl FnOnce(&SearchBudget) -> MatchOutcome,
+) -> (MatchOutcome, u64, u64) {
+    let rec = Recorder::enabled();
+    let budget = SearchBudget::nodes(cap).with_probe(rec.stage_probe("equivalence"));
+    let out = search(&budget);
+    let snap = rec.snapshot();
+    let metric = |m| {
+        snap.as_ref()
+            .map_or(0, |s| s.stage_metric_total("equivalence", m))
+    };
+    (out, metric("probes"), metric("calls"))
+}
+
+/// Patterns and targets at data seeds 7, 11 and 23. Targets: aids-profile
+/// molecules plus dense random graphs over two labels, where a pattern
+/// vertex often has several back-neighbours and many feasible images.
+/// Patterns: random connected subgraphs of 1–8 edges of both kinds (each
+/// contained in its source) plus small random graphs, some of them
+/// disconnected. Every pattern meets every target of its seed.
+fn vf2_pool() -> Vec<(Vec<Graph>, Vec<Graph>)> {
+    let mut pool = Vec::new();
+    for data_seed in [7, 11, 23] {
+        let mut targets = generate(&aids_profile(), 10, data_seed).graphs;
+        let mut rng = StdRng::seed_from_u64(data_seed);
+        for n in [7, 9, 11, 13] {
+            targets.push(random_graph(&mut rng, n, 2, 5.0));
+        }
+        // Re-insert each target's edges in random order, so that neighbour
+        // lists are not sorted by vertex id and the candidate order
+        // depends on which mapped neighbour anchors it.
+        for t in &mut targets {
+            let mut edges: Vec<(u32, u32)> = t.edges().map(|(_, e)| (e.u.0, e.v.0)).collect();
+            edges.shuffle(&mut rng);
+            *t = Graph::from_parts(t.labels(), &edges);
+        }
+        let mut patterns = Vec::new();
+        while patterns.len() < 10 {
+            let g = &targets[rng.gen_range(0..targets.len())];
+            let size = rng.gen_range(1..=8);
+            patterns.extend(random_connected_subgraph(g, size, &mut rng));
+        }
+        for n in [3, 4, 5] {
+            patterns.push(random_graph(&mut rng, n, 2, 2.0));
+        }
+        pool.push((patterns, targets));
+    }
+    pool
+}
+
+/// The prepared VF2 search visits exactly the reference matcher's tree:
+/// call by call, at node caps {0, 1, small, default}, for containment
+/// over prepared graphs and for induced and non-induced enumeration, it
+/// reports the same embeddings, embedding count, completeness tag, search
+/// probes and meter calls.
+#[test]
+fn prepared_vf2_visits_the_reference_tree() {
+    use catapult::graph::iso::{
+        contains_prepared, for_each_embedding, MatchOptions, PreparedGraph, DEFAULT_NODE_CAP,
+    };
+    use std::ops::ControlFlow;
+    let _guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let pool = vf2_pool();
+    let caps = [0, 1, 6, DEFAULT_NODE_CAP];
+    let mut calls = 0usize;
+    let mut degraded = 0usize;
+    let mut contained = 0usize;
+    for threads in [1usize, 8] {
+        rayon::set_threads(threads);
+        for (si, (patterns, db)) in pool.iter().enumerate() {
+            // Targets are prepared once and shared by every worker.
+            let targets: Vec<PreparedGraph> = db.iter().map(PreparedGraph::new).collect();
+            let tallies = rayon::par_map(patterns, |p| {
+                let pp = PreparedGraph::new(p);
+                let (mut n, mut deg, mut hit) = (0usize, 0usize, 0usize);
+                for (ti, (t, pt)) in db.iter().zip(&targets).enumerate() {
+                    for cap in caps {
+                        let ctx = format!("threads={threads} seed#{si} target={ti} cap={cap}");
+                        // Containment over prepared graphs.
+                        let (got, got_probes, got_calls) = vf2_probed(cap, |b| {
+                            let (found, completeness) = contains_prepared(pt, &pp, b);
+                            MatchOutcome {
+                                embeddings: usize::from(found),
+                                completeness,
+                            }
+                        });
+                        let (want, want_probes, want_calls) =
+                            vf2_probed(cap, |b| {
+                                let opts = MatchOptions {
+                                    max_embeddings: 1,
+                                    budget: b.clone(),
+                                    ..MatchOptions::default()
+                                };
+                                reference_vf2::for_each_embedding(t, p, opts, |_| {
+                                    ControlFlow::Break(())
+                                })
+                            });
+                        assert_eq!(got, want, "{ctx} contains: outcome");
+                        assert_eq!(got_probes, want_probes, "{ctx} contains: probes");
+                        assert_eq!(got_calls, want_calls, "{ctx} contains: calls");
+                        hit += want.embeddings;
+                        // Enumeration, non-induced and induced.
+                        for induced in [false, true] {
+                            let ctx = format!("{ctx} induced={induced}");
+                            let opts = |b: &SearchBudget| MatchOptions {
+                                induced,
+                                max_embeddings: 500,
+                                budget: b.clone(),
+                            };
+                            let mut got_embs: Vec<Vec<VertexId>> = Vec::new();
+                            let (got, got_probes, got_calls) = vf2_probed(cap, |b| {
+                                for_each_embedding(t, p, opts(b), |e| {
+                                    got_embs.push(e.to_vec());
+                                    ControlFlow::Continue(())
+                                })
+                            });
+                            let mut want_embs: Vec<Vec<VertexId>> = Vec::new();
+                            let (want, want_probes, want_calls) = vf2_probed(cap, |b| {
+                                reference_vf2::for_each_embedding(t, p, opts(b), |e| {
+                                    want_embs.push(e.to_vec());
+                                    ControlFlow::Continue(())
+                                })
+                            });
+                            assert_eq!(got, want, "{ctx}: outcome");
+                            assert_eq!(got_embs, want_embs, "{ctx}: embeddings");
+                            assert_eq!(got_probes, want_probes, "{ctx}: probes");
+                            assert_eq!(got_calls, want_calls, "{ctx}: calls");
+                            deg += usize::from(!want.is_exact());
+                        }
+                        n += 3;
+                    }
+                }
+                (n, deg, hit)
+            });
+            for (n, deg, hit) in tallies {
+                calls += n;
+                degraded += deg;
+                contained += hit;
+            }
+        }
+    }
+    rayon::set_threads(0);
+    assert!(degraded > 0, "the fixture must contain degraded VF2 calls");
+    assert!(contained > 0, "the fixture must contain contained patterns");
+    assert!(calls > degraded, "the fixture must contain exact VF2 calls");
+}
+
 /// The GED branch-and-bound as it stood before its bitset inner loop
 /// (DESIGN.md §15, "GED inner loop"): a `HashMap` label alphabet, a
 /// freshly sorted target vector per node, adjacency-list step costs and a
@@ -637,6 +792,334 @@ mod reference_ged {
         GedResult {
             distance: s.best,
             completeness: s.meter.status(),
+        }
+    }
+}
+
+/// The VF2 matcher as it stood before prepared graphs (DESIGN.md §15,
+/// "Prepared VF2"): per call it sorts both edge-label multisets, builds
+/// per-label degree `BTreeMap`s for `quick_reject`, a `HashMap` of the
+/// target's label counts for the matching order and the target's bit
+/// matrix, and allocates one candidate buffer per depth and one
+/// `Vec` per reported embedding. The library search must visit exactly
+/// this tree; `prepared_vf2_visits_the_reference_tree` checks it call by
+/// call.
+mod reference_vf2 {
+    use catapult::graph::budget::{BudgetMeter, Kernel};
+    use catapult::graph::iso::{MatchOptions, MatchOutcome};
+    use catapult::graph::{BitAdjacency, Completeness, Graph, VertexId};
+    use std::ops::ControlFlow;
+
+    struct Matcher<'a, F>
+    where
+        F: FnMut(&[VertexId]) -> ControlFlow<()>,
+    {
+        pattern: &'a Graph,
+        target: &'a Graph,
+        opts: MatchOptions,
+        /// Pattern vertices in matching order.
+        order: Vec<VertexId>,
+        /// For order position i: pattern neighbors of order[i] that appear
+        /// earlier in the order.
+        back_neighbors: Vec<Vec<VertexId>>,
+        /// For induced mode: earlier-ordered pattern vertices NOT adjacent to order[i].
+        back_non_neighbors: Vec<Vec<VertexId>>,
+        /// pattern vertex -> target vertex (or MAX)
+        map: Vec<u32>,
+        /// target vertex used?
+        used: Vec<bool>,
+        /// Bitset adjacency of the target: O(1) edge probes in `feasible`.
+        tbits: BitAdjacency,
+        /// Per-depth candidate buffers, reused across branches so the
+        /// backtracking loop is allocation-free after warmup.
+        scratch: Vec<Vec<VertexId>>,
+        meter: BudgetMeter,
+        found: usize,
+        callback: F,
+    }
+
+    const UNMAPPED: u32 = u32::MAX;
+
+    /// Compute a connectivity-first matching order: start at the vertex whose
+    /// (label rarity in target, degree) makes it most selective, then repeatedly
+    /// append the unordered vertex with the most already-ordered neighbors
+    /// (ties broken by degree). Disconnected patterns are handled by restarting
+    /// at the most selective remaining vertex.
+    fn matching_order(pattern: &Graph, target: &Graph) -> Vec<VertexId> {
+        let np = pattern.vertex_count();
+        // Label frequency in target for selectivity.
+        let mut freq = std::collections::HashMap::new();
+        for v in target.vertices() {
+            *freq.entry(target.label(v)).or_insert(0usize) += 1;
+        }
+        let selectivity = |v: VertexId| -> (usize, std::cmp::Reverse<usize>) {
+            (
+                *freq.get(&pattern.label(v)).unwrap_or(&0),
+                std::cmp::Reverse(pattern.degree(v)),
+            )
+        };
+        let mut in_order = vec![false; np];
+        let mut order = Vec::with_capacity(np);
+        while order.len() < np {
+            // The while-guard (`order.len() < np`) implies an unordered vertex
+            // remains, so the `else` arm is unreachable; breaking keeps this
+            // kernel free of panicking paths.
+            let Some(start) = pattern
+                .vertices()
+                .filter(|v| !in_order[v.index()])
+                .min_by_key(|&v| selectivity(v))
+            else {
+                break;
+            };
+            in_order[start.index()] = true;
+            order.push(start);
+            loop {
+                // Most-constrained next: max count of ordered neighbors.
+                let next = pattern
+                    .vertices()
+                    .filter(|v| !in_order[v.index()])
+                    .map(|v| {
+                        let c = pattern
+                            .neighbors(v)
+                            .iter()
+                            .filter(|(w, _)| in_order[w.index()])
+                            .count();
+                        (c, pattern.degree(v), v)
+                    })
+                    .filter(|&(c, _, _)| c > 0)
+                    .max_by_key(|&(c, d, _)| (c, d));
+                match next {
+                    Some((_, _, v)) => {
+                        in_order[v.index()] = true;
+                        order.push(v);
+                    }
+                    None => break, // component exhausted; outer loop restarts
+                }
+            }
+        }
+        order
+    }
+
+    impl<'a, F> Matcher<'a, F>
+    where
+        F: FnMut(&[VertexId]) -> ControlFlow<()>,
+    {
+        fn new(pattern: &'a Graph, target: &'a Graph, opts: MatchOptions, callback: F) -> Self {
+            let order = matching_order(pattern, target);
+            let np = pattern.vertex_count();
+            let mut pos = vec![usize::MAX; np];
+            for (i, &v) in order.iter().enumerate() {
+                pos[v.index()] = i;
+            }
+            let mut back_neighbors = vec![Vec::new(); np];
+            let mut back_non_neighbors = vec![Vec::new(); np];
+            for (i, &v) in order.iter().enumerate() {
+                for &(w, _) in pattern.neighbors(v) {
+                    if pos[w.index()] < i {
+                        back_neighbors[i].push(w);
+                    }
+                }
+                if opts.induced {
+                    for (j, &w) in order.iter().enumerate().take(i) {
+                        let _ = j;
+                        if !pattern.has_edge(v, w) {
+                            back_non_neighbors[i].push(w);
+                        }
+                    }
+                }
+            }
+            let meter = BudgetMeter::new(&opts.budget, Kernel::Iso);
+            Matcher {
+                pattern,
+                target,
+                opts,
+                order,
+                back_neighbors,
+                back_non_neighbors,
+                map: vec![UNMAPPED; np],
+                used: vec![false; target.vertex_count()],
+                tbits: BitAdjacency::new(target),
+                scratch: vec![Vec::new(); np + 1],
+                meter,
+                found: 0,
+                callback,
+            }
+        }
+
+        fn feasible(&self, depth: usize, pv: VertexId, tv: VertexId) -> bool {
+            if self.used[tv.index()] {
+                return false;
+            }
+            if self.pattern.label(pv) != self.target.label(tv) {
+                return false;
+            }
+            if self.pattern.degree(pv) > self.target.degree(tv) {
+                return false;
+            }
+            for &bn in &self.back_neighbors[depth] {
+                let mapped = VertexId(self.map[bn.index()]);
+                if !self.tbits.has_edge(mapped, tv) {
+                    return false;
+                }
+            }
+            if self.opts.induced {
+                for &nn in &self.back_non_neighbors[depth] {
+                    let mapped = VertexId(self.map[nn.index()]);
+                    if self.tbits.has_edge(mapped, tv) {
+                        return false;
+                    }
+                }
+            }
+            true
+        }
+
+        /// Returns `Break` to stop the whole search.
+        fn descend(&mut self, depth: usize) -> ControlFlow<()> {
+            if depth == self.order.len() {
+                self.found += 1;
+                self.meter.note_improvement();
+                let embedding: Vec<VertexId> = self.map.iter().map(|&t| VertexId(t)).collect();
+                (self.callback)(&embedding)?;
+                if self.found >= self.opts.max_embeddings {
+                    return ControlFlow::Break(());
+                }
+                return ControlFlow::Continue(());
+            }
+            if self.meter.tick() {
+                return ControlFlow::Break(());
+            }
+            let pv = self.order[depth];
+            let mut candidates = std::mem::take(&mut self.scratch[depth]);
+            candidates.clear();
+            if let Some(&anchor) = self.back_neighbors[depth].first() {
+                // Candidates restricted to target-neighbors of the mapped anchor.
+                let mapped = VertexId(self.map[anchor.index()]);
+                candidates.extend(self.target.neighbors(mapped).iter().map(|&(w, _)| w));
+            } else {
+                candidates.extend(self.target.vertices());
+            }
+            for ci in 0..candidates.len() {
+                let tv = candidates[ci];
+                if self.feasible(depth, pv, tv) {
+                    self.assign(pv, tv);
+                    let flow = self.descend(depth + 1);
+                    self.unassign(pv, tv);
+                    if flow.is_break() {
+                        self.scratch[depth] = candidates;
+                        return flow;
+                    }
+                }
+            }
+            self.scratch[depth] = candidates;
+            ControlFlow::Continue(())
+        }
+
+        #[inline]
+        fn assign(&mut self, pv: VertexId, tv: VertexId) {
+            self.map[pv.index()] = tv.0;
+            self.used[tv.index()] = true;
+        }
+
+        #[inline]
+        fn unassign(&mut self, pv: VertexId, tv: VertexId) {
+            self.map[pv.index()] = UNMAPPED;
+            self.used[tv.index()] = false;
+        }
+    }
+
+    /// Quick necessary conditions for `pattern ⊆ target` (monomorphism):
+    /// size bounds, edge-label multiset containment (a vertex-injective map is
+    /// edge-injective, so every pattern edge label must be matched by a
+    /// distinct target edge with the same label), and per-label degree
+    /// dominance (the i-th largest pattern degree within each label class must
+    /// not exceed the i-th largest target degree in that class — if it did,
+    /// more pattern vertices would need high-degree images than exist).
+    fn quick_reject(pattern: &Graph, target: &Graph) -> bool {
+        if pattern.vertex_count() > target.vertex_count()
+            || pattern.edge_count() > target.edge_count()
+        {
+            return true;
+        }
+        // Edge-label multiset containment (sorted two-pointer sweep).
+        let pe = pattern.sorted_edge_labels();
+        let te = target.sorted_edge_labels();
+        let mut j = 0usize;
+        for l in &pe {
+            while j < te.len() && te[j] < *l {
+                j += 1;
+            }
+            if j == te.len() || te[j] != *l {
+                return true;
+            }
+            j += 1;
+        }
+        // Per-label degree-sequence dominance (subsumes vertex-label multiset
+        // containment: the length check is exactly the per-label count check).
+        let mut pd: std::collections::BTreeMap<catapult::graph::Label, Vec<usize>> =
+            Default::default();
+        for v in pattern.vertices() {
+            pd.entry(pattern.label(v))
+                .or_default()
+                .push(pattern.degree(v));
+        }
+        let mut td: std::collections::BTreeMap<catapult::graph::Label, Vec<usize>> =
+            Default::default();
+        for v in target.vertices() {
+            td.entry(target.label(v))
+                .or_default()
+                .push(target.degree(v));
+        }
+        for (l, ps) in &mut pd {
+            let Some(ts) = td.get_mut(l) else {
+                return true;
+            };
+            if ps.len() > ts.len() {
+                return true;
+            }
+            ps.sort_unstable_by(|a, b| b.cmp(a));
+            ts.sort_unstable_by(|a, b| b.cmp(a));
+            if ps.iter().zip(ts.iter()).any(|(p, t)| p > t) {
+                return true;
+            }
+        }
+        false
+    }
+
+    /// Enumerate embeddings of `pattern` in `target`, invoking `callback` with
+    /// each mapping (indexed by pattern vertex id, values are target vertex
+    /// ids). Return `ControlFlow::Break(())` from the callback to stop early.
+    pub(crate) fn for_each_embedding<F>(
+        target: &Graph,
+        pattern: &Graph,
+        opts: MatchOptions,
+        callback: F,
+    ) -> MatchOutcome
+    where
+        F: FnMut(&[VertexId]) -> ControlFlow<()>,
+    {
+        if pattern.vertex_count() == 0 {
+            // The empty pattern embeds trivially, once.
+            let mut cb = callback;
+            let _ = cb(&[]);
+            return MatchOutcome {
+                embeddings: 1,
+                completeness: Completeness::Exact,
+            };
+        }
+        if quick_reject(pattern, target) {
+            return MatchOutcome {
+                embeddings: 0,
+                completeness: Completeness::Exact,
+            };
+        }
+        let mut m = Matcher::new(pattern, target, opts, callback);
+        let _ = m.descend(0);
+        // A `Break` from the callback or the embedding cap leaves the meter
+        // Exact: the caller got everything it asked for. Only a tripped budget
+        // limit (the node cap) marks the result degraded.
+        MatchOutcome {
+            embeddings: m.found,
+            completeness: m.meter.status(),
         }
     }
 }

@@ -75,21 +75,38 @@ fn serialize(db: &MoleculeDb, r: &catapult::core::CatapultResult) -> String {
     s
 }
 
+/// The quickstart configuration with §4.3 sampling on: mining runs on the
+/// eager sample and every survivor is recounted on the full database
+/// through the miner's fanned-out support count.
+fn sampled_cfg() -> CatapultConfig {
+    let base = quickstart_cfg();
+    CatapultConfig {
+        clustering: ClusteringConfig {
+            sampling: Some(SamplingConfig::default()),
+            ..base.clustering.clone()
+        },
+        ..base
+    }
+}
+
 #[test]
 fn full_pipeline_is_byte_identical_across_thread_counts() {
     let _guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let db = quickstart_db();
-    let cfg = quickstart_cfg();
-
-    let golden = with_threads(1, || serialize(&db, &run_catapult(&db.graphs, &cfg)));
-    assert!(!golden.is_empty(), "golden run must select patterns");
-
-    for threads in [2usize, 8] {
-        let got = with_threads(threads, || serialize(&db, &run_catapult(&db.graphs, &cfg)));
-        assert_eq!(
-            got, golden,
-            "threads={threads} diverged from the single-threaded golden"
+    for (name, cfg) in [("default", quickstart_cfg()), ("sampled", sampled_cfg())] {
+        let golden = with_threads(1, || serialize(&db, &run_catapult(&db.graphs, &cfg)));
+        assert!(
+            !golden.is_empty(),
+            "{name}: golden run must select patterns"
         );
+
+        for threads in [2usize, 8] {
+            let got = with_threads(threads, || serialize(&db, &run_catapult(&db.graphs, &cfg)));
+            assert_eq!(
+                got, golden,
+                "{name}: threads={threads} diverged from the single-threaded golden"
+            );
+        }
     }
 }
 

@@ -2,7 +2,7 @@
 //!
 //! A 64-way `par_map` drives budgeted VF2 kernels. Some items carry a
 //! zero node cap, the rest no bound at all, and the two kinds interleave
-//! across every worker's chunk. The contract under
+//! across the items every worker claims. The contract under
 //! fire:
 //!
 //! * all 64 results come back, in input order;
@@ -118,7 +118,7 @@ fn executor_survives_repeated_mixed_budget_fanouts() {
         let before = live_threads();
         // Hammer the pool: each round shifts which items carry the
         // zero cap, so the Exact/BudgetExhausted pattern lands
-        // differently in every worker's chunk.
+        // differently across the items every worker claims.
         for round in 0..12usize {
             let results = mixed_fanout(round);
             assert_whole_and_in_order(&results, round, &format!("round {round}"));

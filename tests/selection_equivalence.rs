@@ -22,7 +22,7 @@
 use catapult::cluster::{cluster_graphs, ClusteringConfig};
 use catapult::core::budget::SizeCounts;
 use catapult::core::fcp::generate_fcp;
-use catapult::core::score::{ccov, covering_csgs, diversity, eq2_score};
+use catapult::core::score::{ccov, covering_csgs, diversity, eq2_score, prepare_csgs};
 use catapult::core::walk::{generate_library, generate_pcp, Pcp};
 use catapult::core::{
     find_canned_patterns, EdgeLabelIndex, IncrementalCatapult, IncrementalConfig, PatternBudget,
@@ -86,6 +86,7 @@ fn eager<R: Rng>(
     let budget = &cfg.budget;
     let mut elw = EdgeLabelWeights::new(EdgeLabelStats::from_graphs(db));
     let mut cw = ClusterWeights::new(csgs, db.len());
+    let prepared = prepare_csgs(csgs);
     let index = EdgeLabelIndex::build(db);
     let mut selected = Vec::new();
     let mut selected_graphs: Vec<Graph> = Vec::new();
@@ -132,7 +133,7 @@ fn eager<R: Rng>(
             .iter()
             .enumerate()
             .map(|(i, (c, _))| {
-                let cov = ccov(&covering_csgs(c, csgs, search, &scoring), &cw);
+                let cov = ccov(&covering_csgs(c, &prepared, search, &scoring), &cw);
                 let cog = cognitive_load(c);
                 let div = if cfg.variant.uses_diversity() && cog > 0.0 {
                     diversity(c, &selected_graphs, search, &scoring)
@@ -158,7 +159,7 @@ fn eager<R: Rng>(
             break;
         }
         let (pattern, source_csg) = candidates.swap_remove(best_idx);
-        for ci in covering_csgs(&pattern, csgs, search, &scoring) {
+        for ci in covering_csgs(&pattern, &prepared, search, &scoring) {
             cw.damp(ci);
         }
         elw.damp_pattern(&pattern);
