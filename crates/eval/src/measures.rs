@@ -5,7 +5,7 @@
 
 use crate::steps::{formulate, Formulation, DEFAULT_EMBEDDING_CAP};
 use catapult_graph::ged::ged;
-use catapult_graph::iso::contains;
+use catapult_graph::iso::{contains_prepared, PreparedGraph, DEFAULT_NODE_CAP};
 use catapult_graph::metrics::cognitive_load;
 use catapult_graph::{Graph, SearchBudget};
 use rayon::{par_filter_map, par_map};
@@ -17,9 +17,23 @@ pub fn subgraph_coverage(patterns: &[Graph], db: &[Graph]) -> f64 {
     }
     // Offline evaluation measure under the default node cap: a tripped
     // probe only lowers the reported coverage (a conservative estimate),
-    // never correctness.
+    // never correctness. Each pattern is prepared once for the whole
+    // database, each data graph once for the whole panel.
+    let budget = SearchBudget::unbounded().with_default_cap(DEFAULT_NODE_CAP);
+    let prepared: Vec<PreparedGraph> = patterns.iter().map(PreparedGraph::new).collect();
     let covered = par_filter_map(db, |g| {
-        patterns.iter().any(|p| contains(g, p)).then_some(()) // xtask-allow: budget-threading
+        let target = PreparedGraph::new(g);
+        patterns
+            .iter()
+            .zip(&prepared)
+            .any(|(p, pp)| {
+                // `contains_tagged`'s size test: no search for a pattern
+                // larger than the data graph.
+                p.vertex_count() <= g.vertex_count()
+                    && p.edge_count() <= g.edge_count()
+                    && contains_prepared(&target, pp, &budget).0
+            })
+            .then_some(())
     })
     .len();
     covered as f64 / db.len() as f64

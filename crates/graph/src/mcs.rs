@@ -204,63 +204,92 @@ struct Search<'a> {
     a: &'a Graph, // decided graph (fewer vertices)
     order: Vec<VertexId>,
     cfg: McsConfig,
-    map: Vec<u32>,   // a-vertex -> b-vertex or MAX
-    used: Vec<bool>, // b-vertex used
-    score: usize,    // common edges among mapped pairs
-    lost: usize,     // a-edges that can no longer become common
+    map: Vec<u32>, // a-vertex -> b-vertex or MAX
+    score: usize,  // common edges among mapped pairs
+    lost: usize,   // a-edges that can no longer become common
     best_edges: usize,
     best_pairs: Vec<(VertexId, VertexId)>,
     meter: BudgetMeter,
     swapped: bool,
-    /// Whether each a-vertex has been decided (mapped or skipped) yet.
-    decided: Vec<bool>,
-    /// Bitset adjacency of `a`/`b`: O(1) `has_edge` in the hot loops.
+    /// Bitsets over `a`'s vertices: decided (mapped or skipped) so far,
+    /// and those of them that were skipped. `decided & !skipped` is the
+    /// set of mapped a-vertices.
+    decided: Vec<u64>,
+    skipped: Vec<u64>,
+    /// Bitset over `b`'s vertices already used as an image.
+    used: Vec<u64>,
+    /// Bitset adjacency of `a`/`b`: O(1) `has_edge` and neighbour rows.
     abits: BitAdjacency,
     bbits: BitAdjacency,
-    /// b-vertices grouped by label (in vertex order), so candidate
-    /// generation touches only label-compatible targets.
-    buckets: Vec<(Label, Vec<VertexId>)>,
+    /// Words per `b` row.
+    stride: usize,
+    /// One `b`-row bitset per distinct `b` label: the vertices carrying it.
+    classes: Vec<u64>,
+    /// a-vertex -> offset of its label's row in `classes`, or [`NO_CLASS`]
+    /// when no `b` vertex carries that label.
+    class_of: Vec<usize>,
+    /// Bit-sliced gain counter: `planes.len() / stride` planes of one
+    /// `b` row each, enough bits to count to `a`'s maximum degree. Bit
+    /// `t` of plane `p` is bit `p` of target `t`'s gain.
+    planes: Vec<u64>,
+    /// Candidate targets of the node being expanded (`b`-row layout).
+    pool: Vec<u64>,
     /// Global upper bound on the common-edge count (edge-label multiset
     /// intersection capped by both edge counts). Once `best_edges` reaches
     /// it, the result is provably optimal and the search stops *Exact*.
     ub: usize,
     /// Set when `best_edges == ub`: unwind without exploring further.
     proven: bool,
-    /// Per-depth candidate buffers, reused across branches to keep the
-    /// backtracking loop allocation-free after warmup.
-    scratch: Vec<Vec<(usize, usize, VertexId)>>,
+    /// Per-depth `(gain, target)` candidate buffers, reused across
+    /// branches to keep the backtracking loop allocation-free after warmup.
+    scratch: Vec<Vec<(usize, VertexId)>>,
+    /// Last-level scratch (MCCS): `(image, tracker root)` of each mapped
+    /// neighbour of the last decided vertex.
+    roots: Vec<(VertexId, usize)>,
     /// Largest-common-component tracker (MCCS only; empty for plain MCS).
     cc: CcForest,
 }
 
 const UNMAPPED: u32 = u32::MAX;
+const NO_CLASS: usize = usize::MAX;
+
+fn set_bit(words: &mut [u64], i: usize) {
+    words[i / 64] |= 1u64 << (i % 64);
+}
+
+fn clear_bit(words: &mut [u64], i: usize) {
+    words[i / 64] &= !(1u64 << (i % 64));
+}
+
+/// Indices of the set bits of `word`, word `index` of a bitset, ascending.
+fn ones(mut word: u64, index: usize) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        let bit = word.trailing_zeros() as usize;
+        word &= word.wrapping_sub(1);
+        (bit < 64).then_some(index * 64 + bit)
+    })
+}
+
+/// The mapped neighbours of a vertex with adjacency row `row`: the set
+/// bits of `row & decided & !skipped`, ascending.
+fn mapped_in<'s>(
+    row: &'s [u64],
+    decided: &'s [u64],
+    skipped: &'s [u64],
+) -> impl Iterator<Item = usize> + 's {
+    let words = row.iter().zip(decided).zip(skipped);
+    words
+        .enumerate()
+        .flat_map(|(i, ((&r, &d), &s))| ones(r & d & !s, i))
+}
+
+/// Bit `i` of a vertex bitset as a vertex id. Bitsets only hold bits
+/// below the vertex count, and vertex ids are `u32`, so this is `Some`.
+fn vertex_at(i: usize) -> Option<VertexId> {
+    u32::try_from(i).ok().map(VertexId)
+}
 
 impl<'a> Search<'a> {
-    /// Edges of `a` incident to `v` whose other endpoint is already decided
-    /// (mapped or skipped), partitioned into (commonable-if-mapped-to,
-    /// lost). For a candidate target `t`: common += matched neighbors whose
-    /// image is adjacent to `t`.
-    fn gain_and_loss(&self, v: VertexId, t: VertexId, decided: &[bool]) -> (usize, usize) {
-        let mut gain = 0;
-        let mut loss = 0;
-        for &(w, _) in self.a.neighbors(v) {
-            if !decided[w.index()] {
-                continue;
-            }
-            let m = self.map[w.index()];
-            if m == UNMAPPED {
-                // Neighbor was skipped: the edge (v,w) was already counted
-                // as lost at skip time (see `loss_on_skip`).
-                continue;
-            } else if self.bbits.has_edge(VertexId(m), t) {
-                gain += 1;
-            } else {
-                loss += 1;
-            }
-        }
-        (gain, loss)
-    }
-
     fn loss_on_skip(&self, v: VertexId) -> usize {
         // Skipping v loses every a-edge incident to v that hasn't already
         // been scored or lost: i.e. edges to undecided vertices plus edges
@@ -269,17 +298,99 @@ impl<'a> Search<'a> {
         // decided-*skipped* neighbors were already counted as lost when that
         // neighbor skipped. We avoid double counting by only counting edges
         // whose other endpoint is undecided or mapped.
-        self.a.degree(v)
-            - self
-                .a
-                .neighbors(v)
-                .iter()
-                .filter(|&&(w, _)| self.decided_skipped(w))
-                .count()
+        self.a.degree(v) - self.abits.row_overlap(v, &self.skipped)
     }
 
-    fn decided_skipped(&self, w: VertexId) -> bool {
-        self.decided[w.index()] && self.map[w.index()] == UNMAPPED
+    /// Fill `out` with the candidate targets of `v` whose gain is at least
+    /// `min_gain`, as `(gain, target)`, gain descending and ids ascending
+    /// within a gain, and return how many candidates gain less. A target's
+    /// gain is the number of the `mapped` mapped neighbours of `v` whose
+    /// image is adjacent to it; its loss is `mapped` minus the gain, so
+    /// this is the (gain desc, loss asc, id asc) order, and the candidates
+    /// left out are the last ones in it.
+    fn candidates(
+        &mut self,
+        v: VertexId,
+        mapped: usize,
+        min_gain: usize,
+        out: &mut Vec<(usize, VertexId)>,
+    ) -> usize {
+        out.clear();
+        let class = self.class_of[v.index()];
+        if class == NO_CLASS {
+            return 0;
+        }
+        // Unused targets with v's label.
+        let sb = self.stride;
+        let mut left = 0;
+        for i in 0..sb {
+            self.pool[i] = self.classes[class + i] & !self.used[i];
+            left += self.pool[i].count_ones() as usize;
+        }
+        if left == 0 || min_gain > mapped {
+            return left;
+        }
+        // Carry-save count: add each mapped neighbour's image row, masked
+        // to the pool, into the planes.
+        self.planes.fill(0);
+        for w in mapped_in(self.abits.row(v), &self.decided, &self.skipped) {
+            let image = self.bbits.row(VertexId(self.map[w]));
+            for (i, (&b, &p)) in image.iter().zip(&self.pool).enumerate() {
+                let mut carry = b & p;
+                for plane in self.planes[i..].iter_mut().step_by(sb) {
+                    if carry == 0 {
+                        break;
+                    }
+                    let c = *plane;
+                    *plane = c ^ carry;
+                    carry &= c;
+                }
+            }
+        }
+        // Emit gain classes, highest first, each in ascending id order.
+        for gain in (min_gain..=mapped).rev() {
+            for i in 0..sb {
+                let mut hits = self.pool[i];
+                for (p, &plane) in self.planes[i..].iter().step_by(sb).enumerate() {
+                    hits &= if (gain >> p) & 1 == 1 { plane } else { !plane };
+                }
+                self.pool[i] &= !hits;
+                left -= hits.count_ones() as usize;
+                out.extend(ones(hits, i).filter_map(vertex_at).map(|t| (gain, t)));
+            }
+            if left == 0 {
+                break;
+            }
+        }
+        left
+    }
+
+    /// Map `v` onto `t` and link the new common edges into the component
+    /// tracker; returns the tracker mark to roll back to.
+    fn map_to(&mut self, v: VertexId, t: VertexId, gain: usize, loss: usize) -> usize {
+        self.map[v.index()] = t.0;
+        set_bit(&mut self.used, t.index());
+        self.score += gain;
+        self.lost += loss;
+        let mark = self.cc.mark();
+        if self.cfg.connected && gain > 0 {
+            // Each commonable neighbour edge joins (v, t)'s pair to the
+            // neighbour's component.
+            for w in mapped_in(self.abits.row(v), &self.decided, &self.skipped) {
+                if self.bbits.has_edge(VertexId(self.map[w]), t) {
+                    self.cc.link(v.index(), w);
+                }
+            }
+        }
+        mark
+    }
+
+    fn unmap(&mut self, v: VertexId, t: VertexId, gain: usize, loss: usize, mark: usize) {
+        self.cc.rollback(mark);
+        self.score -= gain;
+        self.lost -= loss;
+        self.map[v.index()] = UNMAPPED;
+        clear_bit(&mut self.used, t.index());
     }
 
     fn record_leaf(&mut self) {
@@ -352,105 +463,216 @@ impl<'a> Search<'a> {
             return;
         }
         let v = self.order[depth];
+        let last = depth + 1 == self.order.len();
         // Try candidate targets ordered by immediate gain (desc) so good
-        // solutions are found early and the bound tightens. Only the label
-        // bucket of `v` is scanned; a reused per-depth buffer keeps the
-        // loop allocation-free.
+        // solutions are found early and the bound tightens. A reused
+        // per-depth buffer keeps the loop allocation-free.
+        //
+        // A child that gains less than `min_gain` does nothing but tick:
+        // below the last level its potential is at most the best, and at
+        // the last level its leaf cannot beat the best (`leaf_reach`).
+        // Such children come last in the order; they are counted, not
+        // listed.
+        let mapped = mapped_in(self.abits.row(v), &self.decided, &self.skipped).count();
+        let min_gain = if last {
+            (self.best_edges + 1).saturating_sub(self.leaf_reach(v))
+        } else {
+            (self.best_edges + self.lost + mapped + 1).saturating_sub(self.a.edge_count())
+        };
         let mut candidates = std::mem::take(&mut self.scratch[depth]);
-        candidates.clear();
-        let want = self.a.label(v);
-        if let Ok(i) = self.buckets.binary_search_by_key(&want, |e| e.0) {
-            for idx in 0..self.buckets[i].1.len() {
-                let t = self.buckets[i].1[idx];
-                if self.used[t.index()] {
-                    continue;
-                }
-                let (gain, loss) = self.gain_and_loss(v, t, &self.decided);
-                candidates.push((gain, loss, t));
-            }
-        }
-        candidates.sort_unstable_by(|x, y| {
-            y.0.cmp(&x.0)
-                .then(x.1.cmp(&y.1))
-                .then((x.2).0.cmp(&(y.2).0))
-        });
-        self.decided[v.index()] = true;
-        for ci in 0..candidates.len() {
-            let (gain, loss, t) = candidates[ci];
-            self.map[v.index()] = t.0;
-            self.used[t.index()] = true;
-            self.score += gain;
+        let below = self.candidates(v, mapped, min_gain, &mut candidates);
+        set_bit(&mut self.decided, v.index());
+        let stopped = if last {
+            self.last_level(v, mapped, &candidates)
+        } else {
+            self.expand(depth, v, mapped, &candidates)
+        } || (0..below).any(|_| self.meter.tick());
+        if !stopped {
+            // Skip branch.
+            let loss = self.loss_on_skip(v);
+            set_bit(&mut self.skipped, v.index());
             self.lost += loss;
-            let cc_mark = self.cc.mark();
-            if self.cfg.connected && gain > 0 {
-                // Mirror `gain_and_loss`: each commonable neighbor edge
-                // joins (v, t)'s pair to the neighbor's component.
-                let a = self.a;
-                for &(w, _) in a.neighbors(v) {
-                    let m = self.map[w.index()];
-                    if w != v && m != UNMAPPED && self.bbits.has_edge(VertexId(m), t) {
-                        self.cc.link(v.index(), w.index());
-                    }
-                }
-            }
             self.descend(depth + 1);
-            self.cc.rollback(cc_mark);
-            self.score -= gain;
             self.lost -= loss;
-            self.map[v.index()] = UNMAPPED;
-            self.used[t.index()] = false;
+            clear_bit(&mut self.skipped, v.index());
+        }
+        clear_bit(&mut self.decided, v.index());
+        self.scratch[depth] = candidates;
+    }
+
+    /// Map `v` onto each candidate in turn and search below it. Returns
+    /// `true` when the search stopped (budget tripped or bound met).
+    fn expand(
+        &mut self,
+        depth: usize,
+        v: VertexId,
+        mapped: usize,
+        candidates: &[(usize, VertexId)],
+    ) -> bool {
+        for &(gain, t) in candidates {
+            let loss = mapped - gain;
+            let mark = self.map_to(v, t, gain, loss);
+            self.descend(depth + 1);
+            self.unmap(v, t, gain, loss, mark);
             if self.meter.tripped() || self.proven {
-                self.decided[v.index()] = false;
-                self.scratch[depth] = candidates;
-                return;
+                return true;
             }
         }
-        // Skip branch.
-        let loss = self.loss_on_skip(v);
-        self.lost += loss;
-        self.descend(depth + 1);
-        self.lost -= loss;
-        self.decided[v.index()] = false;
-        self.scratch[depth] = candidates;
+        false
+    }
+
+    /// [`expand`](Self::expand) for the last vertex in the order, whose
+    /// children are all leaves. A leaf is one tick plus `record_leaf`, and
+    /// `record_leaf` changes nothing unless the leaf improves the best, so
+    /// each child is ticked and judged in closed form; only a child that
+    /// improves or trips the cap is mapped, linked and recorded.
+    fn last_level(&mut self, v: VertexId, mapped: usize, candidates: &[(usize, VertexId)]) -> bool {
+        for &(gain, t) in candidates {
+            let loss = mapped - gain;
+            let tripped = self.meter.tick();
+            if !tripped && !self.leaf_improves(t, gain) {
+                continue;
+            }
+            let mark = self.map_to(v, t, gain, loss);
+            // `record_leaf`'s test: the largest component for MCCS, the
+            // common-edge count for MCS.
+            let size = if self.cfg.connected {
+                self.cc.max_edges
+            } else {
+                self.score
+            };
+            debug_assert!(
+                tripped || size > self.best_edges,
+                "closed-form leaf disagrees with the linked tracker"
+            );
+            self.record_leaf();
+            self.unmap(v, t, gain, loss, mark);
+            if tripped || self.proven {
+                return true;
+            }
+        }
+        false
+    }
+
+    /// What a leaf below the last vertex `v` can reach before its gain is
+    /// added: a leaf improves the best only if `gain + reach` exceeds it.
+    /// For MCS that is the common-edge count. For MCCS, unless the running
+    /// largest component already beats the best, only `v`'s own component
+    /// can, and it holds at most the edges of the components `v`'s mapped
+    /// neighbours are in. For MCCS this also fills `roots` for
+    /// [`leaf_improves`](Self::leaf_improves).
+    fn leaf_reach(&mut self, v: VertexId) -> usize {
+        if !self.cfg.connected {
+            return self.score;
+        }
+        self.collect_roots(v);
+        if self.cc.max_edges > self.best_edges {
+            return self.score;
+        }
+        let roots = &self.roots;
+        roots
+            .iter()
+            .enumerate()
+            .filter(|&(j, &(_, root))| roots[..j].iter().all(|&(_, r)| r != root))
+            .map(|(_, &(_, root))| self.cc.edges[root])
+            .sum()
+    }
+
+    /// Whether mapping the last vertex onto `t` (adding `gain` common
+    /// edges) yields a leaf that improves the best, read from the tracker
+    /// roots in `roots` without linking.
+    fn leaf_improves(&self, t: VertexId, gain: usize) -> bool {
+        // The largest component never exceeds the common-edge count.
+        if self.score + gain <= self.best_edges {
+            return false;
+        }
+        if !self.cfg.connected || self.cc.max_edges > self.best_edges {
+            return true;
+        }
+        // Linking merges the components of the neighbours joined through
+        // `t`, each counted once, plus the `gain` new edges.
+        let mut joined = 0;
+        for (j, &(image, root)) in self.roots.iter().enumerate() {
+            if !self.bbits.has_edge(image, t) {
+                continue;
+            }
+            joined += 1;
+            let seen = self.roots[..j]
+                .iter()
+                .any(|&(other, r)| r == root && self.bbits.has_edge(other, t));
+            if !seen {
+                joined += self.cc.edges[root];
+            }
+        }
+        joined > self.best_edges
+    }
+
+    /// Fill `roots` with the image and tracker root of each mapped
+    /// neighbour of `v`.
+    fn collect_roots(&mut self, v: VertexId) {
+        self.roots.clear();
+        for w in mapped_in(self.abits.row(v), &self.decided, &self.skipped) {
+            self.roots.push((VertexId(self.map[w]), self.cc.find(w)));
+        }
     }
 }
 
-// `decided` lives outside the struct init for borrow simplicity.
 impl<'a> Search<'a> {
     fn run(a: &'a Graph, b: &'a Graph, cfg: McsConfig, swapped: bool, ub: usize) -> McsResult {
         let mut order: Vec<VertexId> = a.vertices().collect();
         // Decide high-degree vertices first: they constrain the most edges.
         order.sort_by_key(|&v| std::cmp::Reverse(a.degree(v)));
-        let mut buckets: Vec<(Label, Vec<VertexId>)> = Vec::new();
+        let stride = b.vertex_count().div_ceil(64);
+        let mut labels: Vec<Label> = b.vertices().map(|t| b.label(t)).collect();
+        labels.sort_unstable();
+        labels.dedup();
+        let mut classes = vec![0u64; labels.len() * stride];
         for t in b.vertices() {
-            let l = b.label(t);
-            match buckets.binary_search_by_key(&l, |e| e.0) {
-                Ok(i) => buckets[i].1.push(t),
-                Err(i) => buckets.insert(i, (l, vec![t])),
+            if let Ok(c) = labels.binary_search(&b.label(t)) {
+                set_bit(&mut classes[c * stride..(c + 1) * stride], t.index());
             }
         }
+        let class_of = a
+            .vertices()
+            .map(|v| {
+                labels
+                    .binary_search(&a.label(v))
+                    .map_or(NO_CLASS, |c| c * stride)
+            })
+            .collect();
+        // Counter planes: enough bits to count to a's maximum degree, the
+        // largest possible gain.
+        let max_degree = a.vertices().map(|v| a.degree(v)).max().unwrap_or(0);
+        let width = (usize::BITS - max_degree.leading_zeros()) as usize;
         let meter = BudgetMeter::new(&cfg.budget, Kernel::Mcs);
         let depth_count = a.vertex_count() + 1;
+        let a_words = a.vertex_count().div_ceil(64);
         let cc = CcForest::new(if cfg.connected { a.vertex_count() } else { 0 });
         let mut s = Search {
             a,
             order,
             cfg,
             map: vec![UNMAPPED; a.vertex_count()],
-            used: vec![false; b.vertex_count()],
             score: 0,
             lost: 0,
             best_edges: 0,
             best_pairs: Vec::new(),
             meter,
             swapped,
-            decided: vec![false; a.vertex_count()],
+            decided: vec![0; a_words],
+            skipped: vec![0; a_words],
+            used: vec![0; stride],
             abits: BitAdjacency::new(a),
             bbits: BitAdjacency::new(b),
-            buckets,
+            stride,
+            classes,
+            class_of,
+            planes: vec![0; width * stride],
+            pool: vec![0; stride],
             ub,
             proven: false,
             scratch: vec![Vec::new(); depth_count],
+            roots: Vec::new(),
             cc,
         };
         s.descend(0);

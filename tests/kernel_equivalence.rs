@@ -32,10 +32,16 @@
 //!   prepared graphs and induced/non-induced enumeration report the same
 //!   embeddings, tag, probes and meter calls as the per-call-setup matcher
 //!   kept below, at every cap.
+//! * **MCS visits the reference tree**: the bit-sliced MCS/MCCS search
+//!   with its closed-form last level returns the same size, mapping,
+//!   tag, probes and best-so-far improvements as the pre-bitset search
+//!   kept below (tracker included), pruned and unpruned, at every cap,
+//!   including multi-word rows and a wide gain counter.
 
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use catapult::core::score::DIV_GED_BUDGET;
+use catapult::csg::Csg;
 use catapult::datasets::{aids_profile, generate};
 use catapult::graph::ged::{ged, ged_upper_bound, GedResult};
 use catapult::graph::iso::MatchOutcome;
@@ -537,6 +543,662 @@ fn prepared_vf2_visits_the_reference_tree() {
     assert!(degraded > 0, "the fixture must contain degraded VF2 calls");
     assert!(contained > 0, "the fixture must contain contained patterns");
     assert!(calls > degraded, "the fixture must contain exact VF2 calls");
+}
+
+/// One MCS/MCCS call under a node cap (`None`: unbounded), with the
+/// search probes and best-so-far improvements its meter flushed.
+fn mcs_probed(
+    cap: Option<u64>,
+    search: impl FnOnce(SearchBudget) -> McsResult,
+) -> (McsResult, u64, u64) {
+    let rec = Recorder::enabled();
+    let budget = cap
+        .map_or_else(SearchBudget::unbounded, SearchBudget::nodes)
+        .with_probe(rec.stage_probe("equivalence"));
+    let r = search(budget);
+    let snap = rec.snapshot();
+    let metric = |m| {
+        snap.as_ref()
+            .map_or(0, |s| s.stage_metric_total("equivalence", m))
+    };
+    (r, metric("probes"), metric("improved"))
+}
+
+/// Pairs for the same-tree check, each with whether it is small enough
+/// to search without a cap: the small random pool; aids-profile
+/// molecules against each other and against CSG closure graphs (over
+/// two-molecule transactions) of more than 64 vertices (multi-word `b`
+/// rows), and two such closure graphs against each other (multi-word `a`
+/// rows), at data seeds 7, 11 and 23; dense random graphs whose smaller
+/// side has a vertex of degree 16 or more (a five-bit gain counter); and
+/// small graphs of minimum degree 3.
+fn mcs_tree_pool() -> Vec<(Graph, Graph, bool)> {
+    let mut pool: Vec<(Graph, Graph, bool)> =
+        pair_pool().into_iter().map(|(a, b)| (a, b, true)).collect();
+    // Every vertex of `a` has degree 3 or more, so the last vertex in the
+    // order has several mapped neighbours, often in one component: the
+    // closed-form last level must count a shared component once.
+    for seed in 0..200 {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let n = rng.gen_range(6..10);
+        let labels = rng.gen_range(1..3);
+        let a = min_degree_graph(&mut rng, n, labels, 3);
+        let (m, k) = (rng.gen_range(n..n + 6), rng.gen_range(2..4));
+        pool.push((a, min_degree_graph(&mut rng, m, labels, k), false));
+    }
+    for data_seed in [7, 11, 23] {
+        let db = generate(&aids_profile(), 40, data_seed).graphs;
+        for i in 0..3 {
+            pool.push((db[2 * i].clone(), db[2 * i + 1].clone(), false));
+        }
+        // Closure graphs over two-molecule transactions outgrow one word.
+        let unions: Vec<Graph> = db.chunks(2).map(|p| disjoint_union(&p[0], &p[1])).collect();
+        let closure =
+            |ids: std::ops::Range<u32>| Csg::build(&unions, &ids.collect::<Vec<_>>()).graph;
+        let (left, right) = (closure(4..12), closure(12..20));
+        for g in &db[..2] {
+            pool.push((g.clone(), left.clone(), false));
+            pool.push((right.clone(), g.clone(), false));
+        }
+        pool.push((left, right, false));
+        let mut rng = StdRng::seed_from_u64(data_seed);
+        let hub = random_graph(&mut rng, 22, 2, 15.0);
+        pool.push((hub.clone(), random_graph(&mut rng, 70, 2, 8.0), false));
+        pool.push((hub, db[6].clone(), false));
+    }
+    pool
+}
+
+/// Random labeled graph on `n` vertices whose every vertex has degree
+/// at least `k`: random edges are added at the lowest-id vertex below
+/// `k` until none is left.
+fn min_degree_graph(rng: &mut StdRng, n: u32, labels: u32, k: usize) -> Graph {
+    let mut g = Graph::new();
+    for _ in 0..n {
+        g.add_vertex(Label(rng.gen_range(0..labels)));
+    }
+    loop {
+        let Some(v) = g.vertices().find(|&v| g.degree(v) < k) else {
+            return g;
+        };
+        let w = VertexId(rng.gen_range(0..n));
+        if w != v && !g.has_edge(v, w) {
+            g.add_edge(v, w).unwrap();
+        }
+    }
+}
+
+/// `g` and `h` side by side, `h`'s vertices numbered after `g`'s.
+fn disjoint_union(g: &Graph, h: &Graph) -> Graph {
+    let offset = u32::try_from(g.vertex_count()).unwrap();
+    let labels: Vec<Label> = g.labels().iter().chain(h.labels()).copied().collect();
+    let edges: Vec<(u32, u32)> = g
+        .edges()
+        .map(|(_, e)| (e.u.0, e.v.0))
+        .chain(h.edges().map(|(_, e)| (e.u.0 + offset, e.v.0 + offset)))
+        .collect();
+    Graph::from_parts(&labels, &edges)
+}
+
+/// The bit-sliced MCS/MCCS search visits exactly the reference search's
+/// tree: for MCS and MCCS, pruned and unpruned, at node caps {0, 1, 25,
+/// 2 000, 20 000} (and unbounded on the small pairs), each call returns
+/// the same size, mapping and tag after the same number of probes and
+/// best-so-far improvements as the pre-bitset search kept below.
+#[test]
+fn mcs_search_visits_the_reference_tree() {
+    let _guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let pool = mcs_tree_pool();
+    let wide = |g: &Graph| g.vertex_count() > 64;
+    // The searched (`a`) side is the one with fewer vertices.
+    let a_degree = |a: &Graph, b: &Graph| {
+        let g = if a.vertex_count() <= b.vertex_count() {
+            a
+        } else {
+            b
+        };
+        g.vertices().map(|v| g.degree(v)).max().unwrap_or(0)
+    };
+    assert!(
+        pool.iter().any(|(a, b, _)| wide(a) && wide(b)),
+        "multi-word a rows"
+    );
+    assert!(
+        pool.iter().any(|(a, b, _)| !wide(a) && wide(b)),
+        "multi-word b rows"
+    );
+    assert!(
+        pool.iter().any(|(a, b, _)| a_degree(a, b) >= 16),
+        "a degree-16 vertex"
+    );
+    let mut calls = 0usize;
+    let mut degraded = 0usize;
+    let mut improved = 0u64;
+    for threads in [1usize, 8] {
+        rayon::set_threads(threads);
+        let tallies = rayon::par_map(&pool, |(a, b, small)| {
+            let mut caps = vec![Some(0), Some(1), Some(25), Some(2_000), Some(20_000)];
+            if *small {
+                caps.push(None);
+            }
+            let (mut n, mut deg, mut imp) = (0usize, 0usize, 0u64);
+            for connected in [false, true] {
+                for pruning in [true, false] {
+                    for &cap in &caps {
+                        let ctx = format!(
+                            "threads={threads} |a|={} |b|={} connected={connected} \
+                             pruning={pruning} cap={cap:?}",
+                            a.vertex_count(),
+                            b.vertex_count()
+                        );
+                        let config = |budget| cfg(connected, pruning, budget);
+                        let (got, got_probes, got_improved) =
+                            mcs_probed(cap, |budget| mcs(a, b, config(budget)));
+                        let (want, want_probes, want_improved) =
+                            mcs_probed(cap, |budget| reference_mcs::mcs(a, b, config(budget)));
+                        assert_eq!(got.edges, want.edges, "{ctx}: edges");
+                        assert_eq!(got.pairs, want.pairs, "{ctx}: pairs");
+                        assert_eq!(got.completeness, want.completeness, "{ctx}: tag");
+                        assert_eq!(got_probes, want_probes, "{ctx}: probes");
+                        assert_eq!(got_improved, want_improved, "{ctx}: improved");
+                        n += 1;
+                        deg += usize::from(!want.is_exact());
+                        imp += want_improved;
+                    }
+                }
+            }
+            (n, deg, imp)
+        });
+        for (n, deg, imp) in tallies {
+            calls += n;
+            degraded += deg;
+            improved += imp;
+        }
+    }
+    rayon::set_threads(0);
+    assert!(degraded > 0, "the fixture must contain degraded MCS calls");
+    assert!(calls > degraded, "the fixture must contain exact MCS calls");
+    assert!(improved > 0, "the fixture must contain improving leaves");
+}
+
+/// The MCS/MCCS search as it stood before its bitset inner loop
+/// (DESIGN.md §15, "MCS inner loop"): label buckets scanned per node, a
+/// per-target neighbour scan for gain and loss, a sorted candidate
+/// vector, `bool` vectors for used and decided vertices, and every leaf
+/// reached through a full map, link and `record_leaf`. The library
+/// search must visit exactly this tree; `mcs_search_visits_the_reference_tree`
+/// checks it call by call.
+mod reference_mcs {
+    use catapult::graph::budget::{BudgetMeter, Kernel};
+    use catapult::graph::mcs::{common_edge_upper_bound, McsConfig, McsResult};
+    use catapult::graph::{BitAdjacency, Completeness, Graph, Label, VertexId};
+
+    /// Incremental largest-common-component tracker for the MCCS search: a
+    /// union-find over the decided graph's vertices with union-by-rank, **no
+    /// path compression**, and an undo stack, so every `link` can be rolled
+    /// back in O(1) when the search backtracks. Each component root carries
+    /// its common-edge count; `max_edges` is the running size of the largest
+    /// component, which turns the per-leaf "did the connected best improve?"
+    /// question from an O(k²) component sweep into an O(1) comparison. The
+    /// actual component extraction (pairs, BFS order) still goes through
+    /// [`largest_common_component`] on the rare improving leaf, so recorded
+    /// results stay byte-identical to the unoptimized search.
+    struct CcForest {
+        parent: Vec<usize>,
+        rank: Vec<u8>,
+        /// Common-edge count of the component, valid at roots only.
+        edges: Vec<usize>,
+        max_edges: usize,
+        undo: Vec<CcUndo>,
+    }
+
+    enum CcUndo {
+        /// An intra-component edge was counted at `root`.
+        Edge { root: usize, prev_max: usize },
+        /// `child` (a former root) was attached under `parent`.
+        Link {
+            child: usize,
+            parent: usize,
+            rank_bumped: bool,
+            prev_max: usize,
+        },
+    }
+
+    impl CcForest {
+        fn new(n: usize) -> CcForest {
+            CcForest {
+                parent: (0..n).collect(),
+                rank: vec![0; n],
+                edges: vec![0; n],
+                max_edges: 0,
+                undo: Vec::new(),
+            }
+        }
+
+        fn find(&self, mut v: usize) -> usize {
+            while self.parent[v] != v {
+                v = self.parent[v];
+            }
+            v
+        }
+
+        /// Record one common edge between the components of `a` and `b`.
+        fn link(&mut self, a: usize, b: usize) {
+            let (ra, rb) = (self.find(a), self.find(b));
+            let prev_max = self.max_edges;
+            if ra == rb {
+                self.edges[ra] += 1;
+                self.max_edges = self.max_edges.max(self.edges[ra]);
+                self.undo.push(CcUndo::Edge { root: ra, prev_max });
+                return;
+            }
+            // Attach the lower-rank root under the higher-rank one.
+            let (child, parent) = if self.rank[ra] < self.rank[rb] {
+                (ra, rb)
+            } else {
+                (rb, ra)
+            };
+            let rank_bumped = self.rank[child] == self.rank[parent];
+            if rank_bumped {
+                self.rank[parent] += 1;
+            }
+            self.parent[child] = parent;
+            self.edges[parent] += self.edges[child] + 1;
+            self.max_edges = self.max_edges.max(self.edges[parent]);
+            self.undo.push(CcUndo::Link {
+                child,
+                parent,
+                rank_bumped,
+                prev_max,
+            });
+        }
+
+        fn mark(&self) -> usize {
+            self.undo.len()
+        }
+
+        /// Undo every `link` past `mark`, most recent first. LIFO order keeps
+        /// the stale `edges[child]` values (untouched while non-root) valid.
+        fn rollback(&mut self, mark: usize) {
+            while self.undo.len() > mark {
+                match self.undo.pop() {
+                    Some(CcUndo::Edge { root, prev_max }) => {
+                        self.edges[root] -= 1;
+                        self.max_edges = prev_max;
+                    }
+                    Some(CcUndo::Link {
+                        child,
+                        parent,
+                        rank_bumped,
+                        prev_max,
+                    }) => {
+                        self.edges[parent] -= self.edges[child] + 1;
+                        if rank_bumped {
+                            self.rank[parent] -= 1;
+                        }
+                        self.parent[child] = child;
+                        self.max_edges = prev_max;
+                    }
+                    None => return,
+                }
+            }
+        }
+    }
+
+    struct Search<'a> {
+        a: &'a Graph, // decided graph (fewer vertices)
+        order: Vec<VertexId>,
+        cfg: McsConfig,
+        map: Vec<u32>,   // a-vertex -> b-vertex or MAX
+        used: Vec<bool>, // b-vertex used
+        score: usize,    // common edges among mapped pairs
+        lost: usize,     // a-edges that can no longer become common
+        best_edges: usize,
+        best_pairs: Vec<(VertexId, VertexId)>,
+        meter: BudgetMeter,
+        swapped: bool,
+        /// Whether each a-vertex has been decided (mapped or skipped) yet.
+        decided: Vec<bool>,
+        /// Bitset adjacency of `a`/`b`: O(1) `has_edge` in the hot loops.
+        abits: BitAdjacency,
+        bbits: BitAdjacency,
+        /// b-vertices grouped by label (in vertex order), so candidate
+        /// generation touches only label-compatible targets.
+        buckets: Vec<(Label, Vec<VertexId>)>,
+        /// Global upper bound on the common-edge count (edge-label multiset
+        /// intersection capped by both edge counts). Once `best_edges` reaches
+        /// it, the result is provably optimal and the search stops *Exact*.
+        ub: usize,
+        /// Set when `best_edges == ub`: unwind without exploring further.
+        proven: bool,
+        /// Per-depth candidate buffers, reused across branches to keep the
+        /// backtracking loop allocation-free after warmup.
+        scratch: Vec<Vec<(usize, usize, VertexId)>>,
+        /// Largest-common-component tracker (MCCS only; empty for plain MCS).
+        cc: CcForest,
+    }
+
+    const UNMAPPED: u32 = u32::MAX;
+
+    impl<'a> Search<'a> {
+        /// Edges of `a` incident to `v` whose other endpoint is already decided
+        /// (mapped or skipped), partitioned into (commonable-if-mapped-to,
+        /// lost). For a candidate target `t`: common += matched neighbors whose
+        /// image is adjacent to `t`.
+        fn gain_and_loss(&self, v: VertexId, t: VertexId, decided: &[bool]) -> (usize, usize) {
+            let mut gain = 0;
+            let mut loss = 0;
+            for &(w, _) in self.a.neighbors(v) {
+                if !decided[w.index()] {
+                    continue;
+                }
+                let m = self.map[w.index()];
+                if m == UNMAPPED {
+                    // Neighbor was skipped: the edge (v,w) was already counted
+                    // as lost at skip time (see `loss_on_skip`).
+                    continue;
+                } else if self.bbits.has_edge(VertexId(m), t) {
+                    gain += 1;
+                } else {
+                    loss += 1;
+                }
+            }
+            (gain, loss)
+        }
+
+        fn loss_on_skip(&self, v: VertexId) -> usize {
+            // Skipping v loses every a-edge incident to v that hasn't already
+            // been scored or lost: i.e. edges to undecided vertices plus edges
+            // to decided-mapped vertices (their commonality was accounted when v
+            // would map; since v skips, they are lost now) — but edges to
+            // decided-*skipped* neighbors were already counted as lost when that
+            // neighbor skipped. We avoid double counting by only counting edges
+            // whose other endpoint is undecided or mapped.
+            self.a.degree(v)
+                - self
+                    .a
+                    .neighbors(v)
+                    .iter()
+                    .filter(|&&(w, _)| self.decided_skipped(w))
+                    .count()
+        }
+
+        fn decided_skipped(&self, w: VertexId) -> bool {
+            self.decided[w.index()] && self.map[w.index()] == UNMAPPED
+        }
+
+        fn record_leaf(&mut self) {
+            if self.score <= self.best_edges {
+                return;
+            }
+            if !self.cfg.connected {
+                self.best_edges = self.score;
+                self.best_pairs = self.current_pairs();
+                self.meter.note_improvement();
+            } else {
+                // MCCS: take the largest connected component of the common-edge
+                // subgraph induced by the current mapping. The incremental
+                // tracker answers "can this leaf improve?" in O(1); only actual
+                // improvements (rare) pay for the full component extraction,
+                // which remains the ground truth for the recorded pairs.
+                if self.cc.max_edges > self.best_edges {
+                    let pairs = self.current_pairs();
+                    let (cc_edges, cc_pairs) =
+                        largest_common_component(&self.abits, &self.bbits, &pairs);
+                    debug_assert_eq!(
+                        cc_edges, self.cc.max_edges,
+                        "incremental component tracker drifted from ground truth"
+                    );
+                    if cc_edges > self.best_edges {
+                        self.best_edges = cc_edges;
+                        self.best_pairs = cc_pairs;
+                        self.meter.note_improvement();
+                    }
+                }
+            }
+            // Meeting the global bound proves optimality: no mapping can have
+            // more common edges than the edge-label multiset intersection, so
+            // the rest of the tree cannot improve and the search ends Exact.
+            if self.best_edges >= self.ub {
+                self.proven = true;
+            }
+        }
+
+        fn current_pairs(&self) -> Vec<(VertexId, VertexId)> {
+            self.a
+                .vertices()
+                .zip(self.map.iter())
+                .filter(|&(_, &m)| m != UNMAPPED)
+                .map(|(v, &m)| (v, VertexId(m)))
+                .collect()
+        }
+
+        fn descend(&mut self, depth: usize) {
+            if self.proven {
+                return;
+            }
+            if self.meter.tick() {
+                // Keep the best-so-far invariant: the partial mapping on the
+                // stack at the moment the budget trips is itself a valid common
+                // subgraph — record it before unwinding so even very small
+                // budgets return a non-empty result when one was reachable.
+                self.record_leaf();
+                return;
+            }
+            // Bound: total a-edges minus those already lost can still become
+            // common in the best case, never exceeding the global label bound.
+            let potential = (self.a.edge_count() - self.lost).min(self.ub);
+            if potential <= self.best_edges {
+                self.record_leaf();
+                return;
+            }
+            if depth == self.order.len() {
+                self.record_leaf();
+                return;
+            }
+            let v = self.order[depth];
+            // Try candidate targets ordered by immediate gain (desc) so good
+            // solutions are found early and the bound tightens. Only the label
+            // bucket of `v` is scanned; a reused per-depth buffer keeps the
+            // loop allocation-free.
+            let mut candidates = std::mem::take(&mut self.scratch[depth]);
+            candidates.clear();
+            let want = self.a.label(v);
+            if let Ok(i) = self.buckets.binary_search_by_key(&want, |e| e.0) {
+                for idx in 0..self.buckets[i].1.len() {
+                    let t = self.buckets[i].1[idx];
+                    if self.used[t.index()] {
+                        continue;
+                    }
+                    let (gain, loss) = self.gain_and_loss(v, t, &self.decided);
+                    candidates.push((gain, loss, t));
+                }
+            }
+            candidates.sort_unstable_by(|x, y| {
+                y.0.cmp(&x.0)
+                    .then(x.1.cmp(&y.1))
+                    .then((x.2).0.cmp(&(y.2).0))
+            });
+            self.decided[v.index()] = true;
+            for ci in 0..candidates.len() {
+                let (gain, loss, t) = candidates[ci];
+                self.map[v.index()] = t.0;
+                self.used[t.index()] = true;
+                self.score += gain;
+                self.lost += loss;
+                let cc_mark = self.cc.mark();
+                if self.cfg.connected && gain > 0 {
+                    // Mirror `gain_and_loss`: each commonable neighbor edge
+                    // joins (v, t)'s pair to the neighbor's component.
+                    let a = self.a;
+                    for &(w, _) in a.neighbors(v) {
+                        let m = self.map[w.index()];
+                        if w != v && m != UNMAPPED && self.bbits.has_edge(VertexId(m), t) {
+                            self.cc.link(v.index(), w.index());
+                        }
+                    }
+                }
+                self.descend(depth + 1);
+                self.cc.rollback(cc_mark);
+                self.score -= gain;
+                self.lost -= loss;
+                self.map[v.index()] = UNMAPPED;
+                self.used[t.index()] = false;
+                if self.meter.tripped() || self.proven {
+                    self.decided[v.index()] = false;
+                    self.scratch[depth] = candidates;
+                    return;
+                }
+            }
+            // Skip branch.
+            let loss = self.loss_on_skip(v);
+            self.lost += loss;
+            self.descend(depth + 1);
+            self.lost -= loss;
+            self.decided[v.index()] = false;
+            self.scratch[depth] = candidates;
+        }
+    }
+
+    // `decided` lives outside the struct init for borrow simplicity.
+    impl<'a> Search<'a> {
+        fn run(a: &'a Graph, b: &'a Graph, cfg: McsConfig, swapped: bool, ub: usize) -> McsResult {
+            let mut order: Vec<VertexId> = a.vertices().collect();
+            // Decide high-degree vertices first: they constrain the most edges.
+            order.sort_by_key(|&v| std::cmp::Reverse(a.degree(v)));
+            let mut buckets: Vec<(Label, Vec<VertexId>)> = Vec::new();
+            for t in b.vertices() {
+                let l = b.label(t);
+                match buckets.binary_search_by_key(&l, |e| e.0) {
+                    Ok(i) => buckets[i].1.push(t),
+                    Err(i) => buckets.insert(i, (l, vec![t])),
+                }
+            }
+            let meter = BudgetMeter::new(&cfg.budget, Kernel::Mcs);
+            let depth_count = a.vertex_count() + 1;
+            let cc = CcForest::new(if cfg.connected { a.vertex_count() } else { 0 });
+            let mut s = Search {
+                a,
+                order,
+                cfg,
+                map: vec![UNMAPPED; a.vertex_count()],
+                used: vec![false; b.vertex_count()],
+                score: 0,
+                lost: 0,
+                best_edges: 0,
+                best_pairs: Vec::new(),
+                meter,
+                swapped,
+                decided: vec![false; a.vertex_count()],
+                abits: BitAdjacency::new(a),
+                bbits: BitAdjacency::new(b),
+                buckets,
+                ub,
+                proven: false,
+                scratch: vec![Vec::new(); depth_count],
+                cc,
+            };
+            s.descend(0);
+            let mut pairs = s.best_pairs;
+            if s.swapped {
+                for p in &mut pairs {
+                    *p = (p.1, p.0);
+                }
+            }
+            // A search stopped because `best_edges` met the global upper bound
+            // holds a provably maximum common subgraph: the tag is Exact even
+            // if a budget limit also tripped along the way.
+            if s.best_edges >= s.ub {
+                s.meter.note_proven_exact();
+            }
+            let completeness = s.meter.status();
+            McsResult {
+                pairs,
+                edges: s.best_edges,
+                completeness,
+            }
+        }
+    }
+
+    /// Largest connected component (by edge count) of the common-edge subgraph
+    /// induced by `pairs`. Returns `(edge_count, pairs in that component)`.
+    fn largest_common_component(
+        a: &BitAdjacency,
+        b: &BitAdjacency,
+        pairs: &[(VertexId, VertexId)],
+    ) -> (usize, Vec<(VertexId, VertexId)>) {
+        let k = pairs.len();
+        if k == 0 {
+            return (0, Vec::new());
+        }
+        // Adjacency among pair indices: common edge exists.
+        let mut adj = vec![Vec::new(); k];
+        for i in 0..k {
+            for j in (i + 1)..k {
+                let (va, ta) = pairs[i];
+                let (vb, tb) = pairs[j];
+                if a.has_edge(va, vb) && b.has_edge(ta, tb) {
+                    adj[i].push(j);
+                    adj[j].push(i);
+                }
+            }
+        }
+        let mut seen = vec![false; k];
+        let mut best = (0usize, Vec::new());
+        for start in 0..k {
+            if seen[start] {
+                continue;
+            }
+            let mut comp = vec![start];
+            seen[start] = true;
+            let mut qi = 0;
+            while qi < comp.len() {
+                let x = comp[qi];
+                qi += 1;
+                for &y in &adj[x] {
+                    if !seen[y] {
+                        seen[y] = true;
+                        comp.push(y);
+                    }
+                }
+            }
+            // Every neighbor of a component member is in the same component,
+            // so the internal edge count is just half the degree sum.
+            let edges = comp.iter().map(|&x| adj[x].len()).sum::<usize>() / 2;
+            if edges > best.0 {
+                best = (edges, comp.iter().map(|&i| pairs[i]).collect());
+            }
+        }
+        best
+    }
+
+    pub(crate) fn mcs(g1: &Graph, g2: &Graph, cfg: McsConfig) -> McsResult {
+        if g1.vertex_count() == 0 || g2.vertex_count() == 0 {
+            return McsResult {
+                pairs: Vec::new(),
+                edges: 0,
+                completeness: Completeness::Exact,
+            };
+        }
+        let ub = if cfg.pruning {
+            let ub = common_edge_upper_bound(g1, g2);
+            if ub == 0 {
+                return McsResult {
+                    pairs: Vec::new(),
+                    edges: 0,
+                    completeness: Completeness::Exact,
+                };
+            }
+            ub
+        } else {
+            usize::MAX
+        };
+        if g1.vertex_count() <= g2.vertex_count() {
+            Search::run(g1, g2, cfg, false, ub)
+        } else {
+            Search::run(g2, g1, cfg, true, ub)
+        }
+    }
 }
 
 /// The GED branch-and-bound as it stood before its bitset inner loop
