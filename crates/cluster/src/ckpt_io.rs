@@ -238,7 +238,7 @@ fn fixed4(v: Vec<u64>) -> Result<[u64; 4], WireError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use catapult_graph::{Completeness, Graph, Label, Tally, VertexId};
+    use catapult_graph::{Completeness, Graph, Label, VertexId};
 
     fn tree() -> FrequentSubtree {
         let mut g = Graph::new();
@@ -253,11 +253,10 @@ mod tests {
     }
 
     fn tally() -> TallyCounts {
-        let t = Tally::new();
-        t.record(Completeness::Exact);
-        t.record(Completeness::Exact);
-        t.record(Completeness::BudgetExhausted);
-        t.counts()
+        TallyCounts {
+            exact: 2,
+            budget_exhausted: 1,
+        }
     }
 
     #[test]

@@ -16,20 +16,20 @@
 //! DB graphs are interned by canonical form, one MCS/MCCS runs per
 //! unordered class pair (on the class representatives), and every other
 //! member pair replays the cached value and completeness tag. The cache
-//! persists through the fine-state checkpoint, so a resumed run reuses
-//! instead of recomputing.
+//! is a plain map filled between fan-outs: each chunk of ω lookups first
+//! computes its distinct uncached pairs in one fan-out, then answers
+//! every lookup on the calling thread. It persists through the
+//! fine-state checkpoint, so a resumed run reuses instead of recomputing.
 
 use crate::ckpt_io::{decode_fine_state, encode_fine_state, CacheEntry, FineState};
 use catapult_ckpt::{CkptError, StageStore};
 use catapult_graph::canonical::{canonical_form, CanonTokens};
 use catapult_graph::mcs::{self, McsConfig};
-use catapult_graph::{Completeness, Graph, SearchBudget, Tally, TallyCounts};
+use catapult_graph::{Completeness, Graph, SearchBudget, TallyCounts};
 use rand::rngs::StdRng;
 use rand::Rng;
 use rayon::par_map;
-use std::collections::BTreeMap;
-#[allow(clippy::disallowed_types)] // the `SimCache` lock, shared by the ω workers
-use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Which common-subgraph similarity drives the split (Exp 1 compares both).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -99,7 +99,7 @@ fn label_vector_similarity(a: &Graph, b: &Graph) -> f64 {
 /// paper's `ω = |G_mcs| / min(|E1|, |E2|)`; degraded searches fall back
 /// to [`label_vector_similarity`] so a truncated MCS is never mistaken
 /// for the true one. The completeness tag is returned alongside the
-/// value so cache hits can replay it into the tally.
+/// value so every lookup of the pair can replay it into the tally.
 fn raw_similarity(a: &Graph, b: &Graph, cfg: &FineConfig) -> (f64, Completeness) {
     let mcfg = McsConfig {
         connected: cfg.similarity == SimilarityKind::Mccs,
@@ -124,12 +124,9 @@ fn raw_similarity(a: &Graph, b: &Graph, cfg: &FineConfig) -> (f64, Completeness)
 /// representative is the lowest DB index of each class, so the cache's
 /// keying, the inputs of every cached computation, and therefore every
 /// cached value are pure functions of the DB — independent of thread
-/// count, lookup interleaving, and resume point. Each lookup records
-/// the pair's (deterministic) completeness tag into the tally whether
-/// it hit or missed, so [`TallyCounts`] stay identical to an unmemoized
-/// schedule of the same lookups. Two racing workers may both compute
-/// the same miss — the duplicated work only shifts the hit/miss probe
-/// counters, never a value or a tally count.
+/// count and resume point. Only the calling thread reads or writes the
+/// map ([`omega_chunk`]), so which lookups hit, and every kernel and
+/// probe counter, are the same at every thread count.
 pub(crate) struct SimCache {
     /// DB index → isomorphism-class id (dense, first-seen order).
     class_of: Vec<u32>,
@@ -138,11 +135,7 @@ pub(crate) struct SimCache {
     rep_of: Vec<u32>,
     /// Unordered class pair `(lo, hi)` → (similarity, completeness).
     /// `BTreeMap` so snapshots serialize in key order byte-identically.
-    /// Writes are value-deterministic (every worker computes the same
-    /// similarity for a class pair), so insertion order cannot change
-    /// any cached value.
-    #[allow(clippy::disallowed_types)] // value-deterministic writes, sorted reads
-    entries: Mutex<BTreeMap<(u32, u32), (f64, Completeness)>>,
+    entries: BTreeMap<(u32, u32), (f64, Completeness)>,
 }
 
 impl SimCache {
@@ -170,38 +163,35 @@ impl SimCache {
         SimCache {
             class_of,
             rep_of,
-            #[allow(clippy::disallowed_types)] // the cache lock declared above
-            entries: Mutex::new(BTreeMap::new()),
+            entries: BTreeMap::new(),
         }
-    }
-
-    fn lock(&self) -> MutexGuard<'_, BTreeMap<(u32, u32), (f64, Completeness)>> {
-        // A poisoned lock only means some worker panicked after a plain
-        // insert/read; the map itself is always in a consistent state.
-        // xtask-allow: taint -- keyed BTreeMap cache: inserts commute and snapshots read it sorted
-        self.entries.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Prefill from a checkpoint snapshot. Entries whose class ids fall
     /// outside this DB's class space (impossible unless the checkpoint
     /// belongs to a different DB, which the store fingerprint already
     /// rules out) are dropped rather than trusted.
-    pub(crate) fn seed(&self, entries: &[CacheEntry]) {
+    pub(crate) fn seed(&mut self, entries: &[CacheEntry]) {
         let classes = self.rep_of.len();
-        let mut map = self.lock();
         for &(a, b, value, tag) in entries {
             if (a as usize) < classes && (b as usize) < classes {
-                map.insert((a, b), (value, tag));
+                self.entries.insert((a, b), (value, tag));
             }
         }
     }
 
     /// Sorted, serialization-ready view of every cached entry.
     pub(crate) fn snapshot(&self) -> Vec<CacheEntry> {
-        self.lock()
+        self.entries
             .iter()
             .map(|(&(a, b), &(value, tag))| (a, b, value, tag))
             .collect()
+    }
+
+    /// The unordered class pair of DB graphs `g` and `seed`.
+    fn key(&self, g: u32, seed: u32) -> (u32, u32) {
+        let (ca, cb) = (self.class_of[g as usize], self.class_of[seed as usize]);
+        (ca.min(cb), ca.max(cb))
     }
 
     /// The isomorphism-class id of DB graph `g` (test hook for the
@@ -212,63 +202,64 @@ impl SimCache {
     }
 }
 
-/// Memoized MCS/MCCS similarity between DB graphs `g` and `seed`,
-/// recording kernel completeness into `tally` on hits and misses alike.
-fn similarity(
-    g: u32,
-    seed: u32,
-    db: &[Graph],
-    cache: &SimCache,
-    cfg: &FineConfig,
-    tally: &Tally,
-) -> f64 {
-    let (a, b) = (&db[g as usize], &db[seed as usize]);
-    if a.edge_count().min(b.edge_count()) == 0 {
-        // Same as the unmemoized path: nothing to search, nothing to record.
-        return 0.0;
-    }
-    let (ca, cb) = (cache.class_of[g as usize], cache.class_of[seed as usize]);
-    let key = (ca.min(cb), ca.max(cb));
-    if let Some((value, tag)) = cache.lock().get(&key).copied() {
-        tally.record(tag);
-        cfg.budget.probe.add("mcs", "cache_hits", 1);
-        return value;
-    }
-    cfg.budget.probe.add("mcs", "cache_misses", 1);
-    let ra = &db[cache.rep_of[key.0 as usize] as usize];
-    let rb = &db[cache.rep_of[key.1 as usize] as usize];
-    let (value, tag) = raw_similarity(ra, rb, cfg);
-    tally.record(tag);
-    // The tag is stored, not consumed, and replayed into the caller's
-    // tally on every later hit; the single cache lock nests inside no
-    // other lock. xtask-allow: completeness-flow, lock-order-xfn
-    cache.lock().insert(key, (value, tag));
-    value
-}
-
 /// ω(G, `seed`) for each of `targets` (∞ for the seed itself, so it can
-/// never be pulled away from its own side).
+/// never be pulled away from its own side; 0 when either graph has no
+/// edge, with nothing searched or recorded).
+///
+/// The class pairs the cache lacks are computed first, each once, in
+/// one fan-out over the distinct pairs in first-seen target order. Then
+/// every lookup is answered in target order on the calling thread: it
+/// records its pair's completeness tag into `tally`, and counts as a
+/// cache miss the first time a pair computed here is asked for and as a
+/// hit otherwise. At one thread the kernel calls run in the order a
+/// sequential memoized loop would make them.
 ///
 /// Parallel audit: no RNG is captured (seeds were drawn before the
-/// fan-out), the closure reads only shared state plus the commutative
-/// `Tally`, and ordered collection keeps result `[i]` aligned with
-/// `targets[i]` — identical across thread counts.
+/// fan-out), the closure reads shared state by `&` only, and ordered
+/// collection keeps each value aligned with its pair.
 fn omega_chunk(
     db: &[Graph],
     targets: &[u32],
     seed: u32,
     cfg: &FineConfig,
-    tally: &Tally,
-    cache: &SimCache,
+    cache: &mut SimCache,
+    tally: &mut TallyCounts,
 ) -> Vec<f64> {
-    let compute = |&g: &u32| {
-        if g == seed {
-            f64::INFINITY
-        } else {
-            similarity(g, seed, db, cache, cfg, tally)
-        }
-    };
-    par_map(targets, compute)
+    let seed_has_edges = db[seed as usize].edge_count() > 0;
+    let keys: Vec<Option<(u32, u32)>> = targets
+        .iter()
+        .map(|&g| {
+            let searched = g != seed && seed_has_edges && db[g as usize].edge_count() > 0;
+            searched.then(|| cache.key(g, seed))
+        })
+        .collect();
+    let mut fresh: BTreeSet<(u32, u32)> = BTreeSet::new();
+    let misses: Vec<(u32, u32)> = keys
+        .iter()
+        .flatten()
+        .copied()
+        .filter(|key| !cache.entries.contains_key(key) && fresh.insert(*key))
+        .collect();
+    let rep = |class: u32| &db[cache.rep_of[class as usize] as usize];
+    let computed = par_map(&misses, |&(a, b)| raw_similarity(rep(a), rep(b), cfg));
+    cache.entries.extend(misses.iter().copied().zip(computed));
+    let probe = &cfg.budget.probe;
+    probe.add("mcs", "cache_misses", misses.len() as u64);
+    let lookups = keys.iter().flatten().count();
+    probe.add("mcs", "cache_hits", (lookups - misses.len()) as u64);
+    targets
+        .iter()
+        .zip(&keys)
+        .map(|(&g, key)| match key {
+            None if g == seed => f64::INFINITY,
+            None => 0.0,
+            Some(key) => {
+                let (value, tag) = cache.entries[key];
+                tally.record(tag);
+                value
+            }
+        })
+        .collect()
 }
 
 /// Split one oversized cluster into two by seed dissimilarity
@@ -397,13 +388,13 @@ pub(crate) fn fine_inner(
     store: Option<&StageStore>,
 ) -> Result<FineOutcome, CkptError> {
     let n = cfg.max_cluster_size;
-    let tally = Tally::new();
-    // Counts restored from a checkpoint; this process's own records live
-    // in `tally` and the two are merged at every flush and at the end.
-    let mut baseline = TallyCounts::default();
+    let mut tally = TallyCounts::default();
     let mut done: Vec<Vec<u32>> = Vec::new();
     let mut work: Vec<Vec<u32>> = Vec::new();
-    let mut restored_cache: Vec<CacheEntry> = Vec::new();
+    // Memoized similarity matrix, shared across every split this run
+    // performs and — through the checkpoint — across resumes, so no
+    // class pair's MCS is ever computed twice.
+    let mut cache = SimCache::build(db);
     let mut seq: u64 = 0;
     let mut resumed = false;
     if let Some(st) = store {
@@ -411,8 +402,8 @@ pub(crate) fn fine_inner(
             done = state.done;
             work = state.work;
             *rng = StdRng::from_state(state.rng);
-            baseline = state.tally;
-            restored_cache = state.cache;
+            tally = state.tally;
+            cache.seed(&state.cache);
             seq = loaded_seq + 1;
             resumed = true;
         }
@@ -433,17 +424,12 @@ pub(crate) fn fine_inner(
     items.add("items", "total", (done.len() + work.len()) as u64);
     items.add("items", "done", done.len() as u64);
     let chunk = store.map_or(usize::MAX, StageStore::chunk_pairs);
-    // Memoized similarity matrix, shared across every split this run
-    // performs and — through the checkpoint — across resumes, so no
-    // class pair's MCS is ever computed twice.
-    let cache = SimCache::build(db);
-    cache.seed(&restored_cache);
     // The cluster stays on top of `work` until its split finishes, so
     // every mid-split flush records the boundary before the split: this
     // queue, the RNG before seed₁ is drawn, and the tally at the start.
     while let Some(cluster) = work.last() {
         let rng_start = rng.state();
-        let tally_start = baseline.merge(tally.counts());
+        let tally_start = tally;
         let seed1 = cluster[rng.gen_range(0..cluster.len())];
         // ω(G, seed) for every member, `chunk` rows per checkpoint flush.
         // Chunking cannot change the values — every row is computed
@@ -466,7 +452,7 @@ pub(crate) fn fine_inner(
                         &cache,
                     )?;
                 }
-                omega.extend(omega_chunk(db, piece, seed, cfg, &tally, &cache));
+                omega.extend(omega_chunk(db, piece, seed, cfg, &mut cache, &mut tally));
             }
             Ok(omega)
         })?;
@@ -497,20 +483,12 @@ pub(crate) fn fine_inner(
         let pushed = (work.len() - work_before) + (done.len() - done_before);
         items.add("items", "total", pushed.saturating_sub(1) as u64);
         items.add("items", "done", (done.len() - done_before) as u64);
-        write_state(
-            store,
-            &mut seq,
-            &done,
-            &work,
-            rng.state(),
-            baseline.merge(tally.counts()),
-            &cache,
-        )?;
+        write_state(store, &mut seq, &done, &work, rng.state(), tally, &cache)?;
     }
     done.sort_by_key(|c| c[0]);
     Ok(FineOutcome {
         clusters: done,
-        kernel: baseline.merge(tally.counts()),
+        kernel: tally,
     })
 }
 
@@ -638,14 +616,14 @@ mod tests {
                 .unwrap();
         }
         let db = vec![ring(6), rotated, chain(6)];
-        let cache = SimCache::build(&db);
+        let mut cache = SimCache::build(&db);
         assert_eq!(cache.class_of(0), cache.class_of(1));
         assert_ne!(cache.class_of(0), cache.class_of(2));
 
         let cfg = FineConfig::default();
-        let tally = Tally::new();
-        let first = similarity(0, 2, &db, &cache, &cfg, &tally);
-        let second = similarity(1, 2, &db, &cache, &cfg, &tally);
+        let mut tally = TallyCounts::default();
+        let first = omega_chunk(&db, &[0], 2, &cfg, &mut cache, &mut tally)[0];
+        let second = omega_chunk(&db, &[1], 2, &cfg, &mut cache, &mut tally)[0];
         assert_eq!(first.to_bits(), second.to_bits(), "hit replays the value");
         assert_eq!(
             cache.snapshot().len(),
@@ -653,7 +631,42 @@ mod tests {
             "isomorphic graphs share a single entry"
         );
         // Hit and miss both recorded, so the audit still counts 2 calls.
-        assert_eq!(tally.counts().total(), 2);
+        assert_eq!(tally.total(), 2);
+    }
+
+    /// The circulant graph on `n` vertices (one label) joining each `i`
+    /// to `i + j mod n` for every jump `j`.
+    fn circulant(n: u32, jumps: &[u32]) -> Graph {
+        let edges: Vec<(u32, u32)> = (0..n)
+            .flat_map(|i| jumps.iter().map(move |&j| (i, (i + j) % n)))
+            .collect();
+        Graph::from_parts(&vec![Label(0); n as usize], &edges)
+    }
+
+    #[test]
+    fn a_class_pair_is_searched_once_at_eight_threads() {
+        // 16 copies of C13(1,3) (one class) against a C12(1,5) seed: one
+        // uncached class pair whose MCCS runs into the 100k cap, slow
+        // enough that eight workers looking it up at once would race.
+        let mut db: Vec<Graph> = (0..16).map(|_| circulant(13, &[1, 3])).collect();
+        db.push(circulant(12, &[1, 5]));
+        let rec = catapult_obs::Recorder::enabled();
+        let cfg = FineConfig {
+            budget: SearchBudget::nodes(DEFAULT_MCS_CAP).with_probe(rec.stage_probe("fine")),
+            ..Default::default()
+        };
+        let mut cache = SimCache::build(&db);
+        let mut tally = TallyCounts::default();
+        let targets: Vec<u32> = (0..16).collect();
+        rayon::set_threads(8);
+        let omega = omega_chunk(&db, &targets, 16, &cfg, &mut cache, &mut tally);
+        rayon::set_threads(0);
+        assert!(omega.iter().all(|w| w.to_bits() == omega[0].to_bits()));
+        assert_eq!(rec.counter("fine.mcs.calls").get(), 1);
+        assert_eq!(rec.counter("fine.mcs.cache_misses").get(), 1);
+        assert_eq!(rec.counter("fine.mcs.cache_hits").get(), 15);
+        assert_eq!(tally.total(), 16);
+        assert_eq!(tally.degraded(), 16, "the pair's MCCS must hit its cap");
     }
 
     #[test]
@@ -669,19 +682,19 @@ mod tests {
             g.add_edge(VertexId(a), VertexId(b)).unwrap();
         }
         let db = vec![g.clone(), g];
-        let cache = SimCache::build(&db);
+        let mut cache = SimCache::build(&db);
         assert_eq!(cache.class_of(0), cache.class_of(1));
         let cfg = FineConfig::default();
-        let tally = Tally::new();
-        let s = similarity(0, 1, &db, &cache, &cfg, &tally);
+        let mut tally = TallyCounts::default();
+        let s = omega_chunk(&db, &[0], 1, &cfg, &mut cache, &mut tally)[0];
         assert!((s - 0.5).abs() < 1e-12, "got {s}");
-        assert!(tally.counts().all_exact());
+        assert!(tally.all_exact());
     }
 
     #[test]
     fn cache_seed_prefills_and_skips_foreign_classes() {
         let db = vec![ring(6), chain(6)];
-        let cache = SimCache::build(&db);
+        let mut cache = SimCache::build(&db);
         cache.seed(&[
             (0, 1, 0.25, Completeness::Exact),
             (7, 9, 0.5, Completeness::Exact), // outside this DB's class space
@@ -690,10 +703,10 @@ mod tests {
         // A lookup on the seeded pair is a pure hit: the (made-up) value
         // is replayed rather than recomputed.
         let cfg = FineConfig::default();
-        let tally = Tally::new();
-        let s = similarity(0, 1, &db, &cache, &cfg, &tally);
+        let mut tally = TallyCounts::default();
+        let s = omega_chunk(&db, &[0], 1, &cfg, &mut cache, &mut tally)[0];
         assert!((s - 0.25).abs() < 1e-12);
-        assert_eq!(tally.counts().total(), 1);
+        assert_eq!(tally.total(), 1);
     }
 
     #[test]

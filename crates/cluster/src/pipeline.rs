@@ -16,11 +16,12 @@ use crate::sampling::{
 };
 use catapult_ckpt::{CkptError, StageStore};
 use catapult_graph::iso::PreparedGraph;
-use catapult_graph::{Graph, SearchBudget, Tally, TallyCounts};
+use catapult_graph::{Graph, SearchBudget, TallyCounts};
 use catapult_mining::subtree::{count_support, mine_subtrees, FrequentSubtree, SubtreeMinerConfig};
 use catapult_obs::{Recorder, Stopwatch};
 use rand::rngs::StdRng;
 use rand::Rng;
+use rayon::par_map;
 use std::time::Duration;
 
 /// Clustering strategy (Exp 1 naming).
@@ -127,11 +128,13 @@ impl Clustering {
 
 /// Mine coarse features, honouring eager sampling when configured:
 /// mine on the sample at the lowered support (Lemma 4.4), then recount the
-/// survivors on the full database at the original support, through the
-/// miner's own fanned-out [`count_support`] over the database prepared
-/// once. The returned
-/// [`TallyCounts`] audits every containment probe the stage ran; degraded
-/// probes can only under-count support (lower bounds), never invent it.
+/// survivors on the full database at the original support with the
+/// miner's own [`count_support`], over the database prepared once. The
+/// recount fans out over the survivors: each returns its transactions and
+/// its own [`TallyCounts`], folded in survivor order on the calling
+/// thread. The returned [`TallyCounts`] audits every containment probe
+/// the stage ran; degraded probes can only under-count support (lower
+/// bounds), never invent it.
 fn mine_features<R: Rng>(
     db: &[Graph],
     cfg: &ClusteringConfig,
@@ -162,9 +165,7 @@ fn mine_features<R: Rng>(
             // Recount each potential subtree on the full database at min_fr.
             let _recount_span = cfg.recorder.span("recount");
             let probe = search.with_default_cap(catapult_graph::iso::DEFAULT_NODE_CAP);
-            let tally = Tally::new();
             let min_count = ((cfg.miner.min_support * db.len() as f64).ceil() as usize).max(1);
-            let mut confirmed = Vec::new();
             // Progress accounting (`--progress` ETA): one item per
             // candidate subtree recounted on the full database.
             search
@@ -172,17 +173,26 @@ fn mine_features<R: Rng>(
                 .add("items", "total", mined.subtrees.len() as u64);
             let full: Vec<PreparedGraph> = db.iter().map(PreparedGraph::new).collect();
             let all: Vec<u32> = (0..db.len() as u32).collect();
-            for t in mined.subtrees {
-                let txs = count_support(&full, &all, &t.tree, &probe, &tally);
+            // Parallel audit: the closure reads shared state by `&` only
+            // (the progress counter aside) and returns its own tally.
+            let counted = par_map(&mined.subtrees, |t| {
+                let mut tally = TallyCounts::default();
+                let txs = count_support(&full, &all, &t.tree, &probe, &mut tally);
+                search.probe.add("items", "done", 1);
+                (txs, tally)
+            });
+            let mut kernel = mined.kernel;
+            let mut confirmed = Vec::new();
+            for (t, (txs, tally)) in mined.subtrees.into_iter().zip(counted) {
+                kernel = kernel.merge(tally);
                 if txs.len() >= min_count {
                     confirmed.push(FrequentSubtree {
                         transactions: txs,
                         ..t
                     });
                 }
-                search.probe.add("items", "done", 1);
             }
-            (confirmed, mined.kernel.merge(tally.counts()))
+            (confirmed, kernel)
         }
     }
 }

@@ -265,7 +265,7 @@ fn decode_idsets(d: &mut Dec<'_>) -> Result<Vec<IdSet>, WireError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use catapult_graph::{Completeness, Label, SearchBudget, Tally, TallyCounts};
+    use catapult_graph::{Label, SearchBudget, TallyCounts};
 
     fn pattern(n: u32) -> Graph {
         let mut g = Graph::new();
@@ -279,10 +279,10 @@ mod tests {
     }
 
     fn tally() -> TallyCounts {
-        let t = Tally::new();
-        t.record(Completeness::Exact);
-        t.record(Completeness::BudgetExhausted);
-        t.counts()
+        TallyCounts {
+            exact: 1,
+            budget_exhausted: 1,
+        }
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! data-driven patterns (a zero-frequency pattern keeps its base score).
 
 use catapult_graph::iso::{for_each_embedding, MatchOptions};
-use catapult_graph::{Graph, SearchBudget, Tally};
+use catapult_graph::{Graph, SearchBudget, TallyCounts};
 use std::ops::ControlFlow;
 
 /// A log of previously formulated subgraph queries.
@@ -49,7 +49,12 @@ impl QueryLog {
     /// Fraction of logged queries containing `pattern` (0 for an empty
     /// log). Each VF2 probe runs under `budget` (its node cap defaulting
     /// to [`LOG_ISO_BUDGET`]) and is recorded in `tally`.
-    pub fn pattern_frequency(&self, pattern: &Graph, budget: &SearchBudget, tally: &Tally) -> f64 {
+    pub fn pattern_frequency(
+        &self,
+        pattern: &Graph,
+        budget: &SearchBudget,
+        tally: &mut TallyCounts,
+    ) -> f64 {
         if self.queries.is_empty() {
             return 0.0;
         }
@@ -80,7 +85,7 @@ mod tests {
     use catapult_graph::Label;
 
     fn freq(log: &QueryLog, p: &Graph) -> f64 {
-        log.pattern_frequency(p, &SearchBudget::unbounded(), &Tally::new())
+        log.pattern_frequency(p, &SearchBudget::unbounded(), &mut TallyCounts::default())
     }
 
     fn l(x: u32) -> Label {
@@ -128,13 +133,13 @@ mod tests {
     #[test]
     fn probes_run_under_the_callers_budget() {
         let log = QueryLog::new(vec![cycle(6), cycle(5), path(4)]);
-        let tally = Tally::new();
-        log.pattern_frequency(&path(3), &SearchBudget::unbounded(), &tally);
-        assert_eq!(tally.counts().total(), 3, "one audited probe per query");
-        assert!(tally.counts().all_exact());
+        let mut tally = TallyCounts::default();
+        log.pattern_frequency(&path(3), &SearchBudget::unbounded(), &mut tally);
+        assert_eq!(tally.total(), 3, "one audited probe per query");
+        assert!(tally.all_exact());
         // A zero node cap reaches the log probes too.
-        let exhausted = Tally::new();
-        log.pattern_frequency(&cycle(5), &SearchBudget::nodes(0), &exhausted);
-        assert!(exhausted.counts().degraded() > 0);
+        let mut exhausted = TallyCounts::default();
+        log.pattern_frequency(&cycle(5), &SearchBudget::nodes(0), &mut exhausted);
+        assert!(exhausted.degraded() > 0);
     }
 }

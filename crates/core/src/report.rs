@@ -140,17 +140,12 @@ impl PipelineReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use catapult_graph::Tally;
 
     fn counts(exact: u64, exhausted: u64) -> TallyCounts {
-        let t = Tally::new();
-        for _ in 0..exact {
-            t.record(Completeness::Exact);
+        TallyCounts {
+            exact,
+            budget_exhausted: exhausted,
         }
-        for _ in 0..exhausted {
-            t.record(Completeness::BudgetExhausted);
-        }
-        t.counts()
     }
 
     #[test]

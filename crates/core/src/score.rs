@@ -21,7 +21,7 @@
 use catapult_csg::{ClusterWeights, Csg};
 use catapult_graph::ged::{ged, ged_lower_bound};
 use catapult_graph::iso::{contains_prepared, PreparedGraph};
-use catapult_graph::{EdgeLabel, Graph, SearchBudget, Tally};
+use catapult_graph::{EdgeLabel, Graph, SearchBudget, TallyCounts};
 use std::collections::HashMap;
 
 /// Bitset index: per edge label, which data graphs contain it.
@@ -97,7 +97,7 @@ pub fn covering_csgs(
     pattern: &Graph,
     csgs: &[PreparedGraph],
     budget: &SearchBudget,
-    tally: &Tally,
+    tally: &mut TallyCounts,
 ) -> Vec<usize> {
     let probe = budget.with_default_cap(CCOV_ISO_BUDGET);
     let pattern = PreparedGraph::new(pattern);
@@ -135,7 +135,7 @@ pub fn diversity(
     pattern: &Graph,
     picks: &[Graph],
     budget: &SearchBudget,
-    tally: &Tally,
+    tally: &mut TallyCounts,
 ) -> Option<usize> {
     let probe = budget.with_default_cap(DIV_GED_BUDGET);
     let mut order: Vec<(usize, usize)> = picks
@@ -250,12 +250,17 @@ mod tests {
             p,
             &prepare_csgs(csgs),
             &SearchBudget::unbounded(),
-            &Tally::new(),
+            &mut TallyCounts::default(),
         )
     }
 
     fn div(p: &Graph, picks: &[Graph]) -> Option<usize> {
-        diversity(p, picks, &SearchBudget::unbounded(), &Tally::new())
+        diversity(
+            p,
+            picks,
+            &SearchBudget::unbounded(),
+            &mut TallyCounts::default(),
+        )
     }
 
     /// Eq. 2 from scratch over `selected`, as the greedy loop scores it.
@@ -295,10 +300,15 @@ mod tests {
         let db = db();
         let csgs = build_csgs(&db, &[vec![0, 1], vec![2]]);
         let p = Graph::from_parts(&[l(0), l(1)], &[(0, 1)]);
-        let tally = Tally::new();
-        covering_csgs(&p, &prepare_csgs(&csgs), &SearchBudget::unbounded(), &tally);
-        assert_eq!(tally.counts().total(), csgs.len() as u64);
-        assert!(tally.counts().all_exact());
+        let mut tally = TallyCounts::default();
+        covering_csgs(
+            &p,
+            &prepare_csgs(&csgs),
+            &SearchBudget::unbounded(),
+            &mut tally,
+        );
+        assert_eq!(tally.total(), csgs.len() as u64);
+        assert!(tally.all_exact());
     }
 
     #[test]
@@ -350,9 +360,9 @@ mod tests {
             let budget = SearchBudget::nodes(cap);
             for (g, group) in groups.iter().enumerate() {
                 let (p, picks) = (&group[0], &group[1..]);
-                let all = diversity(p, picks, &budget, &Tally::new());
+                let all = diversity(p, picks, &budget, &mut TallyCounts::default());
                 for k in 1..picks.len() {
-                    let prefix = diversity(p, &picks[..k], &budget, &Tally::new());
+                    let prefix = diversity(p, &picks[..k], &budget, &mut TallyCounts::default());
                     assert!(
                         all <= prefix,
                         "cap {cap} group {g}: {all:?} > {prefix:?} at k={k}"

@@ -35,7 +35,7 @@ use catapult_csg::{ClusterWeights, Csg, EdgeLabelWeights, WeightedCsg};
 use catapult_graph::ged::{ged_lower_bound, ged_upper_bound};
 use catapult_graph::iso::{are_isomorphic_tagged, PreparedGraph};
 use catapult_graph::metrics::cognitive_load;
-use catapult_graph::{Graph, Label, SearchBudget, Tally};
+use catapult_graph::{Graph, Label, SearchBudget, TallyCounts};
 use catapult_mining::EdgeLabelStats;
 use catapult_obs::{Recorder, Stopwatch};
 use rand::Rng;
@@ -147,25 +147,27 @@ struct Memo {
 }
 
 impl Memo {
+    /// The candidate's fixed terms, with the tally of the kernel calls
+    /// that computed them.
     fn new(
         pattern: &Graph,
         csgs: &[PreparedGraph],
         index: &EdgeLabelIndex,
         cfg: &SelectionConfig,
         search: &SearchBudget,
-        tally: &Tally,
-    ) -> Self {
-        Memo {
-            covering: covering_csgs(pattern, csgs, search, tally),
+    ) -> (Self, TallyCounts) {
+        let mut tally = TallyCounts::default();
+        let memo = Memo {
+            covering: covering_csgs(pattern, csgs, search, &mut tally),
             lcov: index.lcov(pattern),
             cog: cognitive_load(pattern),
-            boost: cfg
-                .query_log
-                .as_ref()
-                .map(|log| 1.0 + cfg.log_weight * log.pattern_frequency(pattern, search, tally)),
+            boost: cfg.query_log.as_ref().map(|log| {
+                1.0 + cfg.log_weight * log.pattern_frequency(pattern, search, &mut tally)
+            }),
             div: None,
             div_covers: 0,
-        }
+        };
+        (memo, tally)
     }
 
     /// Eq. 2 with `div` as given (1 before the first pick).
@@ -215,7 +217,7 @@ impl Memo {
         cw: &ClusterWeights,
         selected: &[Graph],
         search: &SearchBudget,
-        tally: &Tally,
+        tally: &mut TallyCounts,
     ) -> (f64, Option<usize>, usize) {
         // Eq. 2 ignores `div` when it is off or `cog` is not positive, so
         // no GED is spent on it.
@@ -281,7 +283,7 @@ pub fn find_canned_patterns<R: Rng>(
     let mut selected: Vec<SelectedPattern> = Vec::new();
     let mut selected_graphs: Vec<Graph> = Vec::new();
     let mut counts = SizeCounts::new();
-    let scoring = Tally::new();
+    let mut scoring = TallyCounts::default();
     // Per-call memo: exact bytes → slot in `slots` (see [`Memo`]).
     let mut memo: BTreeMap<ExactKey, usize> = BTreeMap::new();
     let mut slots: Vec<Memo> = Vec::new();
@@ -321,7 +323,7 @@ pub fn find_canned_patterns<R: Rng>(
         // degraded check may let a duplicate through; scoring then gives
         // it zero diversity, so it is merely wasted work, never a wrong
         // selection.
-        let iso_eq = |a: &Graph, b: &Graph| {
+        let mut iso_eq = |a: &Graph, b: &Graph| {
             let (eq, c) = are_isomorphic_tagged(a, b, &search);
             scoring.record(c);
             eq
@@ -342,8 +344,8 @@ pub fn find_canned_patterns<R: Rng>(
         }
         let _score_span = cfg.recorder.span("score");
         // Memo lookup: the first sighting of a candidate's exact bytes
-        // computes its fixed terms (in parallel; `scoring` is a
-        // commutative `Tally`).
+        // computes its fixed terms (in parallel, each returning its own
+        // tally for `scoring`).
         let mut slot_of: Vec<usize> = Vec::with_capacity(candidates.len());
         let mut fresh: Vec<usize> = Vec::new();
         for (i, (c, _)) in candidates.iter().enumerate() {
@@ -355,10 +357,13 @@ pub fn find_canned_patterns<R: Rng>(
             slot_of.push(slot);
         }
         memo_hits.add((candidates.len() - fresh.len()) as u64);
-        let new_slots: Vec<Memo> = par_map(&fresh, |&i| {
-            Memo::new(&candidates[i].0, &prepared, &index, cfg, &search, &scoring)
+        let new_slots = par_map(&fresh, |&i| {
+            Memo::new(&candidates[i].0, &prepared, &index, cfg, &search)
         });
-        slots.extend(new_slots);
+        for (memo, tally) in new_slots {
+            scoring = scoring.merge(tally);
+            slots.push(memo);
+        }
         // Lazy argmax: visit candidates in descending-bound order, scoring
         // a fixed-size block at a time, until the best exact score beats
         // the next bound under the tie rule — then no later candidate can
@@ -375,15 +380,17 @@ pub fn find_canned_patterns<R: Rng>(
             if best.is_some_and(|b| beats(b, (bounds[block[0]], block[0]))) {
                 break;
             }
-            let exact: Vec<(usize, f64, Option<usize>, usize)> = par_map(block, |&i| {
+            let exact = par_map(block, |&i| {
                 let memo = &slots[slot_of[i]];
                 let c = &candidates[i].0;
+                let mut tally = TallyCounts::default();
                 let (score, div, covers) =
-                    memo.rescore(c, cfg.variant, &cw, &selected_graphs, &search, &scoring);
-                (i, score, div, covers)
+                    memo.rescore(c, cfg.variant, &cw, &selected_graphs, &search, &mut tally);
+                (i, score, div, covers, tally)
             });
             rescored.add(block.len() as u64);
-            for (i, score, div, covers) in exact {
+            for (i, score, div, covers, tally) in exact {
+                scoring = scoring.merge(tally);
                 let memo = &mut slots[slot_of[i]];
                 memo.div = div;
                 memo.div_covers = covers;
@@ -425,7 +432,7 @@ pub fn find_canned_patterns<R: Rng>(
         selected,
         elapsed: start.elapsed(),
         report: PipelineReport {
-            scoring: scoring.counts(),
+            scoring,
             ..PipelineReport::default()
         },
     }
@@ -674,7 +681,7 @@ mod tests {
         let index = EdgeLabelIndex::build(&db);
         let mut cw = ClusterWeights::new(&csgs, db.len());
         cw.damp(1);
-        let tally = Tally::new();
+        let mut tally = TallyCounts::default();
         let picks = [ring(6, 0), chain(4, &[0, 1]), chain(6, &[1, 0])];
         let candidates = [chain(5, &[0, 1]), chain(4, &[1, 0]), ring(5, 0), ring(4, 1)];
         let log = crate::querylog::QueryLog::new(vec![chain(7, &[0, 1]), ring(6, 0)]);
@@ -703,14 +710,15 @@ mod tests {
                     // A memo brought up to date against each prefix of the
                     // picks, then bounded against all of them.
                     for seen in 0..=picks.len() {
-                        let mut memo =
-                            Memo::new(c, &prepare_csgs(&csgs), &index, &cfg, search, &tally);
+                        let (mut memo, _) =
+                            Memo::new(c, &prepare_csgs(&csgs), &index, &cfg, search);
                         let (_, div, covers) =
-                            memo.rescore(c, variant, &cw, &picks[..seen], search, &tally);
+                            memo.rescore(c, variant, &cw, &picks[..seen], search, &mut tally);
                         memo.div = div;
                         memo.div_covers = covers;
                         let bound = memo.bound(c, variant, &cw, &picks);
-                        let (exact, _, _) = memo.rescore(c, variant, &cw, &picks, search, &tally);
+                        let (exact, _, _) =
+                            memo.rescore(c, variant, &cw, &picks, search, &mut tally);
                         assert!(
                             bound.total_cmp(&exact).is_ge(),
                             "cap={} {variant:?} λ={log_weight} seen={seen}: \

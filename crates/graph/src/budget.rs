@@ -21,8 +21,9 @@
 //!   truncated.
 //! * [`BudgetMeter`] — the per-search instrument: `tick()` once per
 //!   expansion, stop when it returns `true`, report `status()` to callers.
-//! * [`Tally`] / [`TallyCounts`] — thread-safe accumulation of completeness
-//!   tags across many kernel calls, feeding the pipeline-level report.
+//! * [`TallyCounts`] — completeness tags counted across many kernel
+//!   calls, feeding the pipeline-level report. Recorders take it by
+//!   `&mut`; a fan-out returns one per item and the caller folds them.
 //! * [`fault`] (behind the `fault-injection` feature) — a deterministic
 //!   harness that forces exhaustion at the K-th kernel invocation, so
 //!   graceful degradation is testable.
@@ -34,13 +35,7 @@
 //! `stage.kernel.metric` counters exactly once, when it drops. A
 //! default (disabled) probe costs nothing.
 
-// The commutative `Tally` counters and the process-global kernel fault
-// plan are the budget layer's shared state, sanctioned here by the root
-// clippy.toml's `disallowed-types` policy.
-#![allow(clippy::disallowed_types)]
-
 pub use catapult_obs::{Kernel, KernelMeasurement, StageProbe};
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Why a budgeted search stopped.
 ///
@@ -254,50 +249,10 @@ impl Drop for BudgetMeter {
     }
 }
 
-/// Thread-safe accumulator of [`Completeness`] tags across kernel calls.
-///
-/// Kernels run from `rayon` parallel loops throughout the pipeline (the
-/// shim executor really does fan out over `std::thread::scope` workers),
-/// so the counters are atomic; share a `Tally` by reference and snapshot
-/// it with [`Tally::counts`] when the stage finishes.
-///
-/// Recording is **commutative and associative**: each tag is an
-/// independent `fetch_add`, so the snapshot is identical no matter how
-/// worker threads interleave their `record` calls — this is what keeps
-/// [`TallyCounts`] byte-identical across thread counts. Per-thread
-/// [`TallyCounts`] accumulators folded with [`TallyCounts::merge`] give
-/// the same result for every fold order.
-#[derive(Debug, Default)]
-pub struct Tally {
-    exact: AtomicU64,
-    budget_exhausted: AtomicU64,
-}
-
-impl Tally {
-    /// A fresh, all-zero tally.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Record one kernel outcome.
-    pub fn record(&self, c: Completeness) {
-        let counter = match c {
-            Completeness::Exact => &self.exact,
-            Completeness::BudgetExhausted => &self.budget_exhausted,
-        };
-        counter.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Snapshot the counts.
-    pub fn counts(&self) -> TallyCounts {
-        TallyCounts {
-            exact: self.exact.load(Ordering::Relaxed),
-            budget_exhausted: self.budget_exhausted.load(Ordering::Relaxed),
-        }
-    }
-}
-
-/// A snapshot of kernel-call outcomes for one pipeline stage.
+/// Kernel-call outcomes counted by [`Completeness`] tag: the one tally
+/// type. Sequential code records into it by `&mut`; a parallel fan-out
+/// returns one per item alongside its output, and the calling thread
+/// folds them with [`TallyCounts::merge`] in input order.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct TallyCounts {
     /// Calls that ran to an exact answer.
@@ -331,11 +286,7 @@ impl TallyCounts {
         }
     }
 
-    /// Element-wise sum of two snapshots.
-    ///
-    /// Commutative and associative (plain per-field addition), so
-    /// folding per-thread snapshots produces the same totals in any
-    /// merge order — parallel stages rely on this.
+    /// Element-wise sum of two tallies (commutative and associative).
     pub fn merge(self, other: TallyCounts) -> TallyCounts {
         TallyCounts {
             exact: self.exact + other.exact,
@@ -343,7 +294,7 @@ impl TallyCounts {
         }
     }
 
-    /// Record one outcome into a non-shared snapshot (serial loops).
+    /// Record one kernel outcome.
     pub fn record(&mut self, c: Completeness) {
         match c {
             Completeness::Exact => self.exact += 1,
@@ -364,6 +315,10 @@ impl TallyCounts {
 /// install plans must serialize (e.g. behind a shared mutex) and
 /// [`fault::clear`] when done.
 #[cfg(feature = "fault-injection")]
+// The process-global fault plan and invocation counter are the budget
+// layer's one shared state, sanctioned here by the root clippy.toml's
+// `disallowed-types` policy.
+#[allow(clippy::disallowed_types)]
 pub mod fault {
     use super::BudgetMeter;
     use std::sync::atomic::{AtomicU64, Ordering};
@@ -476,11 +431,10 @@ mod tests {
 
     #[test]
     fn tally_counts_and_merge() {
-        let t = Tally::new();
-        t.record(Completeness::Exact);
-        t.record(Completeness::Exact);
-        t.record(Completeness::BudgetExhausted);
-        let c = t.counts();
+        let mut c = TallyCounts::default();
+        c.record(Completeness::Exact);
+        c.record(Completeness::Exact);
+        c.record(Completeness::BudgetExhausted);
         assert_eq!(c.total(), 3);
         assert_eq!(c.degraded(), 1);
         assert!(!c.all_exact());
@@ -500,32 +454,8 @@ mod tests {
         // error points at the contract, not at a distant call site.
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<SearchBudget>();
-        assert_send_sync::<Tally>();
         assert_send_sync::<TallyCounts>();
         assert_send_sync::<Completeness>();
-    }
-
-    #[test]
-    fn tally_record_is_commutative_across_interleavings() {
-        // Record the same multiset of tags in two different orders; the
-        // snapshots must match (this is what makes the shared Tally safe
-        // under arbitrary worker interleaving).
-        let forward = Tally::new();
-        let tags = [
-            Completeness::Exact,
-            Completeness::BudgetExhausted,
-            Completeness::Exact,
-            Completeness::BudgetExhausted,
-            Completeness::BudgetExhausted,
-        ];
-        for &t in &tags {
-            forward.record(t);
-        }
-        let backward = Tally::new();
-        for &t in tags.iter().rev() {
-            backward.record(t);
-        }
-        assert_eq!(forward.counts(), backward.counts());
     }
 
     #[test]

@@ -43,7 +43,7 @@ pub mod metrics;
 pub mod random;
 
 pub use bitadj::BitAdjacency;
-pub use budget::{Completeness, SearchBudget, Tally, TallyCounts};
+pub use budget::{Completeness, SearchBudget, TallyCounts};
 pub use graph::{CorruptionKind, Edge, EdgeId, Graph, GraphError, VertexId};
 pub use invariants::InvariantViolation;
 pub use labels::{EdgeLabel, Label, LabelInterner};

@@ -15,8 +15,7 @@
 
 use catapult_graph::canonical::{canonical_tokens, CanonTokens};
 use catapult_graph::iso::{self, contains_prepared, contains_tagged, PreparedGraph};
-use catapult_graph::{Completeness, Graph, Label, SearchBudget, Tally, TallyCounts};
-use rayon::par_filter_map;
+use catapult_graph::{Completeness, Graph, Label, SearchBudget, TallyCounts};
 use std::collections::HashMap;
 
 /// Mining parameters.
@@ -82,28 +81,33 @@ fn frequent_labels(db: &[Graph], min_count: usize) -> Vec<Label> {
 /// Count the transactions (restricted to `candidates`) containing `tree`,
 /// recording each containment probe's completeness into `tally`. `db` is
 /// the database prepared once per mining run; the tree is prepared once
-/// here, for the whole fan-out. `probe`'s node cap applies as given, so
-/// resolve its default first (`probe.with_default_cap`). A degraded probe
-/// reports "not contained", so under budget pressure the returned support
-/// is a *lower bound* (frequent trees may be missed, but every reported
-/// transaction genuinely contains the tree).
+/// here. `probe`'s node cap applies as given, so resolve its default first
+/// (`probe.with_default_cap`). A degraded probe reports "not contained",
+/// so under budget pressure the returned support is a *lower bound*
+/// (frequent trees may be missed, but every reported transaction
+/// genuinely contains the tree).
+///
+/// The probes run in `candidates` order on the calling thread: one
+/// candidate tree's support count is too small to pay for a fan-out of
+/// its own. Callers that count many trees at once (the eager-sampling
+/// recount) fan out over the trees instead.
 pub fn count_support(
     db: &[PreparedGraph],
     candidates: &[u32],
     tree: &Graph,
     probe: &SearchBudget,
-    tally: &Tally,
+    tally: &mut TallyCounts,
 ) -> Vec<u32> {
     let tree = PreparedGraph::new(tree);
-    // Parallel audit: the closure only reads shared `&` state and records
-    // into `Tally` (commutative atomic counters), and `par_filter_map` keeps
-    // input order — so the returned transaction list is byte-identical for
-    // every thread count.
-    par_filter_map(candidates, |&i| {
-        let (found, c) = contains_prepared(&db[i as usize], &tree, probe);
-        tally.record(c);
-        found.then_some(i)
-    })
+    candidates
+        .iter()
+        .copied()
+        .filter(|&i| {
+            let (found, c) = contains_prepared(&db[i as usize], &tree, probe);
+            tally.record(c);
+            found
+        })
+        .collect()
 }
 
 /// Result of a budgeted frequent-subtree mining run.
@@ -150,7 +154,7 @@ pub fn mine_subtrees(
     let min_count = ((cfg.min_support * n as f64).ceil() as usize).max(1);
     let labels = frequent_labels(db, min_count);
     let mut candidates_counted = 0usize;
-    let tally = Tally::new();
+    let mut kernel = TallyCounts::default();
     let probe = budget.with_default_cap(iso::DEFAULT_NODE_CAP);
     let prepared: Vec<PreparedGraph> = db.iter().map(PreparedGraph::new).collect();
 
@@ -161,7 +165,7 @@ pub fn mine_subtrees(
         for &b in &labels[ai..] {
             let tree = Graph::from_parts(&[a, b], &[(0, 1)]);
             candidates_counted += 1;
-            let txs = count_support(&prepared, &all, &tree, &probe, &tally);
+            let txs = count_support(&prepared, &all, &tree, &probe, &mut kernel);
             if txs.len() >= min_count {
                 level.push(FrequentSubtree {
                     canonical: canonical_tokens(&tree),
@@ -193,7 +197,8 @@ pub fn mine_subtrees(
                         continue;
                     }
                     candidates_counted += 1;
-                    let txs = count_support(&prepared, &parent.transactions, &t, &probe, &tally);
+                    let txs =
+                        count_support(&prepared, &parent.transactions, &t, &probe, &mut kernel);
                     if txs.len() >= min_count {
                         next.insert(
                             canon.clone(),
@@ -225,7 +230,6 @@ pub fn mine_subtrees(
         .add("subtree", "candidates", candidates_counted as u64);
     budget.probe.add("subtree", "levels", size as u64);
     budget.probe.add("subtree", "frequent", result.len() as u64);
-    let kernel = tally.counts();
     SubtreeMiningOutcome {
         subtrees: result,
         candidates_counted,
@@ -243,7 +247,7 @@ pub fn feature_vector(
     g: &Graph,
     subtrees: &[FrequentSubtree],
     budget: &SearchBudget,
-    tally: &Tally,
+    tally: &mut TallyCounts,
 ) -> Vec<bool> {
     subtrees
         .iter()
@@ -377,7 +381,12 @@ mod tests {
         let trees = mine_frequent_subtrees(&db, &cfg);
         let m = feature_matrix(db.len(), &trees);
         for (i, g) in db.iter().enumerate() {
-            let fv = feature_vector(g, &trees, &SearchBudget::unbounded(), &Tally::new());
+            let fv = feature_vector(
+                g,
+                &trees,
+                &SearchBudget::unbounded(),
+                &mut TallyCounts::default(),
+            );
             assert_eq!(m[i], fv, "graph {i}");
         }
     }

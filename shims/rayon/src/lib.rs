@@ -29,9 +29,10 @@
 //!
 //! The contract this imposes on call sites: items are shared by
 //! reference across workers (`T: Sync`), outputs cross threads
-//! (`U: Send`), closures are `Sync`, and any shared mutable state they
-//! touch must be synchronized *and* commutative (atomics such as
-//! `Tally`), because side effects happen in any order.
+//! (`U: Send`), and closures are `Sync`. Side effects happen in any
+//! order, so a closure returns what it computed (kernel tallies
+//! included) for the caller to fold in input order, and mutates no
+//! shared state beyond commutative observability counters.
 // Unit tests are allowed the ergonomic panicking shortcuts the library
 // itself forbids; the policy targets production code paths only.
 #![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used, clippy::panic))]

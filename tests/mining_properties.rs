@@ -6,7 +6,7 @@
 // no-panic policy targets library production code only.
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 use catapult::graph::iso::contains;
-use catapult::graph::{Graph, SearchBudget, Tally};
+use catapult::graph::{Graph, SearchBudget, TallyCounts};
 use catapult::mining::{
     gindex::{scan_search, GraphIndex},
     subgraph::{mine_frequent_subgraphs, select_baseline_patterns, SubgraphMinerConfig},
@@ -114,7 +114,7 @@ proptest! {
             },
         );
         for (i, g) in db.iter().enumerate() {
-            let fv = feature_vector(g, &mined, &SearchBudget::unbounded(), &Tally::new());
+            let fv = feature_vector(g, &mined, &SearchBudget::unbounded(), &mut TallyCounts::default());
             for (j, t) in mined.iter().enumerate() {
                 prop_assert_eq!(fv[j], t.transactions.contains(&(i as u32)));
             }

@@ -2,21 +2,23 @@
 //!
 //! The parallel fan-out (`shims/rayon`: `par_map`, `par_filter_map`)
 //! runs on real `std::thread::scope` workers but returns results in
-//! input order, and every parallel closure in the pipeline touches shared
-//! state only through commutative accumulators ([`Tally`]) — so a full
+//! input order, and every parallel closure in the pipeline returns what
+//! it computed (kernel tallies included) for the calling thread to fold
+//! in, mutating no shared state but observability counters — so a full
 //! `run_catapult` must produce **byte-identical** results for every
 //! thread count. These tests pin that contract: the quickstart pipeline
 //! is serialized (patterns, scores, provenance, clusters, and the
 //! completeness report — everything except wall-clock times) and compared
-//! against the single-threaded golden for threads ∈ {1, 2, 8}.
+//! against the single-threaded golden for threads ∈ {1, 2, 8}. The
+//! recorder's counters and histograms (kernel calls, probes, cache hits)
+//! must match the single-threaded run's too: no search is run twice, or
+//! skipped, because of how workers interleave.
 //!
 //! With `--features fault-injection` the fault sweep from
 //! `tests/fault_injection.rs` is re-run under 8 threads: the K-th-probe
 //! counter is interleaving-dependent *within* a stage, but the stage
 //! structure, the validity contract, and the loud-degradation guarantee
 //! must survive any interleaving.
-//!
-//! [`Tally`]: catapult::graph::Tally
 
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
@@ -69,15 +71,15 @@ fn serialize(db: &MoleculeDb, r: &catapult::core::CatapultResult) -> String {
     for csg in &r.csgs {
         let _ = writeln!(s, "csg {:?}", csg);
     }
-    // The per-stage completeness audit (Tally counts are commutative, so
-    // they too must match across thread counts).
+    // The per-stage completeness audit, folded on the calling thread in
+    // input order, so it too must match across thread counts.
     let _ = writeln!(s, "report {:?}", r.selection.report);
     s
 }
 
 /// The quickstart configuration with §4.3 sampling on: mining runs on the
-/// eager sample and every survivor is recounted on the full database
-/// through the miner's fanned-out support count.
+/// eager sample and every survivor is recounted on the full database, in
+/// one fan-out over the survivors.
 fn sampled_cfg() -> CatapultConfig {
     let base = quickstart_cfg();
     CatapultConfig {
@@ -112,15 +114,22 @@ fn full_pipeline_is_byte_identical_across_thread_counts() {
 
 /// The observability layer must be invisible in the output: a recorder
 /// only *observes* (spans, counters), so a recorder-enabled run must stay
-/// byte-identical to the disabled golden for every thread count.
+/// byte-identical to the disabled golden for every thread count. What it
+/// observes must not depend on the thread count either: the counters and
+/// histograms at 2 and 8 threads equal those at 1. The database holds
+/// every quickstart graph twice, so fine clustering looks up each
+/// isomorphism-class pair more than once and its similarity cache is
+/// exercised.
 #[test]
 fn recorder_enabled_run_is_byte_identical_to_disabled() {
     let _guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-    let db = quickstart_db();
+    let mut db = quickstart_db();
+    db.graphs.extend(db.graphs.clone());
     let golden = with_threads(1, || {
         serialize(&db, &run_catapult(&db.graphs, &quickstart_cfg()))
     });
 
+    let mut metrics_at_one = None;
     for threads in [1usize, 2, 8] {
         let recorder = catapult_obs::Recorder::enabled();
         let cfg = CatapultConfig {
@@ -142,6 +151,14 @@ fn recorder_enabled_run_is_byte_identical_to_disabled() {
             snap.stage_metric_total("mining", "calls") > 0,
             "threads={threads}: mining ran but recorded no kernel calls"
         );
+        let metrics = (snap.counters, snap.histograms);
+        match &metrics_at_one {
+            None => metrics_at_one = Some(metrics),
+            Some(one) => assert_eq!(
+                &metrics, one,
+                "threads={threads}: counters or histograms differ from threads=1"
+            ),
+        }
     }
 }
 

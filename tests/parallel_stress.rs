@@ -51,9 +51,20 @@ fn path(n: u32, label: u32) -> Graph {
     g
 }
 
-/// Live threads of this process (Linux); `None` where /proc is absent.
+/// Live threads of this process that carry the calling thread's name
+/// (Linux); `None` where /proc is absent. Unnamed scoped workers inherit
+/// the name of the thread that spawns them, while the test harness names
+/// each test's thread after its test, so a sibling test starting in
+/// between is not counted as a leaked worker.
 fn live_threads() -> Option<usize> {
-    std::fs::read_dir("/proc/self/task").ok().map(|d| d.count())
+    let own = std::fs::read_to_string("/proc/thread-self/comm").ok()?;
+    let tasks = std::fs::read_dir("/proc/self/task").ok()?;
+    Some(
+        tasks
+            .filter_map(Result::ok)
+            .filter(|t| std::fs::read_to_string(t.path().join("comm")).is_ok_and(|c| c == own))
+            .count(),
+    )
 }
 
 /// Whether item `i` of fan-out `round` runs under a zero node cap.

@@ -34,7 +34,7 @@ use catapult::graph::fmt::{parse_graphs, write_graphs};
 use catapult::graph::iso::are_isomorphic_tagged;
 use catapult::graph::mcs::{similarity, McsConfig};
 use catapult::graph::metrics::cognitive_load;
-use catapult::graph::{EdgeId, Graph, Label, LabelInterner, SearchBudget, Tally, TallyCounts};
+use catapult::graph::{EdgeId, Graph, Label, LabelInterner, SearchBudget, TallyCounts};
 use catapult::mining::EdgeLabelStats;
 use catapult_obs::Recorder;
 use rand::rngs::StdRng;
@@ -91,7 +91,7 @@ fn eager<R: Rng>(
     let mut selected = Vec::new();
     let mut selected_graphs: Vec<Graph> = Vec::new();
     let mut counts = SizeCounts::new();
-    let scoring = Tally::new();
+    let mut scoring = TallyCounts::default();
     while selected.len() < budget.gamma() {
         let sizes = budget.open_sizes(&counts);
         if sizes.is_empty() {
@@ -113,7 +113,7 @@ fn eager<R: Rng>(
                 }
             }
         }
-        let iso_eq = |a: &Graph, b: &Graph| {
+        let mut iso_eq = |a: &Graph, b: &Graph| {
             let (eq, c) = are_isomorphic_tagged(a, b, search);
             scoring.record(c);
             eq
@@ -133,17 +133,16 @@ fn eager<R: Rng>(
             .iter()
             .enumerate()
             .map(|(i, (c, _))| {
-                let cov = ccov(&covering_csgs(c, &prepared, search, &scoring), &cw);
+                let cov = ccov(&covering_csgs(c, &prepared, search, &mut scoring), &cw);
                 let cog = cognitive_load(c);
                 let div = if cfg.variant.uses_diversity() && cog > 0.0 {
-                    diversity(c, &selected_graphs, search, &scoring)
+                    diversity(c, &selected_graphs, search, &mut scoring)
                 } else {
                     None
                 };
-                let boost = cfg
-                    .query_log
-                    .as_ref()
-                    .map(|log| 1.0 + cfg.log_weight * log.pattern_frequency(c, search, &scoring));
+                let boost = cfg.query_log.as_ref().map(|log| {
+                    1.0 + cfg.log_weight * log.pattern_frequency(c, search, &mut scoring)
+                });
                 let div = div.map_or(1.0, |d| d as f64);
                 (
                     eq2_score(cfg.variant, cov, index.lcov(c), div, cog, boost),
@@ -159,7 +158,7 @@ fn eager<R: Rng>(
             break;
         }
         let (pattern, source_csg) = candidates.swap_remove(best_idx);
-        for ci in covering_csgs(&pattern, &prepared, search, &scoring) {
+        for ci in covering_csgs(&pattern, &prepared, search, &mut scoring) {
             cw.damp(ci);
         }
         elw.damp_pattern(&pattern);
@@ -167,7 +166,7 @@ fn eager<R: Rng>(
         selected.push(pick(&pattern, best_score, source_csg));
         selected_graphs.push(pattern);
     }
-    (selected, scoring.counts())
+    (selected, scoring)
 }
 
 /// A small `aids`-profile database with CSGs over fixed index blocks.
